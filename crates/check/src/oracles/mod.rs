@@ -9,6 +9,7 @@ pub mod json;
 pub mod matching;
 pub mod persistence;
 pub mod schemata;
+pub mod sim_cache;
 pub mod sim_counters;
 
 use crate::property::Property;
@@ -25,6 +26,7 @@ pub fn all() -> Vec<Property> {
     props.extend(json::properties());
     props.extend(fsm::properties());
     props.extend(sim_counters::properties());
+    props.extend(sim_cache::properties());
     props.extend(ewma::properties());
     props.extend(persistence::properties());
     props.extend(fleet_placement::properties());
@@ -53,6 +55,7 @@ mod tests {
             "json-depth-limit",
             "fsm-dual-vs-table",
             "sim-counter-bounds",
+            "sim-cache-matches-reference",
             "ewma-reference",
             "snapshot-restore-replay",
             "fleet-placement-deterministic",

@@ -1,0 +1,41 @@
+//! `copart compare` on a run shorter than four periods. The measured
+//! window used to be empty there and all 35 cells — on stdout, in
+//! `--out` and in `BENCH_compare.json` — read `NaN`.
+
+use std::process::Command;
+
+#[test]
+fn a_three_period_grid_has_a_number_in_every_cell() {
+    let dir = std::env::temp_dir().join(format!("copart-compare-short-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let cells = dir.join("cells.jsonl");
+    // 0.6 s is three 200 ms periods: one to measure, the boundary case.
+    let out = Command::new(env!("CARGO_BIN_EXE_copart"))
+        .args(["compare", "--seconds", "0.6", "--seed", "42", "--jobs", "2"])
+        .arg("--out")
+        .arg(&cells)
+        .env("BENCH_JSON_DIR", &dir)
+        .output()
+        .expect("run copart compare");
+    assert!(out.status.success(), "compare failed: {out:?}");
+
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 table");
+    assert!(!stdout.contains("NaN"), "NaN in the table:\n{stdout}");
+
+    let jsonl = std::fs::read_to_string(&cells).expect("cells written");
+    assert_eq!(jsonl.lines().count(), 35, "7 engines x 5 scenarios");
+    for line in jsonl.lines() {
+        let cell = copart_telemetry::json::Json::parse(line).expect("cell is JSON");
+        let unfairness = cell.get("unfairness").and_then(|v| v.as_f64());
+        assert!(
+            unfairness.is_some_and(|u| u.is_finite() && u >= 0.0),
+            "cell without a finite unfairness: {line}"
+        );
+    }
+    let artifact = std::fs::read_to_string(dir.join("BENCH_compare.json")).expect("artifact");
+    assert!(
+        !artifact.contains("NaN"),
+        "NaN in the artifact:\n{artifact}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -113,7 +113,10 @@ impl PolicyKind {
 pub struct EvalOptions {
     /// Periods executed after profiling (one period = `params.period`).
     pub total_periods: u32,
-    /// Trailing periods over which ground truth is measured.
+    /// Trailing periods over which ground truth is measured. The window
+    /// opens with the counter reading after period `total - measure`, so
+    /// it spans `measure - 1` periods — but never fewer than one, and
+    /// never more than the run.
     pub measure_periods: u32,
     /// Candidate states evaluated by the ST offline search.
     pub static_candidates: u32,
@@ -499,7 +502,8 @@ impl EpochSource<SimBackend> for StaticSource {
 
 /// The one ground-truth measurement loop every evaluation runs: step the
 /// source one period at a time, read the cumulative counters after each,
-/// and measure fairness over the trailing `measure_periods`.
+/// and measure fairness over the trailing window (at least one period,
+/// at most the run).
 fn measure_source<B: RdtBackend, S: EpochSource<B>>(
     source: &mut S,
     groups: &[ClosId],
@@ -513,18 +517,21 @@ fn measure_source<B: RdtBackend, S: EpochSource<B>>(
                 gt: &mut dyn FnMut(&mut B, ClosId) -> copart_telemetry::CounterSnapshot|
      -> Snapshots { groups.iter().map(|&g| gt(src.backend_mut(), g)).collect() };
     let mut prev = read(source, &mut ground_truth);
-    let mut measure_start = None;
+    // At least one period, at most the run (see `measure_periods`): an
+    // empty window divides zero instructions by zero seconds and every
+    // statistic comes out NaN.
+    let window = opts.measure_periods.max(2);
+    let mut start = prev.clone();
     for k in 0..opts.total_periods {
         source.step()?;
         let now = read(source, &mut ground_truth);
         timeline.push(period_unfairness(&prev, &now, ips_full_solo));
-        prev = now.clone();
-        if k + opts.measure_periods == opts.total_periods {
-            measure_start = Some(now);
+        if k + window == opts.total_periods {
+            start = now.clone();
         }
+        prev = now;
     }
     let end = read(source, &mut ground_truth);
-    let start = measure_start.unwrap_or(end.clone());
     Ok(finish(policy, &start, &end, ips_full_solo, timeline))
 }
 
@@ -811,6 +818,33 @@ mod tests {
         assert!(r.throughput > 0.0);
         assert_eq!(r.slowdowns.len(), 4);
         assert!(r.slowdowns.iter().all(|s| *s >= 0.5 && s.is_finite()));
+    }
+
+    /// Short runs used to measure over an empty window: with
+    /// `measure_periods` 1 the window opened at the final reading, and
+    /// with more measure periods than periods it never opened at all;
+    /// both printed NaN for every statistic (`compare --seconds 0.6`).
+    #[test]
+    fn short_runs_measure_over_the_periods_that_ran() {
+        let cfg = machine_cfg();
+        let specs = WorkloadMix::paper_default(MixKind::HighBw).specs();
+        let full = solo_full_ips(&cfg, &specs);
+        for (total_periods, measure_periods) in [(3, 1), (2, 1), (1, 1), (2, 5)] {
+            let opts = EvalOptions {
+                total_periods,
+                measure_periods,
+                ..quick_opts()
+            };
+            for policy in [PolicyKind::Equal, PolicyKind::CoPart] {
+                let r = evaluate_policy(&cfg, &specs, &full, stream(), policy, &opts);
+                let what =
+                    format!("{policy:?} over {total_periods} periods, measuring {measure_periods}");
+                assert!(r.unfairness.is_finite(), "{what}: {}", r.unfairness);
+                assert!(r.throughput.is_finite() && r.throughput > 0.0, "{what}");
+                assert!(r.slowdowns.iter().all(|s| s.is_finite()), "{what}");
+                assert_eq!(r.timeline.len(), total_periods as usize, "{what}");
+            }
+        }
     }
 
     #[test]

@@ -33,23 +33,6 @@ pub struct AccessOutcome {
     pub writeback: bool,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Line {
-    tag: u64,
-    lru: u64,
-    owner: ClosId,
-    valid: bool,
-    dirty: bool,
-}
-
-const INVALID_LINE: Line = Line {
-    tag: 0,
-    lru: 0,
-    owner: ClosId(0),
-    valid: false,
-    dirty: false,
-};
-
 /// One valid line in a [`CacheSnapshot`], addressed by its flat index
 /// into the `sets × ways` line array.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,13 +60,52 @@ pub struct CacheSnapshot {
     pub lines: Vec<CacheLineSnapshot>,
 }
 
+/// Which ways of one set hold a line, and which of those are dirty
+/// (`dirty ⊆ valid`). Bit *w* is way *w*, the same numbering as
+/// [`CbmMask::bits`], so "first permitted invalid way" is one `&` and a
+/// `trailing_zeros`.
+#[derive(Debug, Clone, Copy, Default)]
+struct WayBits {
+    valid: u32,
+    dirty: u32,
+}
+
+/// How a line address splits into `(set, tag)`.
+#[derive(Debug, Clone, Copy)]
+enum SetIndex {
+    /// Power-of-two set count: mask and shift.
+    Pow2 { mask: u64, shift: u32 },
+    /// Any other set count: remainder and quotient.
+    Div { sets: u64 },
+}
+
+const HIT: AccessOutcome = AccessOutcome {
+    hit: true,
+    writeback: false,
+};
+
 /// A way-partitioned set-associative LRU cache.
+///
+/// Line state is struct-of-arrays: `tags`, `lru` and `owner` are
+/// `sets × ways`, row-major by set, so one set's ways are contiguous in
+/// each; validity and dirtiness are per-set way bitmaps. Entries of
+/// invalid ways are stale and never read — every reader masks with
+/// `valid` first (DESIGN.md §4).
 #[derive(Debug, Clone)]
 pub struct SampledCache {
     cfg: CacheConfig,
-    /// `sets × ways` lines, row-major by set.
-    lines: Vec<Line>,
+    ways: usize,
+    /// Bitmap of the ways this cache has (`ways` low bits).
+    way_mask: u32,
+    tags: Vec<u64>,
+    /// Access-clock value at the last touch; 0 for a prefetch installed
+    /// into an empty way.
+    lru: Vec<u64>,
+    /// Raw CLOS id of the last toucher.
+    owner: Vec<u16>,
+    bits: Vec<WayBits>,
     line_shift: u32,
+    index: SetIndex,
     clock: u64,
 }
 
@@ -92,20 +114,36 @@ impl SampledCache {
     ///
     /// # Panics
     ///
-    /// Panics on a degenerate geometry (zero sets/ways or a non-power-of-
-    /// two line size); geometry comes from [`crate::MachineConfig`] and is
-    /// a programming error if invalid.
+    /// Panics on a degenerate geometry (zero sets/ways, more than 32
+    /// ways, or a non-power-of-two line size); geometry comes from
+    /// [`crate::MachineConfig`] and is a programming error if invalid.
     pub fn new(cfg: CacheConfig) -> SampledCache {
         assert!(cfg.sets > 0 && cfg.ways > 0, "degenerate cache geometry");
+        assert!(cfg.ways <= 32, "way bitmaps hold at most 32 ways");
         assert!(
             cfg.line_bytes.is_power_of_two(),
             "line size must be a power of two"
         );
-        let n = usize::try_from(cfg.sets).expect("set count fits usize") * cfg.ways as usize;
+        let sets = usize::try_from(cfg.sets).expect("set count fits usize");
+        let ways = cfg.ways as usize;
+        let n = sets * ways;
         SampledCache {
             cfg,
-            lines: vec![INVALID_LINE; n],
+            ways,
+            way_mask: u32::MAX >> (32 - cfg.ways),
+            tags: vec![0; n],
+            lru: vec![0; n],
+            owner: vec![0; n],
+            bits: vec![WayBits::default(); sets],
             line_shift: cfg.line_bytes.trailing_zeros(),
+            index: if cfg.sets.is_power_of_two() {
+                SetIndex::Pow2 {
+                    mask: cfg.sets - 1,
+                    shift: cfg.sets.trailing_zeros(),
+                }
+            } else {
+                SetIndex::Div { sets: cfg.sets }
+            },
             clock: 0,
         }
     }
@@ -115,11 +153,93 @@ impl SampledCache {
         self.cfg
     }
 
+    /// Splits a byte address into `(set, tag)`.
+    #[inline]
+    fn locate(&self, addr: u64) -> (usize, u64) {
+        let line_addr = addr >> self.line_shift;
+        match self.index {
+            SetIndex::Pow2 { mask, shift } => ((line_addr & mask) as usize, line_addr >> shift),
+            SetIndex::Div { sets } => ((line_addr % sets) as usize, line_addr / sets),
+        }
+    }
+
+    /// Bitmap of the valid ways of `set` holding `tag` (at most one bit
+    /// unless a foreign snapshot duplicated a tag; callers take the
+    /// lowest). Hits are not restricted by any CAT mask.
+    #[inline]
+    fn find(&self, set: usize, tag: u64) -> u32 {
+        let base = set * self.ways;
+        // Highest way first, so each compare shifts in at bit 0 and way
+        // `w` ends up at bit `w` without a variable shift.
+        let mut same = 0u32;
+        for &t in self.tags[base..base + self.ways].iter().rev() {
+            same = same << 1 | u32::from(t == tag);
+        }
+        same & self.bits[set].valid
+    }
+
+    /// The way a miss by a CLOS with `mask` fills in `set`: the lowest
+    /// permitted invalid way, else the least recently used permitted way
+    /// (the lowest on ties).
+    #[inline]
+    fn victim(&self, set: usize, mask: CbmMask) -> usize {
+        let allowed = mask.bits() & self.way_mask;
+        assert!(allowed != 0, "CAT mask grants no way of this cache");
+        let free = allowed & !self.bits[set].valid;
+        if free != 0 {
+            return free.trailing_zeros() as usize;
+        }
+        // A CAT mask is contiguous, so the permitted ways are one slice.
+        let lo = allowed.trailing_zeros() as usize;
+        let hi = (32 - allowed.leading_zeros()) as usize;
+        let base = set * self.ways;
+        let stamps = &self.lru[base + lo..base + hi];
+        // Running minimum held in locals so the scan compiles to
+        // compare-and-select: which way is oldest is data, not a pattern
+        // a branch predictor can learn.
+        let (mut best, mut oldest) = (0, stamps[0]);
+        for (i, &stamp) in stamps.iter().enumerate().skip(1) {
+            let older = stamp < oldest;
+            best = if older { i } else { best };
+            oldest = if older { stamp } else { oldest };
+        }
+        lo + best
+    }
+
+    /// Replaces way `way` of `set`; returns whether the line it held was
+    /// dirty (memory writeback traffic).
+    #[inline]
+    fn install(
+        &mut self,
+        set: usize,
+        way: usize,
+        tag: u64,
+        stamp: u64,
+        clos: ClosId,
+        dirty: bool,
+    ) -> bool {
+        let i = set * self.ways + way;
+        self.tags[i] = tag;
+        self.lru[i] = stamp;
+        self.owner[i] = clos.0;
+        let bit = 1u32 << way;
+        let bits = &mut self.bits[set];
+        let writeback = bits.dirty & bit != 0;
+        bits.valid |= bit;
+        bits.dirty = (bits.dirty & !bit) | (u32::from(dirty) << way);
+        writeback
+    }
+
     /// Performs one access on behalf of `clos`, whose CAT mask is `mask`.
     ///
     /// A hit is served from any way; on a miss the victim is chosen among
     /// the ways permitted by `mask` (invalid first, then least recently
     /// used), matching CAT allocation semantics.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a miss if `mask` grants none of this cache's ways.
+    #[inline]
     pub fn access(
         &mut self,
         clos: ClosId,
@@ -128,59 +248,18 @@ impl SampledCache {
         is_write: bool,
     ) -> AccessOutcome {
         self.clock += 1;
-        let line_addr = addr >> self.line_shift;
-        let set = (line_addr % self.cfg.sets) as usize;
-        let tag = line_addr / self.cfg.sets;
-        let ways = self.cfg.ways as usize;
-        let base = set * ways;
-        let set_lines = &mut self.lines[base..base + ways];
-
-        // Lookup across all ways (hits are not restricted by the mask).
-        for line in set_lines.iter_mut() {
-            if line.valid && line.tag == tag {
-                line.lru = self.clock;
-                line.dirty |= is_write;
-                line.owner = clos;
-                return AccessOutcome {
-                    hit: true,
-                    writeback: false,
-                };
-            }
+        let (set, tag) = self.locate(addr);
+        let hit = self.find(set, tag);
+        if hit != 0 {
+            let way = hit.trailing_zeros();
+            let i = set * self.ways + way as usize;
+            self.lru[i] = self.clock;
+            self.owner[i] = clos.0;
+            self.bits[set].dirty |= u32::from(is_write) << way;
+            return HIT;
         }
-
-        // Miss: pick a victim among the permitted ways. CbmMask guarantees
-        // at least one permitted way exists.
-        let victim_way = {
-            let mut choice: Option<usize> = None;
-            for w in 0..ways {
-                if !mask.contains(w as u32) {
-                    continue;
-                }
-                if !set_lines[w].valid {
-                    choice = Some(w);
-                    break;
-                }
-                match choice {
-                    None => choice = Some(w),
-                    Some(c) => {
-                        if set_lines[w].lru < set_lines[c].lru {
-                            choice = Some(w);
-                        }
-                    }
-                }
-            }
-            choice.expect("CAT mask is non-empty by construction")
-        };
-
-        let victim = &mut set_lines[victim_way];
-        let writeback = victim.valid && victim.dirty;
-        *victim = Line {
-            tag,
-            lru: self.clock,
-            owner: clos,
-            valid: true,
-            dirty: is_write,
-        };
+        let way = self.victim(set, mask);
+        let writeback = self.install(set, way, tag, self.clock, clos, is_write);
         AccessOutcome {
             hit: false,
             writeback,
@@ -190,54 +269,30 @@ impl SampledCache {
     /// Installs `addr`'s line on behalf of `clos` if it is absent — a
     /// prefetch. Returns whether a fill happened (prefetches that hit an
     /// already-resident line are free) and whether a dirty victim was
-    /// written back. The line is installed *least*-recently-used rather
-    /// than most, the usual conservative prefetch insertion policy, so a
-    /// useless prefetch is evicted first.
+    /// written back. The victim is chosen exactly as for a demand miss,
+    /// but the line is installed *least*-recently-used rather than most,
+    /// the usual conservative prefetch insertion policy, so a useless
+    /// prefetch is evicted first.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a fill if `mask` grants none of this cache's ways.
+    #[inline]
     pub fn prefetch(&mut self, clos: ClosId, mask: CbmMask, addr: u64) -> AccessOutcome {
-        let line_addr = addr >> self.line_shift;
-        let set = (line_addr % self.cfg.sets) as usize;
-        let tag = line_addr / self.cfg.sets;
-        let ways = self.cfg.ways as usize;
-        let base = set * ways;
-        let set_lines = &mut self.lines[base..base + ways];
-        if set_lines.iter().any(|l| l.valid && l.tag == tag) {
-            return AccessOutcome {
-                hit: true,
-                writeback: false,
-            };
+        let (set, tag) = self.locate(addr);
+        if self.find(set, tag) != 0 {
+            return HIT;
         }
-        // Victim selection identical to a demand miss.
-        let mut choice: Option<usize> = None;
-        for w in 0..ways {
-            if !mask.contains(w as u32) {
-                continue;
-            }
-            if !set_lines[w].valid {
-                choice = Some(w);
-                break;
-            }
-            match choice {
-                None => choice = Some(w),
-                Some(c) => {
-                    if set_lines[w].lru < set_lines[c].lru {
-                        choice = Some(w);
-                    }
-                }
-            }
-        }
-        let victim_way = choice.expect("CAT mask is non-empty by construction");
-        let victim = &mut set_lines[victim_way];
-        let writeback = victim.valid && victim.dirty;
-        // LRU-position insertion: stamp with the victim's old recency so a
-        // never-used prefetch leaves first.
-        let lru = victim.lru;
-        *victim = Line {
-            tag,
-            lru,
-            owner: clos,
-            valid: true,
-            dirty: false,
+        let way = self.victim(set, mask);
+        // LRU-position insertion: stamp with the victim's old recency so
+        // a never-used prefetch leaves first. An empty way has none:
+        // stamp 0, older than any demand line.
+        let stamp = if self.bits[set].valid >> way & 1 != 0 {
+            self.lru[set * self.ways + way]
+        } else {
+            0
         };
+        let writeback = self.install(set, way, tag, stamp, clos, false);
         AccessOutcome {
             hit: false,
             writeback,
@@ -247,33 +302,43 @@ impl SampledCache {
     /// Number of valid lines currently owned by `clos` (last toucher),
     /// emulating RDT's `llc_occupancy` monitoring event.
     pub fn occupancy_lines(&self, clos: ClosId) -> u64 {
-        self.lines
+        self.bits
             .iter()
-            .filter(|l| l.valid && l.owner == clos)
-            .count() as u64
+            .zip(self.owner.chunks_exact(self.ways))
+            .map(|(bits, owners)| {
+                owners
+                    .iter()
+                    .enumerate()
+                    .filter(|&(w, &o)| bits.valid >> w & 1 != 0 && o == clos.0)
+                    .count() as u64
+            })
+            .sum()
     }
 
     /// Invalidate every line (e.g., between experiments). Dirty lines are
     /// dropped without writeback accounting.
     pub fn flush(&mut self) {
-        self.lines.fill(INVALID_LINE);
+        self.bits.fill(WayBits::default());
     }
 
     /// Captures the full content state (clock + every valid line).
     pub fn snapshot(&self) -> CacheSnapshot {
-        let lines = self
-            .lines
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| l.valid)
-            .map(|(i, l)| CacheLineSnapshot {
-                index: i as u64,
-                tag: l.tag,
-                lru: l.lru,
-                owner: l.owner.0,
-                dirty: l.dirty,
-            })
-            .collect();
+        let mut lines = Vec::new();
+        for (set, bits) in self.bits.iter().enumerate() {
+            let mut valid = bits.valid;
+            while valid != 0 {
+                let way = valid.trailing_zeros();
+                valid &= valid - 1;
+                let i = set * self.ways + way as usize;
+                lines.push(CacheLineSnapshot {
+                    index: i as u64,
+                    tag: self.tags[i],
+                    lru: self.lru[i],
+                    owner: self.owner[i],
+                    dirty: bits.dirty >> way & 1 != 0,
+                });
+            }
+        }
         CacheSnapshot {
             clock: self.clock,
             lines,
@@ -290,15 +355,16 @@ impl SampledCache {
         self.flush();
         self.clock = snap.clock;
         for line in &snap.lines {
-            let idx = usize::try_from(line.index).expect("line index fits usize");
-            assert!(idx < self.lines.len(), "snapshot line index out of range");
-            self.lines[idx] = Line {
-                tag: line.tag,
-                lru: line.lru,
-                owner: ClosId(line.owner),
-                valid: true,
-                dirty: line.dirty,
-            };
+            let i = usize::try_from(line.index).expect("line index fits usize");
+            assert!(i < self.tags.len(), "snapshot line index out of range");
+            self.install(
+                i / self.ways,
+                i % self.ways,
+                line.tag,
+                line.lru,
+                ClosId(line.owner),
+                line.dirty,
+            );
         }
     }
 }
@@ -586,6 +652,47 @@ mod prefetch_unit_tests {
             !c.access(ClosId(0), m, 64, false).hit,
             "prefetch was victim"
         );
+    }
+
+    /// A prefetch into an empty way is valid with stamp 0. The next miss
+    /// must still take the lowest *empty* way — validity decides, not
+    /// the stamp — and only once the set is full is the never-used
+    /// prefetch the first to go.
+    #[test]
+    fn prefetch_into_an_empty_way_is_not_the_victim_while_ways_are_empty() {
+        let mut c = SampledCache::new(CacheConfig {
+            sets: 1,
+            ways: 3,
+            line_bytes: 64,
+        });
+        let m = CbmMask::full(3);
+        assert!(!c.prefetch(ClosId(0), m, 0).hit);
+        assert_eq!(c.snapshot().lines[0].lru, 0, "LRU-position insert");
+        c.access(ClosId(0), m, 64, false); // Way 1, not way 0.
+        c.access(ClosId(0), m, 128, false); // Way 2.
+        let tags: Vec<u64> = c.snapshot().lines.iter().map(|l| l.tag).collect();
+        assert_eq!(tags, [0, 1, 2], "the prefetched line survived both fills");
+        c.access(ClosId(0), m, 192, false); // Full set: stamp 0 goes first.
+        let tags: Vec<u64> = c.snapshot().lines.iter().map(|l| l.tag).collect();
+        assert_eq!(tags, [3, 1, 2]);
+    }
+
+    #[test]
+    fn non_power_of_two_set_counts_split_addresses_by_remainder() {
+        let mut c = SampledCache::new(CacheConfig {
+            sets: 3,
+            ways: 2,
+            line_bytes: 64,
+        });
+        let m = CbmMask::full(2);
+        // Lines 1, 4 and 7 all fall in set 1, with tags 0, 1 and 2.
+        for line in [1u64, 4, 7] {
+            assert!(!c.access(ClosId(0), m, line * 64, false).hit);
+        }
+        assert!(c.access(ClosId(0), m, 4 * 64, false).hit);
+        assert!(!c.access(ClosId(0), m, 64, false).hit, "line 1 was evicted");
+        let lines = c.snapshot().lines;
+        assert!(lines.iter().all(|l| l.index / 2 == 1), "{lines:?}");
     }
 
     #[test]

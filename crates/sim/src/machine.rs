@@ -195,9 +195,13 @@ struct SimApp {
 /// Reusable per-window buffers so steady-state [`Machine::tick`] calls
 /// stay off the heap: the live-app index, sampling quotas and tallies,
 /// timing inputs/outputs, and the report vector handed back to callers.
+/// Everything indexed by `k` is parallel to `live`.
 #[derive(Debug, Default)]
 struct TickScratch {
     live: Vec<usize>,
+    /// Each live app's CLOS and its configuration, resolved once per
+    /// window.
+    clos: Vec<(ClosId, ClosConfig)>,
     quotas: Vec<u64>,
     remaining: Vec<u64>,
     sampled_hits: Vec<u64>,
@@ -494,6 +498,7 @@ impl Machine {
         } = self;
         let TickScratch {
             live,
+            clos: resolved,
             quotas,
             remaining,
             sampled_hits,
@@ -511,6 +516,7 @@ impl Machine {
         live.extend((0..apps.len()).filter(|&i| apps[i].is_some()));
         reports.clear();
         if live.is_empty() {
+            sampled_accesses.clear();
             *time_ns += window_ns;
             return reports;
         }
@@ -544,6 +550,15 @@ impl Machine {
         sampled_prefetch_fills.resize(live.len(), 0);
         remaining.clear();
         remaining.extend_from_slice(quotas);
+        resolved.clear();
+        resolved.extend(live.iter().map(|&i| {
+            let clos = apps[i].as_ref().expect("live").clos;
+            (clos, clos_table[&clos])
+        }));
+        // Apps take turns a burst at a time. A generator's RNG is its
+        // app's own, so drawing a whole burst before walking it through
+        // the shared cache reorders nothing.
+        let mut block = [0u64; BURST_LEN as usize];
         loop {
             let mut any = false;
             for (k, &i) in live.iter().enumerate() {
@@ -554,30 +569,26 @@ impl Machine {
                 let burst = remaining[k].min(u64::from(BURST_LEN));
                 remaining[k] -= burst;
                 let a = apps[i].as_mut().expect("live");
-                let clos = a.clos;
-                let cc = clos_table[&clos];
+                let (clos, ClosConfig { mask, .. }) = resolved[k];
                 let base = u64::from(i as u32 + 1) << 44;
-                for _ in 0..burst {
-                    let addr = base + a.gen.next_addr();
-                    let is_write = a.gen.flip(a.spec.write_fraction);
-                    let out = cache.access(clos, cc.mask, addr, is_write);
-                    sampled_accesses[k] += 1;
-                    if out.hit {
-                        sampled_hits[k] += 1;
-                    }
-                    if out.writeback {
-                        sampled_writebacks[k] += 1;
-                    }
-                    if !out.hit && cfg.prefetch_next_line {
-                        let pf = cache.prefetch(clos, cc.mask, addr + cfg.line_bytes);
-                        if !pf.hit {
-                            sampled_prefetch_fills[k] += 1;
-                        }
-                        if pf.writeback {
-                            sampled_writebacks[k] += 1;
-                        }
+                let block = &mut block[..burst as usize];
+                let writes = a.gen.fill(a.spec.write_fraction, block);
+                let (mut hits, mut writebacks, mut prefetch_fills) = (0u64, 0u64, 0u64);
+                for (j, &offset) in block.iter().enumerate() {
+                    let addr = base + offset;
+                    let out = cache.access(clos, mask, addr, writes >> j & 1 != 0);
+                    hits += u64::from(out.hit);
+                    writebacks += u64::from(out.writeback);
+                    if cfg.prefetch_next_line && !out.hit {
+                        let pf = cache.prefetch(clos, mask, addr + cfg.line_bytes);
+                        prefetch_fills += u64::from(!pf.hit);
+                        writebacks += u64::from(pf.writeback);
                     }
                 }
+                sampled_accesses[k] += burst;
+                sampled_hits[k] += hits;
+                sampled_writebacks[k] += writebacks;
+                sampled_prefetch_fills[k] += prefetch_fills;
             }
             if !any {
                 break;
@@ -605,7 +616,7 @@ impl Machine {
             } else {
                 0.0
             };
-            let cc = clos_table[&a.clos];
+            let (_, cc) = resolved[k];
             timing_in.push((
                 AppTimingParams {
                     cores: a.spec.cores,
@@ -648,6 +659,14 @@ impl Machine {
         }
         *time_ns += window_ns;
         reports
+    }
+
+    /// Sampled cache accesses the most recent [`Machine::tick`] simulated,
+    /// summed over the live applications — the unit of simulator work
+    /// (host time per tick ÷ this is the cost of one access). Zero
+    /// before the first tick.
+    pub fn sampled_accesses(&self) -> u64 {
+        self.scratch.sampled_accesses.iter().sum()
     }
 
     /// Runs `n` windows of `window_ns`, returning the average IPS of each

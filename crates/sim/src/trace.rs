@@ -103,66 +103,164 @@ impl AccessPattern {
     }
 }
 
+/// An [`AccessPattern`] resolved to what one draw needs, computed once
+/// at construction. The constants are the very `f64`/integer expressions
+/// the per-draw code would evaluate, so the address stream is the same
+/// bit for bit (DESIGN.md §4).
+#[derive(Debug, Clone, Copy)]
+enum Kernel {
+    /// `WorkingSetLoop` and `Stream`: the cursor walks `bytes` cyclically.
+    Walk { bytes: u64, stride: u64 },
+    /// `UniformRandom`: one integer draw per access.
+    Uniform { lines: u64 },
+    /// `Zipf`: one float draw per access through the continuous
+    /// inverse-CDF approximation of the generalized harmonic CDF,
+    /// H(n) ≈ (n^(1-s) - 1) / (1-s), inverted for k at H(k)/H(n) = u.
+    /// Approximate but cheap and monotone in skew, which is all the
+    /// workload models need.
+    Zipf {
+        lines: u64,
+        /// `1 - s`.
+        one_minus_s: f64,
+        /// `H(lines)`.
+        h_n: f64,
+        /// `1 / (1 - s)`.
+        inv_one_minus_s: f64,
+    },
+    /// `PointerChase`: a Weyl-style permutation walk. Stepping by an odd
+    /// constant modulo `lines` visits every line once per cycle when
+    /// `lines` and the step are coprime; the large odd step destroys
+    /// spatial locality like a real pointer chase.
+    Chase { lines: u64, step: u64 },
+}
+
+impl Kernel {
+    fn new(pattern: &AccessPattern, line_bytes: u64) -> Kernel {
+        let lines = (pattern.bytes() / line_bytes).max(1);
+        match *pattern {
+            AccessPattern::WorkingSetLoop { bytes, stride } => Kernel::Walk { bytes, stride },
+            AccessPattern::Stream { bytes } => Kernel::Walk {
+                bytes,
+                stride: line_bytes,
+            },
+            AccessPattern::UniformRandom { .. } => Kernel::Uniform { lines },
+            AccessPattern::Zipf { exponent: s, .. } => {
+                debug_assert!(
+                    s > 0.0 && (s - 1.0).abs() > 1e-9,
+                    "exponent {s} unsupported"
+                );
+                let one_minus_s = 1.0 - s;
+                Kernel::Zipf {
+                    lines,
+                    one_minus_s,
+                    h_n: ((lines as f64).powf(one_minus_s) - 1.0) / one_minus_s,
+                    inv_one_minus_s: 1.0 / one_minus_s,
+                }
+            }
+            AccessPattern::PointerChase { .. } => Kernel::Chase {
+                lines,
+                step: (lines / 2) | 1,
+            },
+        }
+    }
+}
+
+/// `(cursor + stride) % modulus`, without the division whenever the sum
+/// cannot reach `2 × modulus`. A restored cursor may sit past its region
+/// and a loop's stride may exceed it; those take the `%`.
+#[inline(always)]
+fn wrapping_step(cursor: u64, stride: u64, modulus: u64) -> u64 {
+    let next = cursor + stride;
+    if cursor < modulus && stride <= modulus {
+        if next >= modulus {
+            next - modulus
+        } else {
+            next
+        }
+    } else {
+        next % modulus
+    }
+}
+
+/// Fills `out` from `step`, drawing one write decision after each
+/// address when `write_fraction` is given — the order
+/// [`TraceGenerator::next_addr`] then [`TraceGenerator::flip`] draw in.
+/// Returns the write decisions, bit *i* for `out[i]`.
+#[inline(always)]
+fn fill_with(
+    out: &mut [u64],
+    rng: &mut XorShift64Star,
+    write_fraction: Option<f64>,
+    mut step: impl FnMut(&mut XorShift64Star) -> u64,
+) -> u64 {
+    let mut writes = 0u64;
+    match write_fraction {
+        Some(p) => {
+            for (i, slot) in out.iter_mut().enumerate() {
+                *slot = step(rng);
+                writes |= u64::from(rng.gen_range(0.0..1.0) < p) << i;
+            }
+        }
+        None => {
+            for slot in out {
+                *slot = step(rng);
+            }
+        }
+    }
+    writes
+}
+
 /// Per-phase generator state.
 #[derive(Debug, Clone)]
 struct PhaseState {
-    pattern: AccessPattern,
+    kernel: Kernel,
     weight: f64,
     cursor: u64,
 }
 
 impl PhaseState {
-    fn next_addr(&mut self, rng: &mut XorShift64Star, line_bytes: u64) -> u64 {
-        match self.pattern {
-            AccessPattern::WorkingSetLoop { bytes, stride } => {
-                let addr = self.cursor;
-                self.cursor = (self.cursor + stride) % bytes;
-                addr
-            }
-            AccessPattern::Stream { bytes } => {
-                let addr = self.cursor;
-                self.cursor = (self.cursor + line_bytes) % bytes;
-                addr
-            }
-            AccessPattern::UniformRandom { bytes } => {
-                let lines = (bytes / line_bytes).max(1);
-                rng.gen_range(0..lines) * line_bytes
-            }
-            AccessPattern::Zipf { bytes, exponent } => {
-                let lines = (bytes / line_bytes).max(1);
-                let rank = zipf_rank(rng, lines, exponent);
-                rank * line_bytes
-            }
-            AccessPattern::PointerChase { bytes } => {
-                let lines = (bytes / line_bytes).max(1);
-                // Weyl-style permutation walk: stepping by an odd constant
-                // modulo `lines` visits every line once per cycle when
-                // `lines` and the step are coprime; the large odd step
-                // destroys spatial locality like a real pointer chase.
-                let step = (lines / 2) | 1;
-                let idx = self.cursor % lines;
-                self.cursor = (idx + step) % lines;
-                idx * line_bytes
-            }
+    /// Emits `out.len()` (≤ 64) consecutive addresses of this phase, the
+    /// pattern resolved once for the whole block.
+    #[inline]
+    fn fill(
+        &mut self,
+        rng: &mut XorShift64Star,
+        line_bytes: u64,
+        write_fraction: Option<f64>,
+        out: &mut [u64],
+    ) -> u64 {
+        let align = !(line_bytes - 1);
+        let cursor = &mut self.cursor;
+        match self.kernel {
+            Kernel::Walk { bytes, stride } => fill_with(out, rng, write_fraction, |_| {
+                let addr = *cursor;
+                *cursor = wrapping_step(addr, stride, bytes);
+                addr & align
+            }),
+            Kernel::Uniform { lines } => fill_with(out, rng, write_fraction, |rng| {
+                (rng.gen_range(0..lines) * line_bytes) & align
+            }),
+            Kernel::Zipf {
+                lines,
+                one_minus_s,
+                h_n,
+                inv_one_minus_s,
+            } => fill_with(out, rng, write_fraction, |rng| {
+                let u: f64 = rng.gen_range(0.0..1.0);
+                let k = (one_minus_s * u * h_n + 1.0).powf(inv_one_minus_s);
+                ((k as u64).min(lines - 1) * line_bytes) & align
+            }),
+            Kernel::Chase { lines, step } => fill_with(out, rng, write_fraction, |_| {
+                let idx = if *cursor < lines {
+                    *cursor
+                } else {
+                    *cursor % lines
+                };
+                *cursor = wrapping_step(idx, step, lines);
+                (idx * line_bytes) & align
+            }),
         }
     }
-}
-
-/// Samples a Zipf-like rank in `[0, n)` via the continuous inverse-CDF
-/// approximation of the generalized harmonic CDF. Approximate but cheap
-/// and monotone in skew, which is all the workload models need.
-fn zipf_rank(rng: &mut XorShift64Star, n: u64, s: f64) -> u64 {
-    debug_assert!(
-        s > 0.0 && (s - 1.0).abs() > 1e-9,
-        "exponent {s} unsupported"
-    );
-    let u: f64 = rng.gen_range(0.0..1.0);
-    let nf = n as f64;
-    let one_minus_s = 1.0 - s;
-    // H(n) ≈ (n^(1-s) - 1) / (1-s); invert H(k)/H(n) = u for k.
-    let h_n = (nf.powf(one_minus_s) - 1.0) / one_minus_s;
-    let k = (one_minus_s * u * h_n + 1.0).powf(1.0 / one_minus_s);
-    (k as u64).min(n - 1)
 }
 
 /// Frozen mid-stream position of a [`TraceGenerator`]: the per-phase
@@ -209,7 +307,7 @@ impl TraceGenerator {
         let states: Vec<PhaseState> = phases
             .iter()
             .map(|(w, p)| PhaseState {
-                pattern: p.clone(),
+                kernel: Kernel::new(p, line_bytes),
                 weight: *w,
                 cursor: 0,
             })
@@ -231,14 +329,47 @@ impl TraceGenerator {
 
     /// Produces the next line-aligned address offset.
     pub fn next_addr(&mut self) -> u64 {
-        if self.burst_left == 0 {
-            self.active = self.pick_phase();
-            self.burst_left = BURST_LEN;
+        let mut one = [0u64];
+        self.generate(None, &mut one);
+        one[0]
+    }
+
+    /// Generates the next `out.len()` (at most 64) accesses at once:
+    /// line-aligned address offsets into `out`, and the write decisions
+    /// as a bitmask (bit *i* for `out[i]`). Equivalent to calling
+    /// [`TraceGenerator::next_addr`] then
+    /// [`TraceGenerator::flip`]`(write_fraction)` once per slot — the
+    /// same RNG draws in the same order — with the active phase resolved
+    /// once per burst rather than once per access.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` is longer than 64.
+    pub fn fill(&mut self, write_fraction: f64, out: &mut [u64]) -> u64 {
+        self.generate(Some(write_fraction), out)
+    }
+
+    #[inline]
+    fn generate(&mut self, write_fraction: Option<f64>, out: &mut [u64]) -> u64 {
+        assert!(out.len() <= 64, "one write bit per access");
+        let mut writes = 0u64;
+        let mut done = 0;
+        while done < out.len() {
+            if self.burst_left == 0 {
+                self.active = self.pick_phase();
+                self.burst_left = BURST_LEN;
+            }
+            let n = (out.len() - done).min(self.burst_left as usize);
+            self.burst_left -= n as u32;
+            writes |= self.phases[self.active].fill(
+                &mut self.rng,
+                self.line_bytes,
+                write_fraction,
+                &mut out[done..done + n],
+            ) << done;
+            done += n;
         }
-        self.burst_left -= 1;
-        let line = self.line_bytes;
-        let addr = self.phases[self.active].next_addr(&mut self.rng, line);
-        addr & !(line - 1)
+        writes
     }
 
     fn pick_phase(&mut self) -> usize {
@@ -354,6 +485,43 @@ mod tests {
             "hot fraction {}",
             hot as f64 / 50_000.0
         );
+    }
+
+    /// The Zipf constants are computed once per phase instead of once
+    /// per draw; the ranks must not move by a bit. The reference is the
+    /// per-draw form, fed by a second RNG on the same stream.
+    #[test]
+    fn zipf_constants_computed_once_leave_every_rank_unchanged() {
+        fn rank_per_draw(rng: &mut XorShift64Star, n: u64, s: f64) -> u64 {
+            let u: f64 = rng.gen_range(0.0..1.0);
+            let nf = n as f64;
+            let one_minus_s = 1.0 - s;
+            let h_n = (nf.powf(one_minus_s) - 1.0) / one_minus_s;
+            let k = (one_minus_s * u * h_n + 1.0).powf(1.0 / one_minus_s);
+            (k as u64).min(n - 1)
+        }
+        for (lines, exponent) in [
+            (3072u64, 1.2),
+            (3584, 1.1),
+            (1280, 1.4),
+            (97, 0.7),
+            (1, 1.3),
+        ] {
+            let bytes = lines * 64;
+            let phases = [(1.0, AccessPattern::Zipf { bytes, exponent })];
+            let mut generator = TraceGenerator::new(&phases, 64, 11);
+            let mut rng = XorShift64Star::seed_from_u64(11);
+            for i in 0..20_000u32 {
+                if i % BURST_LEN == 0 {
+                    let _phase_draw = rng.gen_range(0.0..1.0);
+                }
+                assert_eq!(
+                    generator.next_addr(),
+                    rank_per_draw(&mut rng, lines, exponent) * 64,
+                    "lines {lines} exponent {exponent} draw {i}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Performance-regression gate for the CoPart reproduction.
 #
-# Runs the artifact-emitting benchmarks (explore_overhead, matching)
-# with BENCH_JSON_DIR set, then gates each fresh BENCH_*.json against
-# the checked-in baseline in crates/bench/baselines/ using
+# Runs the artifact-emitting benchmarks (explore_overhead, matching,
+# cache_sim) with BENCH_JSON_DIR set, then gates each fresh BENCH_*.json
+# against the checked-in baseline in crates/bench/baselines/ using
 # `copart bench-report`:
 #
 #   - *_ns latencies may regress up to the tolerance ratio
@@ -36,7 +36,7 @@ case "$out_dir" in
 *) out_dir="$PWD/$out_dir" ;;
 esac
 baseline_dir="crates/bench/baselines"
-benches=(explore_overhead matching)
+benches=(explore_overhead matching cache_sim)
 
 echo "==> running artifact benches into $out_dir"
 mkdir -p "$out_dir"

@@ -76,4 +76,8 @@ fn corpus_replays_every_blessed_regression() {
         replayed("snapshot-restore-replay") >= 2,
         "crash-recovery fixtures missing (clean + faulted)"
     );
+    assert!(
+        replayed("sim-cache-matches-reference") >= 1,
+        "cache victim tie-break fixture missing"
+    );
 }
