@@ -1,6 +1,7 @@
-//! Figure 16: one `get_next_system_state` step as a function of the
-//! application count, the greedy-allocator ablation, and the cost of the
-//! observability layer on a full control epoch.
+//! Figure 16: one exploration step as the controller executes it
+//! (`Explorer::plan_into`, buffers held across iterations) as a function
+//! of the application count, the greedy-allocator ablation, and the cost
+//! of the observability layer on a full control epoch.
 //!
 //! The paper reports 10.6–14.4 µs for 3–6 applications on the Xeon Gold
 //! 6130; the target shape is microsecond scale with gentle growth. The
@@ -20,8 +21,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use copart_bench::{bench, synthetic_instance, Artifact};
-use copart_core::next_state::{get_next_system_state, get_next_system_state_greedy};
-use copart_core::planner::{Explorer, PlanScratch};
+use copart_core::planner::{Explorer, Plan};
 use copart_core::runtime::{ConsolidationRuntime, PeriodRecord, RuntimeConfig};
 use copart_core::scale::{run_planner_scale, ScaleConfig};
 use copart_core::state::WaysBudget;
@@ -66,10 +66,10 @@ fn allocs() -> u64 {
 }
 
 fn main() {
-    explore_step();
     eprintln!("(computing STREAM reference table...)");
     let machine_cfg = MachineConfig::xeon_gold_6130();
     let stream = StreamReference::compute(&machine_cfg, 4);
+    explore_step(&stream);
 
     let mut art = Artifact::new("copart-bench-epoch/v1");
     recorder_overhead(&stream, &mut art);
@@ -79,39 +79,51 @@ fn main() {
     art.write("epoch");
 }
 
-/// Figure 16 proper: the explore step alone, HR matching vs greedy.
-fn explore_step() {
+/// The CoPart configuration on the full 11-way machine, with the
+/// matching step or its greedy ablation.
+fn copart_config(stream: &StreamReference, use_hr_matching: bool) -> RuntimeConfig {
+    RuntimeConfig {
+        params: CoPartParams {
+            use_hr_matching,
+            ..CoPartParams::default()
+        },
+        manage_llc: true,
+        manage_mba: true,
+        budget: WaysBudget::full_machine(MachineConfig::xeon_gold_6130().llc_ways),
+        stream: stream.clone(),
+        resilience: Default::default(),
+        planner: Default::default(),
+    }
+}
+
+/// Figure 16 proper: the explore step alone, HR matching vs greedy. No
+/// plan is committed, so a stalled step always takes the θ-retry branch
+/// (one neighbor draw) — the same for both rows.
+fn explore_step(stream: &StreamReference) {
     println!("get_next_system_state (Figure 16; paper: 10.6-14.4 us for 3-6 apps)");
     // 11 ways bound the app count: every app needs at least one way.
-    let budget = WaysBudget::full_machine(11);
     for n in [3usize, 4, 5, 6, 8, 11] {
         let instances: Vec<_> = (0..32).map(|s| synthetic_instance(n, s)).collect();
-        let mut rng = XorShift64Star::seed_from_u64(1);
-        let mut k = 0usize;
-        bench(&format!("get_next_system_state/hr_matching/{n}"), || {
-            let (state, apps) = &instances[k % instances.len()];
-            k += 1;
-            black_box(get_next_system_state(
-                black_box(state),
-                black_box(apps),
-                &budget,
-                &mut rng,
-                true,
-                true,
-            ));
-        });
-        let mut k = 0usize;
-        bench(&format!("get_next_system_state/greedy/{n}"), || {
-            let (state, apps) = &instances[k % instances.len()];
-            k += 1;
-            black_box(get_next_system_state_greedy(
-                black_box(state),
-                black_box(apps),
-                &budget,
-                true,
-                true,
-            ));
-        });
+        for (label, use_hr_matching) in [("hr_matching", true), ("greedy", false)] {
+            let cfg = copart_config(stream, use_hr_matching);
+            let mut explorer = Explorer::new(1);
+            let mut plan = Plan::default();
+            let mut k = 0usize;
+            bench(&format!("get_next_system_state/{label}/{n}"), || {
+                let (state, apps) = &instances[k % instances.len()];
+                k += 1;
+                explorer.plan_into(
+                    &cfg,
+                    black_box(state),
+                    &[],
+                    black_box(apps),
+                    0.3,
+                    false,
+                    &mut plan,
+                );
+                black_box(&plan);
+            });
+        }
     }
 }
 
@@ -131,15 +143,7 @@ fn epoch_runtime(
             (g, s.name.clone())
         })
         .collect();
-    let cfg = RuntimeConfig {
-        params: CoPartParams::default(),
-        manage_llc: true,
-        manage_mba: true,
-        budget: WaysBudget::full_machine(machine_cfg.llc_ways),
-        stream: stream.clone(),
-        resilience: Default::default(),
-        planner: Default::default(),
-    };
+    let cfg = copart_config(stream, true);
     let mut rt = ConsolidationRuntime::new(backend, named, cfg).expect("state applies");
     rt.set_recorder(recorder);
     rt.profile().expect("profiling on the simulator");
@@ -250,27 +254,19 @@ fn layer_allocations(stream: &StreamReference, art: &mut Artifact) {
     println!("  sim/Machine::tick        {sim:>8.2} allocs/tick");
 
     // Planner: Explorer::plan_into over a churned synthetic population.
-    let machine_cfg = MachineConfig::xeon_gold_6130();
-    let cfg = RuntimeConfig {
-        params: CoPartParams::default(),
-        manage_llc: true,
-        manage_mba: true,
-        budget: WaysBudget::full_machine(machine_cfg.llc_ways),
-        stream: stream.clone(),
-        resilience: Default::default(),
-        planner: Default::default(),
-    };
+    let cfg = copart_config(stream, true);
     let instances: Vec<_> = (0..32).map(|s| synthetic_instance(6, s)).collect();
     let mut explorer = Explorer::new(7);
-    let mut scratch = PlanScratch::default();
+    let mut plan = Plan::default();
     for (state, apps) in &instances {
-        black_box(explorer.plan_into(&cfg, state, apps, 0.3, &mut scratch));
+        explorer.plan_into(&cfg, state, &[], apps, 0.3, false, &mut plan);
     }
     let before = allocs();
     const PLANS: u32 = 320;
     for k in 0..PLANS {
         let (state, apps) = &instances[k as usize % instances.len()];
-        black_box(explorer.plan_into(&cfg, state, apps, 0.3, &mut scratch));
+        explorer.plan_into(&cfg, state, &[], apps, 0.3, false, &mut plan);
+        black_box(&plan);
     }
     let plan = (allocs() - before) as f64 / f64::from(PLANS);
     println!("  planner/plan_into        {plan:>8.2} allocs/plan");

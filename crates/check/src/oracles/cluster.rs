@@ -18,9 +18,9 @@
 
 use crate::property::{CaseOutcome, Property};
 use crate::source::Source;
-use copart_core::cluster::{cluster_masks_into, clusters_are_valid, form_clusters};
+use copart_core::cluster::{cluster_masks_into, clusters_are_valid, form_clusters_into};
 use copart_core::next_state::AppClassification;
-use copart_core::{AppState, WaysBudget};
+use copart_core::{AppState, SystemState, WaysBudget};
 use copart_rdt::MbaLevel;
 
 const STATES: [AppState; 3] = [AppState::Supply, AppState::Maintain, AppState::Demand];
@@ -86,9 +86,18 @@ fn check_case(
     budget: &WaysBudget,
     machine_ways: u32,
 ) -> Result<(), String> {
-    // Double-run equality: the plan is a pure function of its inputs.
-    let (clusters, state) = form_clusters(apps, budget);
-    let again = form_clusters(apps, budget);
+    // Permutation consistency: shuffling applications permutes the
+    // assignment but never changes any application's shared grant.
+    let shuffled: Vec<AppClassification> = perm.iter().map(|&i| apps[i]).collect();
+    let (mut p_clusters, mut p_state) = (Vec::new(), SystemState::default());
+    form_clusters_into(&shuffled, budget, &mut p_clusters, &mut p_state);
+
+    // Double-run equality: the plan is a pure function of its inputs —
+    // also when the buffers it writes into still hold another plan.
+    let (mut clusters, mut state) = (Vec::new(), SystemState::default());
+    form_clusters_into(apps, budget, &mut clusters, &mut state);
+    let mut again = (p_clusters.clone(), p_state.clone());
+    form_clusters_into(apps, budget, &mut again.0, &mut again.1);
     if (clusters.clone(), state.clone()) != again {
         return Err(format!(
             "two runs on identical inputs diverge: {clusters:?}/{:?} vs {again:?}",
@@ -96,10 +105,6 @@ fn check_case(
         ));
     }
 
-    // Permutation consistency: shuffling applications permutes the
-    // assignment but never changes any application's shared grant.
-    let shuffled: Vec<AppClassification> = perm.iter().map(|&i| apps[i]).collect();
-    let (p_clusters, p_state) = form_clusters(&shuffled, budget);
     for (pos, &i) in perm.iter().enumerate() {
         if p_state.allocs[pos] != state.allocs[i] {
             return Err(format!(

@@ -1,8 +1,13 @@
 //! Differential oracles for the Algorithm 2 allocator
-//! (`copart_matching::chain::allocate`).
+//! (`copart_matching::chain::allocate_into`, the kernel the controller
+//! runs).
 //!
-//! Two independent references check every generated instance:
+//! Three independent references check every generated instance:
 //!
+//! * the straightforward chaining scan [`allocate`], kept here and
+//!   nowhere else — the kernel's assignment *and* round count must equal
+//!   it exactly, from fresh buffers and from buffers left dirty by a
+//!   differently shaped instance;
 //! * a brute-force stability checker written directly over the chaining
 //!   inputs (capacities + consumers) — it shares *no code* with
 //!   `Matching::blocking_pairs`, so a bug in the instance translation
@@ -14,8 +19,108 @@
 
 use crate::property::{CaseOutcome, Property};
 use crate::source::Source;
-use copart_matching::chain::{allocate, induced_instance, Consumer};
+use copart_matching::chain::{allocate_into, induced_instance, ChainScratch, Consumer};
 use copart_matching::{solve_resident_optimal, Matching};
+
+/// The result of a reference allocation round.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Allocation {
+    /// For each consumer, the category it was granted, if any.
+    pub consumer_to_category: Vec<Option<usize>>,
+    /// Number of chaining iterations performed: every insertion attempt,
+    /// including the extra attempts triggered by displacements.
+    pub rounds: u32,
+}
+
+impl Allocation {
+    /// Consumers granted category `c`, in insertion order.
+    pub fn granted(&self, c: usize) -> Vec<usize> {
+        self.consumer_to_category
+            .iter()
+            .enumerate()
+            .filter_map(|(i, &a)| (a == Some(c)).then_some(i))
+            .collect()
+    }
+}
+
+/// Runs instability chaining — the straightforward reference scan
+/// (`chain::allocate_into` is the indexed, scratch-reusing kernel on the
+/// hot path).
+///
+/// `capacities[c]` is the number of grants category `c` can make. Ties in
+/// priority are broken toward the lower consumer index, making the result
+/// deterministic.
+///
+/// # Panics
+///
+/// Panics if any preference index is out of range.
+pub fn allocate(capacities: &[usize], consumers: &[Consumer]) -> Allocation {
+    for c in consumers {
+        for &p in &c.preference {
+            assert!(
+                p < capacities.len(),
+                "preference index {p} out of range ({} categories)",
+                capacities.len()
+            );
+        }
+    }
+
+    let mut granted: Vec<Vec<usize>> = vec![Vec::new(); capacities.len()];
+    let mut assignment: Vec<Option<usize>> = vec![None; consumers.len()];
+    // Next preference position each consumer will try after a displacement.
+    let mut cursor = vec![0usize; consumers.len()];
+    let mut rounds = 0u32;
+
+    // Mirrors Algorithm 2 lines 7–18: iterate consumers; each insertion may
+    // displace the weakest holder, who chains onto its own next preference.
+    for start in 0..consumers.len() {
+        let mut current = start;
+        // Not a `while let`: `current` changes inside the body when a
+        // displacement chains to another consumer.
+        #[allow(clippy::while_let_loop)]
+        loop {
+            let Some(&cat) = consumers[current].preference.get(cursor[current]) else {
+                break; // Preference list exhausted (line 10–11).
+            };
+            cursor[current] += 1;
+            rounds += 1;
+            if capacities[cat] == 0 {
+                continue; // No producer supplies this category.
+            }
+            granted[cat].push(current);
+            assignment[current] = Some(cat);
+            if granted[cat].len() <= capacities[cat] {
+                break; // Fits; chain ends (line 17–18).
+            }
+            // Oversubscribed: displace the minimum-priority holder
+            // (line 14–16), favoring higher slowdowns as the paper does.
+            let (weakest_pos, _) = granted[cat]
+                .iter()
+                .enumerate()
+                .min_by(|&(_, &a), &(_, &b)| {
+                    consumers[a]
+                        .priority
+                        .partial_cmp(&consumers[b].priority)
+                        .expect("priorities must not be NaN")
+                        .then(b.cmp(&a)) // Lower index wins ties, so higher
+                                         // index is displaced first.
+                })
+                .expect("oversubscribed ⇒ non-empty");
+            let displaced = granted[cat].swap_remove(weakest_pos);
+            assignment[displaced] = None;
+            if displaced == current {
+                // Immediately bounced; keep walking our own list.
+                continue;
+            }
+            current = displaced;
+        }
+    }
+
+    Allocation {
+        consumer_to_category: assignment,
+        rounds,
+    }
+}
 
 /// Generates a small chaining instance. Priorities are small integers so
 /// ties are common — the tie-break order is exactly where the two
@@ -98,7 +203,19 @@ fn blocking_pair(
 pub fn allocate_case(src: &mut Source) -> CaseOutcome {
     let (capacities, consumers) = gen_instance(src);
     let witness = witness(&capacities, &consumers);
-    let alloc = allocate(&capacities, &consumers);
+    // The kernel under test: every check below judges what the controller
+    // actually runs.
+    let mut assignment = Vec::new();
+    let rounds = allocate_into(
+        &capacities,
+        &consumers,
+        &mut assignment,
+        &mut ChainScratch::default(),
+    );
+    let alloc = Allocation {
+        consumer_to_category: assignment,
+        rounds,
+    };
 
     // Feasibility: grants respect capacities and preference lists.
     for (c, &cap) in capacities.iter().enumerate() {
@@ -157,7 +274,42 @@ pub fn allocate_case(src: &mut Source) -> CaseOutcome {
             }
         }
     };
-    let chained: Matching = alloc.into();
+    // Differential: the reference scan, assignment and rounds.
+    let scan = allocate(&capacities, &consumers);
+    if alloc != scan {
+        return CaseOutcome {
+            witness,
+            verdict: Err(format!("kernel {alloc:?} != reference scan {scan:?}")),
+        };
+    }
+    // The controller's steady state is a *reused* scratch: the same
+    // instance must come out identical when the heaps, cursors and
+    // assignment still hold a differently shaped one (one more category,
+    // one more consumer, the rest in reverse order). No tape draws.
+    let (mut scratch, mut dirty) = (ChainScratch::default(), Vec::new());
+    let mut wider_caps = capacities.clone();
+    wider_caps.push(2);
+    let mut more_consumers: Vec<Consumer> = consumers.iter().rev().cloned().collect();
+    more_consumers.push(Consumer {
+        priority: 3.0,
+        preference: (0..wider_caps.len()).rev().collect(),
+    });
+    allocate_into(&wider_caps, &more_consumers, &mut dirty, &mut scratch);
+    let reused = Allocation {
+        rounds: allocate_into(&capacities, &consumers, &mut dirty, &mut scratch),
+        consumer_to_category: dirty,
+    };
+    if reused != scan {
+        return CaseOutcome {
+            witness,
+            verdict: Err(format!(
+                "kernel on a dirty scratch {reused:?} != reference scan {scan:?}"
+            )),
+        };
+    }
+    let chained = Matching {
+        resident_to_hospital: alloc.consumer_to_category,
+    };
     if chained != reference {
         return CaseOutcome {
             witness,

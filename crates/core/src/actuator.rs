@@ -89,12 +89,11 @@ pub struct ApplyReport {
 ///
 /// Implementations turn a [`SystemState`] into backend writes; the
 /// runtime never calls [`RdtBackend::set_cbm`] / [`RdtBackend::set_mba`]
-/// directly. The CAT mask layout is computed by the *caller*: the epoch
-/// driver owns the layout policy — disjoint per-application packing
-/// ([`SystemState::masks_into`]) or shared per-cluster regions
-/// ([`crate::cluster::cluster_masks_into`]) — and the actuator writes
-/// whatever masks it is handed, one per group, alongside each
-/// allocation's (capped) MBA level.
+/// directly. The CAT mask layout is computed by the *caller*, through
+/// the planner's [`crate::planner::layout_masks_into`] — disjoint
+/// per-application packing or shared per-cluster regions — and the
+/// actuator writes whatever masks it is handed, one per group, alongside
+/// each allocation's (capped) MBA level.
 ///
 /// # Examples
 ///

@@ -175,15 +175,6 @@ pub fn form_clusters_into(
     }
 }
 
-/// [`form_clusters_into`] returning owned buffers — the oracle-facing
-/// convenience form.
-pub fn form_clusters(apps: &[AppClassification], budget: &WaysBudget) -> (Vec<u16>, SystemState) {
-    let mut clusters = Vec::new();
-    let mut state = SystemState::default();
-    form_clusters_into(apps, budget, &mut clusters, &mut state);
-    (clusters, state)
-}
-
 /// Checks the cluster-plan invariants against a budget: the assignment
 /// covers every application with dense ids `0..k` (`k ≤`
 /// [`MAX_CLUSTERS`]), every member of a cluster carries the identical
@@ -281,6 +272,13 @@ mod tests {
             mba,
             slowdown: 1.0,
         }
+    }
+
+    fn form_clusters(apps: &[AppClassification], budget: &WaysBudget) -> (Vec<u16>, SystemState) {
+        let mut clusters = Vec::new();
+        let mut state = SystemState::default();
+        form_clusters_into(apps, budget, &mut clusters, &mut state);
+        (clusters, state)
     }
 
     fn mixed() -> Vec<AppClassification> {

@@ -11,7 +11,7 @@
 //!   FSM over LLC capacity (Fig 8),
 //! * [`mba_fsm::MbaClassifier`] — the analogous FSM over memory bandwidth
 //!   (Fig 9), driven by the STREAM-normalized memory traffic ratio,
-//! * [`next_state::get_next_system_state`] — Algorithm 2: a
+//! * [`next_state::get_next_system_state_into`] — Algorithm 2: a
 //!   Hospitals/Residents instability-chaining match between applications
 //!   willing to supply resources (producers) and those demanding more
 //!   (consumers), ordered by slowdown,
@@ -26,7 +26,9 @@
 //! * [`sensor`] — per-application counter sampling with degraded-mode
 //!   EWMA bridging,
 //! * [`classifier`] — the LLC/MBA FSM pair behind one interface,
-//! * [`planner`] — Algorithm 1 as an [`planner::Explorer`], plus the
+//! * [`planner`] — the one module that knows which planning algorithm
+//!   runs: [`planner::Explorer`] turns each exploring epoch into a
+//!   uniform [`planner::Plan`] and commits its outcome; plus the
 //!   [`planner::PolicyEngine`] trait every evaluated policy (including
 //!   CoPart itself) plugs into, and
 //! * [`actuator`] — transactional partition writes with bounded

@@ -80,7 +80,8 @@ impl AppliedEvents {
     }
 }
 
-/// The result of one Algorithm 2 step.
+/// The owned result of one Algorithm 2 step (the greedy baseline's
+/// return type; the matching step writes in place).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TransferOutcome {
     /// The proposed next system state.
@@ -206,16 +207,21 @@ pub struct StepStats {
     pub matching_rounds: u32,
 }
 
-/// In-place, incremental `getNextSystemState`: byte-identical to
-/// [`get_next_system_state`] (state, events, `changed`, and
-/// `matching_rounds`, including the exact RNG draw sequence), but all
-/// working storage lives in `scratch` and per-app roles are recomputed
-/// only when their inputs changed — so steady-state calls allocate
-/// nothing and scale to thousands of apps. The
-/// `matching-incremental-vs-rebuild` oracle in `copart-check` fuzzes this
-/// equivalence against the from-scratch rebuild every epoch.
-// The signature mirrors `get_next_system_state` plus the three output
-// buffers; bundling them into a struct would only move the argument list.
+/// Runs one `getNextSystemState` step, in place and incrementally: the
+/// proposed state and the per-application transfers land in `state` and
+/// `events`, all working storage lives in `scratch`, and per-app roles
+/// are recomputed only when their inputs changed — so steady-state calls
+/// allocate nothing and scale to thousands of apps.
+///
+/// `manage_llc` / `manage_mba` restrict which resources the controller
+/// may move — the CAT-only and MBA-only baselines pin one of them.
+///
+/// The `matching-incremental-vs-rebuild` oracle in `copart-check` fuzzes
+/// every output (state, events, `changed`, `matching_rounds`, and the
+/// exact RNG draw sequence) against a from-scratch rebuild of the matching
+/// instance every epoch.
+// Bundling the three output buffers into a struct would only move the
+// argument list.
 #[allow(clippy::too_many_arguments)]
 pub fn get_next_system_state_into(
     current: &SystemState,
@@ -264,7 +270,9 @@ pub fn get_next_system_state_into(
     }
     roles.resize(n, AppRole::default());
 
-    // --- Producer pools (lines 2–5), membership from the role cache. ---
+    // --- Producer pools (lines 2–5 of Algorithm 2), membership from the
+    // role cache. `None` entries are virtual producers representing
+    // unallocated budget ways; reclaiming from them costs nobody anything.
     pool_llc.clear();
     pool_mba.clear();
     pool_any.clear();
@@ -296,8 +304,10 @@ pub fn get_next_system_state_into(
             pool_llc.push(None);
         }
     }
-    // Identical order to the reference's stable sort: the comparator is a
-    // total order whose only equal elements are interchangeable `None`s.
+    // Producers are consumed lowest-slowdown first (virtual producers
+    // first of all — they are free). The comparator is a total order whose
+    // only equal elements are interchangeable `None`s, so the unstable
+    // sort is deterministic.
     let by_slowdown_asc = |a: &Option<usize>, b: &Option<usize>| match (a, b) {
         (None, None) => std::cmp::Ordering::Equal,
         (None, Some(_)) => std::cmp::Ordering::Less,
@@ -312,9 +322,10 @@ pub fn get_next_system_state_into(
     pool_mba.sort_unstable_by(by_slowdown_asc);
     pool_any.sort_unstable_by(by_slowdown_asc);
 
-    // --- Consumers (lines 6–18), preference buffers reused in place. ---
-    // RNG draws must mirror the reference exactly: one `gen_bool` per
-    // dual-demand consumer, in app-index order.
+    // --- Consumers and their preference lists (lines 6–18), buffers
+    // reused in place. One `gen_bool` per dual-demand consumer, in
+    // app-index order: for ANY-demand consumers, the random specific-type
+    // priority (§5.4.2: randomness avoids local optima).
     let mut nc = 0usize;
     for (i, app) in apps.iter().enumerate() {
         let (prefs, choice): (&[usize], Option<ResourceKind>) = match roles[i].consumer {
@@ -351,9 +362,8 @@ pub fn get_next_system_state_into(
     let matching_rounds =
         chain::allocate_into(&capacities, &consumers[..nc], assignment, chain_scratch);
 
-    // --- Step two (lines 19–29): iterate the assignment directly — same
-    // (category, then consumer-index) order the reference's `granted()`
-    // lists produce, without materializing them. ---
+    // --- Step two (lines 19–29): pair consumers with producers and
+    // transfer units, in (category, then consumer-index) order. ---
     let mut cursor_llc = 0usize;
     let mut cursor_mba = 0usize;
     let mut cursor_any = 0usize;
@@ -370,6 +380,8 @@ pub fn get_next_system_state_into(
             } else {
                 match any_choice[k] {
                     Some(kind) => kind,
+                    // Both the consumer and the producer accept either
+                    // resource: pick randomly (search randomness, §5.4.2).
                     None => {
                         if rng.gen_bool(0.5) {
                             ResourceKind::Llc
@@ -423,174 +435,6 @@ pub fn get_next_system_state_into(
     StepStats {
         changed,
         matching_rounds,
-    }
-}
-
-/// Runs one `getNextSystemState` step.
-///
-/// `manage_llc` / `manage_mba` restrict which resources the controller
-/// may move — the CAT-only and MBA-only baselines pin one of them.
-pub fn get_next_system_state(
-    current: &SystemState,
-    apps: &[AppClassification],
-    budget: &WaysBudget,
-    rng: &mut XorShift64Star,
-    manage_llc: bool,
-    manage_mba: bool,
-) -> TransferOutcome {
-    assert_eq!(
-        current.allocs.len(),
-        apps.len(),
-        "state/classification mismatch"
-    );
-    let n = apps.len();
-    let mut state = current.clone();
-    let mut events = vec![AppliedEvents::default(); n];
-
-    // --- Producer pools (lines 2–5 of Algorithm 2). ---
-    // `None` entries are virtual producers representing unallocated budget
-    // ways; reclaiming from them costs nobody anything.
-    let mut pool_llc: Vec<Option<usize>> = Vec::new();
-    let mut pool_mba: Vec<Option<usize>> = Vec::new();
-    let mut pool_any: Vec<Option<usize>> = Vec::new();
-    for (i, (app, alloc)) in apps.iter().zip(&current.allocs).enumerate() {
-        let can_llc = manage_llc && app.llc == AppState::Supply && alloc.ways > 1;
-        let can_mba = manage_mba && app.mba == AppState::Supply && alloc.mba > MbaLevel::MIN;
-        match (can_llc, can_mba) {
-            (true, true) => pool_any.push(Some(i)),
-            (true, false) => pool_llc.push(Some(i)),
-            (false, true) => pool_mba.push(Some(i)),
-            (false, false) => {}
-        }
-    }
-    let spare_ways = budget.total_ways.saturating_sub(current.total_ways());
-    if manage_llc {
-        for _ in 0..spare_ways {
-            pool_llc.push(None);
-        }
-    }
-    // Producers are consumed lowest-slowdown first (virtual producers
-    // first of all — they are free).
-    let by_slowdown_asc = |a: &Option<usize>, b: &Option<usize>| match (a, b) {
-        (None, None) => std::cmp::Ordering::Equal,
-        (None, Some(_)) => std::cmp::Ordering::Less,
-        (Some(_), None) => std::cmp::Ordering::Greater,
-        (Some(x), Some(y)) => apps[*x]
-            .slowdown
-            .partial_cmp(&apps[*y].slowdown)
-            .expect("slowdowns are not NaN")
-            .then(x.cmp(y)),
-    };
-    pool_llc.sort_by(by_slowdown_asc);
-    pool_mba.sort_by(by_slowdown_asc);
-    pool_any.sort_by(by_slowdown_asc);
-
-    // --- Consumers and their preference lists (lines 6–18). ---
-    let mut consumer_apps: Vec<usize> = Vec::new();
-    let mut consumers: Vec<Consumer> = Vec::new();
-    // For ANY-demand consumers, the random specific-type priority (§5.4.2:
-    // randomness avoids local optima).
-    let mut any_choice: Vec<Option<ResourceKind>> = Vec::new();
-    for (i, (app, alloc)) in apps.iter().zip(&current.allocs).enumerate() {
-        let wants_llc = manage_llc && app.llc == AppState::Demand;
-        let wants_mba = manage_mba && app.mba == AppState::Demand && alloc.mba < budget.mba_cap;
-        let (preference, choice) = match (wants_llc, wants_mba) {
-            (true, true) => {
-                if rng.gen_bool(0.5) {
-                    (vec![CAT_LLC, CAT_MBA, CAT_ANY], None)
-                } else {
-                    (vec![CAT_MBA, CAT_LLC, CAT_ANY], None)
-                }
-            }
-            (true, false) => (vec![CAT_LLC, CAT_ANY], Some(ResourceKind::Llc)),
-            (false, true) => (vec![CAT_MBA, CAT_ANY], Some(ResourceKind::MemoryBandwidth)),
-            (false, false) => continue,
-        };
-        consumer_apps.push(i);
-        any_choice.push(choice);
-        consumers.push(Consumer {
-            priority: app.slowdown,
-            preference,
-        });
-    }
-
-    let capacities = [pool_llc.len(), pool_mba.len(), pool_any.len()];
-    let allocation = chain::allocate(&capacities, &consumers);
-
-    // --- Step two: pair consumers with producers and transfer units
-    // (lines 19–29). ---
-    let mut cursor_llc = 0usize;
-    let mut cursor_mba = 0usize;
-    let mut cursor_any = 0usize;
-    for t in [CAT_LLC, CAT_MBA, CAT_ANY] {
-        for k in allocation.granted(t) {
-            let c = consumer_apps[k];
-            let kind = if t == CAT_LLC {
-                ResourceKind::Llc
-            } else if t == CAT_MBA {
-                ResourceKind::MemoryBandwidth
-            } else {
-                match any_choice[k] {
-                    Some(kind) => kind,
-                    // Both the consumer and the producer accept either
-                    // resource: pick randomly (search randomness, §5.4.2).
-                    None => {
-                        if rng.gen_bool(0.5) {
-                            ResourceKind::Llc
-                        } else {
-                            ResourceKind::MemoryBandwidth
-                        }
-                    }
-                }
-            };
-            let producer = match t {
-                CAT_LLC => {
-                    cursor_llc += 1;
-                    pool_llc[cursor_llc - 1]
-                }
-                CAT_MBA => {
-                    cursor_mba += 1;
-                    pool_mba[cursor_mba - 1]
-                }
-                _ => {
-                    cursor_any += 1;
-                    pool_any[cursor_any - 1]
-                }
-            };
-            // Reclaim from the producer.
-            if let Some(p) = producer {
-                match kind {
-                    ResourceKind::Llc => {
-                        debug_assert!(state.allocs[p].ways > 1);
-                        state.allocs[p].ways -= 1;
-                        events[p].reclaimed_llc = true;
-                    }
-                    ResourceKind::MemoryBandwidth => {
-                        state.allocs[p].mba = state.allocs[p].mba.step_down();
-                        events[p].reclaimed_mba = true;
-                    }
-                }
-            }
-            // Grant to the consumer.
-            match kind {
-                ResourceKind::Llc => {
-                    state.allocs[c].ways += 1;
-                    events[c].granted_llc = true;
-                }
-                ResourceKind::MemoryBandwidth => {
-                    state.allocs[c].mba = state.allocs[c].mba.step_up().min(budget.mba_cap);
-                    events[c].granted_mba = true;
-                }
-            }
-        }
-    }
-
-    let changed = events.iter().any(AppliedEvents::any) && state != *current;
-    TransferOutcome {
-        state,
-        events,
-        changed,
-        matching_rounds: allocation.rounds,
     }
 }
 
@@ -736,6 +580,36 @@ mod tests {
 
     fn class(llc: AppState, mba: AppState, slowdown: f64) -> AppClassification {
         AppClassification { llc, mba, slowdown }
+    }
+
+    /// One `get_next_system_state_into` step with throwaway buffers.
+    fn get_next_system_state(
+        current: &SystemState,
+        apps: &[AppClassification],
+        budget: &WaysBudget,
+        rng: &mut XorShift64Star,
+        manage_llc: bool,
+        manage_mba: bool,
+    ) -> TransferOutcome {
+        let mut state = SystemState::default();
+        let mut events = Vec::new();
+        let stats = get_next_system_state_into(
+            current,
+            apps,
+            budget,
+            rng,
+            manage_llc,
+            manage_mba,
+            &mut ExploreScratch::default(),
+            &mut state,
+            &mut events,
+        );
+        TransferOutcome {
+            state,
+            events,
+            changed: stats.changed,
+            matching_rounds: stats.matching_rounds,
+        }
     }
 
     #[test]
@@ -981,70 +855,6 @@ mod tests {
             assert!(out.state.total_ways() >= current.total_ways());
             let spare = budget.total_ways - current.total_ways();
             assert!(out.state.total_ways() - current.total_ways() <= spare);
-        }
-    }
-
-    /// The incremental in-place step is byte-identical to the
-    /// from-scratch rebuild — state, events, changed, rounds — across
-    /// chained epochs with one persistent scratch, while classifications
-    /// and allocations evolve (so the role cache sees hits and misses).
-    #[test]
-    fn incremental_step_matches_rebuild_across_epochs() {
-        let mut gen = XorShift64Star::seed_from_u64(0x001A_C5E7);
-        let st = |k: u8| match k {
-            0 => AppState::Supply,
-            1 => AppState::Maintain,
-            _ => AppState::Demand,
-        };
-        for seed in 0u64..60 {
-            let budget = budget();
-            let n = gen.gen_range(2..6usize);
-            let ways_each = budget.total_ways / n as u32;
-            let mut current = SystemState {
-                allocs: (0..n).map(|_| alloc(ways_each, 100)).collect(),
-            };
-            let mut apps: Vec<AppClassification> = (0..n)
-                .map(|_| {
-                    class(
-                        st(gen.gen_range(0..3u8)),
-                        st(gen.gen_range(0..3u8)),
-                        f64::from(gen.gen_range(10..400u32)) / 100.0,
-                    )
-                })
-                .collect();
-            let mut scratch = ExploreScratch::default();
-            let mut state = SystemState { allocs: Vec::new() };
-            let mut events = Vec::new();
-            let mut rng_ref = XorShift64Star::seed_from_u64(seed);
-            let mut rng_inc = XorShift64Star::seed_from_u64(seed);
-            for _ in 0..12 {
-                let reference =
-                    get_next_system_state(&current, &apps, &budget, &mut rng_ref, true, true);
-                let stats = get_next_system_state_into(
-                    &current,
-                    &apps,
-                    &budget,
-                    &mut rng_inc,
-                    true,
-                    true,
-                    &mut scratch,
-                    &mut state,
-                    &mut events,
-                );
-                assert_eq!(state, reference.state);
-                assert_eq!(events, reference.events);
-                assert_eq!(stats.changed, reference.changed);
-                assert_eq!(stats.matching_rounds, reference.matching_rounds);
-                // Chain: adopt the outcome and mutate one app's inputs.
-                current = reference.state;
-                let i = gen.gen_range(0..n);
-                apps[i] = class(
-                    st(gen.gen_range(0..3u8)),
-                    st(gen.gen_range(0..3u8)),
-                    f64::from(gen.gen_range(10..400u32)) / 100.0,
-                );
-            }
-            assert!(scratch.cache_hits() > 0, "cache never hit at seed {seed}");
         }
     }
 }

@@ -1,14 +1,17 @@
-//! The planning layer: Algorithm 1's exploration stepper and the
-//! pluggable policy engines.
+//! The planning layer: the plan/commit seam every planning algorithm
+//! sits behind, and the pluggable policy engines.
 //!
 //! The third stage of the control-plane pipeline (DESIGN.md §12), in two
 //! halves:
 //!
-//! * [`Explorer`] — the per-runtime state of the §5.4.2 exploration
-//!   (Algorithm 1): the RNG, the θ-retry counter, the best state seen,
-//!   and the idle-phase drift threshold. Each exploring epoch it turns
-//!   the classifier verdicts into one [`PlannedStep`] — a proposed next
-//!   state plus what the driver should do with it.
+//! * [`Explorer`] — the per-runtime planning state (the RNG, the θ-retry
+//!   counter, the best state seen, the idle-phase drift threshold) and
+//!   the only code that knows which algorithm runs. Each exploring epoch
+//!   [`Explorer::plan_into`] turns the classifier verdicts into one
+//!   uniform [`Plan`] — proposal, per-app events, cluster assignment,
+//!   decision — and [`Explorer::commit`] closes the epoch once the driver
+//!   knows whether the plan landed. [`layout_masks_into`] is the single
+//!   place a partition becomes CAT masks.
 //! * [`PolicyEngine`] — one uniform interface over every evaluated
 //!   allocation policy (§6.1). A static engine plans a single
 //!   [`SystemState`]; a dynamic engine plans a [`RuntimeConfig`] for the
@@ -19,11 +22,12 @@
 
 use copart_rng::XorShift64Star;
 
-use copart_rdt::MbaLevel;
+use copart_rdt::{CbmMask, MbaLevel};
 use copart_sim::{AppSpec, MachineConfig};
 use copart_workloads::stream::StreamReference;
 
 use crate::actuator::ResilienceConfig;
+use crate::cluster;
 use crate::next_state::{
     get_next_system_state_greedy, get_next_system_state_into, AppClassification, AppliedEvents,
     ExploreScratch, StepStats,
@@ -33,82 +37,129 @@ use crate::runtime::{PlannerMode, RuntimeConfig};
 use crate::state::{AllocationState, SystemState, WaysBudget};
 use crate::CoPartParams;
 
-/// What the explorer proposes for one exploring epoch.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PlannedStep {
-    /// The state the matching step produced (for [`PlanAction::Transfer`]
-    /// and [`PlanAction::Converge`]) or the random neighbor (for
-    /// [`PlanAction::ThetaRetry`]) — exactly what the trace records as
-    /// the epoch's proposal.
-    pub proposal: SystemState,
-    /// Instability-chaining iterations the matching step used.
-    pub matching_rounds: u32,
-    /// What the driver should do with the proposal.
-    pub action: PlanAction,
-}
-
-/// The three outcomes of one Algorithm 1 step.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PlanAction {
-    /// The matching transferred resources: apply the proposal and feed
-    /// each application its transfer events.
-    Transfer {
-        /// Per-application transfers (same indexing as the apps).
-        events: Vec<AppliedEvents>,
-    },
+/// What the driver should do with a [`Plan`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum PlanDecision {
+    /// The step moved resources: apply the target and feed each
+    /// application its transfer events.
+    Transfer = 1,
     /// The matching stalled; the proposal is a random neighbor restart
     /// (Algorithm 1 lines 11–14). A rolled-back apply does not consume a
     /// θ-retry: nothing new was tried.
-    ThetaRetry,
-    /// Exploration converged: go idle, optionally settling on the best
-    /// state seen (with its unfairness) when it beats the current one.
-    Converge {
-        /// `(unfairness, state)` to settle on, when better than staying.
-        settle: Option<(f64, SystemState)>,
-    },
+    ThetaRetry = 2,
+    /// Exploration converged: go idle, after settling on the best state
+    /// seen when the plan carries one as its target.
+    #[default]
+    Converge = 3,
 }
 
-/// Reusable buffers for [`Explorer::plan_into`]: the incremental matching
-/// scratch plus the proposal/events the plan writes in place. One of these
-/// lives in the runtime's `EpochScratch`, making steady-state planning
-/// allocation-free.
+impl PlanDecision {
+    /// The decision's stable numeric tag — the explicit discriminant
+    /// above. The planner-scale digests hash it, so it never changes with
+    /// declaration order.
+    pub fn tag(self) -> u64 {
+        self as u64
+    }
+}
+
+/// One exploring epoch's plan, uniform across planning algorithms, plus
+/// the buffers that make writing it allocation-free in steady state. The
+/// runtime holds one and hands it to [`Explorer::plan_into`] every epoch.
 #[derive(Debug, Default)]
-pub struct PlanScratch {
-    /// Incremental matching buffers + role cache.
-    pub explore: ExploreScratch,
-    /// The planned next state (the reference [`PlannedStep::proposal`]).
+pub struct Plan {
+    /// What the trace records as the epoch's proposal: the step's output
+    /// (also when it stalled into [`PlanDecision::Converge`]) or the
+    /// random neighbor of a [`PlanDecision::ThetaRetry`].
     pub proposal: SystemState,
-    /// Per-application transfers (same indexing as the apps).
+    /// Per-application transfers that take effect when the
+    /// [`target`](Plan::target) lands (same indexing as the apps).
     pub events: Vec<AppliedEvents>,
-}
-
-/// What the driver should do with an in-place plan (the proposal and
-/// events are in the [`PlanScratch`]).
-#[derive(Debug, Clone, PartialEq)]
-pub enum PlanDecision {
-    /// Apply the proposal and feed each application its transfer events.
-    Transfer,
-    /// The matching stalled; the proposal is a random neighbor restart.
-    ThetaRetry,
-    /// Exploration converged: go idle, optionally settling on the best
-    /// `(unfairness, state)` seen when it beats the current one.
-    Converge(Option<(f64, SystemState)>),
-}
-
-/// The scalar outcome of [`Explorer::plan_into`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct PlanStats {
-    /// Instability-chaining iterations the matching step used.
-    pub matching_rounds: u32,
-    /// What the driver should do with the scratch proposal.
+    /// Cluster assignment the target is laid out under (see
+    /// [`layout_masks_into`]); empty = disjoint per-application masks.
+    pub clusters: Vec<u16>,
+    /// What the driver should do.
     pub decision: PlanDecision,
+    /// Instability-chaining iterations of the matching step; `None` when
+    /// the algorithm has no matching step to count.
+    pub matching_rounds: Option<u32>,
+    /// Best `(unfairness, state)` seen, when converging onto it beats
+    /// staying put.
+    settle: Option<(f64, SystemState)>,
+    /// Incremental matching buffers + role cache.
+    explore: ExploreScratch,
 }
 
-/// The §5.4.2 exploration stepper (Algorithm 1), lifted out of the epoch
-/// driver. Owns everything exploration is stateful about: the RNG that
-/// drives matching tie-breaks and neighbor restarts, the θ-retry
-/// counter, the best `(unfairness, state)` seen, and the unfairness the
-/// manager last went idle at.
+impl Plan {
+    /// The state to apply: the proposal of a transfer or θ-retry, the
+    /// best state seen of a settling converge, nothing otherwise.
+    pub fn target(&self) -> Option<&SystemState> {
+        match self.decision {
+            PlanDecision::Transfer | PlanDecision::ThetaRetry => Some(&self.proposal),
+            PlanDecision::Converge => self.settle.as_ref().map(|(_, best)| best),
+        }
+    }
+
+    /// Number of distinct clusters the target is laid out under (the
+    /// assignment is dense); `None` for a disjoint per-application plan.
+    /// The driver's cluster metrics come from here, so it never asks
+    /// which algorithm planned.
+    pub fn cluster_count(&self) -> Option<usize> {
+        self.clusters.iter().max().map(|&top| usize::from(top) + 1)
+    }
+
+    /// Role-cache `(hits, misses)` of the matching step so far (see
+    /// [`ExploreScratch`]).
+    pub fn role_cache(&self) -> (u64, u64) {
+        (self.explore.cache_hits(), self.explore.cache_misses())
+    }
+}
+
+/// The one place that knows how a partition becomes CAT masks: an empty
+/// cluster assignment lays `state` out as disjoint per-application
+/// regions, a non-empty one as shared per-cluster regions (members of a
+/// cluster get the identical mask). `out` is cleared first.
+///
+/// # Panics
+///
+/// Panics when the state (or cluster plan) does not fit the budget.
+pub fn layout_masks_into(
+    state: &SystemState,
+    clusters: &[u16],
+    budget: &WaysBudget,
+    machine_ways: u32,
+    out: &mut Vec<CbmMask>,
+) {
+    if clusters.is_empty() {
+        state.masks_into(budget, machine_ways, out);
+    } else {
+        cluster::cluster_masks_into(clusters, state, budget, machine_ways, out);
+    }
+}
+
+/// Derives per-application events from the difference between two states
+/// (for plans whose step does not produce them), into a reusable buffer.
+fn diff_events_into(from: &SystemState, to: &SystemState, out: &mut Vec<AppliedEvents>) {
+    out.clear();
+    out.extend(
+        from.allocs
+            .iter()
+            .zip(&to.allocs)
+            .map(|(a, b)| AppliedEvents {
+                granted_llc: b.ways > a.ways,
+                reclaimed_llc: b.ways < a.ways,
+                granted_mba: b.mba > a.mba,
+                reclaimed_mba: b.mba < a.mba,
+            }),
+    );
+}
+
+/// The planner: the only module that knows which algorithm turns the
+/// classifier verdicts into the epoch's [`Plan`] — the §5.4.2 exploration
+/// (Algorithm 1, with the Hospitals/Residents matching or its greedy
+/// ablation as the step) or the LFOC-style clusterer. Owns everything
+/// planning is stateful about: the RNG that drives matching tie-breaks
+/// and neighbor restarts, the θ-retry counter, the best `(unfairness,
+/// state)` seen, and the unfairness the manager last went idle at.
 #[derive(Debug)]
 pub struct Explorer {
     rng: XorShift64Star,
@@ -144,61 +195,57 @@ impl Explorer {
         self.best_seen = None;
     }
 
-    /// Remembers the state in force this epoch when its measured
-    /// unfairness is the best so far. The first period after (re)starting
-    /// carries bootstrap slowdowns (exactly 1.0 for everyone, unfairness
-    /// 0), so only `measured` states — two real counter samples for every
-    /// application — qualify.
-    pub fn record_best(&mut self, unfairness: f64, state: &SystemState, measured: bool) {
-        if measured
-            && unfairness.is_finite()
-            && self.best_seen.as_ref().is_none_or(|(u, _)| unfairness < *u)
-        {
-            self.best_seen = Some((unfairness, state.clone()));
+    /// Plans one exploring epoch into `plan`. `current`/`clusters` are
+    /// the partition in force during the period just measured, `apps` the
+    /// classifier verdicts, `unfairness` what that period measured, and
+    /// `measured` whether it rests on two real counter samples for every
+    /// application (the first period after (re)starting carries bootstrap
+    /// slowdowns — exactly 1.0 for everyone, unfairness 0 — which must
+    /// not be remembered as the best state seen).
+    ///
+    /// The algorithm is selected from `cfg` once per plan. Steady-state
+    /// calls allocate nothing; pair every call with one
+    /// [`Explorer::commit`].
+    #[allow(clippy::too_many_arguments)]
+    pub fn plan_into(
+        &mut self,
+        cfg: &RuntimeConfig,
+        current: &SystemState,
+        clusters: &[u16],
+        apps: &[AppClassification],
+        unfairness: f64,
+        measured: bool,
+        plan: &mut Plan,
+    ) {
+        plan.settle = None;
+        match cfg.planner {
+            PlannerMode::Explore => {
+                self.explore_into(cfg, current, apps, unfairness, measured, plan)
+            }
+            PlannerMode::LfocCluster => cluster_into(cfg, current, clusters, apps, plan),
         }
     }
 
     /// One Algorithm 1 step: run the matching (or the greedy ablation)
     /// over the classifier verdicts and decide whether to transfer,
     /// restart from a random neighbor, or converge.
-    ///
-    /// Convenience wrapper over [`Explorer::plan_into`] that returns owned
-    /// buffers; the epoch hot path holds a [`PlanScratch`] and calls
-    /// `plan_into` directly.
-    pub fn plan(
+    fn explore_into(
         &mut self,
         cfg: &RuntimeConfig,
         current: &SystemState,
         apps: &[AppClassification],
-        current_unfairness: f64,
-    ) -> PlannedStep {
-        let mut scratch = PlanScratch::default();
-        let stats = self.plan_into(cfg, current, apps, current_unfairness, &mut scratch);
-        PlannedStep {
-            proposal: scratch.proposal,
-            matching_rounds: stats.matching_rounds,
-            action: match stats.decision {
-                PlanDecision::Transfer => PlanAction::Transfer {
-                    events: scratch.events,
-                },
-                PlanDecision::ThetaRetry => PlanAction::ThetaRetry,
-                PlanDecision::Converge(settle) => PlanAction::Converge { settle },
-            },
+        unfairness: f64,
+        measured: bool,
+        plan: &mut Plan,
+    ) {
+        // The unfairness just measured belongs to the state that was in
+        // force during this period; remember the best.
+        if measured
+            && unfairness.is_finite()
+            && self.best_seen.as_ref().is_none_or(|(u, _)| unfairness < *u)
+        {
+            self.best_seen = Some((unfairness, current.clone()));
         }
-    }
-
-    /// [`Explorer::plan`] writing the proposal and events into `scratch`
-    /// instead of allocating, using the incremental matching step
-    /// ([`get_next_system_state_into`]) underneath. Identical decisions
-    /// and RNG draw sequence as the from-scratch reference.
-    pub fn plan_into(
-        &mut self,
-        cfg: &RuntimeConfig,
-        current: &SystemState,
-        apps: &[AppClassification],
-        current_unfairness: f64,
-        scratch: &mut PlanScratch,
-    ) -> PlanStats {
         let p = &cfg.params;
         let stats = if p.use_hr_matching {
             get_next_system_state_into(
@@ -208,9 +255,9 @@ impl Explorer {
                 &mut self.rng,
                 cfg.manage_llc,
                 cfg.manage_mba,
-                &mut scratch.explore,
-                &mut scratch.proposal,
-                &mut scratch.events,
+                &mut plan.explore,
+                &mut plan.proposal,
+                &mut plan.events,
             )
         } else {
             let outcome = get_next_system_state_greedy(
@@ -220,19 +267,17 @@ impl Explorer {
                 cfg.manage_llc,
                 cfg.manage_mba,
             );
-            scratch.proposal.allocs.clone_from(&outcome.state.allocs);
-            scratch.events.clone_from(&outcome.events);
+            plan.proposal.allocs.clone_from(&outcome.state.allocs);
+            plan.events.clone_from(&outcome.events);
             StepStats {
                 changed: outcome.changed,
                 matching_rounds: outcome.matching_rounds,
             }
         };
-        let matching_rounds = stats.matching_rounds;
-        if stats.changed {
-            PlanStats {
-                matching_rounds,
-                decision: PlanDecision::Transfer,
-            }
+        plan.clusters.clear();
+        plan.matching_rounds = Some(stats.matching_rounds);
+        plan.decision = if stats.changed {
+            PlanDecision::Transfer
         } else if self.retry_count < p.theta_retries && (cfg.manage_llc || cfg.manage_mba) {
             // Algorithm 1 lines 11–14: random neighbor restart (overwrites
             // the stalled matching output in the proposal buffer).
@@ -241,39 +286,44 @@ impl Explorer {
                 &mut self.rng,
                 cfg.manage_llc,
                 cfg.manage_mba,
-                &mut scratch.proposal,
+                &mut plan.proposal,
             );
-            PlanStats {
-                matching_rounds,
-                decision: PlanDecision::ThetaRetry,
-            }
+            diff_events_into(current, &plan.proposal, &mut plan.events);
+            PlanDecision::ThetaRetry
         } else {
             // Converged: settle on the best state seen during this
             // exploration (random restarts may have left us on a worse
-            // state with no producer able to undo them).
-            let settle = self.best_seen.take().filter(|(best_u, best_state)| {
-                *best_state != *current && *best_u < current_unfairness
-            });
-            PlanStats {
-                matching_rounds,
-                decision: PlanDecision::Converge(settle),
+            // state with no producer able to undo them). The proposal
+            // stays the stalled matching output.
+            plan.settle = self
+                .best_seen
+                .take()
+                .filter(|(best_u, best)| *best != *current && *best_u < unfairness);
+            if let Some((_, best)) = &plan.settle {
+                diff_events_into(current, best, &mut plan.events);
+            }
+            PlanDecision::Converge
+        };
+    }
+
+    /// Closes the epoch [`Explorer::plan_into`] opened: `landed` says
+    /// whether the plan's target was applied (false on a rollback, and
+    /// when there was no target), `unfairness` is the epoch's measured
+    /// value. A landed transfer breaks the stall streak, a landed restart
+    /// consumes one θ-retry, and a converge records the unfairness the
+    /// manager goes idle at (§5.4.3) — the settled state's when it landed.
+    pub fn commit(&mut self, plan: &Plan, landed: bool, unfairness: f64) {
+        match plan.decision {
+            PlanDecision::Transfer if landed => self.retry_count = 0,
+            PlanDecision::ThetaRetry if landed => self.retry_count += 1,
+            PlanDecision::Transfer | PlanDecision::ThetaRetry => {}
+            PlanDecision::Converge => {
+                self.unfairness_at_idle = match &plan.settle {
+                    Some((best_u, _)) if landed => *best_u,
+                    _ => unfairness,
+                };
             }
         }
-    }
-
-    /// A transfer landed: the stall streak is broken.
-    pub fn transfer_applied(&mut self) {
-        self.retry_count = 0;
-    }
-
-    /// A neighbor restart landed: one θ-retry consumed.
-    pub fn retry_applied(&mut self) {
-        self.retry_count += 1;
-    }
-
-    /// Exploration went idle at the given unfairness (§5.4.3).
-    pub fn settle(&mut self, unfairness: f64) {
-        self.unfairness_at_idle = unfairness;
     }
 
     /// Whether the fairness picture has drifted enough from the idle
@@ -304,6 +354,27 @@ impl Explorer {
             best_seen: snap.best_seen.clone(),
         }
     }
+}
+
+/// The LFOC-style plan ([`crate::cluster`]): recompute the clusters from
+/// this epoch's classifications — a pure function, no RNG draws, no
+/// explorer state. An unchanged plan means the classifications have
+/// settled; a changed one is switched to like an Algorithm 1 transfer.
+fn cluster_into(
+    cfg: &RuntimeConfig,
+    current: &SystemState,
+    clusters: &[u16],
+    apps: &[AppClassification],
+    plan: &mut Plan,
+) {
+    cluster::form_clusters_into(apps, &cfg.budget, &mut plan.clusters, &mut plan.proposal);
+    plan.matching_rounds = None;
+    plan.decision = if plan.clusters == clusters && plan.proposal == *current {
+        PlanDecision::Converge
+    } else {
+        diff_events_into(current, &plan.proposal, &mut plan.events);
+        PlanDecision::Transfer
+    };
 }
 
 /// Frozen state of an [`Explorer`] (see [`Explorer::snapshot`]).

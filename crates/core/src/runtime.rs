@@ -37,11 +37,10 @@ use crate::actuator::{retry_transient, Actuator, ApplyReport, TransactionalActua
 use crate::classifier::{
     initial_states, Classifier, DualFsmClassifier, Measurement, ProfileProbes,
 };
-use crate::cluster;
 use crate::fsm::AppState;
 use crate::metrics;
 use crate::next_state::{AppClassification, AppliedEvents};
-use crate::planner::{Explorer, ExplorerSnapshot, PlanDecision, PlanScratch};
+use crate::planner::{layout_masks_into, Explorer, ExplorerSnapshot, Plan, PlanDecision};
 use crate::sensor::{Sensor, SensorSnapshot, WindowedSensor};
 use crate::state::{SystemState, WaysBudget};
 use crate::CoPartParams;
@@ -241,11 +240,8 @@ struct EpochScratch {
     masks: Vec<copart_rdt::CbmMask>,
     /// Mask layout of the rollback target during a failed transaction.
     rollback_masks: Vec<copart_rdt::CbmMask>,
-    /// Planner buffers: the incremental matching scratch plus the
-    /// proposal/events of the epoch's plan.
-    plan: PlanScratch,
-    /// Cluster assignment of the epoch's plan (cluster planner only).
-    plan_clusters: Vec<u16>,
+    /// The epoch's plan (and the planner's reusable buffers).
+    plan: Plan,
 }
 
 /// The CoPart resource manager: a thin epoch driver over the sensing,
@@ -351,6 +347,21 @@ impl<B: RdtBackend> ConsolidationRuntime<B> {
     /// per-application layout applies.
     pub fn clusters(&self) -> &[u16] {
         &self.clusters
+    }
+
+    /// The CAT masks currently programmed, one per application — the
+    /// layout of [`state`](Self::state) under [`clusters`](Self::clusters)
+    /// (members of one cluster carry the identical mask).
+    pub fn masks(&self) -> Vec<copart_rdt::CbmMask> {
+        let mut out = Vec::with_capacity(self.apps.len());
+        layout_masks_into(
+            &self.state,
+            &self.clusters,
+            &self.cfg.budget,
+            self.backend.capabilities().llc_ways,
+            &mut out,
+        );
+        out
     }
 
     /// The current phase.
@@ -794,134 +805,62 @@ impl<B: RdtBackend> ConsolidationRuntime<B> {
         let mut proposed: Vec<AllocSample> = Vec::new();
 
         match self.phase {
-            Phase::Exploring if self.cfg.planner == PlannerMode::LfocCluster => {
-                // The LFOC-style cluster planner: recompute the cluster
-                // plan from this epoch's classifications — a pure
-                // function, no RNG draws. An unchanged plan means the
-                // classifications have settled; go idle. A changed plan
-                // is switched to transactionally, exactly like an
-                // Algorithm 1 transfer.
-                let t_explore = Instant::now();
-                cluster::form_clusters_into(
-                    &self.scratch.classifications,
-                    &self.cfg.budget,
-                    &mut self.scratch.plan_clusters,
-                    &mut self.scratch.plan.proposal,
-                );
-                self.metrics
-                    .observe_ns("explore_ns", t_explore.elapsed().as_nanos() as u64);
-                if tracing {
-                    proposed = alloc_samples(&self.scratch.plan.proposal);
-                }
-                if self.scratch.plan_clusters == self.clusters
-                    && self.scratch.plan.proposal == self.state
-                {
-                    self.explorer.settle(current_unfairness);
-                    self.phase = Phase::Idle;
-                    self.metrics.inc("convergences");
-                    decision = TraceDecision::Converged;
-                } else {
-                    diff_events_into(
-                        &self.state,
-                        &self.scratch.plan.proposal,
-                        &mut self.scratch.plan.events,
-                    );
-                    // On rollback the old partition stays in force and
-                    // the plan is simply recomputed next period.
-                    if self.apply_planned_txn(&mut fault, true) {
-                        for (app, ev) in self.apps.iter_mut().zip(&self.scratch.plan.events) {
-                            app.last_events = *ev;
-                        }
-                        self.explorer.transfer_applied();
-                        self.metrics.inc("transfers");
-                        self.metrics.inc("cluster_replans");
-                        self.metrics
-                            .set_gauge("clusters", cluster_count(&self.clusters) as f64);
-                    }
-                    decision = TraceDecision::Transfer;
-                }
-            }
             Phase::Exploring => {
-                // The unfairness just measured belongs to the state that
-                // was in force during this period; remember the best.
                 let measured = self.apps.iter().all(|a| a.sensor.samples() >= 2);
-                self.explorer
-                    .record_best(current_unfairness, &self.state, measured);
                 let t_explore = Instant::now();
-                let stats = self.explorer.plan_into(
+                self.explorer.plan_into(
                     &self.cfg,
                     &self.state,
+                    &self.clusters,
                     &self.scratch.classifications,
                     current_unfairness,
+                    measured,
                     &mut self.scratch.plan,
                 );
                 self.metrics
                     .observe_ns("explore_ns", t_explore.elapsed().as_nanos() as u64);
-                matching_rounds = stats.matching_rounds;
-                self.metrics
-                    .add("matching_rounds", u64::from(stats.matching_rounds));
+                if let Some(rounds) = self.scratch.plan.matching_rounds {
+                    matching_rounds = rounds;
+                    self.metrics.add("matching_rounds", u64::from(rounds));
+                }
                 if tracing {
                     proposed = alloc_samples(&self.scratch.plan.proposal);
                 }
-                match stats.decision {
-                    PlanDecision::Transfer => {
-                        // A rolled-back apply leaves the old state in
-                        // force; classifiers simply propose again next
-                        // period.
-                        if self.apply_planned_txn(&mut fault, false) {
-                            for (app, ev) in self.apps.iter_mut().zip(&self.scratch.plan.events) {
-                                app.last_events = *ev;
-                            }
-                            self.explorer.transfer_applied();
-                            self.metrics.inc("transfers");
-                        }
-                        decision = TraceDecision::Transfer;
-                    }
-                    PlanDecision::ThetaRetry => {
-                        diff_events_into(
-                            &self.state,
-                            &self.scratch.plan.proposal,
-                            &mut self.scratch.plan.events,
-                        );
-                        // A rolled-back restart does not consume a
-                        // θ-retry: nothing new was tried.
-                        if self.apply_planned_txn(&mut fault, false) {
-                            for (app, ev) in self.apps.iter_mut().zip(&self.scratch.plan.events) {
-                                app.last_events = *ev;
-                            }
-                            self.explorer.retry_applied();
-                            self.metrics.inc("theta_retries");
-                        }
-                        decision = TraceDecision::ThetaRetry;
-                    }
-                    PlanDecision::Converge(settle) => {
-                        let mut settled = current_unfairness;
-                        if let Some((best_u, best_state)) = settle {
-                            diff_events_into(
-                                &self.state,
-                                &best_state,
-                                &mut self.scratch.plan.events,
-                            );
-                            self.scratch
-                                .plan
-                                .proposal
-                                .allocs
-                                .clone_from(&best_state.allocs);
-                            // On rollback the manager idles where it is.
-                            if self.apply_planned_txn(&mut fault, false) {
-                                for (app, ev) in self.apps.iter_mut().zip(&self.scratch.plan.events)
-                                {
-                                    app.last_events = *ev;
-                                }
-                                settled = best_u;
-                            }
-                        }
-                        self.explorer.settle(settled);
-                        self.phase = Phase::Idle;
-                        self.metrics.inc("convergences");
-                        decision = TraceDecision::Converged;
+                // A rolled-back apply leaves the old partition in force:
+                // the planner proposes again next period (or, converging,
+                // the manager idles where it is).
+                let landed =
+                    self.scratch.plan.target().is_some() && self.apply_planned_txn(&mut fault);
+                if landed {
+                    for (app, ev) in self.apps.iter_mut().zip(&self.scratch.plan.events) {
+                        app.last_events = *ev;
                     }
                 }
+                self.explorer
+                    .commit(&self.scratch.plan, landed, current_unfairness);
+                decision = match self.scratch.plan.decision {
+                    PlanDecision::Transfer => {
+                        if landed {
+                            self.metrics.inc("transfers");
+                            if let Some(n) = self.scratch.plan.cluster_count() {
+                                self.metrics.inc("cluster_replans");
+                                self.metrics.set_gauge("clusters", n as f64);
+                            }
+                        }
+                        TraceDecision::Transfer
+                    }
+                    PlanDecision::ThetaRetry => {
+                        if landed {
+                            self.metrics.inc("theta_retries");
+                        }
+                        TraceDecision::ThetaRetry
+                    }
+                    PlanDecision::Converge => {
+                        self.phase = Phase::Idle;
+                        self.metrics.inc("convergences");
+                        TraceDecision::Converged
+                    }
+                };
             }
             Phase::Idle => {
                 // §5.4.3: monitor only, but resume adaptation when the
@@ -1074,9 +1013,8 @@ impl<B: RdtBackend> ConsolidationRuntime<B> {
     /// changes use this and surface the error to their caller, who owns
     /// the recovery decision.
     ///
-    /// The mask layout is chosen here, not in the actuator: a live
-    /// cluster assignment lays out shared per-cluster regions, otherwise
-    /// the state's disjoint per-application packing applies.
+    /// The mask layout is chosen by the planner ([`layout_masks_into`]),
+    /// not in the actuator.
     fn apply_current(&mut self, retries: &mut u32) -> Result<(), RdtError> {
         let mut report = ApplyReport::default();
         let machine_ways = self.backend.capabilities().llc_ways;
@@ -1090,17 +1028,13 @@ impl<B: RdtBackend> ConsolidationRuntime<B> {
             scratch,
             ..
         } = self;
-        if clusters.is_empty() {
-            state.masks_into(&cfg.budget, machine_ways, &mut scratch.masks);
-        } else {
-            cluster::cluster_masks_into(
-                clusters,
-                state,
-                &cfg.budget,
-                machine_ways,
-                &mut scratch.masks,
-            );
-        }
+        layout_masks_into(
+            state,
+            clusters,
+            &cfg.budget,
+            machine_ways,
+            &mut scratch.masks,
+        );
         let result = actuator.apply(
             backend,
             groups,
@@ -1126,20 +1060,20 @@ impl<B: RdtBackend> ConsolidationRuntime<B> {
         result
     }
 
-    /// Transactionally switches the partition to the planned proposal in
-    /// `scratch.plan` through the actuator (see [`Actuator::apply_txn`]);
-    /// on success the state (and, in cluster mode, the planned cluster
-    /// assignment in `scratch.plan_clusters`) is adopted (buffers reused,
-    /// no allocation), on rollback the old state stays in force. Folds
-    /// the actuator's [`ApplyReport`] into the metrics registry and the
-    /// epoch's fault sample.
+    /// Transactionally switches the partition to the target of the plan
+    /// in `scratch.plan` through the actuator (see
+    /// [`Actuator::apply_txn`]); on success the target and the plan's
+    /// cluster assignment are adopted (buffers reused, no allocation), on
+    /// rollback the old partition stays in force. Folds the actuator's
+    /// [`ApplyReport`] into the metrics registry and the epoch's fault
+    /// sample.
     ///
     /// Both the new and the rollback mask layouts are computed up front:
     /// the transition may cross layout kinds (the first cluster plan
     /// replaces a disjoint equal split), so the rollback target must be
     /// laid out under the assignment *currently* in force while the
-    /// proposal is laid out under the planned one.
-    fn apply_planned_txn(&mut self, fault: &mut FaultSample, cluster_mode: bool) -> bool {
+    /// target is laid out under the planned one.
+    fn apply_planned_txn(&mut self, fault: &mut FaultSample) -> bool {
         let t0 = Instant::now();
         let mut report = ApplyReport::default();
         let machine_ways = self.backend.capabilities().llc_ways;
@@ -1154,29 +1088,22 @@ impl<B: RdtBackend> ConsolidationRuntime<B> {
             metrics,
             ..
         } = self;
-        let new = &scratch.plan.proposal;
-        if cluster_mode {
-            cluster::cluster_masks_into(
-                &scratch.plan_clusters,
-                new,
-                &cfg.budget,
-                machine_ways,
-                &mut scratch.masks,
-            );
-        } else {
-            new.masks_into(&cfg.budget, machine_ways, &mut scratch.masks);
-        }
-        if clusters.is_empty() {
-            state.masks_into(&cfg.budget, machine_ways, &mut scratch.rollback_masks);
-        } else {
-            cluster::cluster_masks_into(
-                clusters,
-                state,
-                &cfg.budget,
-                machine_ways,
-                &mut scratch.rollback_masks,
-            );
-        }
+        let plan = &scratch.plan;
+        let new = plan.target().expect("only plans with a target are applied");
+        layout_masks_into(
+            new,
+            &plan.clusters,
+            &cfg.budget,
+            machine_ways,
+            &mut scratch.masks,
+        );
+        layout_masks_into(
+            state,
+            clusters,
+            &cfg.budget,
+            machine_ways,
+            &mut scratch.rollback_masks,
+        );
         let landed = actuator.apply_txn(
             backend,
             groups,
@@ -1189,9 +1116,7 @@ impl<B: RdtBackend> ConsolidationRuntime<B> {
         );
         if landed {
             state.allocs.clone_from(&new.allocs);
-            if cluster_mode {
-                clusters.clone_from(&scratch.plan_clusters);
-            }
+            clusters.clone_from(&plan.clusters);
         } else {
             metrics.add(
                 "rollback_write_failures",
@@ -1258,14 +1183,6 @@ fn trace_class(state: AppState) -> TraceClass {
     }
 }
 
-/// Number of distinct clusters in a (dense) assignment.
-fn cluster_count(clusters: &[u16]) -> usize {
-    clusters
-        .iter()
-        .max()
-        .map_or(0, |&highest| usize::from(highest) + 1)
-}
-
 /// Snapshots a system state as per-group allocation samples.
 fn alloc_samples(state: &SystemState) -> Vec<AllocSample> {
     state
@@ -1276,24 +1193,6 @@ fn alloc_samples(state: &SystemState) -> Vec<AllocSample> {
             mba_percent: a.mba.percent(),
         })
         .collect()
-}
-
-/// Derives per-application events from the difference between two states
-/// (used when a random neighbor or settle state is applied), into a
-/// reusable buffer.
-fn diff_events_into(from: &SystemState, to: &SystemState, out: &mut Vec<AppliedEvents>) {
-    out.clear();
-    out.extend(
-        from.allocs
-            .iter()
-            .zip(&to.allocs)
-            .map(|(a, b)| AppliedEvents {
-                granted_llc: b.ways > a.ways,
-                reclaimed_llc: b.ways < a.ways,
-                granted_mba: b.mba > a.mba,
-                reclaimed_mba: b.mba < a.mba,
-            }),
-    );
 }
 
 #[cfg(test)]
@@ -1321,7 +1220,7 @@ mod tests {
             budget: WaysBudget::full_machine(machine_cfg.llc_ways),
             stream,
             resilience: Default::default(),
-            planner: PlannerMode::default(),
+            planner: Default::default(),
         };
         ConsolidationRuntime::new(backend, groups, cfg).unwrap()
     }
@@ -1494,7 +1393,7 @@ mod weight_tests {
             budget: WaysBudget::full_machine(machine_cfg.llc_ways),
             stream,
             resilience: Default::default(),
-            planner: PlannerMode::default(),
+            planner: Default::default(),
         };
         let mut rt = ConsolidationRuntime::new(backend, groups, cfg).unwrap();
         rt.set_weight(favored, 3.0).unwrap();
@@ -1530,7 +1429,7 @@ mod weight_tests {
             budget: WaysBudget::full_machine(machine_cfg.llc_ways),
             stream,
             resilience: Default::default(),
-            planner: PlannerMode::default(),
+            planner: Default::default(),
         };
         let mut rt = ConsolidationRuntime::new(backend, groups, cfg).unwrap();
         rt.profile().unwrap();

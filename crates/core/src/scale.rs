@@ -8,8 +8,9 @@
 //! orders of magnitude more consumers. This module drives
 //! [`Explorer::plan_into`] over a deterministic synthetic population:
 //! classifier verdicts are drawn from a seeded RNG and churned every
-//! epoch, the planner's decision is applied to the system state exactly
-//! as the runtime would, and per-epoch plan latencies are recorded.
+//! epoch, every plan is landed and committed through the same
+//! plan/commit pair the runtime drives (there is no actuator to roll
+//! back), and per-epoch plan latencies are recorded.
 //!
 //! Determinism: the whole run is a pure function of [`ScaleConfig`]. The
 //! [`ScaleReport::digest`] folds every decision and the resulting
@@ -30,7 +31,7 @@ use crate::actuator::ResilienceConfig;
 use crate::fsm::AppState;
 use crate::metrics::unfairness;
 use crate::next_state::AppClassification;
-use crate::planner::{Explorer, PlanDecision, PlanScratch};
+use crate::planner::{Explorer, Plan, PlanDecision};
 use crate::runtime::RuntimeConfig;
 use crate::state::{SystemState, WaysBudget};
 use crate::CoPartParams;
@@ -203,8 +204,8 @@ impl Verdicts {
 }
 
 /// Drives [`Explorer::plan_into`] for `cfg.epochs` epochs over a churned
-/// synthetic population of `cfg.n_apps` applications, applying each
-/// decision the way the consolidation runtime would.
+/// synthetic population of `cfg.n_apps` applications, landing and
+/// committing every plan.
 ///
 /// # Panics
 ///
@@ -239,7 +240,7 @@ pub fn run_planner_scale(cfg: &ScaleConfig) -> ScaleReport {
 
     let mut state = SystemState::equal_split(cfg.n_apps, &budget, MbaLevel::MAX);
     let mut explorer = Explorer::new(cfg.seed);
-    let mut scratch = PlanScratch::default();
+    let mut plan = Plan::default();
 
     let churned = ((cfg.churn * cfg.n_apps as f64).ceil() as usize).min(cfg.n_apps);
     let mut digest = FNV_OFFSET;
@@ -260,39 +261,37 @@ pub fn run_planner_scale(cfg: &ScaleConfig) -> ScaleReport {
             slowdowns[i] = classes[i].slowdown;
         }
         let current_unfairness = unfairness(&slowdowns);
-        explorer.record_best(current_unfairness, &state, epoch > 0);
 
         let t0 = Instant::now();
-        let stats = explorer.plan_into(&rt_cfg, &state, &classes, current_unfairness, &mut scratch);
+        explorer.plan_into(
+            &rt_cfg,
+            &state,
+            &[],
+            &classes,
+            current_unfairness,
+            epoch > 0,
+            &mut plan,
+        );
         plan_ns.push(t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
 
-        matching_rounds += u64::from(stats.matching_rounds);
-        let tag: u64 = match &stats.decision {
-            PlanDecision::Transfer => {
-                state.allocs.clone_from(&scratch.proposal.allocs);
-                explorer.transfer_applied();
-                transfers += 1;
-                1
-            }
-            PlanDecision::ThetaRetry => {
-                state.allocs.clone_from(&scratch.proposal.allocs);
-                explorer.retry_applied();
-                theta_retries += 1;
-                2
-            }
-            PlanDecision::Converge(settle) => {
-                if let Some((_, best)) = settle {
-                    state.allocs.clone_from(&best.allocs);
-                }
-                explorer.settle(current_unfairness);
-                explorer.restart();
+        let rounds = plan.matching_rounds.unwrap_or(0);
+        matching_rounds += u64::from(rounds);
+        if let Some(target) = plan.target() {
+            state.allocs.clone_from(&target.allocs);
+        }
+        explorer.commit(&plan, true, current_unfairness);
+        match plan.decision {
+            PlanDecision::Transfer => transfers += 1,
+            PlanDecision::ThetaRetry => theta_retries += 1,
+            PlanDecision::Converge => {
                 converges += 1;
-                3
+                // Keep exploring: the harness measures planning, not idling.
+                explorer.restart();
             }
-        };
+        }
         fnv1a_u64(&mut digest, u64::from(epoch));
-        fnv1a_u64(&mut digest, tag);
-        fnv1a_u64(&mut digest, u64::from(stats.matching_rounds));
+        fnv1a_u64(&mut digest, plan.decision.tag());
+        fnv1a_u64(&mut digest, u64::from(rounds));
         for a in &state.allocs {
             fnv1a_u64(&mut digest, u64::from(a.ways));
             fnv1a_u64(&mut digest, u64::from(a.mba.percent()));
@@ -318,8 +317,8 @@ pub fn run_planner_scale(cfg: &ScaleConfig) -> ScaleReport {
         plan_ns_p50: pct(0.50),
         plan_ns_p99: pct(0.99),
         plan_ns_max: plan_ns.last().copied().unwrap_or(0),
-        role_cache_hits: scratch.explore.cache_hits(),
-        role_cache_misses: scratch.explore.cache_misses(),
+        role_cache_hits: plan.role_cache().0,
+        role_cache_misses: plan.role_cache().1,
     }
 }
 

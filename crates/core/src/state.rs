@@ -178,20 +178,9 @@ impl SystemState {
     /// perturbed — the CAT-only and MBA-only baselines pin one of them.
     /// Returns a state differing from `self` whenever any permitted
     /// perturbation is possible.
-    pub fn neighbor(
-        &self,
-        budget: &WaysBudget,
-        rng: &mut XorShift64Star,
-        allow_llc: bool,
-        allow_mba: bool,
-    ) -> SystemState {
-        let mut next = SystemState { allocs: Vec::new() };
-        self.neighbor_into(budget, rng, allow_llc, allow_mba, &mut next);
-        next
-    }
-
-    /// [`SystemState::neighbor`] into a caller-provided state (its
-    /// allocation buffer is reused), with the identical RNG draw sequence.
+    ///
+    /// Written into a caller-provided state (its allocation buffer is
+    /// reused).
     pub fn neighbor_into(
         &self,
         budget: &WaysBudget,
@@ -342,8 +331,9 @@ mod tests {
         let s = SystemState::equal_split(4, &budget, MbaLevel::new(50));
         let mut rng = XorShift64Star::seed_from_u64(9);
         let mut seen_diff = 0;
+        let mut n = SystemState::default();
         for _ in 0..50 {
-            let n = s.neighbor(&budget, &mut rng, true, true);
+            s.neighbor_into(&budget, &mut rng, true, true, &mut n);
             assert!(n.is_valid(&budget), "neighbor invalid: {n:?}");
             if n != s {
                 seen_diff += 1;
@@ -361,8 +351,9 @@ mod tests {
         };
         let s = SystemState::equal_split(3, &budget, MbaLevel::new(40));
         let mut rng = XorShift64Star::seed_from_u64(3);
+        let mut n = SystemState::default();
         for _ in 0..100 {
-            let n = s.neighbor(&budget, &mut rng, true, true);
+            s.neighbor_into(&budget, &mut rng, true, true, &mut n);
             assert!(n.allocs.iter().all(|a| a.mba <= budget.mba_cap));
         }
     }

@@ -1,5 +1,7 @@
 //! Figure 16: time spent in one system-state-space exploration step
-//! (`getNextSystemState`) as a function of the application count.
+//! (`getNextSystemState` inside the Algorithm 1 step the controller
+//! executes, buffers held across iterations) as a function of the
+//! application count.
 //!
 //! The paper reports 10.6 / 11.8 / 12.7 / 14.4 µs for 3 / 4 / 5 / 6
 //! applications — microsecond-scale and growing gently (the algorithm is
@@ -10,10 +12,14 @@
 use std::time::Instant;
 
 use copart_core::fsm::AppState;
-use copart_core::next_state::{get_next_system_state, AppClassification};
+use copart_core::next_state::AppClassification;
+use copart_core::planner::{Explorer, Plan};
+use copart_core::runtime::RuntimeConfig;
 use copart_core::state::{AllocationState, SystemState, WaysBudget};
+use copart_core::CoPartParams;
 use copart_rdt::MbaLevel;
 use copart_rng::XorShift64Star;
+use copart_workloads::stream::StreamReference;
 
 use crate::common::Table;
 
@@ -57,21 +63,31 @@ pub fn synthetic_instance(n: usize, seed: u64) -> (SystemState, Vec<AppClassific
 pub fn fig16() {
     println!("Figure 16 — system state space exploration time");
     println!("Paper: 10.6 / 11.8 / 12.7 / 14.4 µs for 3–6 applications.\n");
-    let budget = WaysBudget::full_machine(11);
+    let cfg = RuntimeConfig {
+        params: CoPartParams::default(),
+        manage_llc: true,
+        manage_mba: true,
+        budget: WaysBudget::full_machine(11),
+        // The planner never consults the STREAM table.
+        stream: StreamReference::from_table([1.0; 10]),
+        resilience: Default::default(),
+        planner: Default::default(),
+    };
     let mut t = Table::new(&["apps", "mean exploration step (µs)", "paper (µs)"]);
     let paper = [10.6, 11.8, 12.7, 14.4];
     for (k, n) in (3..=6usize).enumerate() {
         // Average across many random instances (and RNG states) to cover
         // the spread of classifier situations.
         const ITERS: u64 = 20_000;
-        let mut rng = XorShift64Star::seed_from_u64(99);
+        let mut explorer = Explorer::new(99);
+        let mut plan = Plan::default();
         let instances: Vec<_> = (0..64).map(|s| synthetic_instance(n, s)).collect();
         let start = Instant::now();
         let mut sink = 0u32;
         for i in 0..ITERS {
             let (state, apps) = &instances[(i % 64) as usize];
-            let out = get_next_system_state(state, apps, &budget, &mut rng, true, true);
-            sink = sink.wrapping_add(out.state.total_ways());
+            explorer.plan_into(&cfg, state, &[], apps, 0.3, false, &mut plan);
+            sink = sink.wrapping_add(plan.proposal.total_ways());
         }
         let micros = start.elapsed().as_secs_f64() * 1e6 / ITERS as f64;
         assert!(sink > 0, "keep the optimizer honest");

@@ -16,7 +16,7 @@
 //! induced Hospitals/Residents instance; a property test in this module
 //! checks exactly that equivalence.
 
-use crate::{Hospital, Instance, Matching, Resident};
+use crate::{Hospital, Instance, Resident};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -30,33 +30,9 @@ pub struct Consumer {
     pub preference: Vec<usize>,
 }
 
-/// The result of an allocation round.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Allocation {
-    /// For each consumer, the category it was granted, if any.
-    pub consumer_to_category: Vec<Option<usize>>,
-    /// Number of chaining iterations performed: every insertion attempt,
-    /// including the extra attempts triggered by displacements. A measure
-    /// of how contested the instance was (reported per epoch in trace
-    /// events as `matching_rounds`).
-    pub rounds: u32,
-}
-
-impl Allocation {
-    /// Consumers granted category `c`, in insertion order.
-    pub fn granted(&self, c: usize) -> Vec<usize> {
-        self.consumer_to_category
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &a)| (a == Some(c)).then_some(i))
-            .collect()
-    }
-}
-
 /// A tentative holder of a category slot, ordered so a max-heap pops the
 /// *weakest* holder first: lowest priority, ties toward the higher consumer
-/// index — exactly the displacement rule of the reference scan in
-/// [`allocate`].
+/// index.
 #[derive(Debug, Clone, Copy)]
 struct Holder {
     priority: f64,
@@ -89,24 +65,34 @@ impl Ord for Holder {
 /// have grown to the instance size.
 #[derive(Debug, Default, Clone)]
 pub struct ChainScratch {
-    /// One tentative-holder heap per category (the indexed replacement for
-    /// the reference scan's `Vec<Vec<usize>>` granted lists).
+    /// One tentative-holder heap per category.
     heaps: Vec<BinaryHeap<Holder>>,
     /// Next preference position each consumer will try after a displacement.
     cursor: Vec<usize>,
 }
 
-/// Indexed instability chaining: identical contract and byte-identical
-/// output (`assignment` and the returned `rounds`) to [`allocate`], but
-/// each displacement is a heap pop instead of an O(capacity) scan, and all
-/// working storage lives in `scratch` so steady-state calls allocate
-/// nothing. Displacement picks the unique weakest holder under the total
-/// order (priority ascending, then higher index first), so the heap and the
-/// scan select the same consumer at every step.
+/// Runs instability chaining (Algorithm 2 lines 7–18): consumers are
+/// inserted in index order; each insertion may displace the weakest
+/// tentative holder of an oversubscribed category, who chains onto its own
+/// next preference. Writes, for each consumer, the category it was
+/// granted (if any) into `assignment` and returns the number of chaining
+/// iterations performed — every insertion attempt, including the extra
+/// attempts triggered by displacements: a measure of how contested the
+/// instance was (reported per epoch in trace events as `matching_rounds`).
+///
+/// `capacities[c]` is the number of grants category `c` can make. Ties in
+/// priority are broken toward the lower consumer index (the weakest
+/// holder is the lowest priority, then the higher index), making the
+/// result deterministic. Each displacement is a heap pop, and all working
+/// storage lives in `scratch`, so steady-state calls allocate nothing.
+/// The `matching-allocate-stable` oracle in `copart-check` pins the
+/// output — assignment and rounds — to a straightforward reference scan.
 ///
 /// # Panics
 ///
-/// Panics if any preference index is out of range, as [`allocate`] does.
+/// Panics if any preference index is out of range; the caller constructs
+/// the preference lists from its own category table, so an out-of-range
+/// index is a programming error rather than an input error.
 pub fn allocate_into(
     capacities: &[usize],
     consumers: &[Consumer],
@@ -170,88 +156,6 @@ pub fn allocate_into(
     rounds
 }
 
-/// Runs instability chaining — the straightforward reference
-/// implementation ([`allocate_into`] is the indexed, scratch-reusing
-/// equivalent used on the hot path; a differential test and the
-/// `matching-incremental-vs-rebuild` oracle pin the two together).
-///
-/// `capacities[c]` is the number of grants category `c` can make. Ties in
-/// priority are broken toward the lower consumer index, making the result
-/// deterministic.
-///
-/// # Panics
-///
-/// Panics if any preference index is out of range; the caller constructs
-/// the preference lists from its own category table, so an out-of-range
-/// index is a programming error rather than an input error.
-pub fn allocate(capacities: &[usize], consumers: &[Consumer]) -> Allocation {
-    for c in consumers {
-        for &p in &c.preference {
-            assert!(
-                p < capacities.len(),
-                "preference index {p} out of range ({} categories)",
-                capacities.len()
-            );
-        }
-    }
-
-    let mut granted: Vec<Vec<usize>> = vec![Vec::new(); capacities.len()];
-    let mut assignment: Vec<Option<usize>> = vec![None; consumers.len()];
-    // Next preference position each consumer will try after a displacement.
-    let mut cursor = vec![0usize; consumers.len()];
-    let mut rounds = 0u32;
-
-    // Mirrors Algorithm 2 lines 7–18: iterate consumers; each insertion may
-    // displace the weakest holder, who chains onto its own next preference.
-    for start in 0..consumers.len() {
-        let mut current = start;
-        // Not a `while let`: `current` changes inside the body when a
-        // displacement chains to another consumer.
-        #[allow(clippy::while_let_loop)]
-        loop {
-            let Some(&cat) = consumers[current].preference.get(cursor[current]) else {
-                break; // Preference list exhausted (line 10–11).
-            };
-            cursor[current] += 1;
-            rounds += 1;
-            if capacities[cat] == 0 {
-                continue; // No producer supplies this category.
-            }
-            granted[cat].push(current);
-            assignment[current] = Some(cat);
-            if granted[cat].len() <= capacities[cat] {
-                break; // Fits; chain ends (line 17–18).
-            }
-            // Oversubscribed: displace the minimum-priority holder
-            // (line 14–16), favoring higher slowdowns as the paper does.
-            let (weakest_pos, _) = granted[cat]
-                .iter()
-                .enumerate()
-                .min_by(|&(_, &a), &(_, &b)| {
-                    consumers[a]
-                        .priority
-                        .partial_cmp(&consumers[b].priority)
-                        .expect("priorities must not be NaN")
-                        .then(b.cmp(&a)) // Lower index wins ties, so higher
-                                         // index is displaced first.
-                })
-                .expect("oversubscribed ⇒ non-empty");
-            let displaced = granted[cat].swap_remove(weakest_pos);
-            assignment[displaced] = None;
-            if displaced == current {
-                // Immediately bounced; keep walking our own list.
-                continue;
-            }
-            current = displaced;
-        }
-    }
-
-    Allocation {
-        consumer_to_category: assignment,
-        rounds,
-    }
-}
-
 /// Builds the Hospitals/Residents instance induced by a chaining problem:
 /// categories become hospitals preferring consumers by descending priority.
 pub fn induced_instance(capacities: &[usize], consumers: &[Consumer]) -> Instance {
@@ -280,19 +184,23 @@ pub fn induced_instance(capacities: &[usize], consumers: &[Consumer]) -> Instanc
     }
 }
 
-impl From<Allocation> for Matching {
-    fn from(a: Allocation) -> Matching {
-        Matching {
-            resident_to_hospital: a.consumer_to_category,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solve_resident_optimal;
+    use crate::{solve_resident_optimal, Matching};
     use copart_rng::XorShift64Star;
+
+    /// `allocate_into` with throwaway buffers: the assignment and rounds.
+    fn allocate(capacities: &[usize], consumers: &[Consumer]) -> (Vec<Option<usize>>, u32) {
+        let mut assignment = Vec::new();
+        let rounds = allocate_into(
+            capacities,
+            consumers,
+            &mut assignment,
+            &mut ChainScratch::default(),
+        );
+        (assignment, rounds)
+    }
 
     fn consumer(priority: f64, preference: Vec<usize>) -> Consumer {
         Consumer {
@@ -304,7 +212,7 @@ mod tests {
     #[test]
     fn single_slot_goes_to_highest_priority() {
         let alloc = allocate(&[1], &[consumer(1.2, vec![0]), consumer(2.0, vec![0])]);
-        assert_eq!(alloc.consumer_to_category, vec![None, Some(0)]);
+        assert_eq!(alloc.0, vec![None, Some(0)]);
     }
 
     #[test]
@@ -315,16 +223,16 @@ mod tests {
             &[1, 1],
             &[consumer(1.0, vec![0, 1]), consumer(3.0, vec![0])],
         );
-        assert_eq!(alloc.consumer_to_category, vec![Some(1), Some(0)]);
+        assert_eq!(alloc.0, vec![Some(1), Some(0)]);
         // Three insertion attempts: consumer 0 → cat 0, consumer 1 → cat 0
         // (displacing 0), displaced consumer 0 → cat 1.
-        assert_eq!(alloc.rounds, 3);
+        assert_eq!(alloc.1, 3);
     }
 
     #[test]
     fn empty_category_is_skipped() {
         let alloc = allocate(&[0, 1], &[consumer(1.0, vec![0, 1])]);
-        assert_eq!(alloc.consumer_to_category, vec![Some(1)]);
+        assert_eq!(alloc.0, vec![Some(1)]);
     }
 
     #[test]
@@ -337,13 +245,13 @@ mod tests {
                 consumer(3.0, vec![0]),
             ],
         );
-        assert_eq!(alloc.consumer_to_category, vec![Some(0), None, None]);
+        assert_eq!(alloc.0, vec![Some(0), None, None]);
     }
 
     #[test]
     fn priority_ties_break_toward_lower_index() {
         let alloc = allocate(&[1], &[consumer(2.0, vec![0]), consumer(2.0, vec![0])]);
-        assert_eq!(alloc.consumer_to_category, vec![Some(0), None]);
+        assert_eq!(alloc.0, vec![Some(0), None]);
     }
 
     #[test]
@@ -356,9 +264,7 @@ mod tests {
                 consumer(3.0, vec![0]),
             ],
         );
-        let granted = alloc.granted(0);
-        assert_eq!(granted.len(), 2);
-        assert!(granted.contains(&1) && granted.contains(&2));
+        assert_eq!(alloc.0, vec![None, Some(0), Some(0)]);
     }
 
     #[test]
@@ -395,60 +301,15 @@ mod tests {
                 .collect();
             let alloc = allocate(&capacities, &consumers);
             let inst = induced_instance(&capacities, &consumers);
-            let matching: crate::Matching = alloc.into();
+            let matching = Matching {
+                resident_to_hospital: alloc.0,
+            };
             assert!(matching.is_feasible(&inst));
             let reference = solve_resident_optimal(&inst).unwrap();
             // Ties in priority make the hospital order deterministic (by
             // index), so the two algorithms agree exactly.
             assert_eq!(matching, reference);
         }
-    }
-
-    /// The indexed heap allocator is byte-identical to the reference scan
-    /// — assignment AND rounds — across a seeded random sweep, with one
-    /// `ChainScratch` reused for every instance in the sweep.
-    #[test]
-    fn indexed_allocator_matches_reference_scan() {
-        let mut rng = XorShift64Star::seed_from_u64(0xC4A1_0003);
-        let mut scratch = ChainScratch::default();
-        let mut assignment = Vec::new();
-        for _ in 0..500 {
-            let ncat = rng.gen_range(1..6usize);
-            let capacities: Vec<usize> = (0..ncat).map(|_| rng.gen_range(0..4usize)).collect();
-            let nconsumers = rng.gen_range(0..12usize);
-            let consumers: Vec<Consumer> = (0..nconsumers)
-                .map(|_| {
-                    let nprefs = rng.gen_range(0..=ncat);
-                    let mut seen = vec![false; ncat];
-                    let preference = (0..nprefs)
-                        .map(|_| rng.gen_range(0..ncat))
-                        .filter(|&c| !std::mem::replace(&mut seen[c], true))
-                        .collect();
-                    Consumer {
-                        // Coarse priorities force plenty of ties.
-                        priority: rng.gen_range(0..6u32) as f64,
-                        preference,
-                    }
-                })
-                .collect();
-            let reference = allocate(&capacities, &consumers);
-            let rounds = allocate_into(&capacities, &consumers, &mut assignment, &mut scratch);
-            assert_eq!(assignment, reference.consumer_to_category);
-            assert_eq!(rounds, reference.rounds);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn indexed_allocator_rejects_out_of_range_preference() {
-        let mut scratch = ChainScratch::default();
-        let mut assignment = Vec::new();
-        let _ = allocate_into(
-            &[1],
-            &[consumer(1.0, vec![3])],
-            &mut assignment,
-            &mut scratch,
-        );
     }
 
     /// Stability: no consumer both lost a category it prefers and
@@ -469,7 +330,9 @@ mod tests {
                 .collect();
             let alloc = allocate(&capacities, &consumers);
             let inst = induced_instance(&capacities, &consumers);
-            let matching: crate::Matching = alloc.into();
+            let matching = Matching {
+                resident_to_hospital: alloc.0,
+            };
             assert!(
                 matching.is_stable(&inst),
                 "blocking pairs: {:?}",

@@ -12,10 +12,10 @@
 //! * [`Instance`] — hospitals with capacities and preference lists,
 //!   residents with preference lists (incomplete lists allowed),
 //! * [`solve_resident_optimal`] — resident-proposing deferred acceptance,
-//! * [`solve_hospital_optimal`] — hospital-proposing deferred acceptance,
 //! * [`Matching::blocking_pairs`] — stability verification, and
-//! * [`chain::allocate`] — the incremental victim-chaining
-//!   allocator that Algorithm 2 of the paper instantiates.
+//! * [`chain::allocate_into`] — the indexed victim-chaining allocator that
+//!   Algorithm 2 of the paper instantiates (its reference scan lives in
+//!   `copart-check`, next to the oracle that compares the two).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,4 +25,4 @@ mod instance;
 mod solver;
 
 pub use instance::{Hospital, Instance, InstanceError, Matching, Resident};
-pub use solver::{solve_hospital_optimal, solve_resident_optimal};
+pub use solver::solve_resident_optimal;

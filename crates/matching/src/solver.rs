@@ -1,4 +1,4 @@
-//! Deferred-acceptance solvers.
+//! The deferred-acceptance solver.
 
 use crate::{Instance, InstanceError, Matching};
 
@@ -83,73 +83,6 @@ pub fn solve_resident_optimal(inst: &Instance) -> Result<Matching, InstanceError
     })
 }
 
-/// Solves the instance with hospital-proposing deferred acceptance,
-/// producing the hospital-optimal stable matching.
-///
-/// Each hospital with spare capacity proposes down its list; a resident
-/// holds the best offer seen so far. Used in tests to bracket the set of
-/// stable matchings (by the Rural Hospitals theorem, both solvers match
-/// the same set of residents).
-///
-/// # Errors
-///
-/// Returns the instance's structural error if it fails validation.
-pub fn solve_hospital_optimal(inst: &Instance) -> Result<Matching, InstanceError> {
-    inst.validate()?;
-    let nr = inst.residents.len();
-    let nh = inst.hospitals.len();
-
-    let resident_rank: Vec<Vec<Option<usize>>> = inst
-        .residents
-        .iter()
-        .map(|r| {
-            let mut ranks = vec![None; nh];
-            for (rank, &h) in r.preference.iter().enumerate() {
-                ranks[h] = Some(rank);
-            }
-            ranks
-        })
-        .collect();
-
-    let mut assignment: Vec<Option<usize>> = vec![None; nr];
-    let mut load = vec![0usize; nh];
-    let mut next_choice = vec![0usize; nh];
-    let mut open: Vec<usize> = (0..nh).rev().collect();
-
-    while let Some(h) = open.pop() {
-        if load[h] >= inst.hospitals[h].capacity {
-            continue;
-        }
-        let prefs = &inst.hospitals[h].preference;
-        let Some(&r) = prefs.get(next_choice[h]) else {
-            continue; // Exhausted list.
-        };
-        next_choice[h] += 1;
-        let acceptable = resident_rank[r][h].is_some();
-        let accepts = acceptable
-            && match assignment[r] {
-                None => true,
-                Some(current) => resident_rank[r][h] < resident_rank[r][current],
-            };
-        if accepts {
-            if let Some(prev) = assignment[r].replace(h) {
-                load[prev] -= 1;
-                open.push(prev); // The jilted hospital proposes again.
-            }
-            load[h] += 1;
-        }
-        // Whether or not the proposal stuck, the hospital keeps going if it
-        // still has capacity and candidates.
-        if load[h] < inst.hospitals[h].capacity && next_choice[h] < prefs.len() {
-            open.push(h);
-        }
-    }
-
-    Ok(Matching {
-        resident_to_hospital: assignment,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,47 +145,8 @@ mod tests {
     }
 
     #[test]
-    fn resident_optimal_weakly_beats_hospital_optimal_for_residents() {
-        // Classic 3x3 marriage instance embedded as capacity-1 HR.
-        let i = inst(
-            vec![(1, vec![0, 1, 2]), (1, vec![1, 2, 0]), (1, vec![2, 0, 1])],
-            vec![vec![1, 0, 2], vec![2, 1, 0], vec![0, 2, 1]],
-        );
-        let ro = solve_resident_optimal(&i).unwrap();
-        let ho = solve_hospital_optimal(&i).unwrap();
-        assert!(ro.is_stable(&i));
-        assert!(ho.is_stable(&i));
-        for r in 0..3 {
-            let ro_rank = ro.resident_to_hospital[r].and_then(|h| i.resident_rank(r, h));
-            let ho_rank = ho.resident_to_hospital[r].and_then(|h| i.resident_rank(r, h));
-            assert!(
-                ro_rank <= ho_rank,
-                "resident {r}: resident-optimal rank {ro_rank:?} vs {ho_rank:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn rural_hospitals_same_matched_set() {
-        let i = inst(
-            vec![(1, vec![2, 0, 1]), (2, vec![0, 1, 2])],
-            vec![vec![0, 1], vec![1], vec![1, 0]],
-        );
-        let ro = solve_resident_optimal(&i).unwrap();
-        let ho = solve_hospital_optimal(&i).unwrap();
-        let matched = |m: &Matching| {
-            m.resident_to_hospital
-                .iter()
-                .map(|a| a.is_some())
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(matched(&ro), matched(&ho));
-    }
-
-    #[test]
     fn invalid_instance_is_rejected() {
         let i = inst(vec![(1, vec![5])], vec![vec![0]]);
         assert!(solve_resident_optimal(&i).is_err());
-        assert!(solve_hospital_optimal(&i).is_err());
     }
 }

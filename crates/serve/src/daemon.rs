@@ -366,10 +366,10 @@ impl<B: ServeBackend> Daemon<B> {
             Phase::Exploring => "exploring",
             Phase::Idle => "idle",
         };
-        let budget = runtime.config().budget;
-        let machine_ways = runtime.backend().capabilities().llc_ways;
         let state = runtime.state();
-        let masks = state.masks(&budget, machine_ways);
+        // The layout actually programmed: members of one cluster share a
+        // mask, which only the runtime's own accessor knows how to derive.
+        let masks = runtime.masks();
         let mut apps = Vec::with_capacity(runtime.apps().len());
         let mut schemata_l3 = String::from("L3:");
         let mut schemata_mb = String::from("MB:");

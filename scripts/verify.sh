@@ -31,7 +31,9 @@
 #                     benches and diffs their BENCH_*.json against the
 #                     checked-in baselines; the latter also holds the
 #                     4000-app planner p99 under the ~1 ms epoch budget
-#                     in absolute terms (COPART_P99_BUDGET_NS).
+#                     in absolute terms (COPART_P99_BUDGET_NS); last, a
+#                     release build of the benchmark/ workspace, whose
+#                     per-layer tracer links every crate's public API.
 #
 # COPART_CHECK_CASES overrides either budget from the environment.
 #
@@ -99,6 +101,9 @@ full)
 
     echo "==> perf gate (BENCH_*.json vs crates/bench/baselines)"
     scripts/bench_gate.sh
+
+    echo "==> benchmark-builds (benchmark/ links the crates' public API)"
+    cargo build --release --manifest-path benchmark/Cargo.toml
     ;;
 *)
     echo "usage: $0 [quick|full]" >&2
