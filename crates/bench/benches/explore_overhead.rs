@@ -15,9 +15,7 @@
 //! With `BENCH_JSON_DIR` set, the headline numbers land in
 //! `BENCH_epoch.json` for the `scripts/bench_gate.sh` regression gate.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use copart_bench::{bench, synthetic_instance, Artifact};
@@ -34,36 +32,9 @@ use copart_telemetry::{NullRecorder, Recorder, RingRecorder};
 use copart_workloads::stream::StreamReference;
 use copart_workloads::{MixKind, WorkloadMix};
 
-/// Counts heap allocations so the bench can report allocations per
-/// control epoch. Only `alloc`/`realloc` count — frees are not new
-/// allocations — and the counter is process-global, so the measured
-/// section must run single-threaded (it does: one runtime, one thread).
-struct CountingAlloc;
-
-static ALLOC_COUNT: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_COUNT.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_COUNT.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static COUNTING_ALLOC: CountingAlloc = CountingAlloc;
-
-fn allocs() -> u64 {
-    ALLOC_COUNT.load(Ordering::Relaxed)
-}
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::allocs;
 
 fn main() {
     eprintln!("(computing STREAM reference table...)");

@@ -1,0 +1,42 @@
+//! The allocation-counting global allocator shared by the benches that
+//! report `allocs_*` fields (`explore_overhead`, `persist`). Included
+//! with `#[path]` — each bench is its own binary, and the library crate
+//! forbids the `unsafe` a `GlobalAlloc` impl needs.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Counts heap allocations so a bench can report allocations per
+/// operation. Only `alloc`/`realloc` count — frees are not new
+/// allocations — and the counter is process-global, so the measured
+/// section must run single-threaded.
+struct CountingAlloc;
+
+static ALLOC_COUNT: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every method forwards its arguments unchanged to `System`, so
+// the caller's obligations are exactly `System`'s; the counter is the
+// only thing added and it touches no allocation.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOC_COUNT.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOC_COUNT.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static COUNTING_ALLOC: CountingAlloc = CountingAlloc;
+
+/// Allocations (and reallocations) made by the process so far.
+pub fn allocs() -> u64 {
+    ALLOC_COUNT.load(Ordering::Relaxed)
+}

@@ -53,6 +53,7 @@ mod tests {
             "schemata-validation",
             "json-roundtrip",
             "json-depth-limit",
+            "json-writer-matches-reference",
             "fsm-dual-vs-table",
             "sim-counter-bounds",
             "sim-cache-matches-reference",

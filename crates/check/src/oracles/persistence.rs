@@ -9,9 +9,9 @@
 //! for a handful of pinned scenarios; this oracle fuzzes the *mechanism*
 //! across randomized mixes, policies, seeds, snapshot points, and fault
 //! plans, and adds the wire check the integration test skips: the
-//! snapshot document must survive an encode → render → parse → decode
-//! round trip unchanged (the hex-float codec is where bit-exactness
-//! goes to die).
+//! snapshot document must survive a stream → parse → decode round trip
+//! unchanged (the hex-float codec is where bit-exactness goes to die),
+//! and the text the store streams must equal the tree's rendering.
 //!
 //! Each case runs one live runtime to a random epoch, captures a
 //! [`SnapshotDoc`], round-trips it through its JSON rendering, restores
@@ -31,7 +31,7 @@ use copart_rdt::SimBackend;
 use copart_serve::scenario::profile_with_retries;
 use copart_serve::{Scenario, SharedRing, PROFILE_ATTEMPTS};
 use copart_sim::Machine;
-use copart_telemetry::Json;
+use copart_telemetry::{Json, JsonWriter};
 use copart_workloads::MixKind;
 
 /// Mixes the oracle draws from, simplest-shrinking first.
@@ -200,9 +200,15 @@ where
         backend: live.backend().capture(),
         metrics: MetricsFrozen::capture(&live.metrics_snapshot()),
     };
-    let rendered = doc.encode().to_string();
+    // The bytes the store writes: the document streamed straight into
+    // text. They must be the tree's rendering, byte for byte.
+    let mut streamed = String::new();
+    doc.emit(&mut JsonWriter::new(&mut streamed));
+    if streamed != doc.encode().to_string() {
+        return Err("the streamed snapshot text differs from encode().to_string()".to_string());
+    }
     let parsed =
-        Json::parse(&rendered).map_err(|e| format!("snapshot rendering does not re-parse: {e}"))?;
+        Json::parse(&streamed).map_err(|e| format!("snapshot rendering does not re-parse: {e}"))?;
     let decoded =
         SnapshotDoc::decode(&parsed).map_err(|e| format!("snapshot does not decode: {e}"))?;
     let (doc_dbg, decoded_dbg) = (format!("{doc:?}"), format!("{decoded:?}"));

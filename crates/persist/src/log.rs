@@ -25,9 +25,9 @@ use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use copart_telemetry::Json;
+use copart_telemetry::{Json, JsonSink, JsonWriter};
 
-use crate::codec::{dec_str, dec_u64, obj};
+use crate::codec::{dec_str, dec_u64};
 use crate::error::PersistError;
 
 /// One input that steered the run.
@@ -66,24 +66,28 @@ pub struct LogEntry {
 impl LogEntry {
     /// Serialises the entry to one JSON line (no trailing newline).
     pub fn to_line(&self) -> String {
-        let mut members = vec![("pre", Json::Num(self.pre as f64))];
+        let mut line = String::new();
+        self.write_line(&mut line);
+        line
+    }
+
+    /// Appends the entry's JSON line (no trailing newline) to `out`.
+    fn write_line(&self, out: &mut String) {
+        let mut w = JsonWriter::new(out);
+        w.begin_obj().key("pre").num(self.pre as f64);
         match &self.kind {
-            EventKind::Epoch => members.push(("op", Json::Str("epoch".to_string()))),
+            EventKind::Epoch => w.key("op").str("epoch"),
             EventKind::Admit { bench, group } => {
-                members.push(("op", Json::Str("admit".to_string())));
-                members.push(("bench", Json::Str(bench.clone())));
-                members.push(("group", Json::Num(f64::from(*group))));
+                w.key("op").str("admit").key("bench").str(bench);
+                w.key("group").num(f64::from(*group))
             }
             EventKind::Remove { group } => {
-                members.push(("op", Json::Str("remove".to_string())));
-                members.push(("group", Json::Num(f64::from(*group))));
+                w.key("op").str("remove");
+                w.key("group").num(f64::from(*group))
             }
-            EventKind::Policy { name } => {
-                members.push(("op", Json::Str("policy".to_string())));
-                members.push(("policy", Json::Str(name.clone())));
-            }
-        }
-        obj(members).to_string()
+            EventKind::Policy { name } => w.key("op").str("policy").key("policy").str(name),
+        };
+        w.end_obj();
     }
 
     /// Parses one JSON line.
@@ -130,6 +134,8 @@ pub struct EventLog {
     file: fs::File,
     path: PathBuf,
     entries: u64,
+    /// The line being appended, kept across calls.
+    line: String,
 }
 
 impl EventLog {
@@ -147,6 +153,7 @@ impl EventLog {
             file,
             path,
             entries: 0,
+            line: String::new(),
         })
     }
 
@@ -177,9 +184,10 @@ impl EventLog {
     ///
     /// [`PersistError::Io`] when the write fails.
     pub fn append(&mut self, entry: &LogEntry) -> Result<(), PersistError> {
-        let mut line = entry.to_line();
-        line.push('\n');
-        self.file.write_all(line.as_bytes())?;
+        self.line.clear();
+        entry.write_line(&mut self.line);
+        self.line.push('\n');
+        self.file.write_all(self.line.as_bytes())?;
         self.file.flush()?;
         self.entries += 1;
         Ok(())

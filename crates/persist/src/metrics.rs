@@ -14,9 +14,9 @@
 //! resumed process cannot meaningfully continue. This is a documented
 //! recovery invariant (DESIGN.md §16).
 
-use copart_telemetry::{Json, MetricsRegistry, MetricsSnapshot};
+use copart_telemetry::{Json, JsonSink, MetricsRegistry, MetricsSnapshot};
 
-use crate::codec::{dec_hex_u64, dec_str, hex_f64, hex_u64, obj, req};
+use crate::codec::{arr, dec_hex_u64, dec_str, hex_f64, req};
 use crate::error::PersistError;
 
 /// Every counter name the workspace emits, in one place so the intern
@@ -114,30 +114,26 @@ impl MetricsFrozen {
 
     /// Serialises to JSON (counters as hex `u64`, gauges as hex bits).
     pub fn encode(&self) -> Json {
-        obj(vec![
-            (
-                "counters",
-                Json::Arr(
-                    self.counters
-                        .iter()
-                        .map(|(k, v)| {
-                            obj(vec![("name", Json::Str(k.clone())), ("value", hex_u64(*v))])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "gauges",
-                Json::Arr(
-                    self.gauges
-                        .iter()
-                        .map(|(k, v)| {
-                            obj(vec![("name", Json::Str(k.clone())), ("value", hex_f64(*v))])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
+        Json::build(|s| self.emit(s))
+    }
+
+    /// Emits the frozen values into `s` (text or tree; see
+    /// [`crate::SnapshotDoc::emit`]).
+    pub fn emit<S: JsonSink>(&self, s: &mut S) {
+        s.begin_obj();
+        arr(s, "counters", &self.counters, |s, (name, value)| {
+            s.begin_obj();
+            s.key("name").str(name);
+            s.key("value").hex16(*value);
+            s.end_obj();
+        });
+        arr(s, "gauges", &self.gauges, |s, (name, value)| {
+            s.begin_obj();
+            s.key("name").str(name);
+            hex_f64(s, "value", *value);
+            s.end_obj();
+        });
+        s.end_obj();
     }
 
     /// Deserialises from JSON.

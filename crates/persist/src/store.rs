@@ -19,8 +19,9 @@
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-use copart_telemetry::Json;
+use copart_telemetry::{Json, JsonSink, JsonWriter};
 
 use crate::codec::{dec_str, dec_u64, SnapshotDoc};
 use crate::error::PersistError;
@@ -54,37 +55,59 @@ pub fn snapshot_path(dir: &Path, epoch: u64) -> PathBuf {
     dir.join(format!("snap-{epoch:020}.json"))
 }
 
+/// The temp file a snapshot for `epoch` is written to before the rename.
+fn temp_path(dir: &Path, epoch: u64) -> PathBuf {
+    dir.join(format!(".snap-{epoch:020}.tmp"))
+}
+
+/// Payload size of the last snapshot this process wrote: the next
+/// payload buffer is allocated at that size up front, so streaming a
+/// same-shaped document never regrows it. A sizing hint only.
+static LAST_PAYLOAD_LEN: AtomicUsize = AtomicUsize::new(0);
+
+/// The header line for a payload: magic, version, epoch, digest, length.
+fn header_line(epoch: u64, version: u64, payload: &str) -> String {
+    let mut header = String::with_capacity(128);
+    let mut w = JsonWriter::new(&mut header);
+    w.begin_obj();
+    w.key("magic").str(SNAP_MAGIC);
+    w.key("version").num(version as f64);
+    w.key("epoch").num(epoch as f64);
+    w.key("digest").hex16(fnv1a64(payload.as_bytes()));
+    w.key("len").num(payload.len() as f64);
+    w.end_obj();
+    header
+}
+
 /// Serialises `doc` and writes it atomically into `dir`. Returns the
 /// final path and the total bytes written.
+///
+/// The payload is streamed from the document into one buffer — no
+/// `Json` tree, no second copy — digested there, and handed to the temp
+/// file after the header; `sync_all` and the rename follow as ever.
 ///
 /// # Errors
 ///
 /// [`PersistError::Io`] when the directory cannot be written.
 pub fn write_snapshot(dir: &Path, doc: &SnapshotDoc) -> Result<(PathBuf, u64), PersistError> {
     fs::create_dir_all(dir)?;
-    let payload = doc.encode().to_string();
-    let header = Json::Obj(vec![
-        ("magic".to_string(), Json::Str(SNAP_MAGIC.to_string())),
-        ("version".to_string(), Json::Num(SNAP_VERSION as f64)),
-        ("epoch".to_string(), Json::Num(doc.epoch() as f64)),
-        (
-            "digest".to_string(),
-            Json::Str(format!("{:016x}", fnv1a64(payload.as_bytes()))),
-        ),
-        ("len".to_string(), Json::Num(payload.len() as f64)),
-    ])
-    .to_string();
-    let content = format!("{header}\n{payload}\n");
+    let mut payload = String::with_capacity(LAST_PAYLOAD_LEN.load(Ordering::Relaxed) + 1);
+    doc.emit(&mut JsonWriter::new(&mut payload));
+    LAST_PAYLOAD_LEN.store(payload.len(), Ordering::Relaxed);
+    let mut header = header_line(doc.epoch(), SNAP_VERSION, &payload);
+    header.push('\n');
+    payload.push('\n');
 
     let path = snapshot_path(dir, doc.epoch());
-    let tmp = dir.join(format!(".snap-{:020}.tmp", doc.epoch()));
+    let tmp = temp_path(dir, doc.epoch());
     {
         let mut f = fs::File::create(&tmp)?;
-        f.write_all(content.as_bytes())?;
+        f.write_all(header.as_bytes())?;
+        f.write_all(payload.as_bytes())?;
         f.sync_all()?;
     }
     fs::rename(&tmp, &path)?;
-    Ok((path, content.len() as u64))
+    Ok((path, (header.len() + payload.len()) as u64))
 }
 
 /// Reads and fully validates one snapshot file.
@@ -132,11 +155,19 @@ pub fn read_snapshot(path: &Path) -> Result<SnapshotDoc, PersistError> {
     Ok(doc)
 }
 
-/// Every snapshot file in `dir`, as `(epoch, path)`, ascending by epoch.
-/// Files that merely *look* like snapshots are listed; validation
-/// happens on read.
-pub fn list_snapshots(dir: &Path) -> Result<Vec<(u64, PathBuf)>, PersistError> {
-    let mut found = Vec::new();
+/// One walk of a state directory.
+struct DirScan {
+    /// Snapshot files as `(epoch, path)`, ascending by epoch.
+    snaps: Vec<(u64, PathBuf)>,
+    /// `.snap-*.tmp` files a killed writer left behind.
+    temps: Vec<PathBuf>,
+}
+
+fn scan(dir: &Path) -> Result<DirScan, PersistError> {
+    let mut found = DirScan {
+        snaps: Vec::new(),
+        temps: Vec::new(),
+    };
     let entries = match fs::read_dir(dir) {
         Ok(e) => e,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(found),
@@ -152,12 +183,21 @@ pub fn list_snapshots(dir: &Path) -> Result<Vec<(u64, PathBuf)>, PersistError> {
             .and_then(|r| r.strip_suffix(".json"))
         {
             if let Ok(epoch) = digits.parse::<u64>() {
-                found.push((epoch, path));
+                found.snaps.push((epoch, path));
             }
+        } else if name.starts_with(".snap-") && name.ends_with(".tmp") {
+            found.temps.push(path);
         }
     }
-    found.sort();
+    found.snaps.sort();
     Ok(found)
+}
+
+/// Every snapshot file in `dir`, as `(epoch, path)`, ascending by epoch.
+/// Files that merely *look* like snapshots are listed; validation
+/// happens on read.
+pub fn list_snapshots(dir: &Path) -> Result<Vec<(u64, PathBuf)>, PersistError> {
+    Ok(scan(dir)?.snaps)
 }
 
 /// The newest snapshot in `dir` that passes full validation, or `None`
@@ -176,8 +216,16 @@ pub fn latest_good(dir: &Path) -> Result<Option<(SnapshotDoc, PathBuf)>, Persist
 /// Deletes all but the newest `keep` snapshots, along with each deleted
 /// snapshot's event log. Keeping two means one whole corrupt snapshot
 /// still leaves a recovery point.
+///
+/// Also sweeps `.snap-*.tmp` files: a kill between creating the temp
+/// file and renaming it leaves one behind that no reader ever looks at.
+/// Pruning runs only after a newer snapshot has landed under its final
+/// name, so no temp file can still be in flight.
 pub fn prune(dir: &Path, keep: usize) -> Result<(), PersistError> {
-    let snaps = list_snapshots(dir)?;
+    let DirScan { snaps, temps } = scan(dir)?;
+    for orphan in temps {
+        fs::remove_file(&orphan)?;
+    }
     let excess = snaps.len().saturating_sub(keep);
     for (epoch, path) in snaps.into_iter().take(excess) {
         fs::remove_file(&path)?;
@@ -225,17 +273,7 @@ mod tests {
             .encode()
             .to_string()
             .replace("\"seed\":\"000000000000002a\"", "\"seed\":42");
-        let header = Json::Obj(vec![
-            ("magic".to_string(), Json::Str(SNAP_MAGIC.to_string())),
-            ("version".to_string(), Json::Num(1.0)),
-            ("epoch".to_string(), Json::Num(doc.epoch() as f64)),
-            (
-                "digest".to_string(),
-                Json::Str(format!("{:016x}", fnv1a64(payload.as_bytes()))),
-            ),
-            ("len".to_string(), Json::Num(payload.len() as f64)),
-        ])
-        .to_string();
+        let header = header_line(doc.epoch(), 1, &payload);
         let path = snapshot_path(&dir, doc.epoch());
         fs::write(&path, format!("{header}\n{payload}\n")).unwrap();
         let back = read_snapshot(&path).unwrap();
@@ -326,6 +364,34 @@ mod tests {
         assert_eq!(left, vec![20, 30]);
         assert!(!crate::log::log_path(&dir, 10).exists());
         assert!(crate::log::log_path(&dir, 20).exists());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A kill between `File::create(tmp)` and `rename` strands the temp
+    /// file; nothing lists it, so only `prune` can reclaim it.
+    #[test]
+    fn prune_sweeps_orphaned_temp_files() {
+        let dir = tmpdir("orphan");
+        write_snapshot(&dir, &tiny_doc(10)).unwrap();
+        write_snapshot(&dir, &tiny_doc(20)).unwrap();
+        // A third snapshot torn mid-write under its final name, and the
+        // temp file of a fourth that never got renamed.
+        let (torn, _) = write_snapshot(&dir, &tiny_doc(30)).unwrap();
+        let full = fs::read(&torn).unwrap();
+        fs::write(&torn, &full[..full.len() / 2]).unwrap();
+        let orphan = temp_path(&dir, 40);
+        fs::write(&orphan, &full[..full.len() / 3]).unwrap();
+
+        prune(&dir, 2).unwrap();
+        assert!(!orphan.exists(), "the orphaned temp file is swept");
+        let left: Vec<u64> = list_snapshots(&dir)
+            .unwrap()
+            .into_iter()
+            .map(|(e, _)| e)
+            .collect();
+        assert_eq!(left, vec![20, 30], "the newest two names are kept");
+        let (best, _) = latest_good(&dir).unwrap().unwrap();
+        assert_eq!(best.epoch(), 20, "recovery falls back past the torn one");
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -16,7 +16,7 @@
 //! and parse back with [`TraceEvent::from_json_line`]; the schema is
 //! documented field-by-field in `DESIGN.md` § Observability.
 
-use crate::json::{Json, JsonError};
+use crate::json::{Json, JsonError, JsonSink, JsonWriter};
 use crate::Rates;
 use std::fmt;
 
@@ -316,76 +316,66 @@ fn str_field<'a>(obj: &'a Json, key: &str) -> Result<&'a str, TraceParseError> {
         .ok_or_else(|| TraceParseError::Schema(format!("field '{key}' is not a string")))
 }
 
-fn num(x: f64) -> Json {
-    Json::Num(x)
-}
-
 impl TraceEvent {
     /// Serialises the event as one JSONL line (no trailing newline).
     pub fn to_json_line(&self) -> String {
-        let apps = self
-            .apps
-            .iter()
-            .map(|a| {
-                Json::Obj(vec![
-                    ("name".into(), Json::Str(a.name.clone())),
-                    ("ips".into(), num(a.ips)),
-                    ("slowdown".into(), num(a.slowdown)),
-                    ("llc_state".into(), Json::Str(a.llc_state.as_str().into())),
-                    ("mba_state".into(), Json::Str(a.mba_state.as_str().into())),
-                    ("miss_ratio".into(), num(a.miss_ratio)),
-                    ("llc_aps".into(), num(a.llc_accesses_per_sec)),
-                    ("llc_mps".into(), num(a.llc_misses_per_sec)),
-                ])
-            })
-            .collect();
-        let allocs = |xs: &[AllocSample]| {
-            Json::Arr(
-                xs.iter()
-                    .map(|x| {
-                        Json::Obj(vec![
-                            ("ways".into(), num(f64::from(x.ways))),
-                            ("mba".into(), num(f64::from(x.mba_percent))),
-                        ])
-                    })
-                    .collect(),
-            )
-        };
-        let mut fields = vec![
-            ("epoch".into(), num(self.epoch as f64)),
-            ("time_ns".into(), num(self.time_ns as f64)),
-            ("phase".into(), Json::Str(self.phase.as_str().into())),
-            ("decision".into(), Json::Str(self.decision.as_str().into())),
-            ("retry_count".into(), num(f64::from(self.retry_count))),
-            (
-                "matching_rounds".into(),
-                num(f64::from(self.matching_rounds)),
-            ),
-            ("unfairness".into(), num(self.unfairness)),
-            ("apps".into(), Json::Arr(apps)),
-            ("proposed".into(), allocs(&self.proposed)),
-            ("applied".into(), allocs(&self.applied)),
-        ];
-        if let Some(fault) = &self.fault {
-            fields.push((
-                "fault".into(),
-                Json::Obj(vec![
-                    (
-                        "degraded".into(),
-                        Json::Arr(
-                            fault
-                                .degraded
-                                .iter()
-                                .map(|n| Json::Str(n.clone()))
-                                .collect(),
-                        ),
-                    ),
-                    ("write_retries".into(), num(f64::from(fault.write_retries))),
-                    ("rolled_back".into(), Json::Bool(fault.rolled_back)),
-                ]),
-            ));
+        let mut line = String::new();
+        self.write_json_line(&mut line);
+        line
+    }
+
+    /// Appends the event's JSONL line (no trailing newline) to `out`:
+    /// [`TraceEvent::to_json_line`] without the allocation, for sinks
+    /// that keep a line buffer.
+    pub fn write_json_line(&self, out: &mut String) {
+        fn allocs(w: &mut JsonWriter<'_>, key: &str, xs: &[AllocSample]) {
+            w.key(key).begin_arr();
+            for x in xs {
+                w.begin_obj();
+                w.key("ways").num(f64::from(x.ways));
+                w.key("mba").num(f64::from(x.mba_percent));
+                w.end_obj();
+            }
+            w.end_arr();
         }
-        Json::Obj(fields).to_string()
+        let mut w = JsonWriter::new(out);
+        w.begin_obj();
+        w.key("epoch").num(self.epoch as f64);
+        w.key("time_ns").num(self.time_ns as f64);
+        w.key("phase").str(self.phase.as_str());
+        w.key("decision").str(self.decision.as_str());
+        w.key("retry_count").num(f64::from(self.retry_count));
+        w.key("matching_rounds")
+            .num(f64::from(self.matching_rounds));
+        w.key("unfairness").num(self.unfairness);
+        w.key("apps").begin_arr();
+        for a in &self.apps {
+            w.begin_obj();
+            w.key("name").str(&a.name);
+            w.key("ips").num(a.ips);
+            w.key("slowdown").num(a.slowdown);
+            w.key("llc_state").str(a.llc_state.as_str());
+            w.key("mba_state").str(a.mba_state.as_str());
+            w.key("miss_ratio").num(a.miss_ratio);
+            w.key("llc_aps").num(a.llc_accesses_per_sec);
+            w.key("llc_mps").num(a.llc_misses_per_sec);
+            w.end_obj();
+        }
+        w.end_arr();
+        allocs(&mut w, "proposed", &self.proposed);
+        allocs(&mut w, "applied", &self.applied);
+        if let Some(fault) = &self.fault {
+            w.key("fault").begin_obj();
+            w.key("degraded").begin_arr();
+            for name in &fault.degraded {
+                w.str(name);
+            }
+            w.end_arr();
+            w.key("write_retries").num(f64::from(fault.write_retries));
+            w.key("rolled_back").bool(fault.rolled_back);
+            w.end_obj();
+        }
+        w.end_obj();
     }
 
     /// Parses one JSONL line produced by [`TraceEvent::to_json_line`].

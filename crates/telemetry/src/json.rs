@@ -7,7 +7,7 @@
 //! and faster to compile. Only the subset of JSON the trace schema needs
 //! is produced, but the parser accepts any well-formed JSON document.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON value. Object member order is preserved so encode →
 /// parse → encode is stable.
@@ -100,63 +100,340 @@ impl Json {
     }
 }
 
-impl fmt::Display for Json {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl Json {
+    /// Replays the tree into `sink`, member by member. Rendering
+    /// ([`fmt::Display`], hence `to_string`) is this walk into a
+    /// [`JsonWriter`], so a tree and a hand-streamed field list that
+    /// make the same calls produce the same bytes.
+    pub fn emit<S: JsonSink>(&self, sink: &mut S) {
         match self {
-            Json::Null => f.write_str("null"),
-            Json::Bool(b) => f.write_str(if *b { "true" } else { "false" }),
-            Json::Num(x) => {
-                if x.is_finite() {
-                    // Rust's shortest round-trip float formatting; also
-                    // covers integers ("3" for 3.0 — still valid JSON).
-                    write!(f, "{x}")
-                } else {
-                    // JSON has no Infinity/NaN; `null` is the documented
-                    // encoding (DESIGN.md, Observability).
-                    f.write_str("null")
-                }
-            }
-            Json::Str(s) => write_escaped(f, s),
+            Json::Null => sink.null(),
+            Json::Bool(b) => sink.bool(*b),
+            Json::Num(x) => sink.num(*x),
+            Json::Str(s) => sink.str(s),
             Json::Arr(items) => {
-                f.write_str("[")?;
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write!(f, "{item}")?;
+                sink.begin_arr();
+                for item in items {
+                    item.emit(sink);
                 }
-                f.write_str("]")
+                sink.end_arr()
             }
             Json::Obj(members) => {
-                f.write_str("{")?;
-                for (i, (k, v)) in members.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write_escaped(f, k)?;
-                    f.write_str(":")?;
-                    write!(f, "{v}")?;
+                sink.begin_obj();
+                for (k, v) in members {
+                    sink.key(k);
+                    v.emit(sink);
                 }
-                f.write_str("}")
+                sink.end_obj()
             }
-        }
+        };
+    }
+
+    /// Builds a tree from the calls `fill` makes on a [`JsonTree`] — the
+    /// tree-shaped landing place for a field list written once against
+    /// [`JsonSink`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when `fill` does not emit exactly one complete value.
+    pub fn build(fill: impl FnOnce(&mut JsonTree)) -> Json {
+        let mut tree = JsonTree::default();
+        fill(&mut tree);
+        assert!(tree.open.is_empty(), "unclosed JSON container");
+        tree.root.expect("no JSON value was emitted")
     }
 }
 
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut text = String::new();
+        self.emit(&mut JsonWriter::new(&mut text));
+        f.write_str(&text)
+    }
+}
+
+/// A push interface for one JSON value: the calls a struct's field list
+/// makes, independent of where they land. [`JsonWriter`] appends the
+/// wire text to a `String`; [`JsonTree`] builds a [`Json`]. Callers make
+/// well-formed sequences (a `key` before each object member, every
+/// `begin_*` closed); the sinks do not validate them.
+pub trait JsonSink {
+    /// Opens an object.
+    fn begin_obj(&mut self) -> &mut Self;
+    /// Closes the innermost object.
+    fn end_obj(&mut self) -> &mut Self;
+    /// Opens an array.
+    fn begin_arr(&mut self) -> &mut Self;
+    /// Closes the innermost array.
+    fn end_arr(&mut self) -> &mut Self;
+    /// Names the next value inside an object.
+    fn key(&mut self, key: &str) -> &mut Self;
+    /// A string value.
+    fn str(&mut self, s: &str) -> &mut Self;
+    /// A number value (non-finite numbers become `null`).
+    fn num(&mut self, x: f64) -> &mut Self;
+    /// A boolean value.
+    fn bool(&mut self, b: bool) -> &mut Self;
+    /// A `null` value.
+    fn null(&mut self) -> &mut Self;
+    /// A `u64` as a string of exactly sixteen lowercase hex digits —
+    /// what `format!("{v:016x}")` produces, exact for the full range.
+    fn hex16(&mut self, v: u64) -> &mut Self;
+}
+
+/// The one definition of the wire text: an append-only JSON emitter over
+/// a caller-owned `String`. It owns comma placement, string escaping and
+/// number formatting, and nothing else renders JSON in this workspace's
+/// production crates (DESIGN.md §9.1).
+///
+/// * Strings: a quote, a backslash, and the newline, carriage-return and
+///   tab characters get their two-character escapes, other bytes below
+///   0x20 become `\u00XX` (lowercase hex), everything else
+///   (including 0x7f and multi-byte UTF-8) is copied through unchanged.
+/// * Numbers: Rust's shortest round-trip `{x}` for finite values
+///   (integers print without a fraction), `null` for NaN and ±∞.
+#[derive(Debug)]
+pub struct JsonWriter<'a> {
+    out: &'a mut String,
+    /// Whether the next key or value must be preceded by a `,`: set by
+    /// every completed value, cleared by an opening bracket and by a key.
+    comma: bool,
+}
+
+impl<'a> JsonWriter<'a> {
+    /// Starts one value at the end of `out` (which may already hold
+    /// text, e.g. earlier lines).
+    pub fn new(out: &'a mut String) -> JsonWriter<'a> {
+        JsonWriter { out, comma: false }
+    }
+
+    /// Writes the separator a value needs and marks one as due after it.
+    fn value(&mut self) -> &mut String {
+        if self.comma {
+            self.out.push(',');
+        }
+        self.comma = true;
+        self.out
+    }
+
+    fn open(&mut self, bracket: char) -> &mut Self {
+        self.value().push(bracket);
+        self.comma = false;
+        self
+    }
+
+    fn close(&mut self, bracket: char) -> &mut Self {
+        self.out.push(bracket);
+        self.comma = true;
+        self
+    }
+}
+
+impl JsonSink for JsonWriter<'_> {
+    fn begin_obj(&mut self) -> &mut Self {
+        self.open('{')
+    }
+
+    fn end_obj(&mut self) -> &mut Self {
+        self.close('}')
+    }
+
+    fn begin_arr(&mut self) -> &mut Self {
+        self.open('[')
+    }
+
+    fn end_arr(&mut self) -> &mut Self {
+        self.close(']')
+    }
+
+    fn key(&mut self, key: &str) -> &mut Self {
+        push_escaped(self.value(), key);
+        self.out.push(':');
+        self.comma = false;
+        self
+    }
+
+    fn str(&mut self, s: &str) -> &mut Self {
+        push_escaped(self.value(), s);
+        self
+    }
+
+    fn num(&mut self, x: f64) -> &mut Self {
+        let out = self.value();
+        // `{x}` prints a non-negative integer up to 2⁵³ as its plain
+        // decimal digits; epochs, way counts and CLOS ids are most of
+        // the numbers written, so they skip the float formatter. The
+        // cast saturates (NaN → 0, ∞ → u64::MAX), so no non-finite or
+        // fractional value converts back to itself; `-0.0` does, prints
+        // as `-0`, and is kept off this path by its sign.
+        let int = x as u64;
+        if int as f64 == x && int <= MAX_EXACT_INT && x.is_sign_positive() {
+            push_decimal(out, int);
+        } else if x.is_finite() {
+            // Writing to a `String` cannot fail.
+            let _ = write!(out, "{x}");
+        } else {
+            // JSON has no Infinity/NaN; `null` is the documented
+            // encoding (DESIGN.md, Observability).
+            out.push_str("null");
+        }
+        self
+    }
+
+    fn bool(&mut self, b: bool) -> &mut Self {
+        self.value().push_str(if b { "true" } else { "false" });
+        self
+    }
+
+    fn null(&mut self) -> &mut Self {
+        self.value().push_str("null");
+        self
+    }
+
+    fn hex16(&mut self, v: u64) -> &mut Self {
+        let quoted = quoted_hex16(v);
+        self.value()
+            .push_str(std::str::from_utf8(&quoted).expect("hex digits are ASCII"));
+        self
+    }
+}
+
+/// 2⁵³: every non-negative integer up to here is an exact `f64`.
+const MAX_EXACT_INT: u64 = 1 << 53;
+
+/// `v` as sixteen lowercase hex digits between double quotes.
+fn quoted_hex16(v: u64) -> [u8; 18] {
+    let mut quoted = *b"\"0000000000000000\"";
+    for (i, digit) in quoted[1..17].iter_mut().enumerate() {
+        *digit = b"0123456789abcdef"[(v >> (60 - 4 * i) & 0xf) as usize];
+    }
+    quoted
+}
+
+fn push_decimal(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
         }
     }
-    f.write_str("\"")
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("decimal digits are ASCII"));
+}
+
+/// Appends `s` quoted and escaped, copying each run of plain bytes in
+/// one piece. Every byte that needs an escape is ASCII, so the runs
+/// between them start and end on character boundaries.
+fn push_escaped(out: &mut String, s: &str) {
+    out.push('"');
+    let mut run_start = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..0x20 => "",
+            _ => continue,
+        };
+        out.push_str(&s[run_start..i]);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(escape);
+        }
+        run_start = i + 1;
+    }
+    out.push_str(&s[run_start..]);
+    out.push('"');
+}
+
+/// The tree-building [`JsonSink`]: the same calls that stream text into a
+/// [`JsonWriter`] build a [`Json`] here (see [`Json::build`]).
+#[derive(Debug, Default)]
+pub struct JsonTree {
+    /// Containers still open, outermost first.
+    open: Vec<OpenContainer>,
+    root: Option<Json>,
+}
+
+#[derive(Debug)]
+enum OpenContainer {
+    /// Members so far, and the key waiting for its value.
+    Obj(Vec<(String, Json)>, Option<String>),
+    Arr(Vec<Json>),
+}
+
+impl JsonTree {
+    fn value(&mut self, v: Json) -> &mut Self {
+        match self.open.last_mut() {
+            Some(OpenContainer::Obj(members, key)) => {
+                members.push((key.take().expect("an object member needs a key"), v));
+            }
+            Some(OpenContainer::Arr(items)) => items.push(v),
+            None => self.root = Some(v),
+        }
+        self
+    }
+}
+
+impl JsonSink for JsonTree {
+    fn begin_obj(&mut self) -> &mut Self {
+        self.open.push(OpenContainer::Obj(Vec::new(), None));
+        self
+    }
+
+    fn end_obj(&mut self) -> &mut Self {
+        match self.open.pop() {
+            Some(OpenContainer::Obj(members, _)) => self.value(Json::Obj(members)),
+            _ => panic!("end_obj without a matching begin_obj"),
+        }
+    }
+
+    fn begin_arr(&mut self) -> &mut Self {
+        self.open.push(OpenContainer::Arr(Vec::new()));
+        self
+    }
+
+    fn end_arr(&mut self) -> &mut Self {
+        match self.open.pop() {
+            Some(OpenContainer::Arr(items)) => self.value(Json::Arr(items)),
+            _ => panic!("end_arr without a matching begin_arr"),
+        }
+    }
+
+    fn key(&mut self, key: &str) -> &mut Self {
+        match self.open.last_mut() {
+            Some(OpenContainer::Obj(_, slot)) => *slot = Some(key.to_string()),
+            _ => panic!("key outside an object"),
+        }
+        self
+    }
+
+    fn str(&mut self, s: &str) -> &mut Self {
+        self.value(Json::Str(s.to_string()))
+    }
+
+    fn num(&mut self, x: f64) -> &mut Self {
+        self.value(Json::Num(x))
+    }
+
+    fn bool(&mut self, b: bool) -> &mut Self {
+        self.value(Json::Bool(b))
+    }
+
+    fn null(&mut self) -> &mut Self {
+        self.value(Json::Null)
+    }
+
+    fn hex16(&mut self, v: u64) -> &mut Self {
+        let quoted = quoted_hex16(v);
+        self.str(std::str::from_utf8(&quoted[1..17]).expect("hex digits are ASCII"))
+    }
 }
 
 /// A parse failure: byte offset and description.
@@ -461,6 +738,58 @@ mod tests {
     fn non_finite_floats_encode_as_null() {
         assert_eq!(Json::Num(f64::INFINITY).to_string(), "null");
         assert_eq!(Json::Num(f64::NAN).to_string(), "null");
+    }
+
+    /// One field list, both landing places: the text a `JsonWriter`
+    /// streams is the rendering of the tree a `JsonTree` builds.
+    #[test]
+    fn a_field_list_lands_as_the_same_text_or_tree() {
+        fn fields<S: JsonSink>(s: &mut S) {
+            s.begin_obj();
+            s.key("n").num(3.0).key("h").hex16(0xdead_beef);
+            s.key("a")
+                .begin_arr()
+                .null()
+                .bool(true)
+                .begin_arr()
+                .end_arr();
+            s.begin_obj().end_obj().end_arr();
+            s.key("s").str("x").end_obj();
+        }
+        let mut text = String::from("kept\n");
+        fields(&mut JsonWriter::new(&mut text));
+        let expected = r#"{"n":3,"h":"00000000deadbeef","a":[null,true,[],{}],"s":"x"}"#;
+        assert_eq!(text, format!("kept\n{expected}"));
+        let tree = Json::build(fields);
+        assert_eq!(tree.to_string(), expected);
+        assert_eq!(Json::parse(expected).unwrap(), tree);
+    }
+
+    #[test]
+    fn writer_escapes_by_run_and_prints_numbers_by_the_display_rule() {
+        let render = |v: Json| v.to_string();
+        assert_eq!(
+            render(Json::Str("a\"b\\c\nd\re\tf\u{0}g\u{1f}h\u{7f}é😀".into())),
+            "\"a\\\"b\\\\c\\nd\\re\\tf\\u0000g\\u001fh\u{7f}é😀\""
+        );
+        for (x, text) in [
+            (0.0, "0"),
+            (-0.0, "-0"),
+            (-7.0, "-7"),
+            (0.1, "0.1"),
+            (9_007_199_254_740_992.0, "9007199254740992"),
+            (9_007_199_254_740_994.0, "9007199254740994"),
+            (1e21, "1000000000000000000000"),
+            (f64::NEG_INFINITY, "null"),
+        ] {
+            assert_eq!(render(Json::Num(x)), text);
+            assert!(!x.is_finite() || text == format!("{x}"));
+        }
+        for v in [0, 1, 0xf0, u64::MAX, 0x0123_4567_89ab_cdef] {
+            let mut text = String::new();
+            JsonWriter::new(&mut text).hex16(v);
+            assert_eq!(text, format!("\"{v:016x}\""));
+        }
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //! * [`MetricsRegistry`] — counters, gauges and fixed-bucket latency
 //!   [`Histogram`]s with a snapshot API,
 //! * [`Json`] — the dependency-free JSON value backing the JSONL trace
-//!   format.
+//!   format, and [`JsonWriter`], the one emitter of its wire text.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -51,7 +51,7 @@ pub use event::{
 };
 pub use ewma::Ewma;
 pub use fleet::{FleetAggregator, NodeGauges, Percentiles};
-pub use json::{Json, JsonError};
+pub use json::{Json, JsonError, JsonSink, JsonTree, JsonWriter};
 pub use rates::{traffic_ratio, Rates};
 pub use recorder::{
     parse_trace, read_trace_file, JsonlRecorder, NullRecorder, Recorder, RingRecorder,

@@ -119,6 +119,9 @@ impl Recorder for RingRecorder {
 #[derive(Debug)]
 pub struct JsonlRecorder<W: Write> {
     out: W,
+    /// The line being rendered, kept so a recorded event allocates
+    /// nothing once the buffer has grown to a line's size.
+    line: String,
     written: u64,
     deferred_error: Option<io::Error>,
 }
@@ -135,6 +138,7 @@ impl<W: Write> JsonlRecorder<W> {
     pub fn new(out: W) -> JsonlRecorder<W> {
         JsonlRecorder {
             out,
+            line: String::new(),
             written: 0,
             deferred_error: None,
         }
@@ -157,8 +161,10 @@ impl<W: Write> Recorder for JsonlRecorder<W> {
         if self.deferred_error.is_some() {
             return;
         }
-        let line = event.to_json_line();
-        if let Err(e) = writeln!(self.out, "{line}") {
+        self.line.clear();
+        event.write_json_line(&mut self.line);
+        self.line.push('\n');
+        if let Err(e) = self.out.write_all(self.line.as_bytes()) {
             self.deferred_error = Some(e);
         } else {
             self.written += 1;

@@ -2,9 +2,9 @@
 # Performance-regression gate for the CoPart reproduction.
 #
 # Runs the artifact-emitting benchmarks (explore_overhead, matching,
-# cache_sim) with BENCH_JSON_DIR set, then gates each fresh BENCH_*.json
-# against the checked-in baseline in crates/bench/baselines/ using
-# `copart bench-report`:
+# cache_sim, persist) and the compare grid with BENCH_JSON_DIR set, then
+# gates every checked-in baseline in crates/bench/baselines/ against the
+# artifact this run produced, using `copart bench-report`:
 #
 #   - *_ns latencies may regress up to the tolerance ratio
 #     (COPART_BENCH_TOLERANCE, default 3.0 — shared CI runners are
@@ -21,6 +21,12 @@
 # say why in the commit message. CI re-runs this script and uploads
 # the fresh artifacts whether or not the gate passes.
 #
+# The gate judges only what this run produced: artifacts left in the
+# output directory by an earlier session are deleted first, and the loop
+# runs over the baselines, so a bench that stops emitting fails on its
+# missing artifact instead of passing on a stale file. A fresh artifact
+# with no baseline fails too, until it is blessed.
+#
 # BENCH_JSON_DIR overrides where fresh artifacts land (default
 # target/bench). The script is std-toolchain only.
 
@@ -36,10 +42,11 @@ case "$out_dir" in
 *) out_dir="$PWD/$out_dir" ;;
 esac
 baseline_dir="crates/bench/baselines"
-benches=(explore_overhead matching cache_sim)
+benches=(explore_overhead matching cache_sim persist)
 
 echo "==> running artifact benches into $out_dir"
 mkdir -p "$out_dir"
+rm -f "$out_dir"/BENCH_*.json
 for b in "${benches[@]}"; do
     BENCH_JSON_DIR="$out_dir" cargo bench -q -p copart-bench --bench "$b" >/dev/null
 done
@@ -94,16 +101,22 @@ if [ "${UPDATE_BENCH:-0}" = "1" ]; then
 fi
 
 status=0
-for f in "${artifacts[@]}"; do
-    base="$baseline_dir/$(basename "$f")"
-    if [ ! -f "$base" ]; then
-        echo "bench_gate: missing baseline $base (run UPDATE_BENCH=1 $0)" >&2
+for base in "$baseline_dir"/*.json; do
+    f="$out_dir/$(basename "$base")"
+    if [ ! -f "$f" ]; then
+        echo "bench_gate: no fresh $(basename "$f") — its bench stopped emitting (or delete $base)" >&2
         status=1
         continue
     fi
     echo "==> gating $(basename "$f")"
     cargo run -q --release -p copart-cli -- bench-report \
         --current "$f" --baseline "$base" || status=1
+done
+for f in "${artifacts[@]}"; do
+    if [ ! -f "$baseline_dir/$(basename "$f")" ]; then
+        echo "bench_gate: missing baseline for $(basename "$f") (run UPDATE_BENCH=1 $0)" >&2
+        status=1
+    fi
 done
 
 if [ "$status" -ne 0 ]; then
