@@ -39,7 +39,7 @@ use counting_alloc::allocs;
 fn main() {
     eprintln!("(computing STREAM reference table...)");
     let machine_cfg = MachineConfig::xeon_gold_6130();
-    let stream = StreamReference::compute(&machine_cfg, 4);
+    let stream = StreamReference::for_machine(&machine_cfg);
     explore_step(&stream);
 
     let mut art = Artifact::new("copart-bench-epoch/v1");

@@ -17,7 +17,7 @@
 //! [`SnapshotDoc`], round-trips it through its JSON rendering, restores
 //! the decoded document into a second runtime built through the normal
 //! construction path (disarmed, for fault-injected runs — exactly what
-//! `copart_serve::persist::recover_faulty` does), then steps both
+//! `copart_serve::recover_sim` does), then steps both
 //! runtimes the same number of epochs and demands identical per-epoch
 //! outcomes, identical trace bytes, and identical re-captured state.
 
@@ -120,56 +120,39 @@ fn check_case(
         faults: env.identity.faults.clone(),
         daemon_epochs: before,
     };
-    match faults {
-        None => {
-            let live = scenario
-                .build_sim(&env)
-                .map_err(|e| format!("build: {e}"))?;
-            run_pair(live, 1, before, after, meta, |doc| {
-                let mut resumed = scenario.build_sim(&env)?;
-                resumed
-                    .backend_mut()
-                    .restore_from(&doc.backend)
-                    .map_err(|e| format!("backend restore: {e}"))?;
-                resumed.restore_snapshot(&doc.runtime);
-                Ok(resumed)
+    // One build for every case: a fault-free scenario runs behind the
+    // decorator too, with the transparent `FaultPlan::none()`.
+    let plan = faults.unwrap_or_else(FaultPlan::none);
+    let live = scenario.build(&env).map_err(|e| format!("build: {e}"))?;
+    run_pair(live, before, after, meta, |doc| {
+        // The recovery construction path: rebuild with the fault
+        // decorator disarmed so construction consumes no fault-stream
+        // draws, restore, then re-arm.
+        let mut backend = SimBackend::new(Machine::new(env.machine.clone()));
+        let named: Vec<_> = scenario
+            .specs(&env)
+            .into_iter()
+            .map(|spec| {
+                let name = spec.name.clone();
+                backend
+                    .add_workload(spec)
+                    .map(|group| (group, name))
+                    .map_err(|e| format!("re-admit: {e}"))
             })
-        }
-        Some(plan) => {
-            let live = scenario
-                .build_faulty(&env, plan.clone())
-                .map_err(|e| format!("build: {e}"))?;
-            run_pair(live, PROFILE_ATTEMPTS, before, after, meta, |doc| {
-                // The recovery construction path: rebuild with the
-                // fault decorator disarmed so construction consumes no
-                // fault-stream draws, restore, then re-arm.
-                let mut backend = SimBackend::new(Machine::new(env.machine.clone()));
-                let named: Vec<_> = scenario
-                    .specs(&env)
-                    .into_iter()
-                    .map(|spec| {
-                        let name = spec.name.clone();
-                        backend
-                            .add_workload(spec)
-                            .map(|group| (group, name))
-                            .map_err(|e| format!("re-admit: {e}"))
-                    })
-                    .collect::<Result<_, _>>()?;
-                let mut faulty = FaultyBackend::new(backend, plan.clone());
-                faulty.set_armed(false);
-                let cfg = env.runtime_config(n_apps, policy);
-                let mut resumed = ConsolidationRuntime::new(faulty, named, cfg)
-                    .map_err(|e| format!("disarmed construction: {e}"))?;
-                resumed
-                    .backend_mut()
-                    .restore_from(&doc.backend)
-                    .map_err(|e| format!("backend restore: {e}"))?;
-                resumed.restore_snapshot(&doc.runtime);
-                resumed.backend_mut().set_armed(true);
-                Ok(resumed)
-            })
-        }
-    }
+            .collect::<Result<_, _>>()?;
+        let mut faulty = FaultyBackend::new(backend, plan.clone());
+        faulty.set_armed(false);
+        let cfg = env.runtime_config(n_apps, policy);
+        let mut resumed = ConsolidationRuntime::new(faulty, named, cfg)
+            .map_err(|e| format!("disarmed construction: {e}"))?;
+        resumed
+            .backend_mut()
+            .restore_from(&doc.backend)
+            .map_err(|e| format!("backend restore: {e}"))?;
+        resumed.restore_snapshot(&doc.runtime);
+        resumed.backend_mut().set_armed(true);
+        Ok(resumed)
+    })
 }
 
 /// Drives the live runtime to the snapshot point, round-trips the
@@ -177,7 +160,6 @@ fn check_case(
 /// compares the two continuations epoch by epoch.
 fn run_pair<B, F>(
     mut live: ConsolidationRuntime<B>,
-    attempts: u32,
     before: u64,
     after: u64,
     meta: SnapshotMeta,
@@ -187,7 +169,7 @@ where
     B: PersistableBackend,
     F: FnOnce(&SnapshotDoc) -> Result<ConsolidationRuntime<B>, String>,
 {
-    profile_with_retries(&mut live, attempts)?;
+    profile_with_retries(&mut live, PROFILE_ATTEMPTS)?;
     for _ in 0..before {
         // Epoch failures (degraded-mode busy writes) are part of the
         // state being snapshotted, not a case failure.

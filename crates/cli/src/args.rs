@@ -62,6 +62,21 @@ impl Options {
                 .map_err(|_| format!("option --{name}: cannot parse {v:?}")),
         }
     }
+
+    /// Applies `--jobs <n>` (a positive worker count for the parallel
+    /// sweeps) to the process-wide pool setting, when given.
+    pub fn apply_jobs(&self) -> Result<(), String> {
+        let Some(jobs) = self.get("jobs") else {
+            return Ok(());
+        };
+        match jobs.parse::<usize>() {
+            Ok(n) if n > 0 => {
+                copart_parallel::set_jobs(Some(n));
+                Ok(())
+            }
+            _ => Err(format!("option --jobs: cannot parse {jobs:?}")),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -32,12 +32,7 @@ struct Cell {
 
 /// `copart compare`: the full engine × scenario fairness grid.
 pub fn compare(opts: &Options) -> Result<(), String> {
-    if let Some(jobs) = opts.get("jobs") {
-        match jobs.parse::<usize>() {
-            Ok(n) if n > 0 => copart_parallel::set_jobs(Some(n)),
-            _ => return Err(format!("option --jobs: cannot parse {jobs:?}")),
-        }
-    }
+    opts.apply_jobs()?;
     let seconds: f64 = opts.number("seconds", 30.0f64)?;
     if seconds <= 0.0 {
         return Err("--seconds must be positive".into());
@@ -45,7 +40,7 @@ pub fn compare(opts: &Options) -> Result<(), String> {
     let seed: u64 = opts.number("seed", copart_core::CoPartParams::default().seed)?;
 
     let machine = MachineConfig::xeon_gold_6130();
-    let stream = StreamReference::compute(&machine, 4);
+    let stream = StreamReference::for_machine(&machine);
     let engines = PolicyKind::registry();
     let scenarios = CompareScenario::all();
 

@@ -28,12 +28,7 @@ pub fn fleet_run(opts: &Options) -> Result<(), String> {
         std::fs::create_dir_all(dir)
             .map_err(|e| format!("cannot create state dir {}: {e}", dir.display()))?;
     }
-    if let Some(jobs) = opts.get("jobs") {
-        match jobs.parse::<usize>() {
-            Ok(n) if n > 0 => copart_parallel::set_jobs(Some(n)),
-            _ => return Err(format!("option --jobs: cannot parse {jobs:?}")),
-        }
-    }
+    opts.apply_jobs()?;
 
     let out = run_fleet(&cfg)?;
 

@@ -29,12 +29,16 @@ Usage: copart <command> [options]
 Commands:
   sim-run          Run a consolidation on the simulated testbed
       --mix <h-llc|h-bw|h-both|m-llc|m-bw|m-both|is>   (default h-both)
-      --policy <eq|st|cat-only|mba-only|copart|lfoc>   (default copart)
+      --policy <eq|st|cat-only|mba-only|copart|utility|lfoc>
+                                                       (default copart)
       --apps <1..4096>                                 (default 4)
                            7+ apps run the synthetic planner-scale
                            harness (no machine simulation); --seed and
                            --churn <0..1> tune its population
       --seconds <virtual seconds>                      (default 30)
+      --seed <n>           seed of the explorer's randomized retries
+                           (dynamic policies) and of ST's candidate
+                           search; same seed, same bytes
       --trace-out <path>   write a per-epoch JSONL decision trace
                            (dynamic policies: cat-only, mba-only, copart,
                            lfoc)

@@ -1,12 +1,11 @@
 //! Simulator-backed commands: `sim-run` and `classify`.
 
-use copart_core::policies::{self, EvalOptions, PolicyKind};
-use copart_core::runtime::ConsolidationRuntime;
+use copart_core::policies::{self, EvalOptions, EvalResult, PolicyKind};
 use copart_core::scale::{run_planner_scale, ScaleConfig, ScalePopulation};
-use copart_faults::{FaultPlan, FaultyBackend};
-use copart_rdt::{ClosId, RdtBackend, SimBackend};
+use copart_faults::FaultPlan;
+use copart_rdt::{ClosId, RdtBackend};
 use copart_serve::Scenario;
-use copart_sim::{AppSpec, Machine, MachineConfig};
+use copart_sim::MachineConfig;
 use copart_telemetry::{JsonlRecorder, NullRecorder, Recorder};
 use copart_workloads::stream::StreamReference;
 use copart_workloads::{measure, Benchmark, MixKind, WorkloadMix};
@@ -27,29 +26,18 @@ pub(crate) fn parse_mix(s: &str) -> Result<MixKind, String> {
     })
 }
 
-fn parse_policy(s: &str) -> Result<PolicyKind, String> {
-    Ok(match s {
-        "eq" => PolicyKind::Equal,
-        "st" => PolicyKind::Static,
-        "cat-only" => PolicyKind::CatOnly,
-        "mba-only" => PolicyKind::MbaOnly,
-        "copart" => PolicyKind::CoPart,
-        "lfoc" => PolicyKind::LfocCluster,
-        other => return Err(format!("unknown policy {other:?}")),
-    })
-}
-
-fn parse_bench(s: &str) -> Result<Benchmark, String> {
-    Benchmark::all()
-        .into_iter()
-        .find(|b| b.table2().short.eq_ignore_ascii_case(s))
-        .ok_or_else(|| format!("unknown benchmark {s:?} (use the Table 2 short names)"))
+fn parse_faults(opts: &Options) -> Result<Option<FaultPlan>, String> {
+    opts.get("faults")
+        .map(|spec| FaultPlan::parse(spec).map_err(|e| format!("option --faults: {e}")))
+        .transpose()
 }
 
 /// `copart sim-run`: one consolidation run with ground-truth metrics.
 pub fn sim_run(opts: &Options) -> Result<(), String> {
     let mix_kind = parse_mix(opts.get("mix").unwrap_or("h-both"))?;
-    let policy = parse_policy(opts.get("policy").unwrap_or("copart"))?;
+    let policy_name = opts.get("policy").unwrap_or("copart");
+    let policy = PolicyKind::from_wire(policy_name)
+        .ok_or_else(|| format!("unknown policy {policy_name:?}"))?;
     let n_apps: usize = opts.number("apps", 4usize)?;
     let seconds: f64 = opts.number("seconds", 30.0f64)?;
     if seconds <= 0.0 {
@@ -64,12 +52,7 @@ pub fn sim_run(opts: &Options) -> Result<(), String> {
         return planner_scale(opts, n_apps, seconds);
     }
     // Worker count for the parallel sweeps (the ST offline search).
-    if let Some(jobs) = opts.get("jobs") {
-        match jobs.parse::<usize>() {
-            Ok(n) if n > 0 => copart_parallel::set_jobs(Some(n)),
-            _ => return Err(format!("option --jobs: cannot parse {jobs:?}")),
-        }
-    }
+    opts.apply_jobs()?;
     if opts.get("state-dir").is_some() {
         // Crash-safe persistence: hand the run to the kill/resume
         // harness instead of the one-shot evaluation.
@@ -89,73 +72,26 @@ pub fn sim_run(opts: &Options) -> Result<(), String> {
 
     eprintln!("measuring solo references and STREAM table...");
     let full = policies::solo_full_ips(&machine, &specs);
-    let stream = StreamReference::compute(&machine, 4);
 
     let period_s = copart_core::CoPartParams::default().period.as_secs_f64();
     let total_periods = (seconds / period_s).ceil() as u32;
     let eval = EvalOptions {
         total_periods,
         measure_periods: (total_periods / 2).max(1),
+        seed: opts.number("seed", EvalOptions::default().seed)?,
         ..EvalOptions::default()
     };
 
-    let trace_out = opts.get("trace-out");
-    let want_metrics = opts.flag("metrics");
-    let faults = opts
-        .get("faults")
-        .map(|spec| FaultPlan::parse(spec).map_err(|e| format!("option --faults: {e}")))
-        .transpose()?;
-    let dynamic = matches!(
-        policy,
-        PolicyKind::CatOnly | PolicyKind::MbaOnly | PolicyKind::CoPart | PolicyKind::LfocCluster
-    );
-    let r = if let Some(plan) = faults {
-        if !dynamic {
-            return Err(
-                "--faults needs a dynamic policy (cat-only, mba-only, copart, lfoc)".into(),
-            );
-        }
-        run_faulty(
-            &machine,
-            &specs,
-            &full,
-            &stream,
-            policy,
-            &eval,
-            plan,
-            trace_out,
-            want_metrics,
-        )?
-    } else if trace_out.is_some() || want_metrics {
-        if !dynamic {
-            return Err(
-                "--trace-out/--metrics need a dynamic policy (cat-only, mba-only, copart, lfoc)"
-                    .into(),
-            );
-        }
-        let recorder: Box<dyn Recorder + Send> = match trace_out {
-            Some(path) => Box::new(
-                JsonlRecorder::create(path).map_err(|e| format!("cannot create {path}: {e}"))?,
-            ),
-            // Metrics are collected by the runtime unconditionally; no
-            // recorder needed when only --metrics was asked for.
-            None => Box::new(NullRecorder),
-        };
-        let (r, mut recorder, snapshot) = policies::evaluate_policy_traced(
-            &machine, &specs, &full, &stream, policy, &eval, recorder,
+    let r = if policy.is_dynamic() {
+        run_dynamic(opts, mix_kind, n_apps, policy, &full, &eval)?
+    } else if opts.get("faults").is_some() {
+        return Err("--faults needs a dynamic policy (cat-only, mba-only, copart, lfoc)".into());
+    } else if opts.get("trace-out").is_some() || opts.flag("metrics") {
+        return Err(
+            "--trace-out/--metrics need a dynamic policy (cat-only, mba-only, copart, lfoc)".into(),
         );
-        recorder
-            .flush()
-            .map_err(|e| format!("flushing trace: {e}"))?;
-        if let Some(path) = trace_out {
-            eprintln!("trace written to {path}");
-        }
-        if want_metrics {
-            println!("\nmetrics:");
-            print!("{snapshot}");
-        }
-        r
     } else {
+        let stream = StreamReference::for_machine(&machine);
         policies::evaluate_policy(&machine, &specs, &full, &stream, policy, &eval)
     };
 
@@ -189,11 +125,7 @@ fn sim_run_persisted(
     std::fs::create_dir_all(&state_dir)
         .map_err(|e| format!("cannot create state dir {}: {e}", state_dir.display()))?;
     let seed: u64 = opts.number("seed", copart_core::CoPartParams::default().seed)?;
-    let faults = opts
-        .get("faults")
-        .map(|spec| FaultPlan::parse(spec).map_err(|e| format!("option --faults: {e}")))
-        .transpose()?;
-    let scenario = Scenario::new(mix, n_apps, policy, seed, faults)?;
+    let scenario = Scenario::new(mix, n_apps, policy, seed, parse_faults(opts)?)?;
 
     let period_s = copart_core::CoPartParams::default().period.as_secs_f64();
     let default_epochs = ((seconds / period_s).ceil() as u64).max(1);
@@ -294,90 +226,59 @@ fn planner_scale(opts: &Options, n_apps: usize, seconds: f64) -> Result<(), Stri
     Ok(())
 }
 
-/// The `--faults` variant of the traced evaluation: the same dynamic
-/// policy and controller configuration, but with the simulator wrapped
-/// in `copart-faults`' deterministic injector. Ground truth reads go
-/// through [`FaultyBackend::inner_mut`] so the fairness measurement
-/// stays exact even when the controller's own view is degraded.
-#[allow(clippy::too_many_arguments)]
-fn run_faulty(
-    machine: &MachineConfig,
-    specs: &[AppSpec],
-    full: &[f64],
-    stream: &StreamReference,
+/// The dynamic-policy path of a one-shot `sim-run`: the scenario is
+/// launched exactly as `--state-dir` and `serve` launch it (simulator
+/// behind the fault decorator, transparent without `--faults`), then
+/// measured while it adapts. Ground truth is read from under the
+/// decorator so the fairness measurement stays exact even when the
+/// controller's own view is degraded.
+fn run_dynamic(
+    opts: &Options,
+    mix: MixKind,
+    n_apps: usize,
     policy: PolicyKind,
+    full: &[f64],
     eval: &EvalOptions,
-    plan: FaultPlan,
-    trace_out: Option<&str>,
-    want_metrics: bool,
-) -> Result<policies::EvalResult, String> {
-    let params = copart_core::CoPartParams {
-        seed: eval.seed,
-        ..copart_core::CoPartParams::default()
-    };
-    let mut backend = SimBackend::new(Machine::new(machine.clone()));
-    let named: Vec<(ClosId, String)> = specs
-        .iter()
-        .map(|s| {
-            let g = backend
-                .add_workload(s.clone())
-                .expect("mix fits the machine");
-            (g, s.name.clone())
-        })
-        .collect();
-    let groups: Vec<ClosId> = named.iter().map(|(g, _)| *g).collect();
-    let cfg = policies::dynamic_runtime_config(machine, specs.len(), stream, policy, &params);
-    let faulty = FaultyBackend::new(backend, plan);
-    let mut runtime = ConsolidationRuntime::new(faulty, named, cfg)
-        .map_err(|e| format!("initial partition apply failed under faults: {e}"))?;
+) -> Result<EvalResult, String> {
+    let scenario = Scenario::new(mix, n_apps, policy, eval.seed, parse_faults(opts)?)?;
+    let trace_out = opts.get("trace-out");
     let recorder: Box<dyn Recorder + Send> = match trace_out {
         Some(path) => {
             Box::new(JsonlRecorder::create(path).map_err(|e| format!("cannot create {path}: {e}"))?)
         }
+        // Metrics are collected by the runtime unconditionally; no
+        // recorder needed when only --metrics was asked for.
         None => Box::new(NullRecorder),
     };
-    runtime.set_recorder(recorder);
-    // A vanished group or a run of busy writes outlasting the bounded
-    // retries aborts a whole profiling pass; give it a few passes.
-    let mut profiled = false;
-    for attempt in 1..=5 {
-        match runtime.profile() {
-            Ok(()) => {
-                profiled = true;
-                break;
-            }
-            Err(e) => eprintln!("profiling attempt {attempt} failed under faults: {e}; retrying"),
-        }
-    }
-    if !profiled {
-        return Err("profiling did not survive the fault plan (5 attempts)".into());
-    }
+    let runtime = scenario.launch(&scenario.env(), recorder)?;
+    let groups: Vec<ClosId> = runtime.apps().iter().map(|a| a.group).collect();
     let (r, mut runtime) =
         policies::evaluate_runtime_traced(runtime, &groups, full, policy, eval, |b, g| {
             b.inner_mut().read_counters(g).expect("group is live")
         })
-        .map_err(|e| format!("consolidation run failed under faults: {e}"))?;
-    let snapshot = runtime.metrics_snapshot();
-    let stats = runtime.backend().stats();
-    let mut recorder = runtime.set_recorder(Box::new(NullRecorder));
-    recorder
+        .map_err(|e| format!("consolidation run failed: {e}"))?;
+    runtime
+        .recorder_mut()
         .flush()
         .map_err(|e| format!("flushing trace: {e}"))?;
     if let Some(path) = trace_out {
         eprintln!("trace written to {path}");
     }
-    eprintln!(
-        "faults injected: {} (dropouts {}, CAT writes {}, MBA writes {}, vanishes {}, clock stalls {})",
-        stats.total(),
-        stats.dropouts,
-        stats.cbm_write_faults,
-        stats.mba_write_faults,
-        stats.vanishes,
-        stats.clock_stalls
-    );
-    if want_metrics {
+    if scenario.faults.is_some() {
+        let stats = runtime.backend().stats();
+        eprintln!(
+            "faults injected: {} (dropouts {}, CAT writes {}, MBA writes {}, vanishes {}, clock stalls {})",
+            stats.total(),
+            stats.dropouts,
+            stats.cbm_write_faults,
+            stats.mba_write_faults,
+            stats.vanishes,
+            stats.clock_stalls
+        );
+    }
+    if opts.flag("metrics") {
         println!("\nmetrics:");
-        print!("{snapshot}");
+        print!("{}", runtime.metrics_snapshot());
     }
     Ok(r)
 }
@@ -462,7 +363,7 @@ pub(crate) fn check_reference(path: &str, reference: &str) -> Result<(), String>
 
 /// `copart classify`: the §3.3 probes for one benchmark.
 pub fn classify(opts: &Options) -> Result<(), String> {
-    let bench = parse_bench(opts.required("bench")?)?;
+    let bench = Benchmark::from_short(opts.required("bench")?)?;
     let machine = MachineConfig::xeon_gold_6130();
     let spec = bench.spec();
     eprintln!("probing {} (solo, 4 threads)...", spec.name);

@@ -1,0 +1,32 @@
+//! `sim-run --seed` on the one-shot path: the flag seeds the explorer's
+//! randomized θ-retries, so one seed reproduces its trace byte for byte
+//! and two seeds part ways — on this path too, not only under
+//! `--state-dir`.
+
+use std::path::PathBuf;
+use std::process::Command;
+
+fn traced_run(tag: &str, seed: &str) -> Vec<u8> {
+    let trace: PathBuf = std::env::temp_dir().join(format!(
+        "copart-seed-flag-{}-{tag}.jsonl",
+        std::process::id()
+    ));
+    let status = Command::new(env!("CARGO_BIN_EXE_copart"))
+        .args(["sim-run", "--mix", "h-both", "--apps", "4"])
+        .args(["--seconds", "6", "--seed", seed])
+        .args(["--trace-out", trace.to_str().unwrap()])
+        .status()
+        .expect("run copart sim-run");
+    assert!(status.success(), "sim-run --seed {seed} failed");
+    let bytes = std::fs::read(&trace).expect("trace was written");
+    let _ = std::fs::remove_file(&trace);
+    bytes
+}
+
+#[test]
+fn seed_flag_reaches_the_one_shot_run() {
+    let first = traced_run("a", "1");
+    assert!(!first.is_empty());
+    assert_eq!(first, traced_run("b", "1"), "one seed, one trace");
+    assert_ne!(first, traced_run("c", "2"), "another seed, another trace");
+}

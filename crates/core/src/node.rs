@@ -1,22 +1,35 @@
-//! The node seam: one consolidated machine as a fleet-ownable unit.
+//! The node lifecycle: one consolidated machine, built, profiled,
+//! churned and stepped through one seam.
 //!
-//! [`ConsolidationRuntime`] is deliberately CLI-shaped: callers admit
-//! workloads into a backend by hand, build the runtime, and drive
-//! profiling themselves. A fleet controller owning hundreds of nodes
-//! needs the same lifecycle as a single operation — *launch* (admit a
-//! first set of applications, apply the equal split, profile with
-//! retries), *admit*/*evict* (membership churn through the backend and
-//! the controller in one step), *step* (one adaptation period), and
-//! *snapshot* — without re-deriving the setup choreography per call
-//! site. [`NodeRuntime`] packages exactly that, and [`NodeBackend`]
-//! abstracts the one capability the runtime's own [`RdtBackend`] trait
-//! lacks: starting and stopping whole workloads at runtime.
+//! The paper's manager has exactly one lifecycle — profile (§5.4.1),
+//! explore (§5.4.2), re-adapt on launch and termination (§5.4.3) — and
+//! every surface that owns a machine goes through the functions here
+//! instead of re-deriving the choreography:
 //!
-//! The serve daemon's `ServeBackend` is this trait plus persistence;
-//! `copart-fleet` holds `N` [`NodeRuntime`]s behind per-node fault
-//! decorators. Both paths go through the same admission/eviction code,
-//! so a fleet node's trace is byte-identical to a daemon's for the same
+//! * [`build`] is the node constructor: admit the first applications
+//!   into the backend ([`admit_all`]), then [`ConsolidationRuntime::new`]
+//!   (which applies the equal split). It is the only place outside tests
+//!   that constructs a runtime; one-shot evaluations
+//!   ([`crate::policies`]), `copart-serve` scenarios, crash recovery and
+//!   fleet nodes all call it.
+//! * [`profile_with_retries`] is the launch-time profiling pass with its
+//!   retry budget (a fault-injected backend can abort a whole pass).
+//! * [`admit_app`] and [`evict_app`] are the membership path: backend
+//!   admission, the §5.4.3 launch re-profiling under the same retry
+//!   budget, and a full rollback (controller *and* backend) when that
+//!   fails; controller removal followed by backend teardown.
+//!
+//! [`NodeRuntime`] is those functions packaged with the retry budget for
+//! owners that hold many nodes (`copart-fleet`); the serve daemon's
+//! `PersistedRun` calls [`admit_app`]/[`evict_app`] directly and adds
+//! only its own concerns (HTTP status mapping, counters, the event
+//! log). Both therefore run the same admission and eviction code, so a
+//! fleet node's trace is byte-identical to a daemon's for the same
 //! membership history — the invariant the migration tests pin down.
+//! [`NodeBackend`] abstracts the one capability the runtime's own
+//! [`RdtBackend`] trait lacks: starting and stopping whole workloads.
+
+use std::fmt;
 
 use copart_rdt::{ClosId, RdtBackend, RdtError, SimBackend};
 use copart_sim::AppSpec;
@@ -51,10 +64,56 @@ impl NodeBackend for SimBackend {
     }
 }
 
+/// Admits every spec into the backend, in order, returning
+/// `(group, name)` pairs in spec order.
+///
+/// # Errors
+///
+/// Fails when a workload does not fit the machine.
+pub fn admit_all<B: NodeBackend>(
+    backend: &mut B,
+    specs: &[AppSpec],
+) -> Result<Vec<(ClosId, String)>, String> {
+    specs
+        .iter()
+        .map(|spec| {
+            backend
+                .admit(spec.clone())
+                .map(|group| (group, spec.name.clone()))
+                .map_err(|e| format!("admission failed: {e}"))
+        })
+        .collect()
+}
+
+/// The node constructor: admits every spec into the backend (in order)
+/// and builds the runtime over them, which applies the equal split. The
+/// node is left unprofiled so the caller can attach a trace recorder (or
+/// restore a snapshot) first; [`profile_with_retries`] finishes a launch.
+///
+/// # Errors
+///
+/// Fails when a workload does not fit the machine or the initial
+/// partition cannot be applied.
+///
+/// # Panics
+///
+/// Panics when `specs` is empty (a node launches with at least one
+/// application; an empty node has no runtime to own).
+pub fn build<B: NodeBackend>(
+    mut backend: B,
+    specs: &[AppSpec],
+    cfg: RuntimeConfig,
+) -> Result<ConsolidationRuntime<B>, String> {
+    assert!(!specs.is_empty(), "a node launches with at least one app");
+    let groups = admit_all(&mut backend, specs)?;
+    ConsolidationRuntime::new(backend, groups, cfg)
+        .map_err(|e| format!("initial partition apply failed: {e}"))
+}
+
 /// Runs profiling, retrying whole passes up to `attempts` times — under
 /// fault injection a vanished group or a run of busy writes can abort a
-/// pass, and callers (the serve daemon, `sim-run --faults`, fleet
-/// nodes) give it several.
+/// pass, and every launch (the serve daemon, `sim-run`, fleet nodes)
+/// gives it several.
 ///
 /// # Errors
 ///
@@ -76,8 +135,76 @@ pub fn profile_with_retries<B: RdtBackend>(
     ))
 }
 
-/// One consolidated machine with its controller, owned as a unit: the
-/// construction/stepping seam a fleet (or any other multi-node owner)
+/// Why [`admit_app`] did not admit.
+#[derive(Debug)]
+pub enum AdmitError {
+    /// The backend refused the workload; nothing was touched.
+    Refused(RdtError),
+    /// The workload was admitted but re-profiling did not survive the
+    /// retry budget; it was removed from the controller and evicted from
+    /// the backend again, so membership is as it was found.
+    Profiling(String),
+}
+
+impl fmt::Display for AdmitError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            AdmitError::Refused(e) => write!(f, "admission refused: {e}"),
+            AdmitError::Profiling(e) => write!(f, "admitted but re-profiling failed: {e}"),
+        }
+    }
+}
+
+/// Admits one more application: backend admission, then the §5.4.3
+/// launch path (equal split + whole-node re-profiling) with up to
+/// `attempts` profiling passes — under fault injection a transient abort
+/// deserves the same retry allowance a launch gets.
+///
+/// # Errors
+///
+/// See [`AdmitError`]; either way the set of managed applications is
+/// left as found, in the controller and in the backend.
+pub fn admit_app<B: NodeBackend>(
+    runtime: &mut ConsolidationRuntime<B>,
+    spec: AppSpec,
+    name: String,
+    attempts: u32,
+) -> Result<ClosId, AdmitError> {
+    let group = runtime
+        .backend_mut()
+        .admit(spec)
+        .map_err(AdmitError::Refused)?;
+    // add_app runs the first profiling pass itself.
+    let mut result = runtime.add_app(group, name).map_err(|e| e.to_string());
+    if result.is_err() && attempts > 1 {
+        result = profile_with_retries(runtime, attempts - 1);
+    }
+    if let Err(e) = result {
+        let _ = runtime.remove_app(group);
+        let _ = runtime.backend_mut().evict(group);
+        return Err(AdmitError::Profiling(e));
+    }
+    Ok(group)
+}
+
+/// Evicts an application: controller removal (hand back resources,
+/// re-explore) then backend teardown. Evicting the last application
+/// leaves an empty-but-valid node; owners typically drop it.
+///
+/// # Errors
+///
+/// Fails on an unknown group or when the shrunken state cannot be
+/// applied.
+pub fn evict_app<B: NodeBackend>(
+    runtime: &mut ConsolidationRuntime<B>,
+    group: ClosId,
+) -> Result<(), RdtError> {
+    runtime.remove_app(group)?;
+    runtime.backend_mut().evict(group)
+}
+
+/// One consolidated machine with its controller and its profiling retry
+/// budget, owned as a unit: what a fleet (or any other multi-node owner)
 /// drives many of.
 pub struct NodeRuntime<B: NodeBackend> {
     runtime: ConsolidationRuntime<B>,
@@ -85,10 +212,9 @@ pub struct NodeRuntime<B: NodeBackend> {
 }
 
 impl<B: NodeBackend> NodeRuntime<B> {
-    /// Launches a node: admits every spec into the backend (in order),
-    /// builds the runtime (which applies the equal split), and profiles
-    /// with up to `profile_attempts` retry passes. The attempts budget
-    /// is kept for later [`NodeRuntime::admit`] re-profiling too.
+    /// Launches a node: [`build`], then profiling with up to
+    /// `profile_attempts` passes. The attempts budget is kept for later
+    /// [`NodeRuntime::admit`] re-profiling too.
     ///
     /// # Errors
     ///
@@ -98,78 +224,40 @@ impl<B: NodeBackend> NodeRuntime<B> {
     ///
     /// # Panics
     ///
-    /// Panics when `specs` is empty (a node launches with at least one
-    /// application; an empty node has no runtime to own).
+    /// Panics when `specs` is empty.
     pub fn launch(
-        mut backend: B,
+        backend: B,
         specs: &[AppSpec],
         cfg: RuntimeConfig,
         profile_attempts: u32,
     ) -> Result<NodeRuntime<B>, String> {
-        assert!(!specs.is_empty(), "a node launches with at least one app");
-        let mut groups = Vec::with_capacity(specs.len());
-        for spec in specs {
-            let name = spec.name.clone();
-            let group = backend
-                .admit(spec.clone())
-                .map_err(|e| format!("admission failed: {e}"))?;
-            groups.push((group, name));
-        }
-        let runtime = ConsolidationRuntime::new(backend, groups, cfg)
-            .map_err(|e| format!("initial partition apply failed: {e}"))?;
-        let mut node = NodeRuntime {
+        let mut runtime = build(backend, specs, cfg)?;
+        profile_with_retries(&mut runtime, profile_attempts)?;
+        Ok(NodeRuntime {
             runtime,
             profile_attempts,
-        };
-        profile_with_retries(&mut node.runtime, profile_attempts)?;
-        Ok(node)
+        })
     }
 
-    /// Admits one more application: backend admission, then the §5.4.3
-    /// launch path (equal split + whole-node re-profiling), with the
-    /// node's retry budget on the profiling pass.
+    /// Admits one more application ([`admit_app`] with the node's retry
+    /// budget).
     ///
     /// # Errors
     ///
     /// Fails when the workload does not fit or re-profiling does not
-    /// survive the retry budget; on a failed admission the workload is
-    /// evicted again so the backend is left as found.
+    /// survive the retry budget; the node is left as found.
     pub fn admit(&mut self, spec: AppSpec, name: String) -> Result<ClosId, String> {
-        let group = self
-            .runtime
-            .backend_mut()
-            .admit(spec)
-            .map_err(|e| format!("admission failed: {e}"))?;
-        let mut result = self
-            .runtime
-            .add_app(group, name)
-            .map_err(|e| format!("admission re-profiling failed: {e}"));
-        // add_app runs a single profiling pass; under fault injection a
-        // transient abort deserves the same retry allowance a launch gets.
-        let mut budget = self.profile_attempts.max(1) - 1;
-        while result.is_err() && budget > 0 {
-            result = profile_with_retries(&mut self.runtime, 1);
-            budget -= 1;
-        }
-        if let Err(e) = result {
-            let _ = self.runtime.remove_app(group);
-            let _ = self.runtime.backend_mut().evict(group);
-            return Err(e);
-        }
-        Ok(group)
+        admit_app(&mut self.runtime, spec, name, self.profile_attempts).map_err(|e| e.to_string())
     }
 
-    /// Evicts an application: controller removal (hand back resources,
-    /// re-explore) then backend teardown. Evicting the last application
-    /// leaves an empty-but-valid node; owners typically drop it.
+    /// Evicts an application ([`evict_app`]).
     ///
     /// # Errors
     ///
     /// Fails on an unknown group or when the shrunken state cannot be
     /// applied.
     pub fn evict(&mut self, group: ClosId) -> Result<(), RdtError> {
-        self.runtime.remove_app(group)?;
-        self.runtime.backend_mut().evict(group)
+        evict_app(&mut self.runtime, group)
     }
 
     /// Runs one adaptation period into a caller-held record (the
@@ -234,7 +322,7 @@ mod tests {
             manage_llc: true,
             manage_mba: true,
             budget: WaysBudget::full_machine(machine.llc_ways),
-            stream: StreamReference::compute(machine, 4),
+            stream: StreamReference::for_machine(machine),
             resilience: Default::default(),
             planner: Default::default(),
         }

@@ -28,6 +28,7 @@ use copart_telemetry::{MetricsSnapshot, NullRecorder, Recorder};
 use copart_workloads::stream::StreamReference;
 
 use crate::metrics::{self, geomean, unfairness};
+use crate::node;
 use crate::planner::{self, PlanContext, PolicyEngine, PolicyPlan};
 use crate::runtime::{ConsolidationRuntime, RuntimeConfig};
 use crate::state::{AllocationState, SystemState, WaysBudget};
@@ -105,6 +106,49 @@ impl PolicyKind {
             PolicyKind::Utility => "Utility",
             PolicyKind::LfocCluster => "LFOC",
         }
+    }
+
+    /// The name the policy goes by on the wire and the command line
+    /// (`--policy`, `POST /policy`, the event log).
+    pub fn wire_name(self) -> &'static str {
+        match self {
+            PolicyKind::Unpartitioned => "none",
+            PolicyKind::Equal => "eq",
+            PolicyKind::Static => "st",
+            PolicyKind::CatOnly => "cat-only",
+            PolicyKind::MbaOnly => "mba-only",
+            PolicyKind::CoPart => "copart",
+            PolicyKind::Utility => "utility",
+            PolicyKind::LfocCluster => "lfoc",
+        }
+    }
+
+    /// The registered policy with this wire name.
+    pub fn from_wire(name: &str) -> Option<PolicyKind> {
+        Self::registry()
+            .iter()
+            .copied()
+            .find(|k| k.wire_name() == name)
+    }
+
+    /// The registered policy with this label (what snapshots record).
+    pub fn from_label(label: &str) -> Option<PolicyKind> {
+        Self::registry()
+            .iter()
+            .copied()
+            .find(|k| k.label() == label)
+    }
+
+    /// Whether the policy adapts at run time — builds a consolidation
+    /// runtime with an epoch loop — rather than fixing one static state.
+    pub fn is_dynamic(self) -> bool {
+        matches!(
+            self,
+            PolicyKind::CatOnly
+                | PolicyKind::MbaOnly
+                | PolicyKind::CoPart
+                | PolicyKind::LfocCluster
+        )
     }
 }
 
@@ -229,14 +273,18 @@ pub fn evaluate_engine(
             engine.kind(),
             opts,
         ),
-        PolicyPlan::Dynamic { config } => run_dynamic(
-            machine_cfg,
-            specs,
-            ips_full_solo,
-            engine.kind(),
-            config,
-            opts,
-        ),
+        PolicyPlan::Dynamic { config } => {
+            run_dynamic(
+                machine_cfg,
+                specs,
+                ips_full_solo,
+                engine.kind(),
+                config,
+                opts,
+                Box::new(NullRecorder),
+            )
+            .0
+        }
     }
 }
 
@@ -258,7 +306,9 @@ pub fn evaluate_copart_with_params(
         PolicyKind::CoPart,
         cfg,
         opts,
+        Box::new(NullRecorder),
     )
+    .0
 }
 
 /// Evaluates an arbitrary *static* system state on a fresh machine — the
@@ -310,20 +360,6 @@ pub fn equal_state(n: usize, budget: &WaysBudget) -> SystemState {
     SystemState::equal_split(n, budget, SystemState::equal_mba_level(n))
 }
 
-/// Builds a machine with the mix admitted, one group per application.
-fn build_backend(machine_cfg: &MachineConfig, specs: &[AppSpec]) -> (SimBackend, Vec<ClosId>) {
-    let mut backend = SimBackend::new(Machine::new(machine_cfg.clone()));
-    let groups = specs
-        .iter()
-        .map(|s| {
-            backend
-                .add_workload(s.clone())
-                .expect("mix fits the machine")
-        })
-        .collect();
-    (backend, groups)
-}
-
 /// Applies a static state (or full overlapping masks when
 /// `overlapping`) and runs the clock, measuring ground truth.
 fn run_static(
@@ -335,7 +371,12 @@ fn run_static(
     policy: PolicyKind,
     opts: &EvalOptions,
 ) -> EvalResult {
-    let (mut backend, groups) = build_backend(machine_cfg, specs);
+    let mut backend = SimBackend::new(Machine::new(machine_cfg.clone()));
+    let groups: Vec<ClosId> = node::admit_all(&mut backend, specs)
+        .expect("mix fits the machine")
+        .into_iter()
+        .map(|(group, _)| group)
+        .collect();
     let budget = WaysBudget::full_machine(machine_cfg.llc_ways);
     if overlapping {
         let full = CbmMask::full(machine_cfg.llc_ways);
@@ -351,8 +392,10 @@ fn run_static(
     measure_run(backend, &groups, ips_full_solo, policy, opts)
 }
 
-/// Runs a dynamic policy's planned configuration through the
-/// consolidation runtime.
+/// Launches a dynamic policy's node on a fresh machine — build, attach
+/// the recorder, profile — and measures ground truth while it adapts.
+/// Hands the runtime back so callers can recover its recorder and
+/// metrics.
 fn run_dynamic(
     machine_cfg: &MachineConfig,
     specs: &[AppSpec],
@@ -360,26 +403,17 @@ fn run_dynamic(
     policy: PolicyKind,
     cfg: RuntimeConfig,
     opts: &EvalOptions,
-) -> EvalResult {
-    let (mut runtime, groups) = build_runtime(machine_cfg, specs, cfg);
+    recorder: Box<dyn Recorder + Send>,
+) -> (EvalResult, ConsolidationRuntime<SimBackend>) {
+    let backend = SimBackend::new(Machine::new(machine_cfg.clone()));
+    let mut runtime = node::build(backend, specs, cfg).expect("mix fits the machine");
+    runtime.set_recorder(recorder);
     runtime.profile().expect("simulator profiling cannot fail");
-    measure_run_runtime(runtime, &groups, ips_full_solo, policy, opts).0
-}
-
-/// Builds the consolidation runtime a dynamic policy runs on.
-fn build_runtime(
-    machine_cfg: &MachineConfig,
-    specs: &[AppSpec],
-    cfg: RuntimeConfig,
-) -> (ConsolidationRuntime<SimBackend>, Vec<ClosId>) {
-    let (backend, groups) = build_backend(machine_cfg, specs);
-    let named: Vec<(ClosId, String)> = groups
-        .iter()
-        .zip(specs)
-        .map(|(g, s)| (*g, s.name.clone()))
-        .collect();
-    let runtime = ConsolidationRuntime::new(backend, named, cfg).expect("initial state applies");
-    (runtime, groups)
+    let groups: Vec<ClosId> = runtime.apps().iter().map(|a| a.group).collect();
+    evaluate_runtime_traced(runtime, &groups, ips_full_solo, policy, opts, |b, g| {
+        b.read_counters(g).expect("group is live")
+    })
+    .expect("simulator periods cannot fail")
 }
 
 /// The [`RuntimeConfig`] a dynamic policy (CAT-only / MBA-only / CoPart /
@@ -424,13 +458,7 @@ pub fn evaluate_policy_traced(
     recorder: Box<dyn Recorder + Send>,
 ) -> (EvalResult, Box<dyn Recorder + Send>, MetricsSnapshot) {
     assert!(
-        matches!(
-            policy,
-            PolicyKind::CatOnly
-                | PolicyKind::MbaOnly
-                | PolicyKind::CoPart
-                | PolicyKind::LfocCluster
-        ),
+        policy.is_dynamic(),
         "only dynamic policies build a runtime to trace"
     );
     assert_eq!(specs.len(), ips_full_solo.len());
@@ -439,28 +467,18 @@ pub fn evaluate_policy_traced(
         ..CoPartParams::default()
     };
     let cfg = dynamic_runtime_config(machine_cfg, specs.len(), stream, policy, &params);
-    let (mut runtime, groups) = build_runtime(machine_cfg, specs, cfg);
-    runtime.set_recorder(recorder);
-    runtime.profile().expect("simulator profiling cannot fail");
-    let (result, mut runtime) = measure_run_runtime(runtime, &groups, ips_full_solo, policy, opts);
+    let (result, mut runtime) = run_dynamic(
+        machine_cfg,
+        specs,
+        ips_full_solo,
+        policy,
+        cfg,
+        opts,
+        recorder,
+    );
     let snapshot = runtime.metrics_snapshot();
     let recorder = runtime.set_recorder(Box::new(NullRecorder));
     (result, recorder, snapshot)
-}
-
-/// Measures ground truth while the runtime adapts each period. Hands the
-/// runtime back so callers can recover its recorder and metrics.
-fn measure_run_runtime(
-    runtime: ConsolidationRuntime<SimBackend>,
-    groups: &[ClosId],
-    ips_full_solo: &[f64],
-    policy: PolicyKind,
-    opts: &EvalOptions,
-) -> (EvalResult, ConsolidationRuntime<SimBackend>) {
-    evaluate_runtime_traced(runtime, groups, ips_full_solo, policy, opts, |b, g| {
-        b.read_counters(g).expect("group is live")
-    })
-    .expect("simulator periods cannot fail")
 }
 
 /// One source of adaptation periods for the shared measurement loop:
@@ -775,15 +793,9 @@ fn random_state(n: usize, budget: &WaysBudget, rng: &mut XorShift64Star) -> Syst
 mod tests {
     use super::*;
     use copart_workloads::{MixKind, WorkloadMix};
-    use std::sync::OnceLock;
 
     fn machine_cfg() -> MachineConfig {
         MachineConfig::xeon_gold_6130()
-    }
-
-    fn stream() -> &'static StreamReference {
-        static S: OnceLock<StreamReference> = OnceLock::new();
-        S.get_or_init(|| StreamReference::compute(&machine_cfg(), 4))
     }
 
     fn quick_opts() -> EvalOptions {
@@ -801,7 +813,14 @@ mod tests {
         let mix = WorkloadMix::paper_default(kind);
         let specs = mix.specs();
         let full = solo_full_ips(&cfg, &specs);
-        evaluate_policy(&cfg, &specs, &full, stream(), policy, &quick_opts())
+        evaluate_policy(
+            &cfg,
+            &specs,
+            &full,
+            &StreamReference::for_machine(&cfg),
+            policy,
+            &quick_opts(),
+        )
     }
 
     #[test]
@@ -809,6 +828,29 @@ mod tests {
         assert_eq!(PolicyKind::evaluated().len(), 5);
         assert_eq!(PolicyKind::CoPart.label(), "CoPart");
         assert_eq!(PolicyKind::Equal.label(), "EQ");
+    }
+
+    #[test]
+    fn every_registered_policy_round_trips_its_names() {
+        for &kind in PolicyKind::registry() {
+            assert_eq!(PolicyKind::from_wire(kind.wire_name()), Some(kind));
+            assert_eq!(PolicyKind::from_label(kind.label()), Some(kind));
+            // Dynamic is exactly "the engine plans a runtime".
+            let plans_a_runtime = planner::engine(kind)
+                .runtime_config(
+                    &MachineConfig::tiny_test(),
+                    2,
+                    &StreamReference::from_table([1.0; 10]),
+                    &CoPartParams::default(),
+                )
+                .is_some();
+            assert_eq!(kind.is_dynamic(), plans_a_runtime, "{kind:?}");
+        }
+        // The normalization baseline is not a registered engine, and
+        // names are exact.
+        assert_eq!(PolicyKind::from_wire("none"), None);
+        assert_eq!(PolicyKind::from_wire("CoPart"), None);
+        assert_eq!(PolicyKind::from_label("copart"), None);
     }
 
     #[test]
@@ -836,7 +878,14 @@ mod tests {
                 ..quick_opts()
             };
             for policy in [PolicyKind::Equal, PolicyKind::CoPart] {
-                let r = evaluate_policy(&cfg, &specs, &full, stream(), policy, &opts);
+                let r = evaluate_policy(
+                    &cfg,
+                    &specs,
+                    &full,
+                    &StreamReference::for_machine(&cfg),
+                    policy,
+                    &opts,
+                );
                 let what =
                     format!("{policy:?} over {total_periods} periods, measuring {measure_periods}");
                 assert!(r.unfairness.is_finite(), "{what}: {}", r.unfairness);
@@ -873,7 +922,7 @@ mod tests {
             &cfg,
             &specs,
             &full,
-            stream(),
+            &StreamReference::for_machine(&cfg),
             PolicyKind::CoPart,
             &opts,
             sink,

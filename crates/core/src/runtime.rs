@@ -1204,7 +1204,7 @@ mod tests {
 
     fn make_runtime(kind: MixKind) -> ConsolidationRuntime<SimBackend> {
         let machine_cfg = MachineConfig::xeon_gold_6130();
-        let stream = StreamReference::compute(&machine_cfg, 4);
+        let stream = StreamReference::for_machine(&machine_cfg);
         let mut backend = SimBackend::new(Machine::new(machine_cfg.clone()));
         let mix = WorkloadMix::paper_default(kind);
         let mut groups = Vec::new();
@@ -1366,7 +1366,7 @@ mod weight_tests {
     #[test]
     fn weighted_app_wins_contested_resources() {
         let machine_cfg = MachineConfig::xeon_gold_6130();
-        let stream = StreamReference::compute(&machine_cfg, 4);
+        let stream = StreamReference::for_machine(&machine_cfg);
         let mut backend = SimBackend::new(Machine::new(machine_cfg.clone()));
         // Two identical LLC-hungry apps plus two insensitive donors.
         let mut groups = Vec::new();
@@ -1413,7 +1413,7 @@ mod weight_tests {
     #[test]
     fn weight_change_reopens_exploration() {
         let machine_cfg = MachineConfig::xeon_gold_6130();
-        let stream = StreamReference::compute(&machine_cfg, 4);
+        let stream = StreamReference::for_machine(&machine_cfg);
         let mut backend = SimBackend::new(Machine::new(machine_cfg.clone()));
         let mut groups = Vec::new();
         for b in [Benchmark::WaterNsquared, Benchmark::Swaptions] {

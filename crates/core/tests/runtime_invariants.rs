@@ -9,12 +9,6 @@ use copart_rdt::{ClosId, SimBackend};
 use copart_sim::{Machine, MachineConfig};
 use copart_workloads::stream::StreamReference;
 use copart_workloads::{MixKind, WorkloadMix};
-use std::sync::OnceLock;
-
-fn stream() -> &'static StreamReference {
-    static S: OnceLock<StreamReference> = OnceLock::new();
-    S.get_or_init(|| StreamReference::compute(&MachineConfig::xeon_gold_6130(), 4))
-}
 
 fn run_with_seed(kind: MixKind, seed: u64) -> Vec<copart_core::PeriodRecord> {
     let cfg = MachineConfig::xeon_gold_6130();
@@ -32,7 +26,7 @@ fn run_with_seed(kind: MixKind, seed: u64) -> Vec<copart_core::PeriodRecord> {
         manage_llc: true,
         manage_mba: true,
         budget: WaysBudget::full_machine(cfg.llc_ways),
-        stream: stream().clone(),
+        stream: StreamReference::for_machine(&cfg),
         resilience: Default::default(),
         planner: Default::default(),
     };

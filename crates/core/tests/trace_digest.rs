@@ -10,7 +10,7 @@
 //! copart-core --test trace_digest -- --nocapture` and paste the printed
 //! table over `PINNED`.
 
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 use copart_core::policies::{dynamic_runtime_config, PolicyKind};
 use copart_core::runtime::ConsolidationRuntime;
@@ -47,11 +47,6 @@ impl Recorder for SharedRing {
     }
 }
 
-fn stream() -> &'static StreamReference {
-    static S: OnceLock<StreamReference> = OnceLock::new();
-    S.get_or_init(|| StreamReference::compute(&MachineConfig::xeon_gold_6130(), 4))
-}
-
 /// The five planner paths: the three `Explore` configurations, the greedy
 /// ablation of the matching step, and the LFOC clusterer.
 fn paths() -> [(&'static str, PolicyKind, bool); 5] {
@@ -76,7 +71,13 @@ fn run(policy: PolicyKind, use_hr_matching: bool, kind: MixKind) -> Vec<TraceEve
         use_hr_matching,
         ..CoPartParams::default()
     };
-    let cfg = dynamic_runtime_config(&machine, groups.len(), stream(), policy, &params);
+    let cfg = dynamic_runtime_config(
+        &machine,
+        groups.len(),
+        &StreamReference::for_machine(&machine),
+        policy,
+        &params,
+    );
     let mut rt = ConsolidationRuntime::new(backend, groups, cfg).unwrap();
     let ring = Arc::new(Mutex::new(RingRecorder::new(4096)));
     rt.set_recorder(Box::new(SharedRing(Arc::clone(&ring))));

@@ -153,7 +153,7 @@ pub fn prefetch() {
     let opts = default_opts();
     for (label, cfg) in [("prefetch off", &base), ("prefetch on", &with_pf)] {
         let full = policies::solo_full_ips(cfg, &specs);
-        let stream = StreamReference::compute(cfg, 4);
+        let stream = StreamReference::for_machine(cfg);
         let eq = policies::evaluate_policy(cfg, &specs, &full, &stream, PolicyKind::Equal, &opts);
         let co = policies::evaluate_policy(cfg, &specs, &full, &stream, PolicyKind::CoPart, &opts);
         println!(

@@ -13,7 +13,7 @@ use std::time::Duration;
 use copart_core::policies::PolicyKind;
 use copart_core::runtime::{ConsolidationRuntime, RuntimeConfig};
 use copart_core::state::{SystemState, WaysBudget};
-use copart_core::{metrics, CoPartParams};
+use copart_core::{metrics, node, CoPartParams};
 use copart_rdt::{CbmMask, ClosId, MbaLevel, RdtBackend, SimBackend};
 use copart_sim::{Machine, MachineConfig};
 use copart_telemetry::{CounterSnapshot, NullRecorder};
@@ -86,7 +86,7 @@ pub fn fig15() {
 
 fn run_case(policy: PolicyKind) -> Vec<BucketRow> {
     let machine_cfg = MachineConfig::xeon_gold_6130();
-    let stream = StreamReference::compute(&machine_cfg, 4);
+    let stream = StreamReference::for_machine(&machine_cfg);
     let trace = LoadTrace::paper();
     let lc_model = LcModel::default();
 
@@ -99,20 +99,11 @@ fn run_case(policy: PolicyKind) -> Vec<BucketRow> {
 
     let mut backend = SimBackend::new(Machine::new(machine_cfg.clone()));
     let lc_group = backend.add_workload(memcached_spec(8)).expect("LC fits");
-    let batch_groups: Vec<ClosId> = batch_specs
-        .iter()
-        .map(|s| backend.add_workload(s.clone()).expect("batch fits"))
-        .collect();
 
     let mut reservation = LcReservation::for_load(trace.load_at(0.0));
     apply_lc(&mut backend, lc_group, &reservation, machine_cfg.llc_ways);
 
     let budget = batch_budget(&reservation);
-    let named: Vec<(ClosId, String)> = batch_groups
-        .iter()
-        .zip(&batch_specs)
-        .map(|(g, s)| (*g, s.name.clone()))
-        .collect();
 
     #[allow(clippy::large_enum_variant)] // Two locals; size is irrelevant.
     enum Driver {
@@ -120,7 +111,9 @@ fn run_case(policy: PolicyKind) -> Vec<BucketRow> {
         Equal(SimBackend),
     }
 
-    let mut driver = match policy {
+    // The batch jobs are admitted beside the (unmanaged) LC group; only
+    // they are handed to the controller.
+    let (mut driver, batch_groups): (Driver, Vec<ClosId>) = match policy {
         PolicyKind::CoPart => {
             let cfg = RuntimeConfig {
                 params: CoPartParams::default(),
@@ -131,16 +124,22 @@ fn run_case(policy: PolicyKind) -> Vec<BucketRow> {
                 resilience: Default::default(),
                 planner: Default::default(),
             };
-            let mut rt = ConsolidationRuntime::new(backend, named, cfg).expect("state applies");
+            let mut rt = node::build(backend, &batch_specs, cfg).expect("state applies");
             // Record the whole CoPart run — including the profiling
             // probes and both load-step transients — as a JSONL trace.
             rt.set_recorder(crate::common::trace_sink("fig15_casestudy"));
             rt.profile().expect("profiling on the simulator");
-            Driver::CoPart(Box::new(rt))
+            let groups = rt.apps().iter().map(|a| a.group).collect();
+            (Driver::CoPart(Box::new(rt)), groups)
         }
         _ => {
-            apply_equal_batch(&mut backend, &batch_groups, &budget);
-            Driver::Equal(backend)
+            let groups: Vec<ClosId> = node::admit_all(&mut backend, &batch_specs)
+                .expect("batch fits")
+                .into_iter()
+                .map(|(group, _)| group)
+                .collect();
+            apply_equal_batch(&mut backend, &groups, &budget);
+            (Driver::Equal(backend), groups)
         }
     };
 

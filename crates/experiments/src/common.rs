@@ -25,7 +25,7 @@ impl Context {
     /// Builds the context on the paper's testbed configuration.
     pub fn new() -> Context {
         let machine = MachineConfig::xeon_gold_6130();
-        let stream = StreamReference::compute(&machine, 4);
+        let stream = StreamReference::for_machine(&machine);
         Context {
             machine,
             stream,
@@ -38,7 +38,7 @@ impl Context {
     pub fn with_ways(ways: u32) -> Context {
         let mut machine = MachineConfig::xeon_gold_6130();
         machine.llc_ways = ways;
-        let stream = StreamReference::compute(&machine, 4);
+        let stream = StreamReference::for_machine(&machine);
         Context {
             machine,
             stream,

@@ -98,6 +98,8 @@ pub struct FaultyBackend<B: RdtBackend> {
     /// advances its stream — used during crash-recovery reconstruction so
     /// bookkeeping calls do not consume fault-site draws.
     armed: bool,
+    /// Whether the plan has any site that can ever fire.
+    injects: bool,
 }
 
 /// Frozen state of one injection site: the RNG stream position and the
@@ -128,6 +130,7 @@ impl<B: RdtBackend> FaultyBackend<B> {
     pub fn new(inner: B, plan: FaultPlan) -> FaultyBackend<B> {
         FaultyBackend {
             inner,
+            injects: !plan.is_none(),
             dropout: Site::new(plan.counter_dropout, plan.seed, 1),
             write_cbm: Site::new(plan.write_cbm, plan.seed, 2),
             write_mba: Site::new(plan.write_mba, plan.seed, 3),
@@ -150,6 +153,14 @@ impl<B: RdtBackend> FaultyBackend<B> {
     /// Whether injection is currently armed.
     pub fn is_armed(&self) -> bool {
         self.armed
+    }
+
+    /// Whether any site can ever fire. `false` means the plan was
+    /// [`FaultPlan::none`] (or spelled one, like `dropout=off`): the
+    /// decorator is then transparent for good, and persistence treats the
+    /// backend as the bare one it wraps.
+    pub fn injects(&self) -> bool {
+        self.injects
     }
 
     /// Captures the fault-injection state (site streams + statistics).
@@ -328,6 +339,7 @@ mod tests {
         faulty.advance(Duration::from_millis(200)).unwrap();
         faulty.read_counters(g).unwrap();
         assert_eq!(faulty.stats(), InjectionStats::default());
+        assert!(!faulty.injects());
         assert_eq!(faulty.clos_config(g).unwrap(), (mask, MbaLevel::new(50)));
         assert!(faulty.now_ns() > 0);
     }
@@ -342,6 +354,7 @@ mod tests {
                 ..FaultPlan::none()
             },
         );
+        assert!(faulty.injects());
         let outcomes: Vec<bool> = (0..9).map(|_| faulty.read_counters(g).is_ok()).collect();
         assert_eq!(
             outcomes,

@@ -33,10 +33,11 @@
 
 use std::collections::VecDeque;
 use std::path::PathBuf;
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 
+use copart_core::policies::{dynamic_runtime_config, PolicyKind};
 use copart_core::runtime::{PeriodRecord, Phase, RuntimeConfig};
-use copart_core::{CoPartParams, NodeRuntime, WaysBudget};
+use copart_core::{CoPartParams, NodeRuntime};
 use copart_faults::{FaultPlan, FaultyBackend, ScopedFaultPlan};
 use copart_persist::{
     write_snapshot, MetricsFrozen, PersistableBackend, SnapshotDoc, SnapshotMeta,
@@ -219,28 +220,16 @@ impl Shared {
             .map_or_else(FaultPlan::none, |s| s.plan_for_node(node))
     }
 
+    /// CoPart's configuration for one node, seeded per node. A node
+    /// boots with one tenant, and CoPart's configuration does not depend
+    /// on the app count.
     fn node_cfg(&self, node: u64) -> RuntimeConfig {
-        RuntimeConfig {
-            params: CoPartParams {
-                seed: derive_seed(self.seed, node),
-                ..CoPartParams::default()
-            },
-            manage_llc: true,
-            manage_mba: true,
-            budget: WaysBudget::full_machine(self.machine.llc_ways),
-            stream: self.stream.clone(),
-            resilience: Default::default(),
-            planner: Default::default(),
-        }
+        let params = CoPartParams {
+            seed: derive_seed(self.seed, node),
+            ..CoPartParams::default()
+        };
+        dynamic_runtime_config(&self.machine, 1, &self.stream, PolicyKind::CoPart, &params)
     }
-}
-
-/// The STREAM reference table for the fleet's node machine, measured
-/// once per process (the paper's controller measures it once per
-/// machine; every fleet node is the same machine).
-fn fleet_stream() -> &'static StreamReference {
-    static STREAM: OnceLock<StreamReference> = OnceLock::new();
-    STREAM.get_or_init(|| StreamReference::compute(&MachineConfig::xeon_gold_6130(), APP_CORES))
 }
 
 fn tenant_name(app: u64, bench: Benchmark) -> String {
@@ -384,7 +373,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> Result<FleetOutcome, String> {
 
     let machine = MachineConfig::xeon_gold_6130();
     let shared = Shared {
-        stream: fleet_stream().clone(),
+        stream: StreamReference::for_machine(&machine),
         machine,
         seed: cfg.seed,
         profile_attempts: cfg.profile_attempts.max(1),

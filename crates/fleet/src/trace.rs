@@ -224,9 +224,20 @@ impl FleetEvent {
                 .ok_or_else(|| format!("missing field {key:?}"))
         };
         let get_u64 = |key: &str| -> Result<u64, String> {
-            match get(key)? {
-                Json::Num(n) => Ok(*n as u64),
-                _ => Err(format!("{key:?} is not a number")),
+            get(key)?
+                .as_u64()
+                .ok_or_else(|| format!("{key:?} is not an unsigned integer"))
+        };
+        // The seed is an identifier, not a count, and the encoder writes
+        // it through an f64 like every other integer: above 2^53 it
+        // arrives rounded, beyond what `as_u64` vouches for but still
+        // integral and in range — all a decoder of these bytes can ask.
+        let get_seed = || -> Result<u64, String> {
+            match get("seed")? {
+                Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < 2f64.powi(64) => {
+                    Ok(*n as u64)
+                }
+                _ => Err("\"seed\" is not an unsigned integer".to_string()),
             }
         };
         let get_f64 = |key: &str| -> Result<f64, String> {
@@ -253,7 +264,7 @@ impl FleetEvent {
                 apps: get_u64("apps")?,
                 capacity: get_u64("capacity")?,
                 horizon: get_u64("horizon")?,
-                seed: get_u64("seed")?,
+                seed: get_seed()?,
             }),
             "placement" => Ok(FleetEvent::Placement {
                 epoch: get_u64("epoch")?,
@@ -550,6 +561,34 @@ mod tests {
         for e in events {
             let line = e.to_json_line();
             assert_eq!(FleetEvent::parse_json_line(&line).unwrap(), e, "{line}");
+        }
+
+        // Integers that no encoder wrote are refused, not coerced.
+        let deferred = FleetEvent::Deferred { epoch: 7, app: 4 }.to_json_line();
+        assert!(deferred.contains("\"epoch\":7"), "{deferred}");
+        for garbage in ["-1", "1.5", "1e300", "\"7\""] {
+            let line = deferred.replace("\"epoch\":7", &format!("\"epoch\":{garbage}"));
+            let err = FleetEvent::parse_json_line(&line).unwrap_err();
+            assert!(err.contains("\"epoch\""), "{line}: {err}");
+        }
+        // A seed above 2^53 is written rounded; the decoder takes what
+        // the encoder wrote but still refuses the rest.
+        let config = |seed: &str| {
+            format!(
+            "{{\"kind\":\"fleet-config\",\"nodes\":1,\"apps\":1,\"capacity\":1,\"horizon\":1,\"seed\":{seed}}}"
+        )
+        };
+        let big = FleetEvent::Config {
+            nodes: 1,
+            apps: 1,
+            capacity: 1,
+            horizon: 1,
+            seed: (1 << 53) + 4099,
+        };
+        assert!(FleetEvent::parse_json_line(&big.to_json_line()).is_ok());
+        assert!(FleetEvent::parse_json_line(&config("3")).is_ok());
+        for garbage in ["-1", "1.5", "1e300"] {
+            assert!(FleetEvent::parse_json_line(&config(garbage)).is_err());
         }
     }
 

@@ -81,13 +81,7 @@ impl PersistableBackend for SimBackend {
                 machine,
                 groups,
                 next_clos,
-            } => {
-                self.machine_mut()
-                    .restore(machine)
-                    .map_err(|e| PersistError::Corrupt(format!("machine restore: {e:?}")))?;
-                self.import_groups(groups, *next_clos);
-                Ok(())
-            }
+            } => restore_sim(self, machine, groups, *next_clos),
             BackendSnapshot::Faulty { .. } => Err(PersistError::Schema(
                 "snapshot was captured from a faulty backend; this run has no fault plan"
                     .to_string(),
@@ -96,30 +90,53 @@ impl PersistableBackend for SimBackend {
     }
 }
 
+fn restore_sim(
+    sim: &mut SimBackend,
+    machine: &MachineSnapshot,
+    groups: &[(u16, u32)],
+    next_clos: u16,
+) -> Result<(), PersistError> {
+    sim.machine_mut()
+        .restore(machine)
+        .map_err(|e| PersistError::Corrupt(format!("machine restore: {e:?}")))?;
+    sim.import_groups(groups, next_clos);
+    Ok(())
+}
+
+/// The snapshot kind follows the fault plan, not the Rust type: a
+/// decorator whose plan can never fire ([`FaultyBackend::injects`] is
+/// false) is transparent, so it captures as — and restores only from —
+/// the bare [`BackendSnapshot::Sim`] form. `kind` on the wire therefore
+/// keeps meaning "this run injects faults", every scenario can run behind
+/// the decorator, and a fault-free state directory restores whichever of
+/// the two types wrote it.
 impl PersistableBackend for FaultyBackend<SimBackend> {
     fn capture(&self) -> BackendSnapshot {
-        let (groups, next_clos) = self.inner().export_groups();
-        BackendSnapshot::Faulty {
-            machine: self.inner().machine().snapshot(),
-            groups,
-            next_clos,
-            fault_state: self.fault_state(),
+        match self.inner().capture() {
+            BackendSnapshot::Sim {
+                machine,
+                groups,
+                next_clos,
+            } if self.injects() => BackendSnapshot::Faulty {
+                machine,
+                groups,
+                next_clos,
+                fault_state: self.fault_state(),
+            },
+            sim => sim,
         }
     }
 
     fn restore_from(&mut self, snap: &BackendSnapshot) -> Result<(), PersistError> {
         match snap {
+            BackendSnapshot::Sim { .. } if !self.injects() => self.inner_mut().restore_from(snap),
             BackendSnapshot::Faulty {
                 machine,
                 groups,
                 next_clos,
                 fault_state,
-            } => {
-                self.inner_mut()
-                    .machine_mut()
-                    .restore(machine)
-                    .map_err(|e| PersistError::Corrupt(format!("machine restore: {e:?}")))?;
-                self.inner_mut().import_groups(groups, *next_clos);
+            } if self.injects() => {
+                restore_sim(self.inner_mut(), machine, groups, *next_clos)?;
                 self.restore_fault_state(fault_state);
                 Ok(())
             }
@@ -127,6 +144,81 @@ impl PersistableBackend for FaultyBackend<SimBackend> {
                 "snapshot was captured from a bare sim backend; this run injects faults"
                     .to_string(),
             )),
+            BackendSnapshot::Faulty { .. } => Err(PersistError::Schema(
+                "snapshot was captured from a faulty backend; this run has no fault plan"
+                    .to_string(),
+            )),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use copart_faults::{FaultPlan, FaultTrigger};
+    use copart_sim::trace::AccessPattern;
+    use copart_sim::{AppSpec, Machine, MachineConfig};
+    use std::time::Duration;
+
+    fn sim() -> SimBackend {
+        let mut backend = SimBackend::new(Machine::new(MachineConfig::tiny_test()));
+        backend
+            .add_workload(AppSpec {
+                name: "probe".into(),
+                cores: 1,
+                ipc_peak: 1.0,
+                apki: 10.0,
+                write_fraction: 0.1,
+                mlp: 4.0,
+                phases: vec![(1.0, AccessPattern::UniformRandom { bytes: 1 << 20 })],
+            })
+            .unwrap();
+        backend
+    }
+
+    fn dropouts() -> FaultPlan {
+        FaultPlan {
+            counter_dropout: FaultTrigger::Every { n: 3 },
+            ..FaultPlan::none()
+        }
+    }
+
+    #[test]
+    fn snapshot_kind_follows_the_plan_not_the_type() {
+        let mut bare = sim();
+        bare.advance(Duration::from_millis(50)).unwrap();
+        let mut quiet = FaultyBackend::new(sim(), FaultPlan::none());
+        quiet.advance(Duration::from_millis(50)).unwrap();
+        let mut noisy = FaultyBackend::new(sim(), dropouts());
+        noisy.advance(Duration::from_millis(50)).unwrap();
+
+        // A decorator that can never fire is the backend it wraps.
+        assert_eq!(quiet.capture(), bare.capture());
+        assert!(matches!(noisy.capture(), BackendSnapshot::Faulty { .. }));
+
+        // Either type restores a fault-free snapshot the other wrote.
+        FaultyBackend::new(sim(), FaultPlan::none())
+            .restore_from(&bare.capture())
+            .unwrap();
+        sim().restore_from(&quiet.capture()).unwrap();
+
+        // The cross-kind refusal stays, in both directions.
+        let sim_snap = bare.capture();
+        let faulty_snap = noisy.capture();
+        assert!(matches!(
+            FaultyBackend::new(sim(), dropouts()).restore_from(&sim_snap),
+            Err(PersistError::Schema(_))
+        ));
+        assert!(matches!(
+            FaultyBackend::new(sim(), FaultPlan::none()).restore_from(&faulty_snap),
+            Err(PersistError::Schema(_))
+        ));
+        assert!(matches!(
+            sim().restore_from(&faulty_snap),
+            Err(PersistError::Schema(_))
+        ));
+        let mut resumed = FaultyBackend::new(sim(), dropouts());
+        resumed.restore_from(&faulty_snap).unwrap();
+        assert_eq!(resumed.capture(), faulty_snap);
     }
 }

@@ -18,7 +18,9 @@
 //! * **An event-sourced log** — between snapshots, every input that
 //!   steers the run (epoch ticks, admissions, removals, policy switches)
 //!   is appended to a [`log::EventLog`] as a [`LogEntry`]. Recovery
-//!   restores the latest good snapshot and [`replay`]s the log tail;
+//!   restores the latest good snapshot and replays the log tail
+//!   (`copart_serve::Recovered::replay`, which owns the scenario context
+//!   an admission or a policy switch needs);
 //!   because every entry records the epoch counter it executed at
 //!   (`pre`), a log that does not chain onto the snapshot — or a replay
 //!   that diverges mid-tail — is rejected instead of silently forking
@@ -43,7 +45,6 @@ pub mod codec;
 pub mod error;
 pub mod log;
 pub mod metrics;
-pub mod replay;
 pub mod store;
 
 #[cfg(test)]
@@ -54,7 +55,6 @@ pub use codec::{SnapshotDoc, SnapshotMeta};
 pub use error::PersistError;
 pub use log::{EventKind, EventLog, LogEntry};
 pub use metrics::MetricsFrozen;
-pub use replay::{replay_log, NoHooks, ReplayHooks};
 pub use store::{
     latest_good, prune, read_snapshot, write_snapshot, SNAP_MAGIC, SNAP_VERSION, SNAP_VERSION_MIN,
 };

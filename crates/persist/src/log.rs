@@ -10,9 +10,9 @@
 //!   otherwise the log belongs to a different (older or newer) snapshot
 //!   and replaying it would fork history ([`verify_chain`], the
 //!   stale-log guard);
-//! * during [`crate::replay::replay_log`], *every* entry must match the
-//!   runtime's live counter, so a divergence is caught at the exact
-//!   entry where it happens, not as downstream garbage.
+//! * during replay (`copart_serve::Recovered::replay`), *every* entry
+//!   must match the runtime's live counter, so a divergence is caught
+//!   at the exact entry where it happens, not as downstream garbage.
 //!
 //! The log is named after the snapshot it extends (`log-<epoch>.jsonl`)
 //! so a pruned snapshot takes its log with it, and a crash between

@@ -79,7 +79,8 @@ pub enum Command {
 ///
 /// # Errors
 ///
-/// Rejects unknown names and the static policies (`eq`, `st`).
+/// Rejects unknown names and the static policies (`eq`, `st`,
+/// `utility`).
 ///
 /// # Examples
 ///
@@ -89,15 +90,12 @@ pub enum Command {
 /// assert!(parse_dynamic_policy("eq").is_err());
 /// ```
 pub fn parse_dynamic_policy(s: &str) -> Result<PolicyKind, String> {
-    match s {
-        "cat-only" => Ok(PolicyKind::CatOnly),
-        "mba-only" => Ok(PolicyKind::MbaOnly),
-        "copart" => Ok(PolicyKind::CoPart),
-        "lfoc" => Ok(PolicyKind::LfocCluster),
-        "eq" | "st" => Err(format!(
+    match PolicyKind::from_wire(s) {
+        Some(kind) if kind.is_dynamic() => Ok(kind),
+        Some(_) => Err(format!(
             "policy {s:?} is static; the daemon needs cat-only, mba-only, copart, or lfoc"
         )),
-        other => Err(format!("unknown policy {other:?}")),
+        None => Err(format!("unknown policy {s:?}")),
     }
 }
 

@@ -65,8 +65,8 @@ pub mod workers;
 pub use daemon::{parse_dynamic_policy, DaemonConfig, ServeBackend};
 pub use loadgen::{LoadConfig, LoadReport};
 pub use persist::{
-    harness_run, recover_faulty, recover_sim, resume_trace_file, ChurnOp, HarnessOutcome,
-    PersistConfig, PersistedRun, Recovered, KEEP_SNAPSHOTS,
+    harness_run, recover_sim, resume_trace_file, ChurnOp, HarnessOutcome, PersistConfig,
+    PersistedRun, Recovered, KEEP_SNAPSHOTS,
 };
 pub use scenario::{RunIdentity, Scenario, ScenarioEnv, PROFILE_ATTEMPTS};
 pub use server::{serve, serve_scenario, ServeConfig, ServeReport, ServerHandle};

@@ -2,25 +2,32 @@
 //!
 //! Byte-identical traces are the repo's determinism contract: a daemon
 //! run of N epochs must produce exactly the JSONL a one-shot `sim-run`
-//! of the same scenario produces. Both paths therefore build their
+//! of the same scenario produces. Every path therefore builds its
 //! runtime through this module — same machine model, same mix, same
 //! STREAM reference, same seed, same profiling-retry policy — and
 //! [`Scenario::reference_trace`] *is* the one-shot path, used by the
 //! determinism tests as the expected value.
+//!
+//! There is one build: the simulator always sits behind the fault
+//! decorator, with [`FaultPlan::none`] — fully transparent — when the
+//! scenario asks for no faults, so a fault-free and a fault-injected
+//! scenario differ in a value, not in a type or a code path.
 
+use copart_core::node;
 use copart_core::policies::{self, PolicyKind};
 use copart_core::runtime::{ConsolidationRuntime, RuntimeConfig};
 use copart_core::CoPartParams;
 use copart_faults::{FaultPlan, FaultyBackend};
-use copart_rdt::{ClosId, SimBackend};
+use copart_rdt::SimBackend;
 use copart_sim::{AppSpec, Machine, MachineConfig};
+use copart_telemetry::Recorder;
 use copart_workloads::stream::StreamReference;
 use copart_workloads::{Benchmark, MixKind, WorkloadMix};
 
 use crate::trace::SharedRing;
 
-/// Profiling attempts a fault-injected boot gets before giving up (the
-/// same allowance the one-shot `sim-run --faults` path grants).
+/// Profiling passes a launch — and every later admission — gets before
+/// giving up. Only a fault-injected backend can ever fail one.
 pub const PROFILE_ATTEMPTS: u32 = 5;
 
 /// What consolidation the daemon should run: everything needed to build
@@ -68,13 +75,7 @@ impl Scenario {
         if !(1..=6).contains(&n_apps) {
             return Err("app count must be between 1 and 6".into());
         }
-        if !matches!(
-            policy,
-            PolicyKind::CatOnly
-                | PolicyKind::MbaOnly
-                | PolicyKind::CoPart
-                | PolicyKind::LfocCluster
-        ) {
+        if !policy.is_dynamic() {
             return Err(format!(
                 "policy {} is not dynamic; serve needs cat-only, mba-only, copart, or lfoc",
                 policy.label()
@@ -90,18 +91,14 @@ impl Scenario {
     }
 
     /// Measures the environment the scenario runs in (machine model,
-    /// STREAM reference table, parameters). The STREAM table is
-    /// simulated at every MBA level — deterministic but not free, so it
-    /// is computed once per process and cloned (every scenario runs on
-    /// the same machine model; the kill/resume harness and the recovery
-    /// tests call this per incarnation).
+    /// STREAM reference table, parameters). The kill/resume harness and
+    /// the recovery tests call this per incarnation;
+    /// [`StreamReference::for_machine`] measures the table once per
+    /// process.
     pub fn env(&self) -> ScenarioEnv {
-        static STREAM: std::sync::OnceLock<StreamReference> = std::sync::OnceLock::new();
         let machine = MachineConfig::xeon_gold_6130();
         let mix = WorkloadMix::build(self.mix, self.n_apps, machine.n_cores);
-        let stream = STREAM
-            .get_or_init(|| StreamReference::compute(&machine, 4))
-            .clone();
+        let stream = StreamReference::for_machine(&machine);
         let params = CoPartParams {
             seed: self.seed,
             ..CoPartParams::default()
@@ -129,89 +126,70 @@ impl Scenario {
         WorkloadMix::build(self.mix, self.n_apps, env.machine.n_cores).specs()
     }
 
-    /// Builds the fault-free runtime for this scenario.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the mix does not fit the machine or the initial
-    /// partition cannot be applied.
-    pub fn build_sim(&self, env: &ScenarioEnv) -> Result<ConsolidationRuntime<SimBackend>, String> {
-        let mut backend = SimBackend::new(Machine::new(env.machine.clone()));
-        let named = admit_all(&mut backend, &self.specs(env))?;
-        let cfg = env.runtime_config(self.n_apps, self.policy);
-        ConsolidationRuntime::new(backend, named, cfg)
-            .map_err(|e| format!("initial partition apply failed: {e}"))
+    /// The scenario's machine with nothing admitted yet: the simulator
+    /// behind the fault decorator. Crate-visible so recovery can disarm
+    /// the decorator before [`node::build`] touches it.
+    pub(crate) fn backend(&self, env: &ScenarioEnv) -> FaultyBackend<SimBackend> {
+        FaultyBackend::new(
+            SimBackend::new(Machine::new(env.machine.clone())),
+            self.faults.clone().unwrap_or_else(FaultPlan::none),
+        )
     }
 
-    /// Builds the fault-injected runtime for this scenario.
+    /// Builds the scenario's runtime ([`node::build`]): the mix admitted,
+    /// the equal split applied, not yet profiled.
     ///
     /// # Errors
     ///
     /// Fails when the mix does not fit the machine or the initial
-    /// partition cannot be applied through the injected faults.
-    pub fn build_faulty(
+    /// partition cannot be applied (through the injected faults, if any).
+    pub fn build(
         &self,
         env: &ScenarioEnv,
-        plan: FaultPlan,
     ) -> Result<ConsolidationRuntime<FaultyBackend<SimBackend>>, String> {
-        let mut backend = SimBackend::new(Machine::new(env.machine.clone()));
-        let named = admit_all(&mut backend, &self.specs(env))?;
-        let cfg = env.runtime_config(self.n_apps, self.policy);
-        ConsolidationRuntime::new(FaultyBackend::new(backend, plan), named, cfg)
-            .map_err(|e| format!("initial partition apply failed under faults: {e}"))
+        node::build(
+            self.backend(env),
+            &self.specs(env),
+            env.runtime_config(self.n_apps, self.policy),
+        )
     }
 
-    /// The one-shot run the daemon is compared against: build, profile,
-    /// run exactly `epochs` periods, and return the trace as JSONL
-    /// lines. Fault plans are honored, so the fault-injected daemon has
-    /// a reference too.
+    /// Launches the scenario: [`Scenario::build`], attach `recorder`
+    /// (profiling probes are trace events too), then profile with the
+    /// [`PROFILE_ATTEMPTS`] budget. What every one-shot surface runs
+    /// before its first epoch.
+    ///
+    /// # Errors
+    ///
+    /// Propagates build failures and a profiling pass that does not
+    /// survive the fault plan.
+    pub fn launch(
+        &self,
+        env: &ScenarioEnv,
+        recorder: Box<dyn Recorder + Send>,
+    ) -> Result<ConsolidationRuntime<FaultyBackend<SimBackend>>, String> {
+        let mut runtime = self.build(env)?;
+        runtime.set_recorder(recorder);
+        profile_with_retries(&mut runtime, PROFILE_ATTEMPTS)?;
+        Ok(runtime)
+    }
+
+    /// The one-shot run the daemon is compared against: launch, run
+    /// exactly `epochs` periods, and return the trace as JSONL lines.
+    /// Fault plans are honored, so the fault-injected daemon has a
+    /// reference too.
     ///
     /// # Errors
     ///
     /// Propagates build, profiling, and epoch failures.
     pub fn reference_trace(&self, epochs: u64) -> Result<Vec<String>, String> {
-        let env = self.env();
         let ring = SharedRing::new(epochs as usize + 256);
-        match self.faults.clone() {
-            None => {
-                let mut runtime = self.build_sim(&env)?;
-                runtime.set_recorder(Box::new(ring.clone()));
-                profile_with_retries(&mut runtime, 1)?;
-                for _ in 0..epochs {
-                    runtime.run_period().map_err(|e| format!("epoch: {e}"))?;
-                }
-            }
-            Some(plan) => {
-                let mut runtime = self.build_faulty(&env, plan)?;
-                runtime.set_recorder(Box::new(ring.clone()));
-                profile_with_retries(&mut runtime, PROFILE_ATTEMPTS)?;
-                for _ in 0..epochs {
-                    runtime.run_period().map_err(|e| format!("epoch: {e}"))?;
-                }
-            }
+        let mut runtime = self.launch(&self.env(), Box::new(ring.clone()))?;
+        for _ in 0..epochs {
+            runtime.run_period().map_err(|e| format!("epoch: {e}"))?;
         }
         Ok(ring.all().iter().map(|e| e.to_json_line()).collect())
     }
-}
-
-/// Admits every spec into the backend, returning `(group, name)` pairs
-/// in spec order. Crate-visible so the recovery path
-/// ([`crate::persist`]) can rebuild the boot-time group table before
-/// restoring a snapshot over it.
-pub(crate) fn admit_all(
-    backend: &mut SimBackend,
-    specs: &[AppSpec],
-) -> Result<Vec<(ClosId, String)>, String> {
-    specs
-        .iter()
-        .map(|spec| {
-            let name = spec.name.clone();
-            backend
-                .add_workload(spec.clone())
-                .map(|group| (group, name))
-                .map_err(|e| format!("mix does not fit the machine: {e}"))
-        })
-        .collect()
 }
 
 /// What makes one persisted run *this* run: the immutable facts a state
@@ -262,11 +240,7 @@ impl ScenarioEnv {
     ///
     /// Rejects unknown short names.
     pub fn spec_for(&self, short: &str) -> Result<AppSpec, String> {
-        Benchmark::all()
-            .into_iter()
-            .find(|b| b.table2().short.eq_ignore_ascii_case(short))
-            .map(|b| b.spec_with_cores(self.cores_per_app))
-            .ok_or_else(|| format!("unknown benchmark {short:?} (use the Table 2 short names)"))
+        Benchmark::from_short(short).map(|b| b.spec_with_cores(self.cores_per_app))
     }
 }
 

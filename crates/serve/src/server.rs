@@ -21,7 +21,7 @@ use crate::daemon::{
     spawn_control, ApiResult, Command, ControlHandle, DaemonConfig, Gateway, ServeBackend,
 };
 use crate::http::{self, ReadOutcome, Request, Response};
-use crate::persist::{recover_faulty, recover_sim, PersistConfig, PersistedRun, Recovered};
+use crate::persist::{recover_sim, PersistConfig, PersistedRun, Recovered};
 use crate::prometheus;
 use crate::scenario::{profile_with_retries, Scenario, ScenarioEnv, PROFILE_ATTEMPTS};
 use crate::trace::{RotatingJsonl, SharedRing, TeeRecorder};
@@ -160,11 +160,10 @@ impl ServerHandle {
     }
 }
 
-/// Builds the scenario's runtime (fault-free or fault-injected) and
-/// starts the daemon over it. With [`ServeConfig::state_dir`] set and a
-/// usable snapshot in it, the daemon recovers — restores the snapshot,
-/// replays the event-log tail — and continues the dead process's run
-/// instead of starting over.
+/// Builds the scenario's runtime and starts the daemon over it. With
+/// [`ServeConfig::state_dir`] set and a usable snapshot in it, the
+/// daemon recovers — restores the snapshot, replays the event-log tail —
+/// and continues the dead process's run instead of starting over.
 ///
 /// # Errors
 ///
@@ -172,25 +171,13 @@ impl ServerHandle {
 /// another run's state, profiling does not survive the fault plan, or
 /// the listen address cannot be bound.
 pub fn serve_scenario(scenario: &Scenario, cfg: ServeConfig) -> Result<ServerHandle, String> {
-    if let Some(dir) = cfg.state_dir.clone() {
-        match scenario.faults.clone() {
-            None => {
-                if let Some(rec) = recover_sim(scenario, &dir, cfg.snapshot_every)? {
-                    return serve_recovered(rec, cfg);
-                }
-            }
-            Some(plan) => {
-                if let Some(rec) = recover_faulty(scenario, plan, &dir, cfg.snapshot_every)? {
-                    return serve_recovered(rec, cfg);
-                }
-            }
+    if let Some(dir) = &cfg.state_dir {
+        if let Some(rec) = recover_sim(scenario, dir, cfg.snapshot_every)? {
+            return serve_recovered(rec, cfg);
         }
     }
     let env = scenario.env();
-    match scenario.faults.clone() {
-        None => serve(scenario.build_sim(&env)?, env, cfg),
-        Some(plan) => serve(scenario.build_faulty(&env, plan)?, env, cfg),
-    }
+    serve(scenario.build(&env)?, env, cfg)
 }
 
 /// The trace sinks and background jobs a daemon boots with, fresh or

@@ -76,6 +76,19 @@ impl Benchmark {
         ]
     }
 
+    /// The benchmark with this Table 2 short name (`WN`, `SP`, ...; case
+    /// is ignored).
+    ///
+    /// # Errors
+    ///
+    /// Rejects unknown short names.
+    pub fn from_short(short: &str) -> Result<Benchmark, String> {
+        Benchmark::all()
+            .into_iter()
+            .find(|b| b.table2().short.eq_ignore_ascii_case(short))
+            .ok_or_else(|| format!("unknown benchmark {short:?} (use the Table 2 short names)"))
+    }
+
     /// The paper's reported characteristics (Table 2).
     pub fn table2(self) -> Table2Row {
         use Benchmark::*;
@@ -474,6 +487,16 @@ mod tests {
                 assert_ne!(a, b);
             }
         }
+    }
+
+    #[test]
+    fn every_short_name_resolves_back_to_its_benchmark() {
+        for b in Benchmark::all() {
+            let short = b.table2().short;
+            assert_eq!(Benchmark::from_short(short), Ok(b));
+            assert_eq!(Benchmark::from_short(&short.to_lowercase()), Ok(b));
+        }
+        assert!(Benchmark::from_short("nope").is_err());
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //! the same MBA level* (§5.3). [`StreamReference`] precomputes that
 //! per-level table by running the STREAM model solo at every level.
 
+use std::sync::Mutex;
+
 use copart_sim::{AppSpec, MachineConfig, MbaLevel};
 
 use crate::measure;
@@ -50,6 +52,25 @@ impl StreamReference {
         StreamReference { misses_per_sec }
     }
 
+    /// The reference table for `cfg` with the 4-core STREAM every
+    /// consolidation in this workspace is calibrated against, measured
+    /// once per process and machine model: [`StreamReference::compute`]
+    /// is ten solo simulations, a pure function of `cfg`, and every
+    /// surface (one-shot runs, the daemon, each fleet node, each
+    /// kill/resume incarnation) wants the same table.
+    pub fn for_machine(cfg: &MachineConfig) -> StreamReference {
+        static TABLES: Mutex<Vec<(MachineConfig, StreamReference)>> = Mutex::new(Vec::new());
+        // Held across the measurement so concurrent first callers wait
+        // for one computation instead of each running their own.
+        let mut tables = TABLES.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some((_, table)) = tables.iter().find(|(known, _)| known == cfg) {
+            return table.clone();
+        }
+        let table = StreamReference::compute(cfg, 4);
+        tables.push((cfg.clone(), table.clone()));
+        table
+    }
+
     /// Builds a table from precomputed values (index 0 = level 10 %).
     pub fn from_table(misses_per_sec: [f64; 10]) -> StreamReference {
         StreamReference { misses_per_sec }
@@ -90,6 +111,22 @@ mod tests {
         assert!(
             r.misses_per_sec(MbaLevel::MIN) < 0.5 * r.misses_per_sec(MbaLevel::MAX),
             "MBA 10% should at least halve STREAM traffic"
+        );
+    }
+
+    #[test]
+    fn memoised_table_is_the_computed_table_bit_for_bit() {
+        let cfg = MachineConfig::xeon_gold_6130();
+        let bits = |r: &StreamReference| r.misses_per_sec.map(f64::to_bits);
+        let computed = StreamReference::compute(&cfg, 4);
+        assert_eq!(bits(&StreamReference::for_machine(&cfg)), bits(&computed));
+        // The second call is served from the memo, and a different
+        // machine model gets its own entry.
+        assert_eq!(bits(&StreamReference::for_machine(&cfg)), bits(&computed));
+        let tiny = MachineConfig::tiny_test();
+        assert_eq!(
+            bits(&StreamReference::for_machine(&tiny)),
+            bits(&StreamReference::compute(&tiny, 4))
         );
     }
 

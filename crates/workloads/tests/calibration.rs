@@ -200,7 +200,7 @@ fn stream_is_the_traffic_ceiling() {
     // Every benchmark's miss rate must stay below STREAM's at full
     // resources — STREAM is the paper's empirical traffic maximum.
     let cfg = cfg();
-    let stream = copart_workloads::stream::StreamReference::compute(&cfg, 4);
+    let stream = copart_workloads::stream::StreamReference::for_machine(&cfg);
     let ceiling = stream.misses_per_sec(MbaLevel::MAX);
     for b in Benchmark::all() {
         let (_, rates) = measure::measure_full(&cfg, &b.spec());

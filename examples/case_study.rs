@@ -23,7 +23,7 @@ const PERIOD: Duration = Duration::from_millis(200);
 
 fn main() {
     let machine_cfg = MachineConfig::xeon_gold_6130();
-    let stream = StreamReference::compute(&machine_cfg, 4);
+    let stream = StreamReference::for_machine(&machine_cfg);
     let lc_model = LcModel::default();
 
     let mut backend = SimBackend::new(Machine::new(machine_cfg.clone()));

@@ -42,7 +42,7 @@ fn main() {
 
     println!("measuring solo full-resource references...");
     let full = policies::solo_full_ips(&machine_cfg, &specs);
-    let stream = StreamReference::compute(&machine_cfg, 4);
+    let stream = StreamReference::for_machine(&machine_cfg);
     let opts = EvalOptions::default();
 
     println!(

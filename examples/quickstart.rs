@@ -22,7 +22,7 @@ fn main() {
     // 2. Measure the STREAM reference once per machine — the controller
     //    normalizes application traffic against it (§5.3 of the paper).
     println!("measuring STREAM reference...");
-    let stream = StreamReference::compute(&machine_cfg, 4);
+    let stream = StreamReference::for_machine(&machine_cfg);
 
     // 3. Admit a workload mix: two LLC-sensitive benchmarks, one
     //    bandwidth-hog, one insensitive job. Each gets its own CLOS.

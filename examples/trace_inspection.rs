@@ -47,7 +47,7 @@ fn record_demo_trace() -> String {
     let specs = mix.specs();
     eprintln!("measuring solo full-resource references...");
     let full = policies::solo_full_ips(&machine_cfg, &specs);
-    let stream = StreamReference::compute(&machine_cfg, 4);
+    let stream = StreamReference::for_machine(&machine_cfg);
     let recorder = Box::new(JsonlRecorder::create(&path).expect("temp file is writable"));
     let (_result, mut recorder, _metrics) = policies::evaluate_policy_traced(
         &machine_cfg,

@@ -22,7 +22,7 @@ use copart_workloads::Benchmark;
 fn main() {
     let machine_cfg = MachineConfig::xeon_gold_6130();
     println!("measuring STREAM reference...");
-    let stream = StreamReference::compute(&machine_cfg, 4);
+    let stream = StreamReference::for_machine(&machine_cfg);
     let mut backend = SimBackend::new(Machine::new(machine_cfg.clone()));
 
     // Two *identical* LLC-hungry instances plus two insensitive donors.

@@ -8,7 +8,10 @@
 #   2. `copart sim-run --faults` smoke: transient schemata writes +
 #      counter dropouts on a 4-app mix, with a JSONL trace,
 #   3. `copart trace-check` over the degraded trace (the fault field
-#      must not break any trace invariant).
+#      must not break any trace invariant),
+#   4. the transparency gate: every scenario runs behind the fault
+#      decorator, so a plan that can never fire must leave the trace
+#      byte-identical to a run without `--faults`.
 #
 # Usage: chaos.sh [debug|release]   (default release, matching CI)
 
@@ -45,5 +48,13 @@ grep -q "degraded_epochs" "$chaosdir/metrics.txt" ||
 
 echo "==> chaos: trace-check over the degraded trace"
 "$bindir/copart" trace-check --path "$chaosdir/faulty.jsonl" --min-events 1
+
+echo "==> chaos: a plan that never fires is byte-transparent"
+transparent=(sim-run --mix h-both --apps 4 --seconds 10)
+"$bindir/copart" "${transparent[@]}" --trace-out "$chaosdir/a.jsonl" >/dev/null
+"$bindir/copart" "${transparent[@]}" --trace-out "$chaosdir/b.jsonl" \
+    --faults "dropout=off" >/dev/null
+"$bindir/copart" trace-check --path "$chaosdir/b.jsonl" \
+    --reference "$chaosdir/a.jsonl"
 
 echo "chaos: the fault plan held"

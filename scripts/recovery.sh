@@ -11,7 +11,11 @@
 #      byte-identical to the reference (plus the usual invariants),
 #   4. the same kill/resume loop under a fault plan: recovery must
 #      restore the fault-stream positions too, or the continuation
-#      diverges.
+#      diverges,
+#   5. the snapshot's backend tag follows the fault plan ("sim" without
+#      one, "faulty" with one) although both runs sit behind the same
+#      decorator — which is what lets a fault-free state directory
+#      written before the builds were unified still restore.
 #
 # Usage: recovery.sh [debug|release]   (default release, matching CI)
 
@@ -68,5 +72,12 @@ echo "==> recovery: faulted kill at epoch 11, then resume"
 echo "==> recovery: faulted resumed trace is byte-identical too"
 "$bindir/copart" trace-check --path "$recdir/fkr/trace.jsonl" \
     --min-events 1 --reference "$recdir/fref/trace.jsonl"
+
+echo "==> recovery: the snapshot backend tag follows the fault plan"
+newest() { ls "$1"/snap-*.json | sort | tail -n 1; }
+grep -q '"kind":"sim"' "$(newest "$recdir/ref")" ||
+    { echo "recovery: a fault-free snapshot is not tagged sim" >&2; exit 1; }
+grep -q '"kind":"faulty"' "$(newest "$recdir/fref")" ||
+    { echo "recovery: a fault-injected snapshot is not tagged faulty" >&2; exit 1; }
 
 echo "recovery: kill/resume is byte-identical, clean and faulted"

@@ -13,9 +13,13 @@
 use copart_core::policies::PolicyKind;
 use copart_faults::{FaultPlan, FaultTrigger};
 use copart_persist::{latest_good, SnapshotDoc};
+use copart_rdt::RdtBackend;
 use copart_serve::loadgen;
-use copart_serve::{harness_run, ChurnOp, HarnessOutcome, Scenario, ServeConfig};
-use copart_telemetry::MetricsSnapshot;
+use copart_serve::{
+    harness_run, recover_sim, resume_trace_file, ChurnOp, HarnessOutcome, PersistConfig,
+    PersistedRun, Scenario, ServeConfig,
+};
+use copart_telemetry::{parse_trace, JsonlRecorder, MetricsSnapshot, NullRecorder};
 use copart_workloads::MixKind;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -301,6 +305,143 @@ fn resume_rejects_a_foreign_state_directory() {
         "unexpected error text: {err}"
     );
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// The epoch of [`failed_admission_scenario`] before which the doomed
+/// admission is attempted.
+const ADMIT_AT: u64 = 4;
+
+/// A scenario whose counter reads drop out in one burst, placed to begin
+/// with the first read of an admission attempted after [`ADMIT_AT`]
+/// epochs and sized to outlast that admission's whole retry budget.
+fn failed_admission_scenario() -> Scenario {
+    // Where the burst starts: the dropout-site calls boot and the first
+    // ADMIT_AT epochs make. The decorator counts calls under any plan, so
+    // a fault-free probe run measures it.
+    let probe = clean_scenario();
+    let mut runtime = probe
+        .launch(&probe.env(), Box::new(NullRecorder))
+        .expect("probe launch");
+    for _ in 0..ADMIT_AT {
+        runtime.run_period().expect("probe epoch");
+    }
+    let quiet_calls = runtime.backend().fault_state().sites[0].calls;
+    // A profiling pass dies on its first counter read once that read has
+    // failed `max_write_attempts` (4) times; PROFILE_ATTEMPTS (5) passes
+    // make 20 reads. A few more spill into the next epochs as ordinary,
+    // transient dropouts.
+    let burst = (quiet_calls + 1..=quiet_calls + 24).collect();
+    let plan = FaultPlan {
+        counter_dropout: FaultTrigger::AtCalls(burst),
+        ..FaultPlan::none()
+    };
+    Scenario::new(MixKind::HighBoth, 3, PolicyKind::CoPart, 11, Some(plan)).unwrap()
+}
+
+/// Drives [`failed_admission_scenario`] through `PersistedRun` directly
+/// (the harness treats a rejected schedule operation as fatal), with an
+/// optional kill-and-resume at `kill_at`. The admission is attempted —
+/// and its failure asserted — by whichever incarnation reaches
+/// [`ADMIT_AT`] live.
+fn run_with_failed_admission(scenario: &Scenario, kill_at: Option<u64>, tag: &str) -> RunResidue {
+    let dir = scratch(tag);
+    let state = dir.join("state");
+    let trace = dir.join("trace.jsonl");
+    let persist = || PersistConfig {
+        dir: state.clone(),
+        snapshot_every: SNAP_EVERY,
+    };
+    let boot = || {
+        let env = scenario.env();
+        let recorder = JsonlRecorder::create(&trace).expect("creating trace");
+        let runtime = scenario.launch(&env, Box::new(recorder)).expect("launch");
+        let mut run = PersistedRun::new(runtime, env);
+        run.enable_persistence(persist()).expect("state dir");
+        run
+    };
+    let resume = || {
+        let mut rec = recover_sim(scenario, &state, SNAP_EVERY)
+            .expect("recovery")
+            .expect("a snapshot to recover from");
+        let recorder = resume_trace_file(&trace, rec.snapshot_epoch()).expect("trace reopens");
+        rec.set_recorder(Box::new(recorder));
+        rec.replay(true).expect("replay")
+    };
+
+    let mut run = boot();
+    let mut kill_at = kill_at;
+    while run.epochs_done() < EPOCHS {
+        let at = run.epochs_done();
+        if kill_at == Some(at) {
+            kill_at = None;
+            drop(run); // Simulated SIGKILL.
+            run = resume();
+            assert_eq!(
+                run.epochs_done(),
+                at,
+                "{tag}: replay reaches the kill point"
+            );
+        }
+        if at == ADMIT_AT {
+            let groups_before = run.runtime().backend().groups();
+            let (status, why) = run.admit("SW").expect_err("re-profiling must not survive");
+            assert_eq!(status, 500, "{tag}: {why}");
+            assert_eq!(run.runtime().apps().len(), 3, "{tag}: no ghost app");
+            assert_eq!(
+                run.runtime().backend().groups(),
+                groups_before,
+                "{tag}: no orphaned group"
+            );
+        }
+        let _ = run.run_epoch();
+    }
+    run.snapshot_now().expect("final snapshot");
+    run.flush_trace().expect("flushing trace");
+    let outcome = HarnessOutcome {
+        epochs_done: run.epochs_done(),
+        killed: false,
+        metrics: run.runtime().metrics_handle().snapshot(),
+    };
+    let r = residue(&trace, &state, outcome);
+    let _ = fs::remove_dir_all(&dir);
+    r
+}
+
+/// PR 16 bugfix pin: a daemon admission whose re-profiling fails used to
+/// evict the workload from the backend but leave its `ManagedApp` in the
+/// controller — a ghost whose counters could never be read again, and a
+/// run that could no longer replay. Membership now goes through
+/// `copart_core::node::admit_app`, which rolls back both sides; the
+/// failed attempt (it advanced time and drew from the fault streams) is
+/// made durable by a snapshot, so kill/resume across it stays exact.
+#[test]
+fn failed_admission_leaves_nothing_behind_and_survives_a_kill() {
+    let scenario = failed_admission_scenario();
+    let expected = run_with_failed_admission(&scenario, None, "ghost-ref");
+    assert_eq!(
+        expected.outcome.metrics.counter("admitted_apps"),
+        0,
+        "the admission was rolled back, not counted"
+    );
+
+    // The burst degrades the epochs it spills into, then it is over: an
+    // app the controller still tracked without a group would stay
+    // degraded forever.
+    let events = parse_trace(expected.trace.as_slice()).expect("trace parses");
+    assert!(
+        events.iter().any(|e| e.fault.is_some()),
+        "the burst must be visible"
+    );
+    for e in &events[events.len() - 4..] {
+        assert!(e.fault.is_none(), "epoch {} is still degraded", e.epoch);
+    }
+
+    // Killed before the admission (the resumed incarnation attempts it),
+    // right after it, and a snapshot cadence later.
+    for k in [ADMIT_AT, ADMIT_AT + 1, ADMIT_AT + SNAP_EVERY + 1] {
+        let resumed = run_with_failed_admission(&scenario, Some(k), &format!("ghost-k{k}"));
+        assert_same_residue(&expected, &resumed, &format!("failed admission kill@{k}"));
+    }
 }
 
 /// Boots a free-running daemon over `scenario` with persistence and a

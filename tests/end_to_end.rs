@@ -9,15 +9,9 @@ use copart_rdt::{ClosId, SimBackend};
 use copart_sim::{Machine, MachineConfig};
 use copart_workloads::stream::StreamReference;
 use copart_workloads::{MixKind, WorkloadMix};
-use std::sync::OnceLock;
 
 fn machine_cfg() -> MachineConfig {
     MachineConfig::xeon_gold_6130()
-}
-
-fn stream() -> &'static StreamReference {
-    static S: OnceLock<StreamReference> = OnceLock::new();
-    S.get_or_init(|| StreamReference::compute(&machine_cfg(), 4))
 }
 
 fn quick_opts() -> EvalOptions {
@@ -35,7 +29,14 @@ fn run(kind: MixKind, policy: PolicyKind) -> policies::EvalResult {
     let mix = WorkloadMix::paper_default(kind);
     let specs = mix.specs();
     let full = policies::solo_full_ips(&cfg, &specs);
-    policies::evaluate_policy(&cfg, &specs, &full, stream(), policy, &quick_opts())
+    policies::evaluate_policy(
+        &cfg,
+        &specs,
+        &full,
+        &StreamReference::for_machine(&cfg),
+        policy,
+        &quick_opts(),
+    )
 }
 
 #[test]
@@ -122,7 +123,7 @@ fn controller_converges_to_idle_and_masks_partition_the_budget() {
         manage_llc: true,
         manage_mba: true,
         budget: WaysBudget::full_machine(cfg.llc_ways),
-        stream: stream().clone(),
+        stream: StreamReference::for_machine(&cfg),
         resilience: Default::default(),
         planner: Default::default(),
     };
@@ -173,7 +174,7 @@ fn full_runs_are_reproducible() {
             manage_llc: true,
             manage_mba: true,
             budget: WaysBudget::full_machine(cfg.llc_ways),
-            stream: stream().clone(),
+            stream: StreamReference::for_machine(&cfg),
             resilience: Default::default(),
             planner: Default::default(),
         };

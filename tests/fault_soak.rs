@@ -15,12 +15,6 @@ use copart_rdt::{ClosId, RdtError, SimBackend};
 use copart_sim::{Machine, MachineConfig};
 use copart_workloads::stream::StreamReference;
 use copart_workloads::{MixKind, WorkloadMix};
-use std::sync::OnceLock;
-
-fn stream() -> &'static StreamReference {
-    static S: OnceLock<StreamReference> = OnceLock::new();
-    S.get_or_init(|| StreamReference::compute(&MachineConfig::xeon_gold_6130(), 4))
-}
 
 fn fast() -> bool {
     std::env::var("REPRO_FAST").is_ok_and(|v| !v.is_empty() && v != "0")
@@ -42,7 +36,7 @@ fn runtime_cfg() -> RuntimeConfig {
         manage_llc: true,
         manage_mba: true,
         budget: WaysBudget::full_machine(11),
-        stream: stream().clone(),
+        stream: StreamReference::for_machine(&MachineConfig::xeon_gold_6130()),
         resilience: Default::default(),
         planner: Default::default(),
     }

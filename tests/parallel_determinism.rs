@@ -75,7 +75,7 @@ fn traced_cell(kind: MixKind, path: &std::path::Path, opts: &EvalOptions) -> Eva
     let mix = WorkloadMix::paper_default(kind);
     let specs = mix.specs();
     let full = policies::solo_full_ips(&machine, &specs);
-    let stream = StreamReference::compute(&machine, 4);
+    let stream = StreamReference::for_machine(&machine);
     let recorder = Box::new(JsonlRecorder::create(path).expect("create trace file"));
     let (result, mut recorder, _snapshot) = evaluate_policy_traced(
         &machine,
@@ -199,7 +199,7 @@ fn faulty_traced_cell(kind: MixKind, path: &std::path::Path, opts: &EvalOptions)
     let mix = WorkloadMix::paper_default(kind);
     let specs = mix.specs();
     let full = policies::solo_full_ips(&machine, &specs);
-    let stream = StreamReference::compute(&machine, 4);
+    let stream = StreamReference::for_machine(&machine);
     let params = CoPartParams {
         seed: opts.seed,
         ..CoPartParams::default()

@@ -20,7 +20,7 @@ const PERIODS: u32 = 80;
 /// returns the parsed trace plus the app count.
 fn traced_run() -> (Vec<TraceEvent>, usize) {
     let cfg = MachineConfig::xeon_gold_6130();
-    let stream = StreamReference::compute(&cfg, 4);
+    let stream = StreamReference::for_machine(&cfg);
     let mut backend = SimBackend::new(Machine::new(cfg.clone()));
     let mut groups: Vec<(ClosId, String)> = Vec::new();
     for spec in WorkloadMix::paper_default(MixKind::HighLlc).specs() {
