@@ -9,8 +9,8 @@
 //!
 //! * the property it belongs to,
 //! * the tape (hex `u64` draws) that reproduces the input, and
-//! * an FNV-1a digest of the *witness* — the generator's deterministic
-//!   description of the decoded input.
+//! * an FNV-1a digest (`copart_telemetry::fnv1a64`) of the *witness* —
+//!   the generator's deterministic description of the decoded input.
 //!
 //! The digest is the drift guard: if a generator is later changed, a
 //! saved tape may silently decode to a different input and the fixture
@@ -28,18 +28,6 @@
 
 use std::fs;
 use std::path::{Path, PathBuf};
-
-/// 64-bit FNV-1a over a byte string — the corpus witness digest. Small,
-/// std-only, and stable across platforms; collision resistance beyond
-/// accident-detection is not required here.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 /// One blessed regression case.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -155,14 +143,6 @@ pub fn default_dir() -> PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fnv_matches_reference_vectors() {
-        // Published FNV-1a test vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
-    }
 
     #[test]
     fn case_round_trips_through_render_and_parse() {

@@ -37,7 +37,7 @@ pub mod runner;
 pub mod shrink;
 pub mod source;
 
-pub use corpus::{fnv1a64, CorpusCase};
+pub use corpus::CorpusCase;
 pub use property::{CaseOutcome, Property};
 pub use runner::{run_suite, CheckConfig, Failure, SuiteReport};
 pub use shrink::shrink;

@@ -9,11 +9,12 @@
 //! contains no timing. `--jobs 1` and `--jobs 8` produce identical
 //! bytes; a top-level integration test pins that.
 
-use crate::corpus::{fnv1a64, CorpusCase};
+use crate::corpus::CorpusCase;
 use crate::property::Property;
 use crate::shrink::shrink;
 use crate::source::Source;
 use copart_rng::derive_seed;
+use copart_telemetry::fnv1a64;
 use std::path::PathBuf;
 
 /// Default number of fresh cases per property (the `quick` budget).

@@ -79,9 +79,40 @@ impl Options {
     }
 }
 
+/// `--seconds` of virtual time as a count of controller periods (the
+/// 200 ms `CoPartParams::period`), rounded up. Rejects NaN, infinities,
+/// non-positive values and runs of more than `u32::MAX` periods: the
+/// run preallocates its timeline from this count.
+pub fn seconds_to_periods(seconds: f64) -> Result<u32, String> {
+    if !(seconds.is_finite() && seconds > 0.0) {
+        return Err(format!(
+            "--seconds must be a positive, finite number (got {seconds})"
+        ));
+    }
+    let period_s = copart_core::CoPartParams::default().period.as_secs_f64();
+    let periods = (seconds / period_s).ceil();
+    if periods > f64::from(u32::MAX) {
+        return Err(format!(
+            "--seconds {seconds} is too long: {periods:.0} periods of {period_s} s, at most {}",
+            u32::MAX
+        ));
+    }
+    Ok(periods as u32)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn seconds_become_whole_periods_or_an_error() {
+        assert_eq!(seconds_to_periods(30.0), Ok(150));
+        assert_eq!(seconds_to_periods(0.6), Ok(3));
+        assert_eq!(seconds_to_periods(0.01), Ok(1));
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e12] {
+            assert!(seconds_to_periods(bad).is_err(), "{bad} accepted");
+        }
+    }
 
     fn sv(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()

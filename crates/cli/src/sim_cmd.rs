@@ -11,19 +11,10 @@ use copart_workloads::stream::StreamReference;
 use copart_workloads::{measure, Benchmark, MixKind, WorkloadMix};
 use std::path::PathBuf;
 
-use crate::args::Options;
+use crate::args::{seconds_to_periods, Options};
 
 pub(crate) fn parse_mix(s: &str) -> Result<MixKind, String> {
-    Ok(match s {
-        "h-llc" => MixKind::HighLlc,
-        "h-bw" => MixKind::HighBw,
-        "h-both" => MixKind::HighBoth,
-        "m-llc" => MixKind::ModerateLlc,
-        "m-bw" => MixKind::ModerateBw,
-        "m-both" => MixKind::ModerateBoth,
-        "is" => MixKind::Insensitive,
-        other => return Err(format!("unknown mix {other:?}")),
-    })
+    MixKind::from_wire(s).ok_or_else(|| format!("unknown mix {s:?}"))
 }
 
 fn parse_faults(opts: &Options) -> Result<Option<FaultPlan>, String> {
@@ -40,23 +31,21 @@ pub fn sim_run(opts: &Options) -> Result<(), String> {
         .ok_or_else(|| format!("unknown policy {policy_name:?}"))?;
     let n_apps: usize = opts.number("apps", 4usize)?;
     let seconds: f64 = opts.number("seconds", 30.0f64)?;
-    if seconds <= 0.0 {
-        return Err("--seconds must be positive".into());
-    }
+    let total_periods = seconds_to_periods(seconds)?;
     if n_apps == 0 || n_apps > 4096 {
         return Err("--apps must be between 1 and 4096".into());
     }
     if n_apps > 6 {
         // Beyond the simulated machine's CLOS capacity: drive the planner
         // alone over a synthetic population (the scale harness).
-        return planner_scale(opts, n_apps, seconds);
+        return planner_scale(opts, n_apps, total_periods);
     }
     // Worker count for the parallel sweeps (the ST offline search).
     opts.apply_jobs()?;
     if opts.get("state-dir").is_some() {
         // Crash-safe persistence: hand the run to the kill/resume
         // harness instead of the one-shot evaluation.
-        return sim_run_persisted(opts, mix_kind, policy, n_apps, seconds);
+        return sim_run_persisted(opts, mix_kind, policy, n_apps, total_periods);
     }
 
     let machine = MachineConfig::xeon_gold_6130();
@@ -73,8 +62,6 @@ pub fn sim_run(opts: &Options) -> Result<(), String> {
     eprintln!("measuring solo references and STREAM table...");
     let full = policies::solo_full_ips(&machine, &specs);
 
-    let period_s = copart_core::CoPartParams::default().period.as_secs_f64();
-    let total_periods = (seconds / period_s).ceil() as u32;
     let eval = EvalOptions {
         total_periods,
         measure_periods: (total_periods / 2).max(1),
@@ -119,7 +106,7 @@ fn sim_run_persisted(
     mix: MixKind,
     policy: PolicyKind,
     n_apps: usize,
-    seconds: f64,
+    periods: u32,
 ) -> Result<(), String> {
     let state_dir = PathBuf::from(opts.required("state-dir")?);
     std::fs::create_dir_all(&state_dir)
@@ -127,9 +114,7 @@ fn sim_run_persisted(
     let seed: u64 = opts.number("seed", copart_core::CoPartParams::default().seed)?;
     let scenario = Scenario::new(mix, n_apps, policy, seed, parse_faults(opts)?)?;
 
-    let period_s = copart_core::CoPartParams::default().period.as_secs_f64();
-    let default_epochs = ((seconds / period_s).ceil() as u64).max(1);
-    let epochs: u64 = opts.number("epochs", default_epochs)?;
+    let epochs: u64 = opts.number("epochs", u64::from(periods))?;
     if epochs == 0 {
         return Err("--epochs must be positive".into());
     }
@@ -181,9 +166,7 @@ fn sim_run_persisted(
 /// CLOS groups, so the planner runs solo over a deterministic synthetic
 /// population (see `copart_core::scale`), reporting per-epoch planning
 /// latency against the paper's ~1 ms epoch budget.
-fn planner_scale(opts: &Options, n_apps: usize, seconds: f64) -> Result<(), String> {
-    let period_s = copart_core::CoPartParams::default().period.as_secs_f64();
-    let epochs = ((seconds / period_s).ceil() as u32).max(1);
+fn planner_scale(opts: &Options, n_apps: usize, epochs: u32) -> Result<(), String> {
     let seed: u64 = opts.number("seed", copart_core::CoPartParams::default().seed)?;
     let churn: f64 = opts.number("churn", 0.02f64)?;
     if !(0.0..=1.0).contains(&churn) {

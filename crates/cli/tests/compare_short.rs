@@ -1,6 +1,8 @@
 //! `copart compare` on a run shorter than four periods. The measured
 //! window used to be empty there and all 35 cells — on stdout, in
-//! `--out` and in `BENCH_compare.json` — read `NaN`.
+//! `--out` and in `BENCH_compare.json` — read `NaN`. The same short grid
+//! pins the artifact's `grid_digest`, and `--seconds` values no run can
+//! take are refused.
 
 use std::process::Command;
 
@@ -37,5 +39,27 @@ fn a_three_period_grid_has_a_number_in_every_cell() {
         !artifact.contains("NaN"),
         "NaN in the artifact:\n{artifact}"
     );
+    // The whole grid's bytes, pinned before the grid runner moved into
+    // copart-experiments and unchanged by it.
+    let digest = copart_telemetry::json::Json::parse(&artifact)
+        .expect("artifact is JSON")
+        .get("grid_digest")
+        .and_then(|v| v.as_str().map(str::to_owned));
+    assert_eq!(digest.as_deref(), Some("0xf4ba513ad5f6d92b"));
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// NaN used to run a silent two-period grid; `inf` and `1e12` aborted
+/// on a 32 GiB timeline allocation.
+#[test]
+fn unusable_seconds_are_refused() {
+    for seconds in ["nan", "inf", "1e12"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_copart"))
+            .args(["compare", "--seconds", seconds])
+            .output()
+            .expect("run copart compare");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "--seconds {seconds} accepted");
+        assert!(stderr.contains("--seconds"), "no message: {stderr}");
+    }
 }

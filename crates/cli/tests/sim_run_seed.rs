@@ -30,3 +30,18 @@ fn seed_flag_reaches_the_one_shot_run() {
     assert_eq!(first, traced_run("b", "1"), "one seed, one trace");
     assert_ne!(first, traced_run("c", "2"), "another seed, another trace");
 }
+
+/// NaN used to run and print `unfairness NaN`; `inf` and `1e12`
+/// saturated the period count and aborted on a 32 GiB timeline.
+#[test]
+fn unusable_seconds_are_refused() {
+    for seconds in ["nan", "inf", "1e12"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_copart"))
+            .args(["sim-run", "--seconds", seconds])
+            .output()
+            .expect("run copart sim-run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "--seconds {seconds} accepted");
+        assert!(stderr.contains("--seconds"), "no message: {stderr}");
+    }
+}

@@ -23,6 +23,7 @@ use std::time::Instant;
 
 use copart_rdt::MbaLevel;
 use copart_rng::XorShift64Star;
+use copart_telemetry::{fnv1a64_update, FNV1A64_OFFSET};
 use copart_workloads::fleet::MixSampler;
 use copart_workloads::stream::StreamReference;
 use copart_workloads::Category;
@@ -115,18 +116,8 @@ pub struct ScaleReport {
     pub role_cache_misses: u64,
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(hash: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *hash ^= u64::from(b);
-        *hash = hash.wrapping_mul(FNV_PRIME);
-    }
-}
-
 fn fnv1a_u64(hash: &mut u64, v: u64) {
-    fnv1a(hash, &v.to_le_bytes());
+    *hash = fnv1a64_update(*hash, &v.to_le_bytes());
 }
 
 fn random_state(rng: &mut XorShift64Star) -> AppState {
@@ -243,7 +234,7 @@ pub fn run_planner_scale(cfg: &ScaleConfig) -> ScaleReport {
     let mut plan = Plan::default();
 
     let churned = ((cfg.churn * cfg.n_apps as f64).ceil() as usize).min(cfg.n_apps);
-    let mut digest = FNV_OFFSET;
+    let mut digest = FNV1A64_OFFSET;
     fnv1a_u64(&mut digest, cfg.n_apps as u64);
     fnv1a_u64(&mut digest, u64::from(cfg.epochs));
 

@@ -17,7 +17,9 @@ use copart_core::runtime::ConsolidationRuntime;
 use copart_core::CoPartParams;
 use copart_rdt::SimBackend;
 use copart_sim::{Machine, MachineConfig};
-use copart_telemetry::{Recorder, RingRecorder, TraceDecision, TraceEvent};
+use copart_telemetry::{
+    fnv1a64_update, Recorder, RingRecorder, TraceDecision, TraceEvent, FNV1A64_OFFSET,
+};
 use copart_workloads::stream::StreamReference;
 use copart_workloads::{MixKind, WorkloadMix};
 
@@ -88,14 +90,9 @@ fn run(policy: PolicyKind, use_hr_matching: bool, kind: MixKind) -> Vec<TraceEve
 }
 
 fn fnv1a(events: &[TraceEvent]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for e in events {
-        for b in e.to_json_line().bytes().chain(std::iter::once(b'\n')) {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    hash
+    events.iter().fold(FNV1A64_OFFSET, |hash, e| {
+        fnv1a64_update(fnv1a64_update(hash, e.to_json_line().as_bytes()), b"\n")
+    })
 }
 
 #[test]

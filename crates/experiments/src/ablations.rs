@@ -4,52 +4,37 @@
 //! sensitive mixes and reports ground-truth unfairness side by side.
 
 use copart_core::metrics::geomean;
-use copart_core::policies::{self, EvalOptions};
+use copart_core::policies::PolicyKind;
 use copart_core::CoPartParams;
-use copart_workloads::{MixKind, WorkloadMix};
+use copart_experiments::{Column, Grid, Row};
+use copart_sim::MachineConfig;
+use copart_workloads::MixKind;
 
-use crate::common::{default_opts, f3, Context, Table};
+use crate::common::{default_opts, f3, Table};
 
 const KINDS: [MixKind; 3] = [MixKind::HighLlc, MixKind::HighBw, MixKind::HighBoth];
 
-fn run_variants(title: &str, variants: &[(&str, CoPartParams)]) {
-    let mut ctx = Context::new();
-    let opts: EvalOptions = default_opts();
+/// Runs the three sensitive mixes under each named column and prints
+/// their absolute unfairness with a geomean row.
+fn run_variants(title: &str, variants: Vec<(&str, Column)>) {
+    let machine = MachineConfig::xeon_gold_6130();
+    let (names, columns): (Vec<&str>, Vec<Column>) = variants.into_iter().unzip();
+    let grid = Grid {
+        rows: KINDS.iter().map(|&k| Row::mix(&machine, k, 4)).collect(),
+        columns,
+        opts: default_opts(),
+    };
+    let results = grid.run();
+
     let mut header: Vec<&str> = vec!["mix"];
-    header.extend(variants.iter().map(|(n, _)| *n));
+    header.extend(&names);
     let mut t = Table::new(&header);
-    let mut series: Vec<Vec<f64>> = vec![Vec::new(); variants.len()];
-    // Fan the (mix × variant) cells out on the parallel pool.
-    let mixes: Vec<WorkloadMix> = KINDS
-        .iter()
-        .map(|&k| WorkloadMix::paper_default(k))
-        .collect();
-    for mix in &mixes {
-        ctx.prewarm(&mix.specs());
-    }
-    let cells: Vec<(usize, usize)> = (0..KINDS.len())
-        .flat_map(|ki| (0..variants.len()).map(move |vi| (ki, vi)))
-        .collect();
-    let ctx_ref = &ctx;
-    let unf = copart_parallel::par_map_indexed(&cells, 1, |_, &(ki, vi)| {
-        let specs = mixes[ki].specs();
-        let full = ctx_ref.solo_full_shared(&specs);
-        policies::evaluate_copart_with_params(
-            &ctx_ref.machine,
-            &specs,
-            &full,
-            &ctx_ref.stream,
-            &variants[vi].1,
-            &opts,
-        )
-        .unfairness
-    });
-    for (ki, kind) in KINDS.iter().enumerate() {
-        let mut cells_row = vec![kind.label().to_string()];
-        for (vi, s) in series.iter_mut().enumerate() {
-            let u = unf[ki * variants.len() + vi];
-            s.push(u.max(1e-6));
-            cells_row.push(f3(u));
+    let mut series: Vec<Vec<f64>> = vec![Vec::new(); names.len()];
+    for (row, results) in grid.rows.iter().zip(&results) {
+        let mut cells_row = vec![row.name.clone()];
+        for (s, r) in series.iter_mut().zip(results) {
+            s.push(r.unfairness.max(1e-6));
+            cells_row.push(f3(r.unfairness));
         }
         t.row(cells_row);
     }
@@ -63,70 +48,69 @@ fn run_variants(title: &str, variants: &[(&str, CoPartParams)]) {
     println!();
 }
 
+/// CoPart at the paper defaults beside one degraded variant.
+fn copart_vs(title: &str, paper: &str, variant: &str, params: CoPartParams) {
+    run_variants(
+        title,
+        vec![
+            (paper, Column::CoPart(CoPartParams::default())),
+            (variant, Column::CoPart(params)),
+        ],
+    );
+}
+
 /// HR matching (Algorithm 2) vs the greedy single-transfer allocator.
 pub fn matching() {
-    run_variants(
+    copart_vs(
         "Ablation — Hospitals/Residents matching vs greedy reallocation",
-        &[
-            ("HR matching", CoPartParams::default()),
-            (
-                "greedy",
-                CoPartParams {
-                    use_hr_matching: false,
-                    ..CoPartParams::default()
-                },
-            ),
-        ],
+        "HR matching",
+        "greedy",
+        CoPartParams {
+            use_hr_matching: false,
+            ..CoPartParams::default()
+        },
     );
 }
 
 /// The §5.3 cross-resource FSM rule on vs off.
 pub fn fsm_awareness() {
-    run_variants(
+    copart_vs(
         "Ablation — cross-resource FSM awareness",
-        &[
-            ("aware (paper)", CoPartParams::default()),
-            (
-                "unaware",
-                CoPartParams {
-                    cross_resource_awareness: false,
-                    ..CoPartParams::default()
-                },
-            ),
-        ],
+        "aware (paper)",
+        "unaware",
+        CoPartParams {
+            cross_resource_awareness: false,
+            ..CoPartParams::default()
+        },
     );
 }
 
 /// θ-retry random neighbor restarts on vs off.
 pub fn retry() {
-    run_variants(
+    copart_vs(
         "Ablation — θ-retry random restarts",
-        &[
-            ("θ = 3 (paper)", CoPartParams::default()),
-            (
-                "θ = 0",
-                CoPartParams {
-                    theta_retries: 0,
-                    ..CoPartParams::default()
-                },
-            ),
-        ],
+        "θ = 3 (paper)",
+        "θ = 0",
+        CoPartParams {
+            theta_retries: 0,
+            ..CoPartParams::default()
+        },
     );
 }
 
 /// The next-line prefetcher on vs off: solo anchor shifts and the H-Both
 /// fairness comparison.
 pub fn prefetch() {
-    use copart_core::policies::{self, PolicyKind};
-    use copart_sim::{MachineConfig, MbaLevel};
-    use copart_workloads::stream::StreamReference;
+    use copart_sim::MbaLevel;
     use copart_workloads::{measure, Benchmark};
 
     println!("Ablation — next-line hardware prefetcher\n");
 
     let base = MachineConfig::xeon_gold_6130();
-    let mut with_pf = base.clone();
-    with_pf.prefetch_next_line = true;
+    let with_pf = MachineConfig {
+        prefetch_next_line: true,
+        ..base.clone()
+    };
 
     let mut t = Table::new(&["bench", "IPS (no PF)", "IPS (PF)", "speedup"]);
     for b in [
@@ -148,16 +132,23 @@ pub fn prefetch() {
     t.print();
 
     // Does the controller still win with prefetching enabled?
-    let mix = WorkloadMix::paper_default(MixKind::HighBoth);
-    let specs = mix.specs();
-    let opts = default_opts();
-    for (label, cfg) in [("prefetch off", &base), ("prefetch on", &with_pf)] {
-        let full = policies::solo_full_ips(cfg, &specs);
-        let stream = StreamReference::for_machine(cfg);
-        let eq = policies::evaluate_policy(cfg, &specs, &full, &stream, PolicyKind::Equal, &opts);
-        let co = policies::evaluate_policy(cfg, &specs, &full, &stream, PolicyKind::CoPart, &opts);
+    let rows = [("prefetch off", &base), ("prefetch on", &with_pf)]
+        .into_iter()
+        .map(|(label, cfg)| Row {
+            name: label.to_string(),
+            ..Row::mix(cfg, MixKind::HighBoth, 4)
+        })
+        .collect();
+    let grid = Grid::policies(
+        rows,
+        &[PolicyKind::Equal, PolicyKind::CoPart],
+        default_opts(),
+    );
+    for (row, results) in grid.rows.iter().zip(grid.run()) {
+        let (eq, co) = (&results[0], &results[1]);
         println!(
-            "\nH-Both with {label}: EQ unfairness {:.4}, CoPart {:.4} ({:.0}% better)",
+            "\nH-Both with {}: EQ unfairness {:.4}, CoPart {:.4} ({:.0}% better)",
+            row.name,
             eq.unfairness,
             co.unfairness,
             (1.0 - co.unfairness / eq.unfairness.max(1e-9)) * 100.0
@@ -173,48 +164,14 @@ pub fn prefetch() {
 /// style, the paper's closest related work) vs CoPart across the
 /// sensitive mixes.
 pub fn utility() {
-    use copart_core::policies::PolicyKind;
-
-    let mut ctx = Context::new();
-    let opts = default_opts();
-    println!("Comparator — utility-based LLC partitioning (UCP/dCat-style) vs CoPart");
-    println!("(absolute unfairness; lower is better)\n");
-    let mut t = Table::new(&["mix", "EQ", "Utility", "CoPart"]);
-    let mut series: Vec<Vec<f64>> = vec![Vec::new(); 3];
-    const POLICIES: [PolicyKind; 3] = [PolicyKind::Equal, PolicyKind::Utility, PolicyKind::CoPart];
-    let mixes: Vec<WorkloadMix> = KINDS
-        .iter()
-        .map(|&k| WorkloadMix::paper_default(k))
-        .collect();
-    for mix in &mixes {
-        ctx.prewarm(&mix.specs());
-    }
-    let cells: Vec<(usize, usize)> = (0..KINDS.len())
-        .flat_map(|ki| (0..POLICIES.len()).map(move |pi| (ki, pi)))
-        .collect();
-    let ctx_ref = &ctx;
-    let unf = copart_parallel::par_map_indexed(&cells, 1, |_, &(ki, pi)| {
-        ctx_ref
-            .run_policy_shared(&mixes[ki], POLICIES[pi], &opts)
-            .unfairness
-    });
-    for (ki, kind) in KINDS.iter().enumerate() {
-        let mut row = vec![kind.label().to_string()];
-        for (pi, s) in series.iter_mut().enumerate() {
-            let u = unf[ki * POLICIES.len() + pi];
-            s.push(u.max(1e-6));
-            row.push(f3(u));
-        }
-        t.row(row);
-    }
-    let mut cells = vec!["geomean".to_string()];
-    for s in &series {
-        cells.push(f3(geomean(s)));
-    }
-    t.row(cells);
-    t.print();
+    let columns = [PolicyKind::Equal, PolicyKind::Utility, PolicyKind::CoPart]
+        .map(|p| (p.label(), Column::Policy(p)));
+    run_variants(
+        "Comparator — utility-based LLC partitioning (UCP/dCat-style) vs CoPart",
+        columns.to_vec(),
+    );
     println!(
-        "\n(Utility maximizes hit *throughput*, not fairness: it happily starves a\n\
+        "(Utility maximizes hit *throughput*, not fairness: it happily starves a\n\
          low-utility application — the dCat/UCP weakness CoPart's slowdown-driven\n\
          matching avoids. It also ignores memory bandwidth entirely.)"
     );

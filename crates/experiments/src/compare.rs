@@ -2,75 +2,20 @@
 //! every compare scenario (see `copart_workloads::scenarios`), printed
 //! as a paper-style table normalized to EQ.
 //!
-//! This is the experiments-harness view of the same grid `copart
-//! compare` emits as JSONL/artifact; the CLI owns the machine-readable
-//! output and determinism gate, this command owns the human summary and
-//! the EQ-normalized geomean column EXPERIMENTS.md records.
+//! `copart compare` runs the same [`Grid::compare`] through the same
+//! runner; the two are views of one grid. The CLI renders the raw
+//! unfairness, the cell JSONL and the digest-gated artifact; this
+//! command renders the EQ-normalized geomean column EXPERIMENTS.md
+//! records.
 
-use copart_core::metrics::geomean;
-use copart_core::policies::{self, EvalResult, PolicyKind};
-use copart_workloads::CompareScenario;
+use copart_experiments::Grid;
 
-use crate::common::{default_opts, f3, Context, Table};
+use crate::common::{default_opts, eq_normalized};
 
 /// Runs and prints the engine × scenario head-to-head.
 pub fn compare_engines() {
-    let mut ctx = Context::new();
-    let opts = default_opts();
-    let engines = PolicyKind::registry();
-    let scenarios = CompareScenario::all();
-
-    let specs_per: Vec<Vec<copart_sim::AppSpec>> =
-        scenarios.iter().map(|s| s.specs(&ctx.machine)).collect();
-    for specs in &specs_per {
-        ctx.prewarm(specs);
-    }
-    let full_per: Vec<Vec<f64>> = specs_per.iter().map(|s| ctx.solo_full_shared(s)).collect();
-
-    let cells: Vec<(usize, PolicyKind)> = (0..scenarios.len())
-        .flat_map(|si| engines.iter().map(move |&e| (si, e)))
-        .collect();
-    let ctx_ref = &ctx;
-    let results: Vec<EvalResult> = copart_parallel::par_map_indexed(&cells, 1, |_, &(si, e)| {
-        policies::evaluate_policy(
-            &ctx_ref.machine,
-            &specs_per[si],
-            &full_per[si],
-            &ctx_ref.stream,
-            e,
-            &opts,
-        )
-    });
-
-    let mut header = vec!["scenario", "EQ(abs)"];
-    header.extend(engines.iter().map(|e| e.label()));
-    let mut table = Table::new(&header);
-    let mut normalized: Vec<Vec<f64>> = vec![Vec::new(); engines.len()];
-    for (si, s) in scenarios.iter().enumerate() {
-        let row_results: Vec<&EvalResult> = cells
-            .iter()
-            .zip(&results)
-            .filter(|(&(ci, _), _)| ci == si)
-            .map(|(_, r)| r)
-            .collect();
-        let eq = row_results
-            .iter()
-            .find(|r| r.policy == PolicyKind::Equal)
-            .expect("EQ is registered")
-            .unfairness;
-        let mut cells_out = vec![s.name().to_string(), f3(eq)];
-        for (ei, r) in row_results.iter().enumerate() {
-            let norm = if eq > 1e-9 { r.unfairness / eq } else { 1.0 };
-            normalized[ei].push(norm.max(1e-6));
-            cells_out.push(f3(norm));
-        }
-        table.row(cells_out);
-    }
-    let mut cells_out = vec!["geomean".to_string(), "-".to_string()];
-    for row in &normalized {
-        cells_out.push(f3(geomean(row)));
-    }
-    table.row(cells_out);
+    let grid = Grid::compare(default_opts());
+    let (table, _) = eq_normalized(&grid, &grid.run(), "scenario", false);
 
     println!("Head-to-head — unfairness normalized to EQ (lower is better)");
     println!("Engines: the five Figure 12 policies plus the Utility and LFOC comparators.");

@@ -8,10 +8,11 @@
 
 use copart_core::policies::{self, EvalOptions, PolicyKind};
 use copart_core::state::{AllocationState, SystemState};
+use copart_experiments::memoized_solo_ips;
 use copart_rdt::MbaLevel;
+use copart_sim::MachineConfig;
+use copart_workloads::stream::StreamReference;
 use copart_workloads::{MixKind, WorkloadMix};
-
-use crate::common::Context;
 
 /// LLC way vectors (4 applications, summing to 11 ways), in the style of
 /// the paper's x-axis labels.
@@ -43,19 +44,19 @@ fn eval_opts() -> EvalOptions {
 }
 
 fn run_heatmap(title: &str, kind: MixKind) {
-    let mut ctx = Context::new();
-    let mix = WorkloadMix::paper_default(kind);
-    let specs = mix.specs();
+    let machine = MachineConfig::xeon_gold_6130();
+    let specs = WorkloadMix::paper_default(kind).specs();
     let names: Vec<&str> = specs.iter().map(|s| s.name.as_str()).collect();
-    let full = ctx.solo_full(&specs);
+    let keys: Vec<_> = specs.iter().map(|s| (&machine, s)).collect();
+    let full = memoized_solo_ips(&keys);
     let opts = eval_opts();
 
     // Normalization baseline: no partitioning at all (§4.2).
     let baseline = policies::evaluate_policy(
-        &ctx.machine,
+        &machine,
         &specs,
         &full,
-        &ctx.stream,
+        &StreamReference::for_machine(&machine),
         PolicyKind::Unpartitioned,
         &opts,
     );
@@ -85,7 +86,7 @@ fn run_heatmap(title: &str, kind: MixKind) {
             })
         })
         .collect();
-    let tiles = policies::evaluate_static_states(&ctx.machine, &specs, &full, &states, &opts);
+    let tiles = policies::evaluate_static_states(&machine, &specs, &full, &states, &opts);
 
     print!("{:<18}", "LLC \\ MBA");
     for mba in &MBA_SETTINGS {

@@ -5,75 +5,28 @@
 //! unfairness than EQ, CAT-only, and MBA-only on average, and is
 //! comparable to ST.
 
-use copart_core::metrics::geomean;
 use copart_core::policies::PolicyKind;
+use copart_experiments::{Grid, Row};
+use copart_sim::MachineConfig;
 use copart_workloads::MixKind;
 
-use crate::common::{default_opts, f3, Context, Table};
+use crate::common::{default_opts, eq_normalized, trace_sink};
 
 /// Runs and prints Figure 12.
 pub fn fig12() {
-    let mut ctx = Context::new();
-    let opts = default_opts();
-    let policies = PolicyKind::evaluated();
-
-    let mut table = Table::new(&[
-        "mix",
-        "EQ(abs)",
-        "EQ",
-        "ST",
-        "CAT-only",
-        "MBA-only",
-        "CoPart",
-        "CoPart/EQ",
-    ]);
-    // Per-policy normalized unfairness collected for the geomean column.
-    let mut normalized: Vec<Vec<f64>> = vec![Vec::new(); policies.len()];
+    let kinds = MixKind::all();
+    let machine = MachineConfig::xeon_gold_6130();
 
     // All 7 mixes × 5 policies fan out as one grid on the parallel
     // pool (--jobs / COPART_JOBS); the CoPart cells drop their
     // per-epoch decision traces as results/fig12_<mix>.jsonl (see
     // common::trace_dir).
-    let kinds: Vec<MixKind> = MixKind::all().into_iter().collect();
-    let grid = ctx.policy_grid(&kinds, 4, &opts, Some("fig12"));
-    for (kind, results) in kinds.iter().copied().zip(grid) {
-        let eq_unfairness = results
-            .iter()
-            .find(|(p, _)| *p == PolicyKind::Equal)
-            .expect("EQ is evaluated")
-            .1
-            .unfairness;
-        let mut cells = vec![kind.label().to_string(), f3(eq_unfairness)];
-        let mut copart_norm = f64::NAN;
-        for (i, (p, r)) in results.iter().enumerate() {
-            // Normalize to EQ as in the paper; guard the IS mix where EQ
-            // unfairness can be ~0.
-            let norm = if eq_unfairness > 1e-9 {
-                r.unfairness / eq_unfairness
-            } else {
-                1.0
-            };
-            normalized[i].push(norm.max(1e-6));
-            cells.push(f3(norm));
-            if *p == PolicyKind::CoPart {
-                copart_norm = norm;
-            }
-        }
-        cells.push(f3(copart_norm));
-        table.row(cells);
-    }
-
-    let mut cells = vec!["geomean".to_string(), "-".to_string()];
-    let mut copart_gm = f64::NAN;
-    for (i, (p, _)) in policies.iter().zip(&normalized).enumerate() {
-        let gm = geomean(&normalized[i]);
-        cells.push(f3(gm));
-        if *p == PolicyKind::CoPart {
-            copart_gm = gm;
-        }
-    }
-    cells.push(f3(copart_gm));
-    table.row(cells);
+    let rows = kinds.iter().map(|&k| Row::mix(&machine, k, 4)).collect();
+    let grid = Grid::policies(rows, PolicyKind::evaluated(), default_opts());
+    let results = grid.run_traced(&|row, p| {
+        (p == PolicyKind::CoPart).then(|| trace_sink(&format!("fig12_{}", kinds[row].wire_name())))
+    });
+    let (table, copart_gm) = eq_normalized(&grid, &results, "mix", true);
 
     println!("Figure 12 — unfairness normalized to EQ (lower is better)");
     println!("Paper: CoPart geomean ≈ 0.427 vs EQ (57.3% improvement),");

@@ -1,0 +1,347 @@
+//! The evaluation grid: named consolidations (rows) × policy engines
+//! (columns), every cell one [`policies`] evaluation on a fresh
+//! simulated machine from an explicit seed, fanned out on the
+//! `copart-parallel` pool. Each cell is graded against the solo
+//! full-resource IPS of its applications, measured once per process
+//! ([`memoized_solo_ips`]).
+
+use std::fmt::Write as _;
+use std::sync::Mutex;
+
+use copart_core::policies::{self, EvalOptions, EvalResult, PolicyKind};
+use copart_core::CoPartParams;
+use copart_sim::{AppSpec, MachineConfig};
+use copart_telemetry::{fnv1a64, Recorder};
+use copart_workloads::stream::StreamReference;
+use copart_workloads::{measure, CompareScenario, MixKind, WorkloadMix};
+
+use crate::Table;
+
+/// One grid row: a named consolidation on a machine.
+#[derive(Debug, Clone)]
+pub struct Row {
+    /// Row label: the table's first column and the JSONL `scenario`.
+    pub name: String,
+    /// The simulated machine every cell of the row runs on.
+    pub machine: MachineConfig,
+    /// The consolidated applications.
+    pub specs: Vec<AppSpec>,
+}
+
+impl Row {
+    /// The `n_apps`-application mix of `kind` on `machine`, labelled as
+    /// in the paper (`H-LLC`).
+    pub fn mix(machine: &MachineConfig, kind: MixKind, n_apps: usize) -> Row {
+        Row {
+            name: kind.label().to_string(),
+            machine: machine.clone(),
+            specs: WorkloadMix::build(kind, n_apps, machine.n_cores).specs(),
+        }
+    }
+}
+
+/// One grid column: the engine every row is evaluated under.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Column {
+    /// A registered policy with its default parameters.
+    Policy(PolicyKind),
+    /// CoPart under explicit controller parameters (the Figure 11
+    /// sweeps and the ablations).
+    CoPart(CoPartParams),
+}
+
+impl Column {
+    /// The column header: the policy's paper label.
+    pub fn label(&self) -> &'static str {
+        match self {
+            Column::Policy(p) => p.label(),
+            Column::CoPart(_) => PolicyKind::CoPart.label(),
+        }
+    }
+}
+
+/// A rows × columns evaluation grid.
+#[derive(Debug, Clone)]
+pub struct Grid {
+    /// The consolidations.
+    pub rows: Vec<Row>,
+    /// The engines.
+    pub columns: Vec<Column>,
+    /// Run lengths (and the ST seed) shared by every cell.
+    pub opts: EvalOptions,
+}
+
+impl Grid {
+    /// `rows` under each of `policies`.
+    pub fn policies(rows: Vec<Row>, policies: &[PolicyKind], opts: EvalOptions) -> Grid {
+        Grid {
+            rows,
+            columns: policies.iter().map(|&p| Column::Policy(p)).collect(),
+            opts,
+        }
+    }
+
+    /// Every registered engine over every compare scenario, rows named
+    /// by scenario wire name, on the paper's testbed: the grid behind
+    /// `copart compare` and `repro compare-engines`.
+    pub fn compare(opts: EvalOptions) -> Grid {
+        let machine = MachineConfig::xeon_gold_6130();
+        let rows = CompareScenario::all()
+            .into_iter()
+            .map(|s| Row {
+                name: s.name().to_string(),
+                machine: machine.clone(),
+                specs: s.specs(&machine),
+            })
+            .collect();
+        Grid::policies(rows, PolicyKind::registry(), opts)
+    }
+
+    /// What every row's cells are graded against — its machine's STREAM
+    /// table and its applications' solo IPS — measured on first use and
+    /// memoized for the process. [`Grid::run`] calls this itself; callers
+    /// that report the set-up phase separately call it first.
+    pub fn references(&self) -> Vec<(StreamReference, Vec<f64>)> {
+        let keys: Vec<(&MachineConfig, &AppSpec)> = self
+            .rows
+            .iter()
+            .flat_map(|r| r.specs.iter().map(move |s| (&r.machine, s)))
+            .collect();
+        let mut solo = memoized_solo_ips(&keys).into_iter();
+        self.rows
+            .iter()
+            .map(|r| {
+                let full = solo.by_ref().take(r.specs.len()).collect();
+                (StreamReference::for_machine(&r.machine), full)
+            })
+            .collect()
+    }
+
+    /// Evaluates every cell; `results[row][column]`.
+    pub fn run(&self) -> Vec<Vec<EvalResult>> {
+        self.run_traced(&|_, _| None)
+    }
+
+    /// [`Grid::run`], recording a decision trace for each dynamic-policy
+    /// cell `trace(row index, policy)` opens a recorder for. Each cell
+    /// writes its own recorder, so concurrent cells never interleave
+    /// within one trace.
+    pub fn run_traced(
+        &self,
+        trace: &(dyn Fn(usize, PolicyKind) -> Option<Box<dyn Recorder + Send>> + Sync),
+    ) -> Vec<Vec<EvalResult>> {
+        let refs = self.references();
+        let cells: Vec<(usize, usize)> = (0..self.rows.len())
+            .flat_map(|r| (0..self.columns.len()).map(move |c| (r, c)))
+            .collect();
+        let mut results = copart_parallel::par_map_indexed(&cells, 1, |_, &(r, c)| {
+            let (row, (stream, full)) = (&self.rows[r], &refs[r]);
+            let (machine, specs, opts) = (&row.machine, &row.specs[..], &self.opts);
+            match &self.columns[c] {
+                &Column::Policy(p) => match p.is_dynamic().then(|| trace(r, p)).flatten() {
+                    Some(recorder) => {
+                        let (result, mut recorder, _) = policies::evaluate_policy_traced(
+                            machine, specs, full, stream, p, opts, recorder,
+                        );
+                        if let Err(e) = recorder.flush() {
+                            eprintln!(
+                                "warning: flushing the {} trace of {}: {e}",
+                                p.label(),
+                                row.name
+                            );
+                        }
+                        result
+                    }
+                    None => policies::evaluate_policy(machine, specs, full, stream, p, opts),
+                },
+                Column::CoPart(params) => policies::evaluate_copart_with_params(
+                    machine, specs, full, stream, params, opts,
+                ),
+            }
+        })
+        .into_iter();
+        self.rows
+            .iter()
+            .map(|_| results.by_ref().take(self.columns.len()).collect())
+            .collect()
+    }
+
+    /// Every `(row, column, result)`, row-major.
+    fn cells<'a>(
+        &'a self,
+        results: &'a [Vec<EvalResult>],
+    ) -> impl Iterator<Item = (&'a Row, &'a Column, &'a EvalResult)> {
+        self.rows
+            .iter()
+            .zip(results)
+            .flat_map(move |(row, results)| {
+                self.columns
+                    .iter()
+                    .zip(results)
+                    .map(move |(c, r)| (row, c, r))
+            })
+    }
+
+    /// The results as a table: a `corner`-headed row-name column, then
+    /// one `cell(result)` per column under its label.
+    pub fn table(
+        &self,
+        results: &[Vec<EvalResult>],
+        corner: &str,
+        cell: impl Fn(&EvalResult) -> String,
+    ) -> Table {
+        let mut header = vec![corner];
+        header.extend(self.columns.iter().map(|c| c.label()));
+        let mut table = Table::new(&header);
+        for (row, results) in self.rows.iter().zip(results) {
+            let mut cells = vec![row.name.clone()];
+            cells.extend(results.iter().map(&cell));
+            table.row(cells);
+        }
+        table
+    }
+
+    /// One JSONL line per cell, row-major. Floats are formatted with
+    /// `{:?}` (shortest exact round trip), so identical results render
+    /// identical bytes.
+    pub fn render_jsonl(&self, results: &[Vec<EvalResult>]) -> String {
+        let mut out = String::new();
+        for (row, column, r) in self.cells(results) {
+            let _ = write!(
+                out,
+                "{{\"engine\":\"{}\",\"scenario\":\"{}\",\"unfairness\":{:?},\"throughput\":{:?},\"slowdowns\":[",
+                column.label(),
+                row.name,
+                r.unfairness,
+                r.throughput,
+            );
+            for (i, (spec, sd)) in row.specs.iter().zip(&r.slowdowns).enumerate() {
+                let comma = if i > 0 { "," } else { "" };
+                let _ = write!(
+                    out,
+                    "{comma}{{\"app\":\"{}\",\"slowdown\":{sd:?}}}",
+                    spec.name
+                );
+            }
+            out.push_str("]}\n");
+        }
+        out
+    }
+
+    /// The `BENCH_compare.json` artifact: the `grid_digest`, an FNV-1a
+    /// of `jsonl` pinning the whole grid's behaviour (gated byte-exactly
+    /// by `copart bench-report`), plus each cell's unfairness, ungated,
+    /// for visibility.
+    pub fn render_artifact(&self, results: &[Vec<EvalResult>], jsonl: &str) -> String {
+        let n = self.rows.len() * self.columns.len();
+        let mut out = String::from("{\n");
+        let _ = writeln!(out, "  \"schema\": \"copart-bench-compare/v1\",");
+        let _ = writeln!(out, "  \"grid_digest\": \"{:#018x}\",", grid_digest(jsonl));
+        let _ = writeln!(out, "  \"cells\": {n},");
+        for (i, (row, column, r)) in self.cells(results).enumerate() {
+            let key = format!("{}_{}_unfairness", column.label(), row.name)
+                .to_lowercase()
+                .replace('-', "_");
+            let comma = if i + 1 < n { "," } else { "" };
+            let _ = writeln!(out, "  \"{key}\": {:?}{comma}", r.unfairness);
+        }
+        out.push_str("}\n");
+        out
+    }
+}
+
+/// The digest of a grid's JSONL.
+fn grid_digest(jsonl: &str) -> u64 {
+    fnv1a64(jsonl.as_bytes())
+}
+
+/// The solo full-resource IPS ([`measure::measure_full`]) of each
+/// `(machine, spec)`, memoized for the process the way
+/// [`StreamReference::for_machine`] memoizes STREAM tables. The keys not
+/// yet known are measured in one fan-out on the pool with the memo
+/// unlocked, so no caller waits behind another's measurement; a solo run
+/// is a pure function of its key, so a hit is exactly a fresh run.
+pub fn memoized_solo_ips(keys: &[(&MachineConfig, &AppSpec)]) -> Vec<f64> {
+    type Memo = Vec<(MachineConfig, AppSpec, f64)>;
+    static MEMO: Mutex<Memo> = Mutex::new(Vec::new());
+    let lock = || MEMO.lock().unwrap_or_else(|e| e.into_inner());
+    let find = |memo: &Memo, &(machine, spec): &(&MachineConfig, &AppSpec)| {
+        memo.iter()
+            .find(|(m, s, _)| m == machine && s == spec)
+            .map(|&(_, _, ips)| ips)
+    };
+    let mut missing = Vec::new();
+    {
+        let memo = lock();
+        for key in keys {
+            if find(&memo, key).is_none() && !missing.contains(key) {
+                missing.push(*key);
+            }
+        }
+    }
+    let measured = copart_parallel::par_map_indexed(&missing, 1, |_, &(machine, spec)| {
+        measure::measure_full(machine, spec).0
+    });
+    let mut memo = lock();
+    for (key, ips) in missing.iter().zip(measured) {
+        if find(&memo, key).is_none() {
+            memo.push((key.0.clone(), key.1.clone(), ips));
+        }
+    }
+    keys.iter()
+        .map(|key| find(&memo, key).expect("measured above"))
+        .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn solo_ips_are_memoized_and_equal_a_fresh_measurement() {
+        let machine = MachineConfig::xeon_gold_6130();
+        let spec = copart_workloads::Benchmark::Swaptions.spec();
+        let first = memoized_solo_ips(&[(&machine, &spec), (&machine, &spec)]);
+        assert_eq!(first[0], first[1]);
+        assert_eq!(first, memoized_solo_ips(&[(&machine, &spec); 2]));
+        assert_eq!(first[0], measure::measure_full(&machine, &spec).0);
+    }
+
+    #[test]
+    fn jsonl_and_artifact_rendering_is_exact() {
+        let grid = Grid::policies(
+            vec![Row {
+                name: "bully".into(),
+                machine: MachineConfig::xeon_gold_6130(),
+                specs: vec![
+                    copart_workloads::antagonist_spec(4),
+                    copart_workloads::Benchmark::Swaptions.spec(),
+                ],
+            }],
+            &[PolicyKind::LfocCluster],
+            EvalOptions::default(),
+        );
+        let results = vec![vec![EvalResult {
+            policy: PolicyKind::LfocCluster,
+            unfairness: 0.1 + 0.2, // 0.30000000000000004 must survive
+            throughput: 1.5e9,
+            slowdowns: vec![1.25, 2.0],
+            timeline: Vec::new(),
+        }]];
+        let jsonl = grid.render_jsonl(&results);
+        assert_eq!(
+            jsonl,
+            "{\"engine\":\"LFOC\",\"scenario\":\"bully\",\"unfairness\":0.30000000000000004,\
+             \"throughput\":1500000000.0,\"slowdowns\":[{\"app\":\"antagonist\",\"slowdown\":1.25},\
+             {\"app\":\"swaptions\",\"slowdown\":2.0}]}\n"
+        );
+        assert_eq!(
+            grid.render_artifact(&results, &jsonl),
+            format!(
+                "{{\n  \"schema\": \"copart-bench-compare/v1\",\n  \"grid_digest\": \"{:#018x}\",\n  \
+                 \"cells\": 1,\n  \"lfoc_bully_unfairness\": 0.30000000000000004\n}}\n",
+                grid_digest(&jsonl)
+            )
+        );
+    }
+}

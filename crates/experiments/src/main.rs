@@ -2,7 +2,8 @@
 //! the simulated testbed.
 //!
 //! Each subcommand prints the rows/series of one paper artifact; `all`
-//! runs everything. See EXPERIMENTS.md at the repository root for the
+//! runs everything. Every mix × engine grid runs through the library's
+//! `Grid`. See EXPERIMENTS.md at the repository root for the
 //! paper-vs-measured record.
 
 mod ablations;

@@ -1,18 +1,20 @@
 //! Figures 11, 13, 14, 17: sensitivity sweeps and throughput.
 
 use copart_core::metrics::geomean;
-use copart_core::policies::{EvalOptions, PolicyKind};
+use copart_core::policies::{EvalOptions, EvalResult, PolicyKind};
 use copart_core::CoPartParams;
-use copart_workloads::{MixKind, WorkloadMix};
+use copart_experiments::{Column, Grid, Row};
+use copart_sim::MachineConfig;
+use copart_workloads::MixKind;
 
-use crate::common::{default_opts, f3, Context, Table};
+use crate::common::{default_opts, eq_cell, f3, Table};
 
 /// Figure 11: sensitivity of CoPart's fairness to the three key design
 /// parameters — δ_P (performance threshold), Β (LLC miss-ratio demand
 /// threshold), and Γ (memory-traffic-ratio demand threshold). Each series
 /// is normalized to the paper-default setting.
 pub fn fig11() {
-    let mut ctx = Context::new();
+    let machine = MachineConfig::xeon_gold_6130();
     // The sensitivity study averages across the sensitive 4-app mixes.
     let kinds = [MixKind::HighLlc, MixKind::HighBw, MixKind::HighBoth];
     let opts = EvalOptions {
@@ -21,40 +23,62 @@ pub fn fig11() {
         ..default_opts()
     };
 
-    let sweep = |label: &str,
-                 values: &[f64],
-                 default_value: f64,
-                 make: &(dyn Fn(f64) -> CoPartParams + Sync),
-                 ctx: &mut Context| {
-        // Every (value × mix) cell is an independent run from an
-        // explicit seed: fan the whole sweep out on the parallel pool.
-        let mixes: Vec<WorkloadMix> = kinds
+    type Sweep = (&'static str, [f64; 5], f64, fn(f64) -> CoPartParams);
+    let sweeps: [Sweep; 3] = [
+        (
+            "(a) performance threshold δ_P",
+            [0.01, 0.03, 0.05, 0.20, 0.40],
+            0.05,
+            |v| CoPartParams {
+                delta_p: v,
+                ..CoPartParams::default()
+            },
+        ),
+        (
+            "(b) LLC miss ratio threshold Β",
+            [0.01, 0.02, 0.03, 0.06, 0.12],
+            0.03,
+            |v| CoPartParams {
+                miss_ratio_demand: v,
+                miss_ratio_supply: (v / 3.0).min(0.01),
+                ..CoPartParams::default()
+            },
+        ),
+        (
+            "(c) memory traffic ratio threshold Γ",
+            [0.05, 0.10, 0.30, 0.60, 0.90],
+            0.30,
+            |v| CoPartParams {
+                traffic_ratio_demand: v,
+                traffic_ratio_supply: (v / 3.0).min(0.10),
+                ..CoPartParams::default()
+            },
+        ),
+    ];
+    // Every (value × mix) cell of the three sweeps is an independent run
+    // from an explicit seed: one column per swept value.
+    let grid = Grid {
+        rows: kinds.iter().map(|&k| Row::mix(&machine, k, 4)).collect(),
+        columns: sweeps
             .iter()
-            .map(|&k| WorkloadMix::paper_default(k))
-            .collect();
-        for mix in &mixes {
-            ctx.prewarm(&mix.specs());
-        }
-        let cells: Vec<(usize, usize)> = (0..values.len())
-            .flat_map(|vi| (0..mixes.len()).map(move |mi| (vi, mi)))
-            .collect();
-        let ctx_ref = &*ctx;
-        let per_cell = copart_parallel::par_map_indexed(&cells, 1, |_, &(vi, mi)| {
-            let params = make(values[vi]);
-            let specs = mixes[mi].specs();
-            let full = ctx_ref.solo_full_shared(&specs);
-            let r = copart_core::policies::evaluate_copart_with_params(
-                &ctx_ref.machine,
-                &specs,
-                &full,
-                &ctx_ref.stream,
-                &params,
-                &opts,
-            );
-            r.unfairness.max(1e-6)
-        });
+            .flat_map(|(_, values, _, make)| values.iter().map(|&v| Column::CoPart(make(v))))
+            .collect(),
+        opts,
+    };
+    let results = grid.run();
+
+    println!("Figure 11 — sensitivity to the design parameters");
+    println!("(geomean unfairness over the H-LLC, H-BW, H-Both mixes)");
+    for (si, (label, values, default_value, _)) in sweeps.iter().enumerate() {
         let unf: Vec<f64> = (0..values.len())
-            .map(|vi| geomean(&per_cell[vi * mixes.len()..(vi + 1) * mixes.len()]))
+            .map(|vi| {
+                let column = si * values.len() + vi;
+                let per_mix: Vec<f64> = results
+                    .iter()
+                    .map(|row| row[column].unfairness.max(1e-6))
+                    .collect();
+                geomean(&per_mix)
+            })
             .collect();
         let default_idx = values
             .iter()
@@ -67,43 +91,7 @@ pub fn fig11() {
             t.row(vec![format!("{v}"), f3(u / norm)]);
         }
         t.print();
-    };
-
-    println!("Figure 11 — sensitivity to the design parameters");
-    println!("(geomean unfairness over the H-LLC, H-BW, H-Both mixes)");
-
-    sweep(
-        "(a) performance threshold δ_P",
-        &[0.01, 0.03, 0.05, 0.20, 0.40],
-        0.05,
-        &|v| CoPartParams {
-            delta_p: v,
-            ..CoPartParams::default()
-        },
-        &mut ctx,
-    );
-    sweep(
-        "(b) LLC miss ratio threshold Β",
-        &[0.01, 0.02, 0.03, 0.06, 0.12],
-        0.03,
-        &|v| CoPartParams {
-            miss_ratio_demand: v,
-            miss_ratio_supply: (v / 3.0).min(0.01),
-            ..CoPartParams::default()
-        },
-        &mut ctx,
-    );
-    sweep(
-        "(c) memory traffic ratio threshold Γ",
-        &[0.05, 0.10, 0.30, 0.60, 0.90],
-        0.30,
-        &|v| CoPartParams {
-            traffic_ratio_demand: v,
-            traffic_ratio_supply: (v / 3.0).min(0.10),
-            ..CoPartParams::default()
-        },
-        &mut ctx,
-    );
+    }
 }
 
 /// Figure 13: unfairness of every policy, swept over application counts
@@ -124,41 +112,68 @@ pub fn fig17() {
     count_sweep(|r| r.throughput.max(1.0), false);
 }
 
-fn count_sweep(
-    metric: impl Fn(&copart_core::policies::EvalResult) -> f64,
-    print_copart_gain: bool,
-) {
-    let mut ctx = Context::new();
-    let opts = default_opts();
-    let policies = PolicyKind::evaluated();
-    let mut t = Table::new(&["apps", "EQ", "ST", "CAT-only", "MBA-only", "CoPart"]);
-    let kinds: Vec<MixKind> = MixKind::all().into_iter().collect();
-    for n in 3..=6usize {
-        let mut per_policy: Vec<Vec<f64>> = vec![Vec::new(); policies.len()];
-        for results in ctx.policy_grid(&kinds, n, &opts, None) {
-            let eq = metric(
-                &results
+/// One sweep point: its label, machine and application count.
+type Point = (String, MachineConfig, usize);
+
+/// Figure 12's five policies over the seven mixes at every point, as
+/// one grid, reduced to a `corner`-headed table with one row per point:
+/// each policy's geomean over the mixes of `norm(cell, EQ cell)`.
+/// Returns the table and the geomeans.
+fn sweep(
+    corner: &str,
+    points: &[Point],
+    norm: impl Fn(&EvalResult, &EvalResult) -> f64,
+) -> (Table, Vec<Vec<f64>>) {
+    let kinds = MixKind::all();
+    let rows = (points.iter())
+        .flat_map(|(_, machine, n)| kinds.iter().map(move |&k| Row::mix(machine, k, *n)))
+        .collect();
+    let grid = Grid::policies(rows, PolicyKind::evaluated(), default_opts());
+    let gms: Vec<Vec<f64>> = (grid.run().chunks(kinds.len()))
+        .map(|per_mix| {
+            let series = |i: usize| -> Vec<f64> {
+                per_mix
                     .iter()
-                    .find(|(p, _)| *p == PolicyKind::Equal)
-                    .expect("EQ evaluated")
-                    .1,
-            );
-            for (i, (_, r)) in results.iter().enumerate() {
-                per_policy[i].push(if eq > 0.0 { metric(r) / eq } else { 1.0 });
-            }
+                    .map(|row| norm(&row[i], eq_cell(row)))
+                    .collect()
+            };
+            (0..grid.columns.len())
+                .map(|i| geomean(&series(i)))
+                .collect()
+        })
+        .collect();
+    let mut header = vec![corner];
+    header.extend(grid.columns.iter().map(|c| c.label()));
+    let mut t = Table::new(&header);
+    for ((label, ..), gms) in points.iter().zip(&gms) {
+        t.row(
+            std::iter::once(label.clone())
+                .chain(gms.iter().map(|&g| f3(g)))
+                .collect(),
+        );
+    }
+    (t, gms)
+}
+
+fn count_sweep(metric: impl Fn(&EvalResult) -> f64, print_copart_gain: bool) {
+    let points: Vec<Point> = (3..=6usize)
+        .map(|n| (n.to_string(), MachineConfig::xeon_gold_6130(), n))
+        .collect();
+    let (t, gms) = sweep("apps", &points, |r, eq| {
+        let eq = metric(eq);
+        if eq > 0.0 {
+            metric(r) / eq
+        } else {
+            1.0
         }
-        let mut cells = vec![n.to_string()];
-        for series in &per_policy {
-            cells.push(f3(geomean(series)));
-        }
-        if print_copart_gain {
-            let copart = geomean(&per_policy[4]);
+    });
+    if print_copart_gain {
+        for ((n, ..), gms) in points.iter().zip(&gms) {
             println!(
                 "  n={n}: CoPart improvement over EQ = {:.1}%",
-                (1.0 - copart) * 100.0
+                (1.0 - gms[4]) * 100.0
             );
         }
-        t.row(cells);
     }
     println!();
     t.emit(if print_copart_gain { "fig13" } else { "fig17" });
@@ -170,30 +185,17 @@ fn count_sweep(
 pub fn fig14() {
     println!("Figure 14 — sensitivity to the total LLC capacity");
     println!("(4-app mixes; geomean over the 7 mixes, normalized to EQ)\n");
-    let opts = default_opts();
-    let policies = PolicyKind::evaluated();
-    let mut t = Table::new(&["ways", "EQ", "ST", "CAT-only", "MBA-only", "CoPart"]);
-    let kinds: Vec<MixKind> = MixKind::all().into_iter().collect();
-    for ways in 7..=11u32 {
-        let mut ctx = Context::with_ways(ways);
-        let mut per_policy: Vec<Vec<f64>> = vec![Vec::new(); policies.len()];
-        for results in ctx.policy_grid(&kinds, 4, &opts, None) {
-            let eq = results
-                .iter()
-                .find(|(p, _)| *p == PolicyKind::Equal)
-                .expect("EQ evaluated")
-                .1
-                .unfairness
-                .max(1e-6);
-            for (i, (_, r)) in results.iter().enumerate() {
-                per_policy[i].push((r.unfairness / eq).max(1e-6));
-            }
-        }
-        let mut cells = vec![ways.to_string()];
-        for series in &per_policy {
-            cells.push(f3(geomean(series)));
-        }
-        t.row(cells);
-    }
+    let points: Vec<Point> = (7..=11u32)
+        .map(|llc_ways| {
+            let machine = MachineConfig {
+                llc_ways,
+                ..MachineConfig::xeon_gold_6130()
+            };
+            (llc_ways.to_string(), machine, 4)
+        })
+        .collect();
+    let (t, _) = sweep("ways", &points, |r, eq| {
+        (r.unfairness / eq.unfairness.max(1e-6)).max(1e-6)
+    });
     t.emit("fig14");
 }

@@ -1,0 +1,80 @@
+//! Byte witnesses for the `repro` evaluation grid: `fig12`'s table and
+//! its seven CoPart decision traces (the `PolicyKind` column shape, with
+//! the per-cell trace hook) and `ablate-retry`'s table (the
+//! `CoPartParams` column shape), at smoke length on two workers. An
+//! FNV-1a over each output must equal the pinned constant.
+//!
+//! Pinned at the commit before the grid runner moved into the library
+//! and unchanged by it. Bless an intentional change with
+//! `UPDATE_REPRO_DIGESTS=1 cargo test -p copart-experiments --test
+//! repro_bytes -- --nocapture` and paste the printed rows over the
+//! constants.
+
+use std::path::Path;
+use std::process::Command;
+
+use copart_telemetry::fnv1a64;
+
+const FIG12_STDOUT: u64 = 0xbde4bfec460afe91;
+const ABLATE_RETRY_STDOUT: u64 = 0x6edacda1ec2d2edc;
+const FIG12_TRACES: &[(&str, u64)] = &[
+    ("h-llc", 0x55ba361c6a4df86e),
+    ("h-bw", 0x48c16e9626b3530e),
+    ("h-both", 0xec7ae2a0ae1d866d),
+    ("m-llc", 0x606e4e43666c5fe0),
+    ("m-bw", 0xbf6105e2cf92e6d1),
+    ("m-both", 0x2ea90b6c4d0941a2),
+    ("is", 0x57e3e1f269fcb196),
+];
+
+fn bless() -> bool {
+    std::env::var("UPDATE_REPRO_DIGESTS").is_ok_and(|v| !v.is_empty() && v != "0")
+}
+
+/// Runs `repro --jobs 2 <cmd>` at smoke length with traces under
+/// `trace_dir`, returning its stdout.
+fn repro(cmd: &str, trace_dir: &Path) -> Vec<u8> {
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["--jobs", "2", cmd])
+        .env("REPRO_FAST", "1")
+        .env("REPRO_TRACE_DIR", trace_dir)
+        .env_remove("REPRO_CSV_DIR")
+        .output()
+        .expect("run repro");
+    assert!(out.status.success(), "repro {cmd} failed: {out:?}");
+    out.stdout
+}
+
+fn check(what: &str, bytes: &[u8], pinned: u64) {
+    let got = fnv1a64(bytes);
+    if bless() {
+        println!("{what}: {got:#018x}");
+    } else {
+        assert_eq!(
+            got, pinned,
+            "{what} changed (intentional? bless with UPDATE_REPRO_DIGESTS=1)"
+        );
+    }
+}
+
+#[test]
+fn fig12_table_and_traces_are_pinned() {
+    let dir = std::env::temp_dir().join(format!("copart-repro-fig12-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let stdout = repro("fig12", &dir);
+    check("fig12 stdout", &stdout, FIG12_STDOUT);
+    for &(mix, pinned) in FIG12_TRACES {
+        let path = dir.join(format!("fig12_{mix}.jsonl"));
+        let bytes = std::fs::read(&path).expect("fig12 writes one trace per mix");
+        check(&format!("fig12_{mix}.jsonl"), &bytes, pinned);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn ablate_retry_table_is_pinned() {
+    let dir = std::env::temp_dir().join(format!("copart-repro-retry-{}", std::process::id()));
+    let stdout = repro("ablate-retry", &dir);
+    check("ablate-retry stdout", &stdout, ABLATE_RETRY_STDOUT);
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -14,9 +14,8 @@
 
 use copart_core::runtime::AppRuntimeSnapshot;
 use copart_persist::codec::{dec_app_runtime, enc_app_runtime};
-use copart_persist::store::fnv1a64;
 use copart_persist::PersistError;
-use copart_telemetry::Json;
+use copart_telemetry::{fnv1a64, Json};
 
 /// One tenant's state in flight from `from` to `to`.
 #[derive(Debug, Clone, PartialEq)]

@@ -11,9 +11,10 @@
 
 use copart_check::corpus::{default_dir, load_dir};
 use copart_check::oracles::matching::{allocate, allocate_case};
-use copart_check::{fnv1a64, Source};
+use copart_check::Source;
 use copart_matching::chain::{allocate_into, ChainScratch, Consumer};
 use copart_rng::XorShift64Star;
+use copart_telemetry::fnv1a64;
 
 #[test]
 fn blessed_tapes_match_the_resident_optimal_solution() {

@@ -21,7 +21,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use copart_telemetry::{Json, JsonSink, JsonWriter};
+use copart_telemetry::{fnv1a64, Json, JsonSink, JsonWriter};
 
 use crate::codec::{dec_str, dec_u64, SnapshotDoc};
 use crate::error::PersistError;
@@ -38,16 +38,6 @@ pub const SNAP_VERSION: u64 = 2;
 /// Oldest format version `read_snapshot` still accepts. Version-1 files
 /// decode through the legacy number path in the codec.
 pub const SNAP_VERSION_MIN: u64 = 1;
-
-/// FNV-1a 64-bit, the workspace's standard content digest.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 /// The snapshot file for `epoch` inside `dir`. Zero-padded so
 /// lexicographic and numeric order agree.

@@ -17,8 +17,8 @@
 
 use copart_core::policies::PolicyKind;
 use copart_faults::FaultPlan;
-use copart_persist::store::fnv1a64;
 use copart_serve::{harness_run, Scenario};
+use copart_telemetry::fnv1a64;
 use copart_workloads::MixKind;
 use std::fs;
 use std::path::PathBuf;

@@ -35,6 +35,7 @@
 #![warn(missing_docs)]
 
 mod counters;
+mod digest;
 mod event;
 mod ewma;
 mod fleet;
@@ -45,6 +46,7 @@ mod registry;
 mod window;
 
 pub use counters::{CounterDelta, CounterSnapshot};
+pub use digest::{fnv1a64, fnv1a64_update, FNV1A64_OFFSET};
 pub use event::{
     AllocSample, AppSample, FaultSample, TraceClass, TraceDecision, TraceEvent, TraceParseError,
     TracePhase,

@@ -61,6 +61,26 @@ impl MixKind {
         }
     }
 
+    /// The name the mix goes by on the command line (`--mix`), in
+    /// compare-scenario names and in trace file names: the label in
+    /// lower case.
+    pub fn wire_name(self) -> &'static str {
+        match self {
+            MixKind::HighLlc => "h-llc",
+            MixKind::HighBw => "h-bw",
+            MixKind::HighBoth => "h-both",
+            MixKind::ModerateLlc => "m-llc",
+            MixKind::ModerateBw => "m-bw",
+            MixKind::ModerateBoth => "m-both",
+            MixKind::Insensitive => "is",
+        }
+    }
+
+    /// The mix with this wire name.
+    pub fn from_wire(name: &str) -> Option<MixKind> {
+        MixKind::all().into_iter().find(|k| k.wire_name() == name)
+    }
+
     fn sensitive_category(self) -> Option<Category> {
         match self {
             MixKind::HighLlc | MixKind::ModerateLlc => Some(Category::LlcSensitive),
@@ -260,5 +280,14 @@ mod tests {
             labels,
             vec!["H-LLC", "H-BW", "H-Both", "M-LLC", "M-BW", "M-Both", "IS"]
         );
+    }
+
+    #[test]
+    fn wire_names_round_trip_and_lower_the_labels() {
+        for kind in MixKind::all() {
+            assert_eq!(MixKind::from_wire(kind.wire_name()), Some(kind));
+            assert_eq!(kind.wire_name(), kind.label().to_lowercase());
+        }
+        assert_eq!(MixKind::from_wire("H-LLC"), None);
     }
 }

@@ -109,13 +109,7 @@ impl CompareScenario {
     /// The scenario's stable wire name (JSONL and artifact key).
     pub fn name(self) -> &'static str {
         match self {
-            CompareScenario::PaperMix(MixKind::HighLlc) => "h-llc",
-            CompareScenario::PaperMix(MixKind::HighBw) => "h-bw",
-            CompareScenario::PaperMix(MixKind::HighBoth) => "h-both",
-            CompareScenario::PaperMix(MixKind::ModerateLlc) => "m-llc",
-            CompareScenario::PaperMix(MixKind::ModerateBw) => "m-bw",
-            CompareScenario::PaperMix(MixKind::ModerateBoth) => "m-both",
-            CompareScenario::PaperMix(MixKind::Insensitive) => "is",
+            CompareScenario::PaperMix(kind) => kind.wire_name(),
             CompareScenario::DiurnalLc => "diurnal-lc",
             CompareScenario::FlashCrowdLc => "flash-crowd-lc",
             CompareScenario::Bully => "bully",

@@ -17,18 +17,9 @@ use copart_workloads::{MixKind, WorkloadMix};
 
 fn main() {
     let arg = std::env::args().nth(1).unwrap_or_else(|| "h-both".into());
-    let kind = match arg.as_str() {
-        "h-llc" => MixKind::HighLlc,
-        "h-bw" => MixKind::HighBw,
-        "h-both" => MixKind::HighBoth,
-        "m-llc" => MixKind::ModerateLlc,
-        "m-bw" => MixKind::ModerateBw,
-        "m-both" => MixKind::ModerateBoth,
-        "is" => MixKind::Insensitive,
-        other => {
-            eprintln!("unknown mix {other:?}; use h-llc|h-bw|h-both|m-llc|m-bw|m-both|is");
-            std::process::exit(1);
-        }
+    let Some(kind) = MixKind::from_wire(&arg) else {
+        eprintln!("unknown mix {arg:?}; use h-llc|h-bw|h-both|m-llc|m-bw|m-both|is");
+        std::process::exit(1);
     };
 
     let machine_cfg = MachineConfig::xeon_gold_6130();

@@ -13,7 +13,10 @@
 #      `sim-run --policy lfoc --faults …` runs to completion (the
 #      runtime lays out shared-cluster schemata through the validity
 #      assertions), its decision trace checks out, and its metrics show
-#      the cluster planner actually engaged.
+#      the cluster planner actually engaged,
+#   4. `repro compare-engines` — the same grid through the same library
+#      runner, EQ-normalized — at smoke length (REPRO_FAST=1): its
+#      stdout must be byte-identical at --jobs 1 and --jobs 8.
 #
 # The grid shape (--seconds, --seed) is fixed rather than REPRO_FAST-
 # scaled: BENCH_compare.json's grid digest is gated byte-exactly against
@@ -27,7 +30,7 @@ cd "$(dirname "$0")/.."
 
 profile="${1:-release}"
 bindir="target/$profile"
-build_flags=(-p copart-cli)
+build_flags=(-p copart-cli -p copart-experiments)
 if [[ "$profile" == release ]]; then
     build_flags+=(--release)
 fi
@@ -85,5 +88,11 @@ grep -Eq '^gauge +clusters = [1-9]' "$cmpdir/lfoc.txt" ||
     { echo "compare: lfoc run reports no cluster gauge — planner never engaged" >&2; exit 1; }
 grep -Eq '^counter cluster_replans = [1-9]' "$cmpdir/lfoc.txt" ||
     { echo "compare: lfoc run performed no cluster replans under faults" >&2; exit 1; }
+
+echo "==> compare: repro compare-engines at --jobs 1 vs --jobs 8"
+REPRO_FAST=1 "$bindir/repro" --jobs 1 compare-engines >"$cmpdir/e1.txt"
+REPRO_FAST=1 "$bindir/repro" --jobs 8 compare-engines >"$cmpdir/e8.txt"
+cmp "$cmpdir/e1.txt" "$cmpdir/e8.txt" ||
+    { echo "compare: repro compare-engines differs between --jobs 1 and --jobs 8" >&2; exit 1; }
 
 echo "compare: all gates passed"

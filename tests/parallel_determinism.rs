@@ -10,12 +10,11 @@ use std::fs;
 use std::path::PathBuf;
 use std::sync::Mutex;
 
-use copart_core::policies::{
-    self, evaluate_policy_traced, static_search, EvalOptions, EvalResult, PolicyKind,
-};
+use copart_core::policies::{self, static_search, EvalOptions, EvalResult, PolicyKind};
 use copart_core::runtime::ConsolidationRuntime;
 use copart_core::state::WaysBudget;
 use copart_core::CoPartParams;
+use copart_experiments::{Grid, Row};
 use copart_faults::{FaultPlan, FaultTrigger, FaultyBackend};
 use copart_rdt::{ClosId, RdtBackend, SimBackend};
 use copart_sim::{Machine, MachineConfig};
@@ -68,44 +67,30 @@ fn static_search_identical_at_1_and_8_jobs() {
     );
 }
 
-/// One fig12-style cell: a traced CoPart consolidation on `kind`,
-/// writing its JSONL decision trace to `path`.
-fn traced_cell(kind: MixKind, path: &std::path::Path, opts: &EvalOptions) -> EvalResult {
-    let machine = MachineConfig::xeon_gold_6130();
-    let mix = WorkloadMix::paper_default(kind);
-    let specs = mix.specs();
-    let full = policies::solo_full_ips(&machine, &specs);
-    let stream = StreamReference::for_machine(&machine);
-    let recorder = Box::new(JsonlRecorder::create(path).expect("create trace file"));
-    let (result, mut recorder, _snapshot) = evaluate_policy_traced(
-        &machine,
-        &specs,
-        &full,
-        &stream,
-        PolicyKind::CoPart,
-        opts,
-        recorder,
-    );
-    recorder.flush().expect("flush trace");
-    result
-}
-
+/// The production fan-out `repro fig12` runs: the library grid runner,
+/// with its trace hook writing each CoPart cell's JSONL decision trace.
 #[test]
 fn fig12_sweep_traces_identical_at_1_and_8_jobs() {
     let kinds = [MixKind::HighLlc, MixKind::HighBw, MixKind::HighBoth];
-    let opts = short_opts();
+    let machine = MachineConfig::xeon_gold_6130();
+    let grid = Grid::policies(
+        kinds.iter().map(|&k| Row::mix(&machine, k, 4)).collect(),
+        &[PolicyKind::CoPart],
+        short_opts(),
+    );
     let dir = std::env::temp_dir().join(format!("copart-par-det-{}", std::process::id()));
     fs::create_dir_all(&dir).expect("create scratch dir");
 
-    let run = |jobs: usize| -> (Vec<EvalResult>, Vec<PathBuf>) {
+    let run = |jobs: usize| -> (Vec<Vec<EvalResult>>, Vec<PathBuf>) {
         let paths: Vec<PathBuf> = kinds
             .iter()
-            .map(|k| dir.join(format!("fig12_{}_j{jobs}.jsonl", k.label())))
+            .map(|k| dir.join(format!("fig12_{}_j{jobs}.jsonl", k.wire_name())))
             .collect();
         let results = with_jobs(jobs, || {
-            copart_parallel::par_map(&kinds, |&kind| {
-                let i = kinds.iter().position(|&k| k == kind).unwrap();
-                traced_cell(kind, &paths[i], &opts)
+            grid.run_traced(&|row, _| {
+                Some(Box::new(
+                    JsonlRecorder::create(&paths[row]).expect("create trace file"),
+                ))
             })
         });
         (results, paths)
@@ -191,9 +176,9 @@ fn sweep_plan() -> FaultPlan {
     }
 }
 
-/// Like [`traced_cell`], but with the simulator wrapped in the
-/// `copart-faults` injector — the controller sees dropouts, busy writes
-/// and clock stalls while ground truth reads the inner machine.
+/// A traced CoPart consolidation on `kind` with the simulator wrapped in
+/// the `copart-faults` injector — the controller sees dropouts, busy
+/// writes and clock stalls while ground truth reads the inner machine.
 fn faulty_traced_cell(kind: MixKind, path: &std::path::Path, opts: &EvalOptions) -> EvalResult {
     let machine = MachineConfig::xeon_gold_6130();
     let mix = WorkloadMix::paper_default(kind);
