@@ -2,20 +2,23 @@
 //! flight between nodes.
 //!
 //! Rebalancing hands a tenant from a hot node to a cooler one. The
-//! ticket that travels is the PR-8 snapshot codec's per-application
-//! record ([`copart_persist::codec::enc_app_runtime`]) wrapped in
-//! routing metadata — the same bit-exact hex-float encoding the crash
-//! snapshots use, so the state that leaves the source is provably the
-//! state that arrives (the digest in the fleet trace's migration event
-//! is the FNV-1a of this very encoding). The destination re-admits the
+//! ticket that travels is the snapshot codec's per-application record
+//! ([`copart_persist::codec::emit_app_runtime`], streamed into the line
+//! by the one `JsonWriter`) wrapped in routing metadata — the same
+//! bit-exact hex-float encoding the crash snapshots use, so the state
+//! that leaves the source is provably the state that arrives (the digest
+//! in the fleet trace's migration event is the FNV-1a of this very
+//! encoding). Decoding reads every member through the typed reader on
+//! `Json`, so a routing id that is not an exact unsigned integer is an
+//! error, never a coerced value. The destination re-admits the
 //! tenant through the ordinary §5.4.3 launch path — profiling restarts
 //! because `IPS_full` is a per-machine quantity — and the ticket stays
 //! in the audit trail as the proof of what was carried.
 
 use copart_core::runtime::AppRuntimeSnapshot;
-use copart_persist::codec::{dec_app_runtime, enc_app_runtime};
+use copart_persist::codec::{dec_app_runtime, emit_app_runtime};
 use copart_persist::PersistError;
-use copart_telemetry::{fnv1a64, Json};
+use copart_telemetry::{fnv1a64, Json, JsonSink, JsonWriter};
 
 /// One tenant's state in flight from `from` to `to`.
 #[derive(Debug, Clone, PartialEq)]
@@ -32,36 +35,7 @@ pub struct MigrationTicket {
     pub state: AppRuntimeSnapshot,
 }
 
-fn field<'a>(j: &'a Json, key: &str) -> Result<&'a Json, PersistError> {
-    match j {
-        Json::Obj(members) => members
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .ok_or_else(|| PersistError::Corrupt(format!("missing key {key:?}"))),
-        _ => Err(PersistError::Corrupt("expected an object".to_string())),
-    }
-}
-
-fn field_u64(j: &Json, key: &str) -> Result<u64, PersistError> {
-    match field(j, key)? {
-        Json::Num(n) => Ok(*n as u64),
-        _ => Err(PersistError::Corrupt(format!("{key:?} is not a number"))),
-    }
-}
-
 impl MigrationTicket {
-    /// Encodes the ticket; floats travel as bit-exact hex strings.
-    pub fn encode(&self) -> Json {
-        Json::Obj(vec![
-            ("app".to_string(), Json::Num(self.app as f64)),
-            ("epoch".to_string(), Json::Num(self.epoch as f64)),
-            ("from".to_string(), Json::Num(self.from as f64)),
-            ("to".to_string(), Json::Num(self.to as f64)),
-            ("state".to_string(), enc_app_runtime(&self.state)),
-        ])
-    }
-
     /// Decodes a ticket.
     ///
     /// # Errors
@@ -69,17 +43,27 @@ impl MigrationTicket {
     /// Fails on missing keys or a malformed state record.
     pub fn decode(j: &Json) -> Result<MigrationTicket, PersistError> {
         Ok(MigrationTicket {
-            app: field_u64(j, "app")?,
-            epoch: field_u64(j, "epoch")?,
-            from: field_u64(j, "from")?,
-            to: field_u64(j, "to")?,
-            state: dec_app_runtime(field(j, "state")?)?,
+            app: j.uint("app")?,
+            epoch: j.uint("epoch")?,
+            from: j.uint("from")?,
+            to: j.uint("to")?,
+            state: dec_app_runtime(j.member("state")?)?,
         })
     }
 
-    /// One JSONL audit line.
+    /// One JSONL audit line; floats travel as bit-exact hex strings.
     pub fn to_json_line(&self) -> String {
-        self.encode().to_string()
+        let mut line = String::new();
+        let mut w = JsonWriter::new(&mut line);
+        w.begin_obj();
+        w.key("app").num(self.app as f64);
+        w.key("epoch").num(self.epoch as f64);
+        w.key("from").num(self.from as f64);
+        w.key("to").num(self.to as f64);
+        w.key("state");
+        emit_app_runtime(&mut w, &self.state);
+        w.end_obj();
+        line
     }
 
     /// Parses a JSONL audit line.
@@ -158,5 +142,20 @@ mod tests {
     fn decode_rejects_garbage() {
         assert!(MigrationTicket::parse_json_line("{}").is_err());
         assert!(MigrationTicket::parse_json_line("not json").is_err());
+        // Routing ids no encoder wrote are refused, not coerced (the
+        // fleet trace's garbage table).
+        let line = ticket().to_json_line();
+        for (key, value) in [("app", 17), ("epoch", 9), ("from", 3), ("to", 5)] {
+            let field = format!("\"{key}\":{value},");
+            assert!(line.contains(&field), "{line}");
+            for garbage in ["-1", "1.5", "1e300", "\"7\""] {
+                let bad = line.replace(&field, &format!("\"{key}\":{garbage},"));
+                let err = MigrationTicket::parse_json_line(&bad).unwrap_err();
+                assert!(
+                    err.to_string().contains(&format!("\"{key}\"")),
+                    "{bad}: {err}"
+                );
+            }
+        }
     }
 }

@@ -15,7 +15,7 @@
 
 use std::collections::HashMap;
 
-use copart_telemetry::Json;
+use copart_telemetry::{FieldError, Json, JsonSink, JsonWriter};
 
 /// One fleet trace event.
 #[derive(Debug, Clone, PartialEq)]
@@ -98,18 +98,39 @@ pub enum FleetEvent {
     },
 }
 
-fn num(v: u64) -> Json {
-    Json::Num(v as f64)
-}
-
 impl FleetEvent {
+    /// The `kind` discriminator the event is written under.
+    fn kind(&self) -> &'static str {
+        match self {
+            FleetEvent::Config { .. } => "fleet-config",
+            FleetEvent::Placement { .. } => "placement",
+            FleetEvent::Deferred { .. } => "deferred",
+            FleetEvent::Departure { .. } => "departure",
+            FleetEvent::Migration { .. } => "migration",
+            FleetEvent::Summary { .. } => "summary",
+        }
+    }
+
+    /// The fleet epoch of every event but the config header.
+    fn epoch(&self) -> Option<u64> {
+        match self {
+            FleetEvent::Config { .. } => None,
+            FleetEvent::Placement { epoch, .. }
+            | FleetEvent::Deferred { epoch, .. }
+            | FleetEvent::Departure { epoch, .. }
+            | FleetEvent::Migration { epoch, .. }
+            | FleetEvent::Summary { epoch, .. } => Some(*epoch),
+        }
+    }
+
     /// Renders the event as one JSONL line.
     pub fn to_json_line(&self) -> String {
-        let obj = |kind: &str, mut rest: Vec<(String, Json)>| {
-            let mut members = vec![("kind".to_string(), Json::Str(kind.to_string()))];
-            members.append(&mut rest);
-            Json::Obj(members).to_string()
-        };
+        let mut line = String::new();
+        let mut w = JsonWriter::new(&mut line);
+        w.begin_obj().key("kind").str(self.kind());
+        if let Some(epoch) = self.epoch() {
+            w.key("epoch").num(epoch as f64);
+        }
         match self {
             FleetEvent::Config {
                 nodes,
@@ -117,71 +138,47 @@ impl FleetEvent {
                 capacity,
                 horizon,
                 seed,
-            } => obj(
-                "fleet-config",
-                vec![
-                    ("nodes".to_string(), num(*nodes)),
-                    ("apps".to_string(), num(*apps)),
-                    ("capacity".to_string(), num(*capacity)),
-                    ("horizon".to_string(), num(*horizon)),
-                    ("seed".to_string(), num(*seed)),
-                ],
-            ),
+            } => {
+                w.key("nodes").num(*nodes as f64);
+                w.key("apps").num(*apps as f64);
+                w.key("capacity").num(*capacity as f64);
+                w.key("horizon").num(*horizon as f64);
+                w.key("seed").num(*seed as f64);
+            }
             FleetEvent::Placement {
-                epoch,
                 app,
                 bench,
                 node,
                 boot,
-            } => obj(
-                "placement",
-                vec![
-                    ("epoch".to_string(), num(*epoch)),
-                    ("app".to_string(), num(*app)),
-                    ("bench".to_string(), Json::Str(bench.clone())),
-                    ("node".to_string(), num(*node)),
-                    ("boot".to_string(), Json::Bool(*boot)),
-                ],
-            ),
-            FleetEvent::Deferred { epoch, app } => obj(
-                "deferred",
-                vec![
-                    ("epoch".to_string(), num(*epoch)),
-                    ("app".to_string(), num(*app)),
-                ],
-            ),
+                ..
+            } => {
+                w.key("app").num(*app as f64).key("bench").str(bench);
+                w.key("node").num(*node as f64).key("boot").bool(*boot);
+            }
+            FleetEvent::Deferred { app, .. } => {
+                w.key("app").num(*app as f64);
+            }
             FleetEvent::Departure {
-                epoch,
                 app,
                 node,
                 teardown,
-            } => obj(
-                "departure",
-                vec![
-                    ("epoch".to_string(), num(*epoch)),
-                    ("app".to_string(), num(*app)),
-                    ("node".to_string(), num(*node)),
-                    ("teardown".to_string(), Json::Bool(*teardown)),
-                ],
-            ),
+                ..
+            } => {
+                w.key("app").num(*app as f64).key("node").num(*node as f64);
+                w.key("teardown").bool(*teardown);
+            }
             FleetEvent::Migration {
-                epoch,
                 app,
                 from,
                 to,
                 digest,
-            } => obj(
-                "migration",
-                vec![
-                    ("epoch".to_string(), num(*epoch)),
-                    ("app".to_string(), num(*app)),
-                    ("from".to_string(), num(*from)),
-                    ("to".to_string(), num(*to)),
-                    ("digest".to_string(), Json::Str(format!("{digest:016x}"))),
-                ],
-            ),
+                ..
+            } => {
+                w.key("app").num(*app as f64);
+                w.key("from").num(*from as f64).key("to").num(*to as f64);
+                w.key("digest").hex16(*digest);
+            }
             FleetEvent::Summary {
-                epoch,
                 active_nodes,
                 running_apps,
                 placements,
@@ -189,120 +186,87 @@ impl FleetEvent {
                 migrations,
                 unfairness_p99,
                 slowdown_p99,
-            } => obj(
-                "summary",
-                vec![
-                    ("epoch".to_string(), num(*epoch)),
-                    ("active_nodes".to_string(), num(*active_nodes)),
-                    ("running_apps".to_string(), num(*running_apps)),
-                    ("placements".to_string(), num(*placements)),
-                    ("departures".to_string(), num(*departures)),
-                    ("migrations".to_string(), num(*migrations)),
-                    ("unfairness_p99".to_string(), Json::Num(*unfairness_p99)),
-                    ("slowdown_p99".to_string(), Json::Num(*slowdown_p99)),
-                ],
-            ),
+                ..
+            } => {
+                w.key("active_nodes").num(*active_nodes as f64);
+                w.key("running_apps").num(*running_apps as f64);
+                w.key("placements").num(*placements as f64);
+                w.key("departures").num(*departures as f64);
+                w.key("migrations").num(*migrations as f64);
+                w.key("unfairness_p99").num(*unfairness_p99);
+                w.key("slowdown_p99").num(*slowdown_p99);
+            }
         }
+        w.end_obj();
+        line
     }
 
     /// Parses one JSONL line back into an event.
     ///
     /// # Errors
     ///
-    /// Fails on malformed JSON, an unknown `kind`, or missing fields.
+    /// Fails on malformed JSON, an unknown `kind`, or a missing or
+    /// ill-typed field.
     pub fn parse_json_line(line: &str) -> Result<FleetEvent, String> {
         let j = Json::parse(line).map_err(|e| format!("not JSON: {e}"))?;
-        let members = match &j {
-            Json::Obj(m) => m,
-            _ => return Err("fleet event is not an object".to_string()),
-        };
-        let get = |key: &str| -> Result<&Json, String> {
-            members
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v)
-                .ok_or_else(|| format!("missing field {key:?}"))
-        };
-        let get_u64 = |key: &str| -> Result<u64, String> {
-            get(key)?
-                .as_u64()
-                .ok_or_else(|| format!("{key:?} is not an unsigned integer"))
-        };
-        // The seed is an identifier, not a count, and the encoder writes
-        // it through an f64 like every other integer: above 2^53 it
-        // arrives rounded, beyond what `as_u64` vouches for but still
-        // integral and in range — all a decoder of these bytes can ask.
-        let get_seed = || -> Result<u64, String> {
-            match get("seed")? {
-                Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < 2f64.powi(64) => {
-                    Ok(*n as u64)
-                }
-                _ => Err("\"seed\" is not an unsigned integer".to_string()),
-            }
-        };
-        let get_f64 = |key: &str| -> Result<f64, String> {
-            match get(key)? {
-                Json::Num(n) => Ok(*n),
-                _ => Err(format!("{key:?} is not a number")),
-            }
-        };
-        let get_bool = |key: &str| -> Result<bool, String> {
-            match get(key)? {
-                Json::Bool(b) => Ok(*b),
-                _ => Err(format!("{key:?} is not a bool")),
-            }
-        };
-        let get_str = |key: &str| -> Result<String, String> {
-            match get(key)? {
-                Json::Str(s) => Ok(s.clone()),
-                _ => Err(format!("{key:?} is not a string")),
-            }
-        };
-        match get_str("kind")?.as_str() {
-            "fleet-config" => Ok(FleetEvent::Config {
-                nodes: get_u64("nodes")?,
-                apps: get_u64("apps")?,
-                capacity: get_u64("capacity")?,
-                horizon: get_u64("horizon")?,
-                seed: get_seed()?,
-            }),
-            "placement" => Ok(FleetEvent::Placement {
-                epoch: get_u64("epoch")?,
-                app: get_u64("app")?,
-                bench: get_str("bench")?,
-                node: get_u64("node")?,
-                boot: get_bool("boot")?,
-            }),
-            "deferred" => Ok(FleetEvent::Deferred {
-                epoch: get_u64("epoch")?,
-                app: get_u64("app")?,
-            }),
-            "departure" => Ok(FleetEvent::Departure {
-                epoch: get_u64("epoch")?,
-                app: get_u64("app")?,
-                node: get_u64("node")?,
-                teardown: get_bool("teardown")?,
-            }),
-            "migration" => Ok(FleetEvent::Migration {
-                epoch: get_u64("epoch")?,
-                app: get_u64("app")?,
-                from: get_u64("from")?,
-                to: get_u64("to")?,
-                digest: u64::from_str_radix(&get_str("digest")?, 16)
-                    .map_err(|e| format!("bad digest: {e}"))?,
-            }),
-            "summary" => Ok(FleetEvent::Summary {
-                epoch: get_u64("epoch")?,
-                active_nodes: get_u64("active_nodes")?,
-                running_apps: get_u64("running_apps")?,
-                placements: get_u64("placements")?,
-                departures: get_u64("departures")?,
-                migrations: get_u64("migrations")?,
-                unfairness_p99: get_f64("unfairness_p99")?,
-                slowdown_p99: get_f64("slowdown_p99")?,
-            }),
-            other => Err(format!("unknown fleet event kind {other:?}")),
-        }
+        FleetEvent::decode(&j).map_err(|e| e.to_string())
+    }
+
+    fn decode(j: &Json) -> Result<FleetEvent, FieldError> {
+        Ok(match j.string("kind")? {
+            "fleet-config" => FleetEvent::Config {
+                nodes: j.uint("nodes")?,
+                apps: j.uint("apps")?,
+                capacity: j.uint("capacity")?,
+                horizon: j.uint("horizon")?,
+                // The seed is an identifier, not a count, and the encoder
+                // writes it through an f64 like every other integer:
+                // above 2^53 it arrives rounded, beyond what `uint`
+                // vouches for but still integral and in range — all a
+                // decoder of these bytes can ask.
+                seed: match j.member("seed")? {
+                    Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < 2f64.powi(64) => {
+                        *n as u64
+                    }
+                    _ => return Err(FieldError::new("seed", "u64")),
+                },
+            },
+            "placement" => FleetEvent::Placement {
+                epoch: j.uint("epoch")?,
+                app: j.uint("app")?,
+                bench: j.string("bench")?.to_string(),
+                node: j.uint("node")?,
+                boot: j.boolean("boot")?,
+            },
+            "deferred" => FleetEvent::Deferred {
+                epoch: j.uint("epoch")?,
+                app: j.uint("app")?,
+            },
+            "departure" => FleetEvent::Departure {
+                epoch: j.uint("epoch")?,
+                app: j.uint("app")?,
+                node: j.uint("node")?,
+                teardown: j.boolean("teardown")?,
+            },
+            "migration" => FleetEvent::Migration {
+                epoch: j.uint("epoch")?,
+                app: j.uint("app")?,
+                from: j.uint("from")?,
+                to: j.uint("to")?,
+                digest: j.hex_u64("digest")?,
+            },
+            "summary" => FleetEvent::Summary {
+                epoch: j.uint("epoch")?,
+                active_nodes: j.uint("active_nodes")?,
+                running_apps: j.uint("running_apps")?,
+                placements: j.uint("placements")?,
+                departures: j.uint("departures")?,
+                migrations: j.uint("migrations")?,
+                unfairness_p99: j.number("unfairness_p99")?,
+                slowdown_p99: j.number("slowdown_p99")?,
+            },
+            _ => return Err(FieldError::new("kind", "fleet event kind")),
+        })
     }
 }
 
@@ -360,15 +324,8 @@ pub fn check_fleet_trace(text: &str) -> Result<FleetTraceStats, String> {
             }
         }
         let (n_nodes, capacity) = cfg.expect("config checked on the first event");
-        let epoch = match &event {
-            FleetEvent::Config { .. } => {
-                return Err(format!("line {lineno}: duplicate fleet-config"));
-            }
-            FleetEvent::Placement { epoch, .. }
-            | FleetEvent::Deferred { epoch, .. }
-            | FleetEvent::Departure { epoch, .. }
-            | FleetEvent::Migration { epoch, .. }
-            | FleetEvent::Summary { epoch, .. } => *epoch,
+        let Some(epoch) = event.epoch() else {
+            return Err(format!("line {lineno}: duplicate fleet-config"));
         };
         if epoch < last_epoch {
             return Err(format!(

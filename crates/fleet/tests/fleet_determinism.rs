@@ -5,9 +5,39 @@
 //! steps disjoint per-node state and reassembles in node-id order. These
 //! tests pin that down by running the same fleet at `--jobs 1` and
 //! `--jobs 8` inside one process and comparing every output byte:
-//! trace, metrics document, and migration tickets.
+//! trace, metrics document, and migration tickets. The bytes themselves
+//! are pinned too, as FNV-1a digests of each output.
+//!
+//! Bless an intentional change with `UPDATE_FLEET_DIGESTS=1 cargo test -p
+//! copart-fleet --test fleet_determinism -- --nocapture` and paste the
+//! printed table over `PINNED`.
 
-use copart_fleet::{check_fleet_trace, run_fleet, FleetConfig};
+use copart_fleet::{check_fleet_trace, run_fleet, FleetConfig, FleetOutcome};
+use copart_telemetry::{fnv1a64, fnv1a64_update, FNV1A64_OFFSET};
+
+/// `(run, output, digest)` — generated before the fleet encoders moved
+/// onto the streaming writer, and unchanged by it.
+const PINNED: &[(&str, &str, u64)] = &[
+    ("clean", "trace", 0x156ddba14fd467b9),
+    ("clean", "tickets", 0x7bdee8bea970567f),
+    ("clean", "metrics_json", 0x6bab865eede22c85),
+    ("faulted", "trace", 0xf5ea765ec1bf9ffa),
+    ("faulted", "tickets", 0x87f11a28923735dc),
+    ("faulted", "metrics_json", 0xa0cd89ced6955e3b),
+];
+
+/// The digest of each output: the trace and the metrics document as
+/// written, the tickets as the newline-terminated `--tickets-out` file.
+fn digests(run: &'static str, out: &FleetOutcome) -> [(&'static str, &'static str, u64); 3] {
+    let tickets = out.tickets.iter().fold(FNV1A64_OFFSET, |hash, line| {
+        fnv1a64_update(fnv1a64_update(hash, line.as_bytes()), b"\n")
+    });
+    [
+        (run, "trace", fnv1a64(out.trace.as_bytes())),
+        (run, "tickets", tickets),
+        (run, "metrics_json", fnv1a64(out.metrics_json.as_bytes())),
+    ]
+}
 
 /// One test drives both job counts: `set_jobs` is process-global, so
 /// sequencing inside a single `#[test]` keeps the comparison honest.
@@ -41,6 +71,7 @@ fn fleet_outputs_are_byte_identical_across_jobs() {
         stats.migrations > 0,
         "the comparison must cover the migration path"
     );
+    let mut got = digests("clean", &serial).to_vec();
 
     // The faulted variant must hold the same contract: per-node fault
     // streams are seeded by node id, never by worker interleaving.
@@ -57,4 +88,16 @@ fn fleet_outputs_are_byte_identical_across_jobs() {
     assert_eq!(serial.trace, parallel.trace, "faulted trace must match too");
     assert_eq!(serial.metrics_json, parallel.metrics_json);
     check_fleet_trace(&serial.trace).unwrap();
+    got.extend(digests("faulted", &serial));
+
+    if std::env::var("UPDATE_FLEET_DIGESTS").is_ok_and(|v| !v.is_empty() && v != "0") {
+        for (run, output, digest) in &got {
+            println!("    (\"{run}\", \"{output}\", {digest:#018x}),");
+        }
+        return;
+    }
+    assert_eq!(
+        got, PINNED,
+        "a fleet output's bytes changed (intentional? bless with UPDATE_FLEET_DIGESTS=1)"
+    );
 }

@@ -13,8 +13,12 @@
 //! Each struct's field list is written once, against
 //! [`copart_telemetry::JsonSink`]: the snapshot store streams it as text
 //! into the file's buffer ([`SnapshotDoc::emit`] into a `JsonWriter`, no
-//! tree in between), and the `-> Json` entry points build a tree from
-//! the same calls for the callers that embed or inspect one.
+//! tree in between), the migration ticket streams [`emit_app_runtime`]
+//! into its line the same way, and [`SnapshotDoc::encode`] builds a tree
+//! from the same calls for the callers that inspect one. Every decoder
+//! reads its members through the typed reader on
+//! [`copart_telemetry::Json`] (`uint`, `hex_u64`, `hex_f64`, `string`,
+//! …), whose one `FieldError` becomes [`PersistError::Schema`].
 
 use copart_core::next_state::AppliedEvents;
 use copart_core::AllocationState;
@@ -26,7 +30,7 @@ use copart_faults::{FaultStateSnapshot, InjectionStats, SiteSnapshot};
 use copart_rdt::MbaLevel;
 use copart_sim::trace::TraceGenSnapshot;
 use copart_sim::{AppSpec, MachineSnapshot, SimAppSnapshot};
-use copart_telemetry::{CounterSnapshot, Json, JsonSink};
+use copart_telemetry::{CounterSnapshot, FieldError, Json, JsonSink};
 
 use crate::backend::BackendSnapshot;
 use crate::error::PersistError;
@@ -58,74 +62,16 @@ fn schema(what: impl Into<String>) -> PersistError {
     PersistError::Schema(what.into())
 }
 
-/// Looks up a required object member.
-pub(crate) fn req<'a>(j: &'a Json, key: &str) -> Result<&'a Json, PersistError> {
-    j.get(key).ok_or_else(|| schema(format!("missing `{key}`")))
-}
-
-/// A required plain-number `u64` member.
-pub(crate) fn dec_u64(j: &Json, key: &str) -> Result<u64, PersistError> {
-    req(j, key)?
-        .as_u64()
-        .ok_or_else(|| schema(format!("`{key}` is not a u64")))
-}
-
-fn dec_u32(j: &Json, key: &str) -> Result<u32, PersistError> {
-    u32::try_from(dec_u64(j, key)?).map_err(|_| schema(format!("`{key}` overflows u32")))
-}
-
-fn dec_u16(j: &Json, key: &str) -> Result<u16, PersistError> {
-    u16::try_from(dec_u64(j, key)?).map_err(|_| schema(format!("`{key}` overflows u16")))
-}
-
-fn hex_word(s: &str, key: &str) -> Result<u64, PersistError> {
-    u64::from_str_radix(s, 16).map_err(|_| schema(format!("`{key}` is not hex")))
-}
-
-/// A required hex-string `u64` member.
-pub(crate) fn dec_hex_u64(j: &Json, key: &str) -> Result<u64, PersistError> {
-    let s = req(j, key)?
-        .as_str()
-        .ok_or_else(|| schema(format!("`{key}` is not a hex string")))?;
-    hex_word(s, key)
-}
-
-/// A required hex-bits `f64` member.
-pub(crate) fn dec_hex_f64(j: &Json, key: &str) -> Result<f64, PersistError> {
-    Ok(f64::from_bits(dec_hex_u64(j, key)?))
-}
-
 /// A `u64` that is a hex string in the current format but was a plain
 /// JSON number in format version 1. The legacy number path is exact
 /// only below 2⁵³ — which is precisely why the field moved to hex — but
 /// every version-1 snapshot in the wild was written through `as f64`,
 /// so reading it back the same way reproduces the stored value.
-pub(crate) fn dec_u64_compat(j: &Json, key: &str) -> Result<u64, PersistError> {
-    match req(j, key)? {
-        Json::Str(s) => hex_word(s, key),
-        other => other
-            .as_u64()
-            .ok_or_else(|| schema(format!("`{key}` is neither hex nor a u64"))),
-    }
-}
-
-/// A required string member.
-pub(crate) fn dec_str<'a>(j: &'a Json, key: &str) -> Result<&'a str, PersistError> {
-    req(j, key)?
-        .as_str()
-        .ok_or_else(|| schema(format!("`{key}` is not a string")))
-}
-
-fn dec_bool(j: &Json, key: &str) -> Result<bool, PersistError> {
-    req(j, key)?
-        .as_bool()
-        .ok_or_else(|| schema(format!("`{key}` is not a bool")))
-}
-
-fn dec_arr<'a>(j: &'a Json, key: &str) -> Result<&'a [Json], PersistError> {
-    req(j, key)?
-        .as_arr()
-        .ok_or_else(|| schema(format!("`{key}` is not an array")))
+fn dec_u64_compat(j: &Json, key: &str) -> Result<u64, PersistError> {
+    Ok(match j.member(key)? {
+        Json::Str(_) => j.hex_u64(key)?,
+        _ => j.uint(key)?,
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -142,13 +88,13 @@ fn enc_counter_snapshot<S: JsonSink>(s: &mut S, c: &CounterSnapshot) {
     s.end_obj();
 }
 
-fn dec_counter_snapshot(j: &Json) -> Result<CounterSnapshot, PersistError> {
+fn dec_counter_snapshot(j: &Json) -> Result<CounterSnapshot, FieldError> {
     Ok(CounterSnapshot {
-        timestamp_ns: dec_hex_u64(j, "t")?,
-        instructions: dec_hex_u64(j, "i")?,
-        cycles: dec_hex_u64(j, "c")?,
-        llc_accesses: dec_hex_u64(j, "a")?,
-        llc_misses: dec_hex_u64(j, "m")?,
+        timestamp_ns: j.hex_u64("t")?,
+        instructions: j.hex_u64("i")?,
+        cycles: j.hex_u64("c")?,
+        llc_accesses: j.hex_u64("a")?,
+        llc_misses: j.hex_u64("m")?,
     })
 }
 
@@ -163,14 +109,6 @@ fn enc_opt_f64<S: JsonSink>(s: &mut S, v: Option<f64>) {
     };
 }
 
-fn dec_opt_f64(j: &Json, what: &str) -> Result<Option<f64>, PersistError> {
-    match j {
-        Json::Null => Ok(None),
-        Json::Str(s) => Ok(Some(f64::from_bits(hex_word(s, what)?))),
-        _ => Err(schema(format!("`{what}` is neither null nor hex"))),
-    }
-}
-
 fn enc_sensor<S: JsonSink>(s: &mut S, sensor: &SensorSnapshot) {
     s.begin_obj();
     s.key("capacity").num(sensor.capacity as f64);
@@ -180,20 +118,26 @@ fn enc_sensor<S: JsonSink>(s: &mut S, sensor: &SensorSnapshot) {
 }
 
 fn dec_sensor(j: &Json) -> Result<SensorSnapshot, PersistError> {
-    let samples = dec_arr(j, "samples")?
+    let samples = j
+        .array("samples")?
         .iter()
         .map(dec_counter_snapshot)
         .collect::<Result<Vec<_>, _>>()?;
-    let raw = dec_arr(j, "ewma")?;
+    let raw = j.array("ewma")?;
     if raw.len() != 4 {
         return Err(schema("`ewma` must have 4 entries"));
     }
     let mut ewma = [None; 4];
     for (slot, v) in ewma.iter_mut().zip(raw) {
-        *slot = dec_opt_f64(v, "ewma")?;
+        if *v != Json::Null {
+            let bits = v
+                .as_hex_u64()
+                .ok_or_else(|| FieldError::new("ewma", "array of null or hex f64 bits"))?;
+            *slot = Some(f64::from_bits(bits));
+        }
     }
     Ok(SensorSnapshot {
-        capacity: dec_u64(j, "capacity")? as usize,
+        capacity: j.uint("capacity")?,
         samples,
         ewma,
     })
@@ -208,7 +152,7 @@ fn app_state_name(s: AppState) -> &'static str {
 }
 
 fn dec_app_state(j: &Json, key: &str) -> Result<AppState, PersistError> {
-    match dec_str(j, key)? {
+    match j.string(key)? {
         "supply" => Ok(AppState::Supply),
         "maintain" => Ok(AppState::Maintain),
         "demand" => Ok(AppState::Demand),
@@ -225,7 +169,7 @@ fn phase_name(p: Phase) -> &'static str {
 }
 
 fn dec_phase(j: &Json) -> Result<Phase, PersistError> {
-    match dec_str(j, "phase")? {
+    match j.string("phase")? {
         "profiling" => Ok(Phase::Profiling),
         "exploring" => Ok(Phase::Exploring),
         "idle" => Ok(Phase::Idle),
@@ -242,12 +186,12 @@ fn enc_events<S: JsonSink>(s: &mut S, e: &AppliedEvents) {
     s.end_obj();
 }
 
-fn dec_events(j: &Json) -> Result<AppliedEvents, PersistError> {
+fn dec_events(j: &Json) -> Result<AppliedEvents, FieldError> {
     Ok(AppliedEvents {
-        granted_llc: dec_bool(j, "granted_llc")?,
-        granted_mba: dec_bool(j, "granted_mba")?,
-        reclaimed_llc: dec_bool(j, "reclaimed_llc")?,
-        reclaimed_mba: dec_bool(j, "reclaimed_mba")?,
+        granted_llc: j.boolean("granted_llc")?,
+        granted_mba: j.boolean("granted_mba")?,
+        reclaimed_llc: j.boolean("reclaimed_llc")?,
+        reclaimed_mba: j.boolean("reclaimed_mba")?,
     })
 }
 
@@ -260,20 +204,17 @@ fn enc_system_state<S: JsonSink>(s: &mut S, key: &str, state: &SystemState) {
     });
 }
 
-fn dec_system_state(j: &Json, key: &str) -> Result<SystemState, PersistError> {
-    let allocs = req(j, key)?
-        .as_arr()
-        .ok_or_else(|| schema(format!("`{key}` is not an array")))?
+fn dec_system_state(j: &Json, key: &str) -> Result<SystemState, FieldError> {
+    let allocs = j
+        .array(key)?
         .iter()
         .map(|a| {
             Ok(AllocationState {
-                ways: dec_u32(a, "ways")?,
-                mba: MbaLevel::new(
-                    u8::try_from(dec_u64(a, "mba")?).map_err(|_| schema("`mba` overflows u8"))?,
-                ),
+                ways: a.uint("ways")?,
+                mba: MbaLevel::new(a.uint("mba")?),
             })
         })
-        .collect::<Result<Vec<_>, PersistError>>()?;
+        .collect::<Result<Vec<_>, FieldError>>()?;
     Ok(SystemState { allocs })
 }
 
@@ -297,26 +238,22 @@ fn enc_explorer<S: JsonSink>(s: &mut S, e: &ExplorerSnapshot) {
     s.end_obj();
 }
 
-fn dec_explorer(j: &Json) -> Result<ExplorerSnapshot, PersistError> {
-    let best_seen = match req(j, "best_seen")? {
+fn dec_explorer(j: &Json) -> Result<ExplorerSnapshot, FieldError> {
+    let best_seen = match j.member("best_seen")? {
         Json::Null => None,
-        b => Some((dec_hex_f64(b, "unfairness")?, dec_system_state(b, "state")?)),
+        b => Some((b.hex_f64("unfairness")?, dec_system_state(b, "state")?)),
     };
     Ok(ExplorerSnapshot {
-        rng_state: dec_hex_u64(j, "rng_state")?,
-        retry_count: dec_u32(j, "retry_count")?,
-        unfairness_at_idle: dec_hex_f64(j, "unfairness_at_idle")?,
+        rng_state: j.hex_u64("rng_state")?,
+        retry_count: j.uint("retry_count")?,
+        unfairness_at_idle: j.hex_f64("unfairness_at_idle")?,
         best_seen,
     })
 }
 
-/// Encodes one application's frozen controller state — the bit-exact
+/// Emits one application's frozen controller state — the bit-exact
 /// payload the fleet's migration tickets carry between nodes.
-pub fn enc_app_runtime(a: &AppRuntimeSnapshot) -> Json {
-    Json::build(|s| emit_app_runtime(s, a))
-}
-
-fn emit_app_runtime<S: JsonSink>(s: &mut S, a: &AppRuntimeSnapshot) {
+pub fn emit_app_runtime<S: JsonSink>(s: &mut S, a: &AppRuntimeSnapshot) {
     s.begin_obj();
     s.key("group").num(f64::from(a.group));
     s.key("name").str(&a.name);
@@ -334,29 +271,24 @@ fn emit_app_runtime<S: JsonSink>(s: &mut S, a: &AppRuntimeSnapshot) {
 }
 
 /// Decodes one application's frozen controller state (inverse of
-/// [`enc_app_runtime`]).
+/// [`emit_app_runtime`]).
 ///
 /// # Errors
 ///
 /// Fails on missing fields or malformed hex-float encodings.
 pub fn dec_app_runtime(j: &Json) -> Result<AppRuntimeSnapshot, PersistError> {
     Ok(AppRuntimeSnapshot {
-        group: dec_u16(j, "group")?,
-        name: dec_str(j, "name")?.to_string(),
-        ips_full: dec_hex_f64(j, "ips_full")?,
-        weight: dec_hex_f64(j, "weight")?,
-        sensor: dec_sensor(req(j, "sensor")?)?,
+        group: j.uint("group")?,
+        name: j.string("name")?.to_string(),
+        ips_full: j.hex_f64("ips_full")?,
+        weight: j.hex_f64("weight")?,
+        sensor: dec_sensor(j.member("sensor")?)?,
         llc_state: dec_app_state(j, "llc_state")?,
         mba_state: dec_app_state(j, "mba_state")?,
-        prev_ips: dec_hex_f64(j, "prev_ips")?,
-        last_ips: dec_hex_f64(j, "last_ips")?,
-        last_events: dec_events(req(j, "last_events")?)?,
+        prev_ips: j.hex_f64("prev_ips")?,
+        last_ips: j.hex_f64("last_ips")?,
+        last_events: dec_events(j.member("last_events")?)?,
     })
-}
-
-/// Encodes a frozen controller state.
-pub fn enc_runtime(r: &RuntimeSnapshot) -> Json {
-    Json::build(|s| emit_runtime(s, r))
 }
 
 fn emit_runtime<S: JsonSink>(s: &mut S, r: &RuntimeSnapshot) {
@@ -373,30 +305,29 @@ fn emit_runtime<S: JsonSink>(s: &mut S, r: &RuntimeSnapshot) {
     s.end_obj();
 }
 
-/// Decodes a frozen controller state.
-pub fn dec_runtime(j: &Json) -> Result<RuntimeSnapshot, PersistError> {
+fn dec_runtime(j: &Json) -> Result<RuntimeSnapshot, PersistError> {
     Ok(RuntimeSnapshot {
-        epoch: dec_u64(j, "epoch")?,
+        epoch: j.uint("epoch")?,
         phase: dec_phase(j)?,
         state: dec_system_state(j, "state")?,
         // Absent in snapshots written before clustering existed; an
         // empty vector is also the live "no clustering" value, so no
         // version bump is needed for this field.
         clusters: match j.get("clusters") {
-            Some(arr) => arr
-                .as_arr()
-                .ok_or_else(|| schema("`clusters` is not an array".to_string()))?
+            Some(_) => j
+                .array("clusters")?
                 .iter()
                 .map(|c| {
                     c.as_u64()
                         .and_then(|v| u16::try_from(v).ok())
-                        .ok_or_else(|| schema("`clusters` entry is not a u16".to_string()))
+                        .ok_or_else(|| FieldError::new("clusters", "array of u16"))
                 })
                 .collect::<Result<Vec<_>, _>>()?,
             None => Vec::new(),
         },
-        explorer: dec_explorer(req(j, "explorer")?)?,
-        apps: dec_arr(j, "apps")?
+        explorer: dec_explorer(j.member("explorer")?)?,
+        apps: j
+            .array("apps")?
             .iter()
             .map(dec_app_runtime)
             .collect::<Result<Vec<_>, _>>()?,
@@ -429,17 +360,17 @@ fn enc_pattern<S: JsonSink>(s: &mut S, p: &AccessPattern) {
 }
 
 fn dec_pattern(j: &Json) -> Result<AccessPattern, PersistError> {
-    let bytes = dec_hex_u64(j, "bytes")?;
-    match dec_str(j, "kind")? {
+    let bytes = j.hex_u64("bytes")?;
+    match j.string("kind")? {
         "wsl" => Ok(AccessPattern::WorkingSetLoop {
             bytes,
-            stride: dec_hex_u64(j, "stride")?,
+            stride: j.hex_u64("stride")?,
         }),
         "stream" => Ok(AccessPattern::Stream { bytes }),
         "rand" => Ok(AccessPattern::UniformRandom { bytes }),
         "zipf" => Ok(AccessPattern::Zipf {
             bytes,
-            exponent: dec_hex_f64(j, "exponent")?,
+            exponent: j.hex_f64("exponent")?,
         }),
         "chase" => Ok(AccessPattern::PointerChase { bytes }),
         other => Err(schema(format!("unknown access pattern `{other}`"))),
@@ -466,15 +397,16 @@ fn enc_spec<S: JsonSink>(s: &mut S, spec: &AppSpec) {
 
 fn dec_spec(j: &Json) -> Result<AppSpec, PersistError> {
     Ok(AppSpec {
-        name: dec_str(j, "name")?.to_string(),
-        cores: dec_u32(j, "cores")?,
-        ipc_peak: dec_hex_f64(j, "ipc_peak")?,
-        apki: dec_hex_f64(j, "apki")?,
-        write_fraction: dec_hex_f64(j, "write_fraction")?,
-        mlp: dec_hex_f64(j, "mlp")?,
-        phases: dec_arr(j, "phases")?
+        name: j.string("name")?.to_string(),
+        cores: j.uint("cores")?,
+        ipc_peak: j.hex_f64("ipc_peak")?,
+        apki: j.hex_f64("apki")?,
+        write_fraction: j.hex_f64("write_fraction")?,
+        mlp: j.hex_f64("mlp")?,
+        phases: j
+            .array("phases")?
             .iter()
-            .map(|p| Ok((dec_hex_f64(p, "weight")?, dec_pattern(req(p, "pattern")?)?)))
+            .map(|p| Ok((p.hex_f64("weight")?, dec_pattern(p.member("pattern")?)?)))
             .collect::<Result<Vec<_>, PersistError>>()?,
     })
 }
@@ -490,19 +422,19 @@ fn enc_trace_gen<S: JsonSink>(s: &mut S, g: &TraceGenSnapshot) {
     s.end_obj();
 }
 
-fn dec_trace_gen(j: &Json) -> Result<TraceGenSnapshot, PersistError> {
+fn dec_trace_gen(j: &Json) -> Result<TraceGenSnapshot, FieldError> {
     Ok(TraceGenSnapshot {
-        cursors: dec_arr(j, "cursors")?
+        cursors: j
+            .array("cursors")?
             .iter()
             .map(|c| {
-                c.as_str()
-                    .ok_or_else(|| schema("`cursors` entry is not hex"))
-                    .and_then(|s| hex_word(s, "cursors"))
+                c.as_hex_u64()
+                    .ok_or_else(|| FieldError::new("cursors", "array of hex u64"))
             })
             .collect::<Result<Vec<_>, _>>()?,
-        rng_state: dec_hex_u64(j, "rng_state")?,
-        active: dec_u64(j, "active")? as usize,
-        burst_left: dec_u32(j, "burst_left")?,
+        rng_state: j.hex_u64("rng_state")?,
+        active: j.uint("active")?,
+        burst_left: j.uint("burst_left")?,
     })
 }
 
@@ -526,17 +458,17 @@ fn enc_sim_app<S: JsonSink>(s: &mut S, a: &SimAppSnapshot) {
 
 fn dec_sim_app(j: &Json) -> Result<SimAppSnapshot, PersistError> {
     Ok(SimAppSnapshot {
-        spec: dec_spec(req(j, "spec")?)?,
-        clos: dec_u16(j, "clos")?,
-        gen: dec_trace_gen(req(j, "gen")?)?,
-        ips_estimate: dec_hex_f64(j, "ips_estimate")?,
-        miss_ratio: dec_hex_f64(j, "miss_ratio")?,
-        wb_per_access: dec_hex_f64(j, "wb_per_access")?,
-        instructions: dec_hex_f64(j, "instructions")?,
-        cycles: dec_hex_f64(j, "cycles")?,
-        accesses: dec_hex_f64(j, "accesses")?,
-        misses: dec_hex_f64(j, "misses")?,
-        mem_traffic_bytes: dec_hex_f64(j, "mem_traffic_bytes")?,
+        spec: dec_spec(j.member("spec")?)?,
+        clos: j.uint("clos")?,
+        gen: dec_trace_gen(j.member("gen")?)?,
+        ips_estimate: j.hex_f64("ips_estimate")?,
+        miss_ratio: j.hex_f64("miss_ratio")?,
+        wb_per_access: j.hex_f64("wb_per_access")?,
+        instructions: j.hex_f64("instructions")?,
+        cycles: j.hex_f64("cycles")?,
+        accesses: j.hex_f64("accesses")?,
+        misses: j.hex_f64("misses")?,
+        mem_traffic_bytes: j.hex_f64("mem_traffic_bytes")?,
     })
 }
 
@@ -557,27 +489,23 @@ fn enc_cache<S: JsonSink>(s: &mut S, c: &CacheSnapshot) {
     s.end_obj();
 }
 
-fn dec_cache(j: &Json) -> Result<CacheSnapshot, PersistError> {
+fn dec_cache(j: &Json) -> Result<CacheSnapshot, FieldError> {
     Ok(CacheSnapshot {
-        clock: dec_hex_u64(j, "clock")?,
-        lines: dec_arr(j, "lines")?
+        clock: j.hex_u64("clock")?,
+        lines: j
+            .array("lines")?
             .iter()
             .map(|l| {
                 Ok(CacheLineSnapshot {
-                    index: dec_hex_u64(l, "index")?,
-                    tag: dec_hex_u64(l, "tag")?,
-                    lru: dec_hex_u64(l, "lru")?,
-                    owner: dec_u16(l, "owner")?,
-                    dirty: dec_bool(l, "dirty")?,
+                    index: l.hex_u64("index")?,
+                    tag: l.hex_u64("tag")?,
+                    lru: l.hex_u64("lru")?,
+                    owner: l.uint("owner")?,
+                    dirty: l.boolean("dirty")?,
                 })
             })
-            .collect::<Result<Vec<_>, PersistError>>()?,
+            .collect::<Result<Vec<_>, FieldError>>()?,
     })
-}
-
-/// Encodes a frozen simulated machine.
-pub fn enc_machine(m: &MachineSnapshot) -> Json {
-    Json::build(|s| emit_machine(s, m))
 }
 
 fn emit_machine<S: JsonSink>(s: &mut S, m: &MachineSnapshot) {
@@ -601,39 +529,29 @@ fn emit_machine<S: JsonSink>(s: &mut S, m: &MachineSnapshot) {
     s.end_obj();
 }
 
-/// Decodes a frozen simulated machine.
-pub fn dec_machine(j: &Json) -> Result<MachineSnapshot, PersistError> {
+fn dec_machine(j: &Json) -> Result<MachineSnapshot, PersistError> {
     Ok(MachineSnapshot {
-        time_ns: dec_hex_u64(j, "time_ns")?,
-        clos_table: dec_arr(j, "clos")?
+        time_ns: j.hex_u64("time_ns")?,
+        clos_table: j
+            .array("clos")?
             .iter()
-            .map(|c| {
-                Ok((
-                    dec_u16(c, "id")?,
-                    dec_u32(c, "cbm")?,
-                    u8::try_from(dec_u64(c, "mba")?).map_err(|_| schema("`mba` overflows u8"))?,
-                ))
-            })
-            .collect::<Result<Vec<_>, PersistError>>()?,
-        apps: dec_arr(j, "apps")?
+            .map(|c| Ok((c.uint("id")?, c.uint("cbm")?, c.uint("mba")?)))
+            .collect::<Result<Vec<_>, FieldError>>()?,
+        apps: j
+            .array("apps")?
             .iter()
             .map(|slot| match slot {
                 Json::Null => Ok(None),
                 a => dec_sim_app(a).map(Some),
             })
             .collect::<Result<Vec<_>, _>>()?,
-        cache: dec_cache(req(j, "cache")?)?,
+        cache: dec_cache(j.member("cache")?)?,
     })
 }
 
 // ---------------------------------------------------------------------
 // faults
 // ---------------------------------------------------------------------
-
-/// Encodes frozen fault-injection state.
-pub fn enc_fault_state(f: &FaultStateSnapshot) -> Json {
-    Json::build(|s| emit_fault_state(s, f))
-}
 
 fn emit_fault_state<S: JsonSink>(s: &mut S, f: &FaultStateSnapshot) {
     s.begin_obj();
@@ -653,9 +571,8 @@ fn emit_fault_state<S: JsonSink>(s: &mut S, f: &FaultStateSnapshot) {
     s.end_obj();
 }
 
-/// Decodes frozen fault-injection state.
-pub fn dec_fault_state(j: &Json) -> Result<FaultStateSnapshot, PersistError> {
-    let raw = dec_arr(j, "sites")?;
+fn dec_fault_state(j: &Json) -> Result<FaultStateSnapshot, PersistError> {
+    let raw = j.array("sites")?;
     if raw.len() != 5 {
         return Err(schema("`sites` must have 5 entries"));
     }
@@ -665,19 +582,19 @@ pub fn dec_fault_state(j: &Json) -> Result<FaultStateSnapshot, PersistError> {
     }; 5];
     for (slot, s) in sites.iter_mut().zip(raw) {
         *slot = SiteSnapshot {
-            rng_state: dec_hex_u64(s, "rng_state")?,
-            calls: dec_hex_u64(s, "calls")?,
+            rng_state: s.hex_u64("rng_state")?,
+            calls: s.hex_u64("calls")?,
         };
     }
-    let stats = req(j, "stats")?;
+    let stats = j.member("stats")?;
     Ok(FaultStateSnapshot {
         sites,
         stats: InjectionStats {
-            dropouts: dec_hex_u64(stats, "dropouts")?,
-            cbm_write_faults: dec_hex_u64(stats, "cbm_write_faults")?,
-            mba_write_faults: dec_hex_u64(stats, "mba_write_faults")?,
-            vanishes: dec_hex_u64(stats, "vanishes")?,
-            clock_stalls: dec_hex_u64(stats, "clock_stalls")?,
+            dropouts: stats.hex_u64("dropouts")?,
+            cbm_write_faults: stats.hex_u64("cbm_write_faults")?,
+            mba_write_faults: stats.hex_u64("mba_write_faults")?,
+            vanishes: stats.hex_u64("vanishes")?,
+            clock_stalls: stats.hex_u64("clock_stalls")?,
         },
     })
 }
@@ -695,16 +612,11 @@ fn enc_groups<S: JsonSink>(s: &mut S, groups: &[(u16, u32)]) {
     });
 }
 
-fn dec_groups(j: &Json) -> Result<Vec<(u16, u32)>, PersistError> {
-    dec_arr(j, "groups")?
+fn dec_groups(j: &Json) -> Result<Vec<(u16, u32)>, FieldError> {
+    j.array("groups")?
         .iter()
-        .map(|g| Ok((dec_u16(g, "clos")?, dec_u32(g, "app")?)))
+        .map(|g| Ok((g.uint("clos")?, g.uint("app")?)))
         .collect()
-}
-
-/// Encodes a frozen backend.
-pub fn enc_backend(b: &BackendSnapshot) -> Json {
-    Json::build(|s| emit_backend(s, b))
 }
 
 fn emit_backend<S: JsonSink>(s: &mut S, b: &BackendSnapshot) {
@@ -734,12 +646,11 @@ fn emit_backend<S: JsonSink>(s: &mut S, b: &BackendSnapshot) {
     s.end_obj();
 }
 
-/// Decodes a frozen backend.
-pub fn dec_backend(j: &Json) -> Result<BackendSnapshot, PersistError> {
-    let machine = dec_machine(req(j, "machine")?)?;
+fn dec_backend(j: &Json) -> Result<BackendSnapshot, PersistError> {
+    let machine = dec_machine(j.member("machine")?)?;
     let groups = dec_groups(j)?;
-    let next_clos = dec_u16(j, "next_clos")?;
-    match dec_str(j, "kind")? {
+    let next_clos = j.uint("next_clos")?;
+    match j.string("kind")? {
         "sim" => Ok(BackendSnapshot::Sim {
             machine,
             groups,
@@ -749,7 +660,7 @@ pub fn dec_backend(j: &Json) -> Result<BackendSnapshot, PersistError> {
             machine,
             groups,
             next_clos,
-            fault_state: dec_fault_state(req(j, "fault_state")?)?,
+            fault_state: dec_fault_state(j.member("fault_state")?)?,
         }),
         other => Err(schema(format!("unknown backend kind `{other}`"))),
     }
@@ -836,19 +747,19 @@ impl SnapshotDoc {
     ///
     /// [`PersistError::Schema`] when a field is missing or ill-typed.
     pub fn decode(j: &Json) -> Result<SnapshotDoc, PersistError> {
-        let meta = req(j, "meta")?;
+        let meta = j.member("meta")?;
         Ok(SnapshotDoc {
             meta: SnapshotMeta {
-                mix: dec_str(meta, "mix")?.to_string(),
-                n_apps: dec_u64(meta, "n_apps")?,
-                policy: dec_str(meta, "policy")?.to_string(),
+                mix: meta.string("mix")?.to_string(),
+                n_apps: meta.uint("n_apps")?,
+                policy: meta.string("policy")?.to_string(),
                 seed: dec_u64_compat(meta, "seed")?,
-                faults: dec_str(meta, "faults")?.to_string(),
-                daemon_epochs: dec_u64(meta, "daemon_epochs")?,
+                faults: meta.string("faults")?.to_string(),
+                daemon_epochs: meta.uint("daemon_epochs")?,
             },
-            runtime: dec_runtime(req(j, "runtime")?)?,
-            backend: dec_backend(req(j, "backend")?)?,
-            metrics: MetricsFrozen::decode(req(j, "metrics")?)?,
+            runtime: dec_runtime(j.member("runtime")?)?,
+            backend: dec_backend(j.member("backend")?)?,
+            metrics: MetricsFrozen::decode(j.member("metrics")?)?,
         })
     }
 }

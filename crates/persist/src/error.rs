@@ -67,6 +67,12 @@ impl From<copart_telemetry::JsonError> for PersistError {
     }
 }
 
+impl From<copart_telemetry::FieldError> for PersistError {
+    fn from(e: copart_telemetry::FieldError) -> PersistError {
+        PersistError::Schema(e.to_string())
+    }
+}
+
 impl From<copart_rdt::RdtError> for PersistError {
     fn from(e: copart_rdt::RdtError) -> PersistError {
         PersistError::Backend(e)

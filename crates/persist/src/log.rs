@@ -27,7 +27,6 @@ use std::path::{Path, PathBuf};
 
 use copart_telemetry::{Json, JsonSink, JsonWriter};
 
-use crate::codec::{dec_str, dec_u64};
 use crate::error::PersistError;
 
 /// One input that steered the run.
@@ -98,26 +97,24 @@ impl LogEntry {
     /// is not a well-formed entry.
     pub fn from_line(line: &str) -> Result<LogEntry, PersistError> {
         let j = Json::parse(line)?;
-        let group = |j: &Json| -> Result<u16, PersistError> {
-            u16::try_from(dec_u64(j, "group")?)
-                .map_err(|_| PersistError::Schema("`group` overflows u16".to_string()))
-        };
-        let kind = match dec_str(&j, "op")? {
+        let kind = match j.string("op")? {
             "epoch" => EventKind::Epoch,
             "admit" => EventKind::Admit {
-                bench: dec_str(&j, "bench")?.to_string(),
-                group: group(&j)?,
+                bench: j.string("bench")?.to_string(),
+                group: j.uint("group")?,
             },
-            "remove" => EventKind::Remove { group: group(&j)? },
+            "remove" => EventKind::Remove {
+                group: j.uint("group")?,
+            },
             "policy" => EventKind::Policy {
-                name: dec_str(&j, "policy")?.to_string(),
+                name: j.string("policy")?.to_string(),
             },
             other => {
                 return Err(PersistError::Schema(format!("unknown log op `{other}`")));
             }
         };
         Ok(LogEntry {
-            pre: dec_u64(&j, "pre")?,
+            pre: j.uint("pre")?,
             kind,
         })
     }

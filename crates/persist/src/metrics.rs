@@ -14,9 +14,9 @@
 //! resumed process cannot meaningfully continue. This is a documented
 //! recovery invariant (DESIGN.md §16).
 
-use copart_telemetry::{Json, JsonSink, MetricsRegistry, MetricsSnapshot};
+use copart_telemetry::{FieldError, Json, JsonSink, MetricsRegistry, MetricsSnapshot};
 
-use crate::codec::{arr, dec_hex_u64, dec_str, hex_f64, req};
+use crate::codec::{arr, hex_f64};
 use crate::error::PersistError;
 
 /// Every counter name the workspace emits, in one place so the intern
@@ -112,13 +112,9 @@ impl MetricsFrozen {
         skipped
     }
 
-    /// Serialises to JSON (counters as hex `u64`, gauges as hex bits).
-    pub fn encode(&self) -> Json {
-        Json::build(|s| self.emit(s))
-    }
-
     /// Emits the frozen values into `s` (text or tree; see
-    /// [`crate::SnapshotDoc::emit`]).
+    /// [`crate::SnapshotDoc::emit`]): counters as hex `u64`, gauges as
+    /// hex bits.
     pub fn emit<S: JsonSink>(&self, s: &mut S) {
         s.begin_obj();
         arr(s, "counters", &self.counters, |s, (name, value)| {
@@ -142,25 +138,17 @@ impl MetricsFrozen {
     ///
     /// [`PersistError::Schema`] on missing or ill-typed fields.
     pub fn decode(j: &Json) -> Result<MetricsFrozen, PersistError> {
-        let arr = |key: &str| -> Result<&[Json], PersistError> {
-            req(j, key)?
-                .as_arr()
-                .ok_or_else(|| PersistError::Schema(format!("`{key}` is not an array")))
-        };
         Ok(MetricsFrozen {
-            counters: arr("counters")?
+            counters: j
+                .array("counters")?
                 .iter()
-                .map(|e| Ok((dec_str(e, "name")?.to_string(), dec_hex_u64(e, "value")?)))
-                .collect::<Result<Vec<_>, PersistError>>()?,
-            gauges: arr("gauges")?
+                .map(|e| Ok((e.string("name")?.to_string(), e.hex_u64("value")?)))
+                .collect::<Result<Vec<_>, FieldError>>()?,
+            gauges: j
+                .array("gauges")?
                 .iter()
-                .map(|e| {
-                    Ok((
-                        dec_str(e, "name")?.to_string(),
-                        f64::from_bits(dec_hex_u64(e, "value")?),
-                    ))
-                })
-                .collect::<Result<Vec<_>, PersistError>>()?,
+                .map(|e| Ok((e.string("name")?.to_string(), e.hex_f64("value")?)))
+                .collect::<Result<Vec<_>, FieldError>>()?,
         })
     }
 }
@@ -202,7 +190,8 @@ mod tests {
             counters: vec![("epochs".to_string(), u64::MAX - 3)],
             gauges: vec![("unfairness".to_string(), 0.1 + 0.2)],
         };
-        let text = frozen.encode().to_string();
+        let mut text = String::new();
+        frozen.emit(&mut copart_telemetry::JsonWriter::new(&mut text));
         let back = MetricsFrozen::decode(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, frozen);
     }

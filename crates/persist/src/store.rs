@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use copart_telemetry::{fnv1a64, Json, JsonSink, JsonWriter};
 
-use crate::codec::{dec_str, dec_u64, SnapshotDoc};
+use crate::codec::SnapshotDoc;
 use crate::error::PersistError;
 
 /// First header field; anything else is not a snapshot.
@@ -114,14 +114,14 @@ pub fn read_snapshot(path: &Path) -> Result<SnapshotDoc, PersistError> {
         .ok_or_else(|| PersistError::Corrupt("no header line".to_string()))?;
     let header = Json::parse(header_line)
         .map_err(|e| PersistError::Corrupt(format!("header is not JSON: {e}")))?;
-    if dec_str(&header, "magic")? != SNAP_MAGIC {
+    if header.string("magic")? != SNAP_MAGIC {
         return Err(PersistError::Corrupt("bad magic".to_string()));
     }
-    let version = dec_u64(&header, "version")?;
+    let version: u64 = header.uint("version")?;
     if !(SNAP_VERSION_MIN..=SNAP_VERSION).contains(&version) {
         return Err(PersistError::Corrupt("unsupported version".to_string()));
     }
-    let len = dec_u64(&header, "len")? as usize;
+    let len: usize = header.uint("len")?;
     let payload = rest.strip_suffix('\n').unwrap_or(rest);
     if payload.len() != len {
         return Err(PersistError::Corrupt(format!(
@@ -129,15 +129,13 @@ pub fn read_snapshot(path: &Path) -> Result<SnapshotDoc, PersistError> {
             payload.len()
         )));
     }
-    let digest = u64::from_str_radix(dec_str(&header, "digest")?, 16)
-        .map_err(|_| PersistError::Corrupt("digest is not hex".to_string()))?;
-    if fnv1a64(payload.as_bytes()) != digest {
+    if fnv1a64(payload.as_bytes()) != header.hex_u64("digest")? {
         return Err(PersistError::Corrupt("digest mismatch".to_string()));
     }
     let doc = SnapshotDoc::decode(
         &Json::parse(payload).map_err(|e| PersistError::Corrupt(format!("payload: {e}")))?,
     )?;
-    if doc.epoch() != dec_u64(&header, "epoch")? {
+    if doc.epoch() != header.uint::<u64>("epoch")? {
         return Err(PersistError::Corrupt(
             "header/payload epoch mismatch".to_string(),
         ));

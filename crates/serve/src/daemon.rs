@@ -29,7 +29,7 @@ use copart_core::policies::PolicyKind;
 use copart_core::runtime::Phase;
 use copart_core::NodeBackend;
 use copart_persist::PersistableBackend;
-use copart_telemetry::{Json, MetricsRegistry};
+use copart_telemetry::{JsonSink, JsonWriter, MetricsRegistry};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, SyncSender, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -138,14 +138,16 @@ impl ControlHandle {
 }
 
 /// Spawns the control thread over a profiled (and possibly recovered)
-/// run.
+/// run. The boot status is published on the caller's thread first, so
+/// [`ControlHandle::status`] (and `GET /status`) is a complete document
+/// from the moment this returns.
 pub fn spawn_control<B: ServeBackend>(
     run: PersistedRun<B>,
     cfg: DaemonConfig,
     rx: Receiver<Command>,
     commands: Sender<Command>,
 ) -> ControlHandle {
-    let status = Arc::new(Mutex::new(String::from("{}")));
+    let status = Arc::new(Mutex::new(String::new()));
     let metrics = run.runtime().metrics_handle();
     let daemon = Daemon {
         run,
@@ -154,6 +156,7 @@ pub fn spawn_control<B: ServeBackend>(
         status: Arc::clone(&status),
         rx,
     };
+    daemon.publish_status();
     let join = std::thread::Builder::new()
         .name("copart-control".into())
         .spawn(move || daemon.run())
@@ -175,7 +178,6 @@ struct Daemon<B: ServeBackend> {
 
 impl<B: ServeBackend> Daemon<B> {
     fn run(mut self) {
-        self.publish_status();
         if self.cfg.tick.is_zero() {
             self.run_free();
         } else {
@@ -320,21 +322,27 @@ impl<B: ServeBackend> Daemon<B> {
     }
 
     fn admit(&mut self, bench: &str) -> ApiResult {
-        self.run
-            .admit(bench)
-            .map(|group| format!("{{\"group\":{}}}", group.0))
+        self.run.admit(bench).map(|group| {
+            reply(|w| {
+                w.key("group").num(f64::from(group.0));
+            })
+        })
     }
 
     fn remove(&mut self, id: u16) -> ApiResult {
-        self.run
-            .remove(id)
-            .map(|()| format!("{{\"removed\":{id}}}"))
+        self.run.remove(id).map(|()| {
+            reply(|w| {
+                w.key("removed").num(f64::from(id));
+            })
+        })
     }
 
     fn set_policy(&mut self, policy: &str) -> ApiResult {
-        self.run
-            .set_policy(policy)
-            .map(|kind| format!("{{\"policy\":\"{}\"}}", kind.label()))
+        self.run.set_policy(policy).map(|kind| {
+            reply(|w| {
+                w.key("policy").str(kind.label());
+            })
+        })
     }
 
     fn snapshot(&mut self) -> ApiResult {
@@ -345,11 +353,11 @@ impl<B: ServeBackend> Daemon<B> {
             ));
         }
         match self.run.snapshot_now() {
-            Ok((path, bytes)) => Ok(format!(
-                "{{\"snapshot\":{},\"bytes\":{bytes},\"epoch\":{}}}",
-                Json::Str(path.display().to_string()),
-                self.run.runtime().epoch()
-            )),
+            Ok((path, bytes)) => Ok(reply(|w| {
+                w.key("snapshot").str(&path.display().to_string());
+                w.key("bytes").num(bytes as f64);
+                w.key("epoch").num(self.run.runtime().epoch() as f64);
+            })),
             Err(e) => Err((500, e)),
         }
     }
@@ -368,7 +376,18 @@ impl<B: ServeBackend> Daemon<B> {
         // The layout actually programmed: members of one cluster share a
         // mask, which only the runtime's own accessor knows how to derive.
         let masks = runtime.masks();
-        let mut apps = Vec::with_capacity(runtime.apps().len());
+        let mut rendered = String::new();
+        let mut w = JsonWriter::new(&mut rendered);
+        w.begin_obj();
+        w.key("epoch").num(self.run.epochs_done() as f64);
+        w.key("ticks").num(self.metrics.counter("ticks") as f64);
+        w.key("deadline_misses")
+            .num(self.metrics.counter("epoch_deadline_misses") as f64);
+        w.key("phase").str(phase);
+        w.key("policy").str(self.run.env().policy.label());
+        w.key("unfairness")
+            .num(self.metrics.gauge("unfairness").unwrap_or(0.0));
+        w.key("apps").begin_arr();
         let mut schemata_l3 = String::from("L3:");
         let mut schemata_mb = String::from("MB:");
         for (i, app) in runtime.apps().iter().enumerate() {
@@ -381,48 +400,33 @@ impl<B: ServeBackend> Daemon<B> {
             }
             schemata_l3.push_str(&format!("{}={mask}", app.group.0));
             schemata_mb.push_str(&format!("{}={}", app.group.0, alloc.mba.percent()));
-            apps.push(Json::Obj(vec![
-                ("group".into(), Json::Num(f64::from(app.group.0))),
-                ("name".into(), Json::Str(app.name.clone())),
-                ("llc".into(), Json::Str(llc.to_string())),
-                ("mba".into(), Json::Str(mba.to_string())),
-                ("ways".into(), Json::Num(f64::from(alloc.ways))),
-                (
-                    "mba_percent".into(),
-                    Json::Num(f64::from(alloc.mba.percent())),
-                ),
-                ("mask".into(), Json::Str(mask.to_string())),
-                ("slowdown".into(), Json::Num(app.slowdown())),
-            ]));
+            w.begin_obj();
+            w.key("group").num(f64::from(app.group.0));
+            w.key("name").str(&app.name);
+            w.key("llc").str(&llc.to_string());
+            w.key("mba").str(&mba.to_string());
+            w.key("ways").num(f64::from(alloc.ways));
+            w.key("mba_percent").num(f64::from(alloc.mba.percent()));
+            w.key("mask").str(&mask.to_string());
+            w.key("slowdown").num(app.slowdown());
+            w.end_obj();
         }
-        let doc = Json::Obj(vec![
-            ("epoch".into(), Json::Num(self.run.epochs_done() as f64)),
-            (
-                "ticks".into(),
-                Json::Num(self.metrics.counter("ticks") as f64),
-            ),
-            (
-                "deadline_misses".into(),
-                Json::Num(self.metrics.counter("epoch_deadline_misses") as f64),
-            ),
-            ("phase".into(), Json::Str(phase.into())),
-            (
-                "policy".into(),
-                Json::Str(self.run.env().policy.label().into()),
-            ),
-            (
-                "unfairness".into(),
-                Json::Num(self.metrics.gauge("unfairness").unwrap_or(0.0)),
-            ),
-            ("apps".into(), Json::Arr(apps)),
-            (
-                "schemata".into(),
-                Json::Str(format!("{schemata_l3} {schemata_mb}")),
-            ),
-        ]);
-        let rendered = doc.to_string();
+        w.end_arr();
+        w.key("schemata")
+            .str(&format!("{schemata_l3} {schemata_mb}"));
+        w.end_obj();
         *self.status.lock().unwrap_or_else(|e| e.into_inner()) = rendered;
     }
+}
+
+/// A reply body: one object whose members `fill` writes.
+fn reply(fill: impl FnOnce(&mut JsonWriter<'_>)) -> String {
+    let mut body = String::new();
+    let mut w = JsonWriter::new(&mut body);
+    w.begin_obj();
+    fill(&mut w);
+    w.end_obj();
+    body
 }
 
 /// Everything HTTP workers share: read-side structures plus the command

@@ -8,6 +8,7 @@
 //! `Content-Length` under the configured limit, and anything else is
 //! rejected with the right 4xx before a byte of it is buffered.
 
+use copart_telemetry::{JsonSink, JsonWriter};
 use std::fmt;
 use std::io::{self, BufRead, Write};
 
@@ -297,8 +298,13 @@ impl Response {
 
     /// A JSON error response: `{"error": "<msg>"}`.
     pub fn error(status: u16, msg: &str) -> Response {
-        let quoted = copart_telemetry::Json::Str(msg.to_string());
-        Response::json(status, format!("{{\"error\":{quoted}}}"))
+        let mut body = String::new();
+        JsonWriter::new(&mut body)
+            .begin_obj()
+            .key("error")
+            .str(msg)
+            .end_obj();
+        Response::json(status, body)
     }
 
     /// Serializes status line, headers, and body to the connection.

@@ -538,10 +538,9 @@ fn body_field(req: &Request, field: &str) -> Result<String, Response> {
         std::str::from_utf8(&req.body).map_err(|_| Response::error(400, "body is not UTF-8"))?;
     let doc =
         Json::parse(text).map_err(|e| Response::error(400, &format!("body is not JSON: {e}")))?;
-    doc.get(field)
-        .and_then(Json::as_str)
+    doc.string(field)
         .map(str::to_string)
-        .ok_or_else(|| Response::error(400, &format!("body needs a string field {field:?}")))
+        .map_err(|_| Response::error(400, &format!("body needs a string field {field:?}")))
 }
 
 /// Sends a command to the control thread and waits for its reply.

@@ -16,7 +16,7 @@
 //! and parse back with [`TraceEvent::from_json_line`]; the schema is
 //! documented field-by-field in `DESIGN.md` § Observability.
 
-use crate::json::{Json, JsonError, JsonSink, JsonWriter};
+use crate::json::{FieldError, Json, JsonError, JsonSink, JsonWriter};
 use crate::Rates;
 use std::fmt;
 
@@ -283,37 +283,20 @@ impl From<JsonError> for TraceParseError {
     }
 }
 
-fn schema_err<T>(msg: impl Into<String>) -> Result<T, TraceParseError> {
-    Err(TraceParseError::Schema(msg.into()))
-}
-
-fn field<'a>(obj: &'a Json, key: &str) -> Result<&'a Json, TraceParseError> {
-    obj.get(key)
-        .ok_or_else(|| TraceParseError::Schema(format!("missing field '{key}'")))
-}
-
-fn f64_field(obj: &Json, key: &str) -> Result<f64, TraceParseError> {
-    match field(obj, key)? {
-        // Non-finite floats encode as null (JSON has no Infinity); an
-        // infinite slowdown means "no progress against a live
-        // reference" and must survive the round trip.
-        Json::Null => Ok(f64::INFINITY),
-        v => v
-            .as_f64()
-            .ok_or_else(|| TraceParseError::Schema(format!("field '{key}' is not a number"))),
+impl From<FieldError> for TraceParseError {
+    fn from(e: FieldError) -> TraceParseError {
+        TraceParseError::Schema(e.to_string())
     }
 }
 
-fn u64_field(obj: &Json, key: &str) -> Result<u64, TraceParseError> {
-    field(obj, key)?
-        .as_u64()
-        .ok_or_else(|| TraceParseError::Schema(format!("field '{key}' is not a u64")))
-}
-
-fn str_field<'a>(obj: &'a Json, key: &str) -> Result<&'a str, TraceParseError> {
-    field(obj, key)?
-        .as_str()
-        .ok_or_else(|| TraceParseError::Schema(format!("field '{key}' is not a string")))
+/// A trace `f64` member. Non-finite floats encode as null (JSON has no
+/// Infinity); an infinite slowdown means "no progress against a live
+/// reference" and must survive the round trip.
+fn f64_field(obj: &Json, key: &str) -> Result<f64, FieldError> {
+    match obj.member(key)? {
+        Json::Null => Ok(f64::INFINITY),
+        _ => obj.number(key),
+    }
 }
 
 impl TraceEvent {
@@ -381,25 +364,24 @@ impl TraceEvent {
     /// Parses one JSONL line produced by [`TraceEvent::to_json_line`].
     pub fn from_json_line(line: &str) -> Result<TraceEvent, TraceParseError> {
         let v = Json::parse(line)?;
-        let phase = str_field(&v, "phase")?;
+        let phase = v.string("phase")?;
         let phase = TracePhase::from_wire(phase)
             .ok_or_else(|| TraceParseError::Schema(format!("unknown phase '{phase}'")))?;
-        let decision = str_field(&v, "decision")?;
+        let decision = v.string("decision")?;
         let decision = TraceDecision::from_wire(decision)
             .ok_or_else(|| TraceParseError::Schema(format!("unknown decision '{decision}'")))?;
-        let apps = field(&v, "apps")?
-            .as_arr()
-            .ok_or_else(|| TraceParseError::Schema("'apps' is not an array".into()))?
+        let apps = v
+            .array("apps")?
             .iter()
             .map(|a| -> Result<AppSample, TraceParseError> {
                 let class = |key: &str| -> Result<TraceClass, TraceParseError> {
-                    let s = str_field(a, key)?;
+                    let s = a.string(key)?;
                     TraceClass::from_wire(s).ok_or_else(|| {
                         TraceParseError::Schema(format!("unknown class '{s}' in '{key}'"))
                     })
                 };
                 Ok(AppSample {
-                    name: str_field(a, "name")?.to_string(),
+                    name: a.string("name")?.to_string(),
                     ips: f64_field(a, "ips")?,
                     slowdown: f64_field(a, "slowdown")?,
                     llc_state: class("llc_state")?,
@@ -410,23 +392,13 @@ impl TraceEvent {
                 })
             })
             .collect::<Result<Vec<_>, _>>()?;
-        let allocs = |key: &str| -> Result<Vec<AllocSample>, TraceParseError> {
-            field(&v, key)?
-                .as_arr()
-                .ok_or_else(|| TraceParseError::Schema(format!("'{key}' is not an array")))?
+        let allocs = |key: &str| -> Result<Vec<AllocSample>, FieldError> {
+            v.array(key)?
                 .iter()
                 .map(|x| {
-                    let ways = u64_field(x, "ways")?;
-                    let mba = u64_field(x, "mba")?;
-                    if ways > u64::from(u32::MAX) {
-                        return schema_err("'ways' out of range");
-                    }
-                    if mba > u64::from(u8::MAX) {
-                        return schema_err("'mba' out of range");
-                    }
                     Ok(AllocSample {
-                        ways: ways as u32,
-                        mba_percent: mba as u8,
+                        ways: x.uint("ways")?,
+                        mba_percent: x.uint("mba")?,
                     })
                 })
                 .collect()
@@ -435,34 +407,27 @@ impl TraceEvent {
         // fault-injection subsystem) — parse back to None.
         let fault = match v.get("fault") {
             None => None,
-            Some(f) => {
-                let degraded = field(f, "degraded")?
-                    .as_arr()
-                    .ok_or_else(|| TraceParseError::Schema("'degraded' is not an array".into()))?
+            Some(f) => Some(FaultSample {
+                degraded: f
+                    .array("degraded")?
                     .iter()
                     .map(|n| {
-                        n.as_str().map(str::to_string).ok_or_else(|| {
-                            TraceParseError::Schema("'degraded' entry is not a string".into())
-                        })
+                        n.as_str()
+                            .map(str::to_string)
+                            .ok_or_else(|| FieldError::new("degraded", "array of strings"))
                     })
-                    .collect::<Result<Vec<_>, _>>()?;
-                let rolled_back = field(f, "rolled_back")?
-                    .as_bool()
-                    .ok_or_else(|| TraceParseError::Schema("'rolled_back' is not a bool".into()))?;
-                Some(FaultSample {
-                    degraded,
-                    write_retries: u64_field(f, "write_retries")? as u32,
-                    rolled_back,
-                })
-            }
+                    .collect::<Result<Vec<_>, _>>()?,
+                write_retries: f.uint("write_retries")?,
+                rolled_back: f.boolean("rolled_back")?,
+            }),
         };
         Ok(TraceEvent {
-            epoch: u64_field(&v, "epoch")?,
-            time_ns: u64_field(&v, "time_ns")?,
+            epoch: v.uint("epoch")?,
+            time_ns: v.uint("time_ns")?,
             phase,
             decision,
-            retry_count: u64_field(&v, "retry_count")? as u32,
-            matching_rounds: u64_field(&v, "matching_rounds")? as u32,
+            retry_count: v.uint("retry_count")?,
+            matching_rounds: v.uint("matching_rounds")?,
             unfairness: f64_field(&v, "unfairness")?,
             apps,
             proposed: allocs("proposed")?,
@@ -610,5 +575,24 @@ mod tests {
             .to_json_line()
             .replace("exploring", "warping");
         assert!(TraceEvent::from_json_line(&line).is_err());
+        // A u32 counter past u32::MAX is refused, not truncated to 1.
+        let mut faulty = sample_event(0);
+        faulty.fault = Some(FaultSample {
+            degraded: vec!["fft".into()],
+            write_retries: 2,
+            rolled_back: false,
+        });
+        let line = faulty.to_json_line();
+        for (key, value) in [
+            ("retry_count", 1),
+            ("matching_rounds", 3),
+            ("write_retries", 2),
+        ] {
+            let from = format!("\"{key}\":{value},");
+            assert!(line.contains(&from), "{line}");
+            let bad = line.replace(&from, &format!("\"{key}\":4294967297,"));
+            let err = TraceEvent::from_json_line(&bad).unwrap_err();
+            assert!(err.to_string().contains(key), "{key}: {err}");
+        }
     }
 }

@@ -10,7 +10,7 @@
 //! document (sorted nodes, fixed field order) so fleet metric dumps are
 //! byte-comparable across `--jobs` settings like everything else.
 
-use crate::json::Json;
+use crate::json::{JsonSink, JsonWriter};
 
 /// Distribution summary of one fleet-wide series.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -49,14 +49,14 @@ impl Percentiles {
         }
     }
 
-    fn encode(&self) -> Json {
-        Json::Obj(vec![
-            ("count".into(), Json::Num(self.count as f64)),
-            ("p50".into(), Json::Num(self.p50)),
-            ("p90".into(), Json::Num(self.p90)),
-            ("p99".into(), Json::Num(self.p99)),
-            ("max".into(), Json::Num(self.max)),
-        ])
+    fn emit(&self, w: &mut JsonWriter<'_>) {
+        w.begin_obj();
+        w.key("count").num(self.count as f64);
+        w.key("p50").num(self.p50);
+        w.key("p90").num(self.p90);
+        w.key("p99").num(self.p99);
+        w.key("max").num(self.max);
+        w.end_obj();
     }
 }
 
@@ -139,37 +139,32 @@ impl FleetAggregator {
     /// counters, distributions, then per-node gauges in node-id order.
     /// Only active nodes are listed (a 1000-node fleet is mostly empty).
     pub fn render_json(&self) -> String {
-        let nodes = self
-            .nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.apps > 0)
-            .map(|(id, n)| {
-                Json::Obj(vec![
-                    ("node".into(), Json::Num(id as f64)),
-                    ("apps".into(), Json::Num(n.apps as f64)),
-                    ("unfairness".into(), Json::Num(n.unfairness)),
-                    ("unfairness_ewma".into(), Json::Num(n.unfairness_ewma)),
-                ])
-            })
-            .collect();
-        Json::Obj(vec![
-            ("placements".into(), Json::Num(self.placements as f64)),
-            ("deferrals".into(), Json::Num(self.deferrals as f64)),
-            ("departures".into(), Json::Num(self.departures as f64)),
-            ("migrations".into(), Json::Num(self.migrations as f64)),
-            ("node_boots".into(), Json::Num(self.node_boots as f64)),
-            (
-                "node_teardowns".into(),
-                Json::Num(self.node_teardowns as f64),
-            ),
-            ("active_nodes".into(), Json::Num(self.active_nodes() as f64)),
-            ("running_apps".into(), Json::Num(self.running_apps() as f64)),
-            ("unfairness".into(), self.unfairness.encode()),
-            ("slowdown".into(), self.slowdown.encode()),
-            ("nodes".into(), Json::Arr(nodes)),
-        ])
-        .to_string()
+        let mut out = String::new();
+        let mut w = JsonWriter::new(&mut out);
+        w.begin_obj();
+        w.key("placements").num(self.placements as f64);
+        w.key("deferrals").num(self.deferrals as f64);
+        w.key("departures").num(self.departures as f64);
+        w.key("migrations").num(self.migrations as f64);
+        w.key("node_boots").num(self.node_boots as f64);
+        w.key("node_teardowns").num(self.node_teardowns as f64);
+        w.key("active_nodes").num(self.active_nodes() as f64);
+        w.key("running_apps").num(self.running_apps() as f64);
+        w.key("unfairness");
+        self.unfairness.emit(&mut w);
+        w.key("slowdown");
+        self.slowdown.emit(&mut w);
+        w.key("nodes").begin_arr();
+        for (id, n) in self.nodes.iter().enumerate().filter(|(_, n)| n.apps > 0) {
+            w.begin_obj();
+            w.key("node").num(id as f64);
+            w.key("apps").num(n.apps as f64);
+            w.key("unfairness").num(n.unfairness);
+            w.key("unfairness_ewma").num(n.unfairness_ewma);
+            w.end_obj();
+        }
+        w.end_arr().end_obj();
+        out
     }
 }
 

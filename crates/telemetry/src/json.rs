@@ -1,5 +1,6 @@
-//! A minimal, dependency-free JSON value with a writer and a strict
-//! recursive-descent parser.
+//! A minimal, dependency-free JSON value with a writer, a strict
+//! recursive-descent parser, and the typed member reader every wire
+//! format decodes through (DESIGN.md §9.1: one writer, one reader).
 //!
 //! The observability layer serialises [`crate::TraceEvent`]s as JSONL
 //! (one object per line). The offline build cannot pull `serde`, and the
@@ -78,6 +79,13 @@ impl Json {
         }
     }
 
+    /// The value as a `u64` written by [`JsonSink::hex16`]: a string that
+    /// `u64::from_str_radix(_, 16)` accepts (hex digits of either case,
+    /// after an optional `+`, whose value fits a `u64`).
+    pub fn as_hex_u64(&self) -> Option<u64> {
+        self.as_str().and_then(|s| u64::from_str_radix(s, 16).ok())
+    }
+
     /// Parses a complete JSON document (trailing whitespace allowed,
     /// trailing garbage rejected).
     ///
@@ -99,6 +107,94 @@ impl Json {
         Ok(value)
     }
 }
+
+/// The typed member reader every wire format decodes through: each
+/// method looks `key` up in an object and checks its type, and a missing
+/// or ill-typed member is one [`FieldError`] naming both. The rules are
+/// the `as_*` accessors' — in particular an integer is a non-negative
+/// integral number no larger than 2⁵³ that fits the requested width.
+impl Json {
+    fn typed<'a, T>(
+        &'a self,
+        key: &str,
+        expected: &'static str,
+        read: impl FnOnce(&'a Json) -> Option<T>,
+    ) -> Result<T, FieldError> {
+        self.get(key)
+            .and_then(read)
+            .ok_or_else(|| FieldError::new(key, expected))
+    }
+
+    /// The member `key`, of any type.
+    pub fn member(&self, key: &str) -> Result<&Json, FieldError> {
+        self.typed(key, "value", Some)
+    }
+
+    /// An unsigned integer member, in any width `u64` converts into.
+    pub fn uint<T: TryFrom<u64>>(&self, key: &str) -> Result<T, FieldError> {
+        self.typed(key, std::any::type_name::<T>(), |v| {
+            v.as_u64().and_then(|n| T::try_from(n).ok())
+        })
+    }
+
+    /// A `u64` member written by [`JsonSink::hex16`] (see
+    /// [`Json::as_hex_u64`]).
+    pub fn hex_u64(&self, key: &str) -> Result<u64, FieldError> {
+        self.typed(key, "hex u64", Json::as_hex_u64)
+    }
+
+    /// An `f64` member travelling as the hex of its bit pattern.
+    pub fn hex_f64(&self, key: &str) -> Result<f64, FieldError> {
+        self.typed(key, "hex f64 bits", |v| v.as_hex_u64().map(f64::from_bits))
+    }
+
+    /// A string member.
+    pub fn string(&self, key: &str) -> Result<&str, FieldError> {
+        self.typed(key, "string", Json::as_str)
+    }
+
+    /// A bool member.
+    pub fn boolean(&self, key: &str) -> Result<bool, FieldError> {
+        self.typed(key, "bool", Json::as_bool)
+    }
+
+    /// An array member.
+    pub fn array(&self, key: &str) -> Result<&[Json], FieldError> {
+        self.typed(key, "array", Json::as_arr)
+    }
+
+    /// A number member.
+    pub fn number(&self, key: &str) -> Result<f64, FieldError> {
+        self.typed(key, "number", Json::as_f64)
+    }
+}
+
+/// A member a decoder needed that is missing or of the wrong type.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FieldError {
+    /// The member's key (for an array entry, the array's key).
+    key: String,
+    /// What the decoder expected there (`u16`, `hex u64`, `string`, …).
+    expected: &'static str,
+}
+
+impl FieldError {
+    /// `key` is missing or is not `expected`.
+    pub fn new(key: &str, expected: &'static str) -> FieldError {
+        FieldError {
+            key: key.to_string(),
+            expected,
+        }
+    }
+}
+
+impl fmt::Display for FieldError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "field {:?}: expected {}", self.key, self.expected)
+    }
+}
+
+impl std::error::Error for FieldError {}
 
 impl Json {
     /// Replays the tree into `sink`, member by member. Rendering
@@ -829,6 +925,87 @@ mod tests {
             "]}".repeat(MAX_DEPTH / 2 + 1)
         );
         assert!(Json::parse(&mixed).is_err());
+    }
+
+    /// The member reader, pinned: every accepted input with its value,
+    /// every refused one with its error, which names the key.
+    #[test]
+    fn member_reader_accepts_exactly_the_accessor_rules() {
+        let doc = Json::parse(
+            r#"{"u8":255,"u8_over":256,"u16":65535,"u16_over":65536,
+                "u32":4294967295,"u32_over":4294967296,"exact":9007199254740992,
+                "exact_plus_1":9007199254740993,"next":9007199254740994,
+                "neg":-1,"frac":1.5,"huge":1e300,"quoted":"7",
+                "hex":"00000000000000ff","short":"ff","upper":"FF","plus":"+f",
+                "zeros":"000000000000000000ff","empty":"","nonhex":"xyz",
+                "long":"10000000000000000","one":"3ff0000000000000",
+                "s":"x","b":true,"a":[1],"null":null}"#,
+        )
+        .unwrap();
+        let read = |method: &str, key: &str| -> Result<String, FieldError> {
+            Ok(match method {
+                "u8" => doc.uint::<u8>(key)?.to_string(),
+                "u16" => doc.uint::<u16>(key)?.to_string(),
+                "u32" => doc.uint::<u32>(key)?.to_string(),
+                "u64" => doc.uint::<u64>(key)?.to_string(),
+                "hex_u64" => doc.hex_u64(key)?.to_string(),
+                "hex_f64" => doc.hex_f64(key)?.to_string(),
+                "string" => doc.string(key)?.to_string(),
+                "boolean" => doc.boolean(key)?.to_string(),
+                "array" => doc.array(key)?.len().to_string(),
+                "number" => doc.number(key)?.to_string(),
+                "member" => doc.member(key)?.to_string(),
+                _ => Json::Null.string(key)?.to_string(),
+            })
+        };
+        // `Ok` holds the value read, `Err` the expected type named.
+        let cases: &[(&str, &str, Result<&str, &str>)] = &[
+            ("u8", "u8", Ok("255")),
+            ("u8", "u8_over", Err("u8")),
+            ("u16", "u16", Ok("65535")),
+            ("u16", "u16_over", Err("u16")),
+            ("u32", "u32", Ok("4294967295")),
+            ("u32", "u32_over", Err("u32")),
+            ("u64", "exact", Ok("9007199254740992")),
+            // The parser rounds 2⁵³+1 to the nearest f64, 2⁵³; the reader
+            // sees (and accepts) that. The next f64 up is refused.
+            ("u64", "exact_plus_1", Ok("9007199254740992")),
+            ("u64", "next", Err("u64")),
+            ("u64", "neg", Err("u64")),
+            ("u64", "frac", Err("u64")),
+            ("u64", "huge", Err("u64")),
+            ("u64", "quoted", Err("u64")),
+            ("u64", "absent", Err("u64")),
+            ("hex_u64", "hex", Ok("255")),
+            ("hex_u64", "short", Ok("255")),
+            ("hex_u64", "upper", Ok("255")),
+            ("hex_u64", "plus", Ok("15")),
+            ("hex_u64", "zeros", Ok("255")),
+            ("hex_u64", "empty", Err("hex u64")),
+            ("hex_u64", "nonhex", Err("hex u64")),
+            ("hex_u64", "long", Err("hex u64")),
+            ("hex_u64", "u8", Err("hex u64")),
+            ("hex_f64", "one", Ok("1")),
+            ("hex_f64", "nonhex", Err("hex f64 bits")),
+            ("string", "s", Ok("x")),
+            ("string", "u8", Err("string")),
+            ("boolean", "b", Ok("true")),
+            ("boolean", "s", Err("bool")),
+            ("array", "a", Ok("1")),
+            ("array", "null", Err("array")),
+            ("number", "frac", Ok("1.5")),
+            ("number", "null", Err("number")),
+            ("member", "null", Ok("null")),
+            ("member", "absent", Err("value")),
+            ("on a non-object", "s", Err("string")),
+        ];
+        for (method, key, want) in cases {
+            let got = read(method, key).map_err(|e| e.to_string());
+            let want = want
+                .map(str::to_string)
+                .map_err(|expected| format!("field \"{key}\": expected {expected}"));
+            assert_eq!(got, want, "{method}({key:?})");
+        }
     }
 
     #[test]

@@ -5,8 +5,9 @@
 
 use copart_core::policies::PolicyKind;
 use copart_faults::FaultPlan;
+use copart_serve::daemon::{spawn_control, Command};
 use copart_serve::loadgen::{self, LoadConfig};
-use copart_serve::{Scenario, ServeConfig, ServerHandle};
+use copart_serve::{DaemonConfig, PersistedRun, Scenario, ServeConfig, ServerHandle};
 use copart_telemetry::Json;
 use copart_workloads::MixKind;
 use std::collections::BTreeMap;
@@ -233,6 +234,60 @@ fn every_endpoint_round_trips() {
     );
 }
 
+/// A `/status` body that is a complete document: it parses and carries
+/// the epoch, the phase and the app roster.
+fn assert_complete_status(body: &str) {
+    let doc = Json::parse(body).unwrap_or_else(|e| panic!("/status {body:?}: {e}"));
+    assert!(
+        doc.get("epoch").and_then(Json::as_u64).is_some(),
+        "no epoch: {body}"
+    );
+    assert!(
+        doc.get("phase").and_then(Json::as_str).is_some(),
+        "no phase: {body}"
+    );
+    let apps = doc.get("apps").and_then(Json::as_arr);
+    assert!(apps.is_some_and(|a| !a.is_empty()), "no apps: {body}");
+}
+
+#[test]
+fn control_status_is_complete_when_spawn_returns() {
+    let scenario = scenario(11);
+    let env = scenario.env();
+    let runtime = scenario
+        .launch(&env, Box::new(copart_telemetry::NullRecorder))
+        .expect("scenario launches");
+    let (tx, rx) = std::sync::mpsc::channel();
+    let control = spawn_control(
+        PersistedRun::new(runtime, env),
+        DaemonConfig {
+            tick: Duration::ZERO,
+            max_epochs: Some(3),
+        },
+        rx,
+        tx.clone(),
+    );
+    let boot = control.status.lock().unwrap().clone();
+    assert_complete_status(&boot);
+    let (reply, epochs) = std::sync::mpsc::sync_channel(1);
+    tx.send(Command::Shutdown { reply }).unwrap();
+    epochs.recv().unwrap();
+    control.join();
+}
+
+#[test]
+fn status_is_never_empty_from_boot() {
+    let handle = boot_free(&scenario(12), 20);
+    let addr = handle.addr().to_string();
+    for _ in 0..200 {
+        let (status, body) = get(&addr, "/status");
+        assert_eq!(status, 200);
+        assert_complete_status(&body);
+    }
+    handle.shutdown();
+    handle.join();
+}
+
 #[test]
 fn fault_free_daemon_trace_matches_oneshot_under_load() {
     const EPOCHS: u64 = 30;
@@ -366,15 +421,35 @@ fn shares_a_mask(doc: &Json) -> bool {
     distinct.len() < masks.len()
 }
 
-/// The control thread survived planning under the LFOC engine.
+/// The control thread survived planning under the LFOC engine. The
+/// health check samples epoch progress once per worker interval, and a
+/// policy switch re-profiles inside the loop long enough to fail one
+/// sample, so this is a liveness check: it waits for a healthy sample
+/// rather than trusting the one the clock lands on.
 fn assert_healthy(addr: &str) {
-    assert_eq!(get(addr, "/healthz").0, 200);
-    let (_, metrics) = get(addr, "/metrics");
-    assert!(
-        metrics.lines().any(|l| l.trim() == "copart_healthy 1"),
-        "the control thread is no longer healthy"
-    );
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let healthy = get(addr, "/healthz").0 == 200
+            && get(addr, "/metrics")
+                .1
+                .lines()
+                .any(|l| l.trim() == "copart_healthy 1");
+        if healthy {
+            return;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the control thread is no longer healthy"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
 }
+
+/// FNV-1a of the `/status` body at the lfoc test's epoch cap — generated
+/// before `/status` moved onto the streaming writer, and unchanged by it.
+/// Bless an intentional change with `UPDATE_STATUS_DIGEST=1 cargo test
+/// --test serve_api lfoc_daemon -- --nocapture`.
+const LFOC_STATUS_AT_CAP: u64 = 0xac63a598c13f785e;
 
 #[test]
 fn lfoc_daemon_reports_the_shared_masks_it_programmed() {
@@ -386,11 +461,28 @@ fn lfoc_daemon_reports_the_shared_masks_it_programmed() {
     let addr = handle.addr().to_string();
     // The first cluster plan lands within a few epochs; a control thread
     // that dies publishing it never reaches the cap. A free run from boot
-    // is deterministic, so the status at the cap is a pinned sample.
+    // is deterministic, so the status at the cap is a pinned sample. The
+    // epoch counter ticks inside the epoch and the status is published
+    // after it, so wait for the status itself to reach the cap.
     wait_for_epochs(&addr, CAP);
-    let (doc, epoch) = status_doc(&addr);
-    assert_eq!(epoch, CAP);
+    let deadline = Instant::now() + Duration::from_secs(120);
+    let (doc, body) = loop {
+        let (status, body) = get(&addr, "/status");
+        assert_eq!(status, 200);
+        let doc = Json::parse(&body).expect("/status is JSON");
+        if doc.get("epoch").and_then(Json::as_u64) == Some(CAP) {
+            break (doc, body);
+        }
+        assert!(Instant::now() < deadline, "/status never reached the cap");
+        std::thread::sleep(Duration::from_millis(2));
+    };
     assert!(shares_a_mask(&doc), "no two apps share a cluster mask");
+    let digest = copart_telemetry::fnv1a64(body.as_bytes());
+    if std::env::var("UPDATE_STATUS_DIGEST").is_ok_and(|v| !v.is_empty() && v != "0") {
+        println!("const LFOC_STATUS_AT_CAP: u64 = {digest:#018x};");
+    } else {
+        assert_eq!(digest, LFOC_STATUS_AT_CAP, "/status at the cap: {body}");
+    }
     assert_healthy(&addr);
     handle.shutdown();
     assert_eq!(handle.join().epochs, CAP);
