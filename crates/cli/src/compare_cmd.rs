@@ -33,9 +33,8 @@ pub fn compare(opts: &Options) -> Result<(), String> {
     });
     let (engines, scenarios) = (grid.columns.len(), grid.rows.len());
 
-    // The solo references are measured before the grid fans out, so the
-    // second progress line marks the end of set-up.
-    eprintln!("measuring solo references for {scenarios} scenarios...");
+    // The references are resolved (checked in, or measured) before the
+    // grid fans out, so the progress line marks the end of set-up.
     grid.references();
     eprintln!(
         "running the {engines}-engine x {scenarios}-scenario grid ({} cells)...",

@@ -59,7 +59,6 @@ pub fn sim_run(opts: &Options) -> Result<(), String> {
         specs.iter().map(|s| s.name.as_str()).collect::<Vec<_>>()
     );
 
-    eprintln!("measuring solo references and STREAM table...");
     let full = policies::solo_full_ips(&machine, &specs);
 
     let eval = EvalOptions {

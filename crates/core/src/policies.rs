@@ -20,11 +20,14 @@
 //! in via [`evaluate_engine`] without touching this module (DESIGN.md
 //! §12.3).
 
+use std::sync::Mutex;
+
 use copart_rng::XorShift64Star;
 
 use copart_rdt::{CbmMask, ClosId, MbaLevel, RdtBackend, SimBackend};
 use copart_sim::{AppSpec, Machine, MachineConfig};
 use copart_telemetry::{MetricsSnapshot, NullRecorder, Recorder};
+use copart_workloads::reference;
 use copart_workloads::stream::StreamReference;
 
 use crate::metrics::{self, geomean, unfairness};
@@ -197,12 +200,45 @@ pub struct EvalResult {
     pub timeline: Vec<f64>,
 }
 
-/// Measures each spec's solo full-resource IPS — the Eq 1 numerators used
-/// for ground-truth slowdowns. Expensive; callers should cache per mix.
+/// Each spec's solo full-resource IPS on `machine_cfg` — the Eq 1
+/// numerators of ground-truth slowdowns. A checked-in value
+/// ([`copart_workloads::reference`]) is read; any other is measured once
+/// per process, the misses of one call in one fan-out on the pool with
+/// the memo unlocked, so no caller waits behind another's measurement. A
+/// solo run is a pure function of its `(machine, spec)`, so every answer
+/// is exactly a fresh [`measure_full`](copart_workloads::measure::measure_full).
 pub fn solo_full_ips(machine_cfg: &MachineConfig, specs: &[AppSpec]) -> Vec<f64> {
+    type Memo = Vec<(MachineConfig, AppSpec, f64)>;
+    static MEMO: Mutex<Memo> = Mutex::new(Vec::new());
+    let lock = || MEMO.lock().unwrap_or_else(|e| e.into_inner());
+    let known = |memo: &Memo, spec: &AppSpec| {
+        reference::full_ips(machine_cfg, spec).or_else(|| {
+            memo.iter()
+                .find(|(m, s, _)| m == machine_cfg && s == spec)
+                .map(|&(_, _, ips)| ips)
+        })
+    };
+    let mut missing: Vec<&AppSpec> = Vec::new();
+    {
+        let memo = lock();
+        for spec in specs {
+            if known(&memo, spec).is_none() && !missing.contains(&spec) {
+                missing.push(spec);
+            }
+        }
+    }
+    let measured = copart_parallel::par_map_indexed(&missing, 1, |_, spec| {
+        copart_workloads::measure::measure_full(machine_cfg, spec).0
+    });
+    let mut memo = lock();
+    for (spec, ips) in missing.into_iter().zip(measured) {
+        if known(&memo, spec).is_none() {
+            memo.push((machine_cfg.clone(), spec.clone(), ips));
+        }
+    }
     specs
         .iter()
-        .map(|s| copart_workloads::measure::measure_full(machine_cfg, s).0)
+        .map(|spec| known(&memo, spec).expect("measured above"))
         .collect()
 }
 
@@ -828,6 +864,29 @@ mod tests {
         assert_eq!(PolicyKind::evaluated().len(), 5);
         assert_eq!(PolicyKind::CoPart.label(), "CoPart");
         assert_eq!(PolicyKind::Equal.label(), "EQ");
+    }
+
+    #[test]
+    fn solo_ips_equal_a_fresh_measurement_from_table_and_memo() {
+        let measured = |cfg: &MachineConfig, specs: &[AppSpec]| -> Vec<u64> {
+            (specs.iter())
+                .map(|s| copart_workloads::measure::measure_full(cfg, s).0.to_bits())
+                .collect()
+        };
+        let bits = |ips: Vec<f64>| -> Vec<u64> { ips.into_iter().map(f64::to_bits).collect() };
+        // The testbed's mixes are checked in.
+        let cfg = machine_cfg();
+        let specs = WorkloadMix::paper_default(MixKind::HighBoth).specs();
+        assert!(specs.iter().all(|s| reference::full_ips(&cfg, s).is_some()));
+        assert_eq!(bits(solo_full_ips(&cfg, &specs)), measured(&cfg, &specs));
+        // Another machine is measured once (a repeated spec included) and
+        // then served from the memo.
+        let tiny = MachineConfig::tiny_test();
+        let spec = copart_workloads::Benchmark::Swaptions.spec_with_cores(1);
+        let twice = [spec.clone(), spec];
+        let first = solo_full_ips(&tiny, &twice);
+        assert_eq!(bits(first.clone()), measured(&tiny, &twice));
+        assert_eq!(solo_full_ips(&tiny, &twice[..1]), first[..1]);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! sensitive mixes and reports ground-truth unfairness side by side.
 
 use copart_core::metrics::geomean;
-use copart_core::policies::PolicyKind;
+use copart_core::policies::{self, PolicyKind};
 use copart_core::CoPartParams;
 use copart_experiments::{Column, Grid, Row};
 use copart_sim::MachineConfig;
@@ -101,8 +101,7 @@ pub fn retry() {
 /// The next-line prefetcher on vs off: solo anchor shifts and the H-Both
 /// fairness comparison.
 pub fn prefetch() {
-    use copart_sim::MbaLevel;
-    use copart_workloads::{measure, Benchmark};
+    use copart_workloads::Benchmark;
 
     println!("Ablation — next-line hardware prefetcher\n");
 
@@ -112,16 +111,16 @@ pub fn prefetch() {
         ..base.clone()
     };
 
-    let mut t = Table::new(&["bench", "IPS (no PF)", "IPS (PF)", "speedup"]);
-    for b in [
+    let benches = [
         Benchmark::WaterNsquared,
         Benchmark::OceanCp,
         Benchmark::Cg,
         Benchmark::Sp,
-    ] {
-        let spec = b.spec();
-        let off = measure::measure_ips(&base, &spec, base.llc_ways, MbaLevel::MAX);
-        let on = measure::measure_ips(&with_pf, &spec, base.llc_ways, MbaLevel::MAX);
+    ];
+    let specs: Vec<_> = benches.iter().map(|b| b.spec()).collect();
+    let solo = |machine| policies::solo_full_ips(machine, &specs);
+    let mut t = Table::new(&["bench", "IPS (no PF)", "IPS (PF)", "speedup"]);
+    for ((b, off), on) in benches.iter().zip(solo(&base)).zip(solo(&with_pf)) {
         t.row(vec![
             b.table2().short.to_string(),
             format!("{off:.3e}"),

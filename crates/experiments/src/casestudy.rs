@@ -10,7 +10,7 @@
 
 use std::time::Duration;
 
-use copart_core::policies::PolicyKind;
+use copart_core::policies::{self, PolicyKind};
 use copart_core::runtime::{ConsolidationRuntime, RuntimeConfig};
 use copart_core::state::{SystemState, WaysBudget};
 use copart_core::{metrics, node, CoPartParams};
@@ -92,10 +92,7 @@ fn run_case(policy: PolicyKind) -> Vec<BucketRow> {
 
     // Solo references for batch ground truth.
     let batch_specs = [wordcount_spec(4), kmeans_spec(4)];
-    let batch_full: Vec<f64> = batch_specs
-        .iter()
-        .map(|s| copart_workloads::measure::measure_full(&machine_cfg, s).0)
-        .collect();
+    let batch_full = policies::solo_full_ips(&machine_cfg, &batch_specs);
 
     let mut backend = SimBackend::new(Machine::new(machine_cfg.clone()));
     let lc_group = backend.add_workload(memcached_spec(8)).expect("LC fits");

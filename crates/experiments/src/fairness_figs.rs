@@ -8,7 +8,6 @@
 
 use copart_core::policies::{self, EvalOptions, PolicyKind};
 use copart_core::state::{AllocationState, SystemState};
-use copart_experiments::memoized_solo_ips;
 use copart_rdt::MbaLevel;
 use copart_sim::MachineConfig;
 use copart_workloads::stream::StreamReference;
@@ -47,8 +46,7 @@ fn run_heatmap(title: &str, kind: MixKind) {
     let machine = MachineConfig::xeon_gold_6130();
     let specs = WorkloadMix::paper_default(kind).specs();
     let names: Vec<&str> = specs.iter().map(|s| s.name.as_str()).collect();
-    let keys: Vec<_> = specs.iter().map(|s| (&machine, s)).collect();
-    let full = memoized_solo_ips(&keys);
+    let full = policies::solo_full_ips(&machine, &specs);
     let opts = eval_opts();
 
     // Normalization baseline: no partitioning at all (§4.2).

@@ -2,18 +2,16 @@
 //! (columns), every cell one [`policies`] evaluation on a fresh
 //! simulated machine from an explicit seed, fanned out on the
 //! `copart-parallel` pool. Each cell is graded against the solo
-//! full-resource IPS of its applications, measured once per process
-//! ([`memoized_solo_ips`]).
+//! full-resource IPS of its applications ([`policies::solo_full_ips`]).
 
 use std::fmt::Write as _;
-use std::sync::Mutex;
 
 use copart_core::policies::{self, EvalOptions, EvalResult, PolicyKind};
 use copart_core::CoPartParams;
 use copart_sim::{AppSpec, MachineConfig};
 use copart_telemetry::{fnv1a64, Recorder};
 use copart_workloads::stream::StreamReference;
-use copart_workloads::{measure, CompareScenario, MixKind, WorkloadMix};
+use copart_workloads::{CompareScenario, MixKind, WorkloadMix};
 
 use crate::Table;
 
@@ -98,21 +96,22 @@ impl Grid {
     }
 
     /// What every row's cells are graded against — its machine's STREAM
-    /// table and its applications' solo IPS — measured on first use and
-    /// memoized for the process. [`Grid::run`] calls this itself; callers
-    /// that report the set-up phase separately call it first.
+    /// table and its applications' solo IPS — read from the checked-in
+    /// references, or measured on first use and memoized for the process
+    /// (one solo fan-out per run of rows on the same machine model).
+    /// [`Grid::run`] calls this itself; callers that report the set-up
+    /// phase separately call it first.
     pub fn references(&self) -> Vec<(StreamReference, Vec<f64>)> {
-        let keys: Vec<(&MachineConfig, &AppSpec)> = self
-            .rows
-            .iter()
-            .flat_map(|r| r.specs.iter().map(move |s| (&r.machine, s)))
-            .collect();
-        let mut solo = memoized_solo_ips(&keys).into_iter();
         self.rows
-            .iter()
-            .map(|r| {
-                let full = solo.by_ref().take(r.specs.len()).collect();
-                (StreamReference::for_machine(&r.machine), full)
+            .chunk_by(|a, b| a.machine == b.machine)
+            .flat_map(|rows| {
+                let machine = &rows[0].machine;
+                let specs: Vec<AppSpec> = rows.iter().flat_map(|r| r.specs.clone()).collect();
+                let mut solo = policies::solo_full_ips(machine, &specs).into_iter();
+                let stream = StreamReference::for_machine(machine);
+                rows.iter()
+                    .map(|r| (stream.clone(), solo.by_ref().take(r.specs.len()).collect()))
+                    .collect::<Vec<_>>()
             })
             .collect()
     }
@@ -255,56 +254,31 @@ fn grid_digest(jsonl: &str) -> u64 {
     fnv1a64(jsonl.as_bytes())
 }
 
-/// The solo full-resource IPS ([`measure::measure_full`]) of each
-/// `(machine, spec)`, memoized for the process the way
-/// [`StreamReference::for_machine`] memoizes STREAM tables. The keys not
-/// yet known are measured in one fan-out on the pool with the memo
-/// unlocked, so no caller waits behind another's measurement; a solo run
-/// is a pure function of its key, so a hit is exactly a fresh run.
-pub fn memoized_solo_ips(keys: &[(&MachineConfig, &AppSpec)]) -> Vec<f64> {
-    type Memo = Vec<(MachineConfig, AppSpec, f64)>;
-    static MEMO: Mutex<Memo> = Mutex::new(Vec::new());
-    let lock = || MEMO.lock().unwrap_or_else(|e| e.into_inner());
-    let find = |memo: &Memo, &(machine, spec): &(&MachineConfig, &AppSpec)| {
-        memo.iter()
-            .find(|(m, s, _)| m == machine && s == spec)
-            .map(|&(_, _, ips)| ips)
-    };
-    let mut missing = Vec::new();
-    {
-        let memo = lock();
-        for key in keys {
-            if find(&memo, key).is_none() && !missing.contains(key) {
-                missing.push(*key);
-            }
-        }
-    }
-    let measured = copart_parallel::par_map_indexed(&missing, 1, |_, &(machine, spec)| {
-        measure::measure_full(machine, spec).0
-    });
-    let mut memo = lock();
-    for (key, ips) in missing.iter().zip(measured) {
-        if find(&memo, key).is_none() {
-            memo.push((key.0.clone(), key.1.clone(), ips));
-        }
-    }
-    keys.iter()
-        .map(|key| find(&memo, key).expect("measured above"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn solo_ips_are_memoized_and_equal_a_fresh_measurement() {
-        let machine = MachineConfig::xeon_gold_6130();
-        let spec = copart_workloads::Benchmark::Swaptions.spec();
-        let first = memoized_solo_ips(&[(&machine, &spec), (&machine, &spec)]);
-        assert_eq!(first[0], first[1]);
-        assert_eq!(first, memoized_solo_ips(&[(&machine, &spec); 2]));
-        assert_eq!(first[0], measure::measure_full(&machine, &spec).0);
+    fn references_follow_each_rows_machine() {
+        let testbed = MachineConfig::xeon_gold_6130();
+        let tiny = MachineConfig::tiny_test();
+        let spec = copart_workloads::Benchmark::Swaptions.spec_with_cores(1);
+        let row = |machine: &MachineConfig| Row {
+            name: "solo".into(),
+            machine: machine.clone(),
+            specs: vec![spec.clone()],
+        };
+        let grid = Grid::policies(
+            vec![row(&testbed), row(&tiny), row(&testbed)],
+            &[PolicyKind::Equal],
+            EvalOptions::default(),
+        );
+        let refs = grid.references();
+        for (r, (stream, full)) in grid.rows.iter().zip(&refs) {
+            assert_eq!(*stream, StreamReference::for_machine(&r.machine));
+            assert_eq!(*full, policies::solo_full_ips(&r.machine, &r.specs));
+        }
+        assert_ne!(refs[0].1, refs[1].1, "the machine model matters");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The CoPart evaluation grid, shared by the `repro` figure harness and
 //! `copart compare`: one runner ([`Grid`]) that fans `(consolidation ×
-//! engine)` cells out on the parallel pool, one process-wide solo-IPS
-//! memo ([`memoized_solo_ips`]), the cell JSONL and its digest
+//! engine)` cells out on the parallel pool after reading every row's
+//! references ([`Grid::references`]), the cell JSONL and its digest
 //! ([`Grid::render_artifact`]), and the aligned [`Table`] every view
 //! prints.
 
@@ -11,5 +11,5 @@
 mod grid;
 mod table;
 
-pub use grid::{memoized_solo_ips, Column, Grid, Row};
+pub use grid::{Column, Grid, Row};
 pub use table::Table;

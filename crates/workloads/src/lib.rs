@@ -27,6 +27,7 @@ pub mod category;
 pub mod fleet;
 pub mod measure;
 pub mod mixes;
+pub mod reference;
 pub mod scenarios;
 pub mod stream;
 

@@ -31,7 +31,6 @@ fn main() {
         specs.iter().map(|s| s.name.as_str()).collect::<Vec<_>>()
     );
 
-    println!("measuring solo full-resource references...");
     let full = policies::solo_full_ips(&machine_cfg, &specs);
     let stream = StreamReference::for_machine(&machine_cfg);
     let opts = EvalOptions::default();

@@ -45,7 +45,6 @@ fn record_demo_trace() -> String {
     let machine_cfg = MachineConfig::xeon_gold_6130();
     let mix = WorkloadMix::paper_default(MixKind::HighLlc);
     let specs = mix.specs();
-    eprintln!("measuring solo full-resource references...");
     let full = policies::solo_full_ips(&machine_cfg, &specs);
     let stream = StreamReference::for_machine(&machine_cfg);
     let recorder = Box::new(JsonlRecorder::create(&path).expect("temp file is writable"));
