@@ -33,8 +33,10 @@ pub fn compare(opts: &Options) -> Result<(), String> {
     });
     let (engines, scenarios) = (grid.columns.len(), grid.rows.len());
 
-    // The references are resolved (checked in, or measured) before the
-    // grid fans out, so the progress line marks the end of set-up.
+    // The grading references (STREAM table, solo full IPS) are resolved —
+    // checked in, or measured — before the grid fans out, so the progress
+    // line marks the end of set-up. Utility's way curves are read inside
+    // its own cells, like ST's search.
     grid.references();
     eprintln!(
         "running the {engines}-engine x {scenarios}-scenario grid ({} cells)...",

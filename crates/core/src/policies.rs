@@ -27,6 +27,7 @@ use copart_rng::XorShift64Star;
 use copart_rdt::{CbmMask, ClosId, MbaLevel, RdtBackend, SimBackend};
 use copart_sim::{AppSpec, Machine, MachineConfig};
 use copart_telemetry::{MetricsSnapshot, NullRecorder, Recorder};
+use copart_workloads::measure::{self, MrcPoint};
 use copart_workloads::reference;
 use copart_workloads::stream::StreamReference;
 
@@ -200,45 +201,64 @@ pub struct EvalResult {
     pub timeline: Vec<f64>,
 }
 
-/// Each spec's solo full-resource IPS on `machine_cfg` — the Eq 1
-/// numerators of ground-truth slowdowns. A checked-in value
+/// Each `(spec, ways)`'s solo point on `machine_cfg`: the IPS and LLC
+/// miss ratio of `spec` running alone with `ways` LLC ways at MBA 100 % —
+/// at all ways the Eq 1 numerators of ground-truth slowdowns
+/// ([`solo_full_ips`]), at every way count the offline miss-ratio curves
+/// Utility plans from ([`utility_state`]). A checked-in value
 /// ([`copart_workloads::reference`]) is read; any other is measured once
 /// per process, the misses of one call in one fan-out on the pool with
 /// the memo unlocked, so no caller waits behind another's measurement. A
-/// solo run is a pure function of its `(machine, spec)`, so every answer
-/// is exactly a fresh [`measure_full`](copart_workloads::measure::measure_full).
-pub fn solo_full_ips(machine_cfg: &MachineConfig, specs: &[AppSpec]) -> Vec<f64> {
-    type Memo = Vec<(MachineConfig, AppSpec, f64)>;
+/// solo run is a pure function of its `(machine, spec, ways)`, so every
+/// answer is exactly a fresh [`measure`](copart_workloads::measure::measure).
+pub fn solo_points(machine_cfg: &MachineConfig, queries: &[(&AppSpec, u32)]) -> Vec<MrcPoint> {
+    type Memo = Vec<(MachineConfig, AppSpec, MrcPoint)>;
     static MEMO: Mutex<Memo> = Mutex::new(Vec::new());
     let lock = || MEMO.lock().unwrap_or_else(|e| e.into_inner());
-    let known = |memo: &Memo, spec: &AppSpec| {
-        reference::full_ips(machine_cfg, spec).or_else(|| {
+    let known = |memo: &Memo, &(spec, ways): &(&AppSpec, u32)| {
+        reference::solo_point(machine_cfg, spec, ways).or_else(|| {
             memo.iter()
-                .find(|(m, s, _)| m == machine_cfg && s == spec)
-                .map(|&(_, _, ips)| ips)
+                .find(|(m, s, p)| p.ways == ways && m == machine_cfg && s == spec)
+                .map(|&(_, _, point)| point)
         })
     };
-    let mut missing: Vec<&AppSpec> = Vec::new();
+    let mut missing: Vec<(&AppSpec, u32)> = Vec::new();
     {
         let memo = lock();
-        for spec in specs {
-            if known(&memo, spec).is_none() && !missing.contains(&spec) {
-                missing.push(spec);
+        for query in queries {
+            if known(&memo, query).is_none() && !missing.contains(query) {
+                missing.push(*query);
             }
         }
     }
-    let measured = copart_parallel::par_map_indexed(&missing, 1, |_, spec| {
-        copart_workloads::measure::measure_full(machine_cfg, spec).0
+    let measured = copart_parallel::par_map_indexed(&missing, 1, |_, &(spec, ways)| {
+        let (ips, rates) = measure::measure(machine_cfg, spec, ways, MbaLevel::MAX);
+        MrcPoint {
+            ways,
+            miss_ratio: rates.miss_ratio,
+            ips,
+        }
     });
     let mut memo = lock();
-    for (spec, ips) in missing.into_iter().zip(measured) {
-        if known(&memo, spec).is_none() {
-            memo.push((machine_cfg.clone(), spec.clone(), ips));
+    for (query, point) in missing.iter().zip(measured) {
+        if known(&memo, query).is_none() {
+            memo.push((machine_cfg.clone(), query.0.clone(), point));
         }
     }
-    specs
+    queries
         .iter()
-        .map(|spec| known(&memo, spec).expect("measured above"))
+        .map(|query| known(&memo, query).expect("measured above"))
+        .collect()
+}
+
+/// Each spec's solo full-resource IPS on `machine_cfg`: its all-ways
+/// [`solo_points`] entry, exactly a fresh
+/// [`measure_full`](copart_workloads::measure::measure_full).
+pub fn solo_full_ips(machine_cfg: &MachineConfig, specs: &[AppSpec]) -> Vec<f64> {
+    let queries: Vec<(&AppSpec, u32)> = specs.iter().map(|s| (s, machine_cfg.llc_ways)).collect();
+    solo_points(machine_cfg, &queries)
+        .into_iter()
+        .map(|p| p.ips)
         .collect()
 }
 
@@ -686,10 +706,13 @@ fn finish(
 }
 
 /// The utility-based (UCP/dCat-style) static LLC allocation: each
-/// application's offline miss-ratio curve is profiled solo, then ways are
-/// handed out greedily — one at a time to the application whose *marginal
-/// utility* (misses-per-second avoided by one more way) is highest. MBA
-/// is set to the equal share, since the scheme partitions only the cache.
+/// application's offline miss-ratio curve (its solo MBA-100 % point at
+/// every way count, read through [`solo_points`]: checked in for the
+/// testbed's compare scenarios and four-app mixes, measured otherwise) is
+/// turned into misses per second, then ways are handed out greedily — one
+/// at a time to the application whose *marginal utility*
+/// (misses-per-second avoided by one more way) is highest. MBA is set to
+/// the equal share, since the scheme partitions only the cache.
 ///
 /// This is exactly the machinery CoPart's FSM probes avoid building
 /// online; it serves as the related-work comparator.
@@ -698,14 +721,31 @@ pub fn utility_state(
     specs: &[AppSpec],
     budget: &WaysBudget,
 ) -> SystemState {
+    let queries: Vec<(&AppSpec, u32)> = specs
+        .iter()
+        .flat_map(|spec| (1..=machine_cfg.llc_ways).map(move |ways| (spec, ways)))
+        .collect();
+    let points = solo_points(machine_cfg, &queries);
+    let curves: Vec<&[MrcPoint]> = points.chunks(machine_cfg.llc_ways as usize).collect();
+    utility_allocation(specs, &curves, budget)
+}
+
+/// [`utility_state`]'s greedy auction over each spec's miss-ratio curve
+/// (`curves[i][w - 1]` is spec `i` at `w` ways).
+fn utility_allocation(
+    specs: &[AppSpec],
+    curves: &[&[MrcPoint]],
+    budget: &WaysBudget,
+) -> SystemState {
     let n = specs.len();
     assert!(n as u32 <= budget.total_ways, "every app needs a way");
     // Offline solo MRCs: misses/second at each way count.
     let curves: Vec<Vec<f64>> = specs
         .iter()
-        .map(|spec| {
-            copart_workloads::measure::miss_ratio_curve(machine_cfg, spec)
-                .into_iter()
+        .zip(curves)
+        .map(|(spec, curve)| {
+            curve
+                .iter()
                 .map(|p| p.miss_ratio * p.ips * spec.apki / 1000.0)
                 .collect()
         })
@@ -877,7 +917,7 @@ mod tests {
         // The testbed's mixes are checked in.
         let cfg = machine_cfg();
         let specs = WorkloadMix::paper_default(MixKind::HighBoth).specs();
-        assert!(specs.iter().all(|s| reference::full_ips(&cfg, s).is_some()));
+        assert!((specs.iter()).all(|s| reference::solo_point(&cfg, s, cfg.llc_ways).is_some()));
         assert_eq!(bits(solo_full_ips(&cfg, &specs)), measured(&cfg, &specs));
         // Another machine is measured once (a repeated spec included) and
         // then served from the memo.
@@ -1076,5 +1116,41 @@ mod utility_tests {
         );
         assert!(state.allocs[1].ways >= 1, "floor of one way each");
         assert!(state.allocs[0].ways > state.allocs[1].ways);
+    }
+
+    /// A machine outside the checked-in table: every curve point is
+    /// measured (on the pool, through the memo) and the plan is the one
+    /// fresh miss-ratio curves give.
+    #[test]
+    fn utility_off_the_table_plans_from_fresh_curves() {
+        let tiny = MachineConfig::tiny_test();
+        let specs = vec![
+            Benchmark::WaterNsquared.spec_with_cores(1),
+            Benchmark::Swaptions.spec_with_cores(1),
+            Benchmark::Cg.spec_with_cores(2),
+        ];
+        assert!(specs
+            .iter()
+            .all(|s| reference::solo_point(&tiny, s, tiny.llc_ways).is_none()));
+        let fresh: Vec<Vec<MrcPoint>> = specs
+            .iter()
+            .map(|s| measure::miss_ratio_curve(&tiny, s))
+            .collect();
+        let curves: Vec<&[MrcPoint]> = fresh.iter().map(Vec::as_slice).collect();
+        let budget = WaysBudget::full_machine(tiny.llc_ways);
+        let expected = utility_allocation(&specs, &curves, &budget);
+        assert_eq!(utility_state(&tiny, &specs, &budget), expected);
+        // The memo now answers with the same bits.
+        let queries: Vec<(&AppSpec, u32)> = (specs.iter())
+            .flat_map(|s| (1..=tiny.llc_ways).map(move |w| (s, w)))
+            .collect();
+        let bits = |p: &MrcPoint| (p.ways, p.ips.to_bits(), p.miss_ratio.to_bits());
+        assert_eq!(
+            solo_points(&tiny, &queries)
+                .iter()
+                .map(bits)
+                .collect::<Vec<_>>(),
+            fresh.iter().flatten().map(bits).collect::<Vec<_>>()
+        );
     }
 }

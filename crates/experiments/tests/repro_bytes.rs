@@ -1,11 +1,14 @@
 //! Byte witnesses for the `repro` evaluation grid: `fig12`'s table and
 //! its seven CoPart decision traces (the `PolicyKind` column shape, with
-//! the per-cell trace hook) and `ablate-retry`'s table (the
-//! `CoPartParams` column shape), at smoke length on two workers. An
+//! the per-cell trace hook), `ablate-retry`'s table (the `CoPartParams`
+//! column shape) and `compare-utility`'s table (the one column that plans
+//! from offline miss-ratio curves), at smoke length on two workers. An
 //! FNV-1a over each output must equal the pinned constant.
 //!
 //! Pinned at the commit before the grid runner moved into the library
-//! and unchanged by it. Bless an intentional change with
+//! and unchanged by it; `compare-utility` was pinned before its curves
+//! became checked-in data and is unchanged by that. Bless an intentional
+//! change with
 //! `UPDATE_REPRO_DIGESTS=1 cargo test -p copart-experiments --test
 //! repro_bytes -- --nocapture` and paste the printed rows over the
 //! constants.
@@ -17,6 +20,7 @@ use copart_telemetry::fnv1a64;
 
 const FIG12_STDOUT: u64 = 0xbde4bfec460afe91;
 const ABLATE_RETRY_STDOUT: u64 = 0x6edacda1ec2d2edc;
+const COMPARE_UTILITY_STDOUT: u64 = 0xded482236e16145e;
 const FIG12_TRACES: &[(&str, u64)] = &[
     ("h-llc", 0x55ba361c6a4df86e),
     ("h-bw", 0x48c16e9626b3530e),
@@ -76,5 +80,13 @@ fn ablate_retry_table_is_pinned() {
     let dir = std::env::temp_dir().join(format!("copart-repro-retry-{}", std::process::id()));
     let stdout = repro("ablate-retry", &dir);
     check("ablate-retry stdout", &stdout, ABLATE_RETRY_STDOUT);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn compare_utility_table_is_pinned() {
+    let dir = std::env::temp_dir().join(format!("copart-repro-utility-{}", std::process::id()));
+    let stdout = repro("compare-utility", &dir);
+    check("compare-utility stdout", &stdout, COMPARE_UTILITY_STDOUT);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -91,7 +91,12 @@ pub struct MrcPoint {
 /// This is the curve utility-based partitioning schemes (UCP, dCat, …)
 /// build on; CoPart deliberately avoids constructing it online — the
 /// paper's point is that its FSM probes are much cheaper — but the
-/// offline curve is invaluable for calibration and visualisation.
+/// offline curve is invaluable for calibration and visualisation. Each
+/// point is one [`measure`] run, so the curve is a pure function of
+/// `(cfg, spec)`: the Utility comparator reads it point by point through
+/// `copart_core::policies::solo_points`, which answers from the
+/// checked-in table ([`crate::reference`]) where it can and equals this
+/// function bit for bit everywhere.
 pub fn miss_ratio_curve(cfg: &MachineConfig, spec: &AppSpec) -> Vec<MrcPoint> {
     (1..=cfg.llc_ways)
         .map(|ways| {

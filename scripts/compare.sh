@@ -15,7 +15,9 @@
 #      assertions), its decision trace checks out, and its metrics show
 #      the cluster planner actually engaged,
 #   4. `repro compare-engines` — the same grid through the same library
-#      runner, EQ-normalized — at smoke length (REPRO_FAST=1): its
+#      runner, EQ-normalized — and `repro compare-utility` — the Utility
+#      comparator on the paper's sensitive mixes, planned from the
+#      checked-in way curves — at smoke length (REPRO_FAST=1): each
 #      stdout must be byte-identical at --jobs 1 and --jobs 8.
 #
 # The grid shape (--seconds, --seed) is fixed rather than REPRO_FAST-
@@ -94,5 +96,11 @@ REPRO_FAST=1 "$bindir/repro" --jobs 1 compare-engines >"$cmpdir/e1.txt"
 REPRO_FAST=1 "$bindir/repro" --jobs 8 compare-engines >"$cmpdir/e8.txt"
 cmp "$cmpdir/e1.txt" "$cmpdir/e8.txt" ||
     { echo "compare: repro compare-engines differs between --jobs 1 and --jobs 8" >&2; exit 1; }
+
+echo "==> compare: repro compare-utility at --jobs 1 vs --jobs 8"
+REPRO_FAST=1 "$bindir/repro" --jobs 1 compare-utility >"$cmpdir/u1.txt"
+REPRO_FAST=1 "$bindir/repro" --jobs 8 compare-utility >"$cmpdir/u8.txt"
+cmp "$cmpdir/u1.txt" "$cmpdir/u8.txt" ||
+    { echo "compare: repro compare-utility differs between --jobs 1 and --jobs 8" >&2; exit 1; }
 
 echo "compare: all gates passed"

@@ -2,10 +2,13 @@
 //! in: the STREAM table of the machine `sim-run`, `serve`, `sim-run
 //! --state-dir` and `fleet-run` boot on, and the solo full-resource IPS
 //! of every application `sim-run`, `copart compare` and the `repro`
-//! figures grade against. A mix or scenario added without regenerating
-//! `crates/workloads/src/reference/tables.rs` fails here instead of
-//! quietly simulating solo runs on every boot again. Nothing here
-//! simulates: every lookup is a table read.
+//! figures grade against. So is every curve a Utility cell plans from:
+//! the solo point at every way count of each application in `copart
+//! compare` and `repro compare-utility`. A mix or scenario added without
+//! regenerating `crates/workloads/src/reference/tables.rs` fails here
+//! instead of quietly simulating solo runs on every boot (or in every
+//! Utility cell) again. Nothing here simulates: every lookup is a table
+//! read.
 
 use copart_core::policies::{EvalOptions, PolicyKind};
 use copart_experiments::{Grid, Row};
@@ -21,11 +24,27 @@ fn assert_checked_in(who: &str, machine: &MachineConfig, specs: &[AppSpec]) {
     );
     for spec in specs {
         assert!(
-            reference::full_ips(machine, spec).is_some(),
+            reference::solo_point(machine, spec, machine.llc_ways).is_some(),
             "{who}: no checked-in solo IPS for {} x{}",
             spec.name,
             spec.cores
         );
+    }
+}
+
+/// Every application of `row` has its whole MBA-100 % way curve checked
+/// in, so a Utility cell on it reads its plan instead of simulating it.
+fn assert_curves_checked_in(row: &Row) {
+    for spec in &row.specs {
+        for ways in 1..=row.machine.llc_ways {
+            assert!(
+                reference::solo_point(&row.machine, spec, ways).is_some(),
+                "{}: no checked-in curve point for {} x{} at {ways} ways",
+                row.name,
+                spec.name,
+                spec.cores
+            );
+        }
     }
 }
 
@@ -66,4 +85,17 @@ fn grid_rows_are_checked_in() {
     }
     // `repro fig15`'s batch jobs.
     assert_checked_in("fig15", &machine, &[wordcount_spec(4), kmeans_spec(4)]);
+}
+
+#[test]
+fn utility_curves_are_checked_in() {
+    // `copart compare`'s Utility column.
+    for row in &Grid::compare(EvalOptions::default()).rows {
+        assert_curves_checked_in(row);
+    }
+    // `repro compare-utility` (its three sensitive mixes and the rest).
+    let machine = MachineConfig::xeon_gold_6130();
+    for kind in MixKind::all() {
+        assert_curves_checked_in(&Row::mix(&machine, kind, 4));
+    }
 }
