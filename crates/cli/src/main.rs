@@ -38,7 +38,9 @@ Commands:
       --seconds <virtual seconds>                      (default 30)
       --seed <n>           seed of the explorer's randomized retries
                            (dynamic policies) and of ST's candidate
-                           search; same seed, same bytes
+                           search; same seed, same bytes (default
+                           242882029; 1371601426 with --state-dir or
+                           7+ apps)
       --trace-out <path>   write a per-epoch JSONL decision trace
                            (dynamic policies: cat-only, mba-only, copart,
                            lfoc)
@@ -63,6 +65,7 @@ Commands:
                            finishes the run with byte-identical traces
   serve            Run the always-on control daemon (HTTP API + /metrics)
       --mix, --policy (dynamic only), --apps, --seed    as in sim-run
+                           (--seed default 42)
       --port <n>           listen port (default 0 = ephemeral)
       --tick-ms <n>        wall-clock epoch spacing (default 25;
                            0 = free-run, requires --epochs)
@@ -101,7 +104,7 @@ Commands:
                    LC, flash-crowd LC, bully); byte-identical output at
                    any --jobs setting
       --seconds <virtual seconds>   per-cell run length (default 30)
-      --seed <n>           evaluation seed (default 42)
+      --seed <n>           evaluation seed (default 1371601426)
       --jobs <n>           worker threads for the cell grid
       --out <path>         write one JSONL line per (engine, scenario)
                            cell; BENCH_JSON_DIR additionally drops a

@@ -71,11 +71,13 @@ pub fn sim_run(opts: &Options) -> Result<(), String> {
     let r = if policy.is_dynamic() {
         run_dynamic(opts, mix_kind, n_apps, policy, &full, &eval)?
     } else if opts.get("faults").is_some() {
-        return Err("--faults needs a dynamic policy (cat-only, mba-only, copart, lfoc)".into());
+        let dynamic = PolicyKind::dynamic_wire_names();
+        return Err(format!("--faults needs a dynamic policy ({dynamic})"));
     } else if opts.get("trace-out").is_some() || opts.flag("metrics") {
-        return Err(
-            "--trace-out/--metrics need a dynamic policy (cat-only, mba-only, copart, lfoc)".into(),
-        );
+        let dynamic = PolicyKind::dynamic_wire_names();
+        return Err(format!(
+            "--trace-out/--metrics need a dynamic policy ({dynamic})"
+        ));
     } else {
         let stream = StreamReference::for_machine(&machine);
         policies::evaluate_policy(&machine, &specs, &full, &stream, policy, &eval)
@@ -107,11 +109,11 @@ fn sim_run_persisted(
     n_apps: usize,
     periods: u32,
 ) -> Result<(), String> {
+    let seed: u64 = opts.number("seed", copart_core::CoPartParams::default().seed)?;
+    let scenario = Scenario::new(mix, n_apps, policy, seed, parse_faults(opts)?)?;
     let state_dir = PathBuf::from(opts.required("state-dir")?);
     std::fs::create_dir_all(&state_dir)
         .map_err(|e| format!("cannot create state dir {}: {e}", state_dir.display()))?;
-    let seed: u64 = opts.number("seed", copart_core::CoPartParams::default().seed)?;
-    let scenario = Scenario::new(mix, n_apps, policy, seed, parse_faults(opts)?)?;
 
     let epochs: u64 = opts.number("epochs", u64::from(periods))?;
     if epochs == 0 {

@@ -17,8 +17,10 @@
 //!   (consumers), ordered by slowdown,
 //! * [`runtime::ConsolidationRuntime`] — the resource manager's
 //!   profile → explore → idle execution flow (Fig 10, Algorithm 1), and
-//! * [`policies`] — the baseline allocation policies the paper compares
-//!   against (EQ, ST, CAT-only, MBA-only, and the unpartitioned state).
+//! * [`policies`] — the one policy table, [`policies::PolicyKind`]: each
+//!   evaluated policy (EQ, ST, CAT-only, MBA-only, CoPart, and the
+//!   comparators and unpartitioned state) as a fixed state or a
+//!   controller shape, and the one evaluation body every cell runs.
 //!
 //! The runtime itself is a thin epoch driver over a four-layer
 //! control-plane pipeline (DESIGN.md §12):
@@ -28,9 +30,7 @@
 //! * [`classifier`] — the LLC/MBA FSM pair behind one interface,
 //! * [`planner`] — the one module that knows which planning algorithm
 //!   runs: [`planner::Explorer`] turns each exploring epoch into a
-//!   uniform [`planner::Plan`] and commits its outcome; plus the
-//!   [`planner::PolicyEngine`] trait every evaluated policy (including
-//!   CoPart itself) plugs into, and
+//!   uniform [`planner::Plan`] and commits its outcome, and
 //! * [`actuator`] — transactional partition writes with bounded
 //!   retry/backoff and prefix rollback.
 //!
@@ -63,7 +63,7 @@ pub use fsm::{AppState, ResourceEvent};
 pub use metrics::{geomean, unfairness};
 pub use node::{profile_with_retries, NodeBackend, NodeRuntime};
 pub use params::CoPartParams;
-pub use planner::{ExplorerSnapshot, PlanContext, PolicyEngine, PolicyPlan};
+pub use planner::ExplorerSnapshot;
 pub use runtime::{
     AppRuntimeSnapshot, ConsolidationRuntime, ManagedApp, PeriodRecord, Phase, PlannerMode,
     RuntimeSnapshot,

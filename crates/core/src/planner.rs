@@ -1,41 +1,27 @@
 //! The planning layer: the plan/commit seam every planning algorithm
-//! sits behind, and the pluggable policy engines.
+//! sits behind.
 //!
-//! The third stage of the control-plane pipeline (DESIGN.md §12), in two
-//! halves:
-//!
-//! * [`Explorer`] — the per-runtime planning state (the RNG, the θ-retry
-//!   counter, the best state seen, the idle-phase drift threshold) and
-//!   the only code that knows which algorithm runs. Each exploring epoch
-//!   [`Explorer::plan_into`] turns the classifier verdicts into one
-//!   uniform [`Plan`] — proposal, per-app events, cluster assignment,
-//!   decision — and [`Explorer::commit`] closes the epoch once the driver
-//!   knows whether the plan landed. [`layout_masks_into`] is the single
-//!   place a partition becomes CAT masks.
-//! * [`PolicyEngine`] — one uniform interface over every evaluated
-//!   allocation policy (§6.1). A static engine plans a single
-//!   [`SystemState`]; a dynamic engine plans a [`RuntimeConfig`] for the
-//!   consolidation runtime. [`engine`] maps each
-//!   [`PolicyKind`] onto its engine, replacing per-policy `match`
-//!   dispatch in the evaluation harness; a new policy plugs in by
-//!   implementing the trait (see DESIGN.md §12.3).
+//! The third stage of the control-plane pipeline (DESIGN.md §12).
+//! [`Explorer`] holds the per-runtime planning state (the RNG, the
+//! θ-retry counter, the best state seen, the idle-phase drift threshold)
+//! and is the only code that knows which algorithm runs. Each exploring
+//! epoch [`Explorer::plan_into`] turns the classifier verdicts into one
+//! uniform [`Plan`] — proposal, per-app events, cluster assignment,
+//! decision — and [`Explorer::commit`] closes the epoch once the driver
+//! knows whether the plan landed. [`layout_masks_into`] is the single
+//! place a partition becomes CAT masks.
 
 use copart_rng::XorShift64Star;
 
-use copart_rdt::{CbmMask, MbaLevel};
-use copart_sim::{AppSpec, MachineConfig};
-use copart_workloads::stream::StreamReference;
+use copart_rdt::CbmMask;
 
-use crate::actuator::ResilienceConfig;
 use crate::cluster;
 use crate::next_state::{
     get_next_system_state_greedy, get_next_system_state_into, AppClassification, AppliedEvents,
     ExploreScratch, StepStats,
 };
-use crate::policies::{equal_state, static_search, utility_state, EvalOptions, PolicyKind};
 use crate::runtime::{PlannerMode, RuntimeConfig};
-use crate::state::{AllocationState, SystemState, WaysBudget};
-use crate::CoPartParams;
+use crate::state::{SystemState, WaysBudget};
 
 /// What the driver should do with a [`Plan`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -388,376 +374,4 @@ pub struct ExplorerSnapshot {
     pub unfairness_at_idle: f64,
     /// Best `(unfairness, state)` observed this exploration.
     pub best_seen: Option<(f64, SystemState)>,
-}
-
-/// Everything a policy engine may consult when planning a run: the
-/// machine, the mix, the solo baselines, the STREAM reference, the
-/// controller parameters, and the evaluation lengths.
-#[derive(Debug, Clone, Copy)]
-pub struct PlanContext<'a> {
-    /// The machine the mix runs on.
-    pub machine: &'a MachineConfig,
-    /// The consolidated applications.
-    pub specs: &'a [AppSpec],
-    /// Each spec's solo full-resource IPS (Eq 1 numerators).
-    pub ips_full_solo: &'a [f64],
-    /// STREAM reference miss rates per MBA level (§5.3).
-    pub stream: &'a StreamReference,
-    /// Controller parameters (dynamic engines only).
-    pub params: &'a CoPartParams,
-    /// Evaluation lengths (the ST search probes candidates with these).
-    pub opts: &'a EvalOptions,
-    /// The machine slice the policy may allocate.
-    pub budget: WaysBudget,
-}
-
-/// What a policy engine plans for a run.
-#[derive(Debug, Clone)]
-pub enum PolicyPlan {
-    /// Apply one fixed state and only measure.
-    Static {
-        /// The state to hold for the whole run.
-        state: SystemState,
-        /// Apply full overlapping masks instead of the state's disjoint
-        /// layout (the unpartitioned baseline is not representable as
-        /// disjoint way counts).
-        overlapping: bool,
-    },
-    /// Drive the consolidation runtime with this configuration.
-    Dynamic {
-        /// The runtime configuration to adapt under.
-        config: RuntimeConfig,
-    },
-}
-
-/// One §6.1 allocation policy behind a uniform interface.
-///
-/// Implementations are stateless units; [`engine`] hands out a static
-/// reference per [`PolicyKind`]. A new policy plugs into the evaluation
-/// harness by implementing this trait — plan a state (static) or a
-/// runtime configuration (dynamic) and the shared driver does the rest.
-///
-/// # Examples
-///
-/// Looking up a built-in engine through the registry:
-///
-/// ```
-/// use copart_core::planner::engine;
-/// use copart_core::policies::PolicyKind;
-///
-/// let copart = engine(PolicyKind::CoPart);
-/// assert_eq!(copart.kind(), PolicyKind::CoPart);
-/// assert_eq!(copart.label(), "CoPart");
-/// ```
-///
-/// Plugging in a custom (static) policy:
-///
-/// ```
-/// use copart_core::planner::{PlanContext, PolicyEngine, PolicyPlan};
-/// use copart_core::policies::PolicyKind;
-/// use copart_core::SystemState;
-///
-/// /// Holds the equal split for the whole run, never adapting.
-/// struct FrozenEqual;
-///
-/// impl PolicyEngine for FrozenEqual {
-///     fn kind(&self) -> PolicyKind {
-///         PolicyKind::Equal
-///     }
-///     fn plan(&self, ctx: &PlanContext<'_>) -> PolicyPlan {
-///         PolicyPlan::Static {
-///             state: SystemState::equal_split(
-///                 ctx.specs.len(),
-///                 &ctx.budget,
-///                 ctx.budget.mba_cap,
-///             ),
-///             overlapping: false,
-///         }
-///     }
-/// }
-///
-/// let engine: &dyn PolicyEngine = &FrozenEqual;
-/// assert_eq!(engine.label(), "EQ");
-/// ```
-pub trait PolicyEngine: Sync {
-    /// The policy this engine implements.
-    fn kind(&self) -> PolicyKind;
-
-    /// The paper's label for plots and tables.
-    fn label(&self) -> &'static str {
-        self.kind().label()
-    }
-
-    /// Plans the run: a fixed state or a runtime configuration.
-    fn plan(&self, ctx: &PlanContext<'_>) -> PolicyPlan;
-
-    /// The [`RuntimeConfig`] a *dynamic* engine drives the consolidation
-    /// runtime with, `None` for static engines. Public seam for harnesses
-    /// that build the backend themselves (e.g. to wrap it in a
-    /// fault-injecting decorator) yet must run the exact controller
-    /// configuration the standard evaluation uses.
-    fn runtime_config(
-        &self,
-        machine_cfg: &MachineConfig,
-        n_apps: usize,
-        stream: &StreamReference,
-        params: &CoPartParams,
-    ) -> Option<RuntimeConfig> {
-        let _ = (machine_cfg, n_apps, stream, params);
-        None
-    }
-}
-
-/// The engine implementing `kind`.
-pub fn engine(kind: PolicyKind) -> &'static dyn PolicyEngine {
-    match kind {
-        PolicyKind::Unpartitioned => &UnpartitionedEngine,
-        PolicyKind::Equal => &EqualShareEngine,
-        PolicyKind::Static => &StaticSearchEngine,
-        PolicyKind::CatOnly => &CatOnlyEngine,
-        PolicyKind::MbaOnly => &MbaOnlyEngine,
-        PolicyKind::CoPart => &CoPartEngine,
-        PolicyKind::Utility => &UtilityEngine,
-        PolicyKind::LfocCluster => &LfocClusterEngine,
-    }
-}
-
-/// The unpartitioned "state" is not representable as disjoint way counts;
-/// it is applied specially (full overlapping masks). The returned state
-/// records full ways / MBA 100 per app for bookkeeping.
-pub fn unpartitioned_state(n: usize, ways: u32) -> SystemState {
-    SystemState {
-        allocs: vec![
-            AllocationState {
-                ways,
-                mba: MbaLevel::MAX,
-            };
-            n
-        ],
-    }
-}
-
-/// The shared [`RuntimeConfig`] shape of the dynamic engines.
-fn dynamic_config(
-    machine_cfg: &MachineConfig,
-    stream: &StreamReference,
-    params: &CoPartParams,
-    manage_llc: bool,
-    manage_mba: bool,
-    mba_cap: MbaLevel,
-) -> RuntimeConfig {
-    RuntimeConfig {
-        params: params.clone(),
-        manage_llc,
-        manage_mba,
-        budget: WaysBudget {
-            first_way: 0,
-            total_ways: machine_cfg.llc_ways,
-            mba_cap,
-        },
-        stream: stream.clone(),
-        resilience: ResilienceConfig::default(),
-        planner: PlannerMode::Explore,
-    }
-}
-
-/// Plans a [`PolicyPlan::Dynamic`] from the engine's own
-/// [`PolicyEngine::runtime_config`].
-fn dynamic_plan(engine: &dyn PolicyEngine, ctx: &PlanContext<'_>) -> PolicyPlan {
-    let config = engine
-        .runtime_config(ctx.machine, ctx.specs.len(), ctx.stream, ctx.params)
-        .expect("dynamic engines provide a runtime configuration");
-    PolicyPlan::Dynamic { config }
-}
-
-/// No partitioning at all: full overlapping masks, MBA 100 % (the §4.2
-/// normalization baseline).
-pub struct UnpartitionedEngine;
-
-impl PolicyEngine for UnpartitionedEngine {
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::Unpartitioned
-    }
-
-    fn plan(&self, ctx: &PlanContext<'_>) -> PolicyPlan {
-        PolicyPlan::Static {
-            state: unpartitioned_state(ctx.specs.len(), ctx.machine.llc_ways),
-            overlapping: true,
-        }
-    }
-}
-
-/// EQ: equal static split of ways, equal MBA share.
-pub struct EqualShareEngine;
-
-impl PolicyEngine for EqualShareEngine {
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::Equal
-    }
-
-    fn plan(&self, ctx: &PlanContext<'_>) -> PolicyPlan {
-        PolicyPlan::Static {
-            state: equal_state(ctx.specs.len(), &ctx.budget),
-            overlapping: false,
-        }
-    }
-}
-
-/// ST: the best static state found by offline search (§6.1).
-pub struct StaticSearchEngine;
-
-impl PolicyEngine for StaticSearchEngine {
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::Static
-    }
-
-    fn plan(&self, ctx: &PlanContext<'_>) -> PolicyPlan {
-        PolicyPlan::Static {
-            state: static_search(
-                ctx.machine,
-                ctx.specs,
-                ctx.ips_full_solo,
-                &ctx.budget,
-                ctx.opts,
-            ),
-            overlapping: false,
-        }
-    }
-}
-
-/// Utility-based static LLC partitioning (UCP/dCat-style), the paper's
-/// closest related work; MBA is the equal share.
-pub struct UtilityEngine;
-
-impl PolicyEngine for UtilityEngine {
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::Utility
-    }
-
-    fn plan(&self, ctx: &PlanContext<'_>) -> PolicyPlan {
-        PolicyPlan::Static {
-            state: utility_state(ctx.machine, ctx.specs, &ctx.budget),
-            overlapping: false,
-        }
-    }
-}
-
-/// CAT-only: dynamic LLC partitioning with the MBA level pinned at the
-/// equal share (the budget cap makes the fixed level both the initial
-/// and the maximum value).
-pub struct CatOnlyEngine;
-
-impl PolicyEngine for CatOnlyEngine {
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::CatOnly
-    }
-
-    fn plan(&self, ctx: &PlanContext<'_>) -> PolicyPlan {
-        dynamic_plan(self, ctx)
-    }
-
-    fn runtime_config(
-        &self,
-        machine_cfg: &MachineConfig,
-        n_apps: usize,
-        stream: &StreamReference,
-        params: &CoPartParams,
-    ) -> Option<RuntimeConfig> {
-        Some(dynamic_config(
-            machine_cfg,
-            stream,
-            params,
-            true,
-            false,
-            SystemState::equal_mba_level(n_apps),
-        ))
-    }
-}
-
-/// MBA-only: equal fixed LLC partitioning with dynamic MBA.
-pub struct MbaOnlyEngine;
-
-impl PolicyEngine for MbaOnlyEngine {
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::MbaOnly
-    }
-
-    fn plan(&self, ctx: &PlanContext<'_>) -> PolicyPlan {
-        dynamic_plan(self, ctx)
-    }
-
-    fn runtime_config(
-        &self,
-        machine_cfg: &MachineConfig,
-        _n_apps: usize,
-        stream: &StreamReference,
-        params: &CoPartParams,
-    ) -> Option<RuntimeConfig> {
-        Some(dynamic_config(
-            machine_cfg,
-            stream,
-            params,
-            false,
-            true,
-            MbaLevel::MAX,
-        ))
-    }
-}
-
-/// LFOC-style clustering: dynamic management of both resources, but the
-/// planner groups applications by their dual-FSM classification into at
-/// most nine clusters sharing a CAT region and a proportional MBA grant
-/// (see [`crate::cluster`]), instead of exploring per-app transfers.
-pub struct LfocClusterEngine;
-
-impl PolicyEngine for LfocClusterEngine {
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::LfocCluster
-    }
-
-    fn plan(&self, ctx: &PlanContext<'_>) -> PolicyPlan {
-        dynamic_plan(self, ctx)
-    }
-
-    fn runtime_config(
-        &self,
-        machine_cfg: &MachineConfig,
-        _n_apps: usize,
-        stream: &StreamReference,
-        params: &CoPartParams,
-    ) -> Option<RuntimeConfig> {
-        let mut cfg = dynamic_config(machine_cfg, stream, params, true, true, MbaLevel::MAX);
-        cfg.planner = PlannerMode::LfocCluster;
-        Some(cfg)
-    }
-}
-
-/// CoPart: coordinated dynamic partitioning of both resources.
-pub struct CoPartEngine;
-
-impl PolicyEngine for CoPartEngine {
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::CoPart
-    }
-
-    fn plan(&self, ctx: &PlanContext<'_>) -> PolicyPlan {
-        dynamic_plan(self, ctx)
-    }
-
-    fn runtime_config(
-        &self,
-        machine_cfg: &MachineConfig,
-        _n_apps: usize,
-        stream: &StreamReference,
-        params: &CoPartParams,
-    ) -> Option<RuntimeConfig> {
-        Some(dynamic_config(
-            machine_cfg,
-            stream,
-            params,
-            true,
-            true,
-            MbaLevel::MAX,
-        ))
-    }
 }

@@ -14,11 +14,13 @@
 //! (measured independently of the controller), so the controller cannot
 //! grade its own homework.
 //!
-//! Every policy — the baselines and CoPart itself — is dispatched through
-//! the [`PolicyEngine`] trait ([`crate::planner::engine`]); the harness
-//! here only drives whatever plan the engine produces. A new policy plugs
-//! in via [`evaluate_engine`] without touching this module (DESIGN.md
-//! §12.3).
+//! [`PolicyKind`] is the one policy table: a single `match` gives each
+//! policy — the baselines and CoPart itself — its label, its wire name,
+//! and what it runs, either one fixed state or a controller shape.
+//! [`evaluate`] is the one evaluation body every cell runs through; its
+//! one `match` on that table either holds the fixed state or builds and
+//! drives the consolidation runtime. A new policy is a `PolicyKind`
+//! variant plus its row (DESIGN.md §12.3).
 
 use std::sync::Mutex;
 
@@ -31,10 +33,10 @@ use copart_workloads::measure::{self, MrcPoint};
 use copart_workloads::reference;
 use copart_workloads::stream::StreamReference;
 
+use crate::actuator::ResilienceConfig;
 use crate::metrics::{self, geomean, unfairness};
 use crate::node;
-use crate::planner::{self, PlanContext, PolicyEngine, PolicyPlan};
-use crate::runtime::{ConsolidationRuntime, RuntimeConfig};
+use crate::runtime::{ConsolidationRuntime, PlannerMode, RuntimeConfig};
 use crate::state::{AllocationState, SystemState, WaysBudget};
 use crate::CoPartParams;
 
@@ -98,33 +100,55 @@ impl PolicyKind {
         ]
     }
 
+    /// The policy table: each policy's `(label, wire name, engine)`. The
+    /// one place a policy is defined.
+    fn row(self) -> (&'static str, &'static str, Engine) {
+        let explore = |manage_llc, manage_mba| Engine::Controller {
+            manage_llc,
+            manage_mba,
+            planner: PlannerMode::Explore,
+        };
+        match self {
+            PolicyKind::Unpartitioned => ("None", "none", Engine::Fixed(None)),
+            PolicyKind::Equal => (
+                "EQ",
+                "eq",
+                Engine::Fixed(Some(|_, specs, _, budget, _| {
+                    equal_state(specs.len(), budget)
+                })),
+            ),
+            PolicyKind::Static => ("ST", "st", Engine::Fixed(Some(static_search))),
+            PolicyKind::CatOnly => ("CAT-only", "cat-only", explore(true, false)),
+            PolicyKind::MbaOnly => ("MBA-only", "mba-only", explore(false, true)),
+            PolicyKind::CoPart => ("CoPart", "copart", explore(true, true)),
+            PolicyKind::Utility => (
+                "Utility",
+                "utility",
+                Engine::Fixed(Some(|machine_cfg, specs, _, budget, _| {
+                    utility_state(machine_cfg, specs, budget)
+                })),
+            ),
+            PolicyKind::LfocCluster => (
+                "LFOC",
+                "lfoc",
+                Engine::Controller {
+                    manage_llc: true,
+                    manage_mba: true,
+                    planner: PlannerMode::LfocCluster,
+                },
+            ),
+        }
+    }
+
     /// The paper's label.
     pub fn label(self) -> &'static str {
-        match self {
-            PolicyKind::Unpartitioned => "None",
-            PolicyKind::Equal => "EQ",
-            PolicyKind::Static => "ST",
-            PolicyKind::CatOnly => "CAT-only",
-            PolicyKind::MbaOnly => "MBA-only",
-            PolicyKind::CoPart => "CoPart",
-            PolicyKind::Utility => "Utility",
-            PolicyKind::LfocCluster => "LFOC",
-        }
+        self.row().0
     }
 
     /// The name the policy goes by on the wire and the command line
     /// (`--policy`, `POST /policy`, the event log).
     pub fn wire_name(self) -> &'static str {
-        match self {
-            PolicyKind::Unpartitioned => "none",
-            PolicyKind::Equal => "eq",
-            PolicyKind::Static => "st",
-            PolicyKind::CatOnly => "cat-only",
-            PolicyKind::MbaOnly => "mba-only",
-            PolicyKind::CoPart => "copart",
-            PolicyKind::Utility => "utility",
-            PolicyKind::LfocCluster => "lfoc",
-        }
+        self.row().1
     }
 
     /// The registered policy with this wire name.
@@ -146,15 +170,41 @@ impl PolicyKind {
     /// Whether the policy adapts at run time — builds a consolidation
     /// runtime with an epoch loop — rather than fixing one static state.
     pub fn is_dynamic(self) -> bool {
-        matches!(
-            self,
-            PolicyKind::CatOnly
-                | PolicyKind::MbaOnly
-                | PolicyKind::CoPart
-                | PolicyKind::LfocCluster
-        )
+        matches!(self.row().2, Engine::Controller { .. })
+    }
+
+    /// The dynamic policies' wire names, in registry order
+    /// (`cat-only, mba-only, copart, lfoc`): what every refusal of a
+    /// static policy lists.
+    pub fn dynamic_wire_names() -> String {
+        let dynamic: Vec<&str> = (Self::registry().iter())
+            .filter(|k| k.is_dynamic())
+            .map(|k| k.wire_name())
+            .collect();
+        dynamic.join(", ")
     }
 }
+
+/// What a policy runs: its column of the [`PolicyKind`] table.
+#[derive(Clone, Copy)]
+enum Engine {
+    /// Hold one state for the whole run, planned from the cell; `None`
+    /// applies full overlapping masks at MBA 100 % instead (the
+    /// unpartitioned baseline is no disjoint way split).
+    Fixed(Option<FixedState>),
+    /// Adapt under the consolidation runtime, moving the resources it
+    /// manages with `planner`'s algorithm. An unmanaged MBA holds the
+    /// equal share.
+    Controller {
+        manage_llc: bool,
+        manage_mba: bool,
+        planner: PlannerMode,
+    },
+}
+
+/// How a fixed-state policy plans its state from the cell: machine,
+/// specs, solo IPS, budget and run lengths ([`static_search`]'s shape).
+type FixedState = fn(&MachineConfig, &[AppSpec], &[f64], &WaysBudget, &EvalOptions) -> SystemState;
 
 /// Evaluation lengths for one policy run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -277,120 +327,90 @@ pub fn evaluate_policy(
     policy: PolicyKind,
     opts: &EvalOptions,
 ) -> EvalResult {
-    evaluate_engine(
-        planner::engine(policy),
-        machine_cfg,
-        specs,
-        ips_full_solo,
-        stream,
-        opts,
-    )
-}
-
-/// Runs any [`PolicyEngine`] — the extension seam: a policy outside
-/// [`PolicyKind`]'s built-ins plugs into the same harness by implementing
-/// the trait and calling this (DESIGN.md §12.3). The engine plans either
-/// a fixed state (measured statically) or a [`RuntimeConfig`] (profiled
-/// and adapted through the consolidation runtime).
-///
-/// # Panics
-///
-/// Panics if the simulated machine rejects the mix (more cores demanded
-/// than exist) — mixes are constructed to fit.
-pub fn evaluate_engine(
-    engine: &dyn PolicyEngine,
-    machine_cfg: &MachineConfig,
-    specs: &[AppSpec],
-    ips_full_solo: &[f64],
-    stream: &StreamReference,
-    opts: &EvalOptions,
-) -> EvalResult {
-    assert_eq!(specs.len(), ips_full_solo.len());
     let params = CoPartParams {
         seed: opts.seed,
         ..CoPartParams::default()
     };
-    let ctx = PlanContext {
-        machine: machine_cfg,
-        specs,
-        ips_full_solo,
-        stream,
-        params: &params,
-        opts,
-        budget: WaysBudget::full_machine(machine_cfg.llc_ways),
-    };
-    match engine.plan(&ctx) {
-        PolicyPlan::Static { state, overlapping } => run_static(
-            machine_cfg,
-            specs,
-            ips_full_solo,
-            &state,
-            overlapping,
-            engine.kind(),
-            opts,
-        ),
-        PolicyPlan::Dynamic { config } => {
-            run_dynamic(
-                machine_cfg,
-                specs,
-                ips_full_solo,
-                engine.kind(),
-                config,
-                opts,
-                Box::new(NullRecorder),
-            )
-            .0
-        }
-    }
-}
-
-/// Runs CoPart with non-default controller parameters (the Figure 11
-/// design-space sweeps and the ablation harnesses).
-pub fn evaluate_copart_with_params(
-    machine_cfg: &MachineConfig,
-    specs: &[AppSpec],
-    ips_full_solo: &[f64],
-    stream: &StreamReference,
-    params: &CoPartParams,
-    opts: &EvalOptions,
-) -> EvalResult {
-    let cfg = dynamic_runtime_config(machine_cfg, specs.len(), stream, PolicyKind::CoPart, params);
-    run_dynamic(
+    evaluate(
         machine_cfg,
         specs,
         ips_full_solo,
-        PolicyKind::CoPart,
-        cfg,
+        stream,
+        policy,
+        &params,
         opts,
         Box::new(NullRecorder),
     )
     .0
 }
 
-/// Evaluates an arbitrary *static* system state on a fresh machine — the
-/// primitive behind the Figure 4–6 heatmaps and the ST search.
-pub fn evaluate_static_state(
+/// The one evaluation body: runs `policy` on one workload mix on a fresh
+/// simulated machine. A fixed-state policy plans its state and only
+/// measures; a dynamic one builds the consolidation runtime under
+/// `params` with `recorder` installed for the whole run (profiling
+/// included), and adapts while ground truth is measured. Returns the
+/// recorder — so a JSONL sink can be flushed or a ring buffer inspected —
+/// with a snapshot of the runtime's metrics registry (empty, and the
+/// recorder untouched, for a fixed state).
+///
+/// # Panics
+///
+/// Panics if the simulated machine rejects the mix (more cores demanded
+/// than exist) — mixes are constructed to fit.
+#[allow(clippy::too_many_arguments)]
+pub fn evaluate(
     machine_cfg: &MachineConfig,
     specs: &[AppSpec],
     ips_full_solo: &[f64],
-    state: &SystemState,
+    stream: &StreamReference,
+    policy: PolicyKind,
+    params: &CoPartParams,
     opts: &EvalOptions,
-) -> EvalResult {
-    run_static(
-        machine_cfg,
-        specs,
-        ips_full_solo,
-        state,
-        false,
-        PolicyKind::Static,
-        opts,
-    )
+    recorder: Box<dyn Recorder + Send>,
+) -> (EvalResult, Box<dyn Recorder + Send>, MetricsSnapshot) {
+    assert_eq!(specs.len(), ips_full_solo.len());
+    match policy.row().2 {
+        Engine::Fixed(plan) => {
+            let budget = WaysBudget::full_machine(machine_cfg.llc_ways);
+            let state = plan.map(|plan| plan(machine_cfg, specs, ips_full_solo, &budget, opts));
+            let result = run_static(
+                machine_cfg,
+                specs,
+                ips_full_solo,
+                state.as_ref(),
+                policy,
+                opts,
+            );
+            (result, recorder, MetricsSnapshot::default())
+        }
+        Engine::Controller { .. } => {
+            let cfg = dynamic_runtime_config(machine_cfg, specs.len(), stream, policy, params);
+            let backend = SimBackend::new(Machine::new(machine_cfg.clone()));
+            let mut runtime = node::build(backend, specs, cfg).expect("mix fits the machine");
+            runtime.set_recorder(recorder);
+            runtime.profile().expect("simulator profiling cannot fail");
+            let groups: Vec<ClosId> = runtime.apps().iter().map(|a| a.group).collect();
+            let (result, mut runtime) =
+                evaluate_runtime_traced(runtime, &groups, ips_full_solo, policy, opts, |b, g| {
+                    b.read_counters(g).expect("group is live")
+                })
+                .expect("simulator periods cannot fail");
+            let snapshot = runtime.metrics_snapshot();
+            (
+                result,
+                runtime.set_recorder(Box::new(NullRecorder)),
+                snapshot,
+            )
+        }
+    }
 }
 
-/// [`evaluate_static_state`] over a whole batch of states, fanned out on
-/// the [`copart_parallel`] pool (`--jobs` / `COPART_JOBS` workers).
-/// Every state runs on its own fresh machine, so the results — returned
-/// in input order — are identical at every job count.
+/// Evaluates a whole batch of fixed states — the Figure 4–6 heatmaps —
+/// each held for the run exactly as [`evaluate`] holds a fixed-state
+/// policy's, fanned out on the [`copart_parallel`] pool (`--jobs` /
+/// `COPART_JOBS` workers). Every state runs on its own fresh machine, so
+/// the results — returned in input order — are identical at every job
+/// count.
 pub fn evaluate_static_states(
     machine_cfg: &MachineConfig,
     specs: &[AppSpec],
@@ -403,8 +423,7 @@ pub fn evaluate_static_states(
             machine_cfg,
             specs,
             ips_full_solo,
-            state,
-            false,
+            Some(state),
             PolicyKind::Static,
             opts,
         )
@@ -416,14 +435,13 @@ pub fn equal_state(n: usize, budget: &WaysBudget) -> SystemState {
     SystemState::equal_split(n, budget, SystemState::equal_mba_level(n))
 }
 
-/// Applies a static state (or full overlapping masks when
-/// `overlapping`) and runs the clock, measuring ground truth.
+/// Applies a fixed state (full overlapping masks at MBA 100 % when
+/// `None`) and runs the clock, measuring ground truth.
 fn run_static(
     machine_cfg: &MachineConfig,
     specs: &[AppSpec],
     ips_full_solo: &[f64],
-    state: &SystemState,
-    overlapping: bool,
+    state: Option<&SystemState>,
     policy: PolicyKind,
     opts: &EvalOptions,
 ) -> EvalResult {
@@ -434,49 +452,25 @@ fn run_static(
         .map(|(group, _)| group)
         .collect();
     let budget = WaysBudget::full_machine(machine_cfg.llc_ways);
-    if overlapping {
+    if let Some(state) = state {
+        state
+            .apply(&mut backend, &groups, &budget)
+            .expect("static state is valid");
+    } else {
         let full = CbmMask::full(machine_cfg.llc_ways);
         for &g in &groups {
             backend.set_cbm(g, full).expect("full mask is valid");
             backend.set_mba(g, MbaLevel::MAX).expect("group exists");
         }
-    } else {
-        state
-            .apply(&mut backend, &groups, &budget)
-            .expect("static state is valid");
     }
     measure_run(backend, &groups, ips_full_solo, policy, opts)
 }
 
-/// Launches a dynamic policy's node on a fresh machine — build, attach
-/// the recorder, profile — and measures ground truth while it adapts.
-/// Hands the runtime back so callers can recover its recorder and
-/// metrics.
-fn run_dynamic(
-    machine_cfg: &MachineConfig,
-    specs: &[AppSpec],
-    ips_full_solo: &[f64],
-    policy: PolicyKind,
-    cfg: RuntimeConfig,
-    opts: &EvalOptions,
-    recorder: Box<dyn Recorder + Send>,
-) -> (EvalResult, ConsolidationRuntime<SimBackend>) {
-    let backend = SimBackend::new(Machine::new(machine_cfg.clone()));
-    let mut runtime = node::build(backend, specs, cfg).expect("mix fits the machine");
-    runtime.set_recorder(recorder);
-    runtime.profile().expect("simulator profiling cannot fail");
-    let groups: Vec<ClosId> = runtime.apps().iter().map(|a| a.group).collect();
-    evaluate_runtime_traced(runtime, &groups, ips_full_solo, policy, opts, |b, g| {
-        b.read_counters(g).expect("group is live")
-    })
-    .expect("simulator periods cannot fail")
-}
-
 /// The [`RuntimeConfig`] a dynamic policy (CAT-only / MBA-only / CoPart /
-/// LFOC) runs with, as planned by its [`PolicyEngine`]. Public so
-/// harnesses that build the backend themselves — e.g. to wrap it in a
-/// fault-injecting decorator — run the *same* controller configuration
-/// the standard traced evaluation uses.
+/// LFOC) runs with: its controller row of the [`PolicyKind`] table over
+/// the whole machine. Public so harnesses that build the backend
+/// themselves — e.g. to wrap it in a fault-injecting decorator — run the
+/// *same* controller configuration [`evaluate`] uses.
 ///
 /// # Panics
 ///
@@ -488,53 +482,34 @@ pub fn dynamic_runtime_config(
     policy: PolicyKind,
     params: &CoPartParams,
 ) -> RuntimeConfig {
-    planner::engine(policy)
-        .runtime_config(machine_cfg, n_apps, stream, params)
-        .expect("static policies do not build a runtime")
-}
-
-/// Runs a dynamic policy exactly like [`evaluate_policy`], but with a
-/// trace [`Recorder`] installed on the consolidation runtime for the whole
-/// run (profiling included). Returns the recorder — so a JSONL sink can be
-/// flushed or a ring buffer inspected — together with a snapshot of the
-/// runtime's metrics registry.
-///
-/// # Panics
-///
-/// Panics when `policy` is not one of the dynamic policies (CAT-only /
-/// MBA-only / CoPart / LFOC): static policies never build a runtime, so
-/// there is nothing to trace.
-pub fn evaluate_policy_traced(
-    machine_cfg: &MachineConfig,
-    specs: &[AppSpec],
-    ips_full_solo: &[f64],
-    stream: &StreamReference,
-    policy: PolicyKind,
-    opts: &EvalOptions,
-    recorder: Box<dyn Recorder + Send>,
-) -> (EvalResult, Box<dyn Recorder + Send>, MetricsSnapshot) {
-    assert!(
-        policy.is_dynamic(),
-        "only dynamic policies build a runtime to trace"
-    );
-    assert_eq!(specs.len(), ips_full_solo.len());
-    let params = CoPartParams {
-        seed: opts.seed,
-        ..CoPartParams::default()
+    let Engine::Controller {
+        manage_llc,
+        manage_mba,
+        planner,
+    } = policy.row().2
+    else {
+        panic!("static policies do not build a runtime");
     };
-    let cfg = dynamic_runtime_config(machine_cfg, specs.len(), stream, policy, &params);
-    let (result, mut runtime) = run_dynamic(
-        machine_cfg,
-        specs,
-        ips_full_solo,
-        policy,
-        cfg,
-        opts,
-        recorder,
-    );
-    let snapshot = runtime.metrics_snapshot();
-    let recorder = runtime.set_recorder(Box::new(NullRecorder));
-    (result, recorder, snapshot)
+    // An unmanaged MBA is pinned at the equal share: the cap is both the
+    // initial and the maximum level.
+    let mba_cap = if manage_mba {
+        MbaLevel::MAX
+    } else {
+        SystemState::equal_mba_level(n_apps)
+    };
+    RuntimeConfig {
+        params: params.clone(),
+        manage_llc,
+        manage_mba,
+        budget: WaysBudget {
+            first_way: 0,
+            total_ways: machine_cfg.llc_ways,
+            mba_cap,
+        },
+        stream: stream.clone(),
+        resilience: ResilienceConfig::default(),
+        planner,
+    }
 }
 
 /// One source of adaptation periods for the shared measurement loop:
@@ -611,7 +586,7 @@ fn measure_source<B: RdtBackend, S: EpochSource<B>>(
 
 /// Measures ground truth over an externally built (already profiled)
 /// runtime on *any* backend, adapting each period exactly like
-/// [`evaluate_policy_traced`] does.
+/// [`evaluate`] does.
 ///
 /// `ground_truth` reads one group's cumulative counters for the fairness
 /// measurement. It is separate from the runtime's own sampling so a
@@ -817,8 +792,7 @@ pub fn static_search(
             machine_cfg,
             specs,
             ips_full_solo,
-            cand,
-            false,
+            Some(cand),
             PolicyKind::Static,
             &probe_opts,
         )
@@ -934,17 +908,11 @@ mod tests {
         for &kind in PolicyKind::registry() {
             assert_eq!(PolicyKind::from_wire(kind.wire_name()), Some(kind));
             assert_eq!(PolicyKind::from_label(kind.label()), Some(kind));
-            // Dynamic is exactly "the engine plans a runtime".
-            let plans_a_runtime = planner::engine(kind)
-                .runtime_config(
-                    &MachineConfig::tiny_test(),
-                    2,
-                    &StreamReference::from_table([1.0; 10]),
-                    &CoPartParams::default(),
-                )
-                .is_some();
-            assert_eq!(kind.is_dynamic(), plans_a_runtime, "{kind:?}");
         }
+        assert_eq!(
+            PolicyKind::dynamic_wire_names(),
+            "cat-only, mba-only, copart, lfoc"
+        );
         // The normalization baseline is not a registered engine, and
         // names are exact.
         assert_eq!(PolicyKind::from_wire("none"), None);
@@ -1017,12 +985,13 @@ mod tests {
         let opts = quick_opts();
         let path = std::env::temp_dir().join(format!("copart-traced-{}.jsonl", std::process::id()));
         let sink = Box::new(JsonlRecorder::create(&path).unwrap());
-        let (result, mut recorder, snapshot) = evaluate_policy_traced(
+        let (result, mut recorder, snapshot) = evaluate(
             &cfg,
             &specs,
             &full,
             &StreamReference::for_machine(&cfg),
             PolicyKind::CoPart,
+            &CoPartParams::default(),
             &opts,
             sink,
         );
@@ -1083,12 +1052,11 @@ mod tests {
             &cfg,
             &specs,
             &full,
-            &equal_state(specs.len(), &budget),
-            false,
+            Some(&equal_state(specs.len(), &budget)),
             PolicyKind::Equal,
             &probe,
         );
-        let st_res = run_static(&cfg, &specs, &full, &st, false, PolicyKind::Static, &probe);
+        let st_res = run_static(&cfg, &specs, &full, Some(&st), PolicyKind::Static, &probe);
         assert!(st_res.unfairness <= eq.unfairness + 1e-9);
     }
 }

@@ -9,7 +9,7 @@ use std::fmt::Write as _;
 use copart_core::policies::{self, EvalOptions, EvalResult, PolicyKind};
 use copart_core::CoPartParams;
 use copart_sim::{AppSpec, MachineConfig};
-use copart_telemetry::{fnv1a64, Recorder};
+use copart_telemetry::{fnv1a64, NullRecorder, Recorder};
 use copart_workloads::stream::StreamReference;
 use copart_workloads::{CompareScenario, MixKind, WorkloadMix};
 
@@ -135,28 +135,34 @@ impl Grid {
             .collect();
         let mut results = copart_parallel::par_map_indexed(&cells, 1, |_, &(r, c)| {
             let (row, (stream, full)) = (&self.rows[r], &refs[r]);
-            let (machine, specs, opts) = (&row.machine, &row.specs[..], &self.opts);
-            match &self.columns[c] {
-                &Column::Policy(p) => match p.is_dynamic().then(|| trace(r, p)).flatten() {
-                    Some(recorder) => {
-                        let (result, mut recorder, _) = policies::evaluate_policy_traced(
-                            machine, specs, full, stream, p, opts, recorder,
-                        );
-                        if let Err(e) = recorder.flush() {
-                            eprintln!(
-                                "warning: flushing the {} trace of {}: {e}",
-                                p.label(),
-                                row.name
-                            );
-                        }
-                        result
-                    }
-                    None => policies::evaluate_policy(machine, specs, full, stream, p, opts),
-                },
-                Column::CoPart(params) => policies::evaluate_copart_with_params(
-                    machine, specs, full, stream, params, opts,
-                ),
+            let (policy, params, recorder) = match &self.columns[c] {
+                &Column::Policy(p) => {
+                    let params = CoPartParams {
+                        seed: self.opts.seed,
+                        ..CoPartParams::default()
+                    };
+                    (p, params, p.is_dynamic().then(|| trace(r, p)).flatten())
+                }
+                Column::CoPart(params) => (PolicyKind::CoPart, params.clone(), None),
+            };
+            let (result, mut recorder, _) = policies::evaluate(
+                &row.machine,
+                &row.specs,
+                full,
+                stream,
+                policy,
+                &params,
+                &self.opts,
+                recorder.unwrap_or_else(|| Box::new(NullRecorder)),
+            );
+            if let Err(e) = recorder.flush() {
+                eprintln!(
+                    "warning: flushing the {} trace of {}: {e}",
+                    policy.label(),
+                    row.name
+                );
             }
+            result
         })
         .into_iter();
         self.rows

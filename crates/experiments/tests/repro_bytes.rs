@@ -1,13 +1,17 @@
 //! Byte witnesses for the `repro` evaluation grid: `fig12`'s table and
 //! its seven CoPart decision traces (the `PolicyKind` column shape, with
-//! the per-cell trace hook), `ablate-retry`'s table (the `CoPartParams`
-//! column shape) and `compare-utility`'s table (the one column that plans
-//! from offline miss-ratio curves), at smoke length on two workers. An
-//! FNV-1a over each output must equal the pinned constant.
+//! the per-cell trace hook), `fig4`'s table (the unpartitioned baseline
+//! and the batch of fixed states behind the heatmaps), `ablate-retry`'s
+//! table (the `CoPartParams` column shape) and `compare-utility`'s table
+//! (the one column that plans from offline miss-ratio curves), at smoke
+//! length on two workers. An FNV-1a over each output must equal the
+//! pinned constant.
 //!
 //! Pinned at the commit before the grid runner moved into the library
 //! and unchanged by it; `compare-utility` was pinned before its curves
-//! became checked-in data and is unchanged by that. Bless an intentional
+//! became checked-in data and is unchanged by that; `fig4` was pinned
+//! before policy dispatch became one `PolicyKind` table and is unchanged
+//! by that. Bless an intentional
 //! change with
 //! `UPDATE_REPRO_DIGESTS=1 cargo test -p copart-experiments --test
 //! repro_bytes -- --nocapture` and paste the printed rows over the
@@ -19,6 +23,7 @@ use std::process::Command;
 use copart_telemetry::fnv1a64;
 
 const FIG12_STDOUT: u64 = 0xbde4bfec460afe91;
+const FIG4_STDOUT: u64 = 0x9e45996e0c61f9ad;
 const ABLATE_RETRY_STDOUT: u64 = 0x6edacda1ec2d2edc;
 const COMPARE_UTILITY_STDOUT: u64 = 0xded482236e16145e;
 const FIG12_TRACES: &[(&str, u64)] = &[
@@ -72,6 +77,14 @@ fn fig12_table_and_traces_are_pinned() {
         let bytes = std::fs::read(&path).expect("fig12 writes one trace per mix");
         check(&format!("fig12_{mix}.jsonl"), &bytes, pinned);
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn fig4_table_is_pinned() {
+    let dir = std::env::temp_dir().join(format!("copart-repro-fig4-{}", std::process::id()));
+    let stdout = repro("fig4", &dir);
+    check("fig4 stdout", &stdout, FIG4_STDOUT);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -24,6 +24,7 @@
 //!   use.
 
 use crate::persist::PersistedRun;
+use crate::scenario::require_dynamic;
 use crate::trace::SharedRing;
 use copart_core::policies::PolicyKind;
 use copart_core::runtime::Phase;
@@ -90,13 +91,9 @@ pub enum Command {
 /// assert!(parse_dynamic_policy("eq").is_err());
 /// ```
 pub fn parse_dynamic_policy(s: &str) -> Result<PolicyKind, String> {
-    match PolicyKind::from_wire(s) {
-        Some(kind) if kind.is_dynamic() => Ok(kind),
-        Some(_) => Err(format!(
-            "policy {s:?} is static; the daemon needs cat-only, mba-only, copart, or lfoc"
-        )),
-        None => Err(format!("unknown policy {s:?}")),
-    }
+    PolicyKind::from_wire(s)
+        .ok_or_else(|| format!("unknown policy {s:?}"))
+        .and_then(require_dynamic)
 }
 
 /// The backend capabilities the daemon needs beyond

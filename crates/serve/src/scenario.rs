@@ -38,8 +38,8 @@ pub struct Scenario {
     pub mix: MixKind,
     /// Number of applications (1–6).
     pub n_apps: usize,
-    /// The partitioning policy (must be dynamic: CAT-only, MBA-only, or
-    /// CoPart).
+    /// The partitioning policy (must be dynamic: CAT-only, MBA-only,
+    /// CoPart or LFOC).
     pub policy: PolicyKind,
     /// Seed for the explorer's randomized θ-retries.
     pub seed: u64,
@@ -52,8 +52,8 @@ impl Scenario {
     ///
     /// # Errors
     ///
-    /// Rejects an app count outside 1–6 and non-dynamic policies (EQ
-    /// and ST have no epoch loop to serve).
+    /// Rejects an app count outside 1–6 and static policies (EQ, ST and
+    /// Utility have no epoch loop to run).
     ///
     /// # Examples
     ///
@@ -75,16 +75,10 @@ impl Scenario {
         if !(1..=6).contains(&n_apps) {
             return Err("app count must be between 1 and 6".into());
         }
-        if !policy.is_dynamic() {
-            return Err(format!(
-                "policy {} is not dynamic; serve needs cat-only, mba-only, copart, or lfoc",
-                policy.label()
-            ));
-        }
         Ok(Scenario {
             mix,
             n_apps,
-            policy,
+            policy: require_dynamic(policy)?,
             seed,
             faults,
         })
@@ -190,6 +184,20 @@ impl Scenario {
         }
         Ok(ring.all().iter().map(|e| e.to_json_line()).collect())
     }
+}
+
+/// `policy` when it runs a controller — the only kind a scenario, the
+/// daemon and a persisted run can drive — else the one refusal of a
+/// static policy, listing the dynamic ones.
+pub(crate) fn require_dynamic(policy: PolicyKind) -> Result<PolicyKind, String> {
+    if policy.is_dynamic() {
+        return Ok(policy);
+    }
+    Err(format!(
+        "policy {:?} is static; this needs a dynamic policy ({})",
+        policy.wire_name(),
+        PolicyKind::dynamic_wire_names()
+    ))
 }
 
 /// What makes one persisted run *this* run: the immutable facts a state

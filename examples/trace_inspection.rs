@@ -12,6 +12,7 @@
 //! ```
 
 use copart_core::policies::{self, EvalOptions, PolicyKind};
+use copart_core::CoPartParams;
 use copart_sim::MachineConfig;
 use copart_telemetry::{read_trace_file, JsonlRecorder, TraceDecision, TraceEvent, TracePhase};
 use copart_workloads::stream::StreamReference;
@@ -47,14 +48,20 @@ fn record_demo_trace() -> String {
     let specs = mix.specs();
     let full = policies::solo_full_ips(&machine_cfg, &specs);
     let stream = StreamReference::for_machine(&machine_cfg);
+    let opts = EvalOptions::default();
+    let params = CoPartParams {
+        seed: opts.seed,
+        ..CoPartParams::default()
+    };
     let recorder = Box::new(JsonlRecorder::create(&path).expect("temp file is writable"));
-    let (_result, mut recorder, _metrics) = policies::evaluate_policy_traced(
+    let (_result, mut recorder, _metrics) = policies::evaluate(
         &machine_cfg,
         &specs,
         &full,
         &stream,
         PolicyKind::CoPart,
-        &EvalOptions::default(),
+        &params,
+        &opts,
         recorder,
     );
     recorder.flush().expect("trace flushes");

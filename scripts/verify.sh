@@ -4,8 +4,10 @@
 # Two modes:
 #   verify.sh quick   fast inner-loop gate: debug tests + an explicit
 #                     doctest pass + rustfmt + clippy + rustdoc with
-#                     warnings denied. One debug build of the workspace,
-#                     nothing else. The copart-check
+#                     warnings denied, then a `cargo check` of the
+#                     benchmark/ workspace, so a public-API break in what
+#                     it links fails here too. One debug build of the
+#                     workspace, nothing else. The copart-check
 #                     property suite runs inside the test pass at the
 #                     quick fuzz budget (COPART_CHECK_CASES=64).
 #   verify.sh [full]  everything a PR must pass: release build, release
@@ -60,6 +62,9 @@ quick)
 
     echo "==> cargo doc --no-deps (warnings are errors)"
     RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
+
+    echo "==> cargo check benchmark/ (its per-layer tracer links the crates' public API)"
+    cargo check -q --manifest-path benchmark/Cargo.toml
     ;;
 full)
     echo "==> tier-1: cargo build --release"
