@@ -3,10 +3,10 @@
 //! (CoPart's are ≤ 3 categories × N_A consumers), demonstrating headroom.
 //!
 //! The chaining section times the allocator the controller runs
-//! (`chain::allocate_into`, a binary heap over holders, scratch reused)
-//! on a 64→4096-consumer curve; with `BENCH_JSON_DIR` set the throughputs
-//! land in `BENCH_matching.json` for the `scripts/bench_gate.sh`
-//! regression gate.
+//! (`chain::allocate_into`: one integer-key ranking, then grants in rank
+//! order, scratch reused) on a 64→4096-consumer curve; with
+//! `BENCH_JSON_DIR` set the throughputs land in `BENCH_matching.json` for
+//! the `scripts/bench_gate.sh` regression gate.
 
 use std::hint::black_box;
 

@@ -198,13 +198,22 @@ pub fn get_next_system_state(
     }
 }
 
+/// Slowdowns on a coarse grid, drawn part of the time so that equal
+/// slowdowns — and with them the index tie-breaks of the keyed producer
+/// and consumer orders — are common. `1.0` first: the runtime's
+/// bootstrap epoch sees exactly that for every application.
+const SLOWDOWN_GRID: [f64; 4] = [1.0, 1.5, 2.0, 3.0];
+
 fn gen_class(src: &mut Source) -> AppClassification {
     let states = [AppState::Supply, AppState::Maintain, AppState::Demand];
-    AppClassification {
-        llc: *src.pick(&states),
-        mba: *src.pick(&states),
-        slowdown: 1.0 + src.f64_in(0.0, 3.0),
-    }
+    let llc = *src.pick(&states);
+    let mba = *src.pick(&states);
+    let slowdown = if src.chance(0.5) {
+        *src.pick(&SLOWDOWN_GRID)
+    } else {
+        1.0 + src.f64_in(0.0, 3.0)
+    };
+    AppClassification { llc, mba, slowdown }
 }
 
 /// The property behind `matching-incremental-vs-rebuild`: a chained

@@ -44,8 +44,8 @@ impl Allocation {
 }
 
 /// Runs instability chaining — the straightforward reference scan
-/// (`chain::allocate_into` is the indexed, scratch-reusing kernel on the
-/// hot path).
+/// (`chain::allocate_into` is the rank-then-grant, scratch-reusing kernel
+/// on the hot path).
 ///
 /// `capacities[c]` is the number of grants category `c` can make. Ties in
 /// priority are broken toward the lower consumer index, making the result
@@ -283,9 +283,10 @@ pub fn allocate_case(src: &mut Source) -> CaseOutcome {
         };
     }
     // The controller's steady state is a *reused* scratch: the same
-    // instance must come out identical when the heaps, cursors and
-    // assignment still hold a differently shaped one (one more category,
-    // one more consumer, the rest in reverse order). No tape draws.
+    // instance must come out identical when the ranking, the capacities
+    // left and the assignment still hold a differently shaped one (one
+    // more category, one more consumer, the rest in reverse order). No
+    // tape draws.
     let (mut scratch, mut dirty) = (ChainScratch::default(), Vec::new());
     let mut wider_caps = capacities.clone();
     wider_caps.push(2);

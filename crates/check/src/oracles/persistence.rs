@@ -19,7 +19,10 @@
 //! construction path (disarmed, for fault-injected runs — exactly what
 //! `copart_serve::recover_sim` does), then steps both
 //! runtimes the same number of epochs and demands identical per-epoch
-//! outcomes, identical trace bytes, and identical re-captured state.
+//! outcomes, identical trace bytes, and identical re-captured state. A
+//! fault-injected live build that the armed injector refuses with busy
+//! writes on every attempt leaves nothing to snapshot and passes
+//! vacuously.
 
 use crate::property::{CaseOutcome, Property};
 use crate::source::Source;
@@ -27,7 +30,7 @@ use copart_core::policies::PolicyKind;
 use copart_core::runtime::ConsolidationRuntime;
 use copart_faults::{FaultPlan, FaultTrigger, FaultyBackend};
 use copart_persist::{MetricsFrozen, PersistableBackend, SnapshotDoc, SnapshotMeta};
-use copart_rdt::SimBackend;
+use copart_rdt::{RdtError, SimBackend};
 use copart_serve::scenario::profile_with_retries;
 use copart_serve::{Scenario, SharedRing, PROFILE_ATTEMPTS};
 use copart_sim::Machine;
@@ -121,9 +124,17 @@ fn check_case(
         daemon_epochs: before,
     };
     // One build for every case: a fault-free scenario runs behind the
-    // decorator too, with the transparent `FaultPlan::none()`.
+    // decorator too, with the transparent `FaultPlan::none()`. The live
+    // side is built armed, so every write attempt at the initial
+    // partition can draw a busy failure; that refusal is legitimate, and
+    // with no runtime there is nothing to snapshot — a vacuous pass. Any
+    // other build error is a failure.
+    let live = match scenario.build(&env) {
+        Ok(live) => live,
+        Err(e) if faults.is_some() && e.contains(&RdtError::Busy("").to_string()) => return Ok(()),
+        Err(e) => return Err(format!("build: {e}")),
+    };
     let plan = faults.unwrap_or_else(FaultPlan::none);
-    let live = scenario.build(&env).map_err(|e| format!("build: {e}"))?;
     run_pair(live, before, after, meta, |doc| {
         // The recovery construction path: rebuild with the fault
         // decorator disarmed so construction consumes no fault-stream

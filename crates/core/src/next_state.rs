@@ -12,7 +12,7 @@
 
 use copart_rng::XorShift64Star;
 
-use copart_matching::chain::{self, ChainScratch, Consumer};
+use copart_matching::chain::{self, total_order_bits, ChainScratch, Consumer};
 use copart_rdt::{MbaLevel, ResourceKind};
 
 use crate::fsm::{AppState, ResourceEvent};
@@ -159,10 +159,17 @@ fn derive_role(key: RoleKey, manage_llc: bool, manage_mba: bool) -> AppRole {
     AppRole { producer, consumer }
 }
 
+/// A producer's supply-order key: ascending keys run slowdown ascending,
+/// then index ascending (the app least hurt by giving a unit up first).
+fn producer_key(slowdown: f64, index: usize) -> u128 {
+    let bits = total_order_bits(slowdown).expect("slowdowns are not NaN");
+    u128::from(bits) << 64 | index as u128
+}
+
 /// Reusable buffers and the incremental role cache for
 /// [`get_next_system_state_into`]. Hold one across epochs: pools,
-/// consumer preference lists, and the chaining heaps are reused, and an
-/// app's role is re-derived only when its role key changed since the
+/// consumer preference lists and the matching's key buffers are reused,
+/// and an app's role is re-derived only when its role key changed since the
 /// previous epoch (tracked by [`cache_hits`](Self::cache_hits) /
 /// [`cache_misses`](Self::cache_misses)).
 #[derive(Debug, Default, Clone)]
@@ -175,9 +182,10 @@ pub struct ExploreScratch {
     cfg: Option<(bool, bool)>,
     hits: u64,
     misses: u64,
-    pool_llc: Vec<Option<usize>>,
-    pool_mba: Vec<Option<usize>>,
-    pool_any: Vec<Option<usize>>,
+    /// Producer pools as [`producer_key`]s, sorted into supply order.
+    pool_llc: Vec<u128>,
+    pool_mba: Vec<u128>,
+    pool_any: Vec<u128>,
     consumers: Vec<Consumer>,
     consumer_apps: Vec<usize>,
     any_choice: Vec<Option<ResourceKind>>,
@@ -271,8 +279,8 @@ pub fn get_next_system_state_into(
     roles.resize(n, AppRole::default());
 
     // --- Producer pools (lines 2–5 of Algorithm 2), membership from the
-    // role cache. `None` entries are virtual producers representing
-    // unallocated budget ways; reclaiming from them costs nobody anything.
+    // role cache. Unallocated budget ways are virtual LLC producers ahead
+    // of every app; reclaiming from them costs nobody anything.
     pool_llc.clear();
     pool_mba.clear();
     pool_any.clear();
@@ -291,36 +299,24 @@ pub fn get_next_system_state_into(
             roles[i] = derive_role(key, manage_llc, manage_mba);
             *misses += 1;
         }
-        match roles[i].producer {
-            ProducerRole::Any => pool_any.push(Some(i)),
-            ProducerRole::Llc => pool_llc.push(Some(i)),
-            ProducerRole::Mba => pool_mba.push(Some(i)),
-            ProducerRole::None => {}
-        }
+        let pool = match roles[i].producer {
+            ProducerRole::Any => &mut *pool_any,
+            ProducerRole::Llc => &mut *pool_llc,
+            ProducerRole::Mba => &mut *pool_mba,
+            ProducerRole::None => continue,
+        };
+        pool.push(producer_key(app.slowdown, i));
     }
-    let spare_ways = budget.total_ways.saturating_sub(current.total_ways());
-    if manage_llc {
-        for _ in 0..spare_ways {
-            pool_llc.push(None);
-        }
-    }
-    // Producers are consumed lowest-slowdown first (virtual producers
-    // first of all — they are free). The comparator is a total order whose
-    // only equal elements are interchangeable `None`s, so the unstable
-    // sort is deterministic.
-    let by_slowdown_asc = |a: &Option<usize>, b: &Option<usize>| match (a, b) {
-        (None, None) => std::cmp::Ordering::Equal,
-        (None, Some(_)) => std::cmp::Ordering::Less,
-        (Some(_), None) => std::cmp::Ordering::Greater,
-        (Some(x), Some(y)) => apps[*x]
-            .slowdown
-            .partial_cmp(&apps[*y].slowdown)
-            .expect("slowdowns are not NaN")
-            .then(x.cmp(y)),
+    let spare_ways = if manage_llc {
+        budget.total_ways.saturating_sub(current.total_ways()) as usize
+    } else {
+        0
     };
-    pool_llc.sort_unstable_by(by_slowdown_asc);
-    pool_mba.sort_unstable_by(by_slowdown_asc);
-    pool_any.sort_unstable_by(by_slowdown_asc);
+    // Producers are consumed lowest-slowdown first, ties toward the lower
+    // index; the keys are distinct, so the unstable sort is deterministic.
+    pool_llc.sort_unstable();
+    pool_mba.sort_unstable();
+    pool_any.sort_unstable();
 
     // --- Consumers and their preference lists (lines 6–18), buffers
     // reused in place. One `gen_bool` per dual-demand consumer, in
@@ -358,7 +354,7 @@ pub fn get_next_system_state_into(
         nc += 1;
     }
 
-    let capacities = [pool_llc.len(), pool_mba.len(), pool_any.len()];
+    let capacities = [spare_ways + pool_llc.len(), pool_mba.len(), pool_any.len()];
     let matching_rounds =
         chain::allocate_into(&capacities, &consumers[..nc], assignment, chain_scratch);
 
@@ -391,20 +387,23 @@ pub fn get_next_system_state_into(
                     }
                 }
             };
+            // The app index is the low half of a producer key; `None` is a
+            // spare budget way.
             let producer = match t {
                 CAT_LLC => {
                     cursor_llc += 1;
-                    pool_llc[cursor_llc - 1]
+                    (cursor_llc > spare_ways).then(|| pool_llc[cursor_llc - 1 - spare_ways])
                 }
                 CAT_MBA => {
                     cursor_mba += 1;
-                    pool_mba[cursor_mba - 1]
+                    Some(pool_mba[cursor_mba - 1])
                 }
                 _ => {
                     cursor_any += 1;
-                    pool_any[cursor_any - 1]
+                    Some(pool_any[cursor_any - 1])
                 }
-            };
+            }
+            .map(|key| key as u64 as usize);
             if let Some(p) = producer {
                 match kind {
                     ResourceKind::Llc => {

@@ -23,7 +23,7 @@ use std::time::Instant;
 
 use copart_rdt::MbaLevel;
 use copart_rng::XorShift64Star;
-use copart_telemetry::{fnv1a64_update, FNV1A64_OFFSET};
+use copart_telemetry::{fnv1a64_update_u64, FNV1A64_OFFSET};
 use copart_workloads::fleet::MixSampler;
 use copart_workloads::stream::StreamReference;
 use copart_workloads::Category;
@@ -117,7 +117,7 @@ pub struct ScaleReport {
 }
 
 fn fnv1a_u64(hash: &mut u64, v: u64) {
-    *hash = fnv1a64_update(*hash, &v.to_le_bytes());
+    *hash = fnv1a64_update_u64(*hash, v);
 }
 
 fn random_state(rng: &mut XorShift64Star) -> AppState {

@@ -5,20 +5,24 @@
 //! *resource categories* with fixed capacities (the hospitals, whose
 //! capacity is the number of producers willing to supply that category),
 //! and a set of *consumers* with a numeric priority (their slowdown) and a
-//! preference list over categories. Consumers are inserted one at a time;
-//! when a category oversubscribes, the tentatively-admitted consumer with
-//! the **lowest** priority is displaced and chained onto its next
+//! preference list over categories. The paper inserts consumers one at a
+//! time; when a category oversubscribes, the tentatively-admitted consumer
+//! with the **lowest** priority is displaced and chained onto its next
 //! preference — the Roth–Peranson instability-chaining discipline the paper
 //! cites (its reference 35).
 //!
-//! Because each category effectively ranks consumers by priority, the
-//! result coincides with the resident-optimal stable matching of the
-//! induced Hospitals/Residents instance; a property test in this module
-//! checks exactly that equivalence.
+//! Every category ranks consumers the same way (priority descending, then
+//! index ascending), so the stable matching is unique and equals a *serial
+//! dictatorship*: [`allocate_into`] ranks the consumers once and lets each,
+//! in rank order, take the first category on its list with capacity left.
+//! That is exactly where chaining lands — a consumer only ever moves past a
+//! category that rejected it, and a category only rejects a consumer when
+//! capacity is held by higher-ranked ones — and it is the resident-optimal
+//! stable matching of the induced Hospitals/Residents instance; a property
+//! test in this module checks that equivalence, and `copart-check` holds
+//! the kernel to a literal chaining scan.
 
 use crate::{Hospital, Instance, Resident};
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 /// A consumer competing for resource categories.
 #[derive(Debug, Clone, PartialEq)]
@@ -30,69 +34,73 @@ pub struct Consumer {
     pub preference: Vec<usize>,
 }
 
-/// A tentative holder of a category slot, ordered so a max-heap pops the
-/// *weakest* holder first: lowest priority, ties toward the higher consumer
-/// index.
-#[derive(Debug, Clone, Copy)]
-struct Holder {
-    priority: f64,
-    consumer: usize,
+/// Maps `x` to a `u64` whose unsigned order is `x`'s numeric order, or
+/// `None` for NaN. `-0.0` maps to the same bits as `0.0`, so the two tie
+/// as they do under `partial_cmp`; `±∞` map to the extremes.
+///
+/// Packed above an index as `(bits as u128) << 64 | index`, this gives a
+/// sort key whose plain integer order is "by value, then by index" —
+/// and `!bits` in the high half gives "value descending, then index
+/// ascending", the consumer ranking of [`allocate_into`].
+#[inline]
+pub fn total_order_bits(x: f64) -> Option<u64> {
+    if x.is_nan() {
+        return None;
+    }
+    // `-0.0 + 0.0` is `+0.0`; every other value is unchanged.
+    let bits = (x + 0.0).to_bits();
+    Some(if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    })
 }
 
-impl PartialEq for Holder {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for Holder {}
-impl PartialOrd for Holder {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Holder {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .priority
-            .partial_cmp(&self.priority)
-            .expect("priorities must not be NaN")
-            .then(self.consumer.cmp(&other.consumer))
-    }
+/// The rank key of consumer `index`: ascending keys run priority
+/// descending, then index ascending.
+fn rank_key(priority: f64, index: usize) -> u128 {
+    let bits = total_order_bits(priority).expect("priorities must not be NaN");
+    u128::from(!bits) << 64 | index as u128
 }
 
 /// Reusable buffers for [`allocate_into`]. Holding one of these across
-/// epochs makes repeated chaining runs allocation-free once the buffers
+/// epochs makes repeated allocations allocation-free once the buffers
 /// have grown to the instance size.
 #[derive(Debug, Default, Clone)]
 pub struct ChainScratch {
-    /// One tentative-holder heap per category.
-    heaps: Vec<BinaryHeap<Holder>>,
-    /// Next preference position each consumer will try after a displacement.
-    cursor: Vec<usize>,
+    /// Consumer rank keys, sorted into rank order.
+    ranked: Vec<u128>,
+    /// Capacity each category has left.
+    left: Vec<usize>,
 }
 
-/// Runs instability chaining (Algorithm 2 lines 7–18): consumers are
-/// inserted in index order; each insertion may displace the weakest
-/// tentative holder of an oversubscribed category, who chains onto its own
-/// next preference. Writes, for each consumer, the category it was
-/// granted (if any) into `assignment` and returns the number of chaining
-/// iterations performed — every insertion attempt, including the extra
-/// attempts triggered by displacements: a measure of how contested the
-/// instance was (reported per epoch in trace events as `matching_rounds`).
+/// Runs Algorithm 2's allocation step (lines 7–18) and writes, for each
+/// consumer, the category it was granted (if any) into `assignment`.
 ///
-/// `capacities[c]` is the number of grants category `c` can make. Ties in
-/// priority are broken toward the lower consumer index (the weakest
-/// holder is the lowest priority, then the higher index), making the
-/// result deterministic. Each displacement is a heap pop, and all working
-/// storage lives in `scratch`, so steady-state calls allocate nothing.
-/// The `matching-allocate-stable` oracle in `copart-check` pins the
-/// output — assignment and rounds — to a straightforward reference scan.
+/// The consumers are ranked once — priority descending, ties toward the
+/// lower consumer index — by one integer sort, and in rank order each
+/// takes the first category on its preference list with capacity left.
+/// Because every category shares that ranking, this is the matching the
+/// paper's instability chaining produces. The returned count is the
+/// chaining iterations that run would perform — every insertion
+/// attempt, including the retries displacements trigger — which is a
+/// measure of how contested the instance was (reported per epoch in trace
+/// events as `matching_rounds`). It is exact: a chaining consumer's cursor
+/// only passes categories that rejected it, so it ends one past its
+/// granted category, or at the end of its list when it got nothing, and
+/// the count is the sum of those positions.
+///
+/// `capacities[c]` is the number of grants category `c` can make. All
+/// working storage lives in `scratch`, so steady-state calls allocate
+/// nothing. The `matching-allocate-stable` oracle in `copart-check` pins
+/// the output — assignment and rounds — to a literal chaining scan.
 ///
 /// # Panics
 ///
-/// Panics if any preference index is out of range; the caller constructs
+/// Panics if any preference index is out of range (the caller constructs
 /// the preference lists from its own category table, so an out-of-range
-/// index is a programming error rather than an input error.
+/// index is a programming error rather than an input error), or if a
+/// priority is NaN.
 pub fn allocate_into(
     capacities: &[usize],
     consumers: &[Consumer],
@@ -109,56 +117,42 @@ pub fn allocate_into(
         }
     }
 
-    if scratch.heaps.len() < capacities.len() {
-        scratch.heaps.resize_with(capacities.len(), BinaryHeap::new);
-    }
-    for h in &mut scratch.heaps[..capacities.len()] {
-        h.clear();
-    }
+    let ChainScratch { ranked, left } = scratch;
+    ranked.clear();
+    ranked.extend(
+        consumers
+            .iter()
+            .enumerate()
+            .map(|(i, c)| rank_key(c.priority, i)),
+    );
+    ranked.sort_unstable();
+    left.clear();
+    left.extend_from_slice(capacities);
     assignment.clear();
     assignment.resize(consumers.len(), None);
-    scratch.cursor.clear();
-    scratch.cursor.resize(consumers.len(), 0);
-    let mut rounds = 0u32;
 
-    for start in 0..consumers.len() {
-        let mut current = start;
-        #[allow(clippy::while_let_loop)]
-        loop {
-            let Some(&cat) = consumers[current].preference.get(scratch.cursor[current]) else {
-                break;
-            };
-            scratch.cursor[current] += 1;
-            rounds += 1;
-            if capacities[cat] == 0 {
-                continue;
+    let mut rounds = 0u32;
+    for &key in ranked.iter() {
+        let i = key as u64 as usize;
+        let preference = &consumers[i].preference;
+        match preference.iter().position(|&cat| left[cat] > 0) {
+            Some(pos) => {
+                let cat = preference[pos];
+                left[cat] -= 1;
+                assignment[i] = Some(cat);
+                rounds += pos as u32 + 1;
             }
-            scratch.heaps[cat].push(Holder {
-                priority: consumers[current].priority,
-                consumer: current,
-            });
-            assignment[current] = Some(cat);
-            if scratch.heaps[cat].len() <= capacities[cat] {
-                break;
-            }
-            let displaced = scratch.heaps[cat]
-                .pop()
-                .expect("oversubscribed ⇒ non-empty")
-                .consumer;
-            assignment[displaced] = None;
-            if displaced == current {
-                continue;
-            }
-            current = displaced;
+            None => rounds += preference.len() as u32,
         }
     }
-
     rounds
 }
 
 /// Builds the Hospitals/Residents instance induced by a chaining problem:
 /// categories become hospitals preferring consumers by descending priority.
 pub fn induced_instance(capacities: &[usize], consumers: &[Consumer]) -> Instance {
+    // Ordered by comparator, not by the kernel's rank keys: this instance
+    // is the reference the kernel is checked against.
     let mut by_priority: Vec<usize> = (0..consumers.len()).collect();
     by_priority.sort_by(|&a, &b| {
         consumers[b]
@@ -271,6 +265,62 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn out_of_range_preference_panics() {
         let _ = allocate(&[1], &[consumer(1.0, vec![3])]);
+    }
+
+    #[test]
+    fn negative_zero_ties_with_zero_by_index() {
+        assert_eq!(total_order_bits(-0.0), total_order_bits(0.0));
+        let alloc = allocate(&[1], &[consumer(0.0, vec![0]), consumer(-0.0, vec![0])]);
+        assert_eq!(alloc.0, vec![Some(0), None]);
+        let alloc = allocate(&[1], &[consumer(-0.0, vec![0]), consumer(0.0, vec![0])]);
+        assert_eq!(alloc.0, vec![Some(0), None]);
+    }
+
+    #[test]
+    fn infinite_priority_ranks_first() {
+        let alloc = allocate(
+            &[1],
+            &[
+                consumer(f64::MAX, vec![0]),
+                consumer(f64::INFINITY, vec![0]),
+            ],
+        );
+        assert_eq!(alloc.0, vec![None, Some(0)]);
+        let alloc = allocate(
+            &[1],
+            &[
+                consumer(f64::NEG_INFINITY, vec![0]),
+                consumer(f64::MIN, vec![0]),
+            ],
+        );
+        assert_eq!(alloc.0, vec![None, Some(0)]);
+    }
+
+    #[test]
+    fn total_order_bits_follow_numeric_order() {
+        let ascending = [
+            f64::NEG_INFINITY,
+            f64::MIN,
+            -1.0,
+            -f64::MIN_POSITIVE,
+            -0.0,
+            f64::MIN_POSITIVE,
+            1.0,
+            f64::MAX,
+            f64::INFINITY,
+        ];
+        let bits: Vec<u64> = ascending
+            .iter()
+            .map(|&x| total_order_bits(x).unwrap())
+            .collect();
+        assert!(bits.windows(2).all(|w| w[0] < w[1]), "{bits:x?}");
+        assert_eq!(total_order_bits(f64::NAN), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "priorities must not be NaN")]
+    fn nan_priority_panics() {
+        let _ = allocate(&[1], &[consumer(1.0, vec![0]), consumer(f64::NAN, vec![0])]);
     }
 
     /// The chaining result is exactly the resident-optimal stable

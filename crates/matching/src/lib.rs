@@ -13,9 +13,12 @@
 //!   residents with preference lists (incomplete lists allowed),
 //! * [`solve_resident_optimal`] — resident-proposing deferred acceptance,
 //! * [`Matching::blocking_pairs`] — stability verification, and
-//! * [`chain::allocate_into`] — the indexed victim-chaining allocator that
-//!   Algorithm 2 of the paper instantiates (its reference scan lives in
-//!   `copart-check`, next to the oracle that compares the two).
+//! * [`chain::allocate_into`] — the allocator Algorithm 2 of the paper
+//!   instantiates: because every category ranks consumers by the same
+//!   priority, its instability chaining is a serial dictatorship, so the
+//!   kernel ranks once and grants in rank order (its literal chaining
+//!   scan lives in `copart-check`, next to the oracle that compares the
+//!   two, round counts included).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

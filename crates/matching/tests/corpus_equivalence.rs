@@ -47,7 +47,7 @@ fn blessed_tapes_match_the_resident_optimal_solution() {
     }
 }
 
-/// The indexed heap allocator is byte-identical to the reference scan
+/// The rank-then-grant allocator is byte-identical to the reference scan
 /// (kept in `copart-check`) — assignment AND rounds — across a seeded
 /// random sweep of mixed shapes, with one `ChainScratch` and one
 /// assignment buffer reused for every instance in the sweep: the

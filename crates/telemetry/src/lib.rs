@@ -46,7 +46,7 @@ mod registry;
 mod window;
 
 pub use counters::{CounterDelta, CounterSnapshot};
-pub use digest::{fnv1a64, fnv1a64_update, FNV1A64_OFFSET};
+pub use digest::{fnv1a64, fnv1a64_update, fnv1a64_update_u64, FNV1A64_OFFSET};
 pub use event::{
     AllocSample, AppSample, FaultSample, TraceClass, TraceDecision, TraceEvent, TraceParseError,
     TracePhase,

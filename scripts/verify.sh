@@ -39,11 +39,28 @@
 #
 # COPART_CHECK_CASES overrides either budget from the environment.
 #
-# The script is std-toolchain only: no network access and no external
-# tools beyond cargo itself.
+# Both modes end by requiring benchmark/ and BENCHMARK.json to be exactly
+# as checked out (`git status --porcelain`, skipped outside a git
+# checkout): the benchmark's files are never edited by a change, and an
+# offline build of benchmark/ refreshes its Cargo.lock in place, so the
+# build steps put the checked-in lockfile back.
+#
+# The script needs no network access and no tools beyond cargo and git.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# Runs a cargo command on the benchmark/ workspace, then restores the
+# checked-in benchmark/Cargo.lock whether or not the command succeeded.
+with_benchmark_lock() {
+    local saved status=0
+    saved="$(mktemp)"
+    cp benchmark/Cargo.lock "$saved"
+    "$@" || status=$?
+    cp "$saved" benchmark/Cargo.lock
+    rm -f "$saved"
+    return "$status"
+}
 
 mode="${1:-full}"
 case "$mode" in
@@ -64,7 +81,7 @@ quick)
     RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 
     echo "==> cargo check benchmark/ (its per-layer tracer links the crates' public API)"
-    cargo check -q --manifest-path benchmark/Cargo.toml
+    with_benchmark_lock cargo check -q --manifest-path benchmark/Cargo.toml
     ;;
 full)
     echo "==> tier-1: cargo build --release"
@@ -108,12 +125,22 @@ full)
     scripts/bench_gate.sh
 
     echo "==> benchmark-builds (benchmark/ links the crates' public API)"
-    cargo build --release --manifest-path benchmark/Cargo.toml
+    with_benchmark_lock cargo build --release --manifest-path benchmark/Cargo.toml
     ;;
 *)
     echo "usage: $0 [quick|full]" >&2
     exit 2
     ;;
 esac
+
+if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+    echo "==> benchmark/ and BENCHMARK.json are as checked out"
+    dirty="$(git status --porcelain -- benchmark BENCHMARK.json)"
+    if [ -n "$dirty" ]; then
+        echo "verify: benchmark/ or BENCHMARK.json changed:" >&2
+        echo "$dirty" >&2
+        exit 1
+    fi
+fi
 
 echo "verify ($mode): all gates passed"

@@ -161,6 +161,41 @@ fn planner_scale_digests_identical_at_1_and_8_jobs() {
     }
 }
 
+/// The planner-scale outputs themselves, not just their agreement across
+/// job counts: 1000 applications × 200 epochs at seed 42, for the uniform
+/// population, the zipf fleet mix, and a full redraw every epoch. The
+/// constants were computed before the matching kernel became a serial
+/// dictatorship; any change to a digest or round count is a behaviour
+/// change of the planner, never a re-bless.
+#[test]
+fn planner_scale_outputs_are_pinned() {
+    use copart_core::scale::{run_planner_scale, ScaleConfig, ScalePopulation};
+
+    let uniform = ScaleConfig::new(1000, 200, 42);
+    let fleet = ScaleConfig {
+        population: ScalePopulation::FleetMix,
+        ..uniform.clone()
+    };
+    let churn = ScaleConfig {
+        churn: 1.0,
+        ..uniform.clone()
+    };
+    for (name, cfg, digest, rounds) in [
+        ("uniform", uniform, 0xf76f_a32c_9cb7_bb72, 134_015),
+        ("fleet-mix", fleet, 0x2e88_617f_e34e_f2ac, 135_632),
+        ("churn 1.0", churn, 0xf764_5897_3f58_5de8, 118_966),
+    ] {
+        let r = run_planner_scale(&cfg);
+        assert_eq!(
+            (r.digest, r.matching_rounds),
+            (digest, rounds),
+            "{name}: digest {:#x}, {} rounds",
+            r.digest,
+            r.matching_rounds
+        );
+    }
+}
+
 /// The fault plan the cross-jobs contract is checked under: every
 /// transient site armed. (No vanish — group disappearance aborts whole
 /// profiling passes, which this test is not about; `fault_soak`
