@@ -37,6 +37,20 @@ impl Options {
         Ok(Options { values, flags })
     }
 
+    /// Fails on an option `cmd` does not take (`accepted` lists the
+    /// ones it does, whitespace-separated), naming it.
+    pub fn only(&self, cmd: &str, accepted: &str) -> Result<(), String> {
+        match self
+            .values
+            .keys()
+            .chain(&self.flags)
+            .find(|name| !accepted.split_whitespace().any(|a| a == name.as_str()))
+        {
+            Some(name) => Err(format!("{cmd} does not take --{name}")),
+            None => Ok(()),
+        }
+    }
+
     /// The raw value of `--name`, if given.
     pub fn get(&self, name: &str) -> Option<&str> {
         self.values.get(name).map(String::as_str)

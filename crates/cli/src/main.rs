@@ -136,13 +136,48 @@ Commands:
       --root <path> [--interval-ms <n>] [--count <n>]
 ";
 
+/// The options each subcommand takes, as USAGE lists them. Any other
+/// option is refused before the command runs.
+const OPTIONS: &[(&str, &str)] = &[
+    (
+        "sim-run",
+        "mix policy apps churn seconds seed trace-out metrics jobs faults population \
+         state-dir epochs snapshot-every kill-at-epoch resume",
+    ),
+    (
+        "serve",
+        "mix policy apps seed port tick-ms epochs faults trace-dir state-dir snapshot-every",
+    ),
+    ("load", "addr requests concurrency"),
+    (
+        "fleet-run",
+        "nodes apps seed epochs capacity rebalance-threshold rebalance-patience faults \
+         state-dir trace-out tickets-out metrics jobs",
+    ),
+    ("compare", "seconds seed jobs out"),
+    ("trace-check", "path min-events fleet reference"),
+    ("bench-report", "current baseline tolerance"),
+    ("classify", "bench"),
+    ("resctrl-status", "root"),
+    ("resctrl-apply", "root group ways mba"),
+    ("resctrl-init", "root llc-ways"),
+    ("monitor", "root interval-ms count"),
+];
+
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = argv.split_first() else {
         eprint!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let opts = match args::Options::parse_with_flags(rest, &["metrics", "resume", "fleet"]) {
+    let Some(&(_, accepted)) = OPTIONS.iter().find(|(name, _)| name == cmd) else {
+        eprintln!("unknown command {cmd:?}\n");
+        eprint!("{USAGE}");
+        return ExitCode::FAILURE;
+    };
+    let parsed = args::Options::parse_with_flags(rest, &["metrics", "resume", "fleet"])
+        .and_then(|o| o.only(cmd, accepted).map(|()| o));
+    let opts = match parsed {
         Ok(o) => o,
         Err(e) => {
             eprintln!("error: {e}\n");
@@ -164,11 +199,7 @@ fn main() -> ExitCode {
         "resctrl-apply" => resctrl_cmd::apply(&opts),
         "resctrl-init" => resctrl_cmd::init(&opts),
         "monitor" => resctrl_cmd::monitor(&opts),
-        other => {
-            eprintln!("unknown command {other:?}\n");
-            eprint!("{USAGE}");
-            return ExitCode::FAILURE;
-        }
+        other => unreachable!("{other} has an OPTIONS row but no dispatch arm"),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -176,5 +207,45 @@ fn main() -> ExitCode {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeSet;
+
+    /// Every `--option` USAGE quotes inside each command's block.
+    fn documented() -> Vec<(String, BTreeSet<String>)> {
+        let mut blocks: Vec<(String, BTreeSet<String>)> = Vec::new();
+        for line in USAGE.lines().skip_while(|l| *l != "Commands:").skip(1) {
+            if let Some(head) = line.strip_prefix("  ").filter(|l| !l.starts_with(' ')) {
+                let name = head.split_whitespace().next().unwrap_or_default();
+                blocks.push((name.to_string(), BTreeSet::new()));
+            }
+            let Some((_, options)) = blocks.last_mut() else {
+                continue;
+            };
+            for (at, _) in line.match_indices("--") {
+                let name: String = line[at + 2..]
+                    .chars()
+                    .take_while(|c| c.is_ascii_lowercase() || *c == '-')
+                    .collect();
+                options.insert(name);
+            }
+        }
+        blocks
+    }
+
+    #[test]
+    fn usage_documents_exactly_the_accepted_options() {
+        let table: Vec<(String, BTreeSet<String>)> = OPTIONS
+            .iter()
+            .map(|(cmd, opts)| {
+                let opts = opts.split_whitespace().map(str::to_string).collect();
+                (cmd.to_string(), opts)
+            })
+            .collect();
+        assert_eq!(documented(), table);
     }
 }

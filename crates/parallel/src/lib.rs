@@ -255,9 +255,18 @@ where
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+    use std::sync::MutexGuard;
+
+    /// Serialises the tests that run a sweep: each one overwrites the
+    /// process-global [`last_sweep`], which the stats test reads back.
+    fn sweeping() -> MutexGuard<'static, ()> {
+        static SWEEPS: Mutex<()> = Mutex::new(());
+        SWEEPS.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn preserves_input_order_at_any_job_count() {
+        let _sweeping = sweeping();
         let items: Vec<u64> = (0..257).collect();
         let expect: Vec<u64> = items.iter().map(|&x| x * x + 1).collect();
         for jobs in [1, 2, 3, 8, 64] {
@@ -273,6 +282,7 @@ mod tests {
 
     #[test]
     fn handles_empty_and_singleton_inputs() {
+        let _sweeping = sweeping();
         let empty: Vec<u32> = Vec::new();
         assert_eq!(par_map(&empty, |&x| x), Vec::<u32>::new());
         assert_eq!(
@@ -283,6 +293,7 @@ mod tests {
 
     #[test]
     fn runs_every_task_exactly_once() {
+        let _sweeping = sweeping();
         static HITS: AtomicUsize = AtomicUsize::new(0);
         let items: Vec<usize> = (0..1000).collect();
         let out = par_map_indexed_jobs(&items, 7, 3, |_, &x| {
@@ -295,6 +306,7 @@ mod tests {
 
     #[test]
     fn propagates_panics_with_payload() {
+        let _sweeping = sweeping();
         let items: Vec<u32> = (0..64).collect();
         let caught = std::panic::catch_unwind(|| {
             par_map_indexed_jobs(&items, 4, 1, |_, &x| {
@@ -324,6 +336,7 @@ mod tests {
 
     #[test]
     fn parallel_matches_serial_with_task_rng() {
+        let _sweeping = sweeping();
         let items: Vec<u64> = (0..100).collect();
         let serial: Vec<u64> = items
             .iter()
@@ -336,6 +349,7 @@ mod tests {
 
     #[test]
     fn sweep_stats_are_recorded_and_sane() {
+        let _sweeping = sweeping();
         let items: Vec<u32> = (0..128).collect();
         let _ = par_map_indexed_jobs(&items, 4, 1, |_, &x| {
             // A body long enough that busy time registers.

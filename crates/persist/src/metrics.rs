@@ -43,17 +43,19 @@ pub const KNOWN_COUNTERS: &[&str] = &[
     "ticks",
     "epoch_deadline_misses",
     "http_requests",
+    "http_responses_2xx",
+    "http_responses_4xx",
+    "http_responses_5xx",
     "http_rejected_overload",
     "trace_rotations",
     "trace_verify_failures",
-    "worker_errors",
-    "worker_runs",
     "snapshots_written",
     "recoveries",
+    "cluster_replans",
 ];
 
 /// Every gauge name the workspace emits.
-pub const KNOWN_GAUGES: &[&str] = &["unfairness", "healthy", "snapshot_bytes"];
+pub const KNOWN_GAUGES: &[&str] = &["unfairness", "snapshot_bytes", "clusters"];
 
 /// Interns a counter name read from disk.
 pub fn intern_counter(name: &str) -> Option<&'static str> {

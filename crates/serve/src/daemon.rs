@@ -7,10 +7,11 @@
 //! (admit, remove, policy switch) travels over an mpsc channel and is
 //! applied by this thread *between* epochs, and every read either comes
 //! from a structure that is safe to share ([`SharedRing`], the metrics
-//! registry) or from the status snapshot this thread republishes after
-//! each epoch. Concurrent HTTP load therefore cannot reorder, interleave
-//! with, or otherwise perturb the epoch loop — which is what keeps a
-//! daemon trace byte-identical to a one-shot trace of the same scenario.
+//! registry) or from the status snapshot and [`Liveness`] this thread
+//! republishes after each epoch. Concurrent HTTP load therefore cannot
+//! reorder, interleave with, or otherwise perturb the epoch loop — which
+//! is what keeps a daemon trace byte-identical to a one-shot trace of
+//! the same scenario.
 //!
 //! Two pacing modes:
 //!
@@ -117,12 +118,54 @@ pub struct DaemonConfig {
     pub max_epochs: Option<u64>,
 }
 
+/// What the control thread publishes for `/healthz` next to the status
+/// document: when its last epoch completed and whether it is done.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Liveness {
+    /// When this process's control loop last completed an epoch (`None`
+    /// before the first).
+    pub last_epoch: Option<Instant>,
+    /// Whether the `--epochs` cap is reached.
+    pub capped: bool,
+}
+
+impl Liveness {
+    /// The one health rule behind `/healthz` and the `healthy` series:
+    /// the loop is healthy while no epoch has run yet, once the cap is
+    /// reached, or while its last epoch is younger than
+    /// max(2 × `tick`, 50 ms).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use copart_serve::daemon::Liveness;
+    /// use std::time::{Duration, Instant};
+    /// let now = Instant::now();
+    /// let tick = Duration::from_millis(200);
+    /// assert!(Liveness::default().healthy(tick, now), "booting");
+    /// let fresh = Liveness { last_epoch: Some(now), capped: false };
+    /// assert!(fresh.healthy(tick, now + Duration::from_millis(399)));
+    /// assert!(!fresh.healthy(tick, now + Duration::from_millis(400)), "stalled");
+    /// ```
+    pub fn healthy(&self, tick: Duration, now: Instant) -> bool {
+        match self.last_epoch {
+            None => true,
+            Some(_) if self.capped => true,
+            Some(at) => {
+                now.saturating_duration_since(at) < (2 * tick).max(Duration::from_millis(50))
+            }
+        }
+    }
+}
+
 /// A handle to a spawned control thread.
 pub struct ControlHandle {
     /// Command channel into the control thread.
     pub commands: Sender<Command>,
     /// The last published status document (JSON).
     pub status: Arc<Mutex<String>>,
+    /// The last published [`Liveness`].
+    pub liveness: Arc<Mutex<Liveness>>,
     join: JoinHandle<()>,
 }
 
@@ -145,12 +188,14 @@ pub fn spawn_control<B: ServeBackend>(
     commands: Sender<Command>,
 ) -> ControlHandle {
     let status = Arc::new(Mutex::new(String::new()));
+    let liveness = Arc::new(Mutex::new(Liveness::default()));
     let metrics = run.runtime().metrics_handle();
     let daemon = Daemon {
         run,
         cfg,
         metrics,
         status: Arc::clone(&status),
+        liveness: Arc::clone(&liveness),
         rx,
     };
     daemon.publish_status();
@@ -161,6 +206,7 @@ pub fn spawn_control<B: ServeBackend>(
     ControlHandle {
         commands,
         status,
+        liveness,
         join,
     }
 }
@@ -170,6 +216,7 @@ struct Daemon<B: ServeBackend> {
     cfg: DaemonConfig,
     metrics: Arc<MetricsRegistry>,
     status: Arc<Mutex<String>>,
+    liveness: Arc<Mutex<Liveness>>,
     rx: Receiver<Command>,
 }
 
@@ -286,6 +333,10 @@ impl<B: ServeBackend> Daemon<B> {
             self.metrics.inc("epoch_failures");
             eprintln!("copart serve: epoch failed: {e}");
         }
+        *self.liveness.lock().unwrap_or_else(|e| e.into_inner()) = Liveness {
+            last_epoch: Some(Instant::now()),
+            capped: !self.epochs_remaining(),
+        };
         self.publish_status();
     }
 
@@ -435,6 +486,10 @@ pub struct Gateway {
     pub ring: SharedRing,
     /// The published `GET /status` document.
     pub status: Arc<Mutex<String>>,
+    /// The published liveness behind `GET /healthz`.
+    pub liveness: Arc<Mutex<Liveness>>,
+    /// The control loop's epoch spacing, which the health rule scales.
+    pub tick: Duration,
     /// Commands into the control thread.
     pub commands: Sender<Command>,
 }
@@ -457,5 +512,36 @@ mod tests {
         assert!(parse_dynamic_policy("eq").unwrap_err().contains("static"));
         assert!(parse_dynamic_policy("st").unwrap_err().contains("static"));
         assert!(parse_dynamic_policy("x").unwrap_err().contains("unknown"));
+    }
+
+    #[test]
+    fn health_rule_covers_booting_capped_and_stalled() {
+        let at = Instant::now();
+        let ms = Duration::from_millis;
+        let ran = Liveness {
+            last_epoch: Some(at),
+            capped: false,
+        };
+        let capped = Liveness {
+            capped: true,
+            ..ran
+        };
+        for tick in [Duration::ZERO, ms(25), ms(200)] {
+            // Booting: no epoch yet is healthy however long it takes.
+            assert!(Liveness::default().healthy(tick, at + ms(60_000)));
+            // Capped: a loop that stopped at its cap is done, not stalled.
+            assert!(capped.healthy(tick, at + ms(60_000)));
+            // Running: live until max(2 × tick, 50 ms) passes, then stalled.
+            let window = (2 * tick).max(ms(50));
+            assert!(ran.healthy(tick, at));
+            assert!(ran.healthy(tick, at + window - ms(1)));
+            assert!(!ran.healthy(tick, at + window), "tick {tick:?}");
+        }
+        // A clock read before the epoch landed is not a stall.
+        let later = Liveness {
+            last_epoch: Some(at + ms(5)),
+            capped: false,
+        };
+        assert!(later.healthy(ms(25), at));
     }
 }

@@ -8,12 +8,12 @@
 //! * the **control thread** runs the epoch loop (wall-clock paced or
 //!   free-running) and is the *only* thread touching the runtime —
 //!   mutations arrive as commands applied between epochs, which is what
-//!   keeps daemon traces byte-identical to one-shot traces,
+//!   keeps daemon traces byte-identical to one-shot traces. Its recorder
+//!   rotates the on-disk trace on write and checks the flight recorder's
+//!   invariants on record, and it publishes the liveness `/healthz` reads,
 //! * a hand-rolled **HTTP/1.1 front end** (zero third-party deps, like
 //!   the rest of the workspace) serves admissions, removals, live policy
-//!   switches, Prometheus-text metrics, status, and trace tails,
-//! * **background workers** rotate the on-disk trace, replay the flight
-//!   recorder through the trace invariants, and self-check liveness.
+//!   switches, Prometheus-text metrics, status, and trace tails.
 //!
 //! # Examples
 //!
@@ -60,7 +60,6 @@ pub mod prometheus;
 pub mod scenario;
 pub mod server;
 pub mod trace;
-pub mod workers;
 
 pub use daemon::{parse_dynamic_policy, DaemonConfig, ServeBackend};
 pub use loadgen::{LoadConfig, LoadReport};

@@ -49,11 +49,15 @@ pub fn help(name: &str) -> &'static str {
         "admitted_apps" => "Applications admitted through POST /apps",
         "removed_apps" => "Applications removed through DELETE /apps",
         "policy_switches" => "Live policy switches through POST /policy",
-        "worker_runs" => "Background worker iterations completed",
-        "worker_errors" => "Background worker iterations that failed",
-        "trace_rotations" => "Trace files rotated by the trace-rotate worker",
-        "trace_verify_failures" => "Flight-recorder replays that violated trace invariants",
-        "healthy" => "1 when the last health self-check passed, else 0",
+        "trace_rotations" => "Trace files opened after the previous one filled",
+        "trace_verify_failures" => "Recorded events that rewound the epoch or time",
+        "healthy" => "1 when the control loop's last epoch is recent or it is done, else 0",
+        "cluster_replans" => "LFOC cluster plans recomputed",
+        "clusters" => "Clusters in the current LFOC plan",
+        "snapshots_written" => "State snapshots written to the state directory",
+        "recoveries" => "Times this run resumed from a snapshot",
+        "snapshot_bytes" => "Size of the last state snapshot, bytes",
+        "snapshot_ns" => "Latency of writing one state snapshot",
         _ => "CoPart metric",
     }
 }

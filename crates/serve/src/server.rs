@@ -9,9 +9,9 @@
 //!   and routes them — reads are answered from shared structures,
 //!   mutations become [`Command`]s for the control thread,
 //! * the **control thread** ([`crate::daemon`]) is the only one touching
-//!   the runtime,
-//! * the **background ticker** ([`crate::workers`]) runs the periodic
-//!   jobs.
+//!   the runtime; it also rotates the trace (on write), checks the
+//!   flight recorder (on record) and publishes the liveness `/healthz`
+//!   reads.
 //!
 //! Shutdown (`POST /shutdown` or [`ServerHandle::shutdown`]) drains in
 //! order: stop accepting, finish in-flight requests, then stop the
@@ -25,7 +25,6 @@ use crate::persist::{recover_sim, PersistConfig, PersistedRun, Recovered};
 use crate::prometheus;
 use crate::scenario::{profile_with_retries, Scenario, ScenarioEnv, PROFILE_ATTEMPTS};
 use crate::trace::{RotatingJsonl, SharedRing, TeeRecorder};
-use crate::workers::{HealthCheckWorker, TraceReplayWorker, TraceRotateWorker, Worker, WorkerPool};
 use copart_core::runtime::ConsolidationRuntime;
 use copart_telemetry::{Json, MetricsRegistry, MetricsSnapshot, Recorder};
 use std::io::BufReader;
@@ -35,10 +34,17 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-/// Server configuration. The default binds an ephemeral localhost port,
-/// paces epochs at 25 ms, and keeps a 4096-event flight recorder.
+/// HTTP worker threads (= concurrently served connections).
+const HTTP_THREADS: usize = 8;
+/// Accepted connections queued ahead of the pool before 503.
+const QUEUE: usize = 128;
+/// Flight-recorder capacity, events.
+const RING_CAPACITY: usize = 4096;
+
+/// Server configuration. The default binds an ephemeral localhost port
+/// and paces epochs at 25 ms.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Listen address (`127.0.0.1:0` for an ephemeral port).
@@ -47,21 +53,11 @@ pub struct ServeConfig {
     pub tick: Duration,
     /// Stop running epochs (but keep serving) after this many.
     pub max_epochs: Option<u64>,
-    /// HTTP worker threads (= concurrently served connections).
-    pub http_threads: usize,
-    /// Cap on request bodies, bytes.
-    pub max_body: usize,
-    /// Accepted connections queued ahead of the pool before 503.
-    pub queue: usize,
-    /// Flight-recorder capacity, events.
-    pub ring_capacity: usize,
     /// Directory for rotating JSONL trace files (`None` disables the
     /// file sink).
     pub trace_dir: Option<PathBuf>,
-    /// Events per trace file before the rotate worker switches files.
+    /// Events per trace file: the write past a full file opens the next.
     pub trace_file_events: u64,
-    /// Background-worker tick interval.
-    pub worker_interval: Duration,
     /// State directory for crash-safe snapshots and event logs (`None`
     /// disables persistence). [`serve_scenario`] recovers from it when
     /// it already holds a usable snapshot.
@@ -77,13 +73,8 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:0".into(),
             tick: Duration::from_millis(25),
             max_epochs: None,
-            http_threads: 8,
-            max_body: http::DEFAULT_MAX_BODY,
-            queue: 128,
-            ring_capacity: 4096,
             trace_dir: None,
             trace_file_events: 10_000,
-            worker_interval: Duration::from_millis(50),
             state_dir: None,
             snapshot_every: 64,
         }
@@ -106,9 +97,7 @@ pub struct ServerHandle {
     accept_join: Option<JoinHandle<()>>,
     http_joins: Vec<JoinHandle<()>>,
     control: Option<ControlHandle>,
-    workers: Option<WorkerPool>,
-    rotating: Option<RotatingJsonl>,
-    metrics: Arc<copart_telemetry::MetricsRegistry>,
+    metrics: Arc<MetricsRegistry>,
 }
 
 impl ServerHandle {
@@ -145,14 +134,6 @@ impl ServerHandle {
             }
             control.join();
         }
-        if let Some(workers) = self.workers.take() {
-            workers.shutdown();
-        }
-        if let Some(rotating) = self.rotating.take() {
-            if let Err(e) = rotating.flush() {
-                eprintln!("copart serve: flushing rotating trace: {e}");
-            }
-        }
         ServeReport {
             epochs,
             snapshot: self.metrics.snapshot(),
@@ -180,52 +161,28 @@ pub fn serve_scenario(scenario: &Scenario, cfg: ServeConfig) -> Result<ServerHan
     serve(scenario.build(&env)?, env, cfg)
 }
 
-/// The trace sinks and background jobs a daemon boots with, fresh or
-/// recovered.
-struct Sinks {
-    ring: SharedRing,
-    rotating: Option<RotatingJsonl>,
-    background: Vec<Box<dyn Worker>>,
-    recorder: Box<dyn Recorder + Send>,
-}
-
-/// Builds the flight recorder, the optional file sink, and the workers
-/// that watch them. `resume_below` reopens the file sink truncated to
-/// trace events below the restored snapshot's epoch (replay re-emits
-/// the rest); the in-memory ring always starts empty.
+/// The daemon's recorder: the checked flight recorder, teed into the
+/// rotating file sink when a trace directory is set. `resume_below`
+/// reopens the file sink cut to trace events below the restored
+/// snapshot's epoch (replay re-emits the rest); the in-memory ring
+/// always starts empty.
 fn build_sinks(
     cfg: &ServeConfig,
     metrics: &Arc<MetricsRegistry>,
     resume_below: Option<u64>,
-) -> Result<Sinks, String> {
-    let ring = SharedRing::new(cfg.ring_capacity.max(1));
-    let mut background: Vec<Box<dyn Worker>> = vec![
-        Box::new(HealthCheckWorker::new(Arc::clone(metrics), cfg.max_epochs)),
-        Box::new(TraceReplayWorker::new(ring.clone(), Arc::clone(metrics))),
-    ];
-    let mut rotating = None;
-    let recorder: Box<dyn Recorder + Send> = match &cfg.trace_dir {
-        None => Box::new(ring.clone()),
-        Some(dir) => {
-            let sink = match resume_below {
-                None => RotatingJsonl::create(dir, "trace", cfg.trace_file_events),
-                Some(cut) => RotatingJsonl::resume(dir, "trace", cfg.trace_file_events, cut),
-            }
-            .map_err(|e| format!("cannot open trace dir {}: {e}", dir.display()))?;
-            background.push(Box::new(TraceRotateWorker::new(
-                sink.clone(),
-                Arc::clone(metrics),
-            )));
-            rotating = Some(sink.clone());
-            Box::new(TeeRecorder::new(Box::new(ring.clone()), Box::new(sink)))
-        }
+) -> Result<(SharedRing, Box<dyn Recorder + Send>), String> {
+    let ring = SharedRing::checked(RING_CAPACITY, Arc::clone(metrics));
+    let Some(dir) = &cfg.trace_dir else {
+        return Ok((ring.clone(), Box::new(ring)));
     };
-    Ok(Sinks {
-        ring,
-        rotating,
-        background,
-        recorder,
-    })
+    let (cap, metrics) = (cfg.trace_file_events, Arc::clone(metrics));
+    let sink = match resume_below {
+        None => RotatingJsonl::create(dir, "trace", cap, metrics),
+        Some(cut) => RotatingJsonl::resume(dir, "trace", cap, cut, metrics),
+    }
+    .map_err(|e| format!("cannot open trace dir {}: {e}", dir.display()))?;
+    let tee = TeeRecorder::new(Box::new(ring.clone()), Box::new(sink));
+    Ok((ring, Box::new(tee)))
 }
 
 fn check_pacing(cfg: &ServeConfig) -> Result<(), String> {
@@ -247,9 +204,8 @@ pub fn serve<B: ServeBackend>(
     cfg: ServeConfig,
 ) -> Result<ServerHandle, String> {
     check_pacing(&cfg)?;
-    let metrics = runtime.metrics_handle();
-    let sinks = build_sinks(&cfg, &metrics, None)?;
-    runtime.set_recorder(sinks.recorder);
+    let (ring, recorder) = build_sinks(&cfg, &runtime.metrics_handle(), None)?;
+    runtime.set_recorder(recorder);
     profile_with_retries(&mut runtime, PROFILE_ATTEMPTS)?;
     let mut run = PersistedRun::new(runtime, env);
     if let Some(dir) = cfg.state_dir.clone() {
@@ -258,7 +214,7 @@ pub fn serve<B: ServeBackend>(
             snapshot_every: cfg.snapshot_every,
         })?;
     }
-    serve_run(run, cfg, sinks.ring, sinks.rotating, sinks.background)
+    serve_run(run, cfg, ring)
 }
 
 /// Starts the daemon over a restored-but-not-yet-replayed run: attaches
@@ -269,21 +225,18 @@ fn serve_recovered<B: ServeBackend>(
     cfg: ServeConfig,
 ) -> Result<ServerHandle, String> {
     check_pacing(&cfg)?;
-    let metrics = rec.metrics_handle();
-    let sinks = build_sinks(&cfg, &metrics, Some(rec.snapshot_epoch()))?;
-    rec.set_recorder(sinks.recorder);
+    let (ring, recorder) = build_sinks(&cfg, &rec.metrics_handle(), Some(rec.snapshot_epoch()))?;
+    rec.set_recorder(recorder);
     let run = rec.replay(true)?;
-    serve_run(run, cfg, sinks.ring, sinks.rotating, sinks.background)
+    serve_run(run, cfg, ring)
 }
 
-/// The shared back half of both boot paths: spawn the control thread,
-/// the worker pool, and the HTTP front end over a ready [`PersistedRun`].
+/// The shared back half of both boot paths: spawn the control thread
+/// and the HTTP front end over a ready [`PersistedRun`].
 fn serve_run<B: ServeBackend>(
     run: PersistedRun<B>,
     cfg: ServeConfig,
     ring: SharedRing,
-    rotating: Option<RotatingJsonl>,
-    background: Vec<Box<dyn Worker>>,
 ) -> Result<ServerHandle, String> {
     let metrics = run.runtime().metrics_handle();
     let (cmd_tx, cmd_rx) = mpsc::channel();
@@ -296,7 +249,6 @@ fn serve_run<B: ServeBackend>(
         cmd_rx,
         cmd_tx.clone(),
     );
-    let workers = WorkerPool::spawn(background, cfg.worker_interval, Arc::clone(&metrics));
 
     let listener =
         TcpListener::bind(&cfg.addr).map_err(|e| format!("cannot bind {}: {e}", cfg.addr))?;
@@ -323,20 +275,21 @@ fn serve_run<B: ServeBackend>(
         metrics: Arc::clone(&metrics),
         ring,
         status: Arc::clone(&control.status),
+        liveness: Arc::clone(&control.liveness),
+        tick: cfg.tick,
         commands: cmd_tx,
     });
 
-    let (conn_tx, conn_rx) = mpsc::sync_channel::<TcpStream>(cfg.queue.max(1));
+    let (conn_tx, conn_rx) = mpsc::sync_channel::<TcpStream>(QUEUE);
     let conn_rx = Arc::new(Mutex::new(conn_rx));
-    let mut http_joins = Vec::with_capacity(cfg.http_threads.max(1));
-    for i in 0..cfg.http_threads.max(1) {
+    let mut http_joins = Vec::with_capacity(HTTP_THREADS);
+    for i in 0..HTTP_THREADS {
         let rx = Arc::clone(&conn_rx);
         let gw = Arc::clone(&gateway);
         let stop = Arc::clone(&shutdown);
-        let max_body = cfg.max_body;
         let join = std::thread::Builder::new()
             .name(format!("copart-http-{i}"))
-            .spawn(move || http_worker(&rx, &gw, &stop, max_body))
+            .spawn(move || http_worker(&rx, &gw, &stop))
             .map_err(|e| format!("spawning HTTP worker: {e}"))?;
         http_joins.push(join);
     }
@@ -353,8 +306,6 @@ fn serve_run<B: ServeBackend>(
         accept_join: Some(accept_join),
         http_joins,
         control: Some(control),
-        workers: Some(workers),
-        rotating,
         metrics,
     })
 }
@@ -365,7 +316,7 @@ fn accept_loop(
     listener: &TcpListener,
     conn_tx: &mpsc::SyncSender<TcpStream>,
     shutdown: &AtomicBool,
-    metrics: &copart_telemetry::MetricsRegistry,
+    metrics: &MetricsRegistry,
 ) {
     while !shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
@@ -396,26 +347,21 @@ fn accept_loop(
 }
 
 /// One pool thread: serves queued connections until the queue closes.
-fn http_worker(
-    conn_rx: &Mutex<Receiver<TcpStream>>,
-    gateway: &Gateway,
-    shutdown: &AtomicBool,
-    max_body: usize,
-) {
+fn http_worker(conn_rx: &Mutex<Receiver<TcpStream>>, gateway: &Gateway, shutdown: &AtomicBool) {
     loop {
         let stream = {
             let rx = conn_rx.lock().unwrap_or_else(|e| e.into_inner());
             rx.recv()
         };
         match stream {
-            Ok(stream) => serve_connection(stream, gateway, shutdown, max_body),
+            Ok(stream) => serve_connection(stream, gateway, shutdown),
             Err(_) => return,
         }
     }
 }
 
 /// Serves one (keep-alive) connection to completion.
-fn serve_connection(stream: TcpStream, gateway: &Gateway, shutdown: &AtomicBool, max_body: usize) {
+fn serve_connection(stream: TcpStream, gateway: &Gateway, shutdown: &AtomicBool) {
     // The read timeout doubles as the keep-alive poll interval, so an
     // idle connection notices shutdown within ~250 ms.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
@@ -425,7 +371,7 @@ fn serve_connection(stream: TcpStream, gateway: &Gateway, shutdown: &AtomicBool,
     let mut reader = BufReader::new(read_half);
     let mut writer = stream;
     loop {
-        match http::read_request(&mut reader, max_body) {
+        match http::read_request(&mut reader, http::DEFAULT_MAX_BODY) {
             Ok(ReadOutcome::Closed) => return,
             Ok(ReadOutcome::Idle) => {
                 if shutdown.load(Ordering::SeqCst) {
@@ -473,7 +419,11 @@ fn count_response(gateway: &Gateway, status: u16) {
 fn route(req: &Request, gateway: &Gateway, shutdown: &AtomicBool) -> Response {
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/metrics") => {
-            let mut resp = Response::text(200, prometheus::render(&gateway.metrics.snapshot()));
+            let mut snap = gateway.metrics.snapshot();
+            let at = snap.gauges.partition_point(|&(name, _)| name < "healthy");
+            let healthy = f64::from(u8::from(healthy(gateway)));
+            snap.gauges.insert(at, ("healthy", healthy));
+            let mut resp = Response::text(200, prometheus::render(&snap));
             resp.content_type = "text/plain; version=0.0.4; charset=utf-8";
             resp
         }
@@ -486,9 +436,7 @@ fn route(req: &Request, gateway: &Gateway, shutdown: &AtomicBool) -> Response {
             Response::json(200, status)
         }
         ("GET", "/healthz") => {
-            // Unset means the first health check has not run yet; treat
-            // a booting daemon as live.
-            if gateway.metrics.gauge("healthy").unwrap_or(1.0) > 0.0 {
+            if healthy(gateway) {
                 Response::text(200, "ok\n")
             } else {
                 Response::error(503, "control loop is stalled")
@@ -530,6 +478,13 @@ fn route(req: &Request, gateway: &Gateway, shutdown: &AtomicBool) -> Response {
         ) => Response::error(405, "method not allowed for this path"),
         _ => Response::error(404, "no such endpoint"),
     }
+}
+
+/// The health verdict `/healthz` and the `healthy` series share, from
+/// the control thread's last published [`Liveness`](crate::daemon::Liveness).
+fn healthy(gateway: &Gateway) -> bool {
+    let liveness = *gateway.liveness.lock().unwrap_or_else(|e| e.into_inner());
+    liveness.healthy(gateway.tick, Instant::now())
 }
 
 /// Extracts a required string field from a JSON request body.

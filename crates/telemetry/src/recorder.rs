@@ -88,7 +88,7 @@ impl RingRecorder {
     }
 
     /// Retained events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
+    pub fn events(&self) -> impl DoubleEndedIterator<Item = &TraceEvent> {
         self.buf.iter()
     }
 

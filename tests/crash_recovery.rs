@@ -506,9 +506,24 @@ fn read_rotated(dir: &Path) -> Vec<u8> {
     out
 }
 
+/// A rotating trace directory's files by name, with their bytes.
+fn rotated_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<(String, Vec<u8>)> = fs::read_dir(dir)
+        .expect("reading the trace dir")
+        .map(|entry| {
+            let path = entry.expect("listing the trace dir").path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            (name, fs::read(&path).expect("reading a trace file"))
+        })
+        .collect();
+    files.sort();
+    files
+}
+
 /// A daemon shut down cleanly and rebooted over the same state directory
 /// continues the run: the two incarnations' rotating traces concatenate
-/// to exactly the bytes one uninterrupted daemon writes.
+/// to exactly the bytes one uninterrupted daemon writes, cut into the
+/// same files.
 #[test]
 fn daemon_restart_continues_the_run() {
     let scenario = Scenario::new(MixKind::HighBoth, 4, PolicyKind::CoPart, 21, None).unwrap();
@@ -529,11 +544,22 @@ fn daemon_restart_continues_the_run() {
 
     let expected = read_rotated(&ref_trace);
     let restarted = read_rotated(&trace);
+    let (expected_files, restarted_files) = (rotated_files(&ref_trace), rotated_files(&trace));
     let _ = fs::remove_dir_all(&dir);
     assert!(!expected.is_empty());
     assert_eq!(
         expected, restarted,
         "restarted daemon's trace must be byte-identical to an uninterrupted daemon's"
+    );
+    assert!(
+        expected_files.len() > 2,
+        "the trace must span several files"
+    );
+    assert!(
+        expected_files == restarted_files,
+        "restarted daemon's trace files must match an uninterrupted daemon's file for file: {:?} vs {:?}",
+        expected_files.iter().map(|(n, b)| (n, b.len())).collect::<Vec<_>>(),
+        restarted_files.iter().map(|(n, b)| (n, b.len())).collect::<Vec<_>>(),
     );
 }
 

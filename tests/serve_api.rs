@@ -151,7 +151,6 @@ fn every_endpoint_round_trips() {
         "copart_epochs_total",
         "copart_http_requests_total",
         "copart_http_responses_2xx_total",
-        "copart_worker_runs_total",
         "copart_unfairness",
         "copart_healthy",
         "copart_epoch_ns_sum",
@@ -427,11 +426,11 @@ fn shares_a_mask(doc: &Json) -> bool {
     distinct.len() < masks.len()
 }
 
-/// The control thread survived planning under the LFOC engine. The
-/// health check samples epoch progress once per worker interval, and a
-/// policy switch re-profiles inside the loop long enough to fail one
-/// sample, so this is a liveness check: it waits for a healthy sample
-/// rather than trusting the one the clock lands on.
+/// The control thread survived planning under the LFOC engine. Health
+/// asks for an epoch within the last max(2 × tick, 50 ms), and a policy
+/// switch re-profiles inside the loop long enough to miss that window,
+/// so this is a liveness check: it waits for a healthy answer rather
+/// than trusting the one the clock lands on.
 fn assert_healthy(addr: &str) {
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
@@ -527,6 +526,128 @@ fn live_switch_to_lfoc_keeps_the_daemon_alive() {
     assert_healthy(&addr);
     handle.shutdown();
     assert!(handle.join().epochs >= target);
+}
+
+/// A healthy daemon on a slow grid answers `/healthz` with 200 on every
+/// probe: health is judged against the tick, not a fixed timer.
+#[test]
+fn slow_tick_daemon_is_healthy_on_every_probe() {
+    let cfg = ServeConfig {
+        tick: Duration::from_millis(200),
+        max_epochs: None,
+        ..ServeConfig::default()
+    };
+    let handle = copart_serve::serve_scenario(&scenario(6), cfg).expect("daemon boots");
+    let addr = handle.addr().to_string();
+    let unhealthy: Vec<usize> = (0..40)
+        .filter(|_| {
+            std::thread::sleep(Duration::from_millis(50));
+            get(&addr, "/healthz").0 != 200
+        })
+        .collect();
+    handle.shutdown();
+    let report = handle.join();
+    assert!(report.epochs >= 5, "only {} epochs in 2 s", report.epochs);
+    assert_eq!(
+        unhealthy.len(),
+        0,
+        "/healthz answered 503 on {} of 40 probes",
+        unhealthy.len()
+    );
+}
+
+/// Every counter and gauge a daemon leaves in its registry, under each
+/// dynamic policy, with faults, churn, a trace directory, persistence
+/// and a restart, survives a snapshot (its name interns) and has its
+/// own `# HELP` line; every other series `/metrics` exposes has its own
+/// help too.
+#[test]
+fn every_emitted_series_is_internable_and_documented() {
+    let dir = std::env::temp_dir().join(format!("copart-series-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let plan = FaultPlan::parse("seed=3,write=0.05,dropout=0.05").expect("valid fault spec");
+    let mut exposed = std::collections::BTreeSet::new();
+    let mut registered = std::collections::BTreeSet::new();
+    for policy in [
+        PolicyKind::CatOnly,
+        PolicyKind::MbaOnly,
+        PolicyKind::CoPart,
+        PolicyKind::LfocCluster,
+    ] {
+        let faults = (policy == PolicyKind::CoPart).then(|| plan.clone());
+        let scenario = Scenario::new(MixKind::HighBoth, 4, policy, 5, faults).unwrap();
+        let state = dir.join(format!("{policy:?}"));
+        for (boot, cap) in [(0, 20), (1, 30)] {
+            let cfg = ServeConfig {
+                tick: Duration::ZERO,
+                max_epochs: Some(cap),
+                trace_dir: Some(state.join("trace")),
+                trace_file_events: 8,
+                state_dir: Some(state.join("state")),
+                snapshot_every: 4,
+                ..ServeConfig::default()
+            };
+            let handle = copart_serve::serve_scenario(&scenario, cfg).expect("daemon boots");
+            let addr = handle.addr().to_string();
+            wait_for_epochs(&addr, cap);
+            if boot == 0 {
+                for (method, path, body) in [
+                    ("DELETE", "/apps/2", ""),
+                    ("POST", "/apps", "{\"bench\":\"EP\"}"),
+                    ("POST", "/apps", "not json"),
+                    ("POST", "/snapshot", ""),
+                ] {
+                    loadgen::fetch(&addr, method, path, body).expect("request answers");
+                }
+            }
+            let (_, text) = get(&addr, "/metrics");
+            for sample in parse_prometheus(&text).expect("/metrics parses") {
+                exposed.insert(series_name(&sample.name).to_string());
+            }
+            handle.shutdown();
+            let snap = handle.join().snapshot;
+            registered.extend(snap.counters.iter().map(|&(n, _)| (n, true)));
+            registered.extend(snap.gauges.iter().map(|&(n, _)| (n, false)));
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    for required in [
+        "cluster_replans",
+        "clusters",
+        "recoveries",
+        "trace_rotations",
+    ] {
+        assert!(
+            registered.iter().any(|&(n, _)| n == required),
+            "no run emitted {required}"
+        );
+    }
+    for (name, counter) in registered {
+        let interned = if counter {
+            copart_persist::metrics::intern_counter(name)
+        } else {
+            copart_persist::metrics::intern_gauge(name)
+        };
+        assert_eq!(interned, Some(name), "{name} is lost on resume");
+    }
+    for name in exposed {
+        assert_ne!(
+            copart_serve::prometheus::help(&name),
+            "CoPart metric",
+            "{name} has no help line of its own"
+        );
+    }
+}
+
+/// The registry name behind an exposed Prometheus series.
+fn series_name(exposed: &str) -> &str {
+    let name = exposed
+        .strip_prefix("copart_")
+        .expect("every series is prefixed");
+    ["_total", "_bucket", "_sum", "_count"]
+        .iter()
+        .find_map(|suffix| name.strip_suffix(suffix))
+        .unwrap_or(name)
 }
 
 #[test]
