@@ -3,10 +3,13 @@
 //! trace a persisted 4-app H-Both run leaves behind.
 //!
 //! With `BENCH_JSON_DIR` set the numbers land in `BENCH_persist.json`.
-//! The two `allocs_*` fields are exact-gated: a snapshot is streamed
-//! into one buffer (a `Json` tree for the same document is ~56 000
-//! allocations), and a trace record renders into a buffer the recorder
-//! keeps.
+//! The `allocs_*` fields are exact-gated: a snapshot is streamed into
+//! one buffer and read back by pulling members straight from the text
+//! (a `Json` tree for the same document is ~57 000 allocations either
+//! way), and a trace record renders into a buffer the recorder keeps.
+//! The two sub-microsecond timings (`log_append_ns`, `trace_record_ns`)
+//! are the fastest of several `bench` runs: one run's mean swings by
+//! up to 1.7× between consecutive runs on a shared host.
 
 use std::hint::black_box;
 use std::path::Path;
@@ -23,6 +26,16 @@ use copart_workloads::MixKind;
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
 use counting_alloc::allocs;
+
+/// Runs of `bench` the sub-microsecond timings take the minimum over.
+const REPEATS: usize = 5;
+
+/// The fastest mean of [`REPEATS`] `bench` runs of `f`, in ns.
+fn fastest_of_runs(label: &str, mut f: impl FnMut()) -> f64 {
+    (0..REPEATS)
+        .map(|_| bench(label, &mut f).mean_ns)
+        .fold(f64::INFINITY, f64::min)
+}
 
 fn main() {
     let dir = std::env::temp_dir().join(format!("copart-bench-persist-{}", std::process::id()));
@@ -98,13 +111,22 @@ fn snapshot_stages(drive: &Path, doc: &SnapshotDoc, art: &mut Artifact) {
         black_box(read_snapshot(&path).expect("the snapshot reads back"));
     });
     art.num("read_snapshot_ns", t.mean_ns);
+
+    const READS: u32 = 8;
+    let before = allocs();
+    for _ in 0..READS {
+        black_box(read_snapshot(&path).expect("the snapshot reads back"));
+    }
+    let per_read = (allocs() - before) as f64 / f64::from(READS);
+    println!("{:<44} {per_read:>14.1} allocs/read", "");
+    art.num("allocs_per_read_snapshot", per_read);
 }
 
 fn log_and_trace(drive: &Path, event: &TraceEvent, art: &mut Artifact) {
     println!("\nevent log and trace");
     let mut log = EventLog::create(drive, 0).expect("drive directory is writable");
     let mut pre = 0;
-    let t = bench("event_log/append", || {
+    let ns = fastest_of_runs("event_log/append", || {
         pre += 1;
         log.append(&LogEntry {
             pre,
@@ -112,11 +134,11 @@ fn log_and_trace(drive: &Path, event: &TraceEvent, art: &mut Artifact) {
         })
         .expect("event log appends");
     });
-    art.num("log_append_ns", t.mean_ns);
+    art.num("log_append_ns", ns);
 
     let mut sink = JsonlRecorder::new(std::io::sink());
-    let t = bench("trace/record", || sink.record(black_box(event)));
-    art.num("trace_record_ns", t.mean_ns);
+    let ns = fastest_of_runs("trace/record", || sink.record(black_box(event)));
+    art.num("trace_record_ns", ns);
 
     const RECORDS: u32 = 1000;
     let before = allocs();

@@ -1,6 +1,7 @@
 //! The workspace's differential oracles, one module per subsystem.
 
 pub mod cluster;
+pub mod corruption;
 pub mod ewma;
 pub mod fleet_placement;
 pub mod fsm;
@@ -29,6 +30,7 @@ pub fn all() -> Vec<Property> {
     props.extend(sim_cache::properties());
     props.extend(ewma::properties());
     props.extend(persistence::properties());
+    props.extend(corruption::properties());
     props.extend(fleet_placement::properties());
     props.extend(cluster::properties());
     props
@@ -59,6 +61,7 @@ mod tests {
             "sim-cache-matches-reference",
             "ewma-reference",
             "snapshot-restore-replay",
+            "decoder-rejects-corruption",
             "fleet-placement-deterministic",
             "cluster-assignment-deterministic",
         ]

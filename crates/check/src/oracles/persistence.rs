@@ -9,7 +9,7 @@
 //! for a handful of pinned scenarios; this oracle fuzzes the *mechanism*
 //! across randomized mixes, policies, seeds, snapshot points, and fault
 //! plans, and adds the wire check the integration test skips: the
-//! snapshot document must survive a stream → parse → decode round trip
+//! snapshot document must survive a stream → pull-decode round trip
 //! unchanged (the hex-float codec is where bit-exactness goes to die),
 //! and the text the store streams must equal the tree's rendering.
 //!
@@ -34,7 +34,7 @@ use copart_rdt::{RdtError, SimBackend};
 use copart_serve::scenario::profile_with_retries;
 use copart_serve::{Scenario, SharedRing, PROFILE_ATTEMPTS};
 use copart_sim::Machine;
-use copart_telemetry::{Json, JsonWriter};
+use copart_telemetry::JsonWriter;
 use copart_workloads::MixKind;
 
 /// Mixes the oracle draws from, simplest-shrinking first.
@@ -200,14 +200,12 @@ where
     if streamed != doc.encode().to_string() {
         return Err("the streamed snapshot text differs from encode().to_string()".to_string());
     }
-    let parsed =
-        Json::parse(&streamed).map_err(|e| format!("snapshot rendering does not re-parse: {e}"))?;
     let decoded =
-        SnapshotDoc::decode(&parsed).map_err(|e| format!("snapshot does not decode: {e}"))?;
+        SnapshotDoc::parse(&streamed).map_err(|e| format!("snapshot text does not decode: {e}"))?;
     let (doc_dbg, decoded_dbg) = (format!("{doc:?}"), format!("{decoded:?}"));
     if doc_dbg != decoded_dbg {
         return Err(format!(
-            "decode(parse(render(encode(doc)))) is not the identity:\n  captured: {}\n  decoded:  {}",
+            "parse(emit(doc)) is not the identity:\n  captured: {}\n  decoded:  {}",
             first_difference(&doc_dbg, &decoded_dbg),
             first_difference(&decoded_dbg, &doc_dbg),
         ));

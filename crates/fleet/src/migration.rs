@@ -8,17 +8,17 @@
 //! bit-exact hex-float encoding the crash snapshots use, so the state
 //! that leaves the source is provably the state that arrives (the digest
 //! in the fleet trace's migration event is the FNV-1a of this very
-//! encoding). Decoding reads every member through the typed reader on
-//! `Json`, so a routing id that is not an exact unsigned integer is an
-//! error, never a coerced value. The destination re-admits the
-//! tenant through the ordinary §5.4.3 launch path — profiling restarts
-//! because `IPS_full` is a per-machine quantity — and the ticket stays
-//! in the audit trail as the proof of what was carried.
+//! encoding). Decoding pulls every member from the line through the
+//! typed reads of `JsonReader`, so a routing id that is not an exact
+//! unsigned integer is an error, never a coerced value. The destination
+//! re-admits the tenant through the ordinary §5.4.3 launch path —
+//! profiling restarts because `IPS_full` is a per-machine quantity — and
+//! the ticket stays in the audit trail as the proof of what was carried.
 
 use copart_core::runtime::AppRuntimeSnapshot;
-use copart_persist::codec::{dec_app_runtime, emit_app_runtime};
+use copart_persist::codec::{emit_app_runtime, read_app_runtime};
 use copart_persist::PersistError;
-use copart_telemetry::{fnv1a64, Json, JsonSink, JsonWriter};
+use copart_telemetry::{fnv1a64, JsonReader, JsonSink, JsonWriter};
 
 /// One tenant's state in flight from `from` to `to`.
 #[derive(Debug, Clone, PartialEq)]
@@ -36,21 +36,6 @@ pub struct MigrationTicket {
 }
 
 impl MigrationTicket {
-    /// Decodes a ticket.
-    ///
-    /// # Errors
-    ///
-    /// Fails on missing keys or a malformed state record.
-    pub fn decode(j: &Json) -> Result<MigrationTicket, PersistError> {
-        Ok(MigrationTicket {
-            app: j.uint("app")?,
-            epoch: j.uint("epoch")?,
-            from: j.uint("from")?,
-            to: j.uint("to")?,
-            state: dec_app_runtime(j.member("state")?)?,
-        })
-    }
-
     /// One JSONL audit line; floats travel as bit-exact hex strings.
     pub fn to_json_line(&self) -> String {
         let mut line = String::new();
@@ -72,9 +57,27 @@ impl MigrationTicket {
     ///
     /// Fails on malformed JSON or a malformed ticket.
     pub fn parse_json_line(line: &str) -> Result<MigrationTicket, PersistError> {
-        let j = Json::parse(line)
-            .map_err(|e| PersistError::Corrupt(format!("ticket is not JSON: {e}")))?;
-        MigrationTicket::decode(&j)
+        MigrationTicket::read_line(line).map_err(|e| match e {
+            PersistError::Json(e) => PersistError::Corrupt(format!("ticket is not JSON: {e}")),
+            other => other,
+        })
+    }
+
+    /// Pulls the members [`MigrationTicket::to_json_line`] writes, in its
+    /// order, straight from the line.
+    fn read_line(line: &str) -> Result<MigrationTicket, PersistError> {
+        let mut r = JsonReader::new(line);
+        r.begin_obj()?;
+        let ticket = MigrationTicket {
+            app: r.key("app")?.uint()?,
+            epoch: r.key("epoch")?.uint()?,
+            from: r.key("from")?.uint()?,
+            to: r.key("to")?.uint()?,
+            state: read_app_runtime(r.key("state")?)?,
+        };
+        r.end_obj()?;
+        r.finish()?;
+        Ok(ticket)
     }
 
     /// FNV-1a digest of the encoded ticket — the value the fleet

@@ -15,10 +15,18 @@
 //! into the file's buffer ([`SnapshotDoc::emit`] into a `JsonWriter`, no
 //! tree in between), the migration ticket streams [`emit_app_runtime`]
 //! into its line the same way, and [`SnapshotDoc::encode`] builds a tree
-//! from the same calls for the callers that inspect one. Every decoder
-//! reads its members through the typed reader on
-//! [`copart_telemetry::Json`] (`uint`, `hex_u64`, `hex_f64`, `string`,
-//! …), whose one `FieldError` becomes [`PersistError::Schema`].
+//! from the same calls for the callers that inspect one.
+//!
+//! Each struct also has exactly one decoder, its `read_*` twin, which
+//! pulls the members from the text through a
+//! [`copart_telemetry::JsonReader`] in the order the `emit_*` side
+//! writes them — no `Json` tree in between ([`SnapshotDoc::parse`]).
+//! Typed reads (`uint`, `hex_u64`, `hex_f64`, `string`, …) keep the
+//! tree reader's strictness; a missing, out-of-order or ill-typed member
+//! becomes [`PersistError::Schema`] naming its key, malformed text
+//! [`PersistError::Json`]. Two members read more than one shape: a
+//! version-1 file has no `clusters` (read with `opt_key`) and a numeric
+//! `seed` (told from the hex string by `peek`).
 
 use copart_core::next_state::AppliedEvents;
 use copart_core::AllocationState;
@@ -30,7 +38,7 @@ use copart_faults::{FaultStateSnapshot, InjectionStats, SiteSnapshot};
 use copart_rdt::MbaLevel;
 use copart_sim::trace::TraceGenSnapshot;
 use copart_sim::{AppSpec, MachineSnapshot, SimAppSnapshot};
-use copart_telemetry::{CounterSnapshot, FieldError, Json, JsonSink};
+use copart_telemetry::{CounterSnapshot, Json, JsonReader, JsonSink, ReadError};
 
 use crate::backend::BackendSnapshot;
 use crate::error::PersistError;
@@ -67,11 +75,24 @@ fn schema(what: impl Into<String>) -> PersistError {
 /// only below 2⁵³ — which is precisely why the field moved to hex — but
 /// every version-1 snapshot in the wild was written through `as f64`,
 /// so reading it back the same way reproduces the stored value.
-fn dec_u64_compat(j: &Json, key: &str) -> Result<u64, PersistError> {
-    Ok(match j.member(key)? {
-        Json::Str(_) => j.hex_u64(key)?,
-        _ => j.uint(key)?,
-    })
+fn read_u64_compat(r: &mut JsonReader<'_>) -> Result<u64, ReadError> {
+    if r.peek() == Some(b'"') {
+        r.hex_u64()
+    } else {
+        r.uint()
+    }
+}
+
+/// Reads the object the next value must be: `{`, the members `read`
+/// pulls, `}`.
+pub(crate) fn obj<'a, T>(
+    r: &mut JsonReader<'a>,
+    read: impl FnOnce(&mut JsonReader<'a>) -> Result<T, PersistError>,
+) -> Result<T, PersistError> {
+    r.begin_obj()?;
+    let value = read(r)?;
+    r.end_obj()?;
+    Ok(value)
 }
 
 // ---------------------------------------------------------------------
@@ -88,13 +109,15 @@ fn enc_counter_snapshot<S: JsonSink>(s: &mut S, c: &CounterSnapshot) {
     s.end_obj();
 }
 
-fn dec_counter_snapshot(j: &Json) -> Result<CounterSnapshot, FieldError> {
-    Ok(CounterSnapshot {
-        timestamp_ns: j.hex_u64("t")?,
-        instructions: j.hex_u64("i")?,
-        cycles: j.hex_u64("c")?,
-        llc_accesses: j.hex_u64("a")?,
-        llc_misses: j.hex_u64("m")?,
+fn read_counter_snapshot(r: &mut JsonReader<'_>) -> Result<CounterSnapshot, PersistError> {
+    obj(r, |r| {
+        Ok(CounterSnapshot {
+            timestamp_ns: r.key("t")?.hex_u64()?,
+            instructions: r.key("i")?.hex_u64()?,
+            cycles: r.key("c")?.hex_u64()?,
+            llc_accesses: r.key("a")?.hex_u64()?,
+            llc_misses: r.key("m")?.hex_u64()?,
+        })
     })
 }
 
@@ -117,29 +140,17 @@ fn enc_sensor<S: JsonSink>(s: &mut S, sensor: &SensorSnapshot) {
     s.end_obj();
 }
 
-fn dec_sensor(j: &Json) -> Result<SensorSnapshot, PersistError> {
-    let samples = j
-        .array("samples")?
-        .iter()
-        .map(dec_counter_snapshot)
-        .collect::<Result<Vec<_>, _>>()?;
-    let raw = j.array("ewma")?;
-    if raw.len() != 4 {
-        return Err(schema("`ewma` must have 4 entries"));
-    }
-    let mut ewma = [None; 4];
-    for (slot, v) in ewma.iter_mut().zip(raw) {
-        if *v != Json::Null {
-            let bits = v
-                .as_hex_u64()
-                .ok_or_else(|| FieldError::new("ewma", "array of null or hex f64 bits"))?;
-            *slot = Some(f64::from_bits(bits));
-        }
-    }
-    Ok(SensorSnapshot {
-        capacity: j.uint("capacity")?,
-        samples,
-        ewma,
+fn read_sensor(r: &mut JsonReader<'_>) -> Result<SensorSnapshot, PersistError> {
+    obj(r, |r| {
+        Ok(SensorSnapshot {
+            capacity: r.key("capacity")?.uint()?,
+            samples: r.key("samples")?.items(read_counter_snapshot)?,
+            ewma: r
+                .key("ewma")?
+                .items(|r| r.nullable(JsonReader::hex_f64))?
+                .try_into()
+                .map_err(|_| schema("`ewma` must have 4 entries"))?,
+        })
     })
 }
 
@@ -151,8 +162,8 @@ fn app_state_name(s: AppState) -> &'static str {
     }
 }
 
-fn dec_app_state(j: &Json, key: &str) -> Result<AppState, PersistError> {
-    match j.string(key)? {
+fn read_app_state(r: &mut JsonReader<'_>) -> Result<AppState, PersistError> {
+    match &*r.string()? {
         "supply" => Ok(AppState::Supply),
         "maintain" => Ok(AppState::Maintain),
         "demand" => Ok(AppState::Demand),
@@ -168,8 +179,8 @@ fn phase_name(p: Phase) -> &'static str {
     }
 }
 
-fn dec_phase(j: &Json) -> Result<Phase, PersistError> {
-    match j.string("phase")? {
+fn read_phase(r: &mut JsonReader<'_>) -> Result<Phase, PersistError> {
+    match &*r.string()? {
         "profiling" => Ok(Phase::Profiling),
         "exploring" => Ok(Phase::Exploring),
         "idle" => Ok(Phase::Idle),
@@ -186,12 +197,14 @@ fn enc_events<S: JsonSink>(s: &mut S, e: &AppliedEvents) {
     s.end_obj();
 }
 
-fn dec_events(j: &Json) -> Result<AppliedEvents, FieldError> {
-    Ok(AppliedEvents {
-        granted_llc: j.boolean("granted_llc")?,
-        granted_mba: j.boolean("granted_mba")?,
-        reclaimed_llc: j.boolean("reclaimed_llc")?,
-        reclaimed_mba: j.boolean("reclaimed_mba")?,
+fn read_events(r: &mut JsonReader<'_>) -> Result<AppliedEvents, PersistError> {
+    obj(r, |r| {
+        Ok(AppliedEvents {
+            granted_llc: r.key("granted_llc")?.boolean()?,
+            granted_mba: r.key("granted_mba")?.boolean()?,
+            reclaimed_llc: r.key("reclaimed_llc")?.boolean()?,
+            reclaimed_mba: r.key("reclaimed_mba")?.boolean()?,
+        })
     })
 }
 
@@ -204,17 +217,15 @@ fn enc_system_state<S: JsonSink>(s: &mut S, key: &str, state: &SystemState) {
     });
 }
 
-fn dec_system_state(j: &Json, key: &str) -> Result<SystemState, FieldError> {
-    let allocs = j
-        .array(key)?
-        .iter()
-        .map(|a| {
+fn read_system_state(r: &mut JsonReader<'_>) -> Result<SystemState, PersistError> {
+    let allocs = r.items(|r| {
+        obj(r, |r| {
             Ok(AllocationState {
-                ways: a.uint("ways")?,
-                mba: MbaLevel::new(a.uint("mba")?),
+                ways: r.key("ways")?.uint()?,
+                mba: MbaLevel::new(r.key("mba")?.uint()?),
             })
         })
-        .collect::<Result<Vec<_>, FieldError>>()?;
+    })?;
     Ok(SystemState { allocs })
 }
 
@@ -238,16 +249,21 @@ fn enc_explorer<S: JsonSink>(s: &mut S, e: &ExplorerSnapshot) {
     s.end_obj();
 }
 
-fn dec_explorer(j: &Json) -> Result<ExplorerSnapshot, FieldError> {
-    let best_seen = match j.member("best_seen")? {
-        Json::Null => None,
-        b => Some((b.hex_f64("unfairness")?, dec_system_state(b, "state")?)),
-    };
-    Ok(ExplorerSnapshot {
-        rng_state: j.hex_u64("rng_state")?,
-        retry_count: j.uint("retry_count")?,
-        unfairness_at_idle: j.hex_f64("unfairness_at_idle")?,
-        best_seen,
+fn read_explorer(r: &mut JsonReader<'_>) -> Result<ExplorerSnapshot, PersistError> {
+    obj(r, |r| {
+        Ok(ExplorerSnapshot {
+            rng_state: r.key("rng_state")?.hex_u64()?,
+            retry_count: r.key("retry_count")?.uint()?,
+            unfairness_at_idle: r.key("unfairness_at_idle")?.hex_f64()?,
+            best_seen: r.key("best_seen")?.nullable(|r| {
+                obj(r, |r| {
+                    Ok((
+                        r.key("unfairness")?.hex_f64()?,
+                        read_system_state(r.key("state")?)?,
+                    ))
+                })
+            })?,
+        })
     })
 }
 
@@ -270,24 +286,27 @@ pub fn emit_app_runtime<S: JsonSink>(s: &mut S, a: &AppRuntimeSnapshot) {
     s.end_obj();
 }
 
-/// Decodes one application's frozen controller state (inverse of
-/// [`emit_app_runtime`]).
+/// Reads one application's frozen controller state (inverse of
+/// [`emit_app_runtime`]), the object the reader is at.
 ///
 /// # Errors
 ///
-/// Fails on missing fields or malformed hex-float encodings.
-pub fn dec_app_runtime(j: &Json) -> Result<AppRuntimeSnapshot, PersistError> {
-    Ok(AppRuntimeSnapshot {
-        group: j.uint("group")?,
-        name: j.string("name")?.to_string(),
-        ips_full: j.hex_f64("ips_full")?,
-        weight: j.hex_f64("weight")?,
-        sensor: dec_sensor(j.member("sensor")?)?,
-        llc_state: dec_app_state(j, "llc_state")?,
-        mba_state: dec_app_state(j, "mba_state")?,
-        prev_ips: j.hex_f64("prev_ips")?,
-        last_ips: j.hex_f64("last_ips")?,
-        last_events: dec_events(j.member("last_events")?)?,
+/// Fails on malformed text, missing or out-of-order members, or
+/// malformed hex-float encodings.
+pub fn read_app_runtime(r: &mut JsonReader<'_>) -> Result<AppRuntimeSnapshot, PersistError> {
+    obj(r, |r| {
+        Ok(AppRuntimeSnapshot {
+            group: r.key("group")?.uint()?,
+            name: r.key("name")?.string()?.into_owned(),
+            ips_full: r.key("ips_full")?.hex_f64()?,
+            weight: r.key("weight")?.hex_f64()?,
+            sensor: read_sensor(r.key("sensor")?)?,
+            llc_state: read_app_state(r.key("llc_state")?)?,
+            mba_state: read_app_state(r.key("mba_state")?)?,
+            prev_ips: r.key("prev_ips")?.hex_f64()?,
+            last_ips: r.key("last_ips")?.hex_f64()?,
+            last_events: read_events(r.key("last_events")?)?,
+        })
     })
 }
 
@@ -305,32 +324,23 @@ fn emit_runtime<S: JsonSink>(s: &mut S, r: &RuntimeSnapshot) {
     s.end_obj();
 }
 
-fn dec_runtime(j: &Json) -> Result<RuntimeSnapshot, PersistError> {
-    Ok(RuntimeSnapshot {
-        epoch: j.uint("epoch")?,
-        phase: dec_phase(j)?,
-        state: dec_system_state(j, "state")?,
-        // Absent in snapshots written before clustering existed; an
-        // empty vector is also the live "no clustering" value, so no
-        // version bump is needed for this field.
-        clusters: match j.get("clusters") {
-            Some(_) => j
-                .array("clusters")?
-                .iter()
-                .map(|c| {
-                    c.as_u64()
-                        .and_then(|v| u16::try_from(v).ok())
-                        .ok_or_else(|| FieldError::new("clusters", "array of u16"))
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-            None => Vec::new(),
-        },
-        explorer: dec_explorer(j.member("explorer")?)?,
-        apps: j
-            .array("apps")?
-            .iter()
-            .map(dec_app_runtime)
-            .collect::<Result<Vec<_>, _>>()?,
+fn read_runtime(r: &mut JsonReader<'_>) -> Result<RuntimeSnapshot, PersistError> {
+    obj(r, |r| {
+        Ok(RuntimeSnapshot {
+            epoch: r.key("epoch")?.uint()?,
+            phase: read_phase(r.key("phase")?)?,
+            state: read_system_state(r.key("state")?)?,
+            // Absent in snapshots written before clustering existed; an
+            // empty vector is also the live "no clustering" value, so no
+            // version bump is needed for this field.
+            clusters: if r.opt_key("clusters")? {
+                r.items(JsonReader::uint)?
+            } else {
+                Vec::new()
+            },
+            explorer: read_explorer(r.key("explorer")?)?,
+            apps: r.key("apps")?.items(read_app_runtime)?,
+        })
     })
 }
 
@@ -359,22 +369,25 @@ fn enc_pattern<S: JsonSink>(s: &mut S, p: &AccessPattern) {
     s.end_obj();
 }
 
-fn dec_pattern(j: &Json) -> Result<AccessPattern, PersistError> {
-    let bytes = j.hex_u64("bytes")?;
-    match j.string("kind")? {
-        "wsl" => Ok(AccessPattern::WorkingSetLoop {
-            bytes,
-            stride: j.hex_u64("stride")?,
-        }),
-        "stream" => Ok(AccessPattern::Stream { bytes }),
-        "rand" => Ok(AccessPattern::UniformRandom { bytes }),
-        "zipf" => Ok(AccessPattern::Zipf {
-            bytes,
-            exponent: j.hex_f64("exponent")?,
-        }),
-        "chase" => Ok(AccessPattern::PointerChase { bytes }),
-        other => Err(schema(format!("unknown access pattern `{other}`"))),
-    }
+fn read_pattern(r: &mut JsonReader<'_>) -> Result<AccessPattern, PersistError> {
+    obj(r, |r| {
+        let kind = r.key("kind")?.string()?;
+        let bytes = r.key("bytes")?.hex_u64()?;
+        match &*kind {
+            "wsl" => Ok(AccessPattern::WorkingSetLoop {
+                bytes,
+                stride: r.key("stride")?.hex_u64()?,
+            }),
+            "stream" => Ok(AccessPattern::Stream { bytes }),
+            "rand" => Ok(AccessPattern::UniformRandom { bytes }),
+            "zipf" => Ok(AccessPattern::Zipf {
+                bytes,
+                exponent: r.key("exponent")?.hex_f64()?,
+            }),
+            "chase" => Ok(AccessPattern::PointerChase { bytes }),
+            other => Err(schema(format!("unknown access pattern `{other}`"))),
+        }
+    })
 }
 
 fn enc_spec<S: JsonSink>(s: &mut S, spec: &AppSpec) {
@@ -395,19 +408,24 @@ fn enc_spec<S: JsonSink>(s: &mut S, spec: &AppSpec) {
     s.end_obj();
 }
 
-fn dec_spec(j: &Json) -> Result<AppSpec, PersistError> {
-    Ok(AppSpec {
-        name: j.string("name")?.to_string(),
-        cores: j.uint("cores")?,
-        ipc_peak: j.hex_f64("ipc_peak")?,
-        apki: j.hex_f64("apki")?,
-        write_fraction: j.hex_f64("write_fraction")?,
-        mlp: j.hex_f64("mlp")?,
-        phases: j
-            .array("phases")?
-            .iter()
-            .map(|p| Ok((p.hex_f64("weight")?, dec_pattern(p.member("pattern")?)?)))
-            .collect::<Result<Vec<_>, PersistError>>()?,
+fn read_spec(r: &mut JsonReader<'_>) -> Result<AppSpec, PersistError> {
+    obj(r, |r| {
+        Ok(AppSpec {
+            name: r.key("name")?.string()?.into_owned(),
+            cores: r.key("cores")?.uint()?,
+            ipc_peak: r.key("ipc_peak")?.hex_f64()?,
+            apki: r.key("apki")?.hex_f64()?,
+            write_fraction: r.key("write_fraction")?.hex_f64()?,
+            mlp: r.key("mlp")?.hex_f64()?,
+            phases: r.key("phases")?.items(|r| {
+                obj(r, |r| {
+                    Ok((
+                        r.key("weight")?.hex_f64()?,
+                        read_pattern(r.key("pattern")?)?,
+                    ))
+                })
+            })?,
+        })
     })
 }
 
@@ -422,19 +440,14 @@ fn enc_trace_gen<S: JsonSink>(s: &mut S, g: &TraceGenSnapshot) {
     s.end_obj();
 }
 
-fn dec_trace_gen(j: &Json) -> Result<TraceGenSnapshot, FieldError> {
-    Ok(TraceGenSnapshot {
-        cursors: j
-            .array("cursors")?
-            .iter()
-            .map(|c| {
-                c.as_hex_u64()
-                    .ok_or_else(|| FieldError::new("cursors", "array of hex u64"))
-            })
-            .collect::<Result<Vec<_>, _>>()?,
-        rng_state: j.hex_u64("rng_state")?,
-        active: j.uint("active")?,
-        burst_left: j.uint("burst_left")?,
+fn read_trace_gen(r: &mut JsonReader<'_>) -> Result<TraceGenSnapshot, PersistError> {
+    obj(r, |r| {
+        Ok(TraceGenSnapshot {
+            cursors: r.key("cursors")?.items(JsonReader::hex_u64)?,
+            rng_state: r.key("rng_state")?.hex_u64()?,
+            active: r.key("active")?.uint()?,
+            burst_left: r.key("burst_left")?.uint()?,
+        })
     })
 }
 
@@ -456,19 +469,21 @@ fn enc_sim_app<S: JsonSink>(s: &mut S, a: &SimAppSnapshot) {
     s.end_obj();
 }
 
-fn dec_sim_app(j: &Json) -> Result<SimAppSnapshot, PersistError> {
-    Ok(SimAppSnapshot {
-        spec: dec_spec(j.member("spec")?)?,
-        clos: j.uint("clos")?,
-        gen: dec_trace_gen(j.member("gen")?)?,
-        ips_estimate: j.hex_f64("ips_estimate")?,
-        miss_ratio: j.hex_f64("miss_ratio")?,
-        wb_per_access: j.hex_f64("wb_per_access")?,
-        instructions: j.hex_f64("instructions")?,
-        cycles: j.hex_f64("cycles")?,
-        accesses: j.hex_f64("accesses")?,
-        misses: j.hex_f64("misses")?,
-        mem_traffic_bytes: j.hex_f64("mem_traffic_bytes")?,
+fn read_sim_app(r: &mut JsonReader<'_>) -> Result<SimAppSnapshot, PersistError> {
+    obj(r, |r| {
+        Ok(SimAppSnapshot {
+            spec: read_spec(r.key("spec")?)?,
+            clos: r.key("clos")?.uint()?,
+            gen: read_trace_gen(r.key("gen")?)?,
+            ips_estimate: r.key("ips_estimate")?.hex_f64()?,
+            miss_ratio: r.key("miss_ratio")?.hex_f64()?,
+            wb_per_access: r.key("wb_per_access")?.hex_f64()?,
+            instructions: r.key("instructions")?.hex_f64()?,
+            cycles: r.key("cycles")?.hex_f64()?,
+            accesses: r.key("accesses")?.hex_f64()?,
+            misses: r.key("misses")?.hex_f64()?,
+            mem_traffic_bytes: r.key("mem_traffic_bytes")?.hex_f64()?,
+        })
     })
 }
 
@@ -489,22 +504,22 @@ fn enc_cache<S: JsonSink>(s: &mut S, c: &CacheSnapshot) {
     s.end_obj();
 }
 
-fn dec_cache(j: &Json) -> Result<CacheSnapshot, FieldError> {
-    Ok(CacheSnapshot {
-        clock: j.hex_u64("clock")?,
-        lines: j
-            .array("lines")?
-            .iter()
-            .map(|l| {
-                Ok(CacheLineSnapshot {
-                    index: l.hex_u64("index")?,
-                    tag: l.hex_u64("tag")?,
-                    lru: l.hex_u64("lru")?,
-                    owner: l.uint("owner")?,
-                    dirty: l.boolean("dirty")?,
+fn read_cache(r: &mut JsonReader<'_>) -> Result<CacheSnapshot, PersistError> {
+    obj(r, |r| {
+        Ok(CacheSnapshot {
+            clock: r.key("clock")?.hex_u64()?,
+            lines: r.key("lines")?.items(|r| {
+                obj(r, |r| {
+                    Ok(CacheLineSnapshot {
+                        index: r.key("index")?.hex_u64()?,
+                        tag: r.key("tag")?.hex_u64()?,
+                        lru: r.key("lru")?.hex_u64()?,
+                        owner: r.key("owner")?.uint()?,
+                        dirty: r.key("dirty")?.boolean()?,
+                    })
                 })
-            })
-            .collect::<Result<Vec<_>, FieldError>>()?,
+            })?,
+        })
     })
 }
 
@@ -529,23 +544,22 @@ fn emit_machine<S: JsonSink>(s: &mut S, m: &MachineSnapshot) {
     s.end_obj();
 }
 
-fn dec_machine(j: &Json) -> Result<MachineSnapshot, PersistError> {
-    Ok(MachineSnapshot {
-        time_ns: j.hex_u64("time_ns")?,
-        clos_table: j
-            .array("clos")?
-            .iter()
-            .map(|c| Ok((c.uint("id")?, c.uint("cbm")?, c.uint("mba")?)))
-            .collect::<Result<Vec<_>, FieldError>>()?,
-        apps: j
-            .array("apps")?
-            .iter()
-            .map(|slot| match slot {
-                Json::Null => Ok(None),
-                a => dec_sim_app(a).map(Some),
-            })
-            .collect::<Result<Vec<_>, _>>()?,
-        cache: dec_cache(j.member("cache")?)?,
+fn read_machine(r: &mut JsonReader<'_>) -> Result<MachineSnapshot, PersistError> {
+    obj(r, |r| {
+        Ok(MachineSnapshot {
+            time_ns: r.key("time_ns")?.hex_u64()?,
+            clos_table: r.key("clos")?.items(|r| {
+                obj(r, |r| {
+                    Ok((
+                        r.key("id")?.uint()?,
+                        r.key("cbm")?.uint()?,
+                        r.key("mba")?.uint()?,
+                    ))
+                })
+            })?,
+            apps: r.key("apps")?.items(|r| r.nullable(read_sim_app))?,
+            cache: read_cache(r.key("cache")?)?,
+        })
     })
 }
 
@@ -571,31 +585,31 @@ fn emit_fault_state<S: JsonSink>(s: &mut S, f: &FaultStateSnapshot) {
     s.end_obj();
 }
 
-fn dec_fault_state(j: &Json) -> Result<FaultStateSnapshot, PersistError> {
-    let raw = j.array("sites")?;
-    if raw.len() != 5 {
-        return Err(schema("`sites` must have 5 entries"));
-    }
-    let mut sites = [SiteSnapshot {
-        rng_state: 0,
-        calls: 0,
-    }; 5];
-    for (slot, s) in sites.iter_mut().zip(raw) {
-        *slot = SiteSnapshot {
-            rng_state: s.hex_u64("rng_state")?,
-            calls: s.hex_u64("calls")?,
-        };
-    }
-    let stats = j.member("stats")?;
-    Ok(FaultStateSnapshot {
-        sites,
-        stats: InjectionStats {
-            dropouts: stats.hex_u64("dropouts")?,
-            cbm_write_faults: stats.hex_u64("cbm_write_faults")?,
-            mba_write_faults: stats.hex_u64("mba_write_faults")?,
-            vanishes: stats.hex_u64("vanishes")?,
-            clock_stalls: stats.hex_u64("clock_stalls")?,
-        },
+fn read_fault_state(r: &mut JsonReader<'_>) -> Result<FaultStateSnapshot, PersistError> {
+    obj(r, |r| {
+        Ok(FaultStateSnapshot {
+            sites: r
+                .key("sites")?
+                .items(|r| {
+                    obj(r, |r| {
+                        Ok(SiteSnapshot {
+                            rng_state: r.key("rng_state")?.hex_u64()?,
+                            calls: r.key("calls")?.hex_u64()?,
+                        })
+                    })
+                })?
+                .try_into()
+                .map_err(|_| schema("`sites` must have 5 entries"))?,
+            stats: obj(r.key("stats")?, |r| {
+                Ok(InjectionStats {
+                    dropouts: r.key("dropouts")?.hex_u64()?,
+                    cbm_write_faults: r.key("cbm_write_faults")?.hex_u64()?,
+                    mba_write_faults: r.key("mba_write_faults")?.hex_u64()?,
+                    vanishes: r.key("vanishes")?.hex_u64()?,
+                    clock_stalls: r.key("clock_stalls")?.hex_u64()?,
+                })
+            })?,
+        })
     })
 }
 
@@ -612,11 +626,8 @@ fn enc_groups<S: JsonSink>(s: &mut S, groups: &[(u16, u32)]) {
     });
 }
 
-fn dec_groups(j: &Json) -> Result<Vec<(u16, u32)>, FieldError> {
-    j.array("groups")?
-        .iter()
-        .map(|g| Ok((g.uint("clos")?, g.uint("app")?)))
-        .collect()
+fn read_groups(r: &mut JsonReader<'_>) -> Result<Vec<(u16, u32)>, PersistError> {
+    r.items(|r| obj(r, |r| Ok((r.key("clos")?.uint()?, r.key("app")?.uint()?))))
 }
 
 fn emit_backend<S: JsonSink>(s: &mut S, b: &BackendSnapshot) {
@@ -646,24 +657,32 @@ fn emit_backend<S: JsonSink>(s: &mut S, b: &BackendSnapshot) {
     s.end_obj();
 }
 
-fn dec_backend(j: &Json) -> Result<BackendSnapshot, PersistError> {
-    let machine = dec_machine(j.member("machine")?)?;
-    let groups = dec_groups(j)?;
-    let next_clos = j.uint("next_clos")?;
-    match j.string("kind")? {
-        "sim" => Ok(BackendSnapshot::Sim {
-            machine,
-            groups,
-            next_clos,
-        }),
-        "faulty" => Ok(BackendSnapshot::Faulty {
-            machine,
-            groups,
-            next_clos,
-            fault_state: dec_fault_state(j.member("fault_state")?)?,
-        }),
-        other => Err(schema(format!("unknown backend kind `{other}`"))),
-    }
+fn read_backend(r: &mut JsonReader<'_>) -> Result<BackendSnapshot, PersistError> {
+    obj(r, |r| {
+        let kind = r.key("kind")?.string()?;
+        let faulty = match &*kind {
+            "sim" => false,
+            "faulty" => true,
+            other => return Err(schema(format!("unknown backend kind `{other}`"))),
+        };
+        let machine = read_machine(r.key("machine")?)?;
+        let groups = read_groups(r.key("groups")?)?;
+        let next_clos = r.key("next_clos")?.uint()?;
+        Ok(if faulty {
+            BackendSnapshot::Faulty {
+                machine,
+                groups,
+                next_clos,
+                fault_state: read_fault_state(r.key("fault_state")?)?,
+            }
+        } else {
+            BackendSnapshot::Sim {
+                machine,
+                groups,
+                next_clos,
+            }
+        })
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -741,25 +760,48 @@ impl SnapshotDoc {
         s.end_obj();
     }
 
-    /// Deserialises a document.
+    /// Reads a whole document from its wire text, pulling each member
+    /// straight into the decoded value (no `Json` tree is built).
+    ///
+    /// # Errors
+    ///
+    /// [`PersistError::Json`] when the text is not JSON;
+    /// [`PersistError::Schema`] when a member is missing, out of order or
+    /// ill-typed.
+    pub fn parse(text: &str) -> Result<SnapshotDoc, PersistError> {
+        let mut r = JsonReader::new(text);
+        let doc = SnapshotDoc::read(&mut r)?;
+        r.finish()?;
+        Ok(doc)
+    }
+
+    /// Deserialises a document held as a tree, by reading its rendering
+    /// (see [`SnapshotDoc::parse`]).
     ///
     /// # Errors
     ///
     /// [`PersistError::Schema`] when a field is missing or ill-typed.
     pub fn decode(j: &Json) -> Result<SnapshotDoc, PersistError> {
-        let meta = j.member("meta")?;
-        Ok(SnapshotDoc {
-            meta: SnapshotMeta {
-                mix: meta.string("mix")?.to_string(),
-                n_apps: meta.uint("n_apps")?,
-                policy: meta.string("policy")?.to_string(),
-                seed: dec_u64_compat(meta, "seed")?,
-                faults: meta.string("faults")?.to_string(),
-                daemon_epochs: meta.uint("daemon_epochs")?,
-            },
-            runtime: dec_runtime(j.member("runtime")?)?,
-            backend: dec_backend(j.member("backend")?)?,
-            metrics: MetricsFrozen::decode(j.member("metrics")?)?,
+        SnapshotDoc::parse(&j.to_string())
+    }
+
+    fn read(r: &mut JsonReader<'_>) -> Result<SnapshotDoc, PersistError> {
+        obj(r, |r| {
+            Ok(SnapshotDoc {
+                meta: obj(r.key("meta")?, |r| {
+                    Ok(SnapshotMeta {
+                        mix: r.key("mix")?.string()?.into_owned(),
+                        n_apps: r.key("n_apps")?.uint()?,
+                        policy: r.key("policy")?.string()?.into_owned(),
+                        seed: read_u64_compat(r.key("seed")?)?,
+                        faults: r.key("faults")?.string()?.into_owned(),
+                        daemon_epochs: r.key("daemon_epochs")?.uint()?,
+                    })
+                })?,
+                runtime: read_runtime(r.key("runtime")?)?,
+                backend: read_backend(r.key("backend")?)?,
+                metrics: MetricsFrozen::read(r.key("metrics")?)?,
+            })
         })
     }
 }

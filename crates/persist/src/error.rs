@@ -73,6 +73,15 @@ impl From<copart_telemetry::FieldError> for PersistError {
     }
 }
 
+impl From<copart_telemetry::ReadError> for PersistError {
+    fn from(e: copart_telemetry::ReadError) -> PersistError {
+        match e {
+            copart_telemetry::ReadError::Syntax(e) => e.into(),
+            copart_telemetry::ReadError::Field(e) => e.into(),
+        }
+    }
+}
+
 impl From<copart_rdt::RdtError> for PersistError {
     fn from(e: copart_rdt::RdtError) -> PersistError {
         PersistError::Backend(e)

@@ -56,5 +56,6 @@ pub use error::PersistError;
 pub use log::{EventKind, EventLog, LogEntry};
 pub use metrics::MetricsFrozen;
 pub use store::{
-    latest_good, prune, read_snapshot, write_snapshot, SNAP_MAGIC, SNAP_VERSION, SNAP_VERSION_MIN,
+    latest_good, parse_snapshot_file, prune, read_snapshot, write_snapshot, SNAP_MAGIC,
+    SNAP_VERSION, SNAP_VERSION_MIN,
 };

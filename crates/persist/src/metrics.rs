@@ -14,9 +14,9 @@
 //! resumed process cannot meaningfully continue. This is a documented
 //! recovery invariant (DESIGN.md §16).
 
-use copart_telemetry::{FieldError, Json, JsonSink, MetricsRegistry, MetricsSnapshot};
+use copart_telemetry::{JsonReader, JsonSink, MetricsRegistry, MetricsSnapshot};
 
-use crate::codec::{arr, hex_f64};
+use crate::codec::{arr, hex_f64, obj};
 use crate::error::PersistError;
 
 /// Every counter name the workspace emits, in one place so the intern
@@ -134,23 +134,33 @@ impl MetricsFrozen {
         s.end_obj();
     }
 
-    /// Deserialises from JSON.
+    /// Reads the object [`MetricsFrozen::emit`] writes, at the reader's
+    /// position.
     ///
     /// # Errors
     ///
-    /// [`PersistError::Schema`] on missing or ill-typed fields.
-    pub fn decode(j: &Json) -> Result<MetricsFrozen, PersistError> {
-        Ok(MetricsFrozen {
-            counters: j
-                .array("counters")?
-                .iter()
-                .map(|e| Ok((e.string("name")?.to_string(), e.hex_u64("value")?)))
-                .collect::<Result<Vec<_>, FieldError>>()?,
-            gauges: j
-                .array("gauges")?
-                .iter()
-                .map(|e| Ok((e.string("name")?.to_string(), e.hex_f64("value")?)))
-                .collect::<Result<Vec<_>, FieldError>>()?,
+    /// [`PersistError::Schema`] on missing, out-of-order or ill-typed
+    /// members; [`PersistError::Json`] on malformed text.
+    pub fn read(r: &mut JsonReader<'_>) -> Result<MetricsFrozen, PersistError> {
+        obj(r, |r| {
+            Ok(MetricsFrozen {
+                counters: r.key("counters")?.items(|r| {
+                    obj(r, |r| {
+                        Ok((
+                            r.key("name")?.string()?.into_owned(),
+                            r.key("value")?.hex_u64()?,
+                        ))
+                    })
+                })?,
+                gauges: r.key("gauges")?.items(|r| {
+                    obj(r, |r| {
+                        Ok((
+                            r.key("name")?.string()?.into_owned(),
+                            r.key("value")?.hex_f64()?,
+                        ))
+                    })
+                })?,
+            })
         })
     }
 }
@@ -194,7 +204,7 @@ mod tests {
         };
         let mut text = String::new();
         frozen.emit(&mut copart_telemetry::JsonWriter::new(&mut text));
-        let back = MetricsFrozen::decode(&Json::parse(&text).unwrap()).unwrap();
+        let back = MetricsFrozen::read(&mut JsonReader::new(&text)).unwrap();
         assert_eq!(back, frozen);
     }
 }

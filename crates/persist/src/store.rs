@@ -108,37 +108,56 @@ pub fn write_snapshot(dir: &Path, doc: &SnapshotDoc) -> Result<(PathBuf, u64), P
 /// file; [`PersistError::Schema`] for a well-formed file of the wrong
 /// shape; [`PersistError::Io`] when the file cannot be read at all.
 pub fn read_snapshot(path: &Path) -> Result<SnapshotDoc, PersistError> {
-    let content = fs::read_to_string(path)?;
-    let (header_line, rest) = content
-        .split_once('\n')
-        .ok_or_else(|| PersistError::Corrupt("no header line".to_string()))?;
-    let header = Json::parse(header_line)
-        .map_err(|e| PersistError::Corrupt(format!("header is not JSON: {e}")))?;
+    parse_snapshot_file(&fs::read(path)?)
+}
+
+/// [`read_snapshot`] on a snapshot file's bytes already in memory: the
+/// header is checked first (magic, version, payload length), then the
+/// payload's digest — whose header field must be the exact sixteen
+/// lowercase hex digits the writer renders — and only then is the
+/// payload decoded, straight from its text.
+///
+/// # Errors
+///
+/// As [`read_snapshot`], less the I/O.
+pub fn parse_snapshot_file(bytes: &[u8]) -> Result<SnapshotDoc, PersistError> {
+    fn corrupt(what: impl Into<String>) -> PersistError {
+        PersistError::Corrupt(what.into())
+    }
+    let (header_line, rest) = bytes
+        .iter()
+        .position(|&b| b == b'\n')
+        .map(|at| (&bytes[..at], &bytes[at + 1..]))
+        .ok_or_else(|| corrupt("no header line"))?;
+    let header = std::str::from_utf8(header_line)
+        .map_err(|e| corrupt(format!("header is not UTF-8: {e}")))
+        .and_then(|h| Json::parse(h).map_err(|e| corrupt(format!("header is not JSON: {e}"))))?;
     if header.string("magic")? != SNAP_MAGIC {
-        return Err(PersistError::Corrupt("bad magic".to_string()));
+        return Err(corrupt("bad magic"));
     }
     let version: u64 = header.uint("version")?;
     if !(SNAP_VERSION_MIN..=SNAP_VERSION).contains(&version) {
-        return Err(PersistError::Corrupt("unsupported version".to_string()));
+        return Err(corrupt("unsupported version"));
     }
     let len: usize = header.uint("len")?;
-    let payload = rest.strip_suffix('\n').unwrap_or(rest);
+    let payload = rest.strip_suffix(b"\n").unwrap_or(rest);
     if payload.len() != len {
-        return Err(PersistError::Corrupt(format!(
+        return Err(corrupt(format!(
             "payload is {} bytes, header says {len}",
             payload.len()
         )));
     }
-    if fnv1a64(payload.as_bytes()) != header.hex_u64("digest")? {
-        return Err(PersistError::Corrupt("digest mismatch".to_string()));
+    if header.string("digest")? != format!("{:016x}", fnv1a64(payload)) {
+        return Err(corrupt("digest mismatch"));
     }
-    let doc = SnapshotDoc::decode(
-        &Json::parse(payload).map_err(|e| PersistError::Corrupt(format!("payload: {e}")))?,
-    )?;
+    let payload =
+        std::str::from_utf8(payload).map_err(|e| corrupt(format!("payload is not UTF-8: {e}")))?;
+    let doc = SnapshotDoc::parse(payload).map_err(|e| match e {
+        PersistError::Json(e) => corrupt(format!("payload: {e}")),
+        other => other,
+    })?;
     if doc.epoch() != header.uint::<u64>("epoch")? {
-        return Err(PersistError::Corrupt(
-            "header/payload epoch mismatch".to_string(),
-        ));
+        return Err(corrupt("header/payload epoch mismatch"));
     }
     Ok(doc)
 }
@@ -332,6 +351,30 @@ mod tests {
         match read_snapshot(&path) {
             Err(PersistError::Corrupt(_)) | Err(PersistError::Schema(_)) => {}
             other => panic!("corruption not detected: {other:?}"),
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The header is outside the digest, so its digest field must be
+    /// the writer's exact text: the same value spelled in upper case is
+    /// a damaged header, not an intact file.
+    #[test]
+    fn a_header_digest_in_another_spelling_is_corrupt() {
+        let dir = tmpdir("digest-case");
+        let (path, _) = write_snapshot(&dir, &tiny_doc(7)).unwrap();
+        let text = fs::read_to_string(&path).unwrap();
+        let (header, _) = text.split_once('\n').unwrap();
+        let digest = Json::parse(header)
+            .unwrap()
+            .string("digest")
+            .unwrap()
+            .to_string();
+        let upper = digest.to_uppercase();
+        assert_ne!(upper, digest, "the digest holds a hex letter");
+        fs::write(&path, text.replacen(&digest, &upper, 1)).unwrap();
+        match read_snapshot(&path) {
+            Err(PersistError::Corrupt(msg)) => assert!(msg.contains("digest"), "{msg}"),
+            other => panic!("a re-spelled digest read: {other:?}"),
         }
         fs::remove_dir_all(&dir).unwrap();
     }

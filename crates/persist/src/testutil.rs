@@ -266,6 +266,17 @@ mod tests {
         assert_eq!(back, doc);
     }
 
+    /// No strict prefix of a payload is a document: the pull decoder
+    /// rejects every truncation.
+    #[test]
+    fn every_truncated_payload_is_rejected() {
+        let text = tiny_doc(3).encode().to_string();
+        for cut in 0..text.len() {
+            assert!(SnapshotDoc::parse(&text[..cut]).is_err(), "cut at {cut}");
+        }
+        assert_eq!(SnapshotDoc::parse(&text).unwrap(), tiny_doc(3));
+    }
+
     #[test]
     fn decode_rejects_missing_fields_with_the_key_name() {
         let doc = tiny_doc(1);

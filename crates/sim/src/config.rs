@@ -35,8 +35,13 @@ pub struct MachineConfig {
     /// preserving reuse distances and miss ratios.
     pub scale: u32,
     /// Maximum number of sampled accesses simulated per application per
-    /// window; bounds simulation cost without changing steady-state miss
-    /// ratios.
+    /// window. When an application's quota exceeds it, every quota
+    /// shrinks by the same factor, which keeps the apps' relative cache
+    /// pressure and bounds the host time of a tick. It is not neutral
+    /// for results: fewer accesses per window walk less of each
+    /// footprint, and the measured miss ratios — hence the headline
+    /// unfairness — move with it (ROADMAP item 2(b) records the
+    /// headline flipping between 32 k and 128 k).
     pub window_sample_budget: u32,
     /// Seed for all stochastic trace generation; runs are reproducible.
     pub seed: u64,

@@ -1,6 +1,7 @@
-//! A minimal, dependency-free JSON value with a writer, a strict
-//! recursive-descent parser, and the typed member reader every wire
-//! format decodes through (DESIGN.md §9.1: one writer, one reader).
+//! A minimal, dependency-free JSON value with a writer, one strict
+//! recursive-descent parser — a pull reader ([`JsonReader`]) whose
+//! tree-building consumer is [`Json::parse`] — and the typed reads every
+//! wire format decodes through (DESIGN.md §9.1: one writer, one grammar).
 //!
 //! The observability layer serialises [`crate::TraceEvent`]s as JSONL
 //! (one object per line). The offline build cannot pull `serde`, and the
@@ -8,6 +9,7 @@
 //! and faster to compile. Only the subset of JSON the trace schema needs
 //! is produced, but the parser accepts any well-formed JSON document.
 
+use std::borrow::Cow;
 use std::fmt::{self, Write as _};
 
 /// A parsed JSON value. Object member order is preserved so encode →
@@ -49,10 +51,7 @@ impl Json {
 
     /// The value as a `u64`, if it is a non-negative integral number.
     pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(x) if *x >= 0.0 && x.fract() == 0.0 && *x <= 2f64.powi(53) => Some(*x as u64),
-            _ => None,
-        }
+        self.as_f64().and_then(exact_u64)
     }
 
     /// The value as a string slice, if it is a string.
@@ -83,33 +82,27 @@ impl Json {
     /// `u64::from_str_radix(_, 16)` accepts (hex digits of either case,
     /// after an optional `+`, whose value fits a `u64`).
     pub fn as_hex_u64(&self) -> Option<u64> {
-        self.as_str().and_then(|s| u64::from_str_radix(s, 16).ok())
+        self.as_str().and_then(hex_u64)
     }
 
     /// Parses a complete JSON document (trailing whitespace allowed,
-    /// trailing garbage rejected).
+    /// trailing garbage rejected) into a tree: the tree-building consumer
+    /// of [`JsonReader`], so both share one grammar.
     ///
     /// Containers may nest at most [`MAX_DEPTH`] levels; deeper documents
     /// are rejected with a parse error rather than recursing without
     /// bound (a `[[[[…` bomb would otherwise overflow the stack).
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-            depth: 0,
-        };
-        p.skip_ws();
-        let value = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing characters after JSON value"));
-        }
+        let mut r = JsonReader::new(text);
+        let value = r.tree()?;
+        r.finish()?;
         Ok(value)
     }
 }
 
-/// The typed member reader every wire format decodes through: each
-/// method looks `key` up in an object and checks its type, and a missing
+/// The typed member reader one-line records (trace events, log entries,
+/// fleet events, request bodies) decode through once parsed to a tree:
+/// each method looks `key` up in an object and checks its type, and a missing
 /// or ill-typed member is one [`FieldError`] naming both. The rules are
 /// the `as_*` accessors' — in particular an integer is a non-negative
 /// integral number no larger than 2⁵³ that fits the requested width.
@@ -141,11 +134,6 @@ impl Json {
     /// [`Json::as_hex_u64`]).
     pub fn hex_u64(&self, key: &str) -> Result<u64, FieldError> {
         self.typed(key, "hex u64", Json::as_hex_u64)
-    }
-
-    /// An `f64` member travelling as the hex of its bit pattern.
-    pub fn hex_f64(&self, key: &str) -> Result<f64, FieldError> {
-        self.typed(key, "hex f64 bits", |v| v.as_hex_u64().map(f64::from_bits))
     }
 
     /// A string member.
@@ -549,20 +537,314 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-/// Maximum container nesting depth [`Json::parse`] accepts. The trace
-/// schema is flat (depth ≤ 3); 128 leaves generous headroom for foreign
-/// documents while keeping the recursive-descent parser's stack usage
-/// bounded on any platform.
+/// Maximum container nesting depth [`JsonReader`] (hence [`Json::parse`])
+/// accepts. The trace schema is flat (depth ≤ 3); 128 leaves generous
+/// headroom for foreign documents while keeping the recursive-descent
+/// parser's stack usage bounded on any platform.
 pub const MAX_DEPTH: usize = 128;
 
-struct Parser<'a> {
-    bytes: &'a [u8],
+/// The integer an `f64` holds, under the one rule every integer read
+/// uses: non-negative, integral, and no larger than 2⁵³.
+fn exact_u64(x: f64) -> Option<u64> {
+    (x >= 0.0 && x.fract() == 0.0 && x <= MAX_EXACT_INT as f64).then_some(x as u64)
+}
+
+/// The `u64` a [`JsonSink::hex16`] string spells: whatever
+/// `u64::from_str_radix(_, 16)` accepts.
+fn hex_u64(s: &str) -> Option<u64> {
+    u64::from_str_radix(s, 16).ok()
+}
+
+/// Why a [`JsonReader`] read failed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ReadError {
+    /// The text is not JSON: malformed, truncated, nested deeper than
+    /// [`MAX_DEPTH`], or followed by trailing characters.
+    Syntax(JsonError),
+    /// The text is JSON, but not of the shape the decoder reads: a
+    /// member missing or out of order, or a value of the wrong type.
+    Field(FieldError),
+}
+
+impl From<JsonError> for ReadError {
+    fn from(e: JsonError) -> ReadError {
+        ReadError::Syntax(e)
+    }
+}
+
+impl From<FieldError> for ReadError {
+    fn from(e: FieldError) -> ReadError {
+        ReadError::Field(e)
+    }
+}
+
+impl fmt::Display for ReadError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ReadError::Syntax(e) => e.fmt(f),
+            ReadError::Field(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for ReadError {}
+
+/// The one JSON grammar: a strict recursive-descent pull reader over
+/// `&str`. [`Json::parse`] is its tree-building consumer; a decoder that
+/// knows its document's shape pulls members straight from the text
+/// instead, with no tree in between — the read-side twin of streaming a
+/// field list into a [`JsonWriter`].
+///
+/// A decoder reads members in the order its writer emitted them:
+/// [`key`](JsonReader::key) names the next member (and is an error for
+/// any other), [`opt_key`](JsonReader::opt_key) reads one that may be
+/// absent, [`items`](JsonReader::items) collects an array, and the
+/// typed reads (`uint`, `hex_u64`, `hex_f64`, `string`, `boolean`)
+/// apply the rules of the `as_*` accessors. A value of the
+/// wrong type is a [`FieldError`] naming the member's key (for an array
+/// entry, the array's key); malformed text is a [`JsonError`].
+///
+/// ```
+/// use copart_telemetry::json::{JsonReader, ReadError};
+/// let mut r = JsonReader::new(r#"{"ways":3,"tags":["00000000000000ff"]}"#);
+/// r.begin_obj()?;
+/// let ways: u8 = r.key("ways")?.uint()?;
+/// let tags = r.key("tags")?.items(|r| r.hex_u64())?;
+/// r.end_obj()?;
+/// r.finish()?;
+/// assert_eq!((ways, tags), (3, vec![255]));
+/// # Ok::<(), ReadError>(())
+/// ```
+#[derive(Debug)]
+pub struct JsonReader<'a> {
+    text: &'a str,
     pos: usize,
     /// Current container nesting depth, bounded by [`MAX_DEPTH`].
     depth: usize,
+    /// Whether the innermost open container has yielded no member or
+    /// item yet (so the next one takes no comma). Closing a container
+    /// always lands inside one whose current entry is that container,
+    /// so one flag serves every level.
+    first: bool,
+    /// The key of the member being read: what a type mismatch names.
+    at: &'a str,
 }
 
-impl<'a> Parser<'a> {
+impl<'a> JsonReader<'a> {
+    /// A reader at the start of `text`, past any leading whitespace.
+    pub fn new(text: &'a str) -> JsonReader<'a> {
+        let mut r = JsonReader {
+            text,
+            pos: 0,
+            depth: 0,
+            first: false,
+            at: "",
+        };
+        r.skip_ws();
+        r
+    }
+
+    /// Checks that only whitespace follows the value just read.
+    ///
+    /// # Errors
+    ///
+    /// A [`JsonError`] at the first trailing character.
+    pub fn finish(&mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.pos == self.text.len() {
+            Ok(())
+        } else {
+            Err(self.err("trailing characters after JSON value"))
+        }
+    }
+
+    /// The first byte of the next value (whitespace skipped) without
+    /// consuming it: `"` for a string, `n` for `null`, and so on.
+    pub fn peek(&mut self) -> Option<u8> {
+        self.skip_ws();
+        self.byte()
+    }
+
+    /// Opens the object the next value must be.
+    ///
+    /// # Errors
+    ///
+    /// A [`FieldError`] when the value is not an object.
+    pub fn begin_obj(&mut self) -> Result<(), ReadError> {
+        self.expect_value(b'{', "object")?;
+        Ok(self.open()?)
+    }
+
+    /// Reads the key of the open object's next member, which must be
+    /// `key`, and leaves the reader at its value.
+    ///
+    /// # Errors
+    ///
+    /// A [`FieldError`] naming `key` when the next member has another
+    /// key or the object ends.
+    pub fn key(&mut self, key: &'a str) -> Result<&mut Self, ReadError> {
+        if self.opt_key(key)? {
+            Ok(self)
+        } else {
+            Err(FieldError::new(key, "member").into())
+        }
+    }
+
+    /// Like [`key`](JsonReader::key), for a member that may be absent:
+    /// `false`, with nothing consumed, when the next member is not `key`.
+    ///
+    /// # Errors
+    ///
+    /// A [`JsonError`] when the text there is malformed.
+    pub fn opt_key(&mut self, key: &'a str) -> Result<bool, ReadError> {
+        let (pos, depth, first) = (self.pos, self.depth, self.first);
+        if self.next_key()?.is_some_and(|k| k == key) {
+            self.at = key;
+            return Ok(true);
+        }
+        (self.pos, self.depth, self.first) = (pos, depth, first);
+        Ok(false)
+    }
+
+    /// Closes the open object, which must have no members left.
+    ///
+    /// # Errors
+    ///
+    /// A [`FieldError`] naming the first member no decoder read.
+    pub fn end_obj(&mut self) -> Result<(), ReadError> {
+        match self.next_key()? {
+            None => Ok(()),
+            Some(extra) => Err(FieldError::new(&extra, "end of object").into()),
+        }
+    }
+
+    /// Reads the array the next value must be, one `each` per item.
+    ///
+    /// # Errors
+    ///
+    /// A [`FieldError`] when the value is not an array, or the first
+    /// error `each` returns.
+    pub fn items<T, E: From<ReadError>>(
+        &mut self,
+        mut each: impl FnMut(&mut Self) -> Result<T, E>,
+    ) -> Result<Vec<T>, E> {
+        self.expect_value(b'[', "array")?;
+        self.open().map_err(ReadError::from)?;
+        let mut items = Vec::new();
+        while self.next_item(b']').map_err(ReadError::from)? {
+            items.push(each(self)?);
+        }
+        Ok(items)
+    }
+
+    /// `None` for a `null` value, else what `read` makes of the value.
+    ///
+    /// # Errors
+    ///
+    /// The error `read` returns, or a [`JsonError`] for a torn `null`.
+    pub fn nullable<T, E: From<ReadError>>(
+        &mut self,
+        read: impl FnOnce(&mut Self) -> Result<T, E>,
+    ) -> Result<Option<T>, E> {
+        if self.peek() == Some(b'n') {
+            self.literal("null").map_err(ReadError::from)?;
+            Ok(None)
+        } else {
+            read(self).map(Some)
+        }
+    }
+
+    /// An unsigned integer, in any width `u64` converts into (the
+    /// [`Json::as_u64`] rule, then the width).
+    ///
+    /// # Errors
+    ///
+    /// A [`FieldError`] for any other value.
+    pub fn uint<T: TryFrom<u64>>(&mut self) -> Result<T, ReadError> {
+        let expected = std::any::type_name::<T>();
+        let x = match self.peek() {
+            Some(b'-' | b'0'..=b'9') => self.raw_number()?,
+            _ => return Err(self.mismatch(expected)),
+        };
+        exact_u64(x)
+            .and_then(|n| T::try_from(n).ok())
+            .ok_or_else(|| self.mismatch(expected))
+    }
+
+    /// A string, borrowed from the text unless it holds escapes.
+    ///
+    /// # Errors
+    ///
+    /// A [`FieldError`] for any other value.
+    pub fn string(&mut self) -> Result<Cow<'a, str>, ReadError> {
+        self.typed_string("string")
+    }
+
+    /// A `u64` written by [`JsonSink::hex16`] (see [`Json::as_hex_u64`]).
+    ///
+    /// # Errors
+    ///
+    /// A [`FieldError`] for any other value.
+    pub fn hex_u64(&mut self) -> Result<u64, ReadError> {
+        let s = self.typed_string("hex u64")?;
+        hex_u64(&s).ok_or_else(|| self.mismatch("hex u64"))
+    }
+
+    /// An `f64` travelling as the hex of its bit pattern.
+    ///
+    /// # Errors
+    ///
+    /// A [`FieldError`] for any other value.
+    pub fn hex_f64(&mut self) -> Result<f64, ReadError> {
+        let s = self.typed_string("hex f64 bits")?;
+        hex_u64(&s)
+            .map(f64::from_bits)
+            .ok_or_else(|| self.mismatch("hex f64 bits"))
+    }
+
+    /// A bool.
+    ///
+    /// # Errors
+    ///
+    /// A [`FieldError`] for any other value.
+    pub fn boolean(&mut self) -> Result<bool, ReadError> {
+        match self.peek() {
+            Some(b't') => self.literal("true").map(|()| true),
+            Some(b'f') => self.literal("false").map(|()| false),
+            _ => return Err(self.mismatch("bool")),
+        }
+        .map_err(ReadError::from)
+    }
+
+    /// Any value, as a tree.
+    fn tree(&mut self) -> Result<Json, JsonError> {
+        match self.byte() {
+            Some(b'{') => {
+                self.open()?;
+                let mut members = Vec::new();
+                while let Some(key) = self.next_key()? {
+                    members.push((key.into_owned(), self.tree()?));
+                }
+                Ok(Json::Obj(members))
+            }
+            Some(b'[') => {
+                self.open()?;
+                let mut items = Vec::new();
+                while self.next_item(b']')? {
+                    items.push(self.tree()?);
+                }
+                Ok(Json::Arr(items))
+            }
+            Some(b'"') => Ok(Json::Str(self.raw_string()?.into_owned())),
+            Some(b't') => self.literal("true").map(|()| Json::Bool(true)),
+            Some(b'f') => self.literal("false").map(|()| Json::Bool(false)),
+            Some(b'n') => self.literal("null").map(|()| Json::Null),
+            Some(b'-' | b'0'..=b'9') => self.raw_number().map(Json::Num),
+            Some(_) => Err(self.err("unexpected character")),
+            None => Err(self.err("unexpected end of input")),
+        }
+    }
+
     fn err(&self, msg: &str) -> JsonError {
         JsonError {
             pos: self.pos,
@@ -570,18 +852,22 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+    fn mismatch(&self, expected: &'static str) -> ReadError {
+        FieldError::new(self.at, expected).into()
+    }
+
+    fn byte(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+        while matches!(self.byte(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
     fn expect(&mut self, b: u8) -> Result<(), JsonError> {
-        if self.peek() == Some(b) {
+        if self.byte() == Some(b) {
             self.pos += 1;
             Ok(())
         } else {
@@ -589,162 +875,126 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+    /// Checks that the next value starts with `first`; a truncated
+    /// document is a syntax error, any other value a type mismatch.
+    fn expect_value(&mut self, first: u8, expected: &'static str) -> Result<(), ReadError> {
+        match self.peek() {
+            Some(b) if b == first => Ok(()),
+            Some(_) => Err(self.mismatch(expected)),
+            None => Err(self.err("unexpected end of input").into()),
+        }
+    }
+
+    fn literal(&mut self, word: &str) -> Result<(), JsonError> {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
-            Ok(value)
+            Ok(())
         } else {
             Err(self.err(&format!("expected '{word}'")))
         }
     }
 
-    fn value(&mut self) -> Result<Json, JsonError> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(_) => Err(self.err("unexpected character")),
-            None => Err(self.err("unexpected end of input")),
-        }
-    }
-
-    /// Bounds container recursion: every `object()`/`array()` frame
-    /// passes through here first, so a `[[[[…` bomb is rejected with a
-    /// parse error instead of overflowing the stack.
-    fn enter(&mut self) -> Result<(), JsonError> {
+    /// Enters the container whose bracket is next. Every container
+    /// passes through here, so a `[[[[…` bomb is a parse error instead
+    /// of a stack overflow.
+    fn open(&mut self) -> Result<(), JsonError> {
         if self.depth >= MAX_DEPTH {
             return Err(self.err("containers nested deeper than 128 levels"));
         }
         self.depth += 1;
+        self.pos += 1;
+        self.first = true;
         Ok(())
     }
 
-    fn object(&mut self) -> Result<Json, JsonError> {
-        self.enter()?;
-        let result = self.object_inner();
-        self.depth -= 1;
-        result
-    }
-
-    fn object_inner(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'{')?;
-        let mut members = Vec::new();
+    /// Steps to the open container's next entry: `true` at an entry
+    /// (whitespace skipped), `false` once `close` has been consumed.
+    fn next_item(&mut self, close: u8) -> Result<bool, JsonError> {
         self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(members));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            members.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(members));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
+        let first = std::mem::replace(&mut self.first, false);
+        match self.byte() {
+            Some(b) if b == close => {
+                self.pos += 1;
+                self.depth -= 1;
+                return Ok(false);
+            }
+            Some(b',') if !first => self.pos += 1,
+            _ if first => return Ok(true),
+            _ => {
+                let msg = if close == b'}' {
+                    "expected ',' or '}'"
+                } else {
+                    "expected ',' or ']'"
+                };
+                return Err(self.err(msg));
             }
         }
-    }
-
-    fn array(&mut self) -> Result<Json, JsonError> {
-        self.enter()?;
-        let result = self.array_inner();
-        self.depth -= 1;
-        result
-    }
-
-    fn array_inner(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
         self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
+        Ok(true)
+    }
+
+    /// Steps to the open object's next member: its key, with the reader
+    /// at the value, or `None` once the `}` has been consumed.
+    fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, JsonError> {
+        if !self.next_item(b'}')? {
+            return Ok(None);
         }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
+        let key = self.raw_string()?;
+        self.skip_ws();
+        self.expect(b':')?;
+        self.skip_ws();
+        Ok(Some(key))
+    }
+
+    fn typed_string(&mut self, expected: &'static str) -> Result<Cow<'a, str>, ReadError> {
+        match self.peek() {
+            Some(b'"') => Ok(self.raw_string()?),
+            _ => Err(self.mismatch(expected)),
         }
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
+    fn raw_string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let bytes = self.text.as_bytes();
+        let mut out = Cow::Borrowed("");
         loop {
             let start = self.pos;
-            // Fast path: run of plain bytes.
-            while let Some(b) = self.peek() {
+            // Fast path: a run of plain bytes. It ends at an ASCII byte,
+            // so it ends on a character boundary.
+            while let Some(b) = self.byte() {
                 if b == b'"' || b == b'\\' || b < 0x20 {
                     break;
                 }
                 self.pos += 1;
             }
-            out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| self.err("invalid UTF-8 in string"))?,
-            );
-            match self.peek() {
+            let run = &self.text[start..self.pos];
+            if out.is_empty() {
+                out = Cow::Borrowed(run);
+            } else {
+                out.to_mut().push_str(run);
+            }
+            match bytes.get(self.pos) {
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    let esc = self.peek().ok_or_else(|| self.err("truncated escape"))?;
+                    let esc = self.byte().ok_or_else(|| self.err("truncated escape"))?;
                     self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{0008}'),
-                        b'f' => out.push('\u{000C}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let cp = self.hex4()?;
-                            // Surrogate pairs.
-                            let c = if (0xD800..0xDC00).contains(&cp) {
-                                if self.peek() == Some(b'\\') {
-                                    self.pos += 1;
-                                    self.expect(b'u')?;
-                                    let lo = self.hex4()?;
-                                    let combined = 0x10000
-                                        + ((cp - 0xD800) << 10)
-                                        + lo.checked_sub(0xDC00)
-                                            .ok_or_else(|| self.err("invalid low surrogate"))?;
-                                    char::from_u32(combined)
-                                } else {
-                                    None
-                                }
-                            } else {
-                                char::from_u32(cp)
-                            };
-                            out.push(c.ok_or_else(|| self.err("invalid unicode escape"))?);
-                        }
+                    let c = match esc {
+                        b'"' => '"',
+                        b'\\' => '\\',
+                        b'/' => '/',
+                        b'b' => '\u{0008}',
+                        b'f' => '\u{000C}',
+                        b'n' => '\n',
+                        b'r' => '\r',
+                        b't' => '\t',
+                        b'u' => self.unicode_escape()?,
                         _ => return Err(self.err("unknown escape")),
-                    }
+                    };
+                    out.to_mut().push(c);
                 }
                 Some(_) => return Err(self.err("unescaped control character in string")),
                 None => return Err(self.err("unterminated string")),
@@ -752,11 +1002,34 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// The character of a `\u` escape whose `\u` has been consumed,
+    /// surrogate pairs included.
+    fn unicode_escape(&mut self) -> Result<char, JsonError> {
+        let cp = self.hex4()?;
+        let c = if (0xD800..0xDC00).contains(&cp) {
+            if self.byte() == Some(b'\\') {
+                self.pos += 1;
+                self.expect(b'u')?;
+                let lo = self.hex4()?;
+                let combined = 0x10000
+                    + ((cp - 0xD800) << 10)
+                    + lo.checked_sub(0xDC00)
+                        .ok_or_else(|| self.err("invalid low surrogate"))?;
+                char::from_u32(combined)
+            } else {
+                None
+            }
+        } else {
+            char::from_u32(cp)
+        };
+        c.ok_or_else(|| self.err("invalid unicode escape"))
+    }
+
     fn hex4(&mut self) -> Result<u32, JsonError> {
         let mut cp = 0u32;
         for _ in 0..4 {
             let b = self
-                .peek()
+                .byte()
                 .ok_or_else(|| self.err("truncated \\u escape"))?;
             let digit = (b as char)
                 .to_digit(16)
@@ -767,32 +1040,30 @@ impl<'a> Parser<'a> {
         Ok(cp)
     }
 
-    fn number(&mut self) -> Result<Json, JsonError> {
+    fn raw_number(&mut self) -> Result<f64, JsonError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        let digits = |r: &mut Self| {
+            while matches!(r.byte(), Some(b'0'..=b'9')) {
+                r.pos += 1;
+            }
+        };
+        if self.byte() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
+        digits(self);
+        if self.byte() == Some(b'.') {
             self.pos += 1;
+            digits(self);
         }
-        if self.peek() == Some(b'.') {
+        if matches!(self.byte(), Some(b'e' | b'E')) {
             self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
+            if matches!(self.byte(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
+            digits(self);
         }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii number");
-        text.parse::<f64>()
-            .map(Json::Num)
+        self.text[start..self.pos]
+            .parse::<f64>()
             .map_err(|_| self.err("invalid number"))
     }
 }
@@ -949,7 +1220,6 @@ mod tests {
                 "u32" => doc.uint::<u32>(key)?.to_string(),
                 "u64" => doc.uint::<u64>(key)?.to_string(),
                 "hex_u64" => doc.hex_u64(key)?.to_string(),
-                "hex_f64" => doc.hex_f64(key)?.to_string(),
                 "string" => doc.string(key)?.to_string(),
                 "boolean" => doc.boolean(key)?.to_string(),
                 "array" => doc.array(key)?.len().to_string(),
@@ -985,8 +1255,6 @@ mod tests {
             ("hex_u64", "nonhex", Err("hex u64")),
             ("hex_u64", "long", Err("hex u64")),
             ("hex_u64", "u8", Err("hex u64")),
-            ("hex_f64", "one", Ok("1")),
-            ("hex_f64", "nonhex", Err("hex f64 bits")),
             ("string", "s", Ok("x")),
             ("string", "u8", Err("string")),
             ("boolean", "b", Ok("true")),
@@ -1005,6 +1273,165 @@ mod tests {
                 .map(str::to_string)
                 .map_err(|expected| format!("field \"{key}\": expected {expected}"));
             assert_eq!(got, want, "{method}({key:?})");
+        }
+    }
+
+    /// The pull reader's typed reads accept and refuse exactly what the
+    /// tree reader's do, with the same error: each member of the tree
+    /// reader's table, alone in a document, read both ways.
+    #[test]
+    fn pull_reads_match_the_tree_reader() {
+        let doc = Json::parse(
+            r#"{"u8":255,"u8_over":256,"u32":4294967295,"u32_over":4294967296,
+                "exact":9007199254740992,"next":9007199254740994,"neg":-1,
+                "frac":1.5,"huge":1e300,"quoted":"7","hex":"00000000000000ff",
+                "upper":"FF","plus":"+f","empty":"","long":"10000000000000000",
+                "one":"3ff0000000000000","esc":"\u0041b","s":"x","b":true,"f":false,
+                "a":[1],"null":null}"#,
+        )
+        .unwrap();
+        let Json::Obj(members) = &doc else {
+            unreachable!()
+        };
+        for (key, value) in members {
+            let text = format!("{{{}:{value}}}", Json::Str(key.clone()));
+            for method in [
+                "u8", "u32", "u64", "hex_u64", "hex_f64", "string", "boolean",
+            ] {
+                let tree = match method {
+                    "u8" => doc.uint::<u8>(key).map(|v| v.to_string()),
+                    "u32" => doc.uint::<u32>(key).map(|v| v.to_string()),
+                    "u64" => doc.uint::<u64>(key).map(|v| v.to_string()),
+                    "hex_u64" => doc.hex_u64(key).map(|v| v.to_string()),
+                    // The hex-bits rule, under its own name.
+                    "hex_f64" => doc
+                        .hex_u64(key)
+                        .map(|v| f64::from_bits(v).to_string())
+                        .map_err(|_| FieldError::new(key, "hex f64 bits")),
+                    "string" => doc.string(key).map(str::to_string),
+                    _ => doc.boolean(key).map(|v| v.to_string()),
+                }
+                .map_err(ReadError::Field);
+                let mut r = JsonReader::new(&text);
+                r.begin_obj().unwrap();
+                let r = r.key(key).unwrap();
+                let pulled = match method {
+                    "u8" => r.uint::<u8>().map(|v| v.to_string()),
+                    "u32" => r.uint::<u32>().map(|v| v.to_string()),
+                    "u64" => r.uint::<u64>().map(|v| v.to_string()),
+                    "hex_u64" => r.hex_u64().map(|v| v.to_string()),
+                    "hex_f64" => r.hex_f64().map(|v| v.to_string()),
+                    "string" => r.string().map(String::from),
+                    _ => r.boolean().map(|v| v.to_string()),
+                };
+                assert_eq!(pulled, tree, "{method} of {text}");
+            }
+        }
+    }
+
+    /// A pulled document is read in its writer's order: the named member
+    /// must come next, an optional one may be absent, and a member no
+    /// decoder asked for is an error naming it.
+    #[test]
+    fn pull_reader_reads_members_in_order() {
+        let text = r#" {"a":1, "list":[{"x":"00000000000000ff"},{"x":"1"}],
+                        "maybe":null,"tail":[] } "#;
+        let mut r = JsonReader::new(text);
+        r.begin_obj().unwrap();
+        assert_eq!(r.key("a").unwrap().uint::<u8>(), Ok(1));
+        assert_eq!(r.opt_key("absent"), Ok(false));
+        let xs = r
+            .key("list")
+            .unwrap()
+            .items(|r| {
+                r.begin_obj()?;
+                let x = r.key("x")?.hex_u64()?;
+                r.end_obj()?;
+                Ok::<_, ReadError>(x)
+            })
+            .unwrap();
+        assert_eq!(xs, [255, 1]);
+        assert_eq!(
+            r.key("maybe").unwrap().nullable(JsonReader::uint::<u8>),
+            Ok(None)
+        );
+        assert!(r.opt_key("tail").unwrap());
+        assert_eq!(r.peek(), Some(b'['));
+        assert_eq!(r.items(JsonReader::uint::<u8>), Ok(vec![]));
+        r.end_obj().unwrap();
+        r.finish().unwrap();
+
+        let field = |text: &str, read: fn(&mut JsonReader<'_>) -> Result<(), ReadError>| match read(
+            &mut JsonReader::new(text),
+        ) {
+            Err(ReadError::Field(e)) => e.to_string(),
+            other => panic!("{text}: {other:?}"),
+        };
+        let a_then_b = |r: &mut JsonReader<'_>| {
+            r.begin_obj()?;
+            r.key("a")?.uint::<u8>()?;
+            r.key("b")?.uint::<u8>()?;
+            r.end_obj()
+        };
+        assert_eq!(
+            field(r#"{"b":1,"a":2}"#, a_then_b),
+            r#"field "a": expected member"#
+        );
+        assert_eq!(
+            field(r#"{"a":1}"#, a_then_b),
+            r#"field "b": expected member"#
+        );
+        assert_eq!(
+            field(r#"{"a":1,"b":2,"c":3}"#, a_then_b),
+            r#"field "c": expected end of object"#
+        );
+        assert_eq!(
+            field(r#"{"a":[1],"b":2}"#, a_then_b),
+            r#"field "a": expected u8"#
+        );
+        // An array entry's mismatch names the array's key.
+        let hexes = |r: &mut JsonReader<'_>| {
+            r.begin_obj()?;
+            r.key("h")?.items(JsonReader::hex_u64)?;
+            r.end_obj()
+        };
+        assert_eq!(
+            field(r#"{"h":["1",2]}"#, hexes),
+            r#"field "h": expected hex u64"#
+        );
+    }
+
+    /// Malformed text is a syntax error from either consumer, at the
+    /// same byte.
+    #[test]
+    fn pull_reader_and_tree_share_syntax_errors() {
+        for text in ["", "{", "{\"a\":1", "{\"a\":1,}", "{\"a\" 1}", "[1 2]"] {
+            let tree = Json::parse(text).unwrap_err();
+            let pulled = (|| {
+                let mut r = JsonReader::new(text);
+                if r.peek() == Some(b'[') {
+                    r.items(JsonReader::uint::<u8>)?;
+                } else {
+                    r.begin_obj()?;
+                    r.key("a")?.uint::<u8>()?;
+                    r.end_obj()?;
+                }
+                Ok::<_, ReadError>(r.finish()?)
+            })();
+            assert_eq!(pulled, Err(ReadError::Syntax(tree)), "{text:?}");
+        }
+        let mut r = JsonReader::new("{} x");
+        r.begin_obj().unwrap();
+        r.end_obj().unwrap();
+        assert!(r.finish().is_err(), "trailing garbage");
+        let bomb = "[".repeat(MAX_DEPTH + 1);
+        let mut r = JsonReader::new(&bomb);
+        fn nest(r: &mut JsonReader<'_>) -> Result<(), ReadError> {
+            r.items(nest).map(drop)
+        }
+        match nest(&mut r) {
+            Err(ReadError::Syntax(e)) => assert!(e.msg.contains("nested"), "{e}"),
+            other => panic!("{other:?}"),
         }
     }
 

@@ -53,7 +53,9 @@ pub use event::{
 };
 pub use ewma::Ewma;
 pub use fleet::{FleetAggregator, NodeGauges, Percentiles};
-pub use json::{FieldError, Json, JsonError, JsonSink, JsonTree, JsonWriter};
+pub use json::{
+    FieldError, Json, JsonError, JsonReader, JsonSink, JsonTree, JsonWriter, ReadError,
+};
 pub use rates::{traffic_ratio, Rates};
 pub use recorder::{
     parse_trace, read_trace_file, JsonlRecorder, NullRecorder, Recorder, RingRecorder,

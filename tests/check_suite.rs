@@ -80,4 +80,8 @@ fn corpus_replays_every_blessed_regression() {
         replayed("sim-cache-matches-reference") >= 1,
         "cache victim tie-break fixture missing"
     );
+    assert!(
+        replayed("decoder-rejects-corruption") >= 1,
+        "snapshot header digest-case fixture missing"
+    );
 }
