@@ -11,14 +11,16 @@
 //! the machine's generators, no cache), the timing solve alone, and the
 //! cache walk (the rest of the tick). Measurement only: the split
 //! re-derives the schedule from the public snapshot and does not touch
-//! `Machine::tick`.
+//! `Machine::tick`. `zipf_table_*` is what the Zipf step tables cost:
+//! building afresh every table an H-Both ×4 machine draws through, and
+//! their heap bytes (a string, so the gate holds it exact).
 
 use std::hint::black_box;
 
 use copart_bench::{bench, Artifact};
 use copart_sim::cache::{CacheConfig, SampledCache};
 use copart_sim::timing::{self, AppTimingParams, TimingConfig, WindowInputs, WindowScratch};
-use copart_sim::trace::{AccessPattern, TraceGenerator, BURST_LEN};
+use copart_sim::trace::{self, AccessPattern, TraceGenerator, BURST_LEN};
 use copart_sim::{CbmMask, ClosId, Machine, MachineConfig, MbaLevel, SimAppSnapshot};
 use copart_workloads::{Benchmark, MixKind, WorkloadMix};
 
@@ -27,6 +29,7 @@ fn main() {
     bench_cache_access(&mut artifact);
     let h_both_tick_ns = bench_machine_tick(&mut artifact);
     bench_tick_split(&mut artifact, h_both_tick_ns);
+    bench_zipf_tables(&mut artifact);
     bench_scale_ablation();
     artifact.write("cache_sim");
 }
@@ -255,6 +258,35 @@ fn bench_tick_split(artifact: &mut Artifact, tick_ns: f64) {
     artifact.num("tick_split_h_both_solve_ns", solve.mean_ns);
     artifact.num("tick_split_h_both_walk_ns", walk_ns);
     artifact.num("tick_split_h_both_walk_ns_per_access", per(walk_ns));
+}
+
+/// Builds, past the memo, the Zipf step table of every distinct scaled
+/// Zipf phase of an H-Both ×4 machine.
+fn bench_zipf_tables(artifact: &mut Artifact) {
+    println!("\nzipf_table (every step table of an H-Both x4 machine, built afresh per iter)");
+    let cfg = MachineConfig::xeon_gold_6130();
+    let mut zipfs: Vec<AccessPattern> = Vec::new();
+    for spec in WorkloadMix::paper_default(MixKind::HighBoth).specs() {
+        for (_, pattern) in &spec.phases {
+            let scaled = pattern.scaled(cfg.scale, cfg.line_bytes);
+            if matches!(scaled, AccessPattern::Zipf { .. }) && !zipfs.contains(&scaled) {
+                zipfs.push(scaled);
+            }
+        }
+    }
+    let build = || -> usize {
+        zipfs
+            .iter()
+            .map(|p| trace::build_zipf_table(p, cfg.line_bytes))
+            .sum()
+    };
+    let bytes = build();
+    let timing = bench("zipf_table/build_h_both", || {
+        black_box(build());
+    });
+    println!("{:<44} {bytes:>14} bytes in {} tables", "", zipfs.len());
+    artifact.num("zipf_table_build_ns", timing.mean_ns);
+    artifact.text("zipf_table_bytes_h_both", &bytes.to_string());
 }
 
 fn bench_scale_ablation() {

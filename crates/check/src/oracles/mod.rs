@@ -4,6 +4,7 @@ pub mod cluster;
 pub mod corruption;
 pub mod ewma;
 pub mod fleet_placement;
+pub mod fork;
 pub mod fsm;
 pub mod incremental;
 pub mod json;
@@ -30,6 +31,7 @@ pub fn all() -> Vec<Property> {
     props.extend(sim_cache::properties());
     props.extend(ewma::properties());
     props.extend(persistence::properties());
+    props.extend(fork::properties());
     props.extend(corruption::properties());
     props.extend(fleet_placement::properties());
     props.extend(cluster::properties());
@@ -61,6 +63,7 @@ mod tests {
             "sim-cache-matches-reference",
             "ewma-reference",
             "snapshot-restore-replay",
+            "fork-replays-identically",
             "decoder-rejects-corruption",
             "fleet-placement-deterministic",
             "cluster-assignment-deterministic",

@@ -24,7 +24,7 @@ use crate::state::{SystemState, WaysBudget};
 /// `retry_backoff` between attempts. The backoff is spent through
 /// [`RdtBackend::advance`], so it is virtual time on the simulator and a
 /// real sleep on hardware.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResilienceConfig {
     /// Total attempts per backend write, including the first
     /// (1 disables retrying).

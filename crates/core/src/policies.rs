@@ -28,7 +28,7 @@ use copart_rng::XorShift64Star;
 
 use copart_rdt::{CbmMask, ClosId, MbaLevel, RdtBackend, SimBackend};
 use copart_sim::{AppSpec, Machine, MachineConfig};
-use copart_telemetry::{MetricsSnapshot, NullRecorder, Recorder};
+use copart_telemetry::{MetricsSnapshot, NullRecorder, Recorder, SharedRecorder};
 use copart_workloads::measure::{self, MrcPoint};
 use copart_workloads::reference;
 use copart_workloads::stream::StreamReference;
@@ -346,12 +346,13 @@ pub fn evaluate_policy(
 
 /// The one evaluation body: runs `policy` on one workload mix on a fresh
 /// simulated machine. A fixed-state policy plans its state and only
-/// measures; a dynamic one builds the consolidation runtime under
-/// `params` with `recorder` installed for the whole run (profiling
-/// included), and adapts while ground truth is measured. Returns the
-/// recorder — so a JSONL sink can be flushed or a ring buffer inspected —
-/// with a snapshot of the runtime's metrics registry (empty, and the
-/// recorder untouched, for a fixed state).
+/// measures; a dynamic one is a profiling group of one
+/// ([`evaluate_dynamic`]): the consolidation runtime under `params` with
+/// `recorder` receiving the whole run (profiling included), adapting
+/// while ground truth is measured. Returns the recorder — so a JSONL
+/// sink can be flushed or a ring buffer inspected — with a snapshot of
+/// the runtime's metrics registry (empty, and the recorder untouched,
+/// for a fixed state).
 ///
 /// # Panics
 ///
@@ -367,7 +368,7 @@ pub fn evaluate(
     params: &CoPartParams,
     opts: &EvalOptions,
     recorder: Box<dyn Recorder + Send>,
-) -> (EvalResult, Box<dyn Recorder + Send>, MetricsSnapshot) {
+) -> Evaluated {
     assert_eq!(specs.len(), ips_full_solo.len());
     match policy.row().2 {
         Engine::Fixed(plan) => {
@@ -384,25 +385,95 @@ pub fn evaluate(
             (result, recorder, MetricsSnapshot::default())
         }
         Engine::Controller { .. } => {
-            let cfg = dynamic_runtime_config(machine_cfg, specs.len(), stream, policy, params);
-            let backend = SimBackend::new(Machine::new(machine_cfg.clone()));
-            let mut runtime = node::build(backend, specs, cfg).expect("mix fits the machine");
+            let column = (policy, params.clone(), recorder);
+            let mut evaluated = evaluate_dynamic(
+                machine_cfg,
+                specs,
+                ips_full_solo,
+                stream,
+                vec![column],
+                opts,
+            );
+            evaluated.pop().expect("one column in, one result out")
+        }
+    }
+}
+
+/// One dynamic column of a profiling group: the policy, its controller
+/// parameters, and the recorder its trace goes to.
+pub type DynamicColumn = (PolicyKind, CoPartParams, Box<dyn Recorder + Send>);
+
+/// What one evaluated column hands back: its result, its recorder, and
+/// its runtime's metrics.
+pub type Evaluated = (EvalResult, Box<dyn Recorder + Send>, MetricsSnapshot);
+
+/// Runs dynamic `columns` on one workload mix, profiling once: every
+/// column's runtime configuration must
+/// [profile alike](RuntimeConfig::profiles_like). One runtime is built
+/// and profiled on a fresh machine, with its profiling events kept when
+/// any column traces; each column then continues from a
+/// [`fork`](ConsolidationRuntime::fork) of it (the last column from the
+/// profiled runtime itself) under its own configuration, its recorder
+/// first receiving the profiling events, then the run. Each column's
+/// result, trace and metrics are exactly those of profiling it alone.
+/// Results come back in column order, and each fork is dropped when its
+/// column ends.
+///
+/// # Panics
+///
+/// Panics on a fixed-state policy, on columns that do not profile
+/// alike, or if the simulated machine rejects the mix.
+pub fn evaluate_dynamic(
+    machine_cfg: &MachineConfig,
+    specs: &[AppSpec],
+    ips_full_solo: &[f64],
+    stream: &StreamReference,
+    columns: Vec<DynamicColumn>,
+    opts: &EvalOptions,
+) -> Vec<Evaluated> {
+    assert_eq!(specs.len(), ips_full_solo.len());
+    let cfgs: Vec<RuntimeConfig> = (columns.iter())
+        .map(|(policy, params, _)| {
+            dynamic_runtime_config(machine_cfg, specs.len(), stream, *policy, params)
+        })
+        .collect();
+    assert!(
+        cfgs.iter().all(|c| c.profiles_like(&cfgs[0])),
+        "a profiling group's columns must profile alike"
+    );
+    let backend = SimBackend::new(Machine::new(machine_cfg.clone()));
+    let mut profiled = node::build(backend, specs, cfgs[0].clone()).expect("mix fits the machine");
+    let profile_trace = SharedRecorder::default();
+    if columns.iter().any(|(_, _, recorder)| recorder.enabled()) {
+        profiled.set_recorder(Box::new(profile_trace.clone()));
+    }
+    profiled.profile().expect("simulator profiling cannot fail");
+    let profile_events = profile_trace.take();
+    let groups: Vec<ClosId> = profiled.apps().iter().map(|a| a.group).collect();
+    let last = columns.len() - 1;
+    let mut profiled = Some(profiled);
+    (columns.into_iter().zip(cfgs).enumerate())
+        .map(|(i, ((policy, _, mut recorder), cfg))| {
+            let mut runtime = if i < last {
+                profiled.as_ref().expect("kept for the last column").fork()
+            } else {
+                profiled.take().expect("the last column takes it")
+            };
+            runtime.restore_config(cfg);
+            for event in &profile_events {
+                recorder.record(event);
+            }
             runtime.set_recorder(recorder);
-            runtime.profile().expect("simulator profiling cannot fail");
-            let groups: Vec<ClosId> = runtime.apps().iter().map(|a| a.group).collect();
             let (result, mut runtime) =
                 evaluate_runtime_traced(runtime, &groups, ips_full_solo, policy, opts, |b, g| {
                     b.read_counters(g).expect("group is live")
                 })
                 .expect("simulator periods cannot fail");
             let snapshot = runtime.metrics_snapshot();
-            (
-                result,
-                runtime.set_recorder(Box::new(NullRecorder)),
-                snapshot,
-            )
-        }
-    }
+            let recorder = runtime.set_recorder(Box::new(NullRecorder));
+            (result, recorder, snapshot)
+        })
+        .collect()
 }
 
 /// Evaluates a whole batch of fixed states — the Figure 4–6 heatmaps —

@@ -176,6 +176,30 @@ pub struct RuntimeConfig {
     pub planner: PlannerMode,
 }
 
+impl RuntimeConfig {
+    /// Whether profiling under `self` and under `other` is the same
+    /// computation. Construction and profiling read the parameters, the
+    /// budget, the STREAM table and the resilience policy; what the
+    /// controller manages and how it plans are read only once
+    /// exploration starts. Runs whose configurations agree here may
+    /// profile once and [`fork`](ConsolidationRuntime::fork).
+    pub fn profiles_like(&self, other: &RuntimeConfig) -> bool {
+        let RuntimeConfig {
+            params,
+            manage_llc: _,
+            manage_mba: _,
+            budget,
+            stream,
+            resilience,
+            planner: _,
+        } = self;
+        *params == other.params
+            && *budget == other.budget
+            && *stream == other.stream
+            && *resilience == other.resilience
+    }
+}
+
 /// Frozen controller state of one managed application inside a
 /// [`RuntimeSnapshot`].
 #[derive(Debug, Clone, PartialEq)]
@@ -492,6 +516,37 @@ impl<B: RdtBackend> ConsolidationRuntime<B> {
     pub fn restore_config(&mut self, cfg: RuntimeConfig) {
         cfg.params.assert_valid();
         self.cfg = cfg;
+    }
+
+    /// An independent copy of the runtime at this epoch boundary: the
+    /// backend cloned, the controller state carried across by
+    /// [`snapshot`](Self::snapshot) and
+    /// [`restore_snapshot`](Self::restore_snapshot) (the crash-recovery
+    /// path, which resumes bit-identically), the configuration, the
+    /// actuator and every metric copied, and a [`NullRecorder`]
+    /// installed. The copy and the original then run on independently,
+    /// each exactly as the original alone would have.
+    pub fn fork(&self) -> ConsolidationRuntime<B>
+    where
+        B: Clone,
+    {
+        let mut fork = ConsolidationRuntime {
+            backend: self.backend.clone(),
+            apps: Vec::new(),
+            groups: Vec::new(),
+            cfg: self.cfg.clone(),
+            state: SystemState::default(),
+            clusters: Vec::new(),
+            phase: self.phase,
+            explorer: Explorer::new(self.cfg.params.seed),
+            actuator: self.actuator.clone(),
+            scratch: EpochScratch::default(),
+            epoch: self.epoch,
+            recorder: Box::new(NullRecorder),
+            metrics: Arc::new(MetricsRegistry::clone(&self.metrics)),
+        };
+        fork.restore_snapshot(&self.snapshot());
+        fork
     }
 
     /// Sets an application's fairness weight (default 1.0). Takes effect

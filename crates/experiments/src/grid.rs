@@ -3,17 +3,29 @@
 //! simulated machine from an explicit seed, fanned out on the
 //! `copart-parallel` pool. Each cell is graded against the solo
 //! full-resource IPS of its applications ([`policies::solo_full_ips`]).
+//!
+//! The dynamic columns of a row whose runtime configurations
+//! [profile alike](copart_core::runtime::RuntimeConfig::profiles_like)
+//! (MBA-only, CoPart and LFOC: all at an MBA cap of 100 % under the same
+//! parameters) run as one task that profiles the row once and forks the
+//! profiled runtime per column ([`policies::evaluate_dynamic`]); every
+//! cell is still exactly its standalone [`policies::evaluate`].
 
 use std::fmt::Write as _;
 
-use copart_core::policies::{self, EvalOptions, EvalResult, PolicyKind};
+use copart_core::policies::{self, DynamicColumn, EvalOptions, EvalResult, PolicyKind};
+use copart_core::runtime::RuntimeConfig;
 use copart_core::CoPartParams;
 use copart_sim::{AppSpec, MachineConfig};
-use copart_telemetry::{fnv1a64, NullRecorder, Recorder};
+use copart_telemetry::{fnv1a64, MetricsSnapshot, NullRecorder, Recorder};
 use copart_workloads::stream::StreamReference;
 use copart_workloads::{CompareScenario, MixKind, WorkloadMix};
 
 use crate::Table;
+
+/// What [`Grid::run_traced`] asks for each dynamic-policy cell's trace:
+/// `trace(row index, policy)` opens a recorder, or declines with `None`.
+type TraceHook<'a> = dyn Fn(usize, PolicyKind) -> Option<Box<dyn Recorder + Send>> + Sync + 'a;
 
 /// One grid row: a named consolidation on a machine.
 #[derive(Debug, Clone)]
@@ -125,50 +137,134 @@ impl Grid {
     /// cell `trace(row index, policy)` opens a recorder for. Each cell
     /// writes its own recorder, so concurrent cells never interleave
     /// within one trace.
-    pub fn run_traced(
-        &self,
-        trace: &(dyn Fn(usize, PolicyKind) -> Option<Box<dyn Recorder + Send>> + Sync),
-    ) -> Vec<Vec<EvalResult>> {
-        let refs = self.references();
-        let cells: Vec<(usize, usize)> = (0..self.rows.len())
-            .flat_map(|r| (0..self.columns.len()).map(move |c| (r, c)))
-            .collect();
-        let mut results = copart_parallel::par_map_indexed(&cells, 1, |_, &(r, c)| {
-            let (row, (stream, full)) = (&self.rows[r], &refs[r]);
-            let (policy, params, recorder) = match &self.columns[c] {
-                &Column::Policy(p) => {
-                    let params = CoPartParams {
-                        seed: self.opts.seed,
-                        ..CoPartParams::default()
-                    };
-                    (p, params, p.is_dynamic().then(|| trace(r, p)).flatten())
-                }
-                Column::CoPart(params) => (PolicyKind::CoPart, params.clone(), None),
-            };
-            let (result, mut recorder, _) = policies::evaluate(
-                &row.machine,
-                &row.specs,
-                full,
-                stream,
-                policy,
-                &params,
-                &self.opts,
-                recorder.unwrap_or_else(|| Box::new(NullRecorder)),
-            );
-            if let Err(e) = recorder.flush() {
-                eprintln!(
-                    "warning: flushing the {} trace of {}: {e}",
-                    policy.label(),
-                    row.name
-                );
-            }
-            result
-        })
-        .into_iter();
-        self.rows
-            .iter()
-            .map(|_| results.by_ref().take(self.columns.len()).collect())
+    pub fn run_traced(&self, trace: &TraceHook<'_>) -> Vec<Vec<EvalResult>> {
+        (self.run_cells(trace).into_iter())
+            .map(|row| row.into_iter().map(|(result, _)| result).collect())
             .collect()
+    }
+
+    /// [`Grid::run_traced`], keeping each cell's runtime metrics beside
+    /// its result (empty for a fixed state).
+    fn run_cells(&self, trace: &TraceHook<'_>) -> Vec<Vec<(EvalResult, MetricsSnapshot)>> {
+        let refs = self.references();
+        let tasks = self.tasks(&refs);
+        let evaluated = copart_parallel::par_map_indexed(&tasks, 1, |_, (r, columns)| {
+            let (row, (stream, full)) = (&self.rows[*r], &refs[*r]);
+            let engines: Vec<DynamicColumn> = (columns.iter())
+                .map(|&c| {
+                    let (policy, params) = self.engine(c);
+                    let traced = matches!(self.columns[c], Column::Policy(p) if p.is_dynamic());
+                    let recorder = traced.then(|| trace(*r, policy)).flatten();
+                    (
+                        policy,
+                        params,
+                        recorder.unwrap_or_else(|| Box::new(NullRecorder)),
+                    )
+                })
+                .collect();
+            let evaluated = if engines[0].0.is_dynamic() {
+                policies::evaluate_dynamic(
+                    &row.machine,
+                    &row.specs,
+                    full,
+                    stream,
+                    engines,
+                    &self.opts,
+                )
+            } else {
+                // A fixed-state cell is a task of its own.
+                (engines.into_iter())
+                    .map(|(policy, params, recorder)| {
+                        policies::evaluate(
+                            &row.machine,
+                            &row.specs,
+                            full,
+                            stream,
+                            policy,
+                            &params,
+                            &self.opts,
+                            recorder,
+                        )
+                    })
+                    .collect()
+            };
+            (evaluated.into_iter())
+                .map(|(result, mut recorder, metrics)| {
+                    if let Err(e) = recorder.flush() {
+                        eprintln!(
+                            "warning: flushing the {} trace of {}: {e}",
+                            result.policy.label(),
+                            row.name
+                        );
+                    }
+                    (result, metrics)
+                })
+                .collect::<Vec<_>>()
+        });
+        let mut results: Vec<Vec<Option<_>>> = self
+            .rows
+            .iter()
+            .map(|_| vec![None; self.columns.len()])
+            .collect();
+        for ((r, columns), evaluated) in tasks.iter().zip(evaluated) {
+            for (&c, result) in columns.iter().zip(evaluated) {
+                results[*r][c] = Some(result);
+            }
+        }
+        (results.into_iter())
+            .map(|row| {
+                row.into_iter()
+                    .map(|r| r.expect("every cell ran"))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Column `c`'s policy and controller parameters.
+    fn engine(&self, c: usize) -> (PolicyKind, CoPartParams) {
+        match &self.columns[c] {
+            &Column::Policy(p) => {
+                let params = CoPartParams {
+                    seed: self.opts.seed,
+                    ..CoPartParams::default()
+                };
+                (p, params)
+            }
+            Column::CoPart(params) => (PolicyKind::CoPart, params.clone()),
+        }
+    }
+
+    /// The grid's tasks, row-major, each `(row, columns)`: a fixed-state
+    /// cell alone, or every dynamic column of the row whose runtime
+    /// configuration profiles like the first's, placed at that first
+    /// column.
+    fn tasks(&self, refs: &[(StreamReference, Vec<f64>)]) -> Vec<(usize, Vec<usize>)> {
+        let mut tasks = Vec::new();
+        for (r, (row, (stream, _))) in self.rows.iter().zip(refs).enumerate() {
+            let mut profiles: Vec<(RuntimeConfig, usize)> = Vec::new();
+            for c in 0..self.columns.len() {
+                let (policy, params) = self.engine(c);
+                if !policy.is_dynamic() {
+                    tasks.push((r, vec![c]));
+                    continue;
+                }
+                let cfg = policies::dynamic_runtime_config(
+                    &row.machine,
+                    row.specs.len(),
+                    stream,
+                    policy,
+                    &params,
+                );
+                match profiles.iter().find(|(p, _)| p.profiles_like(&cfg)) {
+                    Some(&(_, task)) => tasks[task].1.push(c),
+                    None => {
+                        profiles.push((cfg, tasks.len()));
+                        tasks.push((r, vec![c]));
+                    }
+                }
+            }
+        }
+        tasks
     }
 
     /// Every `(row, column, result)`, row-major.
@@ -263,6 +359,71 @@ fn grid_digest(jsonl: &str) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use copart_telemetry::SharedRecorder;
+    use std::sync::Mutex;
+
+    fn lines(shared: &SharedRecorder) -> Vec<String> {
+        shared.events().iter().map(|e| e.to_json_line()).collect()
+    }
+
+    /// Profiling a row once and forking it per column changes nothing:
+    /// every cell of a traced compare grid at `REPRO_FAST` length —
+    /// result, trace (the replayed profiling events included) and
+    /// metrics — is that cell's standalone evaluation.
+    #[test]
+    fn every_grid_cell_is_its_standalone_evaluation() {
+        let opts = EvalOptions {
+            total_periods: 40,
+            measure_periods: 20,
+            static_candidates: 8,
+            static_probe_periods: 6,
+            ..EvalOptions::default()
+        };
+        let grid = Grid::compare(opts);
+        let traces: Mutex<Vec<((usize, PolicyKind), SharedRecorder)>> = Mutex::new(Vec::new());
+        let cells = grid.run_cells(&|row, policy| {
+            let shared = SharedRecorder::default();
+            traces.lock().unwrap().push(((row, policy), shared.clone()));
+            Some(Box::new(shared))
+        });
+        let traces = traces.into_inner().unwrap();
+        let refs = grid.references();
+        let mut traced = 0;
+        for (r, (row, (stream, full))) in grid.rows.iter().zip(&refs).enumerate() {
+            for (c, (result, metrics)) in cells[r].iter().enumerate() {
+                let (policy, params) = grid.engine(c);
+                let alone = SharedRecorder::default();
+                let (expected, _, expected_metrics) = policies::evaluate(
+                    &row.machine,
+                    &row.specs,
+                    full,
+                    stream,
+                    policy,
+                    &params,
+                    &grid.opts,
+                    Box::new(alone.clone()),
+                );
+                let cell = format!("{} under {}", row.name, policy.label());
+                assert_eq!(*result, expected, "{cell}: result");
+                assert_eq!(
+                    metrics.simulated(),
+                    expected_metrics.simulated(),
+                    "{cell}: metrics"
+                );
+                let trace = traces.iter().find(|(key, _)| *key == (r, policy));
+                if let Some((_, shared)) = trace {
+                    // One profiling event per app, then one per period.
+                    let events = row.specs.len() as u64 + u64::from(grid.opts.total_periods);
+                    let gapless: Vec<u64> = (0..events).collect();
+                    let epochs: Vec<u64> = shared.events().iter().map(|e| e.epoch).collect();
+                    assert_eq!(epochs, gapless, "{cell}: trace epochs");
+                    assert_eq!(lines(shared), lines(&alone), "{cell}: trace");
+                    traced += 1;
+                }
+            }
+        }
+        assert_eq!(traced, 4 * grid.rows.len(), "every dynamic cell traced");
+    }
 
     #[test]
     fn references_follow_each_rows_machine() {

@@ -3,8 +3,9 @@
 //! per-mix experiment loops.
 //!
 //! The workspace is intentionally zero-third-party-dependency, so no
-//! rayon: [`par_map`] and [`par_map_indexed`] spawn **scoped threads**
-//! ([`std::thread::scope`]) over a shared chunk queue. Each worker
+//! rayon: [`par_map`] and [`par_map_indexed`] run the caller as worker 0
+//! beside `jobs - 1` **scoped threads** ([`std::thread::scope`]) over a
+//! shared chunk queue, nested sweeps included. Each worker
 //! repeatedly claims the next unclaimed chunk of the input (an atomic
 //! cursor — the degenerate but contention-free form of work stealing
 //! where every worker steals from one shared tail), so a slow item never
@@ -194,33 +195,34 @@ where
 
     let cursor = AtomicUsize::new(0);
     let busy_total = AtomicU64::new(0);
+    let work = || {
+        let t0 = Instant::now();
+        let mut local: Vec<(usize, R)> = Vec::new();
+        loop {
+            let lo = cursor.fetch_add(chunk, Ordering::Relaxed);
+            if lo >= n {
+                break;
+            }
+            let hi = (lo + chunk).min(n);
+            for (i, item) in items[lo..hi].iter().enumerate() {
+                local.push((lo + i, f(lo + i, item)));
+            }
+        }
+        busy_total.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        local
+    };
     let mut parts: Vec<Vec<(usize, R)>> = Vec::with_capacity(jobs);
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..jobs)
-            .map(|_| {
-                scope.spawn(|| {
-                    let t0 = Instant::now();
-                    let mut local: Vec<(usize, R)> = Vec::new();
-                    loop {
-                        let lo = cursor.fetch_add(chunk, Ordering::Relaxed);
-                        if lo >= n {
-                            break;
-                        }
-                        let hi = (lo + chunk).min(n);
-                        for (i, item) in items[lo..hi].iter().enumerate() {
-                            local.push((lo + i, f(lo + i, item)));
-                        }
-                    }
-                    busy_total.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                    local
-                })
-            })
-            .collect();
+        // The caller is worker 0 and spawns `jobs - 1` threads: it would
+        // otherwise only wait, and each extra live thread pins an
+        // allocator arena of its own.
+        let handles: Vec<_> = (1..jobs).map(|_| scope.spawn(work)).collect();
+        let own = std::panic::catch_unwind(std::panic::AssertUnwindSafe(work));
         // Join in worker order; the first panic payload is re-raised
         // after the scope has joined the remaining workers.
         let mut panic_payload = None;
-        for handle in handles {
-            match handle.join() {
+        for part in std::iter::once(own).chain(handles.into_iter().map(|h| h.join())) {
+            match part {
                 Ok(part) => parts.push(part),
                 Err(payload) => {
                     panic_payload.get_or_insert(payload);
@@ -345,6 +347,40 @@ mod tests {
             .collect();
         let parallel = par_map_indexed_jobs(&items, 8, 1, |i, _| task_rng(9, i as u64).next_u64());
         assert_eq!(serial, parallel);
+    }
+
+    #[test]
+    fn sweeps_run_on_their_caller() {
+        use std::sync::Barrier;
+        let _guard = sweeping();
+        // Two items on two workers, each item held at a barrier until
+        // the other has started: a worker blocked in one item cannot
+        // claim the other, so each worker runs exactly one of them.
+        let top = std::thread::current().id();
+        let outer_gate = Barrier::new(2);
+        let rows = par_map_indexed_jobs(&[0u64, 1], 2, 1, |_, &row| {
+            outer_gate.wait();
+            let caller = std::thread::current().id();
+            let inner_gate = Barrier::new(2);
+            let done = par_map_indexed_jobs(&[0u64, 1], 2, 1, |_, &x| {
+                inner_gate.wait();
+                (row * 100 + x, std::thread::current().id())
+            });
+            let on_caller = done.iter().any(|&(_, id)| id == caller);
+            let values: Vec<u64> = done.into_iter().map(|(v, _)| v).collect();
+            (values, on_caller, caller)
+        });
+        assert!(
+            rows.iter().any(|&(_, _, id)| id == top),
+            "the top-level sweep never ran on its caller"
+        );
+        for (row, (values, on_caller, _)) in rows.into_iter().enumerate() {
+            assert_eq!(values, [row as u64 * 100, row as u64 * 100 + 1]);
+            assert!(
+                on_caller,
+                "row {row}: the nested sweep never ran on its caller"
+            );
+        }
     }
 
     #[test]

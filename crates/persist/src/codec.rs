@@ -45,7 +45,7 @@ use crate::error::PersistError;
 use crate::metrics::MetricsFrozen;
 
 use copart_sim::cache::{CacheLineSnapshot, CacheSnapshot};
-use copart_sim::trace::AccessPattern;
+use copart_sim::trace::{zipf_exponent_is_valid, AccessPattern};
 
 /// An `f64` member as the hex of its bit pattern — bit-exact, NaN-safe.
 pub(crate) fn hex_f64<S: JsonSink>(s: &mut S, key: &str, v: f64) {
@@ -380,10 +380,15 @@ fn read_pattern(r: &mut JsonReader<'_>) -> Result<AccessPattern, PersistError> {
             }),
             "stream" => Ok(AccessPattern::Stream { bytes }),
             "rand" => Ok(AccessPattern::UniformRandom { bytes }),
-            "zipf" => Ok(AccessPattern::Zipf {
-                bytes,
-                exponent: r.key("exponent")?.hex_f64()?,
-            }),
+            "zipf" => {
+                let exponent = r.key("exponent")?.hex_f64()?;
+                if !zipf_exponent_is_valid(exponent) {
+                    return Err(schema(format!(
+                        "Zipf exponent {exponent} is not finite, positive and other than 1"
+                    )));
+                }
+                Ok(AccessPattern::Zipf { bytes, exponent })
+            }
             "chase" => Ok(AccessPattern::PointerChase { bytes }),
             other => Err(schema(format!("unknown access pattern `{other}`"))),
         }
@@ -803,5 +808,62 @@ impl SnapshotDoc {
                 metrics: MetricsFrozen::read(r.key("metrics")?)?,
             })
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use copart_telemetry::JsonWriter;
+
+    fn round_trip(pattern: &AccessPattern) -> Result<AccessPattern, PersistError> {
+        let mut text = String::new();
+        enc_pattern(&mut JsonWriter::new(&mut text), pattern);
+        let mut r = JsonReader::new(&text);
+        let decoded = read_pattern(&mut r)?;
+        r.finish()?;
+        Ok(decoded)
+    }
+
+    fn zipf(exponent: f64) -> AccessPattern {
+        AccessPattern::Zipf {
+            bytes: 9 << 20,
+            exponent,
+        }
+    }
+
+    #[test]
+    fn valid_zipf_exponents_decode() {
+        for s in [0.99, 1.05, 1.3] {
+            assert_eq!(round_trip(&zipf(s)).unwrap(), zipf(s));
+        }
+    }
+
+    #[test]
+    fn zipf_exponent_one_is_a_schema_error() {
+        assert!(matches!(
+            round_trip(&zipf(1.0)),
+            Err(PersistError::Schema(_))
+        ));
+    }
+
+    #[test]
+    fn non_finite_zipf_exponents_are_schema_errors() {
+        for s in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(
+                matches!(round_trip(&zipf(s)), Err(PersistError::Schema(_))),
+                "{s}"
+            );
+        }
+    }
+
+    #[test]
+    fn non_positive_zipf_exponents_are_schema_errors() {
+        for s in [0.0, -0.0, -1.5] {
+            assert!(
+                matches!(round_trip(&zipf(s)), Err(PersistError::Schema(_))),
+                "{s}"
+            );
+        }
     }
 }

@@ -15,7 +15,9 @@ use crate::{RdtBackend, RdtCapabilities, RdtError};
 /// Beyond the [`RdtBackend`] surface, `SimBackend` exposes workload
 /// admission/removal and read access to the underlying [`Machine`] so
 /// experiment harnesses can inspect ground truth the controller never
-/// sees (per-window bandwidth grants, occupancy, and so on).
+/// sees (per-window bandwidth grants, occupancy, and so on). A clone is
+/// an independent platform in the same state (see [`Machine`]).
+#[derive(Clone)]
 pub struct SimBackend {
     machine: Machine,
     groups: BTreeMap<ClosId, AppHandle>,

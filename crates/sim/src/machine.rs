@@ -172,7 +172,7 @@ pub struct MachineSnapshot {
     pub cache: crate::cache::CacheSnapshot,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct SimApp {
     spec: AppSpec,
     clos: ClosId,
@@ -196,7 +196,7 @@ struct SimApp {
 /// stay off the heap: the live-app index, sampling quotas and tallies,
 /// timing inputs/outputs, and the report vector handed back to callers.
 /// Everything indexed by `k` is parallel to `live`.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct TickScratch {
     live: Vec<usize>,
     /// Each live app's CLOS and its configuration, resolved once per
@@ -221,6 +221,11 @@ struct TickScratch {
 /// which simulates one adaptation window: sampled cache accesses are
 /// interleaved across applications, the timing fixed point is solved, and
 /// the per-application PMCs advance.
+///
+/// A clone is an independent machine in the same state: it ticks on
+/// exactly as the original would (the trace generators share only their
+/// immutable Zipf step tables).
+#[derive(Clone)]
 pub struct Machine {
     cfg: MachineConfig,
     timing_cfg: TimingConfig,

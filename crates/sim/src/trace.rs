@@ -18,6 +18,8 @@
 //! Patterns are emitted in bursts of [`BURST_LEN`] accesses so streaming
 //! runs stay sequential under mixing, as they do in real traces.
 
+use std::sync::{Arc, Mutex};
+
 use copart_rng::XorShift64Star;
 
 /// Number of consecutive accesses drawn from one phase before the active
@@ -46,11 +48,15 @@ pub enum AccessPattern {
         bytes: u64,
     },
     /// Zipf-distributed accesses over `bytes` with the given exponent
-    /// (larger exponent ⇒ more skew, more locality).
+    /// (larger exponent ⇒ more skew, more locality), drawn through a
+    /// continuous inverse-CDF approximation tabulated exactly once per
+    /// process (DESIGN.md §4).
     Zipf {
         /// Footprint in bytes.
         bytes: u64,
-        /// Skew exponent, must be positive and not exactly 1.
+        /// Skew exponent: finite, positive and not 1
+        /// ([`zipf_exponent_is_valid`]). A generator over any other
+        /// panics, and snapshot decoding rejects it.
         exponent: f64,
     },
     /// A dependent pointer chase: each access determines the next through
@@ -107,26 +113,17 @@ impl AccessPattern {
 /// at construction. The constants are the very `f64`/integer expressions
 /// the per-draw code would evaluate, so the address stream is the same
 /// bit for bit (DESIGN.md §4).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 enum Kernel {
     /// `WorkingSetLoop` and `Stream`: the cursor walks `bytes` cyclically.
     Walk { bytes: u64, stride: u64 },
     /// `UniformRandom`: one integer draw per access.
     Uniform { lines: u64 },
-    /// `Zipf`: one float draw per access through the continuous
-    /// inverse-CDF approximation of the generalized harmonic CDF,
-    /// H(n) ≈ (n^(1-s) - 1) / (1-s), inverted for k at H(k)/H(n) = u.
-    /// Approximate but cheap and monotone in skew, which is all the
-    /// workload models need.
-    Zipf {
-        lines: u64,
-        /// `1 - s`.
-        one_minus_s: f64,
-        /// `H(lines)`.
-        h_n: f64,
-        /// `1 / (1 - s)`.
-        inv_one_minus_s: f64,
-    },
+    /// `Zipf`: one 53-bit draw per access through the process-wide step
+    /// table of its `(lines, s)` ([`ZipfTable`]), which returns exactly
+    /// the rank the continuous inverse-CDF form ([`ZipfForm::rank`])
+    /// gives for that draw.
+    Zipf(Arc<ZipfTable>),
     /// `PointerChase`: a Weyl-style permutation walk. Stepping by an odd
     /// constant modulo `lines` visits every line once per cycle when
     /// `lines` and the step are coprime; the large odd step destroys
@@ -144,24 +141,266 @@ impl Kernel {
                 stride: line_bytes,
             },
             AccessPattern::UniformRandom { .. } => Kernel::Uniform { lines },
-            AccessPattern::Zipf { exponent: s, .. } => {
-                debug_assert!(
-                    s > 0.0 && (s - 1.0).abs() > 1e-9,
-                    "exponent {s} unsupported"
-                );
-                let one_minus_s = 1.0 - s;
-                Kernel::Zipf {
-                    lines,
-                    one_minus_s,
-                    h_n: ((lines as f64).powf(one_minus_s) - 1.0) / one_minus_s,
-                    inv_one_minus_s: 1.0 / one_minus_s,
-                }
+            AccessPattern::Zipf { exponent, .. } => {
+                Kernel::Zipf(ZipfTable::shared(lines, exponent))
             }
             AccessPattern::PointerChase { .. } => Kernel::Chase {
                 lines,
                 step: (lines / 2) | 1,
             },
         }
+    }
+}
+
+/// Whether `s` is a Zipf exponent the generator accepts: finite,
+/// positive and not 1 (at `s = 1` the closed-form `H(n)` below is 0/0).
+pub fn zipf_exponent_is_valid(s: f64) -> bool {
+    s.is_finite() && s > 0.0 && (s - 1.0).abs() > 1e-9
+}
+
+/// Number of distinct `[0, 1)` draws: `rng.gen_range(0.0..1.0)` is
+/// `m · 2⁻⁵³` for the 53-bit integer `m = next_u64() >> 11`.
+const DRAWS: u64 = 1 << 53;
+
+/// The 53-bit integer `m` behind one `rng.gen_range(0.0..1.0)` draw.
+#[inline(always)]
+fn draw53(rng: &mut XorShift64Star) -> u64 {
+    rng.next_u64() >> 11
+}
+
+/// The integer form of the Bernoulli draw `u < p`: `u = m · 2⁻⁵³ < p`
+/// exactly when `m < ceil(p · 2⁵³)`. Scaling by a power of two is exact,
+/// and the saturating cast makes every `p` agree with the float
+/// comparison: NaN and `p ≤ 0` give 0 (never), `p ≥ 1` gives at least
+/// 2⁵³ (always).
+#[inline]
+fn write_threshold(p: f64) -> u64 {
+    (p * DRAWS as f64).ceil() as u64
+}
+
+/// The continuous inverse-CDF approximation of the generalized harmonic
+/// CDF, H(n) ≈ (n^(1-s) - 1) / (1-s), inverted for k at H(k)/H(n) = u:
+/// `k(u) = min(⌊(1 + (1-s)·u·H(n))^(1/(1-s))⌋, n - 1)`. Approximate but
+/// monotone in skew, which is all the workload models need.
+#[derive(Debug, Clone, Copy)]
+struct ZipfForm {
+    lines: u64,
+    /// `1 - s`.
+    one_minus_s: f64,
+    /// `H(lines)`.
+    h_n: f64,
+    /// `1 / (1 - s)`.
+    inv_one_minus_s: f64,
+}
+
+impl ZipfForm {
+    fn new(lines: u64, s: f64) -> ZipfForm {
+        assert!(zipf_exponent_is_valid(s), "Zipf exponent {s} unsupported");
+        let one_minus_s = 1.0 - s;
+        ZipfForm {
+            lines,
+            one_minus_s,
+            h_n: ((lines as f64).powf(one_minus_s) - 1.0) / one_minus_s,
+            inv_one_minus_s: 1.0 / one_minus_s,
+        }
+    }
+
+    /// The rank of draw `m` by one `powf`: the definition the step table
+    /// reproduces, and its exact fallback.
+    #[inline]
+    fn rank(&self, m: u64) -> u64 {
+        let u = m as f64 * (1.0 / DRAWS as f64);
+        let k = (self.one_minus_s * u * self.h_n + 1.0).powf(self.inv_one_minus_s);
+        (k as u64).min(self.lines - 1)
+    }
+
+    /// The least draw `m` with `rank(m) ≥ j`, for `rank(0) < j ≤
+    /// rank(DRAWS - 1)`: the analytic inverse as a guess (it lands
+    /// within a few draws), then a gallop to a bracket `rank(lo) < j ≤
+    /// rank(hi)`, then bisection down to adjacent draws.
+    fn step(&self, j: u64) -> u64 {
+        let u = ((j as f64).powf(self.one_minus_s) - 1.0) / (self.one_minus_s * self.h_n);
+        let guess = ((u * DRAWS as f64) as u64).min(DRAWS - 1);
+        // Each bound carries the rank it was evaluated at.
+        let (mut lo, mut hi);
+        let at_guess = (guess, self.rank(guess));
+        if at_guess.1 >= j {
+            hi = at_guess;
+            let mut gap = 1;
+            loop {
+                let m = hi.0.saturating_sub(gap);
+                let probe = (m, self.rank(m));
+                if probe.1 < j {
+                    lo = probe;
+                    break;
+                }
+                hi = probe;
+                gap *= 2;
+            }
+        } else {
+            lo = at_guess;
+            let mut gap = 1;
+            loop {
+                let m = (lo.0 + gap).min(DRAWS - 1);
+                let probe = (m, self.rank(m));
+                if probe.1 >= j {
+                    hi = probe;
+                    break;
+                }
+                lo = probe;
+                gap *= 2;
+            }
+        }
+        while hi.0 - lo.0 > 1 {
+            let m = lo.0 + (hi.0 - lo.0) / 2;
+            let probe = (m, self.rank(m));
+            if probe.1 >= j {
+                hi = probe;
+            } else {
+                lo = probe;
+            }
+        }
+        assert!(
+            lo.0 + 1 == hi.0 && lo.1 < j && hi.1 >= j,
+            "Zipf rank {j} has no step: rank({}) = {}, rank({}) = {}",
+            lo.0,
+            lo.1,
+            hi.0,
+            hi.1
+        );
+        hi.0
+    }
+}
+
+/// Bits of a step's offset into its bucket the table keeps.
+const OFFSET_BITS: u32 = 16;
+
+/// [`ZipfForm::rank`] as a table over the 53-bit draw. The rank is a
+/// non-decreasing step function of the draw, so it is fixed by its steps
+/// `step(j)` (the least draw of rank ≥ j, found with the very `powf`
+/// form). The draw's top bits pick a bucket, which knows how many steps
+/// lie before it; a short scan over the bucket's own steps finishes the
+/// count. Each step is kept as the top 16 bits of its offset into its
+/// bucket: a draw that shares those with a step is decided by the `powf`
+/// form itself — the one exact fallback, about one draw in 2¹⁶ per step
+/// in the draw's bucket.
+struct ZipfTable {
+    form: ZipfForm,
+    /// `rank(0)`: every draw's rank is at least this.
+    floor: u64,
+    /// `draw >> shift` is the draw's bucket.
+    shift: u32,
+    /// `first[b]`: how many steps lie before bucket `b` (one entry past
+    /// the last bucket, so bucket `b`'s steps are `first[b]..first[b + 1]`).
+    first: Box<[u32]>,
+    /// `step(j)`'s offset into its bucket, to its top [`OFFSET_BITS`],
+    /// for `j` in `floor + 1..=rank(DRAWS - 1)`.
+    steps: Box<[u16]>,
+}
+
+impl ZipfTable {
+    /// The table for `(lines, s)`, built on first use and shared by every
+    /// generator of the process afterwards.
+    fn shared(lines: u64, s: f64) -> Arc<ZipfTable> {
+        type Memo = Vec<((u64, u64), Arc<ZipfTable>)>;
+        static MEMO: Mutex<Memo> = Mutex::new(Vec::new());
+        let key = (lines, s.to_bits());
+        let mut memo = MEMO.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some((_, table)) = memo.iter().find(|(k, _)| *k == key) {
+            return Arc::clone(table);
+        }
+        let table = Arc::new(ZipfTable::build(ZipfForm::new(lines, s)));
+        memo.push((key, Arc::clone(&table)));
+        table
+    }
+
+    fn build(form: ZipfForm) -> ZipfTable {
+        let floor = form.rank(0);
+        let last = form.rank(DRAWS - 1);
+        let count = usize::try_from(last - floor).expect("step count fits usize");
+        assert!(u32::try_from(count).is_ok(), "too many Zipf steps");
+        // A bucket per four ranks: a draw scans a few steps on average
+        // whatever the skew, since a bucket holds n/B of them weighted by
+        // how often draws land in it.
+        let buckets = ((last + 1).next_power_of_two() / 4).max(1);
+        let shift = 53 - buckets.trailing_zeros();
+        let mut first = Vec::with_capacity(buckets as usize + 1);
+        let mut steps = Vec::with_capacity(count);
+        let mut previous = 0;
+        for j in floor + 1..=last {
+            let step = form.step(j);
+            assert!(step >= previous, "Zipf steps must not decrease");
+            previous = step;
+            while first.len() as u64 <= step >> shift {
+                first.push(steps.len() as u32);
+            }
+            steps.push((step >> (shift - OFFSET_BITS)) as u16);
+        }
+        first.resize(buckets as usize + 1, steps.len() as u32);
+        ZipfTable {
+            form,
+            floor,
+            shift,
+            first: first.into_boxed_slice(),
+            steps: steps.into_boxed_slice(),
+        }
+    }
+
+    /// The rank of draw `m` from the table, or `None` when `m` shares its
+    /// bucket offset's top bits with a step and only the `powf` form can
+    /// tell.
+    #[inline]
+    fn lookup(&self, m: u64) -> Option<u64> {
+        let bucket = (m >> self.shift) as usize;
+        let offset = (m >> (self.shift - OFFSET_BITS)) as u16;
+        let (mut i, end) = (self.first[bucket] as usize, self.first[bucket + 1] as usize);
+        while i < end {
+            let step = self.steps[i];
+            if step > offset {
+                break;
+            }
+            if step == offset {
+                return None;
+            }
+            i += 1;
+        }
+        Some(self.floor + i as u64)
+    }
+
+    /// The rank of draw `m`: exactly [`ZipfForm::rank`]`(m)`.
+    #[inline]
+    fn rank(&self, m: u64) -> u64 {
+        self.lookup(m).unwrap_or_else(|| self.form.rank(m))
+    }
+
+    /// Heap bytes the table holds.
+    fn bytes(&self) -> usize {
+        self.first.len() * std::mem::size_of::<u32>()
+            + self.steps.len() * std::mem::size_of::<u16>()
+    }
+}
+
+impl std::fmt::Debug for ZipfTable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ZipfTable")
+            .field("form", &self.form)
+            .field("buckets", &(self.first.len() - 1))
+            .field("steps", &self.steps.len())
+            .finish()
+    }
+}
+
+/// Builds the step table a [`AccessPattern::Zipf`] draws through afresh,
+/// past the process-wide memo, and returns its heap bytes (0 for any
+/// other pattern): what the first generator over the pattern pays, for
+/// the simulator benchmarks.
+pub fn build_zipf_table(pattern: &AccessPattern, line_bytes: u64) -> usize {
+    match *pattern {
+        AccessPattern::Zipf { exponent, .. } => {
+            let lines = (pattern.bytes() / line_bytes).max(1);
+            ZipfTable::build(ZipfForm::new(lines, exponent)).bytes()
+        }
+        _ => 0,
     }
 }
 
@@ -196,9 +435,10 @@ fn fill_with(
     let mut writes = 0u64;
     match write_fraction {
         Some(p) => {
+            let threshold = write_threshold(p);
             for (i, slot) in out.iter_mut().enumerate() {
                 *slot = step(rng);
-                writes |= u64::from(rng.gen_range(0.0..1.0) < p) << i;
+                writes |= u64::from(draw53(rng) < threshold) << i;
             }
         }
         None => {
@@ -231,26 +471,19 @@ impl PhaseState {
     ) -> u64 {
         let align = !(line_bytes - 1);
         let cursor = &mut self.cursor;
-        match self.kernel {
-            Kernel::Walk { bytes, stride } => fill_with(out, rng, write_fraction, |_| {
+        match &self.kernel {
+            &Kernel::Walk { bytes, stride } => fill_with(out, rng, write_fraction, |_| {
                 let addr = *cursor;
                 *cursor = wrapping_step(addr, stride, bytes);
                 addr & align
             }),
-            Kernel::Uniform { lines } => fill_with(out, rng, write_fraction, |rng| {
+            &Kernel::Uniform { lines } => fill_with(out, rng, write_fraction, |rng| {
                 (rng.gen_range(0..lines) * line_bytes) & align
             }),
-            Kernel::Zipf {
-                lines,
-                one_minus_s,
-                h_n,
-                inv_one_minus_s,
-            } => fill_with(out, rng, write_fraction, |rng| {
-                let u: f64 = rng.gen_range(0.0..1.0);
-                let k = (one_minus_s * u * h_n + 1.0).powf(inv_one_minus_s);
-                ((k as u64).min(lines - 1) * line_bytes) & align
+            Kernel::Zipf(table) => fill_with(out, rng, write_fraction, |rng| {
+                (table.rank(draw53(rng)) * line_bytes) & align
             }),
-            Kernel::Chase { lines, step } => fill_with(out, rng, write_fraction, |_| {
+            &Kernel::Chase { lines, step } => fill_with(out, rng, write_fraction, |_| {
                 let idx = if *cursor < lines {
                     *cursor
                 } else {
@@ -387,7 +620,7 @@ impl TraceGenerator {
     /// own RNG stream (used for write decisions, keeping runs
     /// reproducible from the single seed).
     pub fn flip(&mut self, p: f64) -> bool {
-        self.rng.gen_range(0.0..1.0) < p
+        draw53(&mut self.rng) < write_threshold(p)
     }
 
     /// Captures the generator's mid-stream position.
@@ -487,9 +720,10 @@ mod tests {
         );
     }
 
-    /// The Zipf constants are computed once per phase instead of once
-    /// per draw; the ranks must not move by a bit. The reference is the
-    /// per-draw form, fed by a second RNG on the same stream.
+    /// Zipf ranks come from a step table built once per `(lines, s)`
+    /// instead of a `powf` per draw; the ranks must not move by a bit.
+    /// The reference is the original per-draw form, fed by a second RNG
+    /// on the same stream.
     #[test]
     fn zipf_constants_computed_once_leave_every_rank_unchanged() {
         fn rank_per_draw(rng: &mut XorShift64Star, n: u64, s: f64) -> u64 {
@@ -522,6 +756,140 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Every Zipf `(lines, s)` the workload models reach on the testbed
+    /// (1/64 set sampling, 64 B lines: `bytes / 4096` lines): Table 2's
+    /// seven phases, the case study's two memcached phases (the compare
+    /// LC scenarios reuse them), `copart-persist`'s s = 0.99 test
+    /// machine; then a small s < 1 region and the one-line region.
+    const ZIPFS: [(u64, f64); 12] = [
+        (2304, 1.3),  // 9 MB
+        (1792, 1.3),  // 7 MB
+        (1280, 1.4),  // 5 MB
+        (3072, 1.2),  // 12 MB
+        (2048, 1.2),  // 8 MB
+        (3584, 1.1),  // 14 MB
+        (256, 1.3),   // 1 MB
+        (6144, 1.05), // 24 MB memcached
+        (6144, 1.1),  // 24 MB memcached (case study)
+        (16384, 0.99),
+        (97, 0.7),
+        (1, 1.3),
+    ];
+
+    #[test]
+    fn zipf_table_matches_the_powf_form_around_every_step() {
+        for (lines, s) in ZIPFS {
+            let form = ZipfForm::new(lines, s);
+            let table = ZipfTable::build(form);
+            let mut probes: Vec<u64> = (0..=64).chain(DRAWS - 65..DRAWS).collect();
+            for j in form.rank(0) + 1..=form.rank(DRAWS - 1) {
+                let step = form.step(j);
+                probes.extend(step.saturating_sub(64)..=(step + 64).min(DRAWS - 1));
+            }
+            for m in probes {
+                assert_eq!(table.rank(m), form.rank(m), "lines {lines} s {s} draw {m}");
+            }
+        }
+    }
+
+    #[test]
+    fn zipf_table_matches_the_powf_form_on_seeded_draws() {
+        for (i, (lines, s)) in ZIPFS.into_iter().enumerate() {
+            let form = ZipfForm::new(lines, s);
+            let table = ZipfTable::build(form);
+            let mut rng = XorShift64Star::seed_from_u64(i as u64);
+            for _ in 0..1_000_000 {
+                let m = draw53(&mut rng);
+                assert_eq!(table.rank(m), form.rank(m), "lines {lines} s {s} draw {m}");
+            }
+        }
+    }
+
+    /// The table keeps each step's offset into its bucket to 16 bits,
+    /// so a draw that shares those with a step is handed to the `powf`
+    /// form: every draw sitting exactly on a step takes that fallback,
+    /// and a seeded stream rarely does.
+    #[test]
+    fn zipf_table_falls_back_to_the_powf_form_only_beside_a_step() {
+        let form = ZipfForm::new(3584, 1.1);
+        let table = ZipfTable::build(form);
+        for j in form.rank(0) + 1..=form.rank(DRAWS - 1) {
+            let step = form.step(j);
+            assert_eq!(table.lookup(step), None, "rank {j} at draw {step}");
+            assert_eq!(table.rank(step), form.rank(step));
+        }
+        let mut rng = XorShift64Star::seed_from_u64(5);
+        let rare = (0..1_000_000)
+            .filter(|_| table.lookup(draw53(&mut rng)).is_none())
+            .count();
+        assert!(rare < 1000, "{rare} of 10^6 seeded draws fell back");
+    }
+
+    #[test]
+    fn zipf_tables_are_shared_per_pattern() {
+        let a = ZipfTable::shared(2304, 1.3);
+        let b = ZipfTable::shared(2304, 1.3);
+        let c = ZipfTable::shared(2304, 1.2);
+        assert!(Arc::ptr_eq(&a, &b));
+        assert!(!Arc::ptr_eq(&a, &c));
+    }
+
+    /// `m < write_threshold(p)` is `m · 2⁻⁵³ < p` for every `p`, including
+    /// the ones a float comparison treats specially.
+    #[test]
+    fn write_threshold_agrees_with_the_float_comparison() {
+        let ps = [
+            f64::NAN,
+            f64::NEG_INFINITY,
+            -1.0,
+            -0.0,
+            0.0,
+            f64::from_bits(1), // the smallest subnormal
+            1e-300,
+            1.0 / DRAWS as f64,
+            0.25,
+            0.31,
+            0.5,
+            1.0 - f64::EPSILON,
+            1.0,
+            1.5,
+            f64::INFINITY,
+        ];
+        let mut rng = XorShift64Star::seed_from_u64(3);
+        for p in ps {
+            let t = write_threshold(p);
+            let near = (0..=4).map(|d| t.saturating_sub(2).saturating_add(d));
+            let ends = [0, 1, DRAWS - 2, DRAWS - 1];
+            let random: Vec<u64> = (0..1000).map(|_| draw53(&mut rng)).collect();
+            for m in near.chain(ends).chain(random).filter(|&m| m < DRAWS) {
+                let u = m as f64 * (1.0 / DRAWS as f64);
+                assert_eq!(m < t, u < p, "p {p:e} draw {m}");
+            }
+        }
+    }
+
+    #[test]
+    fn zipf_exponent_validity() {
+        for s in [0.5, 0.99, 1.1, 1.3, 4.0] {
+            assert!(zipf_exponent_is_valid(s), "{s}");
+        }
+        for s in [1.0, 0.0, -0.5, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(!zipf_exponent_is_valid(s), "{s}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "Zipf exponent 1 unsupported")]
+    fn zipf_exponent_one_is_refused_in_every_build() {
+        let _ = gen_one(
+            AccessPattern::Zipf {
+                bytes: 1 << 16,
+                exponent: 1.0,
+            },
+            1,
+        );
     }
 
     #[test]

@@ -59,6 +59,7 @@ pub use json::{
 pub use rates::{traffic_ratio, Rates};
 pub use recorder::{
     parse_trace, read_trace_file, JsonlRecorder, NullRecorder, Recorder, RingRecorder,
+    SharedRecorder,
 };
 pub use registry::{Histogram, MetricsRegistry, MetricsSnapshot, LATENCY_BUCKET_BOUNDS_NS};
 pub use window::SlidingWindow;

@@ -8,6 +8,8 @@
 //!   fast path costs one virtual call per epoch),
 //! * [`RingRecorder`] — a bounded in-memory buffer for tests and
 //!   flight-recorder style "last N epochs" debugging,
+//! * [`SharedRecorder`] — an unbounded buffer behind a shared handle, so
+//!   the events outlive the boxed recorder a runtime hands back or drops,
 //! * [`JsonlRecorder`] — streams each event as one JSON line to any
 //!   `io::Write` (a `BufWriter<File>` via [`JsonlRecorder::create`]),
 //!   the format the `trace_inspection` example and the experiment
@@ -18,6 +20,7 @@ use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{self, BufRead, BufWriter, Write};
 use std::path::Path;
+use std::sync::{Arc, Mutex};
 
 /// A sink for per-epoch trace events.
 pub trait Recorder {
@@ -109,6 +112,36 @@ impl Recorder for RingRecorder {
             self.buf.pop_front();
         }
         self.buf.push_back(event.clone());
+    }
+}
+
+/// Keeps every event in a buffer that all clones share: box one clone
+/// as a runtime's recorder and read the events through another.
+#[derive(Debug, Clone, Default)]
+pub struct SharedRecorder(Arc<Mutex<Vec<TraceEvent>>>);
+
+impl SharedRecorder {
+    fn buf(&self) -> std::sync::MutexGuard<'_, Vec<TraceEvent>> {
+        // Every update is one push, which leaves the buffer valid even if
+        // its thread panicked mid-call, so a poisoned lock is still read.
+        self.0.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The events recorded so far, oldest first.
+    pub fn events(&self) -> Vec<TraceEvent> {
+        self.buf().clone()
+    }
+
+    /// Takes the events recorded so far, oldest first, leaving the
+    /// buffer empty.
+    pub fn take(&self) -> Vec<TraceEvent> {
+        std::mem::take(&mut *self.buf())
+    }
+}
+
+impl Recorder for SharedRecorder {
+    fn record(&mut self, event: &TraceEvent) {
+        self.buf().push(event.clone());
     }
 }
 
@@ -278,6 +311,20 @@ mod tests {
     #[should_panic(expected = "ring capacity must be positive")]
     fn zero_capacity_ring_panics() {
         let _ = RingRecorder::new(0);
+    }
+
+    #[test]
+    fn shared_recorder_clones_share_one_buffer() {
+        let shared = SharedRecorder::default();
+        let mut boxed: Box<dyn Recorder> = Box::new(shared.clone());
+        for epoch in 0..3 {
+            boxed.record(&event(epoch));
+        }
+        drop(boxed);
+        let epochs = |events: Vec<TraceEvent>| events.iter().map(|e| e.epoch).collect::<Vec<_>>();
+        assert_eq!(epochs(shared.events()), vec![0, 1, 2]);
+        assert_eq!(epochs(shared.take()), vec![0, 1, 2]);
+        assert!(shared.events().is_empty(), "take empties the buffer");
     }
 
     #[test]

@@ -258,6 +258,17 @@ impl MetricsSnapshot {
             .find(|(k, _)| *k == name)
             .map(|(_, h)| h)
     }
+
+    /// The snapshot without the host's wall-clock readings (the latency
+    /// histograms' values), as one line: every counter and gauge, and how
+    /// many observations each histogram holds. Two runs of one
+    /// simulation agree on it exactly.
+    pub fn simulated(&self) -> String {
+        let histograms: Vec<(&str, u64)> = (self.histograms.iter())
+            .map(|(name, h)| (*name, h.count()))
+            .collect();
+        format!("{:?} {:?} {histograms:?}", self.counters, self.gauges)
+    }
 }
 
 fn fmt_ns(ns: f64) -> String {
