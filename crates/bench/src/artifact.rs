@@ -13,27 +13,22 @@
 //! counts, `*_per_sec` fields are throughputs (higher is better), and
 //! string fields (digests, schema) must match byte-for-byte.
 
-use std::fmt::Write as _;
+use copart_telemetry::{JsonSink, JsonWriter};
 
 /// One flat `BENCH_*.json` artifact under construction.
 #[derive(Debug, Clone)]
 pub struct Artifact {
-    fields: Vec<(String, Value)>,
-}
-
-#[derive(Debug, Clone)]
-enum Value {
-    Num(f64),
-    Str(String),
+    /// Each member's key and the JSON text of its value.
+    fields: Vec<(String, String)>,
 }
 
 impl Artifact {
     /// Starts an artifact; `schema` becomes its first field (e.g.
     /// `"copart-bench-epoch/v1"`).
     pub fn new(schema: &str) -> Artifact {
-        Artifact {
-            fields: vec![("schema".to_string(), Value::Str(schema.to_string()))],
-        }
+        let mut artifact = Artifact { fields: Vec::new() };
+        artifact.text("schema", schema);
+        artifact
     }
 
     /// Records a numeric field.
@@ -44,28 +39,28 @@ impl Artifact {
     /// would poison the regression gate.
     pub fn num(&mut self, key: &str, v: f64) {
         assert!(v.is_finite(), "artifact field {key} is not finite: {v}");
-        self.fields.push((key.to_string(), Value::Num(v)));
+        self.fields.push((key.to_string(), format!("{v}")));
     }
 
-    /// Records a string field (digests and other exact-match values).
+    /// Records a string field (digests and other exact-match values),
+    /// quoted by the one [`JsonWriter`].
     pub fn text(&mut self, key: &str, v: &str) {
-        self.fields
-            .push((key.to_string(), Value::Str(v.to_string())));
+        let mut quoted = String::new();
+        JsonWriter::new(&mut quoted).str(v);
+        self.fields.push((key.to_string(), quoted));
     }
 
-    /// Serializes the artifact as a pretty-printed JSON object.
+    /// Serializes the artifact as a pretty-printed JSON object, one
+    /// member per line.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
         for (i, (k, v)) in self.fields.iter().enumerate() {
-            let comma = if i + 1 < self.fields.len() { "," } else { "" };
-            match v {
-                Value::Num(x) => {
-                    let _ = writeln!(out, "  \"{}\": {x}{comma}", escape(k));
-                }
-                Value::Str(s) => {
-                    let _ = writeln!(out, "  \"{}\": \"{}\"{comma}", escape(k), escape(s));
-                }
-            }
+            out.push_str("  ");
+            JsonWriter::new(&mut out).str(k);
+            out.push_str(": ");
+            out.push_str(v);
+            let last = i + 1 == self.fields.len();
+            out.push_str(if last { "\n" } else { ",\n" });
         }
         out.push_str("}\n");
         out
@@ -88,22 +83,6 @@ impl Artifact {
         std::fs::write(&path, self.to_json()).expect("artifact must be writable");
         println!("bench artifact written to {path}");
     }
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -1,12 +1,15 @@
-//! `decoder-rejects-corruption`: damaged snapshot and ticket text is an
-//! error, never a panic and never a silently different document.
+//! `decoder-rejects-corruption`: damaged text of every format the
+//! workspace writes and reads back is an error, never a panic and never
+//! a silently different value.
 //!
 //! Recovery decodes whatever a killed writer or a failing disk left
-//! behind, and the fleet decodes tickets from its audit trail, so the
+//! behind — the snapshot, the event log, the trace file it cuts back —
+//! and the fleet decodes tickets and its decision trace, so the
 //! decoders face hostile bytes. Each case takes the final snapshot of a
-//! short persisted H-Both run (computed once per process), cuts its
-//! cache-line list to a drawn length and optionally swaps in a faulted
-//! backend (so `fault_state` is on the wire), then checks:
+//! short persisted H-Both run (computed once per process, with the
+//! run's trace and event-log lines), cuts its cache-line list to a drawn
+//! length and optionally swaps in a faulted backend (so `fault_state` is
+//! on the wire), then checks:
 //!
 //! * the pull decoder ([`SnapshotDoc::parse`]) on the payload: every
 //!   truncation in a drawn 256-byte window is `Err`, and `K` seeded
@@ -18,16 +21,25 @@
 //!   truncation and one drawn flip also go through [`read_snapshot`] on
 //!   a real file;
 //! * a migration ticket carrying one of the document's applications:
-//!   the whole line reads back equal, every truncation is `Err`.
+//!   the whole line reads back equal, every truncation is `Err`;
+//! * the line formats ([`TraceEvent`], [`LogEntry`], [`FleetEvent`]): a
+//!   drawn trace line of the run (carrying a `fault` record when the
+//!   case is faulted), an event-log line of each op and a fleet-trace
+//!   line of each kind each read back to the bytes they were written
+//!   as, every strict prefix is `Err`, and the same `K` seeded flips
+//!   return `Err` or a value — never a panic.
 //!
-//! A truncated payload is never a complete JSON value, so `Err` is the
-//! only right answer there; a flipped payload byte always moves the
-//! FNV-1a digest (each step of FNV-1a is a bijection of its state), so
-//! the file check must catch every payload flip before decoding. The
+//! A truncated payload or line is never a complete JSON value, so `Err`
+//! is the only right answer there; a flipped payload byte always moves
+//! the FNV-1a digest (each step of FNV-1a is a bijection of its state),
+//! so the file check must catch every payload flip before decoding. The
 //! header is not digested: it must be rejected by its own checks, which
-//! is why the digest field is compared as the exact text the writer
-//! renders rather than as any hex spelling of the same value.
+//! is why its digest field reads only in the writer's spelling (sixteen
+//! lowercase hex digits, like every hex field) rather than as any hex
+//! spelling of the same value.
 
+use std::collections::HashSet;
+use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -36,12 +48,15 @@ use crate::property::{CaseOutcome, Property};
 use crate::source::Source;
 use copart_core::policies::PolicyKind;
 use copart_faults::{FaultStateSnapshot, InjectionStats, SiteSnapshot};
-use copart_fleet::MigrationTicket;
+use copart_fleet::{run_fleet, FleetConfig, FleetEvent, MigrationTicket};
+use copart_persist::log::log_path;
+use copart_persist::store::list_snapshots;
 use copart_persist::{
-    latest_good, parse_snapshot_file, read_snapshot, write_snapshot, BackendSnapshot, SnapshotDoc,
+    latest_good, parse_snapshot_file, read_snapshot, write_snapshot, BackendSnapshot, EventKind,
+    LogEntry, SnapshotDoc,
 };
 use copart_serve::{harness_run, Scenario};
-use copart_telemetry::JsonWriter;
+use copart_telemetry::{FaultSample, JsonWriter, TraceEvent};
 use copart_workloads::MixKind;
 
 /// Consecutive payload truncations checked per case.
@@ -62,11 +77,20 @@ fn scratch_dir(tag: &str) -> PathBuf {
     ))
 }
 
-/// The final snapshot of `sim-run --mix h-both --apps 2 --epochs 4
-/// --snapshot-every 2`, run once per process.
-fn base_doc() -> &'static SnapshotDoc {
-    static DOC: OnceLock<SnapshotDoc> = OnceLock::new();
-    DOC.get_or_init(|| {
+/// What the base runs leave behind, run once per process: the final
+/// snapshot of `sim-run --mix h-both --apps 2 --epochs 4
+/// --snapshot-every 2` with its decision trace, and as `(format, line)`
+/// its first event-log line and the first line of each kind in a small
+/// fleet run's trace.
+struct Base {
+    doc: SnapshotDoc,
+    trace: Vec<String>,
+    lines: Vec<(&'static str, String)>,
+}
+
+fn base() -> &'static Base {
+    static BASE: OnceLock<Base> = OnceLock::new();
+    BASE.get_or_init(|| {
         let dir = scratch_dir("corruption-base");
         let scenario = Scenario::new(MixKind::HighBoth, 2, PolicyKind::CoPart, 42, None)
             .expect("a 2-app H-Both scenario is valid");
@@ -85,8 +109,27 @@ fn base_doc() -> &'static SnapshotDoc {
         let (doc, _) = latest_good(&dir)
             .expect("the state directory lists")
             .expect("the run leaves a snapshot");
+        let read = |path: PathBuf| std::fs::read_to_string(path).expect("the run's file reads");
+        let trace = read(dir.join("trace.jsonl"));
+        let oldest = list_snapshots(&dir).expect("the state directory lists")[0].0;
+        let log = read(log_path(&dir, oldest));
         let _ = std::fs::remove_dir_all(&dir);
-        doc
+
+        // Two nodes of capacity 2 for ten tenants, rebalancing on any
+        // unfairness: placements, deferrals, departures and a migration.
+        let mut cfg = FleetConfig::new(2, 10, 3);
+        (cfg.horizon, cfg.capacity) = (16, 2);
+        (cfg.rebalance.threshold, cfg.rebalance.patience) = (0.0, 1);
+        let fleet = run_fleet(&cfg).expect("the fleet run completes").trace;
+        let mut kinds = HashSet::new();
+        let fleet = fleet.lines().filter(|l| kinds.insert(l.split(',').next()));
+        let lines = log.lines().take(1).map(|l| ("log", l.to_string()));
+        let lines = lines
+            .chain(fleet.map(|l| ("fleet", l.to_string())))
+            .collect();
+        assert_eq!(kinds.len(), 6, "the fleet run writes every kind");
+        let trace = trace.lines().map(String::from).collect();
+        Base { doc, trace, lines }
     })
 }
 
@@ -142,7 +185,8 @@ fn corruption_case(src: &mut Source) -> CaseOutcome {
         "lines={lines} faulty={faulty} window={window} bit={bit} app={app} flips={flips:?}"
     );
 
-    let mut doc = base_doc().clone();
+    let base = base();
+    let mut doc = base.doc.clone();
     let (BackendSnapshot::Sim { machine, .. } | BackendSnapshot::Faulty { machine, .. }) =
         &mut doc.backend;
     machine.cache.lines.truncate(lines);
@@ -151,46 +195,13 @@ fn corruption_case(src: &mut Source) -> CaseOutcome {
     }
     let mut payload = String::new();
     doc.emit(&mut JsonWriter::new(&mut payload));
-    let at = |draw: u64| (draw % payload.len() as u64) as usize;
-    let flips: Vec<(usize, u8)> = flips.iter().map(|&(draw, mask)| (at(draw), mask)).collect();
+    let window = (window % payload.len() as u64) as usize;
+    let cuts = window..(window + TRUNCATION_WINDOW).min(payload.len());
     let app = (app % doc.runtime.apps.len() as u64) as usize;
-    let verdict = check_payload(&doc, &payload, at(window), &flips)
-        .and_then(|()| check_file(&doc, at(window), bit))
-        .and_then(|()| check_ticket(&doc, app));
+    let verdict = check_text("payload", &payload, cuts, &flips)
+        .and_then(|()| check_file(&doc, window, bit))
+        .and_then(|()| check_lines(base, &doc, app, faulty, window as u64, &flips));
     CaseOutcome { witness, verdict }
-}
-
-fn check_payload(
-    doc: &SnapshotDoc,
-    payload: &str,
-    window: usize,
-    flips: &[(usize, u8)],
-) -> Result<(), String> {
-    match SnapshotDoc::parse(payload) {
-        Ok(back) if back == *doc => {}
-        other => {
-            return Err(format!(
-                "the intact payload does not decode to itself: {other:?}"
-            ))
-        }
-    }
-    for cut in window..(window + TRUNCATION_WINDOW).min(payload.len()) {
-        if let Ok(back) = SnapshotDoc::parse(&payload[..cut]) {
-            return Err(format!(
-                "the payload cut to {cut} bytes decodes (epoch {})",
-                back.epoch()
-            ));
-        }
-    }
-    let mut bytes = payload.as_bytes().to_vec();
-    for &(at, mask) in flips {
-        bytes[at] ^= mask;
-        let text = std::str::from_utf8(&bytes).expect("ASCII stays ASCII");
-        // Either outcome is fine; a panic is the failure.
-        let _ = SnapshotDoc::parse(text);
-        bytes[at] ^= mask;
-    }
-    Ok(())
 }
 
 fn check_file(doc: &SnapshotDoc, window: usize, bit: u8) -> Result<(), String> {
@@ -242,23 +253,97 @@ fn check_file(doc: &SnapshotDoc, window: usize, bit: u8) -> Result<(), String> {
     result
 }
 
-fn check_ticket(doc: &SnapshotDoc, app: usize) -> Result<(), String> {
+/// The line formats: a migration ticket carrying the document's
+/// application `app`, a drawn trace line of the base run (given a
+/// `fault` record when the case is faulted), an event-log line of each
+/// op (the run logs epochs; the others carry the document's facts) and
+/// the fleet run's line of each kind.
+fn check_lines(
+    base: &Base,
+    doc: &SnapshotDoc,
+    app: usize,
+    faulty: bool,
+    window: u64,
+    flips: &[(u64, u8)],
+) -> Result<(), String> {
+    let state = &doc.runtime.apps[app];
     let ticket = MigrationTicket {
         app: app as u64,
         epoch: doc.epoch(),
         from: 0,
         to: 1,
-        state: doc.runtime.apps[app].clone(),
+        state: state.clone(),
     };
-    let line = ticket.to_json_line();
-    match MigrationTicket::parse_json_line(&line) {
-        Ok(back) if back == ticket => {}
-        other => return Err(format!("the intact ticket does not read back: {other:?}")),
+    let mut trace = base.trace[(window % base.trace.len() as u64) as usize].clone();
+    if faulty {
+        let mut event = TraceEvent::from_json_line(&trace)
+            .map_err(|e| format!("the run's trace line does not read: {e}"))?;
+        event.fault = Some(FaultSample {
+            degraded: event.apps.iter().map(|a| a.name.clone()).collect(),
+            write_retries: 2,
+            rolled_back: true,
+        });
+        trace = event.to_json_line();
     }
-    match (0..line.len()).find(|&cut| MigrationTicket::parse_json_line(&line[..cut]).is_ok()) {
-        Some(cut) => Err(format!("the ticket line cut to {cut} bytes reads")),
-        None => Ok(()),
+    let (pre, group) = (doc.epoch(), state.group);
+    let (bench, name) = (state.name.clone(), doc.meta.policy.clone());
+    let ops = [
+        EventKind::Admit { bench, group },
+        EventKind::Remove { group },
+        EventKind::Policy { name },
+    ];
+    let log = ops.map(|kind| ("log", LogEntry { pre, kind }.to_line()));
+    let lines = [("ticket", ticket.to_json_line()), ("trace", trace)]
+        .into_iter()
+        .chain(log)
+        .chain(base.lines.iter().cloned());
+    for (what, line) in lines {
+        check_text(what, &line, 0..line.len(), flips)?;
     }
+    Ok(())
+}
+
+/// What `what` text decodes to, written back; `None` when it does not
+/// decode.
+fn reread(what: &str, text: &str) -> Option<String> {
+    Some(match what {
+        "payload" => SnapshotDoc::parse(text).ok()?.encode().to_string(),
+        "ticket" => MigrationTicket::parse_json_line(text).ok()?.to_json_line(),
+        "trace" => TraceEvent::from_json_line(text).ok()?.to_json_line(),
+        "log" => LogEntry::from_line(text).ok()?.to_line(),
+        _ => FleetEvent::parse_json_line(text).ok()?.to_json_line(),
+    })
+}
+
+/// Text one writer wrote reads back to its own bytes, a cut at each of
+/// `cuts` (a window of a payload, every strict prefix of a line) is
+/// `Err`, and the seeded byte flips return `Err` or a value — never a
+/// panic.
+fn check_text(
+    what: &str,
+    text: &str,
+    cuts: Range<usize>,
+    flips: &[(u64, u8)],
+) -> Result<(), String> {
+    if reread(what, text).as_deref() != Some(text) {
+        return Err(format!("the intact {what} does not read back to itself"));
+    }
+    if let Some(cut) = cuts
+        .into_iter()
+        .find(|&cut| reread(what, &text[..cut]).is_some())
+    {
+        return Err(format!("the {what} cut to {cut} bytes reads"));
+    }
+    let mut bytes = text.as_bytes().to_vec();
+    for &(draw, mask) in flips {
+        let at = (draw % bytes.len() as u64) as usize;
+        bytes[at] ^= mask;
+        let damaged = std::str::from_utf8(&bytes).expect("ASCII stays ASCII");
+        // Either outcome is fine; a panic is the failure.
+        let _ = reread(what, damaged);
+        bytes[at] ^= mask;
+    }
+    Ok(())
 }
 
 /// The corruption oracle.

@@ -66,18 +66,15 @@ impl MigrationTicket {
     /// Pulls the members [`MigrationTicket::to_json_line`] writes, in its
     /// order, straight from the line.
     fn read_line(line: &str) -> Result<MigrationTicket, PersistError> {
-        let mut r = JsonReader::new(line);
-        r.begin_obj()?;
-        let ticket = MigrationTicket {
-            app: r.key("app")?.uint()?,
-            epoch: r.key("epoch")?.uint()?,
-            from: r.key("from")?.uint()?,
-            to: r.key("to")?.uint()?,
-            state: read_app_runtime(r.key("state")?)?,
-        };
-        r.end_obj()?;
-        r.finish()?;
-        Ok(ticket)
+        JsonReader::record(line, |r| {
+            Ok(MigrationTicket {
+                app: r.key("app")?.uint()?,
+                epoch: r.key("epoch")?.uint()?,
+                from: r.key("from")?.uint()?,
+                to: r.key("to")?.uint()?,
+                state: read_app_runtime(r.key("state")?)?,
+            })
+        })
     }
 
     /// FNV-1a digest of the encoded ticket — the value the fleet

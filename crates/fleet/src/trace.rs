@@ -8,14 +8,14 @@
 //! Every line is one JSON object with a `kind` discriminator. The
 //! checker replays the lines against the fleet's lifecycle rules (a
 //! tenant is placed exactly once before it departs, migrations move a
-//! placed tenant between distinct live nodes, summary running-app
-//! counts match the replayed membership) so a trace that drifts from
+//! placed tenant between distinct live nodes, summary counts match the
+//! replayed membership and event tallies) so a trace that drifts from
 //! the controller's actual behaviour fails structurally, not just by
 //! eyeball.
 
 use std::collections::HashMap;
 
-use copart_telemetry::{FieldError, Json, JsonSink, JsonWriter};
+use copart_telemetry::{FieldError, JsonReader, JsonSink, JsonWriter, ReadError};
 
 /// One fleet trace event.
 #[derive(Debug, Clone, PartialEq)]
@@ -201,71 +201,69 @@ impl FleetEvent {
         line
     }
 
-    /// Parses one JSONL line back into an event.
+    /// Parses one JSONL line back into an event, pulling its members in
+    /// the order [`FleetEvent::to_json_line`] writes them.
     ///
     /// # Errors
     ///
-    /// Fails on malformed JSON, an unknown `kind`, or a missing or
-    /// ill-typed field.
+    /// Fails on malformed JSON, an unknown `kind`, or a missing,
+    /// out-of-order, extra or ill-typed member.
     pub fn parse_json_line(line: &str) -> Result<FleetEvent, String> {
-        let j = Json::parse(line).map_err(|e| format!("not JSON: {e}"))?;
-        FleetEvent::decode(&j).map_err(|e| e.to_string())
+        JsonReader::record(line, FleetEvent::read).map_err(|e| e.to_string())
     }
 
-    fn decode(j: &Json) -> Result<FleetEvent, FieldError> {
-        Ok(match j.string("kind")? {
+    fn read(r: &mut JsonReader<'_>) -> Result<FleetEvent, ReadError> {
+        Ok(match &*r.key("kind")?.string()? {
             "fleet-config" => FleetEvent::Config {
-                nodes: j.uint("nodes")?,
-                apps: j.uint("apps")?,
-                capacity: j.uint("capacity")?,
-                horizon: j.uint("horizon")?,
+                nodes: r.key("nodes")?.uint()?,
+                apps: r.key("apps")?.uint()?,
+                capacity: r.key("capacity")?.uint()?,
+                horizon: r.key("horizon")?.uint()?,
                 // The seed is an identifier, not a count, and the encoder
                 // writes it through an f64 like every other integer:
                 // above 2^53 it arrives rounded, beyond what `uint`
                 // vouches for but still integral and in range — all a
                 // decoder of these bytes can ask.
-                seed: match j.member("seed")? {
-                    Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < 2f64.powi(64) => {
-                        *n as u64
-                    }
-                    _ => return Err(FieldError::new("seed", "u64")),
+                seed: match r.key("seed")?.number()? {
+                    n if n >= 0.0 && n.fract() == 0.0 && n < 2f64.powi(64) => n as u64,
+                    _ => return Err(FieldError::new("seed", "u64").into()),
                 },
             },
             "placement" => FleetEvent::Placement {
-                epoch: j.uint("epoch")?,
-                app: j.uint("app")?,
-                bench: j.string("bench")?.to_string(),
-                node: j.uint("node")?,
-                boot: j.boolean("boot")?,
+                epoch: r.key("epoch")?.uint()?,
+                app: r.key("app")?.uint()?,
+                bench: r.key("bench")?.string()?.into_owned(),
+                node: r.key("node")?.uint()?,
+                boot: r.key("boot")?.boolean()?,
             },
             "deferred" => FleetEvent::Deferred {
-                epoch: j.uint("epoch")?,
-                app: j.uint("app")?,
+                epoch: r.key("epoch")?.uint()?,
+                app: r.key("app")?.uint()?,
             },
             "departure" => FleetEvent::Departure {
-                epoch: j.uint("epoch")?,
-                app: j.uint("app")?,
-                node: j.uint("node")?,
-                teardown: j.boolean("teardown")?,
+                epoch: r.key("epoch")?.uint()?,
+                app: r.key("app")?.uint()?,
+                node: r.key("node")?.uint()?,
+                teardown: r.key("teardown")?.boolean()?,
             },
             "migration" => FleetEvent::Migration {
-                epoch: j.uint("epoch")?,
-                app: j.uint("app")?,
-                from: j.uint("from")?,
-                to: j.uint("to")?,
-                digest: j.hex_u64("digest")?,
+                epoch: r.key("epoch")?.uint()?,
+                app: r.key("app")?.uint()?,
+                from: r.key("from")?.uint()?,
+                to: r.key("to")?.uint()?,
+                digest: r.key("digest")?.hex_u64()?,
             },
             "summary" => FleetEvent::Summary {
-                epoch: j.uint("epoch")?,
-                active_nodes: j.uint("active_nodes")?,
-                running_apps: j.uint("running_apps")?,
-                placements: j.uint("placements")?,
-                departures: j.uint("departures")?,
-                migrations: j.uint("migrations")?,
-                unfairness_p99: j.number("unfairness_p99")?,
-                slowdown_p99: j.number("slowdown_p99")?,
+                epoch: r.key("epoch")?.uint()?,
+                active_nodes: r.key("active_nodes")?.uint()?,
+                running_apps: r.key("running_apps")?.uint()?,
+                placements: r.key("placements")?.uint()?,
+                departures: r.key("departures")?.uint()?,
+                migrations: r.key("migrations")?.uint()?,
+                unfairness_p99: r.key("unfairness_p99")?.number()?,
+                slowdown_p99: r.key("slowdown_p99")?.number()?,
             },
-            _ => return Err(FieldError::new("kind", "fleet event kind")),
+            _ => return Err(FieldError::new("kind", "fleet event kind").into()),
         })
     }
 }
@@ -296,7 +294,8 @@ pub struct FleetTraceStats {
 /// the replayed membership (placing a placed tenant, departing from the
 /// wrong node, migrating to a full or identical node), a node id out of
 /// range, occupancy above capacity, non-monotonic epochs, or a summary
-/// whose running-app count disagrees with the replay.
+/// whose running-app or active-node count, or cumulative placement,
+/// departure or migration count, disagrees with the replay.
 pub fn check_fleet_trace(text: &str) -> Result<FleetTraceStats, String> {
     let mut stats = FleetTraceStats::default();
     let mut cfg: Option<(u64, u64)> = None; // (nodes, capacity)
@@ -428,6 +427,9 @@ pub fn check_fleet_trace(text: &str) -> Result<FleetTraceStats, String> {
                 epoch,
                 running_apps,
                 active_nodes,
+                placements,
+                departures,
+                migrations,
                 ..
             } => {
                 if last_summary_epoch == Some(epoch) {
@@ -437,17 +439,19 @@ pub fn check_fleet_trace(text: &str) -> Result<FleetTraceStats, String> {
                 }
                 last_summary_epoch = Some(epoch);
                 stats.epochs += 1;
-                let replayed = placed.len() as u64;
-                if running_apps != replayed {
-                    return Err(format!(
-                        "line {lineno}: summary says {running_apps} running apps, replay says {replayed}"
-                    ));
-                }
                 let replayed_nodes = occupancy.values().filter(|&&o| o > 0).count() as u64;
-                if active_nodes != replayed_nodes {
-                    return Err(format!(
-                        "line {lineno}: summary says {active_nodes} active nodes, replay says {replayed_nodes}"
-                    ));
+                for (what, said, seen) in [
+                    ("running apps", running_apps, placed.len() as u64),
+                    ("active nodes", active_nodes, replayed_nodes),
+                    ("placements", placements, stats.placements),
+                    ("departures", departures, stats.departures),
+                    ("migrations", migrations, stats.migrations),
+                ] {
+                    if said != seen {
+                        return Err(format!(
+                            "line {lineno}: summary says {said} {what}, replay says {seen}"
+                        ));
+                    }
                 }
             }
         }
@@ -515,9 +519,27 @@ mod tests {
                 slowdown_p99: 1.5,
             },
         ];
-        for e in events {
-            let line = e.to_json_line();
-            assert_eq!(FleetEvent::parse_json_line(&line).unwrap(), e, "{line}");
+        // The member order the pull reader depends on, pinned: the
+        // writer's bytes for each kind, both directions.
+        let lines = [
+            r#"{"kind":"fleet-config","nodes":4,"apps":8,"capacity":2,"horizon":10,"seed":1}"#,
+            r#"{"kind":"placement","epoch":0,"app":3,"bench":"WN","node":1,"boot":true}"#,
+            r#"{"kind":"deferred","epoch":0,"app":4}"#,
+            r#"{"kind":"migration","epoch":2,"app":3,"from":1,"to":2,"digest":"deadbeefcafef00d"}"#,
+            r#"{"kind":"departure","epoch":3,"app":3,"node":2,"teardown":true}"#,
+            r#"{"kind":"summary","epoch":3,"active_nodes":0,"running_apps":0,"placements":1,"departures":1,"migrations":1,"unfairness_p99":0.25,"slowdown_p99":1.5}"#,
+        ];
+        for (e, line) in events.into_iter().zip(lines) {
+            assert_eq!(e.to_json_line(), line);
+            assert_eq!(FleetEvent::parse_json_line(line).unwrap(), e, "{line}");
+        }
+        // A member out of order, or one no writer emits, is refused.
+        for (bad, key) in [
+            (r#"{"kind":"deferred","app":4,"epoch":0}"#, "epoch"),
+            (r#"{"kind":"deferred","epoch":0,"app":4,"node":1}"#, "node"),
+        ] {
+            let err = FleetEvent::parse_json_line(bad).unwrap_err();
+            assert!(err.contains(&format!("\"{key}\"")), "{bad}: {err}");
         }
 
         // Integers that no encoder wrote are refused, not coerced.
@@ -600,6 +622,50 @@ mod tests {
         assert_eq!(stats.placements, 2);
         assert_eq!(stats.migrations, 1);
         assert_eq!(stats.epochs, 1);
+    }
+
+    /// The summary's cumulative counters are the replay's tallies: a
+    /// summary that claims a third placement after two placement lines
+    /// (or any departure or migration that never happened) is refused.
+    #[test]
+    fn checker_compares_the_cumulative_counters() {
+        let place = |app: u64, node: u64| {
+            FleetEvent::Placement {
+                epoch: 0,
+                app,
+                bench: "WN".to_string(),
+                node,
+                boot: true,
+            }
+            .to_json_line()
+        };
+        let trace = |placements: u64, departures: u64, migrations: u64| {
+            let summary = FleetEvent::Summary {
+                epoch: 0,
+                active_nodes: 2,
+                running_apps: 2,
+                placements,
+                departures,
+                migrations,
+                unfairness_p99: 0.0,
+                slowdown_p99: 1.0,
+            };
+            [
+                config_line(),
+                place(0, 0),
+                place(1, 1),
+                summary.to_json_line(),
+            ]
+            .join("\n")
+        };
+        assert!(check_fleet_trace(&trace(2, 0, 0)).is_ok());
+        for (bad, want) in [
+            (trace(3, 0, 0), "summary says 3 placements, replay says 2"),
+            (trace(2, 1, 0), "summary says 1 departures, replay says 0"),
+            (trace(2, 0, 1), "summary says 1 migrations, replay says 0"),
+        ] {
+            assert_eq!(check_fleet_trace(&bad), Err(format!("line 4: {want}")));
+        }
     }
 
     #[test]

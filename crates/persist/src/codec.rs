@@ -83,16 +83,13 @@ fn read_u64_compat(r: &mut JsonReader<'_>) -> Result<u64, ReadError> {
     }
 }
 
-/// Reads the object the next value must be: `{`, the members `read`
-/// pulls, `}`.
+/// [`JsonReader::object`] with the codec's error type fixed, so the
+/// closures that read members need no annotation.
 pub(crate) fn obj<'a, T>(
     r: &mut JsonReader<'a>,
     read: impl FnOnce(&mut JsonReader<'a>) -> Result<T, PersistError>,
 ) -> Result<T, PersistError> {
-    r.begin_obj()?;
-    let value = read(r)?;
-    r.end_obj()?;
-    Ok(value)
+    r.object(read)
 }
 
 // ---------------------------------------------------------------------

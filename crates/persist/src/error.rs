@@ -67,17 +67,11 @@ impl From<copart_telemetry::JsonError> for PersistError {
     }
 }
 
-impl From<copart_telemetry::FieldError> for PersistError {
-    fn from(e: copart_telemetry::FieldError) -> PersistError {
-        PersistError::Schema(e.to_string())
-    }
-}
-
 impl From<copart_telemetry::ReadError> for PersistError {
     fn from(e: copart_telemetry::ReadError) -> PersistError {
         match e {
             copart_telemetry::ReadError::Syntax(e) => e.into(),
-            copart_telemetry::ReadError::Field(e) => e.into(),
+            copart_telemetry::ReadError::Field(e) => PersistError::Schema(e.to_string()),
         }
     }
 }

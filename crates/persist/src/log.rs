@@ -25,7 +25,7 @@ use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use copart_telemetry::{Json, JsonSink, JsonWriter};
+use copart_telemetry::{JsonReader, JsonSink, JsonWriter};
 
 use crate::error::PersistError;
 
@@ -89,33 +89,33 @@ impl LogEntry {
         w.end_obj();
     }
 
-    /// Parses one JSON line.
+    /// Parses one JSON line, pulling its members in the order
+    /// [`LogEntry::to_line`] writes them.
     ///
     /// # Errors
     ///
     /// [`PersistError::Json`] / [`PersistError::Schema`] for a line that
     /// is not a well-formed entry.
     pub fn from_line(line: &str) -> Result<LogEntry, PersistError> {
-        let j = Json::parse(line)?;
-        let kind = match j.string("op")? {
-            "epoch" => EventKind::Epoch,
-            "admit" => EventKind::Admit {
-                bench: j.string("bench")?.to_string(),
-                group: j.uint("group")?,
-            },
-            "remove" => EventKind::Remove {
-                group: j.uint("group")?,
-            },
-            "policy" => EventKind::Policy {
-                name: j.string("policy")?.to_string(),
-            },
-            other => {
-                return Err(PersistError::Schema(format!("unknown log op `{other}`")));
-            }
-        };
-        Ok(LogEntry {
-            pre: j.uint("pre")?,
-            kind,
+        JsonReader::record(line, |r| {
+            let pre = r.key("pre")?.uint()?;
+            let kind = match &*r.key("op")?.string()? {
+                "epoch" => EventKind::Epoch,
+                "admit" => EventKind::Admit {
+                    bench: r.key("bench")?.string()?.into_owned(),
+                    group: r.key("group")?.uint()?,
+                },
+                "remove" => EventKind::Remove {
+                    group: r.key("group")?.uint()?,
+                },
+                "policy" => EventKind::Policy {
+                    name: r.key("policy")?.string()?.into_owned(),
+                },
+                other => {
+                    return Err(PersistError::Schema(format!("unknown log op `{other}`")));
+                }
+            };
+            Ok(LogEntry { pre, kind })
         })
     }
 }
@@ -306,10 +306,30 @@ mod tests {
         ]
     }
 
+    /// The member order the pull reader depends on, pinned: one line of
+    /// each op, the writer's bytes, both directions. A member out of
+    /// order or one no writer emits is a schema error.
     #[test]
-    fn entries_round_trip_through_lines() {
-        for e in sample_entries() {
-            assert_eq!(LogEntry::from_line(&e.to_line()).unwrap(), e);
+    fn entries_are_pinned_in_writer_order() {
+        let lines = [
+            r#"{"pre":37,"op":"epoch"}"#,
+            r#"{"pre":38,"op":"admit","bench":"mg","group":4}"#,
+            r#"{"pre":42,"op":"remove","group":2}"#,
+            r#"{"pre":42,"op":"policy","policy":"CAT-only"}"#,
+        ];
+        for (e, line) in sample_entries().into_iter().zip(lines) {
+            assert_eq!(e.to_line(), line);
+            assert_eq!(LogEntry::from_line(line).unwrap(), e);
+        }
+        for bad in [
+            r#"{"op":"epoch","pre":37}"#,
+            r#"{"pre":38,"op":"admit","group":4,"bench":"mg"}"#,
+            r#"{"pre":37,"op":"epoch","group":1}"#,
+        ] {
+            assert!(
+                matches!(LogEntry::from_line(bad), Err(PersistError::Schema(_))),
+                "{bad}"
+            );
         }
     }
 

@@ -16,12 +16,13 @@
 //! file under the final name; the digest covers the residual cases
 //! (torn temp data surviving the rename on power loss).
 
+use std::borrow::Cow;
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use copart_telemetry::{fnv1a64, Json, JsonSink, JsonWriter};
+use copart_telemetry::{fnv1a64, FieldError, JsonReader, JsonSink, JsonWriter, ReadError};
 
 use crate::codec::SnapshotDoc;
 use crate::error::PersistError;
@@ -69,6 +70,20 @@ fn header_line(epoch: u64, version: u64, payload: &str) -> String {
     header
 }
 
+/// The header's five members — magic, version, epoch, digest, payload
+/// length — pulled in the order [`header_line`] writes them.
+fn read_header(text: &str) -> Result<(Cow<'_, str>, u64, u64, u64, usize), ReadError> {
+    JsonReader::record(text, |r| {
+        Ok((
+            r.key("magic")?.string()?,
+            r.key("version")?.uint()?,
+            r.key("epoch")?.uint()?,
+            r.key("digest")?.hex_u64()?,
+            r.key("len")?.uint()?,
+        ))
+    })
+}
+
 /// Serialises `doc` and writes it atomically into `dir`. Returns the
 /// final path and the total bytes written.
 ///
@@ -112,10 +127,9 @@ pub fn read_snapshot(path: &Path) -> Result<SnapshotDoc, PersistError> {
 }
 
 /// [`read_snapshot`] on a snapshot file's bytes already in memory: the
-/// header is checked first (magic, version, payload length), then the
-/// payload's digest — whose header field must be the exact sixteen
-/// lowercase hex digits the writer renders — and only then is the
-/// payload decoded, straight from its text.
+/// header's members are pulled first, then checked (magic, version,
+/// payload length, the payload's digest), and only then is the payload
+/// decoded, straight from its text.
 ///
 /// # Errors
 ///
@@ -129,17 +143,25 @@ pub fn parse_snapshot_file(bytes: &[u8]) -> Result<SnapshotDoc, PersistError> {
         .position(|&b| b == b'\n')
         .map(|at| (&bytes[..at], &bytes[at + 1..]))
         .ok_or_else(|| corrupt("no header line"))?;
-    let header = std::str::from_utf8(header_line)
+    let (magic, version, epoch, digest, len) = std::str::from_utf8(header_line)
         .map_err(|e| corrupt(format!("header is not UTF-8: {e}")))
-        .and_then(|h| Json::parse(h).map_err(|e| corrupt(format!("header is not JSON: {e}"))))?;
-    if header.string("magic")? != SNAP_MAGIC {
+        .and_then(|h| {
+            read_header(h).map_err(|e| match e {
+                ReadError::Syntax(e) => corrupt(format!("header is not JSON: {e}")),
+                // The header is not digested: a digest the writer could
+                // not have spelled is damage, like one that does not match.
+                ReadError::Field(e) if e == FieldError::new("digest", "hex u64") => {
+                    corrupt("digest mismatch")
+                }
+                other => other.into(),
+            })
+        })?;
+    if magic != SNAP_MAGIC {
         return Err(corrupt("bad magic"));
     }
-    let version: u64 = header.uint("version")?;
     if !(SNAP_VERSION_MIN..=SNAP_VERSION).contains(&version) {
         return Err(corrupt("unsupported version"));
     }
-    let len: usize = header.uint("len")?;
     let payload = rest.strip_suffix(b"\n").unwrap_or(rest);
     if payload.len() != len {
         return Err(corrupt(format!(
@@ -147,7 +169,7 @@ pub fn parse_snapshot_file(bytes: &[u8]) -> Result<SnapshotDoc, PersistError> {
             payload.len()
         )));
     }
-    if header.string("digest")? != format!("{:016x}", fnv1a64(payload)) {
+    if digest != fnv1a64(payload) {
         return Err(corrupt("digest mismatch"));
     }
     let payload =
@@ -156,7 +178,7 @@ pub fn parse_snapshot_file(bytes: &[u8]) -> Result<SnapshotDoc, PersistError> {
         PersistError::Json(e) => corrupt(format!("payload: {e}")),
         other => other,
     })?;
-    if doc.epoch() != header.uint::<u64>("epoch")? {
+    if doc.epoch() != epoch {
         return Err(corrupt("header/payload epoch mismatch"));
     }
     Ok(doc)
@@ -300,6 +322,30 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// The header's member order, pinned: a version-2 header line is
+    /// the writer's bytes and reads back member for member. A member out
+    /// of order or one no writer emits is a schema error.
+    #[test]
+    fn header_line_is_pinned_in_writer_order() {
+        let line =
+            r#"{"magic":"copart-snap","version":2,"epoch":42,"digest":"08f44b07b5901a25","len":2}"#;
+        assert_eq!(header_line(42, SNAP_VERSION, "{}"), line);
+        let (magic, version, epoch, digest, len) = read_header(line).unwrap();
+        assert_eq!(
+            (&*magic, version, epoch, digest, len),
+            (SNAP_MAGIC, 2, 42, fnv1a64(b"{}"), 2)
+        );
+        let reordered = line.replacen(r#""version":2,"epoch":42"#, r#""epoch":42,"version":2"#, 1);
+        let extra = line.replacen(r#","len":2}"#, r#","len":2,"kind":"sim"}"#, 1);
+        for bad in [reordered, extra] {
+            let file = format!("{bad}\n{{}}\n");
+            match parse_snapshot_file(file.as_bytes()) {
+                Err(PersistError::Schema(_)) => {}
+                other => panic!("{bad}: {other:?}"),
+            }
+        }
+    }
+
     #[test]
     fn latest_good_prefers_the_newest() {
         let dir = tmpdir("newest");
@@ -356,19 +402,15 @@ mod tests {
     }
 
     /// The header is outside the digest, so its digest field must be
-    /// the writer's exact text: the same value spelled in upper case is
-    /// a damaged header, not an intact file.
+    /// the writer's spelling: the same value in upper case is a damaged
+    /// header, not an intact file.
     #[test]
     fn a_header_digest_in_another_spelling_is_corrupt() {
         let dir = tmpdir("digest-case");
         let (path, _) = write_snapshot(&dir, &tiny_doc(7)).unwrap();
         let text = fs::read_to_string(&path).unwrap();
         let (header, _) = text.split_once('\n').unwrap();
-        let digest = Json::parse(header)
-            .unwrap()
-            .string("digest")
-            .unwrap()
-            .to_string();
+        let digest = format!("{:016x}", read_header(header).unwrap().3);
         let upper = digest.to_uppercase();
         assert_ne!(upper, digest, "the digest holds a hex letter");
         fs::write(&path, text.replacen(&digest, &upper, 1)).unwrap();

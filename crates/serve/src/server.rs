@@ -487,15 +487,18 @@ fn healthy(gateway: &Gateway) -> bool {
     liveness.healthy(gateway.tick, Instant::now())
 }
 
-/// Extracts a required string field from a JSON request body.
+/// Extracts a required string field from a JSON request body. The body
+/// is the client's document, not one this workspace writes, so it is
+/// read as a tree: any member order, extra keys ignored.
 fn body_field(req: &Request, field: &str) -> Result<String, Response> {
     let text =
         std::str::from_utf8(&req.body).map_err(|_| Response::error(400, "body is not UTF-8"))?;
     let doc =
         Json::parse(text).map_err(|e| Response::error(400, &format!("body is not JSON: {e}")))?;
-    doc.string(field)
+    doc.get(field)
+        .and_then(Json::as_str)
         .map(str::to_string)
-        .map_err(|_| Response::error(400, &format!("body needs a string field {field:?}")))
+        .ok_or_else(|| Response::error(400, &format!("body needs a string field {field:?}")))
 }
 
 /// Sends a command to the control thread and waits for its reply.

@@ -16,9 +16,8 @@
 //! and parse back with [`TraceEvent::from_json_line`]; the schema is
 //! documented field-by-field in `DESIGN.md` § Observability.
 
-use crate::json::{FieldError, Json, JsonError, JsonSink, JsonWriter};
+use crate::json::{FieldError, JsonReader, JsonSink, JsonWriter, ReadError};
 use crate::Rates;
-use std::fmt;
 
 /// The controller phase a trace event was emitted from (Figure 10).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,14 +40,16 @@ impl TracePhase {
         }
     }
 
+    /// Every phase, in Figure 10 order.
+    const ALL: [TracePhase; 3] = [
+        TracePhase::Profiling,
+        TracePhase::Exploring,
+        TracePhase::Idle,
+    ];
+
     /// Parses a wire name produced by [`TracePhase::as_str`].
     pub fn from_wire(s: &str) -> Option<TracePhase> {
-        match s {
-            "profiling" => Some(TracePhase::Profiling),
-            "exploring" => Some(TracePhase::Exploring),
-            "idle" => Some(TracePhase::Idle),
-            _ => None,
-        }
+        TracePhase::ALL.into_iter().find(|p| p.as_str() == s)
     }
 }
 
@@ -73,14 +74,12 @@ impl TraceClass {
         }
     }
 
+    /// Every state.
+    const ALL: [TraceClass; 3] = [TraceClass::Supply, TraceClass::Maintain, TraceClass::Demand];
+
     /// Parses a wire name produced by [`TraceClass::as_str`].
     pub fn from_wire(s: &str) -> Option<TraceClass> {
-        match s {
-            "supply" => Some(TraceClass::Supply),
-            "maintain" => Some(TraceClass::Maintain),
-            "demand" => Some(TraceClass::Demand),
-            _ => None,
-        }
+        TraceClass::ALL.into_iter().find(|c| c.as_str() == s)
     }
 }
 
@@ -117,17 +116,19 @@ impl TraceDecision {
         }
     }
 
+    /// Every decision.
+    const ALL: [TraceDecision; 6] = [
+        TraceDecision::Profiled,
+        TraceDecision::Transfer,
+        TraceDecision::ThetaRetry,
+        TraceDecision::Converged,
+        TraceDecision::Monitor,
+        TraceDecision::ReExplore,
+    ];
+
     /// Parses a wire name produced by [`TraceDecision::as_str`].
     pub fn from_wire(s: &str) -> Option<TraceDecision> {
-        match s {
-            "profiled" => Some(TraceDecision::Profiled),
-            "transfer" => Some(TraceDecision::Transfer),
-            "theta_retry" => Some(TraceDecision::ThetaRetry),
-            "converged" => Some(TraceDecision::Converged),
-            "monitor" => Some(TraceDecision::Monitor),
-            "re_explore" => Some(TraceDecision::ReExplore),
-            _ => None,
-        }
+        TraceDecision::ALL.into_iter().find(|d| d.as_str() == s)
     }
 }
 
@@ -257,46 +258,59 @@ pub struct TraceEvent {
     pub fault: Option<FaultSample>,
 }
 
-/// An error turning a JSONL line back into a [`TraceEvent`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum TraceParseError {
-    /// The line was not well-formed JSON.
-    Json(JsonError),
-    /// The JSON was well-formed but did not match the schema.
-    Schema(String),
-}
-
-impl fmt::Display for TraceParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TraceParseError::Json(e) => write!(f, "{e}"),
-            TraceParseError::Schema(msg) => write!(f, "trace schema error: {msg}"),
-        }
-    }
-}
-
-impl std::error::Error for TraceParseError {}
-
-impl From<JsonError> for TraceParseError {
-    fn from(e: JsonError) -> TraceParseError {
-        TraceParseError::Json(e)
-    }
-}
-
-impl From<FieldError> for TraceParseError {
-    fn from(e: FieldError) -> TraceParseError {
-        TraceParseError::Schema(e.to_string())
-    }
-}
-
-/// A trace `f64` member. Non-finite floats encode as null (JSON has no
+/// A trace `f64`. Non-finite floats encode as null (JSON has no
 /// Infinity); an infinite slowdown means "no progress against a live
 /// reference" and must survive the round trip.
-fn f64_field(obj: &Json, key: &str) -> Result<f64, FieldError> {
-    match obj.member(key)? {
-        Json::Null => Ok(f64::INFINITY),
-        _ => obj.number(key),
-    }
+fn read_f64(r: &mut JsonReader<'_>) -> Result<f64, ReadError> {
+    Ok(r.nullable(JsonReader::number)?.unwrap_or(f64::INFINITY))
+}
+
+/// A wire-named enum member: the string at `key`, which `from_wire` must
+/// know.
+fn read_wire<T>(
+    r: &mut JsonReader<'_>,
+    key: &'static str,
+    expected: &'static str,
+    from_wire: fn(&str) -> Option<T>,
+) -> Result<T, ReadError> {
+    let name = r.key(key)?.string()?;
+    from_wire(&name).ok_or_else(|| FieldError::new(key, expected).into())
+}
+
+fn read_allocs(r: &mut JsonReader<'_>, key: &'static str) -> Result<Vec<AllocSample>, ReadError> {
+    r.key(key)?.items(|r| {
+        r.object(|r| {
+            Ok(AllocSample {
+                ways: r.key("ways")?.uint()?,
+                mba_percent: r.key("mba")?.uint()?,
+            })
+        })
+    })
+}
+
+fn read_app(r: &mut JsonReader<'_>) -> Result<AppSample, ReadError> {
+    r.object(|r| {
+        Ok(AppSample {
+            name: r.key("name")?.string()?.into_owned(),
+            ips: read_f64(r.key("ips")?)?,
+            slowdown: read_f64(r.key("slowdown")?)?,
+            llc_state: read_wire(r, "llc_state", "trace class", TraceClass::from_wire)?,
+            mba_state: read_wire(r, "mba_state", "trace class", TraceClass::from_wire)?,
+            miss_ratio: read_f64(r.key("miss_ratio")?)?,
+            llc_accesses_per_sec: read_f64(r.key("llc_aps")?)?,
+            llc_misses_per_sec: read_f64(r.key("llc_mps")?)?,
+        })
+    })
+}
+
+fn read_fault(r: &mut JsonReader<'_>) -> Result<FaultSample, ReadError> {
+    r.object(|r| {
+        Ok(FaultSample {
+            degraded: r.key("degraded")?.items(|r| r.string().map(String::from))?,
+            write_retries: r.key("write_retries")?.uint()?,
+            rolled_back: r.key("rolled_back")?.boolean()?,
+        })
+    })
 }
 
 impl TraceEvent {
@@ -361,78 +375,35 @@ impl TraceEvent {
         w.end_obj();
     }
 
-    /// Parses one JSONL line produced by [`TraceEvent::to_json_line`].
-    pub fn from_json_line(line: &str) -> Result<TraceEvent, TraceParseError> {
-        let v = Json::parse(line)?;
-        let phase = v.string("phase")?;
-        let phase = TracePhase::from_wire(phase)
-            .ok_or_else(|| TraceParseError::Schema(format!("unknown phase '{phase}'")))?;
-        let decision = v.string("decision")?;
-        let decision = TraceDecision::from_wire(decision)
-            .ok_or_else(|| TraceParseError::Schema(format!("unknown decision '{decision}'")))?;
-        let apps = v
-            .array("apps")?
-            .iter()
-            .map(|a| -> Result<AppSample, TraceParseError> {
-                let class = |key: &str| -> Result<TraceClass, TraceParseError> {
-                    let s = a.string(key)?;
-                    TraceClass::from_wire(s).ok_or_else(|| {
-                        TraceParseError::Schema(format!("unknown class '{s}' in '{key}'"))
-                    })
-                };
-                Ok(AppSample {
-                    name: a.string("name")?.to_string(),
-                    ips: f64_field(a, "ips")?,
-                    slowdown: f64_field(a, "slowdown")?,
-                    llc_state: class("llc_state")?,
-                    mba_state: class("mba_state")?,
-                    miss_ratio: f64_field(a, "miss_ratio")?,
-                    llc_accesses_per_sec: f64_field(a, "llc_aps")?,
-                    llc_misses_per_sec: f64_field(a, "llc_mps")?,
-                })
+    /// Parses one JSONL line produced by [`TraceEvent::to_json_line`],
+    /// pulling its members in the order the writer emits them.
+    ///
+    /// # Errors
+    ///
+    /// [`ReadError::Syntax`] for a line that is not JSON;
+    /// [`ReadError::Field`] for a member that is missing, out of order,
+    /// extra, ill-typed or an unknown wire name.
+    pub fn from_json_line(line: &str) -> Result<TraceEvent, ReadError> {
+        JsonReader::record(line, |r| {
+            Ok(TraceEvent {
+                epoch: r.key("epoch")?.uint()?,
+                time_ns: r.key("time_ns")?.uint()?,
+                phase: read_wire(r, "phase", "trace phase", TracePhase::from_wire)?,
+                decision: read_wire(r, "decision", "trace decision", TraceDecision::from_wire)?,
+                retry_count: r.key("retry_count")?.uint()?,
+                matching_rounds: r.key("matching_rounds")?.uint()?,
+                unfairness: read_f64(r.key("unfairness")?)?,
+                apps: r.key("apps")?.items(read_app)?,
+                proposed: read_allocs(r, "proposed")?,
+                applied: read_allocs(r, "applied")?,
+                // Absent on fault-free epochs (and in traces predating the
+                // fault-injection subsystem) — parse back to None.
+                fault: if r.opt_key("fault")? {
+                    Some(read_fault(r)?)
+                } else {
+                    None
+                },
             })
-            .collect::<Result<Vec<_>, _>>()?;
-        let allocs = |key: &str| -> Result<Vec<AllocSample>, FieldError> {
-            v.array(key)?
-                .iter()
-                .map(|x| {
-                    Ok(AllocSample {
-                        ways: x.uint("ways")?,
-                        mba_percent: x.uint("mba")?,
-                    })
-                })
-                .collect()
-        };
-        // Absent on fault-free epochs (and in traces predating the
-        // fault-injection subsystem) — parse back to None.
-        let fault = match v.get("fault") {
-            None => None,
-            Some(f) => Some(FaultSample {
-                degraded: f
-                    .array("degraded")?
-                    .iter()
-                    .map(|n| {
-                        n.as_str()
-                            .map(str::to_string)
-                            .ok_or_else(|| FieldError::new("degraded", "array of strings"))
-                    })
-                    .collect::<Result<Vec<_>, _>>()?,
-                write_retries: f.uint("write_retries")?,
-                rolled_back: f.boolean("rolled_back")?,
-            }),
-        };
-        Ok(TraceEvent {
-            epoch: v.uint("epoch")?,
-            time_ns: v.uint("time_ns")?,
-            phase,
-            decision,
-            retry_count: v.uint("retry_count")?,
-            matching_rounds: v.uint("matching_rounds")?,
-            unfairness: f64_field(&v, "unfairness")?,
-            apps,
-            proposed: allocs("proposed")?,
-            applied: allocs("applied")?,
-            fault,
         })
     }
 }
@@ -534,26 +505,85 @@ mod tests {
         assert_eq!(parsed.apps[0].slowdown, f64::INFINITY);
     }
 
+    /// The member order the pull reader depends on, pinned: each line is
+    /// the writer's bytes, and both directions hold. A member out of
+    /// order or one no writer emits is a schema error.
+    #[test]
+    fn wire_lines_are_pinned_in_writer_order() {
+        let plain = TraceEvent {
+            epoch: 7,
+            time_ns: 1_600_000_000,
+            phase: TracePhase::Exploring,
+            decision: TraceDecision::ThetaRetry,
+            retry_count: 2,
+            matching_rounds: 0,
+            unfairness: 0.5,
+            apps: vec![AppSample {
+                name: "fft".into(),
+                ips: 2.5e9,
+                slowdown: f64::INFINITY,
+                llc_state: TraceClass::Demand,
+                mba_state: TraceClass::Maintain,
+                miss_ratio: 0.25,
+                llc_accesses_per_sec: 1.5e7,
+                llc_misses_per_sec: 3.75e6,
+            }],
+            proposed: vec![AllocSample {
+                ways: 6,
+                mba_percent: 100,
+            }],
+            applied: vec![AllocSample {
+                ways: 5,
+                mba_percent: 90,
+            }],
+            fault: None,
+        };
+        let mut faulted = plain.clone();
+        faulted.apps[0].slowdown = 1.25;
+        faulted.fault = Some(FaultSample {
+            degraded: vec!["fft".into()],
+            write_retries: 1,
+            rolled_back: true,
+        });
+        let plain_line = r#"{"epoch":7,"time_ns":1600000000,"phase":"exploring","decision":"theta_retry","retry_count":2,"matching_rounds":0,"unfairness":0.5,"apps":[{"name":"fft","ips":2500000000,"slowdown":null,"llc_state":"demand","mba_state":"maintain","miss_ratio":0.25,"llc_aps":15000000,"llc_mps":3750000}],"proposed":[{"ways":6,"mba":100}],"applied":[{"ways":5,"mba":90}]}"#;
+        let faulted_line = r#"{"epoch":7,"time_ns":1600000000,"phase":"exploring","decision":"theta_retry","retry_count":2,"matching_rounds":0,"unfairness":0.5,"apps":[{"name":"fft","ips":2500000000,"slowdown":1.25,"llc_state":"demand","mba_state":"maintain","miss_ratio":0.25,"llc_aps":15000000,"llc_mps":3750000}],"proposed":[{"ways":6,"mba":100}],"applied":[{"ways":5,"mba":90}],"fault":{"degraded":["fft"],"write_retries":1,"rolled_back":true}}"#;
+        for (event, line) in [(&plain, plain_line), (&faulted, faulted_line)] {
+            assert_eq!(event.to_json_line(), line);
+            assert_eq!(TraceEvent::from_json_line(line).as_ref(), Ok(event));
+        }
+        let reordered = plain_line.replacen(
+            r#""epoch":7,"time_ns":1600000000"#,
+            r#""time_ns":1600000000,"epoch":7"#,
+            1,
+        );
+        let extra = plain_line.replacen(r#""mba":90}]"#, r#""mba":90}],"note":0"#, 1);
+        for (bad, key) in [(reordered, "epoch"), (extra, "note")] {
+            match TraceEvent::from_json_line(&bad) {
+                Err(ReadError::Field(e)) => assert!(e.to_string().contains(key), "{e}"),
+                other => panic!("{bad}: {other:?}"),
+            }
+        }
+    }
+
     #[test]
     fn wire_enums_round_trip() {
-        for p in [
-            TracePhase::Profiling,
-            TracePhase::Exploring,
-            TracePhase::Idle,
-        ] {
+        let names = |names: &[&str]| names.join(" ");
+        let phases = TracePhase::ALL.map(TracePhase::as_str);
+        assert_eq!(names(&phases), "profiling exploring idle");
+        let classes = TraceClass::ALL.map(TraceClass::as_str);
+        assert_eq!(names(&classes), "supply maintain demand");
+        let decisions = TraceDecision::ALL.map(TraceDecision::as_str);
+        assert_eq!(
+            names(&decisions),
+            "profiled transfer theta_retry converged monitor re_explore"
+        );
+        for p in TracePhase::ALL {
             assert_eq!(TracePhase::from_wire(p.as_str()), Some(p));
         }
-        for c in [TraceClass::Supply, TraceClass::Maintain, TraceClass::Demand] {
+        for c in TraceClass::ALL {
             assert_eq!(TraceClass::from_wire(c.as_str()), Some(c));
         }
-        for d in [
-            TraceDecision::Profiled,
-            TraceDecision::Transfer,
-            TraceDecision::ThetaRetry,
-            TraceDecision::Converged,
-            TraceDecision::Monitor,
-            TraceDecision::ReExplore,
-        ] {
+        for d in TraceDecision::ALL {
             assert_eq!(TraceDecision::from_wire(d.as_str()), Some(d));
         }
         assert_eq!(TracePhase::from_wire("bogus"), None);

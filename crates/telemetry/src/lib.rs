@@ -48,8 +48,7 @@ mod window;
 pub use counters::{CounterDelta, CounterSnapshot};
 pub use digest::{fnv1a64, fnv1a64_update, fnv1a64_update_u64, FNV1A64_OFFSET};
 pub use event::{
-    AllocSample, AppSample, FaultSample, TraceClass, TraceDecision, TraceEvent, TraceParseError,
-    TracePhase,
+    AllocSample, AppSample, FaultSample, TraceClass, TraceDecision, TraceEvent, TracePhase,
 };
 pub use ewma::Ewma;
 pub use fleet::{FleetAggregator, NodeGauges, Percentiles};

@@ -15,7 +15,7 @@
 //!   the format the `trace_inspection` example and the experiment
 //!   harness consume.
 
-use crate::event::{TraceEvent, TraceParseError};
+use crate::event::TraceEvent;
 use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{self, BufRead, BufWriter, Write};
@@ -213,30 +213,37 @@ impl<W: Write> Recorder for JsonlRecorder<W> {
 }
 
 /// Parses a whole JSONL trace from a reader, one event per non-empty
-/// line. Stops at the first malformed line with its line number.
-pub fn parse_trace(reader: impl BufRead) -> Result<Vec<TraceEvent>, (usize, TraceParseError)> {
+/// line.
+///
+/// # Errors
+///
+/// The reader's I/O error, or [`io::ErrorKind::InvalidData`] naming the
+/// first malformed line.
+pub fn parse_trace(reader: impl BufRead) -> io::Result<Vec<TraceEvent>> {
     let mut events = Vec::new();
     for (lineno, line) in reader.lines().enumerate() {
-        let line = line.map_err(|e| {
-            (
-                lineno + 1,
-                TraceParseError::Schema(format!("I/O error reading line: {e}")),
-            )
-        })?;
+        let line = line?;
         if line.trim().is_empty() {
             continue;
         }
-        events.push(TraceEvent::from_json_line(&line).map_err(|e| (lineno + 1, e))?);
+        let event = TraceEvent::from_json_line(&line).map_err(|e| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("line {}: {e}", lineno + 1),
+            )
+        })?;
+        events.push(event);
     }
     Ok(events)
 }
 
 /// Reads a JSONL trace file written by [`JsonlRecorder`].
+///
+/// # Errors
+///
+/// As [`parse_trace`], or the error opening the file.
 pub fn read_trace_file(path: impl AsRef<Path>) -> io::Result<Vec<TraceEvent>> {
-    let file = File::open(path)?;
-    parse_trace(io::BufReader::new(file)).map_err(|(lineno, e)| {
-        io::Error::new(io::ErrorKind::InvalidData, format!("line {lineno}: {e}"))
-    })
+    parse_trace(io::BufReader::new(File::open(path)?))
 }
 
 #[cfg(test)]
@@ -347,8 +354,9 @@ mod tests {
         let text = format!("{good}\n\n{good}\n");
         assert_eq!(parse_trace(text.as_bytes()).unwrap().len(), 2);
         let bad = format!("{good}\nnot json\n");
-        let (lineno, _) = parse_trace(bad.as_bytes()).unwrap_err();
-        assert_eq!(lineno, 2);
+        let err = parse_trace(bad.as_bytes()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().starts_with("line 2: "), "{err}");
     }
 
     #[test]
