@@ -64,7 +64,6 @@ fn copart_config(stream: &StreamReference, use_hr_matching: bool) -> RuntimeConf
         manage_mba: true,
         budget: WaysBudget::full_machine(MachineConfig::xeon_gold_6130().llc_ways),
         stream: stream.clone(),
-        resilience: Default::default(),
         planner: Default::default(),
     }
 }

@@ -13,7 +13,7 @@
 //! counts, `*_per_sec` fields are throughputs (higher is better), and
 //! string fields (digests, schema) must match byte-for-byte.
 
-use copart_telemetry::{JsonSink, JsonWriter};
+use copart_telemetry::JsonWriter;
 
 /// One flat `BENCH_*.json` artifact under construction.
 #[derive(Debug, Clone)]

@@ -194,7 +194,8 @@ where
         metrics: MetricsFrozen::capture(&live.metrics_snapshot()),
     };
     // The bytes the store writes: the document streamed straight into
-    // text. They must be the tree's rendering, byte for byte.
+    // text. Rendering that text parsed (`encode`) gives them back, byte
+    // for byte.
     let mut streamed = String::new();
     doc.emit(&mut JsonWriter::new(&mut streamed));
     if streamed != doc.encode().to_string() {

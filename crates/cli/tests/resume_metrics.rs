@@ -1,7 +1,8 @@
 //! A killed and resumed LFOC run reports the same `--metrics` counters
 //! and gauges as the run that was never killed: a series missing from
-//! the snapshot's intern table would restart from zero on resume, and
-//! LFOC is the policy that emits the cluster series.
+//! `copart_telemetry::SERIES`, the table a snapshot's names are interned
+//! through, would restart from zero on resume, and LFOC is the policy
+//! that emits the cluster series.
 
 use std::path::Path;
 use std::process::Command;

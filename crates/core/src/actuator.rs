@@ -15,37 +15,26 @@ use copart_rdt::{CbmMask, ClosId, RdtBackend, RdtError};
 
 use crate::state::{SystemState, WaysBudget};
 
-/// Bounded retry-with-backoff policy for transient backend failures.
+/// Total attempts per backend write that fails transiently, including
+/// the first.
 ///
 /// On a real server a schemata write can race another resctrl user and
 /// come back `EBUSY` ([`RdtError::Busy`]); such failures are expected to
-/// clear within a write or two. The actuator retries them up to
-/// `max_write_attempts` total attempts, backing off exponentially from
-/// `retry_backoff` between attempts. The backoff is spent through
+/// clear within a write or two. The actuator retries them up to this
+/// many attempts, backing off exponentially from [`RETRY_BACKOFF`]
+/// between attempts. The backoff is spent through
 /// [`RdtBackend::advance`], so it is virtual time on the simulator and a
 /// real sleep on hardware.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ResilienceConfig {
-    /// Total attempts per backend write, including the first
-    /// (1 disables retrying).
-    pub max_write_attempts: u32,
-    /// Backoff before the first retry; doubled on each further retry.
-    pub retry_backoff: Duration,
-}
+const MAX_WRITE_ATTEMPTS: u32 = 4;
 
-impl Default for ResilienceConfig {
-    fn default() -> ResilienceConfig {
-        ResilienceConfig {
-            max_write_attempts: 4,
-            retry_backoff: Duration::from_millis(1),
-        }
-    }
-}
+/// Backoff before the first retry; doubled on each further retry.
+const RETRY_BACKOFF: Duration = Duration::from_millis(1);
 
-/// Runs `op`, retrying transient ([`RdtError::is_transient`]) failures
-/// with exponential backoff per `resilience`. Each retry is counted into
-/// `retries`. Backoff-advance failures are ignored: the backoff is best
-/// effort, the retried write is what matters.
+/// Runs `op`, retrying transient ([`RdtError::is_transient`]) failures:
+/// up to four attempts in all, backing off 1 ms, then 2 ms, then 4 ms.
+/// Each retry is counted into `retries`. Backoff-advance failures are
+/// ignored: the backoff is best effort, the retried write is what
+/// matters.
 ///
 /// # Errors
 ///
@@ -53,16 +42,15 @@ impl Default for ResilienceConfig {
 /// the attempt budget is exhausted.
 pub fn retry_transient<B: RdtBackend, T>(
     backend: &mut B,
-    resilience: &ResilienceConfig,
     retries: &mut u32,
     mut op: impl FnMut(&mut B) -> Result<T, RdtError>,
 ) -> Result<T, RdtError> {
     let mut attempt = 1u32;
     loop {
         match op(backend) {
-            Err(e) if e.is_transient() && attempt < resilience.max_write_attempts.max(1) => {
+            Err(e) if e.is_transient() && attempt < MAX_WRITE_ATTEMPTS => {
                 *retries += 1;
-                let backoff = resilience.retry_backoff * 2u32.saturating_pow(attempt - 1);
+                let backoff = RETRY_BACKOFF * 2u32.saturating_pow(attempt - 1);
                 let _ = backend.advance(backoff);
                 attempt += 1;
             }
@@ -102,15 +90,14 @@ pub struct ApplyReport {
 /// is accounted.
 ///
 /// ```
-/// use copart_core::actuator::{retry_transient, ResilienceConfig};
+/// use copart_core::actuator::retry_transient;
 /// use copart_rdt::{RdtError, SimBackend};
 /// use copart_sim::{Machine, MachineConfig};
 ///
 /// let mut backend = SimBackend::new(Machine::new(MachineConfig::xeon_gold_6130()));
-/// let resilience = ResilienceConfig::default();
 /// let mut retries = 0;
 /// let mut first = true;
-/// let outcome = retry_transient(&mut backend, &resilience, &mut retries, |_b| {
+/// let outcome = retry_transient(&mut backend, &mut retries, |_b| {
 ///     if std::mem::take(&mut first) {
 ///         Err(RdtError::Busy("schemata write"))
 ///     } else {
@@ -121,9 +108,6 @@ pub struct ApplyReport {
 /// assert_eq!(retries, 1);
 /// ```
 pub trait Actuator<B: RdtBackend> {
-    /// The retry/backoff policy in force.
-    fn resilience(&self) -> &ResilienceConfig;
-
     /// Writes `state`'s MBA levels and the caller-laid-out `masks` for
     /// every group, retrying transient failures. The first persistent
     /// failure propagates — membership and budget changes use this and
@@ -167,23 +151,9 @@ pub trait Actuator<B: RdtBackend> {
 /// The default actuator: bounded-retry writes with prefix rollback, as
 /// described on [`Actuator::apply_txn`].
 #[derive(Debug, Clone, Default)]
-pub struct TransactionalActuator {
-    /// The retry/backoff policy applied to every write.
-    pub resilience: ResilienceConfig,
-}
-
-impl TransactionalActuator {
-    /// An actuator with the given retry/backoff policy.
-    pub fn new(resilience: ResilienceConfig) -> TransactionalActuator {
-        TransactionalActuator { resilience }
-    }
-}
+pub struct TransactionalActuator;
 
 impl<B: RdtBackend> Actuator<B> for TransactionalActuator {
-    fn resilience(&self) -> &ResilienceConfig {
-        &self.resilience
-    }
-
     fn apply(
         &self,
         backend: &mut B,
@@ -197,10 +167,10 @@ impl<B: RdtBackend> Actuator<B> for TransactionalActuator {
             let group = *group;
             let mask = *mask;
             let level = alloc.mba.min(budget.mba_cap);
-            retry_transient(backend, &self.resilience, &mut report.write_retries, |b| {
+            retry_transient(backend, &mut report.write_retries, |b| {
                 b.set_cbm(group, mask)
             })?;
-            retry_transient(backend, &self.resilience, &mut report.write_retries, |b| {
+            retry_transient(backend, &mut report.write_retries, |b| {
                 b.set_mba(group, level)
             })?;
         }
@@ -229,15 +199,14 @@ impl<B: RdtBackend> Actuator<B> for TransactionalActuator {
             let group = groups[i];
             let mask = *mask;
             let level = alloc.mba.min(budget.mba_cap);
-            let wrote =
-                retry_transient(backend, &self.resilience, &mut report.write_retries, |b| {
-                    b.set_cbm(group, mask)
+            let wrote = retry_transient(backend, &mut report.write_retries, |b| {
+                b.set_cbm(group, mask)
+            })
+            .and_then(|()| {
+                retry_transient(backend, &mut report.write_retries, |b| {
+                    b.set_mba(group, level)
                 })
-                .and_then(|()| {
-                    retry_transient(backend, &self.resilience, &mut report.write_retries, |b| {
-                        b.set_mba(group, level)
-                    })
-                });
+            });
             if wrote.is_err() {
                 failed_at = Some(i);
                 break;
@@ -251,14 +220,14 @@ impl<B: RdtBackend> Actuator<B> for TransactionalActuator {
                 let group = groups[i];
                 let mask = old_masks[i];
                 let level = old.allocs[i].mba.min(budget.mba_cap);
-                if retry_transient(backend, &self.resilience, &mut report.write_retries, |b| {
+                if retry_transient(backend, &mut report.write_retries, |b| {
                     b.set_cbm(group, mask)
                 })
                 .is_err()
                 {
                     report.rollback_write_failures += 1;
                 }
-                if retry_transient(backend, &self.resilience, &mut report.write_retries, |b| {
+                if retry_transient(backend, &mut report.write_retries, |b| {
                     b.set_mba(group, level)
                 })
                 .is_err()

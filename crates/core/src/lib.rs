@@ -57,7 +57,7 @@ pub mod scale;
 pub mod sensor;
 pub mod state;
 
-pub use actuator::{Actuator, ApplyReport, ResilienceConfig, TransactionalActuator};
+pub use actuator::{Actuator, ApplyReport, TransactionalActuator};
 pub use classifier::{Classifier, DualFsmClassifier};
 pub use fsm::{AppState, ResourceEvent};
 pub use metrics::{geomean, unfairness};

@@ -323,7 +323,6 @@ mod tests {
             manage_mba: true,
             budget: WaysBudget::full_machine(machine.llc_ways),
             stream: StreamReference::for_machine(machine),
-            resilience: Default::default(),
             planner: Default::default(),
         }
     }

@@ -33,7 +33,6 @@ use copart_workloads::measure::{self, MrcPoint};
 use copart_workloads::reference;
 use copart_workloads::stream::StreamReference;
 
-use crate::actuator::ResilienceConfig;
 use crate::metrics::{self, geomean, unfairness};
 use crate::node;
 use crate::runtime::{ConsolidationRuntime, PlannerMode, RuntimeConfig};
@@ -578,7 +577,6 @@ pub fn dynamic_runtime_config(
             mba_cap,
         },
         stream: stream.clone(),
-        resilience: ResilienceConfig::default(),
         planner,
     }
 }

@@ -32,7 +32,6 @@ use copart_telemetry::{
 };
 use copart_workloads::stream::StreamReference;
 
-pub use crate::actuator::ResilienceConfig;
 use crate::actuator::{retry_transient, Actuator, ApplyReport, TransactionalActuator};
 use crate::classifier::{
     initial_states, Classifier, DualFsmClassifier, Measurement, ProfileProbes,
@@ -170,8 +169,6 @@ pub struct RuntimeConfig {
     pub budget: WaysBudget,
     /// STREAM reference miss rates per MBA level (§5.3).
     pub stream: StreamReference,
-    /// Retry/backoff policy for transient backend failures.
-    pub resilience: ResilienceConfig,
     /// The planning algorithm of the exploration phase.
     pub planner: PlannerMode,
 }
@@ -179,10 +176,10 @@ pub struct RuntimeConfig {
 impl RuntimeConfig {
     /// Whether profiling under `self` and under `other` is the same
     /// computation. Construction and profiling read the parameters, the
-    /// budget, the STREAM table and the resilience policy; what the
-    /// controller manages and how it plans are read only once
-    /// exploration starts. Runs whose configurations agree here may
-    /// profile once and [`fork`](ConsolidationRuntime::fork).
+    /// budget and the STREAM table; what the controller manages and how
+    /// it plans are read only once exploration starts. Runs whose
+    /// configurations agree here may profile once and
+    /// [`fork`](ConsolidationRuntime::fork).
     pub fn profiles_like(&self, other: &RuntimeConfig) -> bool {
         let RuntimeConfig {
             params,
@@ -190,13 +187,9 @@ impl RuntimeConfig {
             manage_mba: _,
             budget,
             stream,
-            resilience,
             planner: _,
         } = self;
-        *params == other.params
-            && *budget == other.budget
-            && *stream == other.stream
-            && *resilience == other.resilience
+        *params == other.params && *budget == other.budget && *stream == other.stream
     }
 }
 
@@ -318,7 +311,7 @@ impl<B: RdtBackend> ConsolidationRuntime<B> {
         let group_ids: Vec<ClosId> = apps.iter().map(|a| a.group).collect();
         let state = SystemState::equal_split(apps.len(), &cfg.budget, cfg.budget.mba_cap);
         let explorer = Explorer::new(cfg.params.seed);
-        let actuator = TransactionalActuator::new(cfg.resilience.clone());
+        let actuator = TransactionalActuator;
         let mut runtime = ConsolidationRuntime {
             backend,
             apps,
@@ -586,14 +579,13 @@ impl<B: RdtBackend> ConsolidationRuntime<B> {
         retries: &mut u32,
     ) -> Result<(f64, f64, f64, f64), RdtError> {
         let period = self.cfg.params.period;
-        let res = self.cfg.resilience.clone();
         let group = self.apps[idx].group;
         self.backend.advance(period)?; // Settle.
-        let start = retry_transient(&mut self.backend, &res, retries, |b| b.read_counters(group))?;
+        let start = retry_transient(&mut self.backend, retries, |b| b.read_counters(group))?;
         for _ in 0..periods.max(1) {
             self.backend.advance(period)?;
         }
-        let end = retry_transient(&mut self.backend, &res, retries, |b| b.read_counters(group))?;
+        let end = retry_transient(&mut self.backend, retries, |b| b.read_counters(group))?;
         let rates = end
             .delta_since(&start)
             .and_then(|d| d.rates())
@@ -613,11 +605,10 @@ impl<B: RdtBackend> ConsolidationRuntime<B> {
     ///
     /// # Errors
     ///
-    /// Propagates backend failures (transient ones are first retried per
-    /// the [`ResilienceConfig`]); the phase can be retried.
+    /// Propagates backend failures (transient ones are first retried
+    /// with backoff); the phase can be retried.
     pub fn profile(&mut self) -> Result<(), RdtError> {
         let p = self.cfg.params.clone();
-        let res = self.cfg.resilience.clone();
         let mut retries = 0u32;
         let budget = self.cfg.budget;
         let machine_ways = self.backend.capabilities().llc_ways;
@@ -639,10 +630,10 @@ impl<B: RdtBackend> ConsolidationRuntime<B> {
             // Probing *after* a full-mask stint would let stale lines in
             // other CLOSes' ways keep serving hits (CAT restricts
             // allocation, not lookup), masking the app's LLC sensitivity.
-            retry_transient(&mut self.backend, &res, &mut retries, |b| {
+            retry_transient(&mut self.backend, &mut retries, |b| {
                 b.set_cbm(group, probe_mask)
             })?;
-            retry_transient(&mut self.backend, &res, &mut retries, |b| {
+            retry_transient(&mut self.backend, &mut retries, |b| {
                 b.set_mba(group, budget.mba_cap)
             })?;
             let (ips_llc, probe_access_rate, probe_miss_ratio, _) =
@@ -650,14 +641,14 @@ impl<B: RdtBackend> ConsolidationRuntime<B> {
 
             // Full resources: IPS_full (the app's mask may overlap the
             // others' during the probe, exactly as CAT allows).
-            retry_transient(&mut self.backend, &res, &mut retries, |b| {
+            retry_transient(&mut self.backend, &mut retries, |b| {
                 b.set_cbm(group, full_mask)
             })?;
             let (ips_full, _, _, miss_rate) = self.probe(i, p.profile_periods, &mut retries)?;
 
             // Bandwidth probe: (L, M_P).
             let probe_level = MbaLevel::new(p.profile_mba_percent).min(budget.mba_cap);
-            retry_transient(&mut self.backend, &res, &mut retries, |b| {
+            retry_transient(&mut self.backend, &mut retries, |b| {
                 b.set_mba(group, probe_level)
             })?;
             let (ips_mba, _, _, _) = self.probe(i, p.profile_periods, &mut retries)?;
@@ -1274,7 +1265,6 @@ mod tests {
             manage_mba: true,
             budget: WaysBudget::full_machine(machine_cfg.llc_ways),
             stream,
-            resilience: Default::default(),
             planner: Default::default(),
         };
         ConsolidationRuntime::new(backend, groups, cfg).unwrap()
@@ -1447,7 +1437,6 @@ mod weight_tests {
             manage_mba: true,
             budget: WaysBudget::full_machine(machine_cfg.llc_ways),
             stream,
-            resilience: Default::default(),
             planner: Default::default(),
         };
         let mut rt = ConsolidationRuntime::new(backend, groups, cfg).unwrap();
@@ -1483,7 +1472,6 @@ mod weight_tests {
             manage_mba: true,
             budget: WaysBudget::full_machine(machine_cfg.llc_ways),
             stream,
-            resilience: Default::default(),
             planner: Default::default(),
         };
         let mut rt = ConsolidationRuntime::new(backend, groups, cfg).unwrap();

@@ -28,7 +28,6 @@ use copart_workloads::fleet::MixSampler;
 use copart_workloads::stream::StreamReference;
 use copart_workloads::Category;
 
-use crate::actuator::ResilienceConfig;
 use crate::fsm::AppState;
 use crate::metrics::unfairness;
 use crate::next_state::AppClassification;
@@ -218,7 +217,6 @@ pub fn run_planner_scale(cfg: &ScaleConfig) -> ScaleReport {
         // The planner never consults the STREAM table; a flat placeholder
         // keeps the synthetic harness free of machine measurement.
         stream: StreamReference::from_table([1.0; 10]),
-        resilience: ResilienceConfig::default(),
         planner: Default::default(),
     };
 

@@ -27,7 +27,6 @@ fn run_with_seed(kind: MixKind, seed: u64) -> Vec<copart_core::PeriodRecord> {
         manage_mba: true,
         budget: WaysBudget::full_machine(cfg.llc_ways),
         stream: StreamReference::for_machine(&cfg),
-        resilience: Default::default(),
         planner: Default::default(),
     };
     let mut rt = ConsolidationRuntime::new(backend, groups, rcfg).unwrap();

@@ -118,7 +118,6 @@ fn run_case(policy: PolicyKind) -> Vec<BucketRow> {
                 manage_mba: true,
                 budget,
                 stream: stream.clone(),
-                resilience: Default::default(),
                 planner: Default::default(),
             };
             let mut rt = node::build(backend, &batch_specs, cfg).expect("state applies");

@@ -70,7 +70,6 @@ pub fn fig16() {
         budget: WaysBudget::full_machine(11),
         // The planner never consults the STREAM table.
         stream: StreamReference::from_table([1.0; 10]),
-        resilience: Default::default(),
         planner: Default::default(),
     };
     let mut t = Table::new(&["apps", "mean exploration step (µs)", "paper (µs)"]);

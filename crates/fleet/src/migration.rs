@@ -18,7 +18,7 @@
 use copart_core::runtime::AppRuntimeSnapshot;
 use copart_persist::codec::{emit_app_runtime, read_app_runtime};
 use copart_persist::PersistError;
-use copart_telemetry::{fnv1a64, JsonReader, JsonSink, JsonWriter};
+use copart_telemetry::{fnv1a64, JsonReader, JsonWriter};
 
 /// One tenant's state in flight from `from` to `to`.
 #[derive(Debug, Clone, PartialEq)]

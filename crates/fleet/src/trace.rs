@@ -15,7 +15,7 @@
 
 use std::collections::HashMap;
 
-use copart_telemetry::{FieldError, JsonReader, JsonSink, JsonWriter, ReadError};
+use copart_telemetry::{FieldError, JsonReader, JsonWriter, ReadError};
 
 /// One fleet trace event.
 #[derive(Debug, Clone, PartialEq)]
@@ -319,7 +319,7 @@ pub fn check_fleet_trace(text: &str) -> Result<FleetTraceStats, String> {
                     cfg = Some((nodes, capacity));
                     continue;
                 }
-                _ => return Err("line 1: first event must be fleet-config".to_string()),
+                _ => return Err(format!("line {lineno}: first event must be fleet-config")),
             }
         }
         let (n_nodes, capacity) = cfg.expect("config checked on the first event");
@@ -722,5 +722,23 @@ mod tests {
         ]
         .join("\n");
         assert!(check_fleet_trace(&t).unwrap_err().contains("after epoch"));
+    }
+
+    /// Blank lines before the first event are skipped, and the missing
+    /// header is reported on the line the first event is on.
+    #[test]
+    fn checker_names_the_line_of_a_headerless_first_event() {
+        let placement = FleetEvent::Placement {
+            epoch: 0,
+            app: 0,
+            bench: "WN".to_string(),
+            node: 0,
+            boot: true,
+        };
+        let t = format!("\n\n{}", placement.to_json_line());
+        assert_eq!(
+            check_fleet_trace(&t),
+            Err("line 3: first event must be fleet-config".to_string())
+        );
     }
 }

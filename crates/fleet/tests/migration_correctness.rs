@@ -31,7 +31,6 @@ fn node_cfg(machine: &MachineConfig, seed: u64) -> RuntimeConfig {
         manage_mba: true,
         budget: WaysBudget::full_machine(machine.llc_ways),
         stream: StreamReference::compute(machine, 1),
-        resilience: Default::default(),
         planner: Default::default(),
     }
 }

@@ -10,12 +10,12 @@
 //! counts, CLOS ids, epoch counters) stay plain JSON numbers for
 //! readability — they are exact well below 2⁵³.
 //!
-//! Each struct's field list is written once, against
-//! [`copart_telemetry::JsonSink`]: the snapshot store streams it as text
-//! into the file's buffer ([`SnapshotDoc::emit`] into a `JsonWriter`, no
-//! tree in between), the migration ticket streams [`emit_app_runtime`]
-//! into its line the same way, and [`SnapshotDoc::encode`] builds a tree
-//! from the same calls for the callers that inspect one.
+//! Each struct's field list is written once, straight into a
+//! [`copart_telemetry::JsonWriter`]: the snapshot store streams it as
+//! text into the file's buffer ([`SnapshotDoc::emit`], no tree in
+//! between), the migration ticket streams [`emit_app_runtime`] into its
+//! line the same way, and [`SnapshotDoc::encode`] parses the streamed
+//! text for the callers that inspect a tree.
 //!
 //! Each struct also has exactly one decoder, its `read_*` twin, which
 //! pulls the members from the text through a
@@ -38,7 +38,7 @@ use copart_faults::{FaultStateSnapshot, InjectionStats, SiteSnapshot};
 use copart_rdt::MbaLevel;
 use copart_sim::trace::TraceGenSnapshot;
 use copart_sim::{AppSpec, MachineSnapshot, SimAppSnapshot};
-use copart_telemetry::{CounterSnapshot, Json, JsonReader, JsonSink, ReadError};
+use copart_telemetry::{CounterSnapshot, Json, JsonReader, JsonWriter, ReadError};
 
 use crate::backend::BackendSnapshot;
 use crate::error::PersistError;
@@ -48,16 +48,16 @@ use copart_sim::cache::{CacheLineSnapshot, CacheSnapshot};
 use copart_sim::trace::{zipf_exponent_is_valid, AccessPattern};
 
 /// An `f64` member as the hex of its bit pattern — bit-exact, NaN-safe.
-pub(crate) fn hex_f64<S: JsonSink>(s: &mut S, key: &str, v: f64) {
+pub(crate) fn hex_f64(s: &mut JsonWriter<'_>, key: &str, v: f64) {
     s.key(key).hex16(v.to_bits());
 }
 
 /// An array member with one element per item.
-pub(crate) fn arr<S: JsonSink, T>(
-    s: &mut S,
+pub(crate) fn arr<'w, T>(
+    s: &mut JsonWriter<'w>,
     key: &str,
     items: impl IntoIterator<Item = T>,
-    mut each: impl FnMut(&mut S, T),
+    mut each: impl FnMut(&mut JsonWriter<'w>, T),
 ) {
     s.key(key).begin_arr();
     for item in items {
@@ -96,7 +96,7 @@ pub(crate) fn obj<'a, T>(
 // telemetry
 // ---------------------------------------------------------------------
 
-fn enc_counter_snapshot<S: JsonSink>(s: &mut S, c: &CounterSnapshot) {
+fn enc_counter_snapshot(s: &mut JsonWriter<'_>, c: &CounterSnapshot) {
     s.begin_obj();
     s.key("t").hex16(c.timestamp_ns);
     s.key("i").hex16(c.instructions);
@@ -122,14 +122,14 @@ fn read_counter_snapshot(r: &mut JsonReader<'_>) -> Result<CounterSnapshot, Pers
 // core: sensor / classifier / explorer / runtime
 // ---------------------------------------------------------------------
 
-fn enc_opt_f64<S: JsonSink>(s: &mut S, v: Option<f64>) {
+fn enc_opt_f64(s: &mut JsonWriter<'_>, v: Option<f64>) {
     match v {
         Some(x) => s.hex16(x.to_bits()),
         None => s.null(),
     };
 }
 
-fn enc_sensor<S: JsonSink>(s: &mut S, sensor: &SensorSnapshot) {
+fn enc_sensor(s: &mut JsonWriter<'_>, sensor: &SensorSnapshot) {
     s.begin_obj();
     s.key("capacity").num(sensor.capacity as f64);
     arr(s, "samples", &sensor.samples, enc_counter_snapshot);
@@ -185,7 +185,7 @@ fn read_phase(r: &mut JsonReader<'_>) -> Result<Phase, PersistError> {
     }
 }
 
-fn enc_events<S: JsonSink>(s: &mut S, e: &AppliedEvents) {
+fn enc_events(s: &mut JsonWriter<'_>, e: &AppliedEvents) {
     s.begin_obj();
     s.key("granted_llc").bool(e.granted_llc);
     s.key("granted_mba").bool(e.granted_mba);
@@ -205,7 +205,7 @@ fn read_events(r: &mut JsonReader<'_>) -> Result<AppliedEvents, PersistError> {
     })
 }
 
-fn enc_system_state<S: JsonSink>(s: &mut S, key: &str, state: &SystemState) {
+fn enc_system_state(s: &mut JsonWriter<'_>, key: &str, state: &SystemState) {
     arr(s, key, &state.allocs, |s, a| {
         s.begin_obj();
         s.key("ways").num(f64::from(a.ways));
@@ -226,7 +226,7 @@ fn read_system_state(r: &mut JsonReader<'_>) -> Result<SystemState, PersistError
     Ok(SystemState { allocs })
 }
 
-fn enc_explorer<S: JsonSink>(s: &mut S, e: &ExplorerSnapshot) {
+fn enc_explorer(s: &mut JsonWriter<'_>, e: &ExplorerSnapshot) {
     s.begin_obj();
     s.key("rng_state").hex16(e.rng_state);
     s.key("retry_count").num(f64::from(e.retry_count));
@@ -266,7 +266,7 @@ fn read_explorer(r: &mut JsonReader<'_>) -> Result<ExplorerSnapshot, PersistErro
 
 /// Emits one application's frozen controller state — the bit-exact
 /// payload the fleet's migration tickets carry between nodes.
-pub fn emit_app_runtime<S: JsonSink>(s: &mut S, a: &AppRuntimeSnapshot) {
+pub fn emit_app_runtime(s: &mut JsonWriter<'_>, a: &AppRuntimeSnapshot) {
     s.begin_obj();
     s.key("group").num(f64::from(a.group));
     s.key("name").str(&a.name);
@@ -307,7 +307,7 @@ pub fn read_app_runtime(r: &mut JsonReader<'_>) -> Result<AppRuntimeSnapshot, Pe
     })
 }
 
-fn emit_runtime<S: JsonSink>(s: &mut S, r: &RuntimeSnapshot) {
+fn emit_runtime(s: &mut JsonWriter<'_>, r: &RuntimeSnapshot) {
     s.begin_obj();
     s.key("epoch").num(r.epoch as f64);
     s.key("phase").str(phase_name(r.phase));
@@ -345,7 +345,7 @@ fn read_runtime(r: &mut JsonReader<'_>) -> Result<RuntimeSnapshot, PersistError>
 // sim: trace generator / app spec / cache / machine
 // ---------------------------------------------------------------------
 
-fn enc_pattern<S: JsonSink>(s: &mut S, p: &AccessPattern) {
+fn enc_pattern(s: &mut JsonWriter<'_>, p: &AccessPattern) {
     let (kind, bytes) = match p {
         AccessPattern::WorkingSetLoop { bytes, .. } => ("wsl", bytes),
         AccessPattern::Stream { bytes } => ("stream", bytes),
@@ -392,7 +392,7 @@ fn read_pattern(r: &mut JsonReader<'_>) -> Result<AccessPattern, PersistError> {
     })
 }
 
-fn enc_spec<S: JsonSink>(s: &mut S, spec: &AppSpec) {
+fn enc_spec(s: &mut JsonWriter<'_>, spec: &AppSpec) {
     s.begin_obj();
     s.key("name").str(&spec.name);
     s.key("cores").num(f64::from(spec.cores));
@@ -431,7 +431,7 @@ fn read_spec(r: &mut JsonReader<'_>) -> Result<AppSpec, PersistError> {
     })
 }
 
-fn enc_trace_gen<S: JsonSink>(s: &mut S, g: &TraceGenSnapshot) {
+fn enc_trace_gen(s: &mut JsonWriter<'_>, g: &TraceGenSnapshot) {
     s.begin_obj();
     arr(s, "cursors", &g.cursors, |s, &c| {
         s.hex16(c);
@@ -453,7 +453,7 @@ fn read_trace_gen(r: &mut JsonReader<'_>) -> Result<TraceGenSnapshot, PersistErr
     })
 }
 
-fn enc_sim_app<S: JsonSink>(s: &mut S, a: &SimAppSnapshot) {
+fn enc_sim_app(s: &mut JsonWriter<'_>, a: &SimAppSnapshot) {
     s.begin_obj();
     s.key("spec");
     enc_spec(s, &a.spec);
@@ -489,7 +489,7 @@ fn read_sim_app(r: &mut JsonReader<'_>) -> Result<SimAppSnapshot, PersistError> 
     })
 }
 
-fn enc_cache<S: JsonSink>(s: &mut S, c: &CacheSnapshot) {
+fn enc_cache(s: &mut JsonWriter<'_>, c: &CacheSnapshot) {
     s.begin_obj();
     s.key("clock").hex16(c.clock);
     // ~5 600 lines on the paper's machine: nearly all of a snapshot's
@@ -525,7 +525,7 @@ fn read_cache(r: &mut JsonReader<'_>) -> Result<CacheSnapshot, PersistError> {
     })
 }
 
-fn emit_machine<S: JsonSink>(s: &mut S, m: &MachineSnapshot) {
+fn emit_machine(s: &mut JsonWriter<'_>, m: &MachineSnapshot) {
     s.begin_obj();
     s.key("time_ns").hex16(m.time_ns);
     arr(s, "clos", &m.clos_table, |s, &(id, cbm, mba)| {
@@ -569,7 +569,7 @@ fn read_machine(r: &mut JsonReader<'_>) -> Result<MachineSnapshot, PersistError>
 // faults
 // ---------------------------------------------------------------------
 
-fn emit_fault_state<S: JsonSink>(s: &mut S, f: &FaultStateSnapshot) {
+fn emit_fault_state(s: &mut JsonWriter<'_>, f: &FaultStateSnapshot) {
     s.begin_obj();
     arr(s, "sites", &f.sites, |s, site| {
         s.begin_obj();
@@ -619,7 +619,7 @@ fn read_fault_state(r: &mut JsonReader<'_>) -> Result<FaultStateSnapshot, Persis
 // backend
 // ---------------------------------------------------------------------
 
-fn enc_groups<S: JsonSink>(s: &mut S, groups: &[(u16, u32)]) {
+fn enc_groups(s: &mut JsonWriter<'_>, groups: &[(u16, u32)]) {
     arr(s, "groups", groups, |s, &(clos, app)| {
         s.begin_obj();
         s.key("clos").num(f64::from(clos));
@@ -632,7 +632,7 @@ fn read_groups(r: &mut JsonReader<'_>) -> Result<Vec<(u16, u32)>, PersistError> 
     r.items(|r| obj(r, |r| Ok((r.key("clos")?.uint()?, r.key("app")?.uint()?))))
 }
 
-fn emit_backend<S: JsonSink>(s: &mut S, b: &BackendSnapshot) {
+fn emit_backend(s: &mut JsonWriter<'_>, b: &BackendSnapshot) {
     let (kind, machine, groups, next_clos, fault_state) = match b {
         BackendSnapshot::Sim {
             machine,
@@ -735,15 +735,19 @@ impl SnapshotDoc {
         self.runtime.epoch
     }
 
-    /// Serialises the document to a JSON value.
+    /// The document as a JSON tree: [`SnapshotDoc::emit`]'s text, parsed.
+    /// Every number a snapshot writes is an integer no larger than 2⁵³
+    /// and every float travels as hex, so rendering the tree gives back
+    /// the streamed bytes.
     pub fn encode(&self) -> Json {
-        Json::build(|s| self.emit(s))
+        let mut text = String::new();
+        self.emit(&mut JsonWriter::new(&mut text));
+        Json::parse(&text).expect("the snapshot writer emits well-formed JSON")
     }
 
-    /// Emits the document into `s`: as wire text when `s` is a
-    /// [`copart_telemetry::JsonWriter`] (what the snapshot store does —
-    /// no tree is built), as a tree when it is a `JsonTree`.
-    pub fn emit<S: JsonSink>(&self, s: &mut S) {
+    /// Streams the document into `s` as wire text (what the snapshot
+    /// store does — no tree is built).
+    pub fn emit(&self, s: &mut JsonWriter<'_>) {
         s.begin_obj();
         s.key("meta").begin_obj();
         s.key("mix").str(&self.meta.mix);
@@ -811,7 +815,6 @@ impl SnapshotDoc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use copart_telemetry::JsonWriter;
 
     fn round_trip(pattern: &AccessPattern) -> Result<AccessPattern, PersistError> {
         let mut text = String::new();

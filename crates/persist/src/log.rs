@@ -25,7 +25,7 @@ use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use copart_telemetry::{JsonReader, JsonSink, JsonWriter};
+use copart_telemetry::{JsonReader, JsonWriter};
 
 use crate::error::PersistError;
 

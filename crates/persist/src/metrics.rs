@@ -3,9 +3,10 @@
 //! [`copart_telemetry::MetricsRegistry`] keys its series by
 //! `&'static str`, which keeps the hot path allocation-free but means a
 //! name read back from disk (a `String`) cannot be handed to
-//! [`MetricsRegistry::set_counter`] directly. The intern table below
-//! maps every counter and gauge the workspace emits back to its static
-//! name; a snapshot written by a newer build with series this build does
+//! [`MetricsRegistry::set_counter`] directly. Restoring looks every
+//! counter and gauge up in [`copart_telemetry::SERIES`], the one table of
+//! the series the workspace emits, to get its static name back; a
+//! snapshot written by a newer build with series this build does
 //! not know is restored best-effort (unknown names are skipped and
 //! reported, never fabricated).
 //!
@@ -14,57 +15,26 @@
 //! resumed process cannot meaningfully continue. This is a documented
 //! recovery invariant (DESIGN.md §16).
 
-use copart_telemetry::{JsonReader, JsonSink, MetricsRegistry, MetricsSnapshot};
+use copart_telemetry::{
+    JsonReader, JsonWriter, MetricsRegistry, MetricsSnapshot, SeriesKind, SERIES,
+};
 
 use crate::codec::{arr, hex_f64, obj};
 use crate::error::PersistError;
 
-/// Every counter name the workspace emits, in one place so the intern
-/// table cannot silently drift from the emitting crates.
-pub const KNOWN_COUNTERS: &[&str] = &[
-    "epochs",
-    "transfers",
-    "theta_retries",
-    "convergences",
-    "re_explorations",
-    "matching_rounds",
-    "apps_profiled",
-    "backend_applies",
-    "fault_write_retries",
-    "fault_counter_dropouts",
-    "degraded_epochs",
-    "partition_apply_failures",
-    "partition_rollbacks",
-    "rollback_write_failures",
-    "admitted_apps",
-    "removed_apps",
-    "policy_switches",
-    "epoch_failures",
-    "ticks",
-    "epoch_deadline_misses",
-    "http_requests",
-    "http_responses_2xx",
-    "http_responses_4xx",
-    "http_responses_5xx",
-    "http_rejected_overload",
-    "trace_rotations",
-    "trace_verify_failures",
-    "snapshots_written",
-    "recoveries",
-    "cluster_replans",
-];
+/// Series the daemon computes each time `/metrics` is rendered instead
+/// of holding them in the registry: a frozen value of one is stale, so
+/// restore skips it like an unknown name.
+const RENDERED: &[&str] = &["healthy"];
 
-/// Every gauge name the workspace emits.
-pub const KNOWN_GAUGES: &[&str] = &["unfairness", "snapshot_bytes", "clusters"];
-
-/// Interns a counter name read from disk.
-pub fn intern_counter(name: &str) -> Option<&'static str> {
-    KNOWN_COUNTERS.iter().find(|&&k| k == name).copied()
-}
-
-/// Interns a gauge name read from disk.
-pub fn intern_gauge(name: &str) -> Option<&'static str> {
-    KNOWN_GAUGES.iter().find(|&&k| k == name).copied()
+/// The static name [`SERIES`] lists for `name` as a series of `kind`,
+/// unless it is one of the [`RENDERED`] series.
+fn intern(name: &str, kind: SeriesKind) -> Option<&'static str> {
+    SERIES
+        .iter()
+        .filter(|&&(series, ..)| !RENDERED.contains(&series))
+        .find(|&&(series, k, _)| series == name && k == kind)
+        .map(|&(series, ..)| series)
 }
 
 /// The restorable slice of a [`MetricsSnapshot`]: cumulative counters
@@ -100,13 +70,13 @@ impl MetricsFrozen {
     pub fn restore(&self, registry: &MetricsRegistry) -> Vec<String> {
         let mut skipped = Vec::new();
         for (name, value) in &self.counters {
-            match intern_counter(name) {
+            match intern(name, SeriesKind::Counter) {
                 Some(key) => registry.set_counter(key, *value),
                 None => skipped.push(name.clone()),
             }
         }
         for (name, value) in &self.gauges {
-            match intern_gauge(name) {
+            match intern(name, SeriesKind::Gauge) {
                 Some(key) => registry.set_gauge(key, *value),
                 None => skipped.push(name.clone()),
             }
@@ -114,10 +84,9 @@ impl MetricsFrozen {
         skipped
     }
 
-    /// Emits the frozen values into `s` (text or tree; see
-    /// [`crate::SnapshotDoc::emit`]): counters as hex `u64`, gauges as
-    /// hex bits.
-    pub fn emit<S: JsonSink>(&self, s: &mut S) {
+    /// Streams the frozen values into `s`: counters as hex `u64`, gauges
+    /// as hex bits.
+    pub fn emit(&self, s: &mut JsonWriter<'_>) {
         s.begin_obj();
         arr(s, "counters", &self.counters, |s, (name, value)| {
             s.begin_obj();
@@ -197,13 +166,24 @@ mod tests {
     }
 
     #[test]
+    fn a_series_rendered_per_scrape_is_skipped() {
+        let frozen = MetricsFrozen {
+            counters: vec![],
+            gauges: vec![("healthy".to_string(), 1.0)],
+        };
+        let reg = MetricsRegistry::new();
+        assert_eq!(frozen.restore(&reg), vec!["healthy".to_string()]);
+        assert!(reg.snapshot().gauges.is_empty());
+    }
+
+    #[test]
     fn encode_decode_round_trips_exactly() {
         let frozen = MetricsFrozen {
             counters: vec![("epochs".to_string(), u64::MAX - 3)],
             gauges: vec![("unfairness".to_string(), 0.1 + 0.2)],
         };
         let mut text = String::new();
-        frozen.emit(&mut copart_telemetry::JsonWriter::new(&mut text));
+        frozen.emit(&mut JsonWriter::new(&mut text));
         let back = MetricsFrozen::read(&mut JsonReader::new(&text)).unwrap();
         assert_eq!(back, frozen);
     }

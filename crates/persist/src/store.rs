@@ -22,7 +22,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use copart_telemetry::{fnv1a64, FieldError, JsonReader, JsonSink, JsonWriter, ReadError};
+use copart_telemetry::{fnv1a64, FieldError, JsonReader, JsonWriter, ReadError};
 
 use crate::codec::SnapshotDoc;
 use crate::error::PersistError;

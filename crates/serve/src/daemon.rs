@@ -31,7 +31,7 @@ use copart_core::policies::PolicyKind;
 use copart_core::runtime::Phase;
 use copart_core::NodeBackend;
 use copart_persist::PersistableBackend;
-use copart_telemetry::{JsonSink, JsonWriter, MetricsRegistry};
+use copart_telemetry::{JsonWriter, MetricsRegistry};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, SyncSender, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;

@@ -8,7 +8,7 @@
 //! `Content-Length` under the configured limit, and anything else is
 //! rejected with the right 4xx before a byte of it is buffered.
 
-use copart_telemetry::{JsonSink, JsonWriter};
+use copart_telemetry::JsonWriter;
 use std::fmt;
 use std::io::{self, BufRead, Write};
 

@@ -8,58 +8,20 @@
 //! rendering cumulates them on the way out — the one representational
 //! difference between the two formats.
 
-use copart_telemetry::MetricsSnapshot;
+use copart_telemetry::{MetricsSnapshot, SERIES};
 use std::fmt::Write as _;
 
 /// The metric-name prefix every exposed series carries.
 pub const PREFIX: &str = "copart";
 
-/// `# HELP` text for the metrics the runtime and daemon emit. Unknown
-/// names (e.g. from future counters) fall back to a generic line so the
-/// exposition stays valid either way.
+/// `# HELP` text for a series, from [`SERIES`]. Names the table lacks
+/// (e.g. a bench probe) fall back to a generic line so the exposition
+/// stays valid either way.
 pub fn help(name: &str) -> &'static str {
-    match name {
-        "epochs" => "Control periods executed",
-        "transfers" => "Resource units moved by Algorithm 2 proposals",
-        "theta_retries" => "Random neighbor states tried after convergence (theta)",
-        "convergences" => "Times the explorer settled into the idle phase",
-        "re_explorations" => "Times idle-phase drift triggered re-adaptation",
-        "apps_profiled" => "Profiling passes over single applications",
-        "backend_applies" => "Full allocation writes to the backend",
-        "matching_rounds" => "Stable-matching rounds inside planning",
-        "fault_write_retries" => "Transient backend write failures that were retried",
-        "degraded_epochs" => "Epochs run on stale counters after a sensing fault",
-        "fault_counter_dropouts" => "Counter reads lost to injected dropouts",
-        "partition_apply_failures" => "Allocation transactions that failed mid-write",
-        "partition_rollbacks" => "Failed transactions rolled back to the prior state",
-        "rollback_write_failures" => "Rollback writes that themselves failed",
-        "unfairness" => "Current weighted unfairness (sigma/mu of slowdowns, Eq 2)",
-        "epoch_ns" => "End-to-end control epoch latency",
-        "explore_ns" => "Latency of one get_next_system_state decision",
-        "apply_ns" => "Latency of one backend programming pass",
-        "epoch_failures" => "Daemon epochs whose run_period returned an error",
-        "ticks" => "Epoch-timer ticks observed by the daemon",
-        "epoch_deadline_misses" => "Epochs that started more than one tick late",
-        "tick_lag_ns" => "Lag between the scheduled and actual epoch start",
-        "http_requests" => "HTTP requests parsed",
-        "http_responses_2xx" => "HTTP responses with a 2xx status",
-        "http_responses_4xx" => "HTTP responses with a 4xx status",
-        "http_responses_5xx" => "HTTP responses with a 5xx status",
-        "http_rejected_overload" => "Connections answered 503 because the queue was full",
-        "admitted_apps" => "Applications admitted through POST /apps",
-        "removed_apps" => "Applications removed through DELETE /apps",
-        "policy_switches" => "Live policy switches through POST /policy",
-        "trace_rotations" => "Trace files opened after the previous one filled",
-        "trace_verify_failures" => "Recorded events that rewound the epoch or time",
-        "healthy" => "1 when the control loop's last epoch is recent or it is done, else 0",
-        "cluster_replans" => "LFOC cluster plans recomputed",
-        "clusters" => "Clusters in the current LFOC plan",
-        "snapshots_written" => "State snapshots written to the state directory",
-        "recoveries" => "Times this run resumed from a snapshot",
-        "snapshot_bytes" => "Size of the last state snapshot, bytes",
-        "snapshot_ns" => "Latency of writing one state snapshot",
-        _ => "CoPart metric",
-    }
+    SERIES
+        .iter()
+        .find(|&&(series, ..)| series == name)
+        .map_or("CoPart metric", |&(.., help)| help)
 }
 
 /// Renders the snapshot as Prometheus text exposition.
@@ -170,31 +132,10 @@ mod tests {
     }
 
     #[test]
-    fn every_documented_metric_has_specific_help() {
-        for name in [
-            "epochs",
-            "transfers",
-            "theta_retries",
-            "convergences",
-            "re_explorations",
-            "apps_profiled",
-            "backend_applies",
-            "matching_rounds",
-            "fault_write_retries",
-            "degraded_epochs",
-            "fault_counter_dropouts",
-            "partition_apply_failures",
-            "partition_rollbacks",
-            "rollback_write_failures",
-            "unfairness",
-            "epoch_ns",
-            "explore_ns",
-            "apply_ns",
-            "ticks",
-            "epoch_deadline_misses",
-            "http_requests",
-        ] {
-            assert_ne!(help(name), "CoPart metric", "missing help for {name}");
+    fn help_text_comes_from_the_series_table() {
+        for &(name, _, text) in SERIES {
+            assert_eq!(help(name), text);
         }
+        assert_eq!(help("bench_probe"), "CoPart metric");
     }
 }

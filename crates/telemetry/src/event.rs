@@ -16,7 +16,7 @@
 //! and parse back with [`TraceEvent::from_json_line`]; the schema is
 //! documented field-by-field in `DESIGN.md` § Observability.
 
-use crate::json::{FieldError, JsonReader, JsonSink, JsonWriter, ReadError};
+use crate::json::{FieldError, JsonReader, JsonWriter, ReadError};
 use crate::Rates;
 
 /// The controller phase a trace event was emitted from (Figure 10).

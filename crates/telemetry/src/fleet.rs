@@ -10,7 +10,7 @@
 //! document (sorted nodes, fixed field order) so fleet metric dumps are
 //! byte-comparable across `--jobs` settings like everything else.
 
-use crate::json::{JsonSink, JsonWriter};
+use crate::json::JsonWriter;
 
 /// Distribution summary of one fleet-wide series.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]

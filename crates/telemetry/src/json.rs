@@ -114,46 +114,32 @@ impl fmt::Display for FieldError {
 impl std::error::Error for FieldError {}
 
 impl Json {
-    /// Replays the tree into `sink`, member by member. Rendering
-    /// ([`fmt::Display`], hence `to_string`) is this walk into a
-    /// [`JsonWriter`], so a tree and a hand-streamed field list that
-    /// make the same calls produce the same bytes.
-    pub fn emit<S: JsonSink>(&self, sink: &mut S) {
+    /// Streams the tree into `w`, member by member. Rendering
+    /// ([`fmt::Display`], hence `to_string`) is this walk, so a tree and a
+    /// hand-streamed field list that make the same calls produce the same
+    /// bytes.
+    pub fn emit(&self, w: &mut JsonWriter<'_>) {
         match self {
-            Json::Null => sink.null(),
-            Json::Bool(b) => sink.bool(*b),
-            Json::Num(x) => sink.num(*x),
-            Json::Str(s) => sink.str(s),
+            Json::Null => w.null(),
+            Json::Bool(b) => w.bool(*b),
+            Json::Num(x) => w.num(*x),
+            Json::Str(s) => w.str(s),
             Json::Arr(items) => {
-                sink.begin_arr();
+                w.begin_arr();
                 for item in items {
-                    item.emit(sink);
+                    item.emit(w);
                 }
-                sink.end_arr()
+                w.end_arr()
             }
             Json::Obj(members) => {
-                sink.begin_obj();
+                w.begin_obj();
                 for (k, v) in members {
-                    sink.key(k);
-                    v.emit(sink);
+                    w.key(k);
+                    v.emit(w);
                 }
-                sink.end_obj()
+                w.end_obj()
             }
         };
-    }
-
-    /// Builds a tree from the calls `fill` makes on a [`JsonTree`] — the
-    /// tree-shaped landing place for a field list written once against
-    /// [`JsonSink`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when `fill` does not emit exactly one complete value.
-    pub fn build(fill: impl FnOnce(&mut JsonTree)) -> Json {
-        let mut tree = JsonTree::default();
-        fill(&mut tree);
-        assert!(tree.open.is_empty(), "unclosed JSON container");
-        tree.root.expect("no JSON value was emitted")
     }
 }
 
@@ -163,35 +149,6 @@ impl fmt::Display for Json {
         self.emit(&mut JsonWriter::new(&mut text));
         f.write_str(&text)
     }
-}
-
-/// A push interface for one JSON value: the calls a struct's field list
-/// makes, independent of where they land. [`JsonWriter`] appends the
-/// wire text to a `String`; [`JsonTree`] builds a [`Json`]. Callers make
-/// well-formed sequences (a `key` before each object member, every
-/// `begin_*` closed); the sinks do not validate them.
-pub trait JsonSink {
-    /// Opens an object.
-    fn begin_obj(&mut self) -> &mut Self;
-    /// Closes the innermost object.
-    fn end_obj(&mut self) -> &mut Self;
-    /// Opens an array.
-    fn begin_arr(&mut self) -> &mut Self;
-    /// Closes the innermost array.
-    fn end_arr(&mut self) -> &mut Self;
-    /// Names the next value inside an object.
-    fn key(&mut self, key: &str) -> &mut Self;
-    /// A string value.
-    fn str(&mut self, s: &str) -> &mut Self;
-    /// A number value (non-finite numbers become `null`).
-    fn num(&mut self, x: f64) -> &mut Self;
-    /// A boolean value.
-    fn bool(&mut self, b: bool) -> &mut Self;
-    /// A `null` value.
-    fn null(&mut self) -> &mut Self;
-    /// A `u64` as a string of exactly sixteen lowercase hex digits —
-    /// what `format!("{v:016x}")` produces, exact for the full range.
-    fn hex16(&mut self, v: u64) -> &mut Self;
 }
 
 /// The one definition of the wire text: an append-only JSON emitter over
@@ -205,6 +162,9 @@ pub trait JsonSink {
 ///   (including 0x7f and multi-byte UTF-8) is copied through unchanged.
 /// * Numbers: Rust's shortest round-trip `{x}` for finite values
 ///   (integers print without a fraction), `null` for NaN and ±∞.
+///
+/// Callers make well-formed sequences (a `key` before each object
+/// member, every `begin_*` closed); the writer does not validate them.
 #[derive(Debug)]
 pub struct JsonWriter<'a> {
     out: &'a mut String,
@@ -240,38 +200,43 @@ impl<'a> JsonWriter<'a> {
         self.comma = true;
         self
     }
-}
 
-impl JsonSink for JsonWriter<'_> {
-    fn begin_obj(&mut self) -> &mut Self {
+    /// Opens an object.
+    pub fn begin_obj(&mut self) -> &mut Self {
         self.open('{')
     }
 
-    fn end_obj(&mut self) -> &mut Self {
+    /// Closes the innermost object.
+    pub fn end_obj(&mut self) -> &mut Self {
         self.close('}')
     }
 
-    fn begin_arr(&mut self) -> &mut Self {
+    /// Opens an array.
+    pub fn begin_arr(&mut self) -> &mut Self {
         self.open('[')
     }
 
-    fn end_arr(&mut self) -> &mut Self {
+    /// Closes the innermost array.
+    pub fn end_arr(&mut self) -> &mut Self {
         self.close(']')
     }
 
-    fn key(&mut self, key: &str) -> &mut Self {
+    /// Names the next value inside an object.
+    pub fn key(&mut self, key: &str) -> &mut Self {
         push_escaped(self.value(), key);
         self.out.push(':');
         self.comma = false;
         self
     }
 
-    fn str(&mut self, s: &str) -> &mut Self {
+    /// A string value.
+    pub fn str(&mut self, s: &str) -> &mut Self {
         push_escaped(self.value(), s);
         self
     }
 
-    fn num(&mut self, x: f64) -> &mut Self {
+    /// A number value (non-finite numbers become `null`).
+    pub fn num(&mut self, x: f64) -> &mut Self {
         let out = self.value();
         // `{x}` prints a non-negative integer up to 2⁵³ as its plain
         // decimal digits; epochs, way counts and CLOS ids are most of
@@ -293,18 +258,25 @@ impl JsonSink for JsonWriter<'_> {
         self
     }
 
-    fn bool(&mut self, b: bool) -> &mut Self {
+    /// A boolean value.
+    pub fn bool(&mut self, b: bool) -> &mut Self {
         self.value().push_str(if b { "true" } else { "false" });
         self
     }
 
-    fn null(&mut self) -> &mut Self {
+    /// A `null` value.
+    pub fn null(&mut self) -> &mut Self {
         self.value().push_str("null");
         self
     }
 
-    fn hex16(&mut self, v: u64) -> &mut Self {
-        let quoted = quoted_hex16(v);
+    /// A `u64` as a string of exactly sixteen lowercase hex digits —
+    /// what `format!("{v:016x}")` produces, exact for the full range.
+    pub fn hex16(&mut self, v: u64) -> &mut Self {
+        let mut quoted = *b"\"0000000000000000\"";
+        for (i, digit) in quoted[1..17].iter_mut().enumerate() {
+            *digit = b"0123456789abcdef"[(v >> (60 - 4 * i) & 0xf) as usize];
+        }
         self.value()
             .push_str(std::str::from_utf8(&quoted).expect("hex digits are ASCII"));
         self
@@ -313,15 +285,6 @@ impl JsonSink for JsonWriter<'_> {
 
 /// 2⁵³: every non-negative integer up to here is an exact `f64`.
 const MAX_EXACT_INT: u64 = 1 << 53;
-
-/// `v` as sixteen lowercase hex digits between double quotes.
-fn quoted_hex16(v: u64) -> [u8; 18] {
-    let mut quoted = *b"\"0000000000000000\"";
-    for (i, digit) in quoted[1..17].iter_mut().enumerate() {
-        *digit = b"0123456789abcdef"[(v >> (60 - 4 * i) & 0xf) as usize];
-    }
-    quoted
-}
 
 fn push_decimal(out: &mut String, mut v: u64) {
     let mut digits = [0u8; 20];
@@ -365,90 +328,6 @@ fn push_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// The tree-building [`JsonSink`]: the same calls that stream text into a
-/// [`JsonWriter`] build a [`Json`] here (see [`Json::build`]).
-#[derive(Debug, Default)]
-pub struct JsonTree {
-    /// Containers still open, outermost first.
-    open: Vec<OpenContainer>,
-    root: Option<Json>,
-}
-
-#[derive(Debug)]
-enum OpenContainer {
-    /// Members so far, and the key waiting for its value.
-    Obj(Vec<(String, Json)>, Option<String>),
-    Arr(Vec<Json>),
-}
-
-impl JsonTree {
-    fn value(&mut self, v: Json) -> &mut Self {
-        match self.open.last_mut() {
-            Some(OpenContainer::Obj(members, key)) => {
-                members.push((key.take().expect("an object member needs a key"), v));
-            }
-            Some(OpenContainer::Arr(items)) => items.push(v),
-            None => self.root = Some(v),
-        }
-        self
-    }
-}
-
-impl JsonSink for JsonTree {
-    fn begin_obj(&mut self) -> &mut Self {
-        self.open.push(OpenContainer::Obj(Vec::new(), None));
-        self
-    }
-
-    fn end_obj(&mut self) -> &mut Self {
-        match self.open.pop() {
-            Some(OpenContainer::Obj(members, _)) => self.value(Json::Obj(members)),
-            _ => panic!("end_obj without a matching begin_obj"),
-        }
-    }
-
-    fn begin_arr(&mut self) -> &mut Self {
-        self.open.push(OpenContainer::Arr(Vec::new()));
-        self
-    }
-
-    fn end_arr(&mut self) -> &mut Self {
-        match self.open.pop() {
-            Some(OpenContainer::Arr(items)) => self.value(Json::Arr(items)),
-            _ => panic!("end_arr without a matching begin_arr"),
-        }
-    }
-
-    fn key(&mut self, key: &str) -> &mut Self {
-        match self.open.last_mut() {
-            Some(OpenContainer::Obj(_, slot)) => *slot = Some(key.to_string()),
-            _ => panic!("key outside an object"),
-        }
-        self
-    }
-
-    fn str(&mut self, s: &str) -> &mut Self {
-        self.value(Json::Str(s.to_string()))
-    }
-
-    fn num(&mut self, x: f64) -> &mut Self {
-        self.value(Json::Num(x))
-    }
-
-    fn bool(&mut self, b: bool) -> &mut Self {
-        self.value(Json::Bool(b))
-    }
-
-    fn null(&mut self) -> &mut Self {
-        self.value(Json::Null)
-    }
-
-    fn hex16(&mut self, v: u64) -> &mut Self {
-        let quoted = quoted_hex16(v);
-        self.str(std::str::from_utf8(&quoted[1..17]).expect("hex digits are ASCII"))
-    }
-}
-
 /// A parse failure: byte offset and description.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
@@ -478,7 +357,7 @@ fn exact_u64(x: f64) -> Option<u64> {
     (x >= 0.0 && x.fract() == 0.0 && x <= MAX_EXACT_INT as f64).then_some(x as u64)
 }
 
-/// The `u64` a [`JsonSink::hex16`] string spells: exactly sixteen
+/// The `u64` a [`JsonWriter::hex16`] string spells: exactly sixteen
 /// lowercase hex digits, so a value has one spelling and every string
 /// that reads re-encodes to itself.
 fn hex_u64(s: &str) -> Option<u64> {
@@ -756,7 +635,7 @@ impl<'a> JsonReader<'a> {
         self.typed_string("string")
     }
 
-    /// A `u64` written by [`JsonSink::hex16`]: a string of exactly
+    /// A `u64` written by [`JsonWriter::hex16`]: a string of exactly
     /// sixteen lowercase hex digits.
     ///
     /// # Errors
@@ -767,7 +646,7 @@ impl<'a> JsonReader<'a> {
         hex_u64(&s).ok_or_else(|| self.mismatch("hex u64"))
     }
 
-    /// An `f64` travelling as the [`hex16`](JsonSink::hex16) of its bit
+    /// An `f64` travelling as the [`hex16`](JsonWriter::hex16) of its bit
     /// pattern.
     ///
     /// # Errors
@@ -1092,29 +971,26 @@ mod tests {
         assert_eq!(Json::Num(f64::NAN).to_string(), "null");
     }
 
-    /// One field list, both landing places: the text a `JsonWriter`
-    /// streams is the rendering of the tree a `JsonTree` builds.
+    /// The writer places commas and closes containers at any nesting,
+    /// appends after text already in the buffer, and its output renders
+    /// back to itself through the parsed tree.
     #[test]
-    fn a_field_list_lands_as_the_same_text_or_tree() {
-        fn fields<S: JsonSink>(s: &mut S) {
-            s.begin_obj();
-            s.key("n").num(3.0).key("h").hex16(0xdead_beef);
-            s.key("a")
-                .begin_arr()
-                .null()
-                .bool(true)
-                .begin_arr()
-                .end_arr();
-            s.begin_obj().end_obj().end_arr();
-            s.key("s").str("x").end_obj();
-        }
+    fn a_streamed_field_list_is_its_own_rendering() {
         let mut text = String::from("kept\n");
-        fields(&mut JsonWriter::new(&mut text));
+        let w = &mut JsonWriter::new(&mut text);
+        w.begin_obj();
+        w.key("n").num(3.0).key("h").hex16(0xdead_beef);
+        w.key("a")
+            .begin_arr()
+            .null()
+            .bool(true)
+            .begin_arr()
+            .end_arr();
+        w.begin_obj().end_obj().end_arr();
+        w.key("s").str("x").end_obj();
         let expected = r#"{"n":3,"h":"00000000deadbeef","a":[null,true,[],{}],"s":"x"}"#;
         assert_eq!(text, format!("kept\n{expected}"));
-        let tree = Json::build(fields);
-        assert_eq!(tree.to_string(), expected);
-        assert_eq!(Json::parse(expected).unwrap(), tree);
+        assert_eq!(Json::parse(expected).unwrap().to_string(), expected);
     }
 
     #[test]

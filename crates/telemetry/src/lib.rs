@@ -27,7 +27,8 @@
 //! * [`Recorder`] — the pluggable sink trait, with [`NullRecorder`],
 //!   [`RingRecorder`] and [`JsonlRecorder`] implementations,
 //! * [`MetricsRegistry`] — counters, gauges and fixed-bucket latency
-//!   [`Histogram`]s with a snapshot API,
+//!   [`Histogram`]s with a snapshot API, and [`SERIES`], the one table of
+//!   every series name the workspace emits, its kind and its help text,
 //! * [`Json`] — the dependency-free JSON value backing the JSONL trace
 //!   format, and [`JsonWriter`], the one emitter of its wire text.
 
@@ -52,15 +53,15 @@ pub use event::{
 };
 pub use ewma::Ewma;
 pub use fleet::{FleetAggregator, NodeGauges, Percentiles};
-pub use json::{
-    FieldError, Json, JsonError, JsonReader, JsonSink, JsonTree, JsonWriter, ReadError,
-};
+pub use json::{FieldError, Json, JsonError, JsonReader, JsonWriter, ReadError};
 pub use rates::{traffic_ratio, Rates};
 pub use recorder::{
     parse_trace, read_trace_file, JsonlRecorder, NullRecorder, Recorder, RingRecorder,
     SharedRecorder,
 };
-pub use registry::{Histogram, MetricsRegistry, MetricsSnapshot, LATENCY_BUCKET_BOUNDS_NS};
+pub use registry::{
+    Histogram, MetricsRegistry, MetricsSnapshot, SeriesKind, LATENCY_BUCKET_BOUNDS_NS, SERIES,
+};
 pub use window::SlidingWindow;
 
 /// Nanoseconds per second, used when converting deltas to rates.

@@ -125,6 +125,68 @@ impl Histogram {
     }
 }
 
+/// What a series in [`SERIES`] is: the registry map it lives in, and the
+/// Prometheus type it is exposed as.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SeriesKind {
+    /// A monotonic counter, exposed as `copart_<name>_total`.
+    Counter,
+    /// A gauge, exposed as `copart_<name>`.
+    Gauge,
+    /// A latency histogram, exposed as `copart_<name>` with `le` buckets.
+    Histogram,
+}
+
+/// Every series the workspace emits, as `(name, kind, help)`: the one
+/// list the metrics snapshot interns names from on restore, `/metrics`
+/// takes its `# HELP` text from, and OPERATIONS.md documents.
+// One row per line keeps the table a table.
+#[rustfmt::skip]
+pub const SERIES: &[(&str, SeriesKind, &str)] = {
+    use SeriesKind::{Counter, Gauge, Histogram};
+    &[
+        ("epochs", Counter, "Control periods executed"),
+        ("transfers", Counter, "Resource units moved by Algorithm 2 proposals"),
+        ("theta_retries", Counter, "Random neighbor states tried after convergence (theta)"),
+        ("convergences", Counter, "Times the explorer settled into the idle phase"),
+        ("re_explorations", Counter, "Times idle-phase drift triggered re-adaptation"),
+        ("matching_rounds", Counter, "Stable-matching rounds inside planning"),
+        ("apps_profiled", Counter, "Profiling passes over single applications"),
+        ("backend_applies", Counter, "Full allocation writes to the backend"),
+        ("fault_write_retries", Counter, "Transient backend write failures that were retried"),
+        ("fault_counter_dropouts", Counter, "Counter reads lost to injected dropouts"),
+        ("degraded_epochs", Counter, "Epochs run on stale counters after a sensing fault"),
+        ("partition_apply_failures", Counter, "Allocation transactions that failed mid-write"),
+        ("partition_rollbacks", Counter, "Failed transactions rolled back to the prior state"),
+        ("rollback_write_failures", Counter, "Rollback writes that themselves failed"),
+        ("admitted_apps", Counter, "Applications admitted through POST /apps"),
+        ("removed_apps", Counter, "Applications removed through DELETE /apps"),
+        ("policy_switches", Counter, "Live policy switches through POST /policy"),
+        ("epoch_failures", Counter, "Daemon epochs whose run_period returned an error"),
+        ("ticks", Counter, "Epoch-timer ticks observed by the daemon"),
+        ("epoch_deadline_misses", Counter, "Epochs that started more than one tick late"),
+        ("http_requests", Counter, "HTTP requests parsed"),
+        ("http_responses_2xx", Counter, "HTTP responses with a 2xx status"),
+        ("http_responses_4xx", Counter, "HTTP responses with a 4xx status"),
+        ("http_responses_5xx", Counter, "HTTP responses with a 5xx status"),
+        ("http_rejected_overload", Counter, "Connections answered 503 because the queue was full"),
+        ("trace_rotations", Counter, "Trace files opened after the previous one filled"),
+        ("trace_verify_failures", Counter, "Recorded events that rewound the epoch or time"),
+        ("snapshots_written", Counter, "State snapshots written to the state directory"),
+        ("recoveries", Counter, "Times this run resumed from a snapshot"),
+        ("cluster_replans", Counter, "LFOC cluster plans recomputed"),
+        ("unfairness", Gauge, "Current weighted unfairness (sigma/mu of slowdowns, Eq 2)"),
+        ("snapshot_bytes", Gauge, "Size of the last state snapshot, bytes"),
+        ("clusters", Gauge, "Clusters in the current LFOC plan"),
+        ("healthy", Gauge, "1 when the control loop's last epoch is recent or it is done, else 0"),
+        ("epoch_ns", Histogram, "End-to-end control epoch latency"),
+        ("explore_ns", Histogram, "Latency of one get_next_system_state decision"),
+        ("apply_ns", Histogram, "Latency of one backend programming pass"),
+        ("tick_lag_ns", Histogram, "Lag between the scheduled and actual epoch start"),
+        ("snapshot_ns", Histogram, "Latency of writing one state snapshot"),
+    ]
+};
+
 /// The registry's maps, guarded together by one mutex so readers always
 /// see one consistent instant across all three kinds.
 #[derive(Debug, Clone, Default)]

@@ -42,7 +42,6 @@ fn main() {
         manage_mba: true,
         budget: batch_budget(&reservation),
         stream,
-        resilience: Default::default(),
         planner: Default::default(),
     };
     let mut runtime = ConsolidationRuntime::new(

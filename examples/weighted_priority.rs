@@ -52,7 +52,6 @@ fn main() {
             manage_mba: true,
             budget: WaysBudget::full_machine(machine_cfg.llc_ways),
             stream,
-            resilience: Default::default(),
             planner: Default::default(),
         },
     )

@@ -124,7 +124,6 @@ fn controller_converges_to_idle_and_masks_partition_the_budget() {
         manage_mba: true,
         budget: WaysBudget::full_machine(cfg.llc_ways),
         stream: StreamReference::for_machine(&cfg),
-        resilience: Default::default(),
         planner: Default::default(),
     };
     let mut rt = ConsolidationRuntime::new(backend, groups, rcfg).unwrap();
@@ -175,7 +174,6 @@ fn full_runs_are_reproducible() {
             manage_mba: true,
             budget: WaysBudget::full_machine(cfg.llc_ways),
             stream: StreamReference::for_machine(&cfg),
-            resilience: Default::default(),
             planner: Default::default(),
         };
         let mut rt = ConsolidationRuntime::new(backend, groups, rcfg).unwrap();

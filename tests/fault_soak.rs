@@ -37,7 +37,6 @@ fn runtime_cfg() -> RuntimeConfig {
         manage_mba: true,
         budget: WaysBudget::full_machine(11),
         stream: StreamReference::for_machine(&MachineConfig::xeon_gold_6130()),
-        resilience: Default::default(),
         planner: Default::default(),
     }
 }

@@ -161,7 +161,6 @@ fn full_control_loop_over_the_filesystem() {
         manage_mba: true,
         budget: WaysBudget::full_machine(11),
         stream,
-        resilience: Default::default(),
         planner: Default::default(),
     };
     let mut rt = ConsolidationRuntime::new(

@@ -8,7 +8,7 @@ use copart_faults::FaultPlan;
 use copart_serve::daemon::{spawn_control, Command};
 use copart_serve::loadgen::{self, LoadConfig};
 use copart_serve::{DaemonConfig, PersistedRun, Scenario, ServeConfig, ServerHandle};
-use copart_telemetry::Json;
+use copart_telemetry::{Json, SeriesKind, SERIES};
 use copart_workloads::MixKind;
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
@@ -558,15 +558,15 @@ fn slow_tick_daemon_is_healthy_on_every_probe() {
 
 /// Every counter and gauge a daemon leaves in its registry, under each
 /// dynamic policy, with faults, churn, a trace directory, persistence
-/// and a restart, survives a snapshot (its name interns) and has its
-/// own `# HELP` line; every other series `/metrics` exposes has its own
-/// help too.
+/// and a restart, is in the series table with its kind, so it survives a
+/// snapshot (its name interns) and has its own `# HELP` line; so is
+/// every other series `/metrics` exposes.
 #[test]
 fn every_emitted_series_is_internable_and_documented() {
     let dir = std::env::temp_dir().join(format!("copart-series-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let plan = FaultPlan::parse("seed=3,write=0.05,dropout=0.05").expect("valid fault spec");
-    let mut exposed = std::collections::BTreeSet::new();
+    let mut exposed = Vec::new();
     let mut registered = std::collections::BTreeSet::new();
     for policy in [
         PolicyKind::CatOnly,
@@ -602,7 +602,8 @@ fn every_emitted_series_is_internable_and_documented() {
             }
             let (_, text) = get(&addr, "/metrics");
             for sample in parse_prometheus(&text).expect("/metrics parses") {
-                exposed.insert(series_name(&sample.name).to_string());
+                let (name, kind) = series_name(&sample.name);
+                exposed.push((name.to_string(), kind));
             }
             handle.shutdown();
             let snap = handle.join().snapshot;
@@ -622,32 +623,43 @@ fn every_emitted_series_is_internable_and_documented() {
             "no run emitted {required}"
         );
     }
+    let kind_of = |name: &str| {
+        SERIES
+            .iter()
+            .find(|&&(series, ..)| series == name)
+            .map(|&(_, kind, _)| kind)
+    };
     for (name, counter) in registered {
-        let interned = if counter {
-            copart_persist::metrics::intern_counter(name)
+        let kind = if counter {
+            SeriesKind::Counter
         } else {
-            copart_persist::metrics::intern_gauge(name)
+            SeriesKind::Gauge
         };
-        assert_eq!(interned, Some(name), "{name} is lost on resume");
+        assert_eq!(kind_of(name), Some(kind), "{name} is lost on resume");
     }
-    for name in exposed {
-        assert_ne!(
-            copart_serve::prometheus::help(&name),
-            "CoPart metric",
-            "{name} has no help line of its own"
+    for (name, kind) in exposed {
+        assert_eq!(
+            kind_of(&name),
+            Some(kind),
+            "{name} is not in the series table"
         );
     }
 }
 
-/// The registry name behind an exposed Prometheus series.
-fn series_name(exposed: &str) -> &str {
+/// The registry name and kind behind an exposed Prometheus sample.
+fn series_name(exposed: &str) -> (&str, SeriesKind) {
     let name = exposed
         .strip_prefix("copart_")
         .expect("every series is prefixed");
-    ["_total", "_bucket", "_sum", "_count"]
+    if let Some(counter) = name.strip_suffix("_total") {
+        return (counter, SeriesKind::Counter);
+    }
+    ["_bucket", "_sum", "_count"]
         .iter()
         .find_map(|suffix| name.strip_suffix(suffix))
-        .unwrap_or(name)
+        .map_or((name, SeriesKind::Gauge), |hist| {
+            (hist, SeriesKind::Histogram)
+        })
 }
 
 #[test]

@@ -37,7 +37,6 @@ fn traced_run() -> (Vec<TraceEvent>, usize) {
         manage_mba: true,
         budget: WaysBudget::full_machine(cfg.llc_ways),
         stream,
-        resilience: Default::default(),
         planner: Default::default(),
     };
     let path =
