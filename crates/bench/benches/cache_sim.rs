@@ -1,9 +1,10 @@
-//! Simulator substrate benchmarks: raw cache-access throughput, the cost
+//! Simulator substrate benchmarks: the burst kernel's throughput, the cost
 //! of one machine window tick under a consolidated mix, that tick split
 //! into its phases, and the set-sampling scale ablation (DESIGN.md §6).
 //!
 //! With `BENCH_JSON_DIR` set the headline numbers land in
-//! `BENCH_cache_sim.json`: ns per access per pattern, ns per 200 ms tick
+//! `BENCH_cache_sim.json`: ns per access per pattern (bursts of 64
+//! through `SampledCache::access_burst`), ns per 200 ms tick
 //! per mix, and — because a tick's cost is its sampled accesses — how
 //! many accesses a tick of each mix simulates and what one costs. The
 //! `gen_*` and `tick_split_*` keys split a warm H-Both ×4 tick into
@@ -66,12 +67,10 @@ fn bench_cache_access(artifact: &mut Artifact) {
         let mut generator = TraceGenerator::new(&[(1.0, pattern)], 64, 7);
         let mask = CbmMask::full(11);
         // The path `Machine::tick` takes: fill a burst, then walk it.
-        let mut block = [0u64; 64];
+        let mut block = [0u64; BURST_LEN as usize];
         let timing = bench(&format!("cache_access/{name}"), || {
             let writes = generator.fill(0.25, &mut block);
-            for (j, &addr) in block.iter().enumerate() {
-                black_box(cache.access(ClosId(0), mask, addr, writes >> j & 1 != 0));
-            }
+            black_box(cache.access_burst(ClosId(0), mask, 0, &block, writes, false));
         });
         let per_access = timing.mean_ns / block.len() as f64;
         println!("{:<44} {per_access:>14.1} ns/access", "");

@@ -1,7 +1,8 @@
 //! The allocation-counting global allocator shared by the benches that
-//! report `allocs_*` fields (`explore_overhead`, `persist`). Included
-//! with `#[path]` — each bench is its own binary, and the library crate
-//! forbids the `unsafe` a `GlobalAlloc` impl needs.
+//! report `allocs_*` fields (`explore_overhead`, `persist`) and the root
+//! `tests/sim_tick_alloc.rs`. Included with `#[path]` — each bench and
+//! test is its own binary, and the library crates forbid the `unsafe` a
+//! `GlobalAlloc` impl needs.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};

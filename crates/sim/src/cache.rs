@@ -10,6 +10,10 @@
 //! crate docs): miss *ratios* are preserved as long as application
 //! footprints are scaled by the same factor, which
 //! [`crate::trace::AccessPattern::scaled`] does.
+//!
+//! [`SampledCache::access_burst`] is the walk `Machine::tick` runs, a
+//! burst at a time; [`SampledCache::access`] and
+//! [`SampledCache::prefetch`] are the same steps for one access.
 
 use crate::{CbmMask, ClosId};
 
@@ -60,6 +64,18 @@ pub struct CacheSnapshot {
     pub lines: Vec<CacheLineSnapshot>,
 }
 
+/// The tallies of one [`SampledCache::access_burst`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BurstTallies {
+    /// Demand accesses that hit.
+    pub hits: u64,
+    /// Dirty lines evicted, by demand misses and prefetch fills alike.
+    pub writebacks: u64,
+    /// Prefetches that filled a line (a prefetch of a resident line is
+    /// free and not counted).
+    pub prefetch_fills: u64,
+}
+
 /// Which ways of one set hold a line, and which of those are dirty
 /// (`dirty ⊆ valid`). Bit *w* is way *w*, the same numbering as
 /// [`CbmMask::bits`], so "first permitted invalid way" is one `&` and a
@@ -79,6 +95,32 @@ enum SetIndex {
     Div { sets: u64 },
 }
 
+impl SetIndex {
+    /// Splits a line address into `(set, tag)`.
+    #[inline(always)]
+    fn split(self, line_addr: u64) -> (usize, u64) {
+        match self {
+            SetIndex::Pow2 { mask, shift } => ((line_addr & mask) as usize, line_addr >> shift),
+            SetIndex::Div { sets } => ((line_addr % sets) as usize, line_addr / sets),
+        }
+    }
+}
+
+/// Low tag halves compared at once. A set's ways start anywhere in
+/// `tag_lo`, so the array carries this many padding entries past its
+/// last set and a window never runs off the end.
+const WINDOW: usize = 16;
+
+/// The ways a CLOS may allocate into, resolved from its CAT mask once:
+/// the bitmap, and — a CAT mask being contiguous — the slice `lo..hi` of
+/// a set's ways it spans.
+#[derive(Debug, Clone, Copy)]
+struct Allowed {
+    bits: u32,
+    lo: usize,
+    hi: usize,
+}
+
 const HIT: AccessOutcome = AccessOutcome {
     hit: true,
     writeback: false,
@@ -86,18 +128,23 @@ const HIT: AccessOutcome = AccessOutcome {
 
 /// A way-partitioned set-associative LRU cache.
 ///
-/// Line state is struct-of-arrays: `tags`, `lru` and `owner` are
-/// `sets × ways`, row-major by set, so one set's ways are contiguous in
-/// each; validity and dirtiness are per-set way bitmaps. Entries of
-/// invalid ways are stale and never read — every reader masks with
-/// `valid` first (DESIGN.md §4).
+/// Line state is struct-of-arrays, row-major by set, so one set's ways
+/// are contiguous in each array: every tag as its low and high 32-bit
+/// halves (`tag_lo`, `tag_hi`), an LRU stamp and an owner — 18 B a line,
+/// as with one `u64` tag, plus a 16-entry pad after `tag_lo`.
+/// Validity and dirtiness are per-set way bitmaps. Entries of invalid
+/// ways are stale and never read — every reader masks with `valid` first
+/// (DESIGN.md §4).
 #[derive(Debug, Clone)]
 pub struct SampledCache {
     cfg: CacheConfig,
     ways: usize,
     /// Bitmap of the ways this cache has (`ways` low bits).
     way_mask: u32,
-    tags: Vec<u64>,
+    /// Low 32 bits of each tag, then [`WINDOW`] zeros.
+    tag_lo: Vec<u32>,
+    /// High 32 bits of each tag.
+    tag_hi: Vec<u32>,
     /// Access-clock value at the last touch; 0 for a prefetch installed
     /// into an empty way.
     lru: Vec<u64>,
@@ -107,6 +154,160 @@ pub struct SampledCache {
     line_shift: u32,
     index: SetIndex,
     clock: u64,
+}
+
+/// The line arrays of a [`SampledCache`] borrowed as plain slices: the
+/// one lookup, victim choice and install that `access`, `prefetch` and
+/// `access_burst` all run. Held in a local, its pointers and lengths
+/// stay in registers across a whole burst.
+struct Lines<'a> {
+    ways: usize,
+    tag_lo: &'a mut [u32],
+    tag_hi: &'a mut [u32],
+    lru: &'a mut [u64],
+    owner: &'a mut [u16],
+    bits: &'a mut [WayBits],
+}
+
+/// Bitmap of the lanes of `tag_lo[at..at + WINDOW]` equal to `half`,
+/// lane *i* at bit *i*. The width is fixed, so it compiles to four SSE2
+/// compares and one `pmovmskb`.
+#[inline(always)]
+fn window(tag_lo: &[u32], at: usize, half: u32) -> u32 {
+    let lanes = &tag_lo[at..at + WINDOW];
+    // Highest lane first, so each compare shifts in at bit 0.
+    let mut same = 0u16;
+    for &t in lanes.iter().rev() {
+        same = same << 1 | u16::from(t == half);
+    }
+    u32::from(same)
+}
+
+impl Lines<'_> {
+    /// The valid way of `set` holding `tag`. Hits are not restricted by
+    /// any CAT mask.
+    ///
+    /// Equal tags have equal halves, so the valid ways whose low half
+    /// matches are a superset of those holding `tag`, in way order; the
+    /// first whose high half matches too is the lowest way holding it.
+    #[inline(always)]
+    fn find(&self, set: usize, tag: u64) -> Option<usize> {
+        let base = set * self.ways;
+        let lo = tag as u32;
+        let mut candidates = window(self.tag_lo, base, lo);
+        if self.ways > WINDOW {
+            candidates |= window(self.tag_lo, base + WINDOW, lo) << WINDOW;
+        }
+        candidates &= self.bits[set].valid;
+        let hi = (tag >> 32) as u32;
+        while candidates != 0 {
+            let way = candidates.trailing_zeros() as usize;
+            if self.tag_hi[base + way] == hi {
+                return Some(way);
+            }
+            candidates &= candidates - 1;
+        }
+        None
+    }
+
+    /// The way a miss by a CLOS allowed `allowed` fills in `set`: the
+    /// lowest permitted invalid way, else the least recently used
+    /// permitted way (the lowest on ties).
+    #[inline(always)]
+    fn victim(&self, set: usize, allowed: Allowed) -> usize {
+        assert!(allowed.bits != 0, "CAT mask grants no way of this cache");
+        let free = allowed.bits & !self.bits[set].valid;
+        if free != 0 {
+            return free.trailing_zeros() as usize;
+        }
+        let base = set * self.ways;
+        let stamps = &self.lru[base + allowed.lo..base + allowed.hi];
+        // Running minimum held in locals so the scan compiles to
+        // compare-and-select: which way is oldest is data, not a pattern
+        // a branch predictor can learn.
+        let (mut best, mut oldest) = (0, stamps[0]);
+        for (i, &stamp) in stamps.iter().enumerate().skip(1) {
+            let older = stamp < oldest;
+            best = if older { i } else { best };
+            oldest = if older { stamp } else { oldest };
+        }
+        allowed.lo + best
+    }
+
+    /// Replaces way `way` of `set`; returns whether the line it held was
+    /// dirty (memory writeback traffic).
+    #[inline(always)]
+    fn install(
+        &mut self,
+        set: usize,
+        way: usize,
+        tag: u64,
+        stamp: u64,
+        clos: ClosId,
+        dirty: bool,
+    ) -> bool {
+        let i = set * self.ways + way;
+        self.tag_lo[i] = tag as u32;
+        self.tag_hi[i] = (tag >> 32) as u32;
+        self.lru[i] = stamp;
+        self.owner[i] = clos.0;
+        let bit = 1u32 << way;
+        let bits = &mut self.bits[set];
+        let writeback = bits.dirty & bit != 0;
+        bits.valid |= bit;
+        bits.dirty = (bits.dirty & !bit) | (u32::from(dirty) << way);
+        writeback
+    }
+
+    /// A demand access at clock value `stamp`: a hit refreshes the line,
+    /// a miss fills the victim most-recently-used.
+    #[inline(always)]
+    fn demand(
+        &mut self,
+        set: usize,
+        tag: u64,
+        stamp: u64,
+        clos: ClosId,
+        allowed: Allowed,
+        is_write: bool,
+    ) -> AccessOutcome {
+        if let Some(way) = self.find(set, tag) {
+            let i = set * self.ways + way;
+            self.lru[i] = stamp;
+            self.owner[i] = clos.0;
+            self.bits[set].dirty |= u32::from(is_write) << way;
+            return HIT;
+        }
+        let way = self.victim(set, allowed);
+        let writeback = self.install(set, way, tag, stamp, clos, is_write);
+        AccessOutcome {
+            hit: false,
+            writeback,
+        }
+    }
+
+    /// A prefetch: fill the line if absent, into the victim's LRU
+    /// position.
+    #[inline(always)]
+    fn prefetch(&mut self, set: usize, tag: u64, clos: ClosId, allowed: Allowed) -> AccessOutcome {
+        if self.find(set, tag).is_some() {
+            return HIT;
+        }
+        let way = self.victim(set, allowed);
+        // LRU-position insertion: stamp with the victim's old recency so
+        // a never-used prefetch leaves first. An empty way has none:
+        // stamp 0, older than any demand line.
+        let stamp = if self.bits[set].valid >> way & 1 != 0 {
+            self.lru[set * self.ways + way]
+        } else {
+            0
+        };
+        let writeback = self.install(set, way, tag, stamp, clos, false);
+        AccessOutcome {
+            hit: false,
+            writeback,
+        }
+    }
 }
 
 impl SampledCache {
@@ -131,7 +332,8 @@ impl SampledCache {
             cfg,
             ways,
             way_mask: u32::MAX >> (32 - cfg.ways),
-            tags: vec![0; n],
+            tag_lo: vec![0; n + WINDOW],
+            tag_hi: vec![0; n],
             lru: vec![0; n],
             owner: vec![0; n],
             bits: vec![WayBits::default(); sets],
@@ -153,81 +355,26 @@ impl SampledCache {
         self.cfg
     }
 
-    /// Splits a byte address into `(set, tag)`.
+    /// The ways `mask` lets a CLOS allocate into.
     #[inline]
-    fn locate(&self, addr: u64) -> (usize, u64) {
-        let line_addr = addr >> self.line_shift;
-        match self.index {
-            SetIndex::Pow2 { mask, shift } => ((line_addr & mask) as usize, line_addr >> shift),
-            SetIndex::Div { sets } => ((line_addr % sets) as usize, line_addr / sets),
+    fn allowed(&self, mask: CbmMask) -> Allowed {
+        let bits = mask.bits() & self.way_mask;
+        Allowed {
+            bits,
+            lo: bits.trailing_zeros() as usize,
+            hi: (32 - bits.leading_zeros()) as usize,
         }
     }
 
-    /// Bitmap of the valid ways of `set` holding `tag` (at most one bit
-    /// unless a foreign snapshot duplicated a tag; callers take the
-    /// lowest). Hits are not restricted by any CAT mask.
-    #[inline]
-    fn find(&self, set: usize, tag: u64) -> u32 {
-        let base = set * self.ways;
-        // Highest way first, so each compare shifts in at bit 0 and way
-        // `w` ends up at bit `w` without a variable shift.
-        let mut same = 0u32;
-        for &t in self.tags[base..base + self.ways].iter().rev() {
-            same = same << 1 | u32::from(t == tag);
+    fn lines(&mut self) -> Lines<'_> {
+        Lines {
+            ways: self.ways,
+            tag_lo: &mut self.tag_lo,
+            tag_hi: &mut self.tag_hi,
+            lru: &mut self.lru,
+            owner: &mut self.owner,
+            bits: &mut self.bits,
         }
-        same & self.bits[set].valid
-    }
-
-    /// The way a miss by a CLOS with `mask` fills in `set`: the lowest
-    /// permitted invalid way, else the least recently used permitted way
-    /// (the lowest on ties).
-    #[inline]
-    fn victim(&self, set: usize, mask: CbmMask) -> usize {
-        let allowed = mask.bits() & self.way_mask;
-        assert!(allowed != 0, "CAT mask grants no way of this cache");
-        let free = allowed & !self.bits[set].valid;
-        if free != 0 {
-            return free.trailing_zeros() as usize;
-        }
-        // A CAT mask is contiguous, so the permitted ways are one slice.
-        let lo = allowed.trailing_zeros() as usize;
-        let hi = (32 - allowed.leading_zeros()) as usize;
-        let base = set * self.ways;
-        let stamps = &self.lru[base + lo..base + hi];
-        // Running minimum held in locals so the scan compiles to
-        // compare-and-select: which way is oldest is data, not a pattern
-        // a branch predictor can learn.
-        let (mut best, mut oldest) = (0, stamps[0]);
-        for (i, &stamp) in stamps.iter().enumerate().skip(1) {
-            let older = stamp < oldest;
-            best = if older { i } else { best };
-            oldest = if older { stamp } else { oldest };
-        }
-        lo + best
-    }
-
-    /// Replaces way `way` of `set`; returns whether the line it held was
-    /// dirty (memory writeback traffic).
-    #[inline]
-    fn install(
-        &mut self,
-        set: usize,
-        way: usize,
-        tag: u64,
-        stamp: u64,
-        clos: ClosId,
-        dirty: bool,
-    ) -> bool {
-        let i = set * self.ways + way;
-        self.tags[i] = tag;
-        self.lru[i] = stamp;
-        self.owner[i] = clos.0;
-        let bit = 1u32 << way;
-        let bits = &mut self.bits[set];
-        let writeback = bits.dirty & bit != 0;
-        bits.valid |= bit;
-        bits.dirty = (bits.dirty & !bit) | (u32::from(dirty) << way);
-        writeback
     }
 
     /// Performs one access on behalf of `clos`, whose CAT mask is `mask`.
@@ -239,7 +386,6 @@ impl SampledCache {
     /// # Panics
     ///
     /// Panics on a miss if `mask` grants none of this cache's ways.
-    #[inline]
     pub fn access(
         &mut self,
         clos: ClosId,
@@ -248,22 +394,10 @@ impl SampledCache {
         is_write: bool,
     ) -> AccessOutcome {
         self.clock += 1;
-        let (set, tag) = self.locate(addr);
-        let hit = self.find(set, tag);
-        if hit != 0 {
-            let way = hit.trailing_zeros();
-            let i = set * self.ways + way as usize;
-            self.lru[i] = self.clock;
-            self.owner[i] = clos.0;
-            self.bits[set].dirty |= u32::from(is_write) << way;
-            return HIT;
-        }
-        let way = self.victim(set, mask);
-        let writeback = self.install(set, way, tag, self.clock, clos, is_write);
-        AccessOutcome {
-            hit: false,
-            writeback,
-        }
+        let (stamp, allowed) = (self.clock, self.allowed(mask));
+        let (set, tag) = self.index.split(addr >> self.line_shift);
+        self.lines()
+            .demand(set, tag, stamp, clos, allowed, is_write)
     }
 
     /// Installs `addr`'s line on behalf of `clos` if it is absent — a
@@ -277,26 +411,70 @@ impl SampledCache {
     /// # Panics
     ///
     /// Panics on a fill if `mask` grants none of this cache's ways.
-    #[inline]
     pub fn prefetch(&mut self, clos: ClosId, mask: CbmMask, addr: u64) -> AccessOutcome {
-        let (set, tag) = self.locate(addr);
-        if self.find(set, tag) != 0 {
-            return HIT;
+        let allowed = self.allowed(mask);
+        let (set, tag) = self.index.split(addr >> self.line_shift);
+        self.lines().prefetch(set, tag, clos, allowed)
+    }
+
+    /// Walks one burst through the cache on behalf of `clos`, whose CAT
+    /// mask is `mask`: access *j* is a demand access to `base +
+    /// offsets[j]`, a write if bit *j* of `writes` is set, and with
+    /// `prefetch` each demand miss then prefetches the next line. The
+    /// same outcomes, in the same order, as [`SampledCache::access`] and
+    /// [`SampledCache::prefetch`] called access by access — this is that
+    /// loop with the mask, the set split and the line arrays resolved
+    /// once per burst.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `offsets` is longer than 64, or on a miss if `mask`
+    /// grants none of this cache's ways.
+    pub fn access_burst(
+        &mut self,
+        clos: ClosId,
+        mask: CbmMask,
+        base: u64,
+        offsets: &[u64],
+        writes: u64,
+        prefetch: bool,
+    ) -> BurstTallies {
+        assert!(offsets.len() <= 64, "a burst is at most 64 accesses");
+        let args = (clos, self.allowed(mask), base, offsets, writes, prefetch);
+        // One walk per split: inside each, `split`'s `match` is already
+        // decided, so the loop carries none.
+        match self.index {
+            index @ SetIndex::Pow2 { .. } => self.walk(args, index),
+            index @ SetIndex::Div { .. } => self.walk(args, index),
         }
-        let way = self.victim(set, mask);
-        // LRU-position insertion: stamp with the victim's old recency so
-        // a never-used prefetch leaves first. An empty way has none:
-        // stamp 0, older than any demand line.
-        let stamp = if self.bits[set].valid >> way & 1 != 0 {
-            self.lru[set * self.ways + way]
-        } else {
-            0
-        };
-        let writeback = self.install(set, way, tag, stamp, clos, false);
-        AccessOutcome {
-            hit: false,
-            writeback,
+    }
+
+    #[inline(always)]
+    fn walk(
+        &mut self,
+        (clos, allowed, base, offsets, writes, prefetch): (ClosId, Allowed, u64, &[u64], u64, bool),
+        index: SetIndex,
+    ) -> BurstTallies {
+        let line_shift = self.line_shift;
+        let mut clock = self.clock;
+        let mut lines = self.lines();
+        let mut tallies = BurstTallies::default();
+        for (j, &offset) in offsets.iter().enumerate() {
+            let line = (base + offset) >> line_shift;
+            clock += 1;
+            let (set, tag) = index.split(line);
+            let out = lines.demand(set, tag, clock, clos, allowed, writes >> j & 1 != 0);
+            tallies.hits += u64::from(out.hit);
+            tallies.writebacks += u64::from(out.writeback);
+            if prefetch && !out.hit {
+                let (set, tag) = index.split(line + 1);
+                let pf = lines.prefetch(set, tag, clos, allowed);
+                tallies.prefetch_fills += u64::from(!pf.hit);
+                tallies.writebacks += u64::from(pf.writeback);
+            }
         }
+        self.clock = clock;
+        tallies
     }
 
     /// Number of valid lines currently owned by `clos` (last toucher),
@@ -332,7 +510,7 @@ impl SampledCache {
                 let i = set * self.ways + way as usize;
                 lines.push(CacheLineSnapshot {
                     index: i as u64,
-                    tag: self.tags[i],
+                    tag: u64::from(self.tag_hi[i]) << 32 | u64::from(self.tag_lo[i]),
                     lru: self.lru[i],
                     owner: self.owner[i],
                     dirty: bits.dirty >> way & 1 != 0,
@@ -354,12 +532,14 @@ impl SampledCache {
     pub fn restore(&mut self, snap: &CacheSnapshot) {
         self.flush();
         self.clock = snap.clock;
+        let ways = self.ways;
+        let mut lines = self.lines();
         for line in &snap.lines {
             let i = usize::try_from(line.index).expect("line index fits usize");
-            assert!(i < self.tags.len(), "snapshot line index out of range");
-            self.install(
-                i / self.ways,
-                i % self.ways,
+            assert!(i < lines.tag_hi.len(), "snapshot line index out of range");
+            lines.install(
+                i / ways,
+                i % ways,
                 line.tag,
                 line.lru,
                 ClosId(line.owner),
@@ -551,6 +731,65 @@ mod tests {
         }
         let mut tiny = small();
         tiny.restore(&big.snapshot());
+    }
+
+    /// Tags that share their low 32 bits are told apart by the high
+    /// halves, in both compare windows.
+    #[test]
+    fn tags_equal_in_their_low_halves_are_distinct_lines() {
+        for ways in [4, 24] {
+            let mut c = SampledCache::new(CacheConfig {
+                sets: 4,
+                ways,
+                line_bytes: 64,
+            });
+            let m = CbmMask::full(ways);
+            // Fill all but the top way, so the aliases land in the last
+            // window.
+            for t in 0..u64::from(ways) - 1 {
+                c.access(C0, m, addr(1, t + 100), false);
+            }
+            let aliased = |k: u64| addr(1, 7 + (k << 32));
+            assert!(!c.access(C0, m, aliased(0), false).hit);
+            assert!(!c.access(C0, m, aliased(1), false).hit, "{ways} ways");
+            assert!(c.access(C0, m, aliased(1), false).hit);
+            assert!(!c.access(C0, m, aliased(2), false).hit);
+        }
+    }
+
+    /// A burst has the outcomes of its accesses (and, with prefetch,
+    /// each miss's next-line prefetch) made one call at a time, for both
+    /// set splits.
+    #[test]
+    fn a_burst_walks_like_its_accesses() {
+        for sets in [4, 6] {
+            let cfg = CacheConfig {
+                sets,
+                ways: 4,
+                line_bytes: 64,
+            };
+            for prefetch in [false, true] {
+                let (mut burst, mut single) = (SampledCache::new(cfg), SampledCache::new(cfg));
+                let m = CbmMask::new(0b0110, 4).unwrap();
+                let base = 3 << 44;
+                let offsets: Vec<u64> = (0..64u64).map(|j| (j * j * 7 % 40) * 64).collect();
+                let writes = 0x9E37_79B9_7F4A_7C15;
+                let got = burst.access_burst(C1, m, base, &offsets, writes, prefetch);
+                let mut want = BurstTallies::default();
+                for (j, &offset) in offsets.iter().enumerate() {
+                    let out = single.access(C1, m, base + offset, writes >> j & 1 != 0);
+                    want.hits += u64::from(out.hit);
+                    want.writebacks += u64::from(out.writeback);
+                    if prefetch && !out.hit {
+                        let pf = single.prefetch(C1, m, base + offset + 64);
+                        want.prefetch_fills += u64::from(!pf.hit);
+                        want.writebacks += u64::from(pf.writeback);
+                    }
+                }
+                assert_eq!(got, want, "sets {sets}, prefetch {prefetch}");
+                assert_eq!(burst.snapshot(), single.snapshot());
+            }
+        }
     }
 
     #[test]

@@ -40,8 +40,7 @@ pub struct MachineConfig {
     /// pressure and bounds the host time of a tick. It is not neutral
     /// for results: fewer accesses per window walk less of each
     /// footprint, and the measured miss ratios — hence the headline
-    /// unfairness — move with it (ROADMAP item 2(b) records the
-    /// headline flipping between 32 k and 128 k).
+    /// unfairness — move with it (ROADMAP item 2).
     pub window_sample_budget: u32,
     /// Seed for all stochastic trace generation; runs are reproducible.
     pub seed: u64,

@@ -578,22 +578,11 @@ impl Machine {
                 let base = u64::from(i as u32 + 1) << 44;
                 let block = &mut block[..burst as usize];
                 let writes = a.gen.fill(a.spec.write_fraction, block);
-                let (mut hits, mut writebacks, mut prefetch_fills) = (0u64, 0u64, 0u64);
-                for (j, &offset) in block.iter().enumerate() {
-                    let addr = base + offset;
-                    let out = cache.access(clos, mask, addr, writes >> j & 1 != 0);
-                    hits += u64::from(out.hit);
-                    writebacks += u64::from(out.writeback);
-                    if cfg.prefetch_next_line && !out.hit {
-                        let pf = cache.prefetch(clos, mask, addr + cfg.line_bytes);
-                        prefetch_fills += u64::from(!pf.hit);
-                        writebacks += u64::from(pf.writeback);
-                    }
-                }
+                let t = cache.access_burst(clos, mask, base, block, writes, cfg.prefetch_next_line);
                 sampled_accesses[k] += burst;
-                sampled_hits[k] += hits;
-                sampled_writebacks[k] += writebacks;
-                sampled_prefetch_fills[k] += prefetch_fills;
+                sampled_hits[k] += t.hits;
+                sampled_writebacks[k] += t.writebacks;
+                sampled_prefetch_fills[k] += t.prefetch_fills;
             }
             if !any {
                 break;
