@@ -15,11 +15,11 @@
 //!   at the exact entry where it happens, not as downstream garbage.
 //!
 //! The log is named after the snapshot it extends (`log-<epoch>.jsonl`)
-//! so a pruned snapshot takes its log with it, and a crash between
-//! "write snapshot" and "create next log" leaves nothing dangling. A
-//! torn final line (the write the crash interrupted) is dropped on
-//! load; a mangled line *before* the end is corruption and refuses to
-//! load.
+//! and is opened when that snapshot is cut, before it lands: a crash in
+//! between leaves a log that chains the previous snapshot forward, and
+//! pruning drops every log below the oldest kept snapshot. A torn final
+//! line (the write the crash interrupted) is dropped on load; a mangled
+//! line *before* the end is corruption and refuses to load.
 
 use std::fs;
 use std::io::Write;

@@ -190,12 +190,15 @@ struct DirScan {
     snaps: Vec<(u64, PathBuf)>,
     /// `.snap-*.tmp` files a killed writer left behind.
     temps: Vec<PathBuf>,
+    /// Event-log files as `(epoch, path)`, in directory order.
+    logs: Vec<(u64, PathBuf)>,
 }
 
 fn scan(dir: &Path) -> Result<DirScan, PersistError> {
     let mut found = DirScan {
         snaps: Vec::new(),
         temps: Vec::new(),
+        logs: Vec::new(),
     };
     let entries = match fs::read_dir(dir) {
         Ok(e) => e,
@@ -216,6 +219,12 @@ fn scan(dir: &Path) -> Result<DirScan, PersistError> {
             }
         } else if name.starts_with(".snap-") && name.ends_with(".tmp") {
             found.temps.push(path);
+        } else if let Some(epoch) = name
+            .strip_prefix("log-")
+            .and_then(|r| r.strip_suffix(".jsonl"))
+            .and_then(|digits| digits.parse::<u64>().ok())
+        {
+            found.logs.push((epoch, path));
         }
     }
     found.snaps.sort();
@@ -242,25 +251,37 @@ pub fn latest_good(dir: &Path) -> Result<Option<(SnapshotDoc, PathBuf)>, Persist
     Ok(None)
 }
 
-/// Deletes all but the newest `keep` snapshots, along with each deleted
-/// snapshot's event log. Keeping two means one whole corrupt snapshot
-/// still leaves a recovery point.
+/// Deletes all but the newest `keep` snapshots, and every event log
+/// below the oldest kept one. Keeping two means one whole corrupt
+/// snapshot still leaves a recovery point.
+///
+/// The logs that go are the pruned snapshots' own and the orphans a kill
+/// between rotating the log and landing its snapshot leaves (a log with
+/// no snapshot file): recovery never starts below the oldest kept
+/// snapshot, so nothing reads them. Logs at or above it stay, since a
+/// torn newer snapshot still chains through them.
 ///
 /// Also sweeps `.snap-*.tmp` files: a kill between creating the temp
 /// file and renaming it leaves one behind that no reader ever looks at.
 /// Pruning runs only after a newer snapshot has landed under its final
 /// name, so no temp file can still be in flight.
 pub fn prune(dir: &Path, keep: usize) -> Result<(), PersistError> {
-    let DirScan { snaps, temps } = scan(dir)?;
+    let DirScan { snaps, temps, logs } = scan(dir)?;
     for orphan in temps {
         fs::remove_file(&orphan)?;
     }
     let excess = snaps.len().saturating_sub(keep);
-    for (epoch, path) in snaps.into_iter().take(excess) {
-        fs::remove_file(&path)?;
-        let log = crate::log::log_path(dir, epoch);
-        if log.exists() {
-            fs::remove_file(&log)?;
+    // With nothing kept, every log up to the newest pruned snapshot goes.
+    let below = match snaps.get(excess) {
+        Some(&(oldest_kept, _)) => oldest_kept,
+        None => snaps.last().map_or(0, |&(newest, _)| newest + 1),
+    };
+    for (_, path) in &snaps[..excess] {
+        fs::remove_file(path)?;
+    }
+    for (epoch, path) in logs {
+        if epoch < below {
+            fs::remove_file(&path)?;
         }
     }
     Ok(())
@@ -437,6 +458,32 @@ mod tests {
         assert_eq!(left, vec![20, 30]);
         assert!(!crate::log::log_path(&dir, 10).exists());
         assert!(crate::log::log_path(&dir, 20).exists());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A kill between rotating the log and landing its snapshot leaves a
+    /// log with no snapshot. Below the oldest kept snapshot such a log
+    /// goes; at or above it, it stays, because recovery from that
+    /// snapshot chains through it.
+    #[test]
+    fn prune_drops_orphan_logs_below_the_oldest_kept_snapshot() {
+        let dir = tmpdir("orphan-logs");
+        for epoch in [10, 30, 40] {
+            write_snapshot(&dir, &tiny_doc(epoch)).unwrap();
+        }
+        for epoch in [10, 20, 30, 35, 40, 50] {
+            fs::write(crate::log::log_path(&dir, epoch), "").unwrap();
+        }
+        prune(&dir, 2).unwrap();
+        let left: Vec<u64> = list_snapshots(&dir)
+            .unwrap()
+            .into_iter()
+            .map(|(e, _)| e)
+            .collect();
+        assert_eq!(left, vec![30, 40]);
+        let log_left = |epoch| crate::log::log_path(&dir, epoch).exists();
+        assert!(!log_left(10) && !log_left(20), "logs below epoch 30 go");
+        assert!([30, 35, 40, 50].into_iter().all(log_left), "the rest stay");
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -172,7 +172,7 @@ pub const SERIES: &[(&str, SeriesKind, &str)] = {
         ("http_rejected_overload", Counter, "Connections answered 503 because the queue was full"),
         ("trace_rotations", Counter, "Trace files opened after the previous one filled"),
         ("trace_verify_failures", Counter, "Recorded events that rewound the epoch or time"),
-        ("snapshots_written", Counter, "State snapshots written to the state directory"),
+        ("snapshots_written", Counter, "State snapshots landed in the state directory"),
         ("recoveries", Counter, "Times this run resumed from a snapshot"),
         ("cluster_replans", Counter, "LFOC cluster plans recomputed"),
         ("unfairness", Gauge, "Current weighted unfairness (sigma/mu of slowdowns, Eq 2)"),
@@ -183,7 +183,8 @@ pub const SERIES: &[(&str, SeriesKind, &str)] = {
         ("explore_ns", Histogram, "Latency of one get_next_system_state decision"),
         ("apply_ns", Histogram, "Latency of one backend programming pass"),
         ("tick_lag_ns", Histogram, "Lag between the scheduled and actual epoch start"),
-        ("snapshot_ns", Histogram, "Latency of writing one state snapshot"),
+        ("snapshot_ns", Histogram, "Latency of one state snapshot, from its cut until it landed"),
+        ("snapshot_cut_ns", Histogram, "Control-thread part of a state snapshot: trace flush, capture, log rotation"),
     ]
 };
 

@@ -12,6 +12,7 @@
 
 use copart_core::policies::PolicyKind;
 use copart_faults::{FaultPlan, FaultTrigger};
+use copart_persist::store::list_snapshots;
 use copart_persist::{latest_good, SnapshotDoc};
 use copart_rdt::RdtBackend;
 use copart_serve::loadgen;
@@ -305,6 +306,169 @@ fn resume_rejects_a_foreign_state_directory() {
         "unexpected error text: {err}"
     );
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// A snapshot lands on a writer thread after the control thread has cut
+/// it and rotated the event log onto it. A kill before the writer's
+/// rename leaves the previous snapshot, the rotated log, and a torn temp
+/// file — but no newest snapshot. Recovery must chain across the gap.
+fn kill_mid_land_and_resume(scenario: &Scenario, tag: &str) -> RunResidue {
+    let dir = scratch(tag);
+    let state = dir.join("state");
+    let trace = dir.join("trace.jsonl");
+    // Just past the cadence cut at epoch 2 · SNAP_EVERY.
+    let k = 2 * SNAP_EVERY + 1;
+    let killed = harness_run(
+        scenario,
+        EPOCHS,
+        Some(k),
+        &state,
+        SNAP_EVERY,
+        &trace,
+        false,
+        &[],
+    )
+    .expect("killed run");
+    assert!(killed.killed, "{tag}: kill at {k} should stop the run");
+    let (epoch, newest) = list_snapshots(&state)
+        .expect("listing the state dir")
+        .pop()
+        .expect("the killed run landed snapshots");
+    let bytes = fs::read(&newest).expect("reading the newest snapshot");
+    fs::remove_file(&newest).expect("removing the newest snapshot");
+    let temp = state.join(format!(".snap-{epoch:020}.tmp"));
+    fs::write(&temp, &bytes[..bytes.len() / 2]).expect("writing the torn temp file");
+    assert!(
+        copart_persist::log::log_path(&state, epoch).exists(),
+        "{tag}: the rotated log outlives its snapshot"
+    );
+    // On a copy: replay chains through the orphaned log to the kill.
+    let probe = dir.join("probe");
+    fs::create_dir_all(&probe).expect("creating the probe dir");
+    for entry in fs::read_dir(&state).expect("listing the state dir") {
+        let path = entry.expect("listing the state dir").path();
+        if path.is_file() {
+            fs::copy(&path, probe.join(path.file_name().unwrap())).expect("copying");
+        }
+    }
+    fs::copy(&trace, probe.join("trace.jsonl")).expect("copying the trace");
+    let mut rec = recover_sim(scenario, &probe, SNAP_EVERY)
+        .expect("recovery")
+        .expect("the previous snapshot survives");
+    assert_eq!(rec.snapshot_epoch(), epoch - SNAP_EVERY, "{tag}");
+    let recorder =
+        resume_trace_file(&probe.join("trace.jsonl"), rec.snapshot_epoch()).expect("trace reopens");
+    rec.set_recorder(Box::new(recorder));
+    let replayed = rec.replay(true).expect("replay");
+    assert_eq!(replayed.epochs_done(), k, "{tag}: replay reaches the kill");
+    drop(replayed);
+
+    let outcome = harness_run(
+        scenario,
+        EPOCHS,
+        None,
+        &state,
+        SNAP_EVERY,
+        &trace,
+        true,
+        &[],
+    )
+    .expect("resumed run");
+    assert!(!outcome.killed);
+    assert!(!temp.exists(), "{tag}: the torn temp file is swept");
+    let r = residue(&trace, &state, outcome);
+    let _ = fs::remove_dir_all(&dir);
+    r
+}
+
+#[test]
+fn a_kill_before_the_newest_snapshot_lands_resumes_exactly() {
+    for (scenario, tag) in [
+        (clean_scenario(), "midland"),
+        (faulty_scenario(), "midland-faults"),
+    ] {
+        let expected = reference(&scenario, &[], &format!("{tag}-ref"));
+        let resumed = kill_mid_land_and_resume(&scenario, tag);
+        assert_same_residue(&expected, &resumed, tag);
+    }
+}
+
+/// A land that fails on the writer thread is reported at the next join —
+/// the next cadence cut — which disables persistence; the run goes on,
+/// and recovery still resumes from the last landed snapshot through the
+/// logs rotated up to the failed cut and after it.
+#[test]
+fn a_failed_land_disables_persistence_at_the_next_join() {
+    let scenario = clean_scenario();
+    let dir = scratch("failed-land");
+    let state = dir.join("state");
+    let trace = dir.join("trace.jsonl");
+    let env = scenario.env();
+    let recorder = JsonlRecorder::create(&trace).expect("creating trace");
+    let runtime = scenario.launch(&env, Box::new(recorder)).expect("launch");
+    let mut run = PersistedRun::new(runtime, env);
+    run.enable_persistence(PersistConfig {
+        dir: state.clone(),
+        snapshot_every: SNAP_EVERY,
+    })
+    .expect("state dir");
+    // A directory where the next cut's temp file goes: `File::create`
+    // on the writer thread fails.
+    let first = run.runtime().epoch();
+    let blocker = state.join(format!(".snap-{:020}.tmp", first + SNAP_EVERY));
+    fs::create_dir(&blocker).expect("creating the blocker");
+
+    for _ in 0..2 * SNAP_EVERY - 1 {
+        let _ = run.run_epoch();
+    }
+    assert!(
+        run.persisting(),
+        "the failed land is not reported before the next cut joins it"
+    );
+    let _ = run.run_epoch();
+    assert!(
+        !run.persisting(),
+        "the next cut's join disables persistence"
+    );
+    while run.epochs_done() < EPOCHS {
+        let _ = run.run_epoch();
+    }
+    run.flush_trace().expect("flushing trace");
+    drop(run);
+
+    // The landed snapshot and the logs after it reach the epoch whose
+    // cut found the failure.
+    let mut rec = recover_sim(&scenario, &state, SNAP_EVERY)
+        .expect("recovery")
+        .expect("the first snapshot landed");
+    assert_eq!(rec.snapshot_epoch(), first);
+    let recorder = resume_trace_file(&trace, first).expect("trace reopens");
+    rec.set_recorder(Box::new(recorder));
+    let recovered = rec.replay(true).expect("replay");
+    assert_eq!(recovered.epochs_done(), 2 * SNAP_EVERY);
+    assert_eq!(recovered.runtime().epoch(), first + 2 * SNAP_EVERY);
+    let recovered_state = format!("{:?}", recovered.runtime().snapshot());
+    drop(recovered);
+
+    // The same epochs run without persistence.
+    let env = scenario.env();
+    let ref_trace = dir.join("ref.jsonl");
+    let recorder = JsonlRecorder::create(&ref_trace).expect("creating trace");
+    let mut plain = PersistedRun::new(
+        scenario.launch(&env, Box::new(recorder)).expect("launch"),
+        env,
+    );
+    for _ in 0..2 * SNAP_EVERY {
+        let _ = plain.run_epoch();
+    }
+    plain.flush_trace().expect("flushing trace");
+    assert_eq!(recovered_state, format!("{:?}", plain.runtime().snapshot()));
+    let (got, want) = (fs::read(&trace).unwrap(), fs::read(&ref_trace).unwrap());
+    let _ = fs::remove_dir_all(&dir);
+    assert_eq!(
+        got, want,
+        "the replayed trace matches the uninterrupted one"
+    );
 }
 
 /// The epoch of [`failed_admission_scenario`] before which the doomed

@@ -1,10 +1,15 @@
 //! Documentation checks, with no shell: what OPERATIONS.md tells an
-//! operator matches what the code emits.
+//! operator matches what the code emits, and DESIGN.md does not grow.
 
 use copart_telemetry::{SeriesKind, SERIES};
 use std::collections::BTreeSet;
 
 const OPERATIONS: &str = include_str!("../OPERATIONS.md");
+const DESIGN: &str = include_str!("../DESIGN.md");
+
+/// DESIGN.md's size ceiling, in bytes: prose a change adds must replace
+/// prose, until the by-layer rewrite lowers it.
+const DESIGN_MAX_BYTES: usize = 99_541;
 
 /// The `(series, kind)` rows of the tables under OPERATIONS.md's
 /// `/metrics` exposition heading: every row whose first cell is a
@@ -56,5 +61,14 @@ fn operations_documents_exactly_the_series_table() {
     assert!(
         undocumented.is_empty() && unknown.is_empty(),
         "OPERATIONS.md lacks {undocumented:?} and documents {unknown:?}, which the series table does not list"
+    );
+}
+
+#[test]
+fn design_stays_under_its_byte_ceiling() {
+    assert!(
+        DESIGN.len() <= DESIGN_MAX_BYTES,
+        "DESIGN.md is {} bytes, over its {DESIGN_MAX_BYTES}-byte ceiling: replace prose rather than add it",
+        DESIGN.len()
     );
 }
