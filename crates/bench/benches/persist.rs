@@ -17,9 +17,9 @@ use std::path::Path;
 use copart_bench::{bench, Artifact};
 use copart_core::policies::PolicyKind;
 use copart_persist::{
-    latest_good, read_snapshot, write_snapshot, EventKind, EventLog, LogEntry, SnapshotDoc,
+    harness_run, latest_good, read_snapshot, write_snapshot, EventKind, EventLog, LogEntry,
+    Scenario, SnapshotDoc,
 };
-use copart_serve::{harness_run, Scenario};
 use copart_telemetry::{read_trace_file, JsonWriter, JsonlRecorder, Recorder, TraceEvent};
 use copart_workloads::MixKind;
 

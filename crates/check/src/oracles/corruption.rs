@@ -52,10 +52,9 @@ use copart_fleet::{run_fleet, FleetConfig, FleetEvent, MigrationTicket};
 use copart_persist::log::log_path;
 use copart_persist::store::list_snapshots;
 use copart_persist::{
-    latest_good, parse_snapshot_file, read_snapshot, write_snapshot, BackendSnapshot, EventKind,
-    LogEntry, SnapshotDoc,
+    harness_run, latest_good, parse_snapshot_file, read_snapshot, write_snapshot, BackendSnapshot,
+    EventKind, LogEntry, Scenario, SnapshotDoc,
 };
-use copart_serve::{harness_run, Scenario};
 use copart_telemetry::{FaultSample, JsonWriter, TraceEvent};
 use copart_workloads::MixKind;
 

@@ -1,5 +1,5 @@
 //! Snapshot → restore → replay oracle for the crash-safe state layer
-//! (`copart-persist` plus the serve-side recovery seams).
+//! (`copart-persist`: the codec, the store's text, and the restore).
 //!
 //! The crash-recovery contract (DESIGN.md §16) is that a snapshot is a
 //! *complete* freeze of the dynamic state: restore it into a freshly
@@ -15,9 +15,8 @@
 //!
 //! Each case runs one live runtime to a random epoch, captures a
 //! [`SnapshotDoc`], round-trips it through its JSON rendering, restores
-//! the decoded document into a second runtime built through the normal
-//! construction path (disarmed, for fault-injected runs — exactly what
-//! `copart_serve::recover_sim` does), then steps both
+//! the decoded document through [`restore`] — the construction
+//! `sim-run --resume` and the daemon's recovery run — then steps both
 //! runtimes the same number of epochs and demands identical per-epoch
 //! outcomes, identical trace bytes, and identical re-captured state. A
 //! fault-injected live build that the armed injector refuses with busy
@@ -27,14 +26,14 @@
 use crate::property::{CaseOutcome, Property};
 use crate::source::Source;
 use copart_core::policies::PolicyKind;
+use copart_core::profile_with_retries;
 use copart_core::runtime::ConsolidationRuntime;
 use copart_faults::{FaultPlan, FaultTrigger, FaultyBackend};
-use copart_persist::{MetricsFrozen, PersistableBackend, SnapshotDoc, SnapshotMeta};
+use copart_persist::{
+    restore, PersistableBackend, Scenario, SnapshotDoc, SnapshotMeta, PROFILE_ATTEMPTS,
+};
 use copart_rdt::{RdtError, SimBackend};
-use copart_serve::scenario::profile_with_retries;
-use copart_serve::{Scenario, SharedRing, PROFILE_ATTEMPTS};
-use copart_sim::Machine;
-use copart_telemetry::JsonWriter;
+use copart_telemetry::{JsonWriter, SharedRecorder};
 use copart_workloads::MixKind;
 
 /// Mixes the oracle draws from, simplest-shrinking first.
@@ -112,7 +111,7 @@ fn check_case(
     after: u64,
     faults: Option<FaultPlan>,
 ) -> Result<(), String> {
-    let scenario = Scenario::new(mix, n_apps, policy, seed, faults.clone())
+    let scenario = Scenario::new(mix, n_apps, policy, seed, faults)
         .map_err(|e| format!("scenario rejected: {e}"))?;
     let env = scenario.env();
     let meta = SnapshotMeta {
@@ -131,55 +130,24 @@ fn check_case(
     // other build error is a failure.
     let live = match scenario.build(&env) {
         Ok(live) => live,
-        Err(e) if faults.is_some() && e.contains(&RdtError::Busy("").to_string()) => return Ok(()),
+        Err(e) if scenario.faults.is_some() && e.contains(&RdtError::Busy("").to_string()) => {
+            return Ok(())
+        }
         Err(e) => return Err(format!("build: {e}")),
     };
-    let plan = faults.unwrap_or_else(FaultPlan::none);
-    run_pair(live, before, after, meta, |doc| {
-        // The recovery construction path: rebuild with the fault
-        // decorator disarmed so construction consumes no fault-stream
-        // draws, restore, then re-arm.
-        let mut backend = SimBackend::new(Machine::new(env.machine.clone()));
-        let named: Vec<_> = scenario
-            .specs(&env)
-            .into_iter()
-            .map(|spec| {
-                let name = spec.name.clone();
-                backend
-                    .add_workload(spec)
-                    .map(|group| (group, name))
-                    .map_err(|e| format!("re-admit: {e}"))
-            })
-            .collect::<Result<_, _>>()?;
-        let mut faulty = FaultyBackend::new(backend, plan.clone());
-        faulty.set_armed(false);
-        let cfg = env.runtime_config(n_apps, policy);
-        let mut resumed = ConsolidationRuntime::new(faulty, named, cfg)
-            .map_err(|e| format!("disarmed construction: {e}"))?;
-        resumed
-            .backend_mut()
-            .restore_from(&doc.backend)
-            .map_err(|e| format!("backend restore: {e}"))?;
-        resumed.restore_snapshot(&doc.runtime);
-        resumed.backend_mut().set_armed(true);
-        Ok(resumed)
-    })
+    run_pair(&scenario, live, before, after, meta)
 }
 
 /// Drives the live runtime to the snapshot point, round-trips the
-/// document through its wire rendering, restores via `restore`, then
-/// compares the two continuations epoch by epoch.
-fn run_pair<B, F>(
-    mut live: ConsolidationRuntime<B>,
+/// document through its wire rendering, restores it via [`restore`],
+/// then compares the two continuations epoch by epoch.
+fn run_pair(
+    scenario: &Scenario,
+    mut live: ConsolidationRuntime<FaultyBackend<SimBackend>>,
     before: u64,
     after: u64,
     meta: SnapshotMeta,
-    restore: F,
-) -> Result<(), String>
-where
-    B: PersistableBackend,
-    F: FnOnce(&SnapshotDoc) -> Result<ConsolidationRuntime<B>, String>,
-{
+) -> Result<(), String> {
     profile_with_retries(&mut live, PROFILE_ATTEMPTS)?;
     for _ in 0..before {
         // Epoch failures (degraded-mode busy writes) are part of the
@@ -187,12 +155,7 @@ where
         let _ = live.run_period();
     }
 
-    let doc = SnapshotDoc {
-        meta,
-        runtime: live.snapshot(),
-        backend: live.backend().capture(),
-        metrics: MetricsFrozen::capture(&live.metrics_snapshot()),
-    };
+    let doc = SnapshotDoc::capture(&live, meta);
     // The bytes the store writes: the document streamed straight into
     // text. Rendering that text parsed (`encode`) gives them back, byte
     // for byte.
@@ -212,14 +175,14 @@ where
         ));
     }
 
-    let mut resumed = restore(&decoded)?;
+    let mut resumed = restore(scenario, &decoded)?;
 
-    let (ring_live, ring_resumed) = (SharedRing::new(256), SharedRing::new(256));
+    let (ring_live, ring_resumed) = (SharedRecorder::default(), SharedRecorder::default());
     live.set_recorder(Box::new(ring_live.clone()));
     resumed.set_recorder(Box::new(ring_resumed.clone()));
     for step in 0..after {
         let a = live.run_period().map(|_| ()).map_err(|e| e.to_string());
-        let b = resumed.run_period().map(|_| ()).map_err(|e| e.to_string());
+        let b = resumed.run_epoch().map_err(|e| e.to_string());
         if a != b {
             return Err(format!(
                 "continuation epoch {step} diverged: live {a:?} vs resumed {b:?}"
@@ -227,8 +190,8 @@ where
         }
     }
 
-    let lines = |ring: &SharedRing| -> Vec<String> {
-        ring.all().iter().map(|e| e.to_json_line()).collect()
+    let lines = |ring: &SharedRecorder| -> Vec<String> {
+        ring.events().iter().map(|e| e.to_json_line()).collect()
     };
     let (trace_live, trace_resumed) = (lines(&ring_live), lines(&ring_resumed));
     if trace_live != trace_resumed {
@@ -244,6 +207,7 @@ where
         ));
     }
 
+    let resumed = resumed.runtime();
     let (state_live, state_resumed) = (
         format!("{:?} {:?}", live.snapshot(), live.backend().capture()),
         format!("{:?} {:?}", resumed.snapshot(), resumed.backend().capture()),

@@ -2,8 +2,9 @@
 //! `copart load` (the API load generator).
 
 use copart_faults::FaultPlan;
+use copart_persist::{parse_dynamic_policy, Scenario};
 use copart_serve::loadgen::{self, LoadConfig};
-use copart_serve::{parse_dynamic_policy, Scenario, ServeConfig};
+use copart_serve::ServeConfig;
 use std::time::Duration;
 
 use crate::args::Options;

@@ -3,8 +3,8 @@
 use copart_core::policies::{self, EvalOptions, EvalResult, PolicyKind};
 use copart_core::scale::{run_planner_scale, ScaleConfig, ScalePopulation};
 use copart_faults::FaultPlan;
+use copart_persist::{harness_run, Scenario};
 use copart_rdt::{ClosId, RdtBackend};
-use copart_serve::Scenario;
 use copart_sim::MachineConfig;
 use copart_telemetry::{JsonlRecorder, NullRecorder, Recorder};
 use copart_workloads::stream::StreamReference;
@@ -132,7 +132,7 @@ fn sim_run_persisted(
         .map(PathBuf::from)
         .unwrap_or_else(|| state_dir.join("trace.jsonl"));
 
-    let outcome = copart_serve::harness_run(
+    let outcome = harness_run(
         &scenario,
         epochs,
         kill_at,
@@ -318,7 +318,7 @@ pub fn trace_check(opts: &Options) -> Result<(), String> {
 
 /// The `--reference` mode of `trace-check`: the trace must be
 /// byte-identical to a known-good trace — the determinism contract a
-/// recovered run is held to (scripts/recovery.sh diffs a kill/resume
+/// recovered run is held to (`tests/recovery.rs` diffs a kill/resume
 /// trace against its uninterrupted reference with this).
 pub(crate) fn check_reference(path: &str, reference: &str) -> Result<(), String> {
     let got = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;

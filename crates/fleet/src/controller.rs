@@ -39,9 +39,7 @@ use copart_core::policies::{dynamic_runtime_config, PolicyKind};
 use copart_core::runtime::{PeriodRecord, Phase, RuntimeConfig};
 use copart_core::{CoPartParams, NodeRuntime};
 use copart_faults::{FaultPlan, FaultyBackend, ScopedFaultPlan};
-use copart_persist::{
-    write_snapshot, MetricsFrozen, PersistableBackend, SnapshotDoc, SnapshotMeta,
-};
+use copart_persist::{write_snapshot, SnapshotDoc, SnapshotMeta};
 use copart_rdt::{ClosId, SimBackend};
 use copart_rng::derive_seed;
 use copart_sim::{Machine, MachineConfig};
@@ -711,8 +709,9 @@ pub fn run_fleet(cfg: &FleetConfig) -> Result<FleetOutcome, String> {
             let Some(rt) = node.runtime.as_ref() else {
                 continue;
             };
-            let doc = SnapshotDoc {
-                meta: SnapshotMeta {
+            let doc = SnapshotDoc::capture(
+                rt.runtime(),
+                SnapshotMeta {
                     mix: "fleet".to_string(),
                     n_apps: node.residents.len() as u64,
                     policy: "copart".to_string(),
@@ -727,10 +726,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> Result<FleetOutcome, String> {
                         .map_or_else(|| "none".to_string(), |f| format!("nodes={}", f.scope)),
                     daemon_epochs: cfg.horizon,
                 },
-                runtime: rt.snapshot(),
-                backend: rt.runtime().backend().capture(),
-                metrics: MetricsFrozen::capture(&rt.runtime().metrics_snapshot()),
-            };
+            );
             write_snapshot(&dir.join(format!("node-{id:04}")), &doc)
                 .map_err(|e| format!("state-dir snapshot for node {id} failed: {e}"))?;
             snapshots_written += 1;

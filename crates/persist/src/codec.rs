@@ -29,6 +29,7 @@
 //! `seed` (told from the hex string by `peek`).
 
 use copart_core::next_state::AppliedEvents;
+use copart_core::runtime::ConsolidationRuntime;
 use copart_core::AllocationState;
 use copart_core::{
     AppRuntimeSnapshot, AppState, ExplorerSnapshot, Phase, RuntimeSnapshot, SensorSnapshot,
@@ -40,7 +41,7 @@ use copart_sim::trace::TraceGenSnapshot;
 use copart_sim::{AppSpec, MachineSnapshot, SimAppSnapshot};
 use copart_telemetry::{CounterSnapshot, Json, JsonReader, JsonWriter, ReadError};
 
-use crate::backend::BackendSnapshot;
+use crate::backend::{BackendSnapshot, PersistableBackend};
 use crate::error::PersistError;
 use crate::metrics::MetricsFrozen;
 
@@ -730,6 +731,21 @@ pub struct SnapshotDoc {
 }
 
 impl SnapshotDoc {
+    /// Captures a live runtime at an epoch boundary: its controller, its
+    /// backend and its metrics, under `meta`. The one place a document
+    /// is built from a running consolidation.
+    pub fn capture<B: PersistableBackend>(
+        runtime: &ConsolidationRuntime<B>,
+        meta: SnapshotMeta,
+    ) -> SnapshotDoc {
+        SnapshotDoc {
+            meta,
+            runtime: runtime.snapshot(),
+            backend: runtime.backend().capture(),
+            metrics: MetricsFrozen::capture(&runtime.metrics_snapshot()),
+        }
+    }
+
     /// The epoch the snapshot was captured at.
     pub fn epoch(&self) -> u64 {
         self.runtime.epoch

@@ -19,12 +19,19 @@
 //!   steers the run (epoch ticks, admissions, removals, policy switches)
 //!   is appended to a [`log::EventLog`] as a [`LogEntry`]. Recovery
 //!   restores the latest good snapshot and replays the log tail
-//!   (`copart_serve::Recovered::replay`, which owns the scenario context
-//!   an admission or a policy switch needs);
+//!   ([`Recovered::replay`], which owns the scenario context an
+//!   admission or a policy switch needs);
 //!   because every entry records the epoch counter it executed at
 //!   (`pre`), a log that does not chain onto the snapshot — or a replay
 //!   that diverges mid-tail — is rejected instead of silently forking
 //!   history.
+//!
+//! [`PersistedRun`] ([`run`]) is the one driver that writes both: every
+//! surface that persists a run — `sim-run --state-dir`, the serve
+//! daemon, the recovery tests — mutates its runtime through it, and
+//! [`recover_sim`] brings a dead run back through [`restore`] and
+//! [`Recovered::replay`]. [`Scenario`] builds the runtime a first boot
+//! and a recovery both start from.
 //!
 //! The result is the crate's headline invariant, enforced end-to-end by
 //! `tests/crash_recovery.rs`: kill the daemon at *any* epoch K, resume
@@ -45,6 +52,8 @@ pub mod codec;
 pub mod error;
 pub mod log;
 pub mod metrics;
+pub mod run;
+pub mod scenario;
 pub mod store;
 
 #[cfg(test)]
@@ -55,7 +64,12 @@ pub use codec::{SnapshotDoc, SnapshotMeta};
 pub use error::PersistError;
 pub use log::{EventKind, EventLog, LogEntry};
 pub use metrics::MetricsFrozen;
+pub use run::{
+    harness_run, recover_sim, restore, resume_trace_file, ChurnOp, HarnessOutcome, PersistConfig,
+    PersistedRun, Recovered,
+};
+pub use scenario::{parse_dynamic_policy, RunIdentity, Scenario, ScenarioEnv, PROFILE_ATTEMPTS};
 pub use store::{
-    latest_good, parse_snapshot_file, prune, read_snapshot, write_snapshot, SNAP_MAGIC,
-    SNAP_VERSION, SNAP_VERSION_MIN,
+    latest_good, parse_snapshot_file, prune, read_snapshot, write_snapshot, KEEP_SNAPSHOTS,
+    SNAP_MAGIC, SNAP_VERSION, SNAP_VERSION_MIN,
 };

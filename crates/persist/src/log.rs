@@ -10,7 +10,7 @@
 //!   otherwise the log belongs to a different (older or newer) snapshot
 //!   and replaying it would fork history ([`verify_chain`], the
 //!   stale-log guard);
-//! * during replay (`copart_serve::Recovered::replay`), *every* entry
+//! * during replay ([`crate::Recovered::replay`]), *every* entry
 //!   must match the runtime's live counter, so a divergence is caught
 //!   at the exact entry where it happens, not as downstream garbage.
 //!

@@ -7,9 +7,10 @@
 //! through it, so every input is (a) executed and (b) appended to the
 //! state directory's event log, with a full [`SnapshotDoc`] cut every
 //! `snapshot_every` epochs. Recovery ([`recover_sim`]) inverts the
-//! process: rebuild the boot-time runtime, restore the newest good
-//! snapshot over it, re-execute the log tail, and continue —
-//! byte-identical to a run that never died.
+//! process: [`restore`] rebuilds the boot-time runtime and restores the
+//! newest good snapshot over it, then [`Recovered::replay`] re-executes
+//! the log tail, and the run continues — byte-identical to a run that
+//! never died.
 //!
 //! Recovery invariants (DESIGN.md §16):
 //!
@@ -44,26 +45,19 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Instant;
 
-use copart_core::node::{self, AdmitError};
+use copart_core::node::{self, AdmitError, NodeBackend};
 use copart_core::policies::PolicyKind;
 use copart_core::runtime::ConsolidationRuntime;
 use copart_faults::FaultyBackend;
-use copart_persist::log::{load_log, verify_chain};
-use copart_persist::{
-    latest_good, prune, write_snapshot, EventKind, EventLog, LogEntry, MetricsFrozen,
-    PersistableBackend, SnapshotDoc, SnapshotMeta,
-};
 use copart_rdt::{ClosId, RdtError, SimBackend};
-use copart_telemetry::{JsonlRecorder, MetricsRegistry, MetricsSnapshot, Recorder};
+use copart_telemetry::{cut_trace_file, JsonlRecorder, MetricsRegistry, MetricsSnapshot, Recorder};
 
-use crate::daemon::{parse_dynamic_policy, ServeBackend};
-use crate::scenario::{Scenario, ScenarioEnv, PROFILE_ATTEMPTS};
-use crate::trace::cut_trace_file;
-
-/// Snapshots (and their logs) kept on disk. Two, so a snapshot torn by
-/// a crash mid-write still leaves a good predecessor whose log chains
-/// forward through the torn one's epoch range.
-pub const KEEP_SNAPSHOTS: usize = 2;
+use crate::log::{load_log, verify_chain};
+use crate::scenario::{parse_dynamic_policy, Scenario, ScenarioEnv, PROFILE_ATTEMPTS};
+use crate::{
+    latest_good, prune, write_snapshot, EventKind, EventLog, LogEntry, PersistableBackend,
+    SnapshotDoc, SnapshotMeta, KEEP_SNAPSHOTS,
+};
 
 /// Where and how often to persist.
 #[derive(Debug, Clone)]
@@ -115,7 +109,7 @@ impl Drop for Persister {
 /// A runtime plus the event-sourcing that makes it crash-safe. All
 /// mutations — epochs, admissions, removals, policy switches — must go
 /// through this type so the event log stays complete.
-pub struct PersistedRun<B: ServeBackend> {
+pub struct PersistedRun<B: NodeBackend + PersistableBackend> {
     runtime: ConsolidationRuntime<B>,
     env: ScenarioEnv,
     epochs_done: u64,
@@ -130,7 +124,7 @@ pub struct PersistedRun<B: ServeBackend> {
     persist: Option<Persister>,
 }
 
-impl<B: ServeBackend> PersistedRun<B> {
+impl<B: NodeBackend + PersistableBackend> PersistedRun<B> {
     /// Wraps a built (and profiled) runtime. Persistence starts
     /// disabled; call [`PersistedRun::enable_persistence`].
     pub fn new(runtime: ConsolidationRuntime<B>, env: ScenarioEnv) -> PersistedRun<B> {
@@ -165,6 +159,12 @@ impl<B: ServeBackend> PersistedRun<B> {
     /// Whether persistence is currently active.
     pub fn persisting(&self) -> bool {
         self.persist.is_some()
+    }
+
+    /// Attaches the trace recorder every later epoch (and a replay)
+    /// records into.
+    pub fn set_recorder(&mut self, recorder: Box<dyn Recorder + Send>) {
+        self.runtime.set_recorder(recorder);
     }
 
     /// Flushes the trace recorder.
@@ -240,8 +240,9 @@ impl<B: ServeBackend> PersistedRun<B> {
             .recorder_mut()
             .flush()
             .map_err(|e| format!("flushing trace before snapshot: {e}"))?;
-        let doc = SnapshotDoc {
-            meta: SnapshotMeta {
+        let doc = SnapshotDoc::capture(
+            &self.runtime,
+            SnapshotMeta {
                 mix: self.env.identity.mix.clone(),
                 n_apps: self.cfg_apps as u64,
                 policy: self.env.policy.label().to_string(),
@@ -249,10 +250,7 @@ impl<B: ServeBackend> PersistedRun<B> {
                 faults: self.env.identity.faults.clone(),
                 daemon_epochs: self.epochs_done,
             },
-            runtime: self.runtime.snapshot(),
-            backend: self.runtime.backend().capture(),
-            metrics: MetricsFrozen::capture(&self.metrics.snapshot()),
-        };
+        );
         let log = EventLog::create(dir, doc.epoch()).map_err(|e| format!("rotating log: {e}"))?;
         let metrics = Arc::clone(&self.metrics);
         let dir = dir.to_path_buf();
@@ -291,8 +289,11 @@ impl<B: ServeBackend> PersistedRun<B> {
     ///
     /// # Errors
     ///
-    /// Propagates the period's backend error; the epoch still counts
-    /// (attempts count toward caps, as in the daemon).
+    /// Propagates the period's backend error. The epoch still counts
+    /// (attempts count toward caps, as in the daemon), and so does the
+    /// failure: `epoch_failures` is counted here, before a snapshot due
+    /// at this boundary is cut, so a live run, its snapshots and a replay
+    /// of its log agree on it.
     pub fn run_epoch(&mut self) -> Result<(), RdtError> {
         self.log_append(&LogEntry {
             pre: self.runtime.epoch(),
@@ -300,6 +301,9 @@ impl<B: ServeBackend> PersistedRun<B> {
         });
         self.epochs_done += 1;
         let result = self.runtime.run_period().map(|_| ());
+        if result.is_err() {
+            self.metrics.inc("epoch_failures");
+        }
         self.maybe_snapshot();
         result
     }
@@ -447,13 +451,13 @@ impl<B: ServeBackend> PersistedRun<B> {
 /// A restored run that has not replayed its log tail yet. Attach the
 /// trace recorder first (replay re-emits the tail's events through
 /// it), then call [`Recovered::replay`].
-pub struct Recovered<B: ServeBackend> {
+pub struct Recovered<B: NodeBackend + PersistableBackend> {
     run: PersistedRun<B>,
     snapshot_epoch: u64,
     cfg: PersistConfig,
 }
 
-impl<B: ServeBackend> Recovered<B> {
+impl<B: NodeBackend + PersistableBackend> Recovered<B> {
     /// The epoch the restored snapshot was cut at: trace events at or
     /// above it will be re-emitted by replay (truncate resumed trace
     /// files to below it).
@@ -468,7 +472,7 @@ impl<B: ServeBackend> Recovered<B> {
 
     /// Attaches the trace recorder replay will re-emit into.
     pub fn set_recorder(&mut self, recorder: Box<dyn Recorder + Send>) {
-        self.run.runtime.set_recorder(recorder);
+        self.run.set_recorder(recorder);
     }
 
     /// The restored runtime's metrics registry (already carrying the
@@ -482,9 +486,10 @@ impl<B: ServeBackend> Recovered<B> {
     /// fresh snapshot at the recovered epoch.
     ///
     /// `tolerate_epoch_failures` selects daemon semantics (a failed
-    /// period counts `epoch_failures` and continues) over strict
-    /// semantics (first failure aborts recovery) — it must match what
-    /// the dead process did, or replay diverges.
+    /// period is counted, as [`PersistedRun::run_epoch`] counts it live,
+    /// and replay continues) over strict semantics (first failure aborts
+    /// recovery) — it must match what the dead process did, or replay
+    /// diverges.
     ///
     /// # Errors
     ///
@@ -535,15 +540,14 @@ impl<B: ServeBackend> Recovered<B> {
                 ));
             }
             match &entry.kind {
+                // Persistence is off until replay ends, so this logs
+                // nothing and cuts nothing.
                 EventKind::Epoch => {
-                    self.run.epochs_done += 1;
-                    if let Err(e) = self.run.runtime.run_period() {
-                        if tolerate_epoch_failures {
-                            self.run.metrics.inc("epoch_failures");
-                            eprintln!("copart persist: replayed epoch failed: {e}");
-                        } else {
+                    if let Err(e) = self.run.run_epoch() {
+                        if !tolerate_epoch_failures {
                             return Err(format!("replaying the epoch at {live}: {e}"));
                         }
+                        eprintln!("copart persist: replayed epoch failed: {e}");
                     }
                 }
                 EventKind::Admit { bench, group } => {
@@ -588,21 +592,14 @@ fn check_identity(doc: &SnapshotDoc, env: &ScenarioEnv) -> Result<(), String> {
     Ok(())
 }
 
-/// Attempts recovery of a scenario from `dir`: rebuild the boot-time
-/// runtime through the normal path, restore the newest good snapshot
-/// over it, and rebuild the configuration the dead process was actually
-/// running under. `Ok(None)` means no usable snapshot exists (boot
-/// fresh).
-///
-/// The runtime is rebuilt with the fault decorator *disarmed* so
-/// construction consumes no fault-stream draws, then the recorded stream
-/// positions are restored and the decorator re-armed (a no-op for a
-/// fault-free scenario, whose decorator never fires anyway).
+/// Attempts recovery of a scenario from `dir`: scan for the newest good
+/// snapshot and [`restore`] it. `Ok(None)` means no usable snapshot
+/// exists (boot fresh).
 ///
 /// # Errors
 ///
-/// Fails when the state directory belongs to a different run or the
-/// snapshot cannot be restored.
+/// Fails when the directory cannot be scanned, belongs to a different
+/// run, or its snapshot cannot be restored.
 pub fn recover_sim(
     scenario: &Scenario,
     dir: &Path,
@@ -613,20 +610,61 @@ pub fn recover_sim(
     else {
         return Ok(None);
     };
-    let mut env = scenario.env();
-    check_identity(&doc, &env)?;
+    Ok(Some(Recovered {
+        run: restore(scenario, &doc)?,
+        snapshot_epoch: doc.epoch(),
+        cfg: PersistConfig {
+            dir: dir.to_path_buf(),
+            snapshot_every,
+        },
+    }))
+}
+
+/// Restores `doc` as a run of `scenario`: check that the snapshot
+/// belongs to the scenario, rebuild the boot-time runtime through the
+/// normal path, and restore the snapshot over it.
+/// The run comes back with persistence off and no recorder attached.
+///
+/// The runtime is rebuilt with the fault decorator *disarmed* so
+/// construction consumes no fault-stream draws, then the recorded stream
+/// positions are restored and the decorator re-armed (a no-op for a
+/// fault-free scenario, whose decorator never fires anyway).
+///
+/// # Errors
+///
+/// Fails when the snapshot belongs to a different run or cannot be
+/// restored.
+pub fn restore(
+    scenario: &Scenario,
+    doc: &SnapshotDoc,
+) -> Result<PersistedRun<FaultyBackend<SimBackend>>, String> {
+    let env = scenario.env();
+    check_identity(doc, &env)?;
     let mut backend = scenario.backend(&env);
     backend.set_armed(false);
-    let mut runtime = node::build(
+    let runtime = node::build(
         backend,
         &scenario.specs(&env),
         env.runtime_config(scenario.n_apps, scenario.policy),
     )?;
+    let mut run = restore_over(runtime, env, doc)?;
+    run.runtime.backend_mut().set_armed(true);
+    Ok(run)
+}
+
+/// Restores `doc` over `runtime`, a freshly built boot-time runtime of
+/// the snapshot's scenario: the backend, the controller, the
+/// configuration the dead process was actually running under, and the
+/// metrics.
+fn restore_over<B: NodeBackend + PersistableBackend>(
+    mut runtime: ConsolidationRuntime<B>,
+    mut env: ScenarioEnv,
+    doc: &SnapshotDoc,
+) -> Result<PersistedRun<B>, String> {
     runtime
         .backend_mut()
         .restore_from(&doc.backend)
         .map_err(|e| format!("restoring the backend: {e}"))?;
-    runtime.backend_mut().set_armed(true);
     runtime.restore_snapshot(&doc.runtime);
     // The dead process may have switched policy or churned apps since
     // boot; the restored state must run under *its* configuration —
@@ -645,14 +683,7 @@ pub fn recover_sim(
     let mut run = PersistedRun::new(runtime, env);
     run.epochs_done = doc.meta.daemon_epochs;
     run.cfg_apps = doc.meta.n_apps as usize;
-    Ok(Some(Recovered {
-        run,
-        snapshot_epoch: doc.epoch(),
-        cfg: PersistConfig {
-            dir: dir.to_path_buf(),
-            snapshot_every,
-        },
-    }))
+    Ok(run)
 }
 
 /// One scheduled churn operation for the [`harness_run`] loop, applied
@@ -763,9 +794,8 @@ pub fn harness_run(
                 }
             }
         }
-        // Daemon semantics: a failed period counts and the run goes on.
+        // Daemon semantics: a failed period is counted and the run goes on.
         if let Err(e) = run.run_epoch() {
-            run.runtime().metrics_handle().inc("epoch_failures");
             eprintln!("copart persist: epoch failed: {e}");
         }
     }
@@ -805,7 +835,127 @@ pub fn resume_trace_file(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use copart_telemetry::{TraceDecision, TraceEvent, TracePhase};
+    use crate::BackendSnapshot;
+    use crate::PersistError;
+    use copart_core::profile_with_retries;
+    use copart_rdt::{CbmMask, MbaLevel, RdtBackend, RdtCapabilities};
+    use copart_sim::AppSpec;
+    use copart_telemetry::{CounterSnapshot, TraceDecision, TraceEvent, TracePhase};
+    use copart_workloads::MixKind;
+    use std::time::Duration;
+
+    /// A platform whose periods fail: from `from_ns` on, every third and
+    /// every fifth period moves time and then reports an error. The
+    /// failures are keyed on the platform clock, so a restored run fails
+    /// exactly the periods the dead one did.
+    struct Flaky {
+        inner: FaultyBackend<SimBackend>,
+        from_ns: u64,
+    }
+
+    impl RdtBackend for Flaky {
+        fn capabilities(&self) -> RdtCapabilities {
+            self.inner.capabilities()
+        }
+        fn groups(&self) -> Vec<ClosId> {
+            self.inner.groups()
+        }
+        fn set_cbm(&mut self, group: ClosId, mask: CbmMask) -> Result<(), RdtError> {
+            self.inner.set_cbm(group, mask)
+        }
+        fn set_mba(&mut self, group: ClosId, level: MbaLevel) -> Result<(), RdtError> {
+            self.inner.set_mba(group, level)
+        }
+        fn clos_config(&self, group: ClosId) -> Result<(CbmMask, MbaLevel), RdtError> {
+            self.inner.clos_config(group)
+        }
+        fn read_counters(&mut self, group: ClosId) -> Result<CounterSnapshot, RdtError> {
+            self.inner.read_counters(group)
+        }
+        fn advance(&mut self, period: Duration) -> Result<(), RdtError> {
+            self.inner.advance(period)?;
+            let k = self.inner.now_ns().saturating_sub(self.from_ns) / period.as_nanos() as u64;
+            if k > 0 && (k.is_multiple_of(3) || k.is_multiple_of(5)) {
+                return Err(RdtError::Busy("injected period failure"));
+            }
+            Ok(())
+        }
+        fn now_ns(&self) -> u64 {
+            self.inner.now_ns()
+        }
+    }
+
+    impl NodeBackend for Flaky {
+        fn admit(&mut self, spec: AppSpec) -> Result<ClosId, RdtError> {
+            self.inner.admit(spec)
+        }
+        fn evict(&mut self, group: ClosId) -> Result<(), RdtError> {
+            self.inner.evict(group)
+        }
+    }
+
+    impl PersistableBackend for Flaky {
+        fn capture(&self) -> BackendSnapshot {
+            self.inner.capture()
+        }
+        fn restore_from(&mut self, snap: &BackendSnapshot) -> Result<(), PersistError> {
+            self.inner.restore_from(snap)
+        }
+    }
+
+    /// A failed period is counted once, by the run: a live run and the
+    /// same run killed and replayed from its state directory read the
+    /// same `epoch_failures`.
+    #[test]
+    fn failed_epochs_count_the_same_live_and_after_replay() {
+        let scenario = Scenario::new(MixKind::HighBoth, 2, PolicyKind::CoPart, 7, None).unwrap();
+        let env = scenario.env();
+        let boot = |from_ns| {
+            let backend = Flaky {
+                inner: scenario.backend(&env),
+                from_ns,
+            };
+            let cfg = env.runtime_config(scenario.n_apps, scenario.policy);
+            node::build(backend, &scenario.specs(&env), cfg).unwrap()
+        };
+        let dir =
+            std::env::temp_dir().join(format!("copart-epoch-failures-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let failures =
+            |run: &PersistedRun<Flaky>| run.runtime().metrics_handle().counter("epoch_failures");
+
+        let mut runtime = boot(u64::MAX);
+        profile_with_retries(&mut runtime, PROFILE_ATTEMPTS).unwrap();
+        let from_ns = runtime.backend().now_ns();
+        runtime.backend_mut().from_ns = from_ns;
+        let mut live = PersistedRun::new(runtime, env.clone());
+        live.enable_persistence(PersistConfig {
+            dir: dir.clone(),
+            snapshot_every: 5,
+        })
+        .unwrap();
+        // 23 is mid-cadence: the kill leaves a log tail to replay. The
+        // newest snapshot is cut right after a failed period (the 20th).
+        let failed = (0..23).filter(|_| live.run_epoch().is_err()).count() as u64;
+        assert!(failed > 0, "the platform failed no period");
+        assert_eq!(failures(&live), failed, "counted live");
+        drop(live); // Simulated SIGKILL.
+
+        let (doc, _) = latest_good(&dir).unwrap().unwrap();
+        let recovered = Recovered {
+            run: restore_over(boot(from_ns), env, &doc).unwrap(),
+            snapshot_epoch: doc.epoch(),
+            cfg: PersistConfig {
+                dir: dir.clone(),
+                snapshot_every: 5,
+            },
+        };
+        let replayed = recovered.replay(true).unwrap();
+        assert_eq!(replayed.epochs_done(), 23);
+        assert_eq!(failures(&replayed), failed, "counted after kill and replay");
+        drop(replayed);
+        fs::remove_dir_all(&dir).unwrap();
+    }
 
     fn event(epoch: u64) -> TraceEvent {
         TraceEvent {

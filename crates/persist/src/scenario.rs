@@ -1,11 +1,13 @@
-//! Shared bootstrap for daemon and one-shot runs of the same scenario.
+//! Shared bootstrap for persisted, daemon and one-shot runs of the same
+//! scenario.
 //!
 //! Byte-identical traces are the repo's determinism contract: a daemon
 //! run of N epochs must produce exactly the JSONL a one-shot `sim-run`
-//! of the same scenario produces. Every path therefore builds its
-//! runtime through this module — same machine model, same mix, same
-//! STREAM reference, same seed, same profiling-retry policy — and
-//! [`Scenario::reference_trace`] *is* the one-shot path, used by the
+//! of the same scenario produces, and a recovered run must rebuild
+//! exactly the runtime the dead process booted. Every path therefore
+//! builds its runtime through this module — same machine model, same
+//! mix, same STREAM reference, same seed, same profiling-retry policy —
+//! and [`Scenario::reference_trace`] *is* the one-shot path, used by the
 //! determinism tests as the expected value.
 //!
 //! There is one build: the simulator always sits behind the fault
@@ -13,25 +15,23 @@
 //! scenario asks for no faults, so a fault-free and a fault-injected
 //! scenario differ in a value, not in a type or a code path.
 
-use copart_core::node;
+use copart_core::node::{self, profile_with_retries};
 use copart_core::policies::{self, PolicyKind};
 use copart_core::runtime::{ConsolidationRuntime, RuntimeConfig};
 use copart_core::CoPartParams;
 use copart_faults::{FaultPlan, FaultyBackend};
 use copart_rdt::SimBackend;
 use copart_sim::{AppSpec, Machine, MachineConfig};
-use copart_telemetry::Recorder;
+use copart_telemetry::{Recorder, SharedRecorder};
 use copart_workloads::stream::StreamReference;
 use copart_workloads::{Benchmark, MixKind, WorkloadMix};
-
-use crate::trace::SharedRing;
 
 /// Profiling passes a launch — and every later admission — gets before
 /// giving up. Only a fault-injected backend can ever fail one.
 pub const PROFILE_ATTEMPTS: u32 = 5;
 
-/// What consolidation the daemon should run: everything needed to build
-/// the runtime deterministically.
+/// What consolidation to run: everything needed to build the runtime
+/// deterministically.
 #[derive(Debug, Clone)]
 pub struct Scenario {
     /// Which Table 3 mix family to consolidate.
@@ -43,7 +43,7 @@ pub struct Scenario {
     pub policy: PolicyKind,
     /// Seed for the explorer's randomized θ-retries.
     pub seed: u64,
-    /// Deterministic fault plan, if the daemon should run injected.
+    /// Deterministic fault plan, if the run should be fault-injected.
     pub faults: Option<FaultPlan>,
 }
 
@@ -59,7 +59,7 @@ impl Scenario {
     ///
     /// ```
     /// use copart_core::policies::PolicyKind;
-    /// use copart_serve::Scenario;
+    /// use copart_persist::Scenario;
     /// use copart_workloads::MixKind;
     /// let s = Scenario::new(MixKind::HighBoth, 4, PolicyKind::CoPart, 42, None).unwrap();
     /// assert_eq!(s.n_apps, 4);
@@ -177,19 +177,40 @@ impl Scenario {
     ///
     /// Propagates build, profiling, and epoch failures.
     pub fn reference_trace(&self, epochs: u64) -> Result<Vec<String>, String> {
-        let ring = SharedRing::new(epochs as usize + 256);
-        let mut runtime = self.launch(&self.env(), Box::new(ring.clone()))?;
+        let trace = SharedRecorder::default();
+        let mut runtime = self.launch(&self.env(), Box::new(trace.clone()))?;
         for _ in 0..epochs {
             runtime.run_period().map_err(|e| format!("epoch: {e}"))?;
         }
-        Ok(ring.all().iter().map(|e| e.to_json_line()).collect())
+        Ok(trace.events().iter().map(|e| e.to_json_line()).collect())
     }
+}
+
+/// Parses the name of a *dynamic* policy, the only kind a scenario can
+/// run or a live run can switch to.
+///
+/// # Errors
+///
+/// Rejects unknown names and the static policies (`eq`, `st`,
+/// `utility`).
+///
+/// # Examples
+///
+/// ```
+/// use copart_persist::parse_dynamic_policy;
+/// assert!(parse_dynamic_policy("copart").is_ok());
+/// assert!(parse_dynamic_policy("eq").is_err());
+/// ```
+pub fn parse_dynamic_policy(s: &str) -> Result<PolicyKind, String> {
+    PolicyKind::from_wire(s)
+        .ok_or_else(|| format!("unknown policy {s:?}"))
+        .and_then(require_dynamic)
 }
 
 /// `policy` when it runs a controller — the only kind a scenario, the
 /// daemon and a persisted run can drive — else the one refusal of a
 /// static policy, listing the dynamic ones.
-pub(crate) fn require_dynamic(policy: PolicyKind) -> Result<PolicyKind, String> {
+fn require_dynamic(policy: PolicyKind) -> Result<PolicyKind, String> {
     if policy.is_dynamic() {
         return Ok(policy);
     }
@@ -216,7 +237,7 @@ pub struct RunIdentity {
     pub faults: String,
 }
 
-/// The measured environment a scenario runs in, kept by the daemon for
+/// The measured environment a scenario runs in, kept by a live run for
 /// later admissions and policy switches.
 #[derive(Debug, Clone)]
 pub struct ScenarioEnv {
@@ -252,11 +273,6 @@ impl ScenarioEnv {
     }
 }
 
-/// Runs profiling, retrying whole passes up to `attempts` times.
-/// Re-exported from the core node seam, where fleet nodes share the
-/// exact same retry policy (byte-identical traces depend on it).
-pub use copart_core::node::profile_with_retries;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -268,6 +284,22 @@ mod tests {
         let b = scenario.reference_trace(6).unwrap();
         assert!(!a.is_empty());
         assert_eq!(a, b, "same scenario, same bytes");
+    }
+
+    #[test]
+    fn dynamic_policy_names_parse() {
+        assert_eq!(
+            parse_dynamic_policy("cat-only").unwrap().label(),
+            "CAT-only"
+        );
+        assert_eq!(
+            parse_dynamic_policy("mba-only").unwrap().label(),
+            "MBA-only"
+        );
+        assert_eq!(parse_dynamic_policy("copart").unwrap().label(), "CoPart");
+        assert!(parse_dynamic_policy("eq").unwrap_err().contains("static"));
+        assert!(parse_dynamic_policy("st").unwrap_err().contains("static"));
+        assert!(parse_dynamic_policy("x").unwrap_err().contains("unknown"));
     }
 
     #[test]

@@ -251,6 +251,12 @@ pub fn latest_good(dir: &Path) -> Result<Option<(SnapshotDoc, PathBuf)>, Persist
     Ok(None)
 }
 
+/// Snapshots (and their logs) a persisted run keeps on disk: the
+/// `keep` it passes to [`prune`]. Two, so a snapshot torn by a crash
+/// mid-write still leaves a good predecessor whose log chains forward
+/// through the torn one's epoch range.
+pub const KEEP_SNAPSHOTS: usize = 2;
+
 /// Deletes all but the newest `keep` snapshots, and every event log
 /// below the oldest kept one. Keeping two means one whole corrupt
 /// snapshot still leaves a recovery point.

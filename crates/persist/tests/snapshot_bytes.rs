@@ -17,7 +17,7 @@
 
 use copart_core::policies::PolicyKind;
 use copart_faults::FaultPlan;
-use copart_serve::{harness_run, Scenario};
+use copart_persist::{harness_run, Scenario};
 use copart_telemetry::fnv1a64;
 use copart_workloads::MixKind;
 use std::fs;

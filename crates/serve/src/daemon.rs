@@ -24,13 +24,10 @@
 //!   time until `max_epochs`, the mode tests and the determinism suite
 //!   use.
 
-use crate::persist::PersistedRun;
-use crate::scenario::require_dynamic;
 use crate::trace::SharedRing;
-use copart_core::policies::PolicyKind;
 use copart_core::runtime::Phase;
 use copart_core::NodeBackend;
-use copart_persist::PersistableBackend;
+use copart_persist::{PersistableBackend, PersistedRun};
 use copart_telemetry::{JsonWriter, MetricsRegistry};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, SyncSender, TryRecvError};
 use std::sync::{Arc, Mutex};
@@ -75,39 +72,6 @@ pub enum Command {
         reply: SyncSender<u64>,
     },
 }
-
-/// Parses the name of a *dynamic* policy, the only kind the daemon can
-/// run or switch to.
-///
-/// # Errors
-///
-/// Rejects unknown names and the static policies (`eq`, `st`,
-/// `utility`).
-///
-/// # Examples
-///
-/// ```
-/// use copart_serve::daemon::parse_dynamic_policy;
-/// assert!(parse_dynamic_policy("copart").is_ok());
-/// assert!(parse_dynamic_policy("eq").is_err());
-/// ```
-pub fn parse_dynamic_policy(s: &str) -> Result<PolicyKind, String> {
-    PolicyKind::from_wire(s)
-        .ok_or_else(|| format!("unknown policy {s:?}"))
-        .and_then(require_dynamic)
-}
-
-/// The backend capabilities the daemon needs beyond
-/// [`RdtBackend`](copart_rdt::RdtBackend):
-/// admitting and evicting whole workloads at runtime
-/// ([`NodeBackend`] — the seam `copart-fleet` nodes share), plus
-/// freezing and restoring complete state for crash recovery
-/// ([`PersistableBackend`]). The `SimBackend` and
-/// `FaultyBackend<SimBackend>` impls come from those two traits; this
-/// is just their intersection.
-pub trait ServeBackend: NodeBackend + PersistableBackend + Send + 'static {}
-
-impl<B: NodeBackend + PersistableBackend + Send + 'static> ServeBackend for B {}
 
 /// Pacing configuration for the control loop.
 #[derive(Debug, Clone)]
@@ -181,7 +145,7 @@ impl ControlHandle {
 /// run. The boot status is published on the caller's thread first, so
 /// [`ControlHandle::status`] (and `GET /status`) is a complete document
 /// from the moment this returns.
-pub fn spawn_control<B: ServeBackend>(
+pub fn spawn_control<B: NodeBackend + PersistableBackend + Send + 'static>(
     run: PersistedRun<B>,
     cfg: DaemonConfig,
     rx: Receiver<Command>,
@@ -211,7 +175,7 @@ pub fn spawn_control<B: ServeBackend>(
     }
 }
 
-struct Daemon<B: ServeBackend> {
+struct Daemon<B: NodeBackend + PersistableBackend> {
     run: PersistedRun<B>,
     cfg: DaemonConfig,
     metrics: Arc<MetricsRegistry>,
@@ -220,7 +184,7 @@ struct Daemon<B: ServeBackend> {
     rx: Receiver<Command>,
 }
 
-impl<B: ServeBackend> Daemon<B> {
+impl<B: NodeBackend + PersistableBackend> Daemon<B> {
     fn run(mut self) {
         if self.cfg.tick.is_zero() {
             self.run_free();
@@ -328,9 +292,9 @@ impl<B: ServeBackend> Daemon<B> {
 
     fn epoch(&mut self) {
         // Attempts count toward the cap whether or not the period
-        // succeeds, so a failing backend cannot spin a free-run forever.
+        // succeeds, so a failing backend cannot spin a free-run forever;
+        // the run counts the failure.
         if let Err(e) = self.run.run_epoch() {
-            self.metrics.inc("epoch_failures");
             eprintln!("copart serve: epoch failed: {e}");
         }
         *self.liveness.lock().unwrap_or_else(|e| e.into_inner()) = Liveness {
@@ -497,22 +461,6 @@ pub struct Gateway {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn dynamic_policy_names_parse() {
-        assert_eq!(
-            parse_dynamic_policy("cat-only").unwrap().label(),
-            "CAT-only"
-        );
-        assert_eq!(
-            parse_dynamic_policy("mba-only").unwrap().label(),
-            "MBA-only"
-        );
-        assert_eq!(parse_dynamic_policy("copart").unwrap().label(), "CoPart");
-        assert!(parse_dynamic_policy("eq").unwrap_err().contains("static"));
-        assert!(parse_dynamic_policy("st").unwrap_err().contains("static"));
-        assert!(parse_dynamic_policy("x").unwrap_err().contains("unknown"));
-    }
 
     #[test]
     fn health_rule_covers_booting_capped_and_stalled() {

@@ -22,7 +22,8 @@
 //!
 //! ```
 //! use copart_core::policies::PolicyKind;
-//! use copart_serve::{loadgen, Scenario, ServeConfig};
+//! use copart_persist::Scenario;
+//! use copart_serve::{loadgen, ServeConfig};
 //! use copart_workloads::MixKind;
 //! use std::time::Duration;
 //!
@@ -55,18 +56,15 @@
 pub mod daemon;
 pub mod http;
 pub mod loadgen;
-pub mod persist;
 pub mod prometheus;
-pub mod scenario;
 pub mod server;
 pub mod trace;
 
-pub use daemon::{parse_dynamic_policy, DaemonConfig, ServeBackend};
-pub use loadgen::{LoadConfig, LoadReport};
-pub use persist::{
-    harness_run, recover_sim, resume_trace_file, ChurnOp, HarnessOutcome, PersistConfig,
-    PersistedRun, Recovered, KEEP_SNAPSHOTS,
+// `benchmark/` links these from here and is not edited outside a benchmark change.
+pub use copart_persist::{
+    recover_sim, resume_trace_file, PersistConfig, PersistedRun, Scenario, ScenarioEnv,
 };
-pub use scenario::{RunIdentity, Scenario, ScenarioEnv, PROFILE_ATTEMPTS};
+pub use daemon::DaemonConfig;
+pub use loadgen::{LoadConfig, LoadReport};
 pub use server::{serve, serve_scenario, ServeConfig, ServeReport, ServerHandle};
 pub use trace::{RotatingJsonl, SharedRing, TeeRecorder};

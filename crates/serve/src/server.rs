@@ -17,15 +17,16 @@
 //! order: stop accepting, finish in-flight requests, then stop the
 //! control loop at an epoch boundary and flush the trace.
 
-use crate::daemon::{
-    spawn_control, ApiResult, Command, ControlHandle, DaemonConfig, Gateway, ServeBackend,
-};
+use crate::daemon::{spawn_control, ApiResult, Command, ControlHandle, DaemonConfig, Gateway};
 use crate::http::{self, ReadOutcome, Request, Response};
-use crate::persist::{recover_sim, PersistConfig, PersistedRun, Recovered};
 use crate::prometheus;
-use crate::scenario::{profile_with_retries, Scenario, ScenarioEnv, PROFILE_ATTEMPTS};
 use crate::trace::{RotatingJsonl, SharedRing, TeeRecorder};
 use copart_core::runtime::ConsolidationRuntime;
+use copart_core::{profile_with_retries, NodeBackend};
+use copart_persist::{
+    recover_sim, PersistConfig, PersistableBackend, PersistedRun, Recovered, Scenario, ScenarioEnv,
+    PROFILE_ATTEMPTS,
+};
 use copart_telemetry::{Json, MetricsRegistry, MetricsSnapshot, Recorder};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -198,7 +199,7 @@ fn check_pacing(cfg: &ServeConfig) -> Result<(), String> {
 ///
 /// Fails when profiling fails, the trace directory cannot be created,
 /// or the listen address cannot be bound.
-pub fn serve<B: ServeBackend>(
+pub fn serve<B: NodeBackend + PersistableBackend + Send + 'static>(
     mut runtime: ConsolidationRuntime<B>,
     env: ScenarioEnv,
     cfg: ServeConfig,
@@ -220,7 +221,7 @@ pub fn serve<B: ServeBackend>(
 /// Starts the daemon over a restored-but-not-yet-replayed run: attaches
 /// the (resume-truncated) trace sinks, replays the event-log tail
 /// through them, and serves the continued run.
-fn serve_recovered<B: ServeBackend>(
+fn serve_recovered<B: NodeBackend + PersistableBackend + Send + 'static>(
     mut rec: Recovered<B>,
     cfg: ServeConfig,
 ) -> Result<ServerHandle, String> {
@@ -233,7 +234,7 @@ fn serve_recovered<B: ServeBackend>(
 
 /// The shared back half of both boot paths: spawn the control thread
 /// and the HTTP front end over a ready [`PersistedRun`].
-fn serve_run<B: ServeBackend>(
+fn serve_run<B: NodeBackend + PersistableBackend + Send + 'static>(
     run: PersistedRun<B>,
     cfg: ServeConfig,
     ring: SharedRing,

@@ -1,6 +1,6 @@
 //! Trace plumbing for the daemon: a thread-shared flight recorder, a
-//! JSONL file sink that rotates on write, a tee that feeds both, and the
-//! one in-place cut every resumed trace file goes through.
+//! JSONL file sink that rotates on write (resumed through telemetry's
+//! in-place [`cut_trace_file`]), and a tee that feeds both.
 //!
 //! The control thread owns the runtime and therefore the recorder; the
 //! HTTP workers only ever *read* the ring (for `GET /trace?tail=N`). The
@@ -8,9 +8,12 @@
 //! whose lock is held for one event at a time; the file sink belongs to
 //! the recorder alone.
 
-use copart_telemetry::{JsonlRecorder, MetricsRegistry, Recorder, RingRecorder, TraceEvent};
+use copart_telemetry::{
+    cut_trace_file, durable_prefix, JsonlRecorder, MetricsRegistry, Recorder, RingRecorder,
+    TraceEvent,
+};
 use std::fs::{self, File};
-use std::io::{self, BufRead, BufReader, BufWriter, Seek, SeekFrom, Write};
+use std::io::{self, BufReader, BufWriter};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -93,11 +96,6 @@ impl SharedRing {
         }
         out
     }
-
-    /// Every retained event, oldest first.
-    pub fn all(&self) -> Vec<TraceEvent> {
-        lock_unpoisoned(&self.inner).events().cloned().collect()
-    }
 }
 
 impl Recorder for SharedRing {
@@ -114,70 +112,6 @@ impl Recorder for SharedRing {
         }
         ring.record(event);
     }
-}
-
-/// The durable prefix of a trace file: the leading lines that parse as
-/// events below `below_epoch`, as `(bytes, events, terminated)`, where
-/// `terminated` says whether the prefix ends in a newline (an empty one
-/// does). A line that does not parse is the torn tail of a kill; a
-/// parsed event at or above the boundary is regenerated by replay.
-/// Either way, the prefix ends there.
-///
-/// Lines stream through one reused buffer, so a resumed daemon never
-/// holds the whole file (up to ~9.5 MB at the 10 000-event cap).
-fn durable_prefix(mut file: impl BufRead, below_epoch: u64) -> io::Result<(u64, u64, bool)> {
-    let (mut kept, mut events, mut terminated) = (0, 0, true);
-    let mut line = Vec::new();
-    loop {
-        line.clear();
-        if file.read_until(b'\n', &mut line)? == 0 {
-            break;
-        }
-        let event = std::str::from_utf8(&line)
-            .ok()
-            .and_then(|l| TraceEvent::from_json_line(l.trim_end_matches('\n')).ok());
-        match event {
-            Some(e) if e.epoch < below_epoch => {
-                kept += line.len() as u64;
-                events += 1;
-                terminated = line.ends_with(b"\n");
-            }
-            _ => break,
-        }
-    }
-    Ok((kept, events, terminated))
-}
-
-/// Cuts the trace file at `path` back to its durable prefix *in place*
-/// and reopens it for appending; returns the sink and the events kept.
-/// A missing file is created empty.
-///
-/// The cut only ever `set_len`s the file down to the prefix and never
-/// rewrites it, so a kill inside a resume cannot lose the events below
-/// the boundary, and a resume over an already-cut file leaves its bytes
-/// alone.
-///
-/// # Errors
-///
-/// Fails when the file cannot be opened, read or cut.
-pub fn cut_trace_file(
-    path: &Path,
-    below_epoch: u64,
-) -> io::Result<(JsonlRecorder<BufWriter<File>>, u64)> {
-    let mut file = fs::OpenOptions::new()
-        .read(true)
-        .write(true)
-        .create(true)
-        .truncate(false)
-        .open(path)?;
-    let (kept, events, terminated) = durable_prefix(BufReader::new(&file), below_epoch)?;
-    file.set_len(kept)?;
-    file.seek(SeekFrom::End(0))?;
-    // A kept last line whose newline the kill swallowed gets it back.
-    if !terminated {
-        file.write_all(b"\n")?;
-    }
-    Ok((JsonlRecorder::new(BufWriter::new(file)), events))
 }
 
 /// A JSONL trace sink that writes `prefix-0000.jsonl`,
@@ -450,7 +384,7 @@ mod tests {
         ring.record(&event(0));
         assert_eq!(reader.len(), 1);
         assert!(!reader.is_empty());
-        assert_eq!(reader.all()[0], event(0));
+        assert_eq!(reader.tail(1), [event(0)]);
     }
 
     #[test]
@@ -530,54 +464,6 @@ mod tests {
             assert_eq!(files(&dir), whole, "{tag}: file for file");
             let _ = fs::remove_dir_all(&dir);
         }
-    }
-
-    /// The streamed cut lands on the byte the whole-file cut it replaced
-    /// chose — `reference` is that cut, over the file read at once — for
-    /// a file long enough to span many read buffers.
-    #[test]
-    fn cut_trace_file_cuts_where_the_whole_file_cut_did() {
-        fn reference(bytes: &[u8], below_epoch: u64) -> (usize, u64) {
-            let (mut kept, mut events) = (0, 0);
-            for line in bytes.split_inclusive(|&b| b == b'\n') {
-                let event = std::str::from_utf8(line)
-                    .ok()
-                    .and_then(|l| TraceEvent::from_json_line(l.trim_end_matches('\n')).ok());
-                match event {
-                    Some(e) if e.epoch < below_epoch => {
-                        kept += line.len();
-                        events += 1;
-                    }
-                    _ => break,
-                }
-            }
-            (kept, events)
-        }
-        let long = lines(0..200);
-        let cases: [(&str, String, u64); 7] = [
-            ("clean", long.clone(), 200),
-            ("empty", String::new(), 5),
-            ("torn-last-line", format!("{long}{}", &line(200)[..40]), 201),
-            ("line-at-boundary", long.clone(), 150),
-            ("boundary-is-the-last-line", long.clone(), 199),
-            ("unterminated-kept-last", long.trim_end().to_string(), 200),
-            ("garbage-first-line", format!("not json\n{long}"), 200),
-        ];
-        let dir = scratch("cut-bytes");
-        for (tag, text, below) in cases {
-            let path = dir.join(format!("{tag}.jsonl"));
-            fs::write(&path, &text).unwrap();
-            let (kept, events) = reference(text.as_bytes(), below);
-            let (sink, got_events) = cut_trace_file(&path, below).unwrap();
-            drop(sink);
-            let mut want = text[..kept].to_string();
-            if kept > 0 && !want.ends_with('\n') {
-                want.push('\n');
-            }
-            assert_eq!(got_events, events, "{tag}: events kept");
-            assert_eq!(fs::read_to_string(&path).unwrap(), want, "{tag}: cut bytes");
-        }
-        let _ = fs::remove_dir_all(&dir);
     }
 
     /// A directory whose files ran over the cap (rotation used to wait

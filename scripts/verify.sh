@@ -17,11 +17,7 @@
 #                     `#![warn(missing_docs)]` satisfied on every crate),
 #                     the copart-check suite at the full fuzz budget
 #                     (COPART_CHECK_CASES=512) with a jobs-1-vs-8 report
-#                     byte-comparison, the chaos gate, the
-#                     crash-recovery gate (scripts/recovery.sh: kill a
-#                     persisted run at an epoch boundary, resume it, and
-#                     require the stitched trace byte-identical to an
-#                     uninterrupted run), the fleet gate
+#                     byte-comparison, the chaos gate, the fleet gate
 #                     (scripts/fleet.sh under REPRO_FAST: multi-node
 #                     churn with per-node faults, byte-identical at
 #                     --jobs 1 vs 8, with at least one state-preserving
@@ -111,9 +107,6 @@ full)
 
     echo "==> chaos gate (fault injection, REPRO_FAST)"
     REPRO_FAST=1 scripts/chaos.sh release
-
-    echo "==> recovery gate (kill/resume byte-identity)"
-    scripts/recovery.sh release
 
     echo "==> fleet gate (multi-node determinism, REPRO_FAST)"
     REPRO_FAST=1 scripts/fleet.sh release

@@ -13,13 +13,13 @@
 use copart_core::policies::PolicyKind;
 use copart_faults::{FaultPlan, FaultTrigger};
 use copart_persist::store::list_snapshots;
-use copart_persist::{latest_good, SnapshotDoc};
+use copart_persist::{
+    harness_run, latest_good, recover_sim, resume_trace_file, ChurnOp, HarnessOutcome,
+    PersistConfig, PersistedRun, Scenario, SnapshotDoc,
+};
 use copart_rdt::RdtBackend;
 use copart_serve::loadgen;
-use copart_serve::{
-    harness_run, recover_sim, resume_trace_file, ChurnOp, HarnessOutcome, PersistConfig,
-    PersistedRun, Scenario, ServeConfig,
-};
+use copart_serve::ServeConfig;
 use copart_telemetry::{parse_trace, JsonlRecorder, MetricsSnapshot, NullRecorder};
 use copart_workloads::MixKind;
 use std::fs;

@@ -286,7 +286,7 @@ fn degraded_plan(seed: u64) -> FaultPlan {
 /// a plan hot enough that the kill point is *inside* the degradation.
 #[test]
 fn kill_and_resume_mid_degraded_mode() {
-    use copart_serve::{harness_run, Scenario};
+    use copart_persist::{harness_run, Scenario};
 
     let scratch = |tag: &str| {
         let dir = std::env::temp_dir().join(format!("copart-soak-{tag}-{}", std::process::id()));

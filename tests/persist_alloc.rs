@@ -12,8 +12,7 @@ mod counting_alloc;
 use std::fs;
 
 use copart_core::policies::PolicyKind;
-use copart_persist::{latest_good, read_snapshot, write_snapshot};
-use copart_serve::{harness_run, Scenario};
+use copart_persist::{harness_run, latest_good, read_snapshot, write_snapshot, Scenario};
 use copart_workloads::MixKind;
 
 /// Heap allocations `f` makes.

@@ -12,7 +12,7 @@
 
 use copart_core::policies::{EvalOptions, PolicyKind};
 use copart_experiments::{Grid, Row};
-use copart_serve::Scenario;
+use copart_persist::Scenario;
 use copart_sim::{AppSpec, MachineConfig};
 use copart_workloads::casestudy::{kmeans_spec, wordcount_spec};
 use copart_workloads::{reference, MixKind, WorkloadMix};

@@ -5,9 +5,10 @@
 
 use copart_core::policies::PolicyKind;
 use copart_faults::FaultPlan;
+use copart_persist::{PersistedRun, Scenario};
 use copart_serve::daemon::{spawn_control, Command};
 use copart_serve::loadgen::{self, LoadConfig};
-use copart_serve::{DaemonConfig, PersistedRun, Scenario, ServeConfig, ServerHandle};
+use copart_serve::{DaemonConfig, ServeConfig, ServerHandle};
 use copart_telemetry::{Json, SeriesKind, SERIES};
 use copart_workloads::MixKind;
 use std::collections::BTreeMap;
