@@ -2,19 +2,20 @@
 //! of one machine window tick under a consolidated mix, that tick split
 //! into its phases, and the set-sampling scale ablation (DESIGN.md §6).
 //!
-//! With `BENCH_JSON_DIR` set the headline numbers land in
-//! `BENCH_cache_sim.json`: ns per access per pattern (bursts of 64
-//! through `SampledCache::access_burst`), ns per 200 ms tick
-//! per mix, and — because a tick's cost is its sampled accesses — how
-//! many accesses a tick of each mix simulates and what one costs. The
+//! The headline numbers land in `BENCH_cache_sim.json`, gated against
+//! its baseline (see `copart_bench::artifact`): ns per access per
+//! pattern (the `cache_access_*_ns` keys time bursts of 64 through
+//! `SampledCache::access_burst`), ns per 200 ms tick per mix, and —
+//! because a tick's cost is its sampled accesses — how many accesses a
+//! tick of each mix simulates and what one costs. The
 //! `gen_*` and `tick_split_*` keys split a warm H-Both ×4 tick into
 //! address generation (the window's burst schedule through copies of
 //! the machine's generators, no cache), the timing solve alone, and the
 //! cache walk (the rest of the tick). Measurement only: the split
 //! re-derives the schedule from the public snapshot and does not touch
-//! `Machine::tick`. `zipf_table_*` is what the Zipf step tables cost:
-//! building afresh every table an H-Both ×4 machine draws through, and
-//! their heap bytes (a string, so the gate holds it exact).
+//! `Machine::tick`. `zipf_table_build_ns` is what building afresh every
+//! Zipf step table an H-Both ×4 machine draws through costs; their heap
+//! bytes are exact, so tier-1 `tests/scaling_validation.rs` holds them.
 
 use std::hint::black_box;
 
@@ -32,7 +33,7 @@ fn main() {
     bench_tick_split(&mut artifact, h_both_tick_ns);
     bench_zipf_tables(&mut artifact);
     bench_scale_ablation();
-    artifact.write("cache_sim");
+    artifact.write("cache_sim", env!("CARGO_TARGET_TMPDIR"));
 }
 
 /// The access patterns the per-access benches walk.
@@ -285,7 +286,6 @@ fn bench_zipf_tables(artifact: &mut Artifact) {
     });
     println!("{:<44} {bytes:>14} bytes in {} tables", "", zipfs.len());
     artifact.num("zipf_table_build_ns", timing.mean_ns);
-    artifact.text("zipf_table_bytes_h_both", &bytes.to_string());
 }
 
 fn bench_scale_ablation() {

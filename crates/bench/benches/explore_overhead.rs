@@ -5,38 +5,30 @@
 //!
 //! The paper reports 10.6–14.4 µs for 3–6 applications on the Xeon Gold
 //! 6130; the target shape is microsecond scale with gentle growth. The
-//! epoch sections gate two PR acceptance criteria: the no-op recorder
-//! costs nothing measurable (< 2 % of an epoch), and a steady-state
-//! epoch allocates (almost) nothing — warm-up is measured separately so
-//! buffer growth cannot hide in the average. A planner-scale curve
-//! (1000 and 4000 synthetic apps) closes with per-epoch planning
-//! latency against the paper's ~1 ms budget.
+//! epoch section checks that the no-op recorder costs nothing
+//! measurable (< 2 % of an epoch). A planner-scale curve (1000 and 4000
+//! synthetic apps) closes with per-epoch planning latency, and the
+//! 4000-app p99 must fit the paper's ~1 ms epoch budget in absolute
+//! terms. That the same paths allocate nothing once warm, and the
+//! curve's decision digests, are tier-1 tests (`tests/control_alloc.rs`,
+//! `tests/parallel_determinism.rs`).
 //!
-//! With `BENCH_JSON_DIR` set, the headline numbers land in
-//! `BENCH_epoch.json` for the `scripts/bench_gate.sh` regression gate.
+//! The headline timings land in `BENCH_epoch.json`, gated against its
+//! baseline (see `copart_bench::artifact`).
 
 use std::hint::black_box;
 use std::time::Instant;
 
-use copart_bench::{bench, synthetic_instance, Artifact};
-use copart_core::fsm::AppState;
-use copart_core::next_state::AppClassification;
+use copart_bench::{bench, copart_config, epoch_runtime, synthetic_instance, Artifact};
 use copart_core::planner::{Explorer, Plan};
-use copart_core::runtime::{ConsolidationRuntime, PeriodRecord, RuntimeConfig};
 use copart_core::scale::{run_planner_scale, ScaleConfig};
-use copart_core::state::{SystemState, WaysBudget};
-use copart_core::CoPartParams;
-use copart_matching::chain::{self, ChainScratch, Consumer};
-use copart_rdt::{MbaLevel, SimBackend};
-use copart_rng::XorShift64Star;
-use copart_sim::{Machine, MachineConfig};
+use copart_sim::MachineConfig;
 use copart_telemetry::{NullRecorder, Recorder, RingRecorder};
 use copart_workloads::stream::StreamReference;
-use copart_workloads::{MixKind, WorkloadMix};
 
-#[path = "support/counting_alloc.rs"]
-mod counting_alloc;
-use counting_alloc::allocs;
+/// The control epoch's planning budget (DESIGN.md §15.3): the 4000-app
+/// plan p99 must stay inside it, whatever the baseline says.
+const PLAN_P99_BUDGET_NS: u64 = 1_000_000;
 
 fn main() {
     eprintln!("(computing STREAM reference table...)");
@@ -46,26 +38,8 @@ fn main() {
 
     let mut art = Artifact::new("copart-bench-epoch/v1");
     recorder_overhead(&stream, &mut art);
-    epoch_allocations(&stream, &mut art);
-    layer_allocations(&stream, &mut art);
     planner_scale_curve(&mut art);
-    art.write("epoch");
-}
-
-/// The CoPart configuration on the full 11-way machine, with the
-/// matching step or its greedy ablation.
-fn copart_config(stream: &StreamReference, use_hr_matching: bool) -> RuntimeConfig {
-    RuntimeConfig {
-        params: CoPartParams {
-            use_hr_matching,
-            ..CoPartParams::default()
-        },
-        manage_llc: true,
-        manage_mba: true,
-        budget: WaysBudget::full_machine(MachineConfig::xeon_gold_6130().llc_ways),
-        stream: stream.clone(),
-        planner: Default::default(),
-    }
+    art.write("epoch", env!("CARGO_TARGET_TMPDIR"));
 }
 
 /// Figure 16 proper: the explore step alone, HR matching vs greedy. No
@@ -97,29 +71,6 @@ fn explore_step(stream: &StreamReference) {
             });
         }
     }
-}
-
-/// Builds a profiled 4-app CoPart runtime with the given recorder.
-fn epoch_runtime(
-    stream: &StreamReference,
-    recorder: Box<dyn Recorder + Send>,
-) -> ConsolidationRuntime<SimBackend> {
-    let machine_cfg = MachineConfig::xeon_gold_6130();
-    let mix = WorkloadMix::build(MixKind::HighBoth, 4, machine_cfg.n_cores);
-    let mut backend = SimBackend::new(Machine::new(machine_cfg.clone()));
-    let named = mix
-        .specs()
-        .iter()
-        .map(|s| {
-            let g = backend.add_workload(s.clone()).expect("mix fits");
-            (g, s.name.clone())
-        })
-        .collect();
-    let cfg = copart_config(stream, true);
-    let mut rt = ConsolidationRuntime::new(backend, named, cfg).expect("state applies");
-    rt.set_recorder(recorder);
-    rt.profile().expect("profiling on the simulator");
-    rt
 }
 
 /// Mean cost of one `run_period` epoch under each recorder. Both
@@ -157,184 +108,9 @@ fn recorder_overhead(stream: &StreamReference, art: &mut Artifact) {
     art.num("epoch_ns_ring_recorder", ring);
 }
 
-/// Heap allocations per control epoch, warm-up and steady state split.
-///
-/// Warm-up epochs grow the scratch buffers to their steady sizes (and
-/// may clone a new best-seen state); once warm, the arena/scratch reuse
-/// across sensor → classifier → planner → actuator must keep an epoch
-/// essentially allocation-free. The seed (pre-layering) runtime measured
-/// ~28.4 allocations/epoch on this exact workload; the bench gate pins
-/// the steady-state count near zero via `BENCH_epoch.json`.
-fn epoch_allocations(stream: &StreamReference, art: &mut Artifact) {
-    const SEED_ALLOCS_PER_EPOCH: f64 = 28.4;
-    const WARMUP: u32 = 16;
-    const EPOCHS: u32 = 400;
-    let mut rt = epoch_runtime(stream, Box::new(NullRecorder));
-    // One owned record up front; thereafter every epoch writes in place.
-    let mut record: PeriodRecord = rt.run_period().expect("period runs");
-
-    let before = allocs();
-    for _ in 0..WARMUP {
-        rt.run_period_into(&mut record).expect("period runs");
-        black_box(&record);
-    }
-    let warmup = (allocs() - before) as f64 / f64::from(WARMUP);
-
-    let before = allocs();
-    for _ in 0..EPOCHS {
-        rt.run_period_into(&mut record).expect("period runs");
-        black_box(&record);
-    }
-    let steady = (allocs() - before) as f64 / f64::from(EPOCHS);
-
-    println!(
-        "\nrun_period heap allocations: {steady:.2}/epoch steady state \
-         ({warmup:.1}/epoch during {WARMUP}-epoch warm-up; \
-         seed baseline {SEED_ALLOCS_PER_EPOCH:.1}/epoch, {EPOCHS} epochs)"
-    );
-    if steady >= SEED_ALLOCS_PER_EPOCH {
-        println!("WARNING: per-epoch allocations did not improve on the seed baseline");
-    }
-    art.num("allocs_per_epoch_steady", steady);
-    art.num("allocs_per_epoch_warmup", warmup);
-}
-
-/// Per-layer allocation breakdown: each layer's hot path measured in
-/// isolation, so a regression report points at the offending layer
-/// instead of one opaque per-epoch total.
-fn layer_allocations(stream: &StreamReference, art: &mut Artifact) {
-    println!("\nper-layer steady-state allocations");
-
-    // Simulator: Machine::tick with the same 4-app mix.
-    let machine_cfg = MachineConfig::xeon_gold_6130();
-    let mix = WorkloadMix::build(MixKind::HighBoth, 4, machine_cfg.n_cores);
-    let mut machine = Machine::new(machine_cfg);
-    for spec in mix.specs() {
-        machine
-            .add_app(spec.clone(), copart_rdt::ClosId(0))
-            .expect("mix fits");
-    }
-    for _ in 0..16 {
-        black_box(machine.tick(200_000_000));
-    }
-    let before = allocs();
-    const TICKS: u32 = 200;
-    for _ in 0..TICKS {
-        black_box(machine.tick(200_000_000));
-    }
-    let sim = (allocs() - before) as f64 / f64::from(TICKS);
-    println!("  sim/Machine::tick        {sim:>8.2} allocs/tick");
-
-    // Planner: Explorer::plan_into over a churned synthetic population.
-    let cfg = copart_config(stream, true);
-    let instances: Vec<_> = (0..32).map(|s| synthetic_instance(6, s)).collect();
-    let mut explorer = Explorer::new(7);
-    let mut plan = Plan::default();
-    for (state, apps) in &instances {
-        explorer.plan_into(&cfg, state, &[], apps, 0.3, false, &mut plan);
-    }
-    let before = allocs();
-    const PLANS: u32 = 320;
-    for k in 0..PLANS {
-        let (state, apps) = &instances[k as usize % instances.len()];
-        explorer.plan_into(&cfg, state, &[], apps, 0.3, false, &mut plan);
-        black_box(&plan);
-    }
-    let plan = (allocs() - before) as f64 / f64::from(PLANS);
-    println!("  planner/plan_into        {plan:>8.2} allocs/plan");
-    let plan_4000 = scale_plan_allocations(stream);
-    println!("  planner/plan_into @4000  {plan_4000:>8.2} allocs/plan");
-
-    // Matching: the indexed instability-chaining allocator alone.
-    let mut rng = XorShift64Star::seed_from_u64(9);
-    let capacities = vec![16usize; 3];
-    let consumers: Vec<Consumer> = (0..64)
-        .map(|_| Consumer {
-            priority: rng.gen_range(1.0..3.0),
-            preference: vec![0, 1, 2],
-        })
-        .collect();
-    let mut assignment = Vec::new();
-    let mut chain_scratch = ChainScratch::default();
-    chain::allocate_into(&capacities, &consumers, &mut assignment, &mut chain_scratch);
-    let before = allocs();
-    const MATCHES: u32 = 1000;
-    for _ in 0..MATCHES {
-        black_box(chain::allocate_into(
-            &capacities,
-            &consumers,
-            &mut assignment,
-            &mut chain_scratch,
-        ));
-    }
-    let matching = (allocs() - before) as f64 / f64::from(MATCHES);
-    println!("  matching/allocate_into   {matching:>8.2} allocs/call");
-
-    art.num("allocs_per_tick_sim", sim);
-    art.num("allocs_per_plan", plan);
-    art.num("allocs_per_plan_4000", plan_4000);
-    art.num("allocs_per_matching", matching);
-}
-
-/// Heap allocations per plan at planner scale: 4000 apps on 2 ways each,
-/// 2 % of the classifications redrawn before every plan and every plan
-/// landed, measured after a warm-up that grows the step's
-/// delta-maintained orders to their steady sizes. No plan is
-/// `measured`, so the explorer never clones a best-seen state.
-fn scale_plan_allocations(stream: &StreamReference) -> f64 {
-    const APPS: usize = 4000;
-    const WARMUP: u32 = 32;
-    const PLANS: u32 = 200;
-    let budget = WaysBudget {
-        first_way: 0,
-        total_ways: 2 * APPS as u32,
-        mba_cap: MbaLevel::MAX,
-    };
-    let cfg = RuntimeConfig {
-        budget,
-        ..copart_config(stream, true)
-    };
-    let mut rng = XorShift64Star::seed_from_u64(0x5CA1E);
-    let redraw = |rng: &mut XorShift64Star| {
-        let mut state = || match rng.gen_range(0..3u8) {
-            0 => AppState::Supply,
-            1 => AppState::Maintain,
-            _ => AppState::Demand,
-        };
-        let (llc, mba) = (state(), state());
-        AppClassification {
-            llc,
-            mba,
-            slowdown: rng.gen_range(1.0..3.0),
-        }
-    };
-    let mut apps: Vec<AppClassification> = (0..APPS).map(|_| redraw(&mut rng)).collect();
-    let mut state = SystemState::equal_split(APPS, &budget, MbaLevel::MAX);
-    let mut explorer = Explorer::new(7);
-    let mut plan = Plan::default();
-    let mut before = 0;
-    for k in 0..WARMUP + PLANS {
-        if k == WARMUP {
-            before = allocs();
-        }
-        for _ in 0..APPS / 50 {
-            let i = rng.gen_range(0..APPS);
-            apps[i] = redraw(&mut rng);
-        }
-        explorer.plan_into(&cfg, &state, &[], &apps, 0.3, false, &mut plan);
-        if let Some(target) = plan.target() {
-            state.allocs.clone_from(&target.allocs);
-        }
-        explorer.commit(&plan, true, 0.3);
-    }
-    (allocs() - before) as f64 / f64::from(PLANS)
-}
-
 /// Planner latency at three to four orders of magnitude more consumers
 /// than the simulator can host: the synthetic scale harness at 1000 and
-/// 4000 applications, against the paper's ~1 ms epoch budget. The
-/// decision digest is a pure function of the config, so it doubles as a
-/// cross-machine determinism check in the bench gate.
+/// 4000 applications, against the paper's ~1 ms epoch budget.
 fn planner_scale_curve(art: &mut Artifact) {
     println!("\nplanner-scale latency (synthetic population, budget ~1 ms/epoch)");
     for n in [1000usize, 4000] {
@@ -350,10 +126,10 @@ fn planner_scale_curve(art: &mut Artifact) {
         );
         art.num(&format!("scale_{n}_plan_ns_p50"), r.plan_ns_p50 as f64);
         art.num(&format!("scale_{n}_plan_ns_p99"), r.plan_ns_p99 as f64);
-        art.num(
-            &format!("scale_{n}_matching_rounds"),
-            r.matching_rounds as f64,
+        assert!(
+            n < 4000 || r.plan_ns_p99 <= PLAN_P99_BUDGET_NS,
+            "4000-app plan p99 {} ns exceeds the {PLAN_P99_BUDGET_NS} ns epoch budget",
+            r.plan_ns_p99
         );
-        art.text(&format!("scale_{n}_digest"), &format!("{:#018x}", r.digest));
     }
 }

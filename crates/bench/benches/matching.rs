@@ -6,9 +6,9 @@
 //! (`chain::allocate_into`: one integer-key ranking, then
 //! `chain::grant_ranked`'s grants in rank order, scratch reused) on a
 //! 64→4096-consumer curve — the controller keeps its ranking across
-//! epochs and runs only the grant step over it; with
-//! `BENCH_JSON_DIR` set the throughputs land in `BENCH_matching.json` for
-//! the `scripts/bench_gate.sh` regression gate.
+//! epochs and runs only the grant step over it. The throughputs land in
+//! `BENCH_matching.json`, gated against its baseline (see
+//! `copart_bench::artifact`).
 
 use std::hint::black_box;
 
@@ -90,5 +90,5 @@ fn bench_chaining() {
         art.num(&format!("chain_indexed_{n}_per_sec"), 1e9 / indexed.mean_ns);
         art.num(&format!("chain_indexed_{n}_ns"), indexed.mean_ns);
     }
-    art.write("matching");
+    art.write("matching", env!("CARGO_TARGET_TMPDIR"));
 }

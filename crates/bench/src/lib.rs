@@ -17,9 +17,56 @@ pub use artifact::Artifact;
 
 use copart_core::fsm::AppState;
 use copart_core::next_state::AppClassification;
+use copart_core::runtime::{ConsolidationRuntime, RuntimeConfig};
 use copart_core::state::{AllocationState, SystemState, WaysBudget};
-use copart_rdt::MbaLevel;
+use copart_core::CoPartParams;
+use copart_rdt::{MbaLevel, SimBackend};
 use copart_rng::XorShift64Star;
+use copart_sim::{Machine, MachineConfig};
+use copart_telemetry::Recorder;
+use copart_workloads::stream::StreamReference;
+use copart_workloads::{MixKind, WorkloadMix};
+
+/// The CoPart configuration on the full 11-way machine, with the
+/// matching step or its greedy ablation.
+pub fn copart_config(stream: &StreamReference, use_hr_matching: bool) -> RuntimeConfig {
+    RuntimeConfig {
+        params: CoPartParams {
+            use_hr_matching,
+            ..CoPartParams::default()
+        },
+        manage_llc: true,
+        manage_mba: true,
+        budget: WaysBudget::full_machine(MachineConfig::xeon_gold_6130().llc_ways),
+        stream: stream.clone(),
+        planner: Default::default(),
+    }
+}
+
+/// A profiled 4-app H-Both CoPart runtime on the simulated Xeon,
+/// recording into `recorder` — the control epoch the Figure 16 bench
+/// times and `tests/control_alloc.rs` counts allocations of.
+pub fn epoch_runtime(
+    stream: &StreamReference,
+    recorder: Box<dyn Recorder + Send>,
+) -> ConsolidationRuntime<SimBackend> {
+    let machine_cfg = MachineConfig::xeon_gold_6130();
+    let mix = WorkloadMix::build(MixKind::HighBoth, 4, machine_cfg.n_cores);
+    let mut backend = SimBackend::new(Machine::new(machine_cfg));
+    let named = mix
+        .specs()
+        .iter()
+        .map(|s| {
+            let g = backend.add_workload(s.clone()).expect("mix fits");
+            (g, s.name.clone())
+        })
+        .collect();
+    let cfg = copart_config(stream, true);
+    let mut rt = ConsolidationRuntime::new(backend, named, cfg).expect("state applies");
+    rt.set_recorder(recorder);
+    rt.profile().expect("profiling on the simulator");
+    rt
+}
 
 /// Builds a random but valid `(state, classifications)` pair for `n`
 /// applications on an 11-way budget — the Figure 16 workload.

@@ -4,16 +4,13 @@
 //! over **every compare scenario** (`CompareScenario::all()`) — the
 //! library's [`Grid::compare`], the grid `repro compare-engines` also
 //! runs — and reports per-(engine, scenario) unfairness and slowdowns:
-//!
-//! * an aligned table on stdout (rows = scenarios, columns = engines),
-//! * optionally one JSONL line per cell (`--out`), and
-//! * a flat `BENCH_compare.json` artifact when `BENCH_JSON_DIR` is set
-//!   (gated by `scripts/bench_gate.sh` like the perf artifacts).
+//! an aligned table on stdout (rows = scenarios, columns = engines) and,
+//! with `--out`, one JSONL line per cell.
 //!
 //! Every cell runs on a fresh simulated machine from an explicit seed
 //! and the grid fans out on the `copart-parallel` pool, so the output —
-//! table, JSONL, and artifact — is byte-identical at any `--jobs`
-//! setting. `scripts/compare.sh` holds the harness to that.
+//! table and JSONL — is byte-identical at any `--jobs` setting.
+//! `scripts/compare.sh` holds the harness to that.
 
 use copart_core::policies::EvalOptions;
 use copart_experiments::Grid;
@@ -48,20 +45,10 @@ pub fn compare(opts: &Options) -> Result<(), String> {
     grid.table(&results, "scenario", |r| format!("{:.4}", r.unfairness))
         .print();
 
-    let jsonl = grid.render_jsonl(&results);
     if let Some(path) = opts.get("out") {
-        std::fs::write(path, &jsonl).map_err(|e| format!("cannot write {path}: {e}"))?;
+        std::fs::write(path, grid.render_jsonl(&results))
+            .map_err(|e| format!("cannot write {path}: {e}"))?;
         eprintln!("per-cell JSONL written to {path}");
-    }
-    if let Ok(dir) = std::env::var("BENCH_JSON_DIR") {
-        let artifact = grid.render_artifact(&results, &jsonl);
-        if let Err(e) = std::fs::create_dir_all(&dir)
-            .and_then(|()| std::fs::write(format!("{dir}/BENCH_compare.json"), artifact))
-        {
-            eprintln!("warning: cannot write BENCH_compare.json under {dir}: {e}");
-        } else {
-            println!("bench artifact written to {dir}/BENCH_compare.json");
-        }
     }
     Ok(())
 }

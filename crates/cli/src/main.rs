@@ -14,7 +14,6 @@
 //! mock tree or at `/sys/fs/resctrl` on RDT hardware).
 
 mod args;
-mod bench_report;
 mod compare_cmd;
 mod fleet_cmd;
 mod resctrl_cmd;
@@ -107,8 +106,7 @@ Commands:
       --seed <n>           evaluation seed (default 1371601426)
       --jobs <n>           worker threads for the cell grid
       --out <path>         write one JSONL line per (engine, scenario)
-                           cell; BENCH_JSON_DIR additionally drops a
-                           BENCH_compare.json artifact for bench_gate.sh
+                           cell
   trace-check      Validate a JSONL decision trace (parses, gapless
                    epochs, monotone time) — the CI smoke gate
       --path <file> [--min-events <n>]
@@ -118,12 +116,6 @@ Commands:
       --reference <file>   additionally require the trace to be
                            byte-identical to a reference trace (the
                            crash-recovery CI gate)
-  bench-report     Pretty-print a BENCH_*.json perf artifact, or gate it
-                   against a baseline (used by scripts/bench_gate.sh)
-      --current <file> [--baseline <file>] [--tolerance <ratio>]
-                           latency/throughput tolerance ratio (default 3.0,
-                           or COPART_BENCH_TOLERANCE); alloc counts and
-                           digests are gated exactly
   classify         Probe one benchmark's sensitivity class
       --bench <WN|WS|RT|OC|CG|FT|SP|ON|FMM|SW|EP>
   resctrl-status   Show groups and schemata of a resctrl tree
@@ -156,7 +148,6 @@ const OPTIONS: &[(&str, &str)] = &[
     ),
     ("compare", "seconds seed jobs out"),
     ("trace-check", "path min-events fleet reference"),
-    ("bench-report", "current baseline tolerance"),
     ("classify", "bench"),
     ("resctrl-status", "root"),
     ("resctrl-apply", "root group ways mba"),
@@ -193,7 +184,6 @@ fn main() -> ExitCode {
         "load" => serve_cmd::load(&opts),
         "trace-check" if opts.flag("fleet") => fleet_cmd::fleet_trace_check(&opts),
         "trace-check" => sim_cmd::trace_check(&opts),
-        "bench-report" => bench_report::bench_report(&opts),
         "classify" => sim_cmd::classify(&opts),
         "resctrl-status" => resctrl_cmd::status(&opts),
         "resctrl-apply" => resctrl_cmd::apply(&opts),

@@ -17,7 +17,7 @@ use copart_core::policies::{self, DynamicColumn, EvalOptions, EvalResult, Policy
 use copart_core::runtime::RuntimeConfig;
 use copart_core::CoPartParams;
 use copart_sim::{AppSpec, MachineConfig};
-use copart_telemetry::{fnv1a64, MetricsSnapshot, NullRecorder, Recorder};
+use copart_telemetry::{MetricsSnapshot, NullRecorder, Recorder};
 use copart_workloads::stream::StreamReference;
 use copart_workloads::{CompareScenario, MixKind, WorkloadMix};
 
@@ -267,22 +267,6 @@ impl Grid {
         tasks
     }
 
-    /// Every `(row, column, result)`, row-major.
-    fn cells<'a>(
-        &'a self,
-        results: &'a [Vec<EvalResult>],
-    ) -> impl Iterator<Item = (&'a Row, &'a Column, &'a EvalResult)> {
-        self.rows
-            .iter()
-            .zip(results)
-            .flat_map(move |(row, results)| {
-                self.columns
-                    .iter()
-                    .zip(results)
-                    .map(move |(c, r)| (row, c, r))
-            })
-    }
-
     /// The results as a table: a `corner`-headed row-name column, then
     /// one `cell(result)` per column under its label.
     pub fn table(
@@ -307,53 +291,29 @@ impl Grid {
     /// identical bytes.
     pub fn render_jsonl(&self, results: &[Vec<EvalResult>]) -> String {
         let mut out = String::new();
-        for (row, column, r) in self.cells(results) {
-            let _ = write!(
-                out,
-                "{{\"engine\":\"{}\",\"scenario\":\"{}\",\"unfairness\":{:?},\"throughput\":{:?},\"slowdowns\":[",
-                column.label(),
-                row.name,
-                r.unfairness,
-                r.throughput,
-            );
-            for (i, (spec, sd)) in row.specs.iter().zip(&r.slowdowns).enumerate() {
-                let comma = if i > 0 { "," } else { "" };
+        for (row, results) in self.rows.iter().zip(results) {
+            for (column, r) in self.columns.iter().zip(results) {
                 let _ = write!(
                     out,
-                    "{comma}{{\"app\":\"{}\",\"slowdown\":{sd:?}}}",
-                    spec.name
+                    "{{\"engine\":\"{}\",\"scenario\":\"{}\",\"unfairness\":{:?},\"throughput\":{:?},\"slowdowns\":[",
+                    column.label(),
+                    row.name,
+                    r.unfairness,
+                    r.throughput,
                 );
+                for (i, (spec, sd)) in row.specs.iter().zip(&r.slowdowns).enumerate() {
+                    let comma = if i > 0 { "," } else { "" };
+                    let _ = write!(
+                        out,
+                        "{comma}{{\"app\":\"{}\",\"slowdown\":{sd:?}}}",
+                        spec.name
+                    );
+                }
+                out.push_str("]}\n");
             }
-            out.push_str("]}\n");
         }
         out
     }
-
-    /// The `BENCH_compare.json` artifact: the `grid_digest`, an FNV-1a
-    /// of `jsonl` pinning the whole grid's behaviour (gated byte-exactly
-    /// by `copart bench-report`), plus each cell's unfairness, ungated,
-    /// for visibility.
-    pub fn render_artifact(&self, results: &[Vec<EvalResult>], jsonl: &str) -> String {
-        let n = self.rows.len() * self.columns.len();
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"schema\": \"copart-bench-compare/v1\",");
-        let _ = writeln!(out, "  \"grid_digest\": \"{:#018x}\",", grid_digest(jsonl));
-        let _ = writeln!(out, "  \"cells\": {n},");
-        for (i, (row, column, r)) in self.cells(results).enumerate() {
-            let key = format!("{}_{}_unfairness", column.label(), row.name)
-                .to_lowercase()
-                .replace('-', "_");
-            let comma = if i + 1 < n { "," } else { "" };
-            let _ = writeln!(out, "  \"{key}\": {:?}{comma}", r.unfairness);
-        }
-        out.push_str("}\n");
-        out
-    }
-}
-
-/// The digest of a grid's JSONL.
-fn grid_digest(jsonl: &str) -> u64 {
-    fnv1a64(jsonl.as_bytes())
 }
 
 #[cfg(test)]
@@ -449,7 +409,7 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_and_artifact_rendering_is_exact() {
+    fn jsonl_rendering_is_exact() {
         let grid = Grid::policies(
             vec![Row {
                 name: "bully".into(),
@@ -475,14 +435,6 @@ mod tests {
             "{\"engine\":\"LFOC\",\"scenario\":\"bully\",\"unfairness\":0.30000000000000004,\
              \"throughput\":1500000000.0,\"slowdowns\":[{\"app\":\"antagonist\",\"slowdown\":1.25},\
              {\"app\":\"swaptions\",\"slowdown\":2.0}]}\n"
-        );
-        assert_eq!(
-            grid.render_artifact(&results, &jsonl),
-            format!(
-                "{{\n  \"schema\": \"copart-bench-compare/v1\",\n  \"grid_digest\": \"{:#018x}\",\n  \
-                 \"cells\": 1,\n  \"lfoc_bully_unfairness\": 0.30000000000000004\n}}\n",
-                grid_digest(&jsonl)
-            )
         );
     }
 }

@@ -4,9 +4,9 @@
 #   1. `copart compare` — every registered policy engine (EQ, ST,
 #      CAT-only, MBA-only, CoPart, Utility, LFOC) × every compare
 #      scenario (paper mixes, diurnal LC, flash-crowd LC, bully) — run
-#      twice, once at --jobs 1 and once at --jobs 8: the per-cell JSONL,
-#      the stdout table, and the BENCH_compare.json artifact must all be
-#      byte-identical (`cmp`): the grid determinism contract,
+#      twice, once at --jobs 1 and once at --jobs 8: the per-cell JSONL
+#      and the stdout table must both be byte-identical (`cmp`): the
+#      grid determinism contract,
 #   2. the JSONL must actually cover the full grid — one line per
 #      (engine, scenario) cell, no engine or scenario silently dropped,
 #   3. the LFOC clustering engine must survive fault injection:
@@ -21,9 +21,7 @@
 #      stdout must be byte-identical at --jobs 1 and --jobs 8.
 #
 # The grid shape (--seconds, --seed) is fixed rather than REPRO_FAST-
-# scaled: BENCH_compare.json's grid digest is gated byte-exactly against
-# crates/bench/baselines/ by scripts/bench_gate.sh, so every producer
-# must run the identical shape.
+# scaled: it is the grid tests/compare_grid.rs pins the digest of.
 #
 # Usage: compare.sh [debug|release]   (default release, matching CI)
 
@@ -41,32 +39,25 @@ cargo build "${build_flags[@]}"
 cmpdir="$(mktemp -d "${TMPDIR:-/tmp}/copart-compare.XXXXXX")"
 trap 'rm -rf "$cmpdir"' EXIT
 
-# Fixed shape — see the header comment; keep in lockstep with the
-# compare invocation in scripts/bench_gate.sh.
+# Fixed shape — see the header comment.
 seconds=6
 seed=42
 
 echo "==> compare: full engine x scenario grid (--jobs 1)"
-BENCH_JSON_DIR="$cmpdir/b1" "$bindir/copart" compare \
+"$bindir/copart" compare \
     --seconds "$seconds" --seed "$seed" --jobs 1 \
     --out "$cmpdir/j1.jsonl" >"$cmpdir/t1.txt"
 
 echo "==> compare: the same grid at --jobs 8"
-BENCH_JSON_DIR="$cmpdir/b8" "$bindir/copart" compare \
+"$bindir/copart" compare \
     --seconds "$seconds" --seed "$seed" --jobs 8 \
     --out "$cmpdir/j8.jsonl" >"$cmpdir/t8.txt"
 
-echo "==> compare: jobs-1 vs jobs-8 byte-identity (JSONL, table, artifact)"
+echo "==> compare: jobs-1 vs jobs-8 byte-identity (JSONL, table)"
 cmp "$cmpdir/j1.jsonl" "$cmpdir/j8.jsonl" ||
     { echo "compare: JSONL differs between --jobs 1 and --jobs 8" >&2; exit 1; }
-# The artifact-location line names the (different) output directory;
-# everything else on stdout must match.
-grep -v '^bench artifact written' "$cmpdir/t1.txt" >"$cmpdir/t1-stable.txt"
-grep -v '^bench artifact written' "$cmpdir/t8.txt" >"$cmpdir/t8-stable.txt"
-cmp "$cmpdir/t1-stable.txt" "$cmpdir/t8-stable.txt" ||
+cmp "$cmpdir/t1.txt" "$cmpdir/t8.txt" ||
     { echo "compare: stdout table differs between --jobs 1 and --jobs 8" >&2; exit 1; }
-cmp "$cmpdir/b1/BENCH_compare.json" "$cmpdir/b8/BENCH_compare.json" ||
-    { echo "compare: BENCH_compare.json differs between --jobs 1 and --jobs 8" >&2; exit 1; }
 
 echo "==> compare: the grid must cover every engine and every scenario"
 for engine in EQ ST CAT-only MBA-only CoPart Utility LFOC; do

@@ -25,13 +25,12 @@
 #                     the engine x scenario fairness grid byte-identical
 #                     at --jobs 1 vs 8, with the LFOC clustering engine
 #                     surviving fault injection), and the perf gate
-#                     (scripts/bench_gate.sh), which runs the artifact
-#                     benches and diffs their BENCH_*.json against the
-#                     checked-in baselines; the latter also holds the
-#                     4000-app planner p99 under the ~1 ms epoch budget
-#                     in absolute terms (COPART_P99_BUDGET_NS); last, a
-#                     release build of the benchmark/ workspace, whose
-#                     per-layer tracer links every crate's public API.
+#                     (`cargo bench -p copart-bench`: every bench gates
+#                     its BENCH_*.json against the checked-in baseline,
+#                     and the 4000-app planner p99 must fit the ~1 ms
+#                     epoch budget); last, a release build of the
+#                     benchmark/ workspace, whose per-layer tracer links
+#                     every crate's public API.
 #
 # COPART_CHECK_CASES overrides either budget from the environment.
 #
@@ -114,8 +113,8 @@ full)
     echo "==> compare gate (engine x scenario grid determinism)"
     scripts/compare.sh release
 
-    echo "==> perf gate (BENCH_*.json vs crates/bench/baselines)"
-    scripts/bench_gate.sh
+    echo "==> perf gate (cargo bench: BENCH_*.json vs crates/bench/baselines)"
+    cargo bench -q -p copart-bench >/dev/null
 
     echo "==> benchmark-builds (benchmark/ links the crates' public API)"
     with_benchmark_lock cargo build --release --manifest-path benchmark/Cargo.toml

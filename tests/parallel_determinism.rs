@@ -165,8 +165,10 @@ fn planner_scale_digests_identical_at_1_and_8_jobs() {
 /// job counts: 1000 applications × 200 epochs at seed 42, for the uniform
 /// population, the zipf fleet mix, a full redraw every epoch and no
 /// redraw at all (every plan after the first reuses every cached order),
-/// plus the uniform population at 4000 applications. The constants were
-/// computed before the matching kernel became a serial dictatorship (the
+/// plus the uniform population at 4000 applications, and the two
+/// 50-epoch configurations the `explore_overhead` bench times (their
+/// digests and round counts were that bench's baseline). The constants
+/// were computed before the matching kernel became a serial dictatorship (the
 /// 4000-app and churn-0.0 rows and the role-cache counters before its
 /// orders became delta-maintained); any change to a digest, round count
 /// or cache counter is a behaviour change of the planner, never a
@@ -189,6 +191,8 @@ fn planner_scale_outputs_are_pinned() {
         ..uniform.clone()
     };
     let wide = ScaleConfig::new(4000, 200, 42);
+    let bench_1000 = ScaleConfig::new(1000, 50, 0x00C0_FA12);
+    let bench_4000 = ScaleConfig::new(4000, 50, 0x00C0_FA12);
     // (digest, matching rounds, role-cache hits, role-cache misses)
     for (name, cfg, pinned) in [
         (
@@ -215,6 +219,16 @@ fn planner_scale_outputs_are_pinned() {
             "4000 apps",
             wide,
             (0xa793_8790_669d_25d6, 515_177, 778_695, 21_305),
+        ),
+        (
+            "bench 1000 apps",
+            bench_1000,
+            (0xebd7_c059_8642_8048, 36_264, 47_628, 2_372),
+        ),
+        (
+            "bench 4000 apps",
+            bench_4000,
+            (0x2dd1_63bf_40de_87cf, 133_192, 190_553, 9_447),
         ),
     ] {
         let r = run_planner_scale(&cfg);

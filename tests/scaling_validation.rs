@@ -152,3 +152,26 @@ fn way_partitioning_effects_survive_sampling() {
         "the knee must actually exist: {full_gain:.3}"
     );
 }
+
+/// What the Zipf step tables of an H-Both ×4 machine cost in heap bytes:
+/// one table per distinct scaled Zipf phase, sized by the scaled
+/// footprint. The `cache_sim` bench times building the same tables.
+#[test]
+fn h_both_zipf_tables_take_a_fixed_number_of_bytes() {
+    use copart_workloads::{MixKind, WorkloadMix};
+    let cfg = MachineConfig::xeon_gold_6130();
+    let mut zipfs: Vec<AccessPattern> = Vec::new();
+    for spec in WorkloadMix::paper_default(MixKind::HighBoth).specs() {
+        for (_, pattern) in &spec.phases {
+            let scaled = pattern.scaled(cfg.scale, cfg.line_bytes);
+            if matches!(scaled, AccessPattern::Zipf { .. }) && !zipfs.contains(&scaled) {
+                zipfs.push(scaled);
+            }
+        }
+    }
+    let bytes: usize = zipfs
+        .iter()
+        .map(|p| copart_sim::trace::build_zipf_table(p, cfg.line_bytes))
+        .sum();
+    assert_eq!(bytes, 27_648, "zipf_table_bytes_h_both");
+}

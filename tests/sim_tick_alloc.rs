@@ -1,10 +1,8 @@
 //! A warm `Machine::tick` does not touch the heap: the window buffers are
 //! reused and the cache walk works in place, with the next-line
-//! prefetcher off (the default) and on. The benches report the same
-//! count as `allocs_per_tick_sim`; this holds it exactly at zero in the
-//! tier-1 suite.
+//! prefetcher off (the default) and on.
 
-#[path = "../crates/bench/benches/support/counting_alloc.rs"]
+#[path = "support/counting_alloc.rs"]
 mod counting_alloc;
 
 use std::hint::black_box;
