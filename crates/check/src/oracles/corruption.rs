@@ -356,10 +356,15 @@ mod tests {
 
     #[test]
     fn random_cases_pass() {
+        let mut packed = 0;
         for seed in 0..4 {
             let mut src = Source::from_seed(seed);
             let out = corruption_case(&mut src);
             assert_eq!(out.verdict, Ok(()), "seed {seed}: {}", out.witness);
+            packed += usize::from(!out.witness.starts_with("lines=0 "));
         }
+        // The cache's lines are one packed run on the wire: the cases
+        // must damage documents whose run holds records.
+        assert!(packed >= 2, "{packed} of 4 cases keep a cache line");
     }
 }

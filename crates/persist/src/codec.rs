@@ -24,9 +24,16 @@
 //! Typed reads (`uint`, `hex_u64`, `hex_f64`, `string`, …) keep the
 //! tree reader's strictness; a missing, out-of-order or ill-typed member
 //! becomes [`PersistError::Schema`] naming its key, malformed text
-//! [`PersistError::Json`]. Two members read more than one shape: a
-//! version-1 file has no `clusters` (read with `opt_key`) and a numeric
-//! `seed` (told from the hex string by `peek`).
+//! [`PersistError::Json`].
+//!
+//! One member has its own spelling: `backend.machine.cache.lines`,
+//! nearly all of a snapshot's bytes, is one string of packed hex
+//! records rather than an array of objects (format version 3,
+//! `emit_cache_lines`). It is also the one member with a legacy shape:
+//! the file header's version picks its reader, and a version-2 file's
+//! array of line objects still reads.
+
+use std::borrow::Cow;
 
 use copart_core::next_state::AppliedEvents;
 use copart_core::runtime::ConsolidationRuntime;
@@ -39,11 +46,12 @@ use copart_faults::{FaultStateSnapshot, InjectionStats, SiteSnapshot};
 use copart_rdt::MbaLevel;
 use copart_sim::trace::TraceGenSnapshot;
 use copart_sim::{AppSpec, MachineSnapshot, SimAppSnapshot};
-use copart_telemetry::{CounterSnapshot, Json, JsonReader, JsonWriter, ReadError};
+use copart_telemetry::{CounterSnapshot, Json, JsonReader, JsonWriter};
 
 use crate::backend::{BackendSnapshot, PersistableBackend};
 use crate::error::PersistError;
 use crate::metrics::MetricsFrozen;
+use crate::store::SNAP_VERSION;
 
 use copart_sim::cache::{CacheLineSnapshot, CacheSnapshot};
 use copart_sim::trace::{zipf_exponent_is_valid, AccessPattern};
@@ -69,19 +77,6 @@ pub(crate) fn arr<'w, T>(
 
 fn schema(what: impl Into<String>) -> PersistError {
     PersistError::Schema(what.into())
-}
-
-/// A `u64` that is a hex string in the current format but was a plain
-/// JSON number in format version 1. The legacy number path is exact
-/// only below 2⁵³ — which is precisely why the field moved to hex — but
-/// every version-1 snapshot in the wild was written through `as f64`,
-/// so reading it back the same way reproduces the stored value.
-fn read_u64_compat(r: &mut JsonReader<'_>) -> Result<u64, ReadError> {
-    if r.peek() == Some(b'"') {
-        r.hex_u64()
-    } else {
-        r.uint()
-    }
 }
 
 /// [`JsonReader::object`] with the codec's error type fixed, so the
@@ -328,14 +323,7 @@ fn read_runtime(r: &mut JsonReader<'_>) -> Result<RuntimeSnapshot, PersistError>
             epoch: r.key("epoch")?.uint()?,
             phase: read_phase(r.key("phase")?)?,
             state: read_system_state(r.key("state")?)?,
-            // Absent in snapshots written before clustering existed; an
-            // empty vector is also the live "no clustering" value, so no
-            // version bump is needed for this field.
-            clusters: if r.opt_key("clusters")? {
-                r.items(JsonReader::uint)?
-            } else {
-                Vec::new()
-            },
+            clusters: r.key("clusters")?.items(JsonReader::uint)?,
             explorer: read_explorer(r.key("explorer")?)?,
             apps: r.key("apps")?.items(read_app_runtime)?,
         })
@@ -493,36 +481,155 @@ fn read_sim_app(r: &mut JsonReader<'_>) -> Result<SimAppSnapshot, PersistError> 
 fn enc_cache(s: &mut JsonWriter<'_>, c: &CacheSnapshot) {
     s.begin_obj();
     s.key("clock").hex16(c.clock);
-    // ~5 600 lines on the paper's machine: nearly all of a snapshot's
-    // bytes pass through this loop.
-    arr(s, "lines", &c.lines, |s, l| {
-        s.begin_obj();
-        s.key("index").hex16(l.index);
-        s.key("tag").hex16(l.tag);
-        s.key("lru").hex16(l.lru);
-        s.key("owner").num(f64::from(l.owner));
-        s.key("dirty").bool(l.dirty);
-        s.end_obj();
-    });
+    s.key("lines")
+        .str_with(|out| emit_cache_lines(out, &c.lines));
     s.end_obj();
 }
 
-fn read_cache(r: &mut JsonReader<'_>) -> Result<CacheSnapshot, PersistError> {
-    obj(r, |r| {
-        Ok(CacheSnapshot {
-            clock: r.key("clock")?.hex_u64()?,
-            lines: r.key("lines")?.items(|r| {
-                obj(r, |r| {
-                    Ok(CacheLineSnapshot {
-                        index: r.key("index")?.hex_u64()?,
-                        tag: r.key("tag")?.hex_u64()?,
-                        lru: r.key("lru")?.hex_u64()?,
-                        owner: r.key("owner")?.uint()?,
-                        dirty: r.key("dirty")?.boolean()?,
-                    })
-                })
-            })?,
+/// Appends the cache's valid lines as the packed run of format version
+/// 3: one `gap.tag.lru.od;` record per line in flat-index order, where
+/// `gap` is the index step minus one (the first line's step is from
+/// index -1), `od` is `owner << 1 | dirty`, and every field is
+/// lowercase hex with no leading zeros. ~5 600 lines on the paper's
+/// machine: nearly all of a snapshot's bytes are written here.
+///
+/// # Panics
+///
+/// When the lines are not in strictly ascending flat-index order, the
+/// order [`CacheSnapshot`] keeps them in: no gap could spell the step.
+fn emit_cache_lines(out: &mut String, lines: &[CacheLineSnapshot]) {
+    let mut prev: Option<u64> = None;
+    for l in lines {
+        assert!(
+            prev.is_none_or(|p| l.index > p),
+            "cache lines are in ascending flat-index order"
+        );
+        // `p + 1` cannot overflow: `l.index > p`.
+        let gap = l.index - prev.map_or(0, |p| p + 1);
+        let od = u64::from(l.owner) << 1 | u64::from(l.dirty);
+        // Four fields of at most 16 digits, three `.` and a `;`.
+        let mut record = [0u8; 68];
+        let mut len = 0;
+        for (v, end) in [(gap, b'.'), (l.tag, b'.'), (l.lru, b'.'), (od, b';')] {
+            len = push_hex(&mut record, len, v);
+            record[len] = end;
+            len += 1;
+        }
+        out.push_str(std::str::from_utf8(&record[..len]).expect("hex records are ASCII"));
+        prev = Some(l.index);
+    }
+}
+
+/// Writes `v` into `buf` at `at` as lowercase hex with no leading zeros
+/// (`0` for zero); returns the end.
+fn push_hex(buf: &mut [u8], at: usize, v: u64) -> usize {
+    let digits = (64 - (v | 1).leading_zeros()).div_ceil(4) as usize;
+    for (i, digit) in buf[at..at + digits].iter_mut().enumerate() {
+        *digit = b"0123456789abcdef"[(v >> (4 * (digits - 1 - i)) & 0xf) as usize];
+    }
+    at + digits
+}
+
+/// Reads a packed run written by [`emit_cache_lines`]. Strict: each
+/// field is 1–16 lowercase hex digits with no leading zero, each record
+/// ends in `;`, no index passes `u64::MAX` and no owner `u16::MAX`, so
+/// a run that reads has exactly one spelling.
+fn read_cache_lines(run: &str) -> Result<Vec<CacheLineSnapshot>, PersistError> {
+    let bytes = run.as_bytes();
+    // A record takes at least eight bytes; the bound keeps a run of bare
+    // `;` from reserving a line per byte.
+    let records = bytes.iter().filter(|&&b| b == b';').count();
+    let mut lines = Vec::with_capacity(records.min(bytes.len() / 8));
+    let mut at = 0;
+    let mut next = Some(0u64);
+    while at < bytes.len() {
+        let gap = hex_field(bytes, &mut at, b'.')?;
+        let tag = hex_field(bytes, &mut at, b'.')?;
+        let lru = hex_field(bytes, &mut at, b'.')?;
+        let od = hex_field(bytes, &mut at, b';')?;
+        let index = next
+            .and_then(|n| n.checked_add(gap))
+            .ok_or_else(|| schema("`lines`: a line index passes u64::MAX"))?;
+        next = index.checked_add(1);
+        lines.push(CacheLineSnapshot {
+            index,
+            tag,
+            lru,
+            owner: u16::try_from(od >> 1)
+                .map_err(|_| schema("`lines`: a line owner passes u16::MAX"))?,
+            dirty: od & 1 == 1,
+        });
+    }
+    Ok(lines)
+}
+
+/// One field of a packed run, from `at` through its `end` byte (which it
+/// consumes).
+fn hex_field(bytes: &[u8], at: &mut usize, end: u8) -> Result<u64, PersistError> {
+    let start = *at;
+    let mut v = 0u64;
+    loop {
+        let Some(&b) = bytes.get(*at) else {
+            return Err(schema("`lines`: the run ends inside a record"));
+        };
+        *at += 1;
+        let digit = match b {
+            b'0'..=b'9' => b - b'0',
+            b'a'..=b'f' => b - b'a' + 10,
+            _ if b == end => break,
+            _ => {
+                return Err(schema(format!(
+                    "`lines`: byte {} of the run is not lowercase hex or `{}`",
+                    *at - 1,
+                    char::from(end)
+                )))
+            }
+        };
+        v = v << 4 | u64::from(digit);
+    }
+    match *at - 1 - start {
+        0 => Err(schema(format!("`lines`: empty field at byte {start}"))),
+        17.. => Err(schema(format!(
+            "`lines`: field at byte {start} passes 16 digits"
+        ))),
+        2.. if bytes[start] == b'0' => Err(schema(format!(
+            "`lines`: field at byte {start} has a leading zero"
+        ))),
+        _ => Ok(v),
+    }
+}
+
+/// A version-2 `lines` member: one object per line.
+fn read_cache_line_objects(r: &mut JsonReader<'_>) -> Result<Vec<CacheLineSnapshot>, PersistError> {
+    r.items(|r| {
+        obj(r, |r| {
+            Ok(CacheLineSnapshot {
+                index: r.key("index")?.hex_u64()?,
+                tag: r.key("tag")?.hex_u64()?,
+                lru: r.key("lru")?.hex_u64()?,
+                owner: r.key("owner")?.uint()?,
+                dirty: r.key("dirty")?.boolean()?,
+            })
         })
+    })
+}
+
+/// Reads a cache whose `lines` are spelled as format `version` spells
+/// them: version 2 as objects, version 3 as a packed run.
+fn read_cache(r: &mut JsonReader<'_>, version: u64) -> Result<CacheSnapshot, PersistError> {
+    obj(r, |r| {
+        let clock = r.key("clock")?.hex_u64()?;
+        let lines = r.key("lines")?;
+        let lines = if version == 2 {
+            read_cache_line_objects(lines)?
+        } else {
+            // The writer never escapes a byte of the run.
+            match lines.string()? {
+                Cow::Borrowed(run) => read_cache_lines(run)?,
+                Cow::Owned(_) => return Err(schema("`lines`: an escape in the packed run")),
+            }
+        };
+        Ok(CacheSnapshot { clock, lines })
     })
 }
 
@@ -547,7 +654,7 @@ fn emit_machine(s: &mut JsonWriter<'_>, m: &MachineSnapshot) {
     s.end_obj();
 }
 
-fn read_machine(r: &mut JsonReader<'_>) -> Result<MachineSnapshot, PersistError> {
+fn read_machine(r: &mut JsonReader<'_>, version: u64) -> Result<MachineSnapshot, PersistError> {
     obj(r, |r| {
         Ok(MachineSnapshot {
             time_ns: r.key("time_ns")?.hex_u64()?,
@@ -561,7 +668,7 @@ fn read_machine(r: &mut JsonReader<'_>) -> Result<MachineSnapshot, PersistError>
                 })
             })?,
             apps: r.key("apps")?.items(|r| r.nullable(read_sim_app))?,
-            cache: read_cache(r.key("cache")?)?,
+            cache: read_cache(r.key("cache")?, version)?,
         })
     })
 }
@@ -660,7 +767,7 @@ fn emit_backend(s: &mut JsonWriter<'_>, b: &BackendSnapshot) {
     s.end_obj();
 }
 
-fn read_backend(r: &mut JsonReader<'_>) -> Result<BackendSnapshot, PersistError> {
+fn read_backend(r: &mut JsonReader<'_>, version: u64) -> Result<BackendSnapshot, PersistError> {
     obj(r, |r| {
         let kind = r.key("kind")?.string()?;
         let faulty = match &*kind {
@@ -668,7 +775,7 @@ fn read_backend(r: &mut JsonReader<'_>) -> Result<BackendSnapshot, PersistError>
             "faulty" => true,
             other => return Err(schema(format!("unknown backend kind `{other}`"))),
         };
-        let machine = read_machine(r.key("machine")?)?;
+        let machine = read_machine(r.key("machine")?, version)?;
         let groups = read_groups(r.key("groups")?)?;
         let next_clos = r.key("next_clos")?.uint()?;
         Ok(if faulty {
@@ -782,8 +889,9 @@ impl SnapshotDoc {
         s.end_obj();
     }
 
-    /// Reads a whole document from its wire text, pulling each member
-    /// straight into the decoded value (no `Json` tree is built).
+    /// Reads a whole document from its wire text in the current format
+    /// ([`SNAP_VERSION`]), pulling each member straight into the decoded
+    /// value (no `Json` tree is built).
     ///
     /// # Errors
     ///
@@ -791,8 +899,14 @@ impl SnapshotDoc {
     /// [`PersistError::Schema`] when a member is missing, out of order or
     /// ill-typed.
     pub fn parse(text: &str) -> Result<SnapshotDoc, PersistError> {
+        SnapshotDoc::parse_version(text, SNAP_VERSION)
+    }
+
+    /// [`SnapshotDoc::parse`] for a document of format `version`, which
+    /// the snapshot file's header names (2 or 3).
+    pub(crate) fn parse_version(text: &str, version: u64) -> Result<SnapshotDoc, PersistError> {
         let mut r = JsonReader::new(text);
-        let doc = SnapshotDoc::read(&mut r)?;
+        let doc = SnapshotDoc::read(&mut r, version)?;
         r.finish()?;
         Ok(doc)
     }
@@ -807,7 +921,7 @@ impl SnapshotDoc {
         SnapshotDoc::parse(&j.to_string())
     }
 
-    fn read(r: &mut JsonReader<'_>) -> Result<SnapshotDoc, PersistError> {
+    fn read(r: &mut JsonReader<'_>, version: u64) -> Result<SnapshotDoc, PersistError> {
         obj(r, |r| {
             Ok(SnapshotDoc {
                 meta: obj(r.key("meta")?, |r| {
@@ -815,13 +929,13 @@ impl SnapshotDoc {
                         mix: r.key("mix")?.string()?.into_owned(),
                         n_apps: r.key("n_apps")?.uint()?,
                         policy: r.key("policy")?.string()?.into_owned(),
-                        seed: read_u64_compat(r.key("seed")?)?,
+                        seed: r.key("seed")?.hex_u64()?,
                         faults: r.key("faults")?.string()?.into_owned(),
                         daemon_epochs: r.key("daemon_epochs")?.uint()?,
                     })
                 })?,
                 runtime: read_runtime(r.key("runtime")?)?,
-                backend: read_backend(r.key("backend")?)?,
+                backend: read_backend(r.key("backend")?, version)?,
                 metrics: MetricsFrozen::read(r.key("metrics")?)?,
             })
         })
@@ -871,6 +985,155 @@ mod tests {
                 "{s}"
             );
         }
+    }
+
+    /// A `cache` member with `lines` spelled `run`, read as version 3.
+    fn read_run(run: &str) -> Result<CacheSnapshot, PersistError> {
+        let text = format!(r#"{{"clock":"0000000000000007","lines":"{run}"}}"#);
+        let mut r = JsonReader::new(&text);
+        let cache = read_cache(&mut r, SNAP_VERSION)?;
+        r.finish()?;
+        Ok(cache)
+    }
+
+    fn cache_text(c: &CacheSnapshot) -> String {
+        let mut text = String::new();
+        enc_cache(&mut JsonWriter::new(&mut text), c);
+        text
+    }
+
+    fn line(index: u64, tag: u64, lru: u64, owner: u16, dirty: bool) -> CacheLineSnapshot {
+        CacheLineSnapshot {
+            index,
+            tag,
+            lru,
+            owner,
+            dirty,
+        }
+    }
+
+    #[test]
+    fn the_packed_run_spells_each_field_in_canonical_hex() {
+        let c = CacheSnapshot {
+            clock: 7,
+            lines: vec![
+                line(0, 0, 0, 0, false),
+                line(3, 0xab, 1 << 60, 1, true),
+                line(u64::MAX, u64::MAX, u64::MAX, u16::MAX, true),
+            ],
+        };
+        let run = "0.0.0.0;2.ab.1000000000000000.3;fffffffffffffffb.ffffffffffffffff.ffffffffffffffff.1ffff;";
+        let text = cache_text(&c);
+        assert_eq!(
+            text,
+            format!(r#"{{"clock":"0000000000000007","lines":"{run}"}}"#)
+        );
+        assert_eq!(read_run(run).unwrap(), c);
+    }
+
+    /// SplitMix64: the next draw of a seeded stream.
+    fn draw(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// A field value: 0, `u64::MAX`, a short one or a full-width one.
+    fn field(state: &mut u64) -> u64 {
+        match draw(state) % 4 {
+            0 => 0,
+            1 => u64::MAX,
+            2 => draw(state) >> (draw(state) % 64),
+            _ => draw(state),
+        }
+    }
+
+    /// Property-style round trip: seeded random caches — empty ones,
+    /// gaps from 0 to ones that land on `u64::MAX`, tags and stamps at 0,
+    /// `u64::MAX` and in between, owners up to `u16::MAX` — read back
+    /// equal and re-encode to the same bytes.
+    #[test]
+    fn random_caches_round_trip_through_the_packed_run() {
+        let rng = &mut 0x0c0f_fee5_eed5_u64;
+        for case in 0..200 {
+            let n = if case % 10 == 0 { 0 } else { draw(rng) % 64 };
+            let mut lines = Vec::new();
+            let mut at = 0u64;
+            for _ in 0..n {
+                let room = u64::MAX - at;
+                let gap = match draw(rng) % 4 {
+                    0 => 0,
+                    1 => draw(rng) % 8,
+                    2 => draw(rng) % (room / 2 + 1),
+                    _ => room,
+                };
+                let index = at + gap;
+                let (tag, lru, owner) = (field(rng), field(rng), field(rng) as u16);
+                lines.push(line(index, tag, lru, owner, draw(rng) & 1 == 1));
+                match index.checked_add(1) {
+                    Some(after) => at = after,
+                    None => break,
+                }
+            }
+            let c = CacheSnapshot {
+                clock: field(rng),
+                lines,
+            };
+            let text = cache_text(&c);
+            let mut r = JsonReader::new(&text);
+            let back = read_cache(&mut r, SNAP_VERSION).unwrap();
+            r.finish().unwrap();
+            assert_eq!(back, c, "case {case}");
+            assert_eq!(cache_text(&back), text, "case {case}");
+        }
+    }
+
+    fn assert_refused(run: &str, why: &str) {
+        match read_run(run) {
+            Err(PersistError::Schema(msg)) => assert!(msg.contains(why), "{run}: {msg}"),
+            other => panic!("{run} read: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn an_empty_field_is_refused() {
+        assert_refused("0..0.2;", "empty field");
+    }
+
+    #[test]
+    fn an_uppercase_field_is_refused() {
+        assert_refused("0.AB.0.2;", "not lowercase hex");
+    }
+
+    #[test]
+    fn a_zero_padded_field_is_refused() {
+        assert_refused("0.0ab.0.2;", "leading zero");
+    }
+
+    #[test]
+    fn a_field_of_17_digits_is_refused() {
+        assert_refused("0.10000000000000000.0.2;", "passes 16 digits");
+    }
+
+    #[test]
+    fn an_index_past_u64_max_is_refused() {
+        assert_refused("1.0.0.0;fffffffffffffffe.0.0.0;", "passes u64::MAX");
+        assert_refused("ffffffffffffffff.0.0.0;0.0.0.0;", "passes u64::MAX");
+    }
+
+    #[test]
+    fn an_owner_past_u16_max_is_refused() {
+        assert_refused("0.0.0.20000;", "passes u16::MAX");
+    }
+
+    #[test]
+    fn a_torn_or_misseparated_record_is_refused() {
+        assert_refused("0.0.0.0", "ends inside a record");
+        assert_refused("0.0.0;", "not lowercase hex or `.`");
+        assert_refused("0.0.0.0.", "not lowercase hex or `;`");
+        assert_refused(r"0.0.0.\u0030;", "escape");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! A snapshot file is two lines:
 //!
 //! ```text
-//! {"magic":"copart-snap","version":2,"epoch":42,"digest":"<fnv1a64 hex>","len":12345}
+//! {"magic":"copart-snap","version":3,"epoch":42,"digest":"<fnv1a64 hex>","len":12345}
 //! {...payload: the SnapshotDoc, single line...}
 //! ```
 //!
@@ -30,15 +30,15 @@ use crate::error::PersistError;
 /// First header field; anything else is not a snapshot.
 pub const SNAP_MAGIC: &str = "copart-snap";
 
-/// Current snapshot format version. Version 2 encodes `meta.seed` as a
-/// hex string (exact for the full `u64` range) and carries the cluster
-/// assignment of the LFOC-style clustering planner; version 1 stored
-/// the seed as a plain JSON number, exact only below 2⁵³.
-pub const SNAP_VERSION: u64 = 2;
+/// Current snapshot format version. Version 3 writes the cache's lines
+/// as one packed hex run (`codec::emit_cache_lines`); version 2 wrote
+/// them as an array of objects, and is otherwise the same format.
+pub const SNAP_VERSION: u64 = 3;
 
-/// Oldest format version `read_snapshot` still accepts. Version-1 files
-/// decode through the legacy number path in the codec.
-pub const SNAP_VERSION_MIN: u64 = 1;
+/// Oldest format version `read_snapshot` still accepts: a version-2
+/// file's `lines` read through the codec's legacy arm. Version 1 (a
+/// plain-number `seed`, no `clusters`) is refused.
+pub const SNAP_VERSION_MIN: u64 = 2;
 
 /// The snapshot file for `epoch` inside `dir`. Zero-padded so
 /// lexicographic and numeric order agree.
@@ -160,7 +160,9 @@ pub fn parse_snapshot_file(bytes: &[u8]) -> Result<SnapshotDoc, PersistError> {
         return Err(corrupt("bad magic"));
     }
     if !(SNAP_VERSION_MIN..=SNAP_VERSION).contains(&version) {
-        return Err(corrupt("unsupported version"));
+        return Err(corrupt(format!(
+            "unsupported version {version} (this build reads {SNAP_VERSION_MIN} to {SNAP_VERSION})"
+        )));
     }
     let payload = rest.strip_suffix(b"\n").unwrap_or(rest);
     if payload.len() != len {
@@ -174,7 +176,7 @@ pub fn parse_snapshot_file(bytes: &[u8]) -> Result<SnapshotDoc, PersistError> {
     }
     let payload =
         std::str::from_utf8(payload).map_err(|e| corrupt(format!("payload is not UTF-8: {e}")))?;
-    let doc = SnapshotDoc::parse(payload).map_err(|e| match e {
+    let doc = SnapshotDoc::parse_version(payload, version).map_err(|e| match e {
         PersistError::Json(e) => corrupt(format!("payload: {e}")),
         other => other,
     })?;
@@ -319,50 +321,77 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// A hand-built version-1 file (plain-number seed) must still read:
-    /// the store accepts the legacy format down to `SNAP_VERSION_MIN`.
+    /// Outside `SNAP_VERSION_MIN..=SNAP_VERSION` a file is refused, with
+    /// an error naming its version: version 1 (a plain-number seed, no
+    /// `clusters`) and a version from the future alike.
     #[test]
-    fn version_1_files_with_number_seeds_still_read() {
-        let dir = tmpdir("v1");
+    fn versions_outside_the_read_range_are_refused_by_number() {
+        let dir = tmpdir("versions");
         let doc = tiny_doc(9);
         let payload = doc
             .encode()
             .to_string()
             .replace("\"seed\":\"000000000000002a\"", "\"seed\":42");
-        let header = header_line(doc.epoch(), 1, &payload);
         let path = snapshot_path(&dir, doc.epoch());
-        fs::write(&path, format!("{header}\n{payload}\n")).unwrap();
-        let back = read_snapshot(&path).unwrap();
-        assert_eq!(back.meta.seed, 42);
-        assert_eq!(back, doc);
-
-        // A version from the future is still rejected.
-        let bad = format!(
-            "{}\n{payload}\n",
-            header.replace("\"version\":1", "\"version\":99")
-        );
-        fs::write(&path, bad).unwrap();
-        match read_snapshot(&path) {
-            Err(PersistError::Corrupt(msg)) => assert!(msg.contains("version"), "{msg}"),
-            other => panic!("future version accepted: {other:?}"),
+        for version in [1, 99] {
+            let header = header_line(doc.epoch(), version, &payload);
+            fs::write(&path, format!("{header}\n{payload}\n")).unwrap();
+            match read_snapshot(&path) {
+                Err(PersistError::Corrupt(msg)) => {
+                    assert!(msg.contains(&format!("version {version} ")), "{msg}")
+                }
+                other => panic!("version {version} accepted: {other:?}"),
+            }
         }
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// The header's member order, pinned: a version-2 header line is
+    /// A version-2 file, written by the encoder of the last version-2
+    /// build from `tiny_doc(9)`: its array of line objects still reads,
+    /// and the document re-writes as the current version.
+    const V2_FILE: &[u8] = include_bytes!("../tests/fixtures/snap-v2-tiny-doc-9.json");
+
+    #[test]
+    fn version_2_files_read_and_rewrite_as_the_current_version() {
+        let doc = parse_snapshot_file(V2_FILE).unwrap();
+        assert_eq!(doc, tiny_doc(9));
+        let dir = tmpdir("v2");
+        let (path, _) = write_snapshot(&dir, &doc).unwrap();
+        let text = fs::read_to_string(&path).unwrap();
+        let (header, payload) = text.split_once('\n').unwrap();
+        assert_eq!(read_header(header).unwrap().1, SNAP_VERSION);
+        assert_eq!(payload, format!("{}\n", doc.encode()));
+        assert_eq!(read_snapshot(&path).unwrap(), doc);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The header's version picks the `lines` reader: a version-3 header
+    /// over version-2 line objects is a schema error, not a document.
+    #[test]
+    fn a_current_header_over_version_2_lines_is_a_schema_error() {
+        let text = std::str::from_utf8(V2_FILE).unwrap();
+        let relabelled = text.replacen("\"version\":2,", "\"version\":3,", 1);
+        assert_ne!(relabelled, text, "the fixture's header names version 2");
+        match parse_snapshot_file(relabelled.as_bytes()) {
+            Err(PersistError::Schema(msg)) => assert!(msg.contains("lines"), "{msg}"),
+            other => panic!("version-2 lines read under a version-3 header: {other:?}"),
+        }
+    }
+
+    /// The header's member order, pinned: a version-3 header line is
     /// the writer's bytes and reads back member for member. A member out
     /// of order or one no writer emits is a schema error.
     #[test]
     fn header_line_is_pinned_in_writer_order() {
         let line =
-            r#"{"magic":"copart-snap","version":2,"epoch":42,"digest":"08f44b07b5901a25","len":2}"#;
+            r#"{"magic":"copart-snap","version":3,"epoch":42,"digest":"08f44b07b5901a25","len":2}"#;
         assert_eq!(header_line(42, SNAP_VERSION, "{}"), line);
         let (magic, version, epoch, digest, len) = read_header(line).unwrap();
         assert_eq!(
             (&*magic, version, epoch, digest, len),
-            (SNAP_MAGIC, 2, 42, fnv1a64(b"{}"), 2)
+            (SNAP_MAGIC, 3, 42, fnv1a64(b"{}"), 2)
         );
-        let reordered = line.replacen(r#""version":2,"epoch":42"#, r#""epoch":42,"version":2"#, 1);
+        let reordered = line.replacen(r#""version":3,"epoch":42"#, r#""epoch":42,"version":3"#, 1);
         let extra = line.replacen(r#","len":2}"#, r#","len":2,"kind":"sim"}"#, 1);
         for bad in [reordered, extra] {
             let file = format!("{bad}\n{{}}\n");

@@ -186,6 +186,7 @@ pub(crate) fn tiny_doc(epoch: u64) -> SnapshotDoc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::PersistError;
     use copart_telemetry::Json;
 
     #[test]
@@ -251,19 +252,20 @@ mod tests {
         }
     }
 
-    /// Version-1 documents stored the seed as a plain JSON number; the
-    /// decoder must keep accepting that shape.
+    /// Version-1 documents stored the seed as a plain JSON number; that
+    /// read path is gone, so such a seed is a schema error naming it.
     #[test]
-    fn legacy_number_seed_still_decodes() {
+    fn a_number_seed_is_a_schema_error() {
         let doc = tiny_doc(5);
         let text = doc
             .encode()
             .to_string()
             .replace("\"seed\":\"000000000000002a\"", "\"seed\":42");
         assert_ne!(text, doc.encode().to_string(), "replacement must fire");
-        let back = SnapshotDoc::decode(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back.meta.seed, 42);
-        assert_eq!(back, doc);
+        match SnapshotDoc::parse(&text) {
+            Err(PersistError::Schema(msg)) => assert!(msg.contains("seed"), "{msg}"),
+            other => panic!("a number seed read: {other:?}"),
+        }
     }
 
     /// No strict prefix of a payload is a document: the pull decoder

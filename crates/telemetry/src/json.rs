@@ -235,6 +235,25 @@ impl<'a> JsonWriter<'a> {
         self
     }
 
+    /// A string value whose text `fill` appends straight to the output,
+    /// for a long run a caller spells itself. `fill` must append only
+    /// printable ASCII other than `"` and `\` — bytes that need no escape
+    /// (checked in debug builds).
+    pub fn str_with(&mut self, fill: impl FnOnce(&mut String)) -> &mut Self {
+        let out = self.value();
+        out.push('"');
+        let start = out.len();
+        fill(out);
+        debug_assert!(
+            out.as_bytes()[start..]
+                .iter()
+                .all(|&b| matches!(b, b' '..=b'~') && b != b'"' && b != b'\\'),
+            "str_with text needs no escape"
+        );
+        out.push('"');
+        self
+    }
+
     /// A number value (non-finite numbers become `null`).
     pub fn num(&mut self, x: f64) -> &mut Self {
         let out = self.value();
@@ -987,8 +1006,9 @@ mod tests {
             .begin_arr()
             .end_arr();
         w.begin_obj().end_obj().end_arr();
-        w.key("s").str("x").end_obj();
-        let expected = r#"{"n":3,"h":"00000000deadbeef","a":[null,true,[],{}],"s":"x"}"#;
+        w.key("s").str("x");
+        w.key("r").str_with(|out| out.push_str("1.f;")).end_obj();
+        let expected = r#"{"n":3,"h":"00000000deadbeef","a":[null,true,[],{}],"s":"x","r":"1.f;"}"#;
         assert_eq!(text, format!("kept\n{expected}"));
         assert_eq!(Json::parse(expected).unwrap().to_string(), expected);
     }

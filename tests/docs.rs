@@ -14,7 +14,7 @@ const CLI_MAIN: &str = include_str!("../crates/cli/src/main.rs");
 
 /// DESIGN.md's size ceiling, in bytes: prose a change adds must replace
 /// prose, until the by-layer rewrite lowers it.
-const DESIGN_MAX_BYTES: usize = 98_086;
+const DESIGN_MAX_BYTES: usize = 98_022;
 
 /// The `(series, kind)` rows of the tables under OPERATIONS.md's
 /// `/metrics` exposition heading: every row whose first cell is a

@@ -43,12 +43,12 @@ fn snapshot_write_and_read_allocate_exactly() {
     let drive = dir.join("drive");
     // The first write sizes the payload buffer for the ones after it.
     let (_, bytes) = write_snapshot(&drive, &doc).expect("drive directory is writable");
-    assert_eq!(bytes, 588_483, "snapshot bytes");
+    assert_eq!(bytes, 122_794, "snapshot bytes");
     let (writes, (path, _)) =
         allocations(|| write_snapshot(&drive, &doc).expect("drive directory is writable"));
     assert_eq!(writes, 10, "allocations in one snapshot write");
     let (reads, back) = allocations(|| read_snapshot(&path).expect("the snapshot reads back"));
-    assert_eq!(reads, 62, "allocations in one snapshot read");
+    assert_eq!(reads, 51, "allocations in one snapshot read");
     assert_eq!(back, doc);
 
     let event = read_trace_file(&trace)
