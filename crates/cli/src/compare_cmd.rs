@@ -41,7 +41,7 @@ pub fn compare(opts: &Options) -> Result<(), String> {
     );
     let results = grid.run();
 
-    println!("unfairness (sigma/mu of slowdowns; lower is better):\n");
+    outln!("unfairness (sigma/mu of slowdowns; lower is better):\n");
     grid.table(&results, "scenario", |r| format!("{:.4}", r.unfairness))
         .print();
 

@@ -48,35 +48,44 @@ pub fn fleet_run(opts: &Options) -> Result<(), String> {
     let stats = check_fleet_trace(&out.trace)
         .map_err(|e| format!("fleet trace failed its own checker: {e}"))?;
     let agg = &out.aggregator;
-    println!(
+    outln!(
         "fleet run: {nodes} nodes × capacity {}, {apps} tenants, {} epochs, seed {seed:#x}",
-        cfg.capacity, cfg.horizon
+        cfg.capacity,
+        cfg.horizon
     );
-    println!(
+    outln!(
         "  placements: {} ({} deferrals), departures: {}, migrations: {}",
-        agg.placements, agg.deferrals, agg.departures, agg.migrations
+        agg.placements,
+        agg.deferrals,
+        agg.departures,
+        agg.migrations
     );
-    println!(
+    outln!(
         "  node boots: {}, teardowns: {}, final active nodes: {} running {} apps",
         agg.node_boots,
         agg.node_teardowns,
         agg.active_nodes(),
         agg.running_apps()
     );
-    println!(
+    outln!(
         "  unfairness (per-node CoV of slowdowns): p50 {:.4}, p99 {:.4}, max {:.4}",
-        agg.unfairness.p50, agg.unfairness.p99, agg.unfairness.max
+        agg.unfairness.p50,
+        agg.unfairness.p99,
+        agg.unfairness.max
     );
-    println!(
+    outln!(
         "  slowdown: p50 {:.3}, p99 {:.3}, max {:.3}",
-        agg.slowdown.p50, agg.slowdown.p99, agg.slowdown.max
+        agg.slowdown.p50,
+        agg.slowdown.p99,
+        agg.slowdown.max
     );
-    println!(
+    outln!(
         "  trace: {} events over {} epochs",
-        stats.events, stats.epochs
+        stats.events,
+        stats.epochs
     );
     if out.snapshots_written > 0 {
-        println!(
+        outln!(
             "  state: {} node snapshots in {}",
             out.snapshots_written,
             cfg.state_dir
@@ -86,8 +95,8 @@ pub fn fleet_run(opts: &Options) -> Result<(), String> {
         );
     }
     if opts.flag("metrics") {
-        println!("\nmetrics:");
-        println!("{}", out.metrics_json);
+        outln!("\nmetrics:");
+        outln!("{}", out.metrics_json);
     }
     Ok(())
 }
@@ -110,7 +119,7 @@ pub fn fleet_trace_check(opts: &Options) -> Result<(), String> {
     if let Some(reference) = opts.get("reference") {
         crate::sim_cmd::check_reference(path, reference)?;
     }
-    println!(
+    outln!(
         "{path}: OK — {} events, {} epochs, {} placements, {} departures, {} migrations, {} deferrals",
         stats.events, stats.epochs, stats.placements, stats.departures, stats.migrations,
         stats.deferrals

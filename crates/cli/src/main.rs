@@ -13,6 +13,22 @@
 //! `resctrl-*` speak the resctrl filesystem protocol (point `--root` at a
 //! mock tree or at `/sys/fs/resctrl` on RDT hardware).
 
+/// `print!` for command output. A stdout whose reader went away (`| head`)
+/// drops the rest of the output instead of panicking; the command runs to
+/// its own end and exit status.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` for command output, under [`out!`]'s closed-stdout rule.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 mod args;
 mod compare_cmd;
 mod fleet_cmd;
@@ -20,7 +36,21 @@ mod resctrl_cmd;
 mod serve_cmd;
 mod sim_cmd;
 
+use std::io::Write;
 use std::process::ExitCode;
+
+/// Writes command output to stdout; see [`out!`].
+///
+/// # Panics
+///
+/// On any stdout failure but a broken pipe, as `print!` does.
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() != std::io::ErrorKind::BrokenPipe {
+            panic!("failed printing to stdout: {e}");
+        }
+    }
+}
 
 const USAGE: &str = "\
 Usage: copart <command> [options]

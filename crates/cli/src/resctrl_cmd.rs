@@ -14,15 +14,18 @@ pub fn status(opts: &Options) -> Result<(), String> {
     let backend = ResctrlBackend::mount(root, FileCounterSource)
         .map_err(|e| format!("cannot mount {root}: {e}"))?;
     let caps = backend.capabilities();
-    println!("resctrl tree at {root}");
-    println!(
+    outln!("resctrl tree at {root}");
+    outln!(
         "  {} LLC ways, {} CLOSes, MBA {}%..100% step {}%",
-        caps.llc_ways, caps.num_clos, caps.mba_min_percent, caps.mba_step_percent
+        caps.llc_ways,
+        caps.num_clos,
+        caps.mba_min_percent,
+        caps.mba_step_percent
     );
 
     // Groups are directories containing a schemata file (plus the root's
     // own default schemata).
-    println!("\ngroups:");
+    outln!("\ngroups:");
     print_group(Path::new(root), "(default)")?;
     let entries = std::fs::read_dir(root).map_err(|e| e.to_string())?;
     let mut names: Vec<String> = entries
@@ -49,7 +52,7 @@ fn print_group(dir: &Path, label: &str) -> Result<(), String> {
         s.mb.get(&0)
             .map(|p| format!("{p}%"))
             .unwrap_or_else(|| "-".into());
-    println!("  {label:<16} L3 {l3:<18} MB {mb}");
+    outln!("  {label:<16} L3 {l3:<18} MB {mb}");
     Ok(())
 }
 
@@ -87,7 +90,7 @@ pub fn apply(opts: &Options) -> Result<(), String> {
     backend
         .set_mba(clos, MbaLevel::new(mba))
         .map_err(|e| format!("cannot program MBA: {e}"))?;
-    println!(
+    outln!(
         "programmed {group}: L3 mask {mask} ({count} ways from way {first}), MBA {}",
         MbaLevel::new(mba)
     );
@@ -109,7 +112,7 @@ pub fn init(opts: &Options) -> Result<(), String> {
     };
     ResctrlBackend::<FileCounterSource>::create_mock_tree(Path::new(root), caps)
         .map_err(|e| format!("cannot create tree: {e}"))?;
-    println!("mock resctrl tree created at {root} ({llc_ways} ways)");
+    outln!("mock resctrl tree created at {root} ({llc_ways} ways)");
     Ok(())
 }
 
@@ -147,16 +150,17 @@ pub fn monitor(opts: &Options) -> Result<(), String> {
             .map(|(g, _)| backend.read_mbm_total_bytes(*g).unwrap_or(0))
             .collect();
         if round > 0 {
-            println!("--");
+            outln!("--");
             for (((g, name), bytes), (prev_bytes, prev_t)) in
                 groups.iter().zip(&readings).zip(&last)
             {
                 let dt = now.duration_since(*prev_t).as_secs_f64();
                 let rate = (bytes.saturating_sub(*prev_bytes)) as f64 / dt.max(1e-9);
                 let occ = backend.read_llc_occupancy_bytes(*g).unwrap_or(0);
-                println!(
+                outln!(
                     "{name:<16} bw {:>10.3e} B/s   llc_occupancy {:>12} B",
-                    rate, occ
+                    rate,
+                    occ
                 );
             }
         }

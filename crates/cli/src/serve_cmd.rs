@@ -42,10 +42,10 @@ pub fn serve(opts: &Options) -> Result<(), String> {
     );
     let handle = copart_serve::serve_scenario(&scenario, cfg)?;
     // scripts/loadtest.sh parses this line for the ephemeral port.
-    println!("copart serve listening on http://{}", handle.addr());
+    outln!("copart serve listening on http://{}", handle.addr());
     let report = handle.join();
     let misses = report.snapshot.counter("epoch_deadline_misses");
-    println!(
+    outln!(
         "copart serve drained: {} epochs, {} requests served, {} deadline misses",
         report.epochs,
         report.snapshot.counter("http_requests"),
@@ -68,7 +68,7 @@ pub fn load(opts: &Options) -> Result<(), String> {
     let report = loadgen::run(addr, &cfg)?;
     let elapsed = started.elapsed();
     let rate = report.sent as f64 / elapsed.as_secs_f64().max(1e-9);
-    println!(
+    outln!(
         "sent {} requests over {} connections in {:.2}s ({rate:.0} req/s): {} 2xx, {} failures",
         report.sent,
         cfg.concurrency,
@@ -83,10 +83,10 @@ pub fn load(opts: &Options) -> Result<(), String> {
                 .lines()
                 .find_map(|l| l.strip_prefix("copart_epoch_deadline_misses_total "))
                 .unwrap_or("?");
-            println!("daemon epoch deadline misses: {misses}");
+            outln!("daemon epoch deadline misses: {misses}");
         }
-        Ok((status, _)) => println!("daemon /metrics answered {status}"),
-        Err(e) => println!("daemon /metrics unreachable after the run: {e}"),
+        Ok((status, _)) => outln!("daemon /metrics answered {status}"),
+        Err(e) => outln!("daemon /metrics unreachable after the run: {e}"),
     }
     if report.failures > 0 {
         return Err(format!(

@@ -51,7 +51,7 @@ pub fn sim_run(opts: &Options) -> Result<(), String> {
     let machine = MachineConfig::xeon_gold_6130();
     let mix = WorkloadMix::build(mix_kind, n_apps, machine.n_cores);
     let specs = mix.specs();
-    println!(
+    outln!(
         "mix {} ({} apps × {} cores): {:?}",
         mix_kind.label(),
         specs.len(),
@@ -83,15 +83,15 @@ pub fn sim_run(opts: &Options) -> Result<(), String> {
         policies::evaluate_policy(&machine, &specs, &full, &stream, policy, &eval)
     };
 
-    println!(
+    outln!(
         "\npolicy {} over {:.0} virtual seconds:",
         policy.label(),
         seconds
     );
-    println!("  unfairness (σ/μ of slowdowns): {:.4}", r.unfairness);
-    println!("  throughput (geomean IPS):      {:.3e}", r.throughput);
+    outln!("  unfairness (σ/μ of slowdowns): {:.4}", r.unfairness);
+    outln!("  throughput (geomean IPS):      {:.3e}", r.throughput);
     for (spec, slowdown) in specs.iter().zip(&r.slowdowns) {
-        println!("  {:<16} slowdown {slowdown:.3}", spec.name);
+        outln!("  {:<16} slowdown {slowdown:.3}", spec.name);
     }
     Ok(())
 }
@@ -143,13 +143,13 @@ fn sim_run_persisted(
         &[],
     )?;
     if outcome.killed {
-        println!(
+        outln!(
             "killed at epoch {} of {epochs}; state in {} (rerun with --resume to finish)",
             outcome.epochs_done,
             state_dir.display()
         );
     } else {
-        println!(
+        outln!(
             "run complete: {} epochs, trace {}, state {}",
             outcome.epochs_done,
             trace_path.display(),
@@ -157,8 +157,8 @@ fn sim_run_persisted(
         );
     }
     if opts.flag("metrics") {
-        println!("\nmetrics:");
-        print!("{}", outcome.metrics);
+        outln!("\nmetrics:");
+        out!("{}", outcome.metrics);
     }
     Ok(())
 }
@@ -183,7 +183,7 @@ fn planner_scale(opts: &Options, n_apps: usize, epochs: u32) -> Result<(), Strin
         population,
         ..ScaleConfig::new(n_apps, epochs, seed)
     };
-    println!(
+    outln!(
         "planner-scale run: {n_apps} synthetic apps ({} population), {epochs} epochs, seed {seed:#x}",
         match population {
             ScalePopulation::Uniform => "uniform",
@@ -191,22 +191,25 @@ fn planner_scale(opts: &Options, n_apps: usize, epochs: u32) -> Result<(), Strin
         }
     );
     let r = run_planner_scale(&cfg);
-    println!(
+    outln!(
         "  decisions: {} transfers, {} θ-retries, {} converges",
-        r.transfers, r.theta_retries, r.converges
+        r.transfers,
+        r.theta_retries,
+        r.converges
     );
-    println!("  matching rounds: {}", r.matching_rounds);
-    println!(
+    outln!("  matching rounds: {}", r.matching_rounds);
+    outln!(
         "  plan latency: p50 {:.3} ms, p99 {:.3} ms, max {:.3} ms (budget ~1 ms/epoch)",
         r.plan_ns_p50 as f64 / 1e6,
         r.plan_ns_p99 as f64 / 1e6,
         r.plan_ns_max as f64 / 1e6
     );
-    println!(
+    outln!(
         "  role cache: {} hits, {} misses",
-        r.role_cache_hits, r.role_cache_misses
+        r.role_cache_hits,
+        r.role_cache_misses
     );
-    println!("  decision digest: {:#018x}", r.digest);
+    outln!("  decision digest: {:#018x}", r.digest);
     Ok(())
 }
 
@@ -261,8 +264,8 @@ fn run_dynamic(
         );
     }
     if opts.flag("metrics") {
-        println!("\nmetrics:");
-        print!("{}", runtime.metrics_snapshot());
+        outln!("\nmetrics:");
+        out!("{}", runtime.metrics_snapshot());
     }
     Ok(r)
 }
@@ -308,7 +311,7 @@ pub fn trace_check(opts: &Options) -> Result<(), String> {
     if let Some(reference) = opts.get("reference") {
         check_reference(path, reference)?;
     }
-    println!(
+    outln!(
         "{path}: OK — {} events, epochs 0..{} gapless, {profiled} profiling probes",
         events.len(),
         events.len().saturating_sub(1),
@@ -324,7 +327,7 @@ pub(crate) fn check_reference(path: &str, reference: &str) -> Result<(), String>
     let got = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
     let want = std::fs::read(reference).map_err(|e| format!("{reference}: {e}"))?;
     if got == want {
-        println!(
+        outln!(
             "{path}: byte-identical to reference {reference} ({} bytes)",
             got.len()
         );
@@ -354,21 +357,21 @@ pub fn classify(opts: &Options) -> Result<(), String> {
     let (llc_deg, bw_deg) = measure::degradations(&machine, &spec);
     let category = measure::classify(&machine, &spec);
     let (ips, rates) = measure::measure_full(&machine, &spec);
-    println!("benchmark {} ({})", bench.table2().short, spec.name);
-    println!(
+    outln!("benchmark {} ({})", bench.table2().short, spec.name);
+    outln!(
         "  category:        {category} (paper: {})",
         bench.category()
     );
-    println!("  IPS (full):      {ips:.3e}");
-    println!("  LLC accesses/s:  {:.3e}", rates.llc_accesses_per_sec);
-    println!("  LLC misses/s:    {:.3e}", rates.llc_misses_per_sec);
-    println!("  LLC degradation (11→1 ways):    {:.1}%", llc_deg * 100.0);
-    println!("  BW degradation (100%→10% MBA):  {:.1}%", bw_deg * 100.0);
+    outln!("  IPS (full):      {ips:.3e}");
+    outln!("  LLC accesses/s:  {:.3e}", rates.llc_accesses_per_sec);
+    outln!("  LLC misses/s:    {:.3e}", rates.llc_misses_per_sec);
+    outln!("  LLC degradation (11→1 ways):    {:.1}%", llc_deg * 100.0);
+    outln!("  BW degradation (100%→10% MBA):  {:.1}%", bw_deg * 100.0);
     if let Some(w) = measure::required_ways(&machine, &spec, 0.9) {
-        println!("  ways for 90% of full perf:      {w}");
+        outln!("  ways for 90% of full perf:      {w}");
     }
     if let Some(l) = measure::required_mba(&machine, &spec, 0.9) {
-        println!("  MBA level for 90% of full perf: {l}");
+        outln!("  MBA level for 90% of full perf: {l}");
     }
     Ok(())
 }

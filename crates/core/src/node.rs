@@ -300,11 +300,6 @@ impl<B: NodeBackend> NodeRuntime<B> {
     pub fn runtime_mut(&mut self) -> &mut ConsolidationRuntime<B> {
         &mut self.runtime
     }
-
-    /// Unwraps into the underlying runtime.
-    pub fn into_runtime(self) -> ConsolidationRuntime<B> {
-        self.runtime
-    }
 }
 
 #[cfg(test)]

@@ -17,9 +17,11 @@
 //!
 //! * **wall-clock** (`tick > 0`) — epochs start on a fixed wall-clock
 //!   grid; the thread waits out each tick in `recv_timeout`, so commands
-//!   are handled the moment they arrive without moving the grid. An
-//!   epoch that starts more than one tick late counts as an
-//!   `epoch_deadline_misses` and the grid resynchronizes.
+//!   are handled the moment they arrive without moving the grid. A tick
+//!   whose deadline passed before it began (the epochs overrun it) gets
+//!   no wait, so it handles a few queued commands first. An epoch that
+//!   starts more than one tick late counts as an `epoch_deadline_misses`
+//!   and the grid resynchronizes.
 //! * **free-run** (`tick == 0`) — epochs run back to back on virtual
 //!   time until `max_epochs`, the mode tests and the determinism suite
 //!   use.
@@ -33,6 +35,10 @@ use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, SyncSender, TryRecvErr
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// Queued commands a wall-clock tick handles before its epoch when its
+/// deadline passed before it began, leaving it no wait to receive in.
+const COMMANDS_PER_TICK: usize = 4;
 
 /// What an API command produced: a JSON body on success, a status code
 /// plus message on failure.
@@ -250,6 +256,22 @@ impl<B: NodeBackend + PersistableBackend> Daemon<B> {
         }
         let mut deadline = Instant::now() + tick;
         loop {
+            if Instant::now() >= deadline {
+                // The epochs overran this tick, so it has no wait to
+                // receive in: handle a bounded batch of queued commands
+                // instead, so neither can starve the other.
+                for _ in 0..COMMANDS_PER_TICK {
+                    match self.rx.try_recv() {
+                        Ok(cmd) => {
+                            if self.handle(cmd) {
+                                return;
+                            }
+                        }
+                        Err(TryRecvError::Empty) => break,
+                        Err(TryRecvError::Disconnected) => return,
+                    }
+                }
+            }
             loop {
                 let now = Instant::now();
                 if now >= deadline {

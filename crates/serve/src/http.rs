@@ -122,9 +122,14 @@ pub enum ReadOutcome {
 }
 
 /// Reads one line (up to and including `\n`) with a hard byte cap,
-/// without over-reading past it.
-fn read_line_capped<R: BufRead>(r: &mut R, cap: usize) -> Result<Option<String>, HttpError> {
-    let mut line: Vec<u8> = Vec::new();
+/// without over-reading past it, into `line` (cleared first). Returns the
+/// line without its `\r\n`, or `None` on EOF before any byte.
+fn read_line_capped<'a, R: BufRead>(
+    r: &mut R,
+    cap: usize,
+    line: &'a mut Vec<u8>,
+) -> Result<Option<&'a str>, HttpError> {
+    line.clear();
     loop {
         let available = match r.fill_buf() {
             Ok(buf) => buf,
@@ -146,9 +151,9 @@ fn read_line_capped<R: BufRead>(r: &mut R, cap: usize) -> Result<Option<String>,
         line.extend_from_slice(&available[..take]);
         r.consume(take);
         if newline.is_some() {
-            let text = String::from_utf8(line)
+            let text = std::str::from_utf8(line)
                 .map_err(|_| HttpError::BadRequest("non-UTF-8 header bytes".into()))?;
-            return Ok(Some(text.trim_end_matches(['\r', '\n']).to_string()));
+            return Ok(Some(text.trim_end_matches(['\r', '\n'])));
         }
     }
 }
@@ -179,7 +184,9 @@ pub fn read_request<R: BufRead>(r: &mut R, max_body: usize) -> Result<ReadOutcom
         Err(e) if e.kind() == io::ErrorKind::Interrupted => return Ok(ReadOutcome::Idle),
         Err(e) => return Err(HttpError::Io(e)),
     }
-    let Some(line) = read_line_capped(r, MAX_REQUEST_LINE)? else {
+    // One line buffer serves the request line and every header.
+    let mut buf = Vec::new();
+    let Some(line) = read_line_capped(r, MAX_REQUEST_LINE, &mut buf)? else {
         return Ok(ReadOutcome::Closed);
     };
     let mut parts = line.split_ascii_whitespace();
@@ -200,10 +207,14 @@ pub fn read_request<R: BufRead>(r: &mut R, max_body: usize) -> Result<ReadOutcom
         )));
     }
     let mut keep_alive = version == "HTTP/1.1";
+    // Owned before the header lines reuse the buffer they borrow from.
+    let method = method.to_ascii_uppercase();
+    let (path, query) = target.split_once('?').unwrap_or((target, ""));
+    let (path, query) = (path.to_string(), query.to_string());
     let mut content_length: usize = 0;
     let mut headers = 0usize;
     loop {
-        let Some(header) = read_line_capped(r, MAX_HEADER_LINE)? else {
+        let Some(header) = read_line_capped(r, MAX_HEADER_LINE, &mut buf)? else {
             return Err(HttpError::BadRequest("EOF inside headers".into()));
         };
         if header.is_empty() {
@@ -249,12 +260,8 @@ pub fn read_request<R: BufRead>(r: &mut R, max_body: usize) -> Result<ReadOutcom
             }
         })?;
     }
-    let (path, query) = match target.split_once('?') {
-        Some((p, q)) => (p.to_string(), q.to_string()),
-        None => (target.to_string(), String::new()),
-    };
     Ok(ReadOutcome::Request(Request {
-        method: method.to_ascii_uppercase(),
+        method,
         path,
         query,
         body,
@@ -307,14 +314,18 @@ impl Response {
         Response::json(status, body)
     }
 
-    /// Serializes status line, headers, and body to the connection.
+    /// Serializes status line, headers, and body into `buf` (cleared
+    /// first; the caller keeps one per connection) and hands it to the
+    /// connection in one `write_all`, so a response is one `write(2)`
+    /// and, under `TCP_NODELAY`, one TCP segment.
     ///
     /// # Errors
     ///
     /// Propagates write failures (the caller drops the connection).
-    pub fn write_to<W: Write>(&self, w: &mut W) -> io::Result<()> {
+    pub fn write_to<W: Write>(&self, w: &mut W, buf: &mut Vec<u8>) -> io::Result<()> {
+        buf.clear();
         write!(
-            w,
+            buf,
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n",
             self.status,
             reason(self.status),
@@ -322,7 +333,8 @@ impl Response {
             self.body.len(),
             if self.close { "close" } else { "keep-alive" },
         )?;
-        w.write_all(&self.body)?;
+        buf.extend_from_slice(&self.body);
+        w.write_all(buf)?;
         w.flush()
     }
 }
@@ -441,20 +453,58 @@ mod tests {
 
     #[test]
     fn response_serializes_with_length_and_connection() {
-        let mut out = Vec::new();
-        Response::json(200, "{}").write_to(&mut out).unwrap();
+        let (mut out, mut buf) = (Vec::new(), Vec::new());
+        Response::json(200, "{}")
+            .write_to(&mut out, &mut buf)
+            .unwrap();
         let text = String::from_utf8(out).unwrap();
-        assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
-        assert!(text.contains("Content-Length: 2\r\n"));
-        assert!(text.contains("Connection: keep-alive\r\n"));
-        assert!(text.ends_with("\r\n\r\n{}"));
+        assert_eq!(
+            text,
+            "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 2\r\n\
+             Connection: keep-alive\r\n\r\n{}"
+        );
+        // The buffer is reused: a second response leaves no trace of the first.
         let mut out = Vec::new();
         let mut resp = Response::error(413, "too big");
         resp.close = true;
-        resp.write_to(&mut out).unwrap();
+        resp.write_to(&mut out, &mut buf).unwrap();
         let text = String::from_utf8(out).unwrap();
-        assert!(text.contains("413 Payload Too Large"));
+        assert!(text.starts_with("HTTP/1.1 413 Payload Too Large\r\n"));
         assert!(text.contains("Connection: close"));
-        assert!(text.contains("{\"error\":\"too big\"}"));
+        assert!(text.ends_with("\r\n\r\n{\"error\":\"too big\"}"));
+    }
+
+    /// A writer that counts `write` calls and keeps what they wrote.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, data: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(data);
+            Ok(data.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_response_is_one_write() {
+        let mut buf = Vec::new();
+        for resp in [
+            Response::json(200, "{\"epoch\":3}"),
+            Response::text(200, ""),
+            Response::error(503, "server is at connection capacity"),
+        ] {
+            let mut w = CountingWriter::default();
+            resp.write_to(&mut w, &mut buf).unwrap();
+            assert_eq!(w.writes, 1, "{} response", resp.status);
+            assert!(w.bytes.ends_with(&resp.body));
+        }
     }
 }

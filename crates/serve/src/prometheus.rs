@@ -39,20 +39,23 @@ pub fn help(name: &str) -> &'static str {
 /// assert!(text.contains("copart_unfairness 0.25"));
 /// ```
 pub fn render(snap: &MetricsSnapshot) -> String {
-    let mut out = String::new();
-    for (name, value) in &snap.counters {
-        let _ = writeln!(out, "# HELP {PREFIX}_{name}_total {}", help(name));
-        let _ = writeln!(out, "# TYPE {PREFIX}_{name}_total counter");
-        let _ = writeln!(out, "{PREFIX}_{name}_total {value}");
+    // Sized above a daemon's full registry (~9 KB) so the text does not
+    // regrow; the static text goes in with `push_str` and only the
+    // values are formatted.
+    let mut out = String::with_capacity(12 * 1024);
+    for &(name, value) in &snap.counters {
+        head(&mut out, name, "_total", "counter");
+        sample(&mut out, name, "_total ");
+        push_u64(&mut out, value);
+        out.push('\n');
     }
-    for (name, value) in &snap.gauges {
-        let _ = writeln!(out, "# HELP {PREFIX}_{name} {}", help(name));
-        let _ = writeln!(out, "# TYPE {PREFIX}_{name} gauge");
-        let _ = writeln!(out, "{PREFIX}_{name} {value}");
+    for &(name, value) in &snap.gauges {
+        head(&mut out, name, "", "gauge");
+        sample(&mut out, name, " ");
+        let _ = writeln!(out, "{value}");
     }
     for (name, hist) in &snap.histograms {
-        let _ = writeln!(out, "# HELP {PREFIX}_{name} {}", help(name));
-        let _ = writeln!(out, "# TYPE {PREFIX}_{name} histogram");
+        head(&mut out, name, "", "histogram");
         let mut cumulative = 0u64;
         for (bound, count) in hist.buckets() {
             cumulative += count;
@@ -61,17 +64,56 @@ pub fn render(snap: &MetricsSnapshot) -> String {
                 // it is emitted below with the full count.
                 continue;
             }
-            let _ = writeln!(out, "{PREFIX}_{name}_bucket{{le=\"{bound}\"}} {cumulative}");
+            sample(&mut out, name, "_bucket{le=\"");
+            push_u64(&mut out, bound);
+            out.push_str("\"} ");
+            push_u64(&mut out, cumulative);
+            out.push('\n');
         }
-        let _ = writeln!(
-            out,
-            "{PREFIX}_{name}_bucket{{le=\"+Inf\"}} {}",
-            hist.count()
-        );
-        let _ = writeln!(out, "{PREFIX}_{name}_sum {}", hist.sum_ns());
-        let _ = writeln!(out, "{PREFIX}_{name}_count {}", hist.count());
+        sample(&mut out, name, "_bucket{le=\"+Inf\"} ");
+        push_u64(&mut out, hist.count());
+        out.push('\n');
+        sample(&mut out, name, "_sum ");
+        let _ = writeln!(out, "{}", hist.sum_ns());
+        sample(&mut out, name, "_count ");
+        push_u64(&mut out, hist.count());
+        out.push('\n');
     }
     out
+}
+
+/// A series' `# HELP` and `# TYPE` lines.
+fn head(out: &mut String, name: &str, suffix: &str, kind: &str) {
+    for (tag, text) in [("# HELP ", help(name)), ("# TYPE ", kind)] {
+        out.push_str(tag);
+        sample(out, name, suffix);
+        out.push(' ');
+        out.push_str(text);
+        out.push('\n');
+    }
+}
+
+/// `copart_<name><suffix>`, the start of a sample line.
+fn sample(out: &mut String, name: &str, suffix: &str) {
+    out.push_str(PREFIX);
+    out.push('_');
+    out.push_str(name);
+    out.push_str(suffix);
+}
+
+/// `value` in decimal, as `{value}` formats it.
+fn push_u64(out: &mut String, mut value: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (value % 10) as u8;
+        value /= 10;
+        if value == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
 }
 
 #[cfg(test)]
@@ -96,6 +138,43 @@ mod tests {
         assert!(text.contains("copart_epoch_ns_bucket{le=\"+Inf\"} 2"));
         assert!(text.contains("copart_epoch_ns_sum 100300"));
         assert!(text.contains("copart_epoch_ns_count 2"));
+    }
+
+    /// The exposition byte for byte, every kind and a multi-bucket
+    /// histogram with an overflow sample.
+    #[test]
+    fn renders_the_exact_text() {
+        let m = MetricsRegistry::new();
+        m.add("epochs", 1_234_567_890);
+        m.add("ticks", 0);
+        m.set_gauge("unfairness", 0.1 + 0.2);
+        m.observe_ns("epoch_ns", 0);
+        m.observe_ns("epoch_ns", 3_000);
+        m.observe_ns("epoch_ns", u64::MAX);
+        let expected = "\
+# HELP copart_epochs_total Control periods executed
+# TYPE copart_epochs_total counter
+copart_epochs_total 1234567890
+# HELP copart_ticks_total Epoch-timer ticks observed by the daemon
+# TYPE copart_ticks_total counter
+copart_ticks_total 0
+# HELP copart_unfairness Current weighted unfairness (sigma/mu of slowdowns, Eq 2)
+# TYPE copart_unfairness gauge
+copart_unfairness 0.30000000000000004
+# HELP copart_epoch_ns End-to-end control epoch latency
+# TYPE copart_epoch_ns histogram
+copart_epoch_ns_bucket{le=\"256\"} 1
+copart_epoch_ns_bucket{le=\"4096\"} 2
+copart_epoch_ns_bucket{le=\"+Inf\"} 3
+copart_epoch_ns_sum 18446744073709554615
+copart_epoch_ns_count 3
+";
+        assert_eq!(render(&m.snapshot()), expected);
+        for value in [0, 9, 10, 99, 100, 1 << 40, u64::MAX - 1, u64::MAX] {
+            let mut out = String::new();
+            push_u64(&mut out, value);
+            assert_eq!(out, value.to_string());
+        }
     }
 
     #[test]

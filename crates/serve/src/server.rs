@@ -332,7 +332,7 @@ fn accept_loop(
                         metrics.inc("http_rejected_overload");
                         let mut resp = Response::error(503, "server is at connection capacity");
                         resp.close = true;
-                        let _ = resp.write_to(&mut stream);
+                        let _ = resp.write_to(&mut stream, &mut Vec::new());
                     }
                     Err(TrySendError::Disconnected(_)) => return,
                 }
@@ -371,6 +371,8 @@ fn serve_connection(stream: TcpStream, gateway: &Gateway, shutdown: &AtomicBool)
     };
     let mut reader = BufReader::new(read_half);
     let mut writer = stream;
+    // One response buffer for the connection's lifetime.
+    let mut out = Vec::new();
     loop {
         match http::read_request(&mut reader, http::DEFAULT_MAX_BODY) {
             Ok(ReadOutcome::Closed) => return,
@@ -386,7 +388,7 @@ fn serve_connection(stream: TcpStream, gateway: &Gateway, shutdown: &AtomicBool)
                     resp.close = true;
                 }
                 count_response(gateway, resp.status);
-                if resp.write_to(&mut writer).is_err() || resp.close {
+                if resp.write_to(&mut writer, &mut out).is_err() || resp.close {
                     return;
                 }
             }
@@ -399,7 +401,7 @@ fn serve_connection(stream: TcpStream, gateway: &Gateway, shutdown: &AtomicBool)
                 count_response(gateway, status);
                 let mut resp = Response::error(status, &e.to_string());
                 resp.close = true;
-                let _ = resp.write_to(&mut writer);
+                let _ = resp.write_to(&mut writer, &mut out);
                 return;
             }
         }

@@ -4,14 +4,14 @@
 //!
 //! The control thread owns the runtime and therefore the recorder; the
 //! HTTP workers only ever *read* the ring (for `GET /trace?tail=N`). The
-//! ring is the one cross-thread structure, a small `Arc<Mutex<_>>`
-//! whose lock is held for one event at a time; the file sink belongs to
-//! the recorder alone.
+//! ring is the one cross-thread structure, a small `Arc<Mutex<_>>` of
+//! rendered JSONL lines whose lock is held to render one line or to copy
+//! one tail; the file sink belongs to the recorder alone.
 
 use copart_telemetry::{
-    cut_trace_file, durable_prefix, JsonlRecorder, MetricsRegistry, Recorder, RingRecorder,
-    TraceEvent,
+    cut_trace_file, durable_prefix, JsonlRecorder, MetricsRegistry, Recorder, TraceEvent,
 };
+use std::collections::VecDeque;
 use std::fs::{self, File};
 use std::io::{self, BufReader, BufWriter};
 use std::path::{Path, PathBuf};
@@ -23,8 +23,10 @@ fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// A [`RingRecorder`] behind an `Arc<Mutex<_>>`: the control thread
-/// records into it while HTTP workers serve tail reads from it.
+/// The flight recorder: the last `capacity` events as their JSONL wire
+/// lines, behind an `Arc<Mutex<_>>`. The control thread renders each
+/// line once, as it records the event; HTTP workers serve tail reads by
+/// copying lines, with no event cloned or float formatted per request.
 ///
 /// # Examples
 ///
@@ -32,13 +34,22 @@ fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// use copart_serve::trace::SharedRing;
 /// let ring = SharedRing::new(128);
 /// let reader = ring.clone();
-/// assert_eq!(reader.tail(10).len(), 0);
+/// assert_eq!(reader.tail_jsonl(10), "");
 /// ```
 #[derive(Debug, Clone)]
 pub struct SharedRing {
-    inner: Arc<Mutex<RingRecorder>>,
+    inner: Arc<Mutex<Lines>>,
     /// Where trace-invariant violations are counted, if anywhere.
     checked: Option<Arc<MetricsRegistry>>,
+}
+
+#[derive(Debug)]
+struct Lines {
+    capacity: usize,
+    /// Each retained event's line, `\n` included, oldest first.
+    lines: VecDeque<String>,
+    /// The last recorded event's `(epoch, time_ns)`.
+    last: Option<(u64, u64)>,
 }
 
 impl SharedRing {
@@ -48,8 +59,13 @@ impl SharedRing {
     ///
     /// Panics when `capacity` is 0.
     pub fn new(capacity: usize) -> SharedRing {
+        assert!(capacity > 0, "ring capacity must be positive");
         SharedRing {
-            inner: Arc::new(Mutex::new(RingRecorder::new(capacity))),
+            inner: Arc::new(Mutex::new(Lines {
+                capacity,
+                lines: VecDeque::with_capacity(capacity),
+                last: None,
+            })),
             checked: None,
         }
     }
@@ -71,29 +87,21 @@ impl SharedRing {
 
     /// Number of currently retained events.
     pub fn len(&self) -> usize {
-        lock_unpoisoned(&self.inner).len()
+        lock_unpoisoned(&self.inner).lines.len()
     }
 
     /// Whether no events are retained.
     pub fn is_empty(&self) -> bool {
-        lock_unpoisoned(&self.inner).is_empty()
-    }
-
-    /// The most recent `n` events, oldest first.
-    pub fn tail(&self, n: usize) -> Vec<TraceEvent> {
-        let ring = lock_unpoisoned(&self.inner);
-        let skip = ring.len().saturating_sub(n);
-        ring.events().skip(skip).cloned().collect()
+        lock_unpoisoned(&self.inner).lines.is_empty()
     }
 
     /// The most recent `n` events as JSONL (one event per line, oldest
     /// first), the `GET /trace` wire format.
     pub fn tail_jsonl(&self, n: usize) -> String {
-        let mut out = String::new();
-        for event in self.tail(n) {
-            out.push_str(&event.to_json_line());
-            out.push('\n');
-        }
+        let ring = lock_unpoisoned(&self.inner);
+        let tail = ring.lines.range(ring.lines.len().saturating_sub(n)..);
+        let mut out = String::with_capacity(tail.clone().map(String::len).sum());
+        tail.for_each(|line| out.push_str(line));
         out
     }
 }
@@ -101,16 +109,26 @@ impl SharedRing {
 impl Recorder for SharedRing {
     fn record(&mut self, event: &TraceEvent) {
         let mut ring = lock_unpoisoned(&self.inner);
-        if let (Some(metrics), Some(prev)) = (&self.checked, ring.events().next_back()) {
-            if event.epoch <= prev.epoch || event.time_ns < prev.time_ns {
+        if let (Some(metrics), Some((epoch, time_ns))) = (&self.checked, ring.last) {
+            if event.epoch <= epoch || event.time_ns < time_ns {
                 metrics.inc("trace_verify_failures");
                 eprintln!(
-                    "copart serve: trace invariant violated: epoch {} at {} ns after epoch {} at {} ns",
-                    event.epoch, event.time_ns, prev.epoch, prev.time_ns
+                    "copart serve: trace invariant violated: epoch {} at {} ns after epoch {epoch} at {time_ns} ns",
+                    event.epoch, event.time_ns
                 );
             }
         }
-        ring.record(event);
+        ring.last = Some((event.epoch, event.time_ns));
+        // A full ring hands its oldest line's buffer to the newest.
+        let mut line = if ring.lines.len() == ring.capacity {
+            ring.lines.pop_front().unwrap_or_default()
+        } else {
+            String::new()
+        };
+        line.clear();
+        event.write_json_line(&mut line);
+        line.push('\n');
+        ring.lines.push_back(line);
     }
 }
 
@@ -368,23 +386,21 @@ mod tests {
             ring.record(&event(epoch));
         }
         assert_eq!(ring.len(), 4);
-        let tail: Vec<u64> = ring.tail(2).iter().map(|e| e.epoch).collect();
-        assert_eq!(tail, vec![8, 9]);
+        assert_eq!(ring.tail_jsonl(2), lines(8..10));
         // Asking for more than retained yields everything retained.
-        assert_eq!(ring.tail(100).len(), 4);
-        let jsonl = ring.tail_jsonl(2);
-        assert_eq!(jsonl.lines().count(), 2);
-        assert!(jsonl.lines().next().unwrap().contains("\"epoch\":8"));
+        assert_eq!(ring.tail_jsonl(100), lines(6..10));
+        assert_eq!(ring.tail_jsonl(0), "");
     }
 
     #[test]
     fn shared_ring_reads_from_a_clone() {
         let mut ring = SharedRing::new(8);
         let reader = ring.clone();
+        assert!(reader.is_empty());
         ring.record(&event(0));
         assert_eq!(reader.len(), 1);
         assert!(!reader.is_empty());
-        assert_eq!(reader.tail(1), [event(0)]);
+        assert_eq!(reader.tail_jsonl(1), line(0));
     }
 
     #[test]

@@ -361,11 +361,6 @@ impl Machine {
             .collect()
     }
 
-    /// The spec of a live application.
-    pub fn app_spec(&self, app: AppHandle) -> Result<&AppSpec, SimError> {
-        self.live(app).map(|a| &a.spec)
-    }
-
     /// Configures (or creates) a CLOS with the given CAT mask.
     ///
     /// # Errors
@@ -397,15 +392,6 @@ impl Machine {
     /// Reads a CLOS configuration, if defined.
     pub fn clos_config(&self, clos: ClosId) -> Option<(CbmMask, MbaLevel)> {
         self.clos_table.get(&clos).map(|c| (c.mask, c.mba))
-    }
-
-    /// Reassigns a live application to a different (configured) CLOS.
-    pub fn assign_clos(&mut self, app: AppHandle, clos: ClosId) -> Result<(), SimError> {
-        if !self.clos_table.contains_key(&clos) {
-            return Err(SimError::UnknownClos(clos));
-        }
-        self.live_mut(app)?.clos = clos;
-        Ok(())
     }
 
     /// The CLOS a live application currently runs under — the ground

@@ -683,3 +683,74 @@ fn shutdown_drains_at_an_epoch_boundary() {
     assert!(report.epochs >= 3);
     assert_eq!(report.epochs, report.snapshot.counter("epochs"));
 }
+
+/// Epochs that overrun every tick still leave room for commands: a
+/// 1 µs grid is late before each epoch starts, and mutations must answer
+/// at once rather than wait for a tick with time to spare.
+#[test]
+fn commands_answer_while_every_epoch_overruns() {
+    let cfg = ServeConfig {
+        tick: Duration::from_micros(1),
+        max_epochs: None,
+        ..ServeConfig::default()
+    };
+    let handle = copart_serve::serve_scenario(&scenario(3), cfg).expect("daemon boots");
+    let addr = handle.addr().to_string();
+    wait_for_epochs(&addr, 5);
+    for (method, path, body, expected) in [
+        ("DELETE", "/apps/2", "", 200),
+        ("POST", "/policy", "{\"policy\":\"mba-only\"}", 200),
+    ] {
+        let started = Instant::now();
+        let (status, reply) = loadgen::fetch(&addr, method, path, body).unwrap();
+        let took = started.elapsed();
+        assert_eq!(status, expected, "{method} {path}: {reply}");
+        assert!(
+            took < Duration::from_secs(1),
+            "{method} {path} took {took:?} behind overrunning epochs"
+        );
+    }
+    let misses = get(&addr, "/metrics")
+        .1
+        .lines()
+        .find_map(|l| l.strip_prefix("copart_epoch_deadline_misses_total "))
+        .and_then(|v| v.parse::<u64>().ok())
+        .expect("the miss counter is exposed");
+    assert!(misses > 0, "a 1 µs tick is overrun");
+    handle.shutdown();
+    handle.join();
+}
+
+/// The flight recorder serves the lines the trace files hold: after the
+/// epoch cap, `GET /trace?tail=N` is byte for byte the last N lines of
+/// the rotating files, and the whole ring is the whole trace.
+#[test]
+fn trace_tail_is_the_rotating_files_last_lines() {
+    let dir = std::env::temp_dir().join(format!("copart-tail-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = ServeConfig {
+        tick: Duration::ZERO,
+        max_epochs: Some(40),
+        trace_dir: Some(dir.clone()),
+        trace_file_events: 16,
+        ..ServeConfig::default()
+    };
+    let handle = copart_serve::serve_scenario(&scenario(11), cfg).expect("daemon boots");
+    let addr = handle.addr().to_string();
+    wait_for_epochs(&addr, 40);
+    let (status, tail) = get(&addr, "/trace?tail=20");
+    assert_eq!(status, 200);
+    let (status, whole) = get(&addr, "/trace?tail=4096");
+    assert_eq!(status, 200);
+    // Shutdown flushes the open file.
+    handle.shutdown();
+    handle.join();
+    let files: String = (0..)
+        .map_while(|i| std::fs::read_to_string(dir.join(format!("trace-{i:04}.jsonl"))).ok())
+        .collect();
+    let lines: Vec<&str> = files.split_inclusive('\n').collect();
+    assert!(lines.len() > 32, "the trace spans three files");
+    assert_eq!(tail, lines[lines.len() - 20..].concat());
+    assert_eq!(whole, files);
+    let _ = std::fs::remove_dir_all(&dir);
+}
