@@ -10,7 +10,8 @@
 //! Every cell runs on a fresh simulated machine from an explicit seed
 //! and the grid fans out on the `copart-parallel` pool, so the output —
 //! table and JSONL — is byte-identical at any `--jobs` setting.
-//! `scripts/compare.sh` holds the harness to that.
+//! `crates/cli/tests/compare_short.rs` holds the harness to that at
+//! `--jobs 1` and `--jobs 8`.
 
 use copart_core::policies::EvalOptions;
 use copart_experiments::Grid;

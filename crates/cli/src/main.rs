@@ -138,7 +138,7 @@ Commands:
       --out <path>         write one JSONL line per (engine, scenario)
                            cell
   trace-check      Validate a JSONL decision trace (parses, gapless
-                   epochs, monotone time) — the CI smoke gate
+                   epochs, monotone time)
       --path <file> [--min-events <n>]
       --fleet              validate a fleet-run trace instead: full
                            occupancy replay of placements, departures,

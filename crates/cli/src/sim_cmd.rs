@@ -271,10 +271,9 @@ fn run_dynamic(
 }
 
 /// `copart trace-check`: validate a JSONL decision trace — it must
-/// parse, epoch numbers must be gapless from 0, and time must never
-/// rewind (the invariants `tests/trace_observability.rs` asserts on
-/// in-process runs, here for trace files any run wrote). The CI smoke
-/// job points this at the traces `sim-run` and `repro fig12` emit.
+/// parse and hold [`copart_telemetry::check_trace`]'s invariants (epoch
+/// numbers gapless from 0, time never rewinding), here for trace files
+/// any run wrote.
 pub fn trace_check(opts: &Options) -> Result<(), String> {
     let path = opts.required("path")?;
     let min_events: usize = opts.number("min-events", 1usize)?;
@@ -286,35 +285,14 @@ pub fn trace_check(opts: &Options) -> Result<(), String> {
             events.len()
         ));
     }
-    for (i, e) in events.iter().enumerate() {
-        if e.epoch != i as u64 {
-            return Err(format!(
-                "{path}: event {i} has epoch {} — epoch numbers must be gapless from 0",
-                e.epoch
-            ));
-        }
-    }
-    for (i, pair) in events.windows(2).enumerate() {
-        if pair[1].time_ns < pair[0].time_ns {
-            return Err(format!(
-                "{path}: time rewinds at event {} ({} -> {} ns)",
-                i + 1,
-                pair[0].time_ns,
-                pair[1].time_ns
-            ));
-        }
-    }
-    let profiled = events
-        .iter()
-        .filter(|e| e.decision == copart_telemetry::TraceDecision::Profiled)
-        .count();
+    let (n, profiled) =
+        copart_telemetry::check_trace(&events).map_err(|e| format!("{path}: {e}"))?;
     if let Some(reference) = opts.get("reference") {
         check_reference(path, reference)?;
     }
     outln!(
-        "{path}: OK — {} events, epochs 0..{} gapless, {profiled} profiling probes",
-        events.len(),
-        events.len().saturating_sub(1),
+        "{path}: OK — {n} events, epochs 0..{} gapless, {profiled} profiling probes",
+        n.saturating_sub(1),
     );
     Ok(())
 }

@@ -1,28 +1,51 @@
 //! `copart compare` on a run shorter than four periods. The measured
 //! window used to be empty there and all 35 cells — on stdout and in
 //! `--out` — read `NaN`. The same short grid pins the digest of its
-//! `--out` bytes, and `--seconds` values no run can take are refused.
+//! `--out` bytes, and holds the grid determinism contract: stdout and
+//! `--out` are byte-identical at `--jobs 1` and `--jobs 8`. `--seconds`
+//! values no run can take are refused.
 
+use std::path::Path;
 use std::process::Command;
+
+/// Runs the 0.6 s grid at `jobs` workers, returning stdout and the
+/// `--out` bytes.
+fn short_grid(dir: &Path, jobs: &str) -> (String, String) {
+    let cells = dir.join(format!("cells-{jobs}.jsonl"));
+    // 0.6 s is three 200 ms periods: one to measure, the boundary case.
+    let out = Command::new(env!("CARGO_BIN_EXE_copart"))
+        .args([
+            "compare",
+            "--seconds",
+            "0.6",
+            "--seed",
+            "42",
+            "--jobs",
+            jobs,
+        ])
+        .arg("--out")
+        .arg(&cells)
+        .output()
+        .expect("run copart compare");
+    assert!(
+        out.status.success(),
+        "compare --jobs {jobs} failed: {out:?}"
+    );
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 table");
+    let jsonl = std::fs::read_to_string(&cells).expect("cells written");
+    (stdout, jsonl)
+}
 
 #[test]
 fn a_three_period_grid_has_a_number_in_every_cell() {
     let dir = std::env::temp_dir().join(format!("copart-compare-short-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let cells = dir.join("cells.jsonl");
-    // 0.6 s is three 200 ms periods: one to measure, the boundary case.
-    let out = Command::new(env!("CARGO_BIN_EXE_copart"))
-        .args(["compare", "--seconds", "0.6", "--seed", "42", "--jobs", "2"])
-        .arg("--out")
-        .arg(&cells)
-        .output()
-        .expect("run copart compare");
-    assert!(out.status.success(), "compare failed: {out:?}");
-
-    let stdout = String::from_utf8(out.stdout).expect("utf-8 table");
+    let (stdout, jsonl) = short_grid(&dir, "1");
+    let (stdout_8, jsonl_8) = short_grid(&dir, "8");
+    assert_eq!(stdout, stdout_8, "the table differs at --jobs 1 and 8");
+    assert_eq!(jsonl, jsonl_8, "--out differs at --jobs 1 and 8");
     assert!(!stdout.contains("NaN"), "NaN in the table:\n{stdout}");
 
-    let jsonl = std::fs::read_to_string(&cells).expect("cells written");
     assert_eq!(jsonl.lines().count(), 35, "7 engines x 5 scenarios");
     for line in jsonl.lines() {
         let cell = copart_telemetry::json::Json::parse(line).expect("cell is JSON");

@@ -105,11 +105,27 @@ fn clean_kill_and_resume_is_byte_identical() {
     assert!(snapshot.contains(r#""kind":"sim""#));
 }
 
+/// The value of `counter <name>` in a `--metrics` block (0 when absent).
+fn counter(metrics: &str, name: &str) -> u64 {
+    metrics
+        .lines()
+        .find_map(|line| {
+            line.strip_prefix("counter ")?
+                .strip_prefix(name)?
+                .strip_prefix(" = ")
+        })
+        .map_or(0, |v| v.trim().parse().expect("a counter is an integer"))
+}
+
 #[test]
 fn faulted_kill_and_resume_is_byte_identical() {
     let (metrics, snapshot) = kill_and_resume("faulted", &["--faults", FAULTS]);
     assert!(
-        metrics.contains("degraded_epochs"),
+        counter(&metrics, "fault_write_retries") > 0,
+        "no write retries under a 10% write-fault plan: {metrics}"
+    );
+    assert!(
+        counter(&metrics, "degraded_epochs") > 0,
         "no degraded epochs under a 5% dropout plan: {metrics}"
     );
     assert!(snapshot.contains(r#""kind":"faulty""#));

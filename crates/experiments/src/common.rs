@@ -87,7 +87,8 @@ pub fn trace_sink(name: &str) -> Box<dyn Recorder + Send> {
 }
 
 /// Whether `REPRO_FAST` asks for shrunk runs (any value but empty/`0`):
-/// the CI smoke mode, trading statistical weight for minutes.
+/// the smoke mode the byte-pin tests run in, trading statistical weight
+/// for minutes.
 pub fn fast_mode() -> bool {
     std::env::var("REPRO_FAST").is_ok_and(|v| !v.is_empty() && v != "0")
 }

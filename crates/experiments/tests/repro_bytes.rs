@@ -1,11 +1,13 @@
 //! Byte witnesses for the `repro` evaluation grid: `fig12`'s table and
 //! its seven CoPart decision traces (the `PolicyKind` column shape, with
-//! the per-cell trace hook), `fig4`'s table (the unpartitioned baseline
-//! and the batch of fixed states behind the heatmaps), `ablate-retry`'s
-//! table (the `CoPartParams` column shape) and `compare-utility`'s table
-//! (the one column that plans from offline miss-ratio curves), at smoke
-//! length on two workers. An FNV-1a over each output must equal the
-//! pinned constant.
+//! the per-cell trace hook; each trace also holds the trace invariants
+//! of `copart_telemetry::check_trace`), `fig4`'s table (the
+//! unpartitioned baseline and the batch of fixed states behind the
+//! heatmaps), `ablate-retry`'s table (the `CoPartParams` column shape),
+//! `compare-utility`'s table (the one column that plans from offline
+//! miss-ratio curves) and `compare-engines`' table (every engine over
+//! every compare scenario, EQ-normalized), at smoke length on two
+//! workers. An FNV-1a over each output must equal the pinned constant.
 //!
 //! Pinned at the commit before the grid runner moved into the library
 //! and unchanged by it; `compare-utility` was pinned before its curves
@@ -20,12 +22,13 @@
 use std::path::Path;
 use std::process::Command;
 
-use copart_telemetry::fnv1a64;
+use copart_telemetry::{check_trace, fnv1a64, parse_trace};
 
 const FIG12_STDOUT: u64 = 0xbde4bfec460afe91;
 const FIG4_STDOUT: u64 = 0x9e45996e0c61f9ad;
 const ABLATE_RETRY_STDOUT: u64 = 0x6edacda1ec2d2edc;
 const COMPARE_UTILITY_STDOUT: u64 = 0xded482236e16145e;
+const COMPARE_ENGINES_STDOUT: u64 = 0x536ad51e694cf57e;
 const FIG12_TRACES: &[(&str, u64)] = &[
     ("h-llc", 0x55ba361c6a4df86e),
     ("h-bw", 0x48c16e9626b3530e),
@@ -76,6 +79,8 @@ fn fig12_table_and_traces_are_pinned() {
         let path = dir.join(format!("fig12_{mix}.jsonl"));
         let bytes = std::fs::read(&path).expect("fig12 writes one trace per mix");
         check(&format!("fig12_{mix}.jsonl"), &bytes, pinned);
+        let events = parse_trace(&bytes[..]).expect("the trace parses");
+        check_trace(&events).unwrap_or_else(|e| panic!("fig12_{mix}.jsonl: {e}"));
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -101,5 +106,13 @@ fn compare_utility_table_is_pinned() {
     let dir = std::env::temp_dir().join(format!("copart-repro-utility-{}", std::process::id()));
     let stdout = repro("compare-utility", &dir);
     check("compare-utility stdout", &stdout, COMPARE_UTILITY_STDOUT);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn compare_engines_table_is_pinned() {
+    let dir = std::env::temp_dir().join(format!("copart-repro-engines-{}", std::process::id()));
+    let stdout = repro("compare-engines", &dir);
+    check("compare-engines stdout", &stdout, COMPARE_ENGINES_STDOUT);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -5,12 +5,16 @@
 //! steps disjoint per-node state and reassembles in node-id order. These
 //! tests pin that down by running the same fleet at `--jobs 1` and
 //! `--jobs 8` inside one process and comparing every output byte:
-//! trace, metrics document, and migration tickets. The bytes themselves
-//! are pinned too, as FNV-1a digests of each output.
+//! trace, metrics document, migration tickets, and each node's
+//! `--state-dir` snapshot. The bytes of the first three are pinned too,
+//! as FNV-1a digests of each output.
 //!
 //! Bless an intentional change with `UPDATE_FLEET_DIGESTS=1 cargo test -p
 //! copart-fleet --test fleet_determinism -- --nocapture` and paste the
 //! printed table over `PINNED`.
+
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 
 use copart_fleet::{check_fleet_trace, run_fleet, FleetConfig, FleetOutcome};
 use copart_telemetry::{fnv1a64, fnv1a64_update, FNV1A64_OFFSET};
@@ -87,8 +91,45 @@ fn fleet_outputs_are_byte_identical_across_jobs() {
     copart_parallel::set_jobs(None);
     assert_eq!(serial.trace, parallel.trace, "faulted trace must match too");
     assert_eq!(serial.metrics_json, parallel.metrics_json);
+    assert_eq!(serial.tickets, parallel.tickets);
     check_fleet_trace(&serial.trace).unwrap();
     got.extend(digests("faulted", &serial));
+
+    // The wide fleet — many more nodes than tenants per node — with every
+    // live node's snapshot written under `--state-dir`: the snapshots are
+    // byte-identical at both job counts too.
+    let scratch = std::env::temp_dir().join(format!("copart-fleet-wide-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&scratch);
+    let wide = |jobs: usize| {
+        let mut cfg = FleetConfig::new(128, 80, 77);
+        cfg.horizon = 8;
+        let state = scratch.join(format!("state-j{jobs}"));
+        std::fs::create_dir_all(&state).unwrap();
+        cfg.state_dir = Some(state.clone());
+        copart_parallel::set_jobs(Some(jobs));
+        let out = run_fleet(&cfg).unwrap();
+        copart_parallel::set_jobs(None);
+        let mut files = BTreeMap::new();
+        tree(&state, &state, &mut files);
+        (out, files)
+    };
+    let (serial, serial_files) = wide(1);
+    let (parallel, parallel_files) = wide(8);
+    assert_eq!(serial.trace, parallel.trace);
+    assert_eq!(serial.metrics_json, parallel.metrics_json);
+    assert_eq!(serial.tickets, parallel.tickets);
+    check_fleet_trace(&serial.trace).unwrap();
+
+    assert!(
+        serial.snapshots_written > 0,
+        "the wide fleet wrote no snapshot"
+    );
+    assert_eq!(serial_files.len() as u64, serial.snapshots_written);
+    assert!(
+        serial_files == parallel_files,
+        "node snapshots differ between --jobs 1 and --jobs 8"
+    );
+    let _ = std::fs::remove_dir_all(&scratch);
 
     if std::env::var("UPDATE_FLEET_DIGESTS").is_ok_and(|v| !v.is_empty() && v != "0") {
         for (run, output, digest) in &got {
@@ -100,4 +141,17 @@ fn fleet_outputs_are_byte_identical_across_jobs() {
         got, PINNED,
         "a fleet output's bytes changed (intentional? bless with UPDATE_FLEET_DIGESTS=1)"
     );
+}
+
+/// Every file under `dir`, by its path relative to `root`, with its bytes.
+fn tree(root: &Path, dir: &Path, files: &mut BTreeMap<PathBuf, Vec<u8>>) {
+    for entry in std::fs::read_dir(dir).expect("the state dir lists") {
+        let path = entry.expect("an entry reads").path();
+        if path.is_dir() {
+            tree(root, &path, files);
+        } else {
+            let bytes = std::fs::read(&path).expect("a snapshot reads");
+            files.insert(path.strip_prefix(root).unwrap().to_path_buf(), bytes);
+        }
+    }
 }

@@ -56,8 +56,8 @@ pub use fleet::{FleetAggregator, NodeGauges, Percentiles};
 pub use json::{FieldError, Json, JsonError, JsonReader, JsonWriter, ReadError};
 pub use rates::{traffic_ratio, Rates};
 pub use recorder::{
-    cut_trace_file, durable_prefix, parse_trace, read_trace_file, JsonlRecorder, NullRecorder,
-    Recorder, RingRecorder, SharedRecorder,
+    check_trace, cut_trace_file, durable_prefix, parse_trace, read_trace_file, JsonlRecorder,
+    NullRecorder, Recorder, RingRecorder, SharedRecorder,
 };
 pub use registry::{
     Histogram, MetricsRegistry, MetricsSnapshot, SeriesKind, LATENCY_BUCKET_BOUNDS_NS, SERIES,

@@ -16,7 +16,7 @@
 //!   harness consume; [`cut_trace_file`] reopens such a file for a
 //!   resumed run.
 
-use crate::event::TraceEvent;
+use crate::event::{TraceDecision, TraceEvent};
 use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufRead, BufWriter, Seek, SeekFrom, Write};
@@ -245,6 +245,34 @@ pub fn parse_trace(reader: impl BufRead) -> io::Result<Vec<TraceEvent>> {
 /// As [`parse_trace`], or the error opening the file.
 pub fn read_trace_file(path: impl AsRef<Path>) -> io::Result<Vec<TraceEvent>> {
     parse_trace(io::BufReader::new(File::open(path)?))
+}
+
+/// The invariants every decision trace holds, whoever wrote it: epoch
+/// numbers are gapless from 0 and time never rewinds. `copart
+/// trace-check` and the tests hold traces to this one rule. Returns the
+/// trace's `(events, profiling probes)`.
+///
+/// # Errors
+///
+/// Names the first event that breaks a rule.
+pub fn check_trace(events: &[TraceEvent]) -> Result<(usize, usize), String> {
+    if let Some((i, e)) = (0u64..).zip(events).find(|(i, e)| e.epoch != *i) {
+        let epoch = e.epoch;
+        return Err(format!(
+            "event {i} has epoch {epoch} — epoch numbers must be gapless from 0"
+        ));
+    }
+    if let Some(i) = events.windows(2).position(|w| w[1].time_ns < w[0].time_ns) {
+        let (from, to) = (events[i].time_ns, events[i + 1].time_ns);
+        return Err(format!(
+            "time rewinds at event {} ({from} -> {to} ns)",
+            i + 1
+        ));
+    }
+    let profiled = events
+        .iter()
+        .filter(|e| e.decision == TraceDecision::Profiled);
+    Ok((events.len(), profiled.count()))
 }
 
 /// The durable prefix of a trace file: the leading lines that parse as
@@ -502,5 +530,26 @@ mod tests {
             );
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn check_trace_names_the_first_broken_rule() {
+        let mut events: Vec<TraceEvent> = (0..4).map(event).collect();
+        events[0].decision = TraceDecision::Profiled;
+        assert_eq!(check_trace(&events), Ok((4, 1)));
+        assert_eq!(check_trace(&[]), Ok((0, 0)));
+
+        let mut gapped = events.clone();
+        gapped[2].epoch = 3;
+        assert_eq!(
+            check_trace(&gapped),
+            Err("event 2 has epoch 3 — epoch numbers must be gapless from 0".to_string())
+        );
+        let mut rewound = events;
+        rewound[3].time_ns = 1500;
+        assert_eq!(
+            check_trace(&rewound),
+            Err("time rewinds at event 3 (2000 -> 1500 ns)".to_string())
+        );
     }
 }

@@ -30,10 +30,6 @@ use std::time::{Duration, Instant};
 /// Serializes the tests that flip the global parallelism knob.
 static JOBS_LOCK: Mutex<()> = Mutex::new(());
 
-fn fast() -> bool {
-    std::env::var("REPRO_FAST").is_ok_and(|v| !v.is_empty() && v != "0")
-}
-
 /// A fresh scratch directory (removed by the caller when the test ends).
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("copart-crashrec-{}-{tag}", std::process::id()));
@@ -217,12 +213,7 @@ fn kill_and_resume(
 fn sweep(scenario: &Scenario, schedule: &[(u64, ChurnOp)], tag: &str) {
     let expected = reference(scenario, schedule, &format!("{tag}-ref"));
     assert_eq!(expected.outcome.epochs_done, EPOCHS);
-    let kills: Vec<u64> = if fast() {
-        vec![0, 1, SNAP_EVERY, SNAP_EVERY + 1, 7, EPOCHS - 1]
-    } else {
-        (0..EPOCHS).collect()
-    };
-    for k in kills {
+    for k in 0..EPOCHS {
         let resumed = kill_and_resume(scenario, schedule, k, &format!("{tag}-k{k}"));
         assert_same_residue(&expected, &resumed, &format!("{tag} kill@{k}"));
         assert_eq!(

@@ -16,10 +16,6 @@ use copart_sim::{Machine, MachineConfig};
 use copart_workloads::stream::StreamReference;
 use copart_workloads::{MixKind, WorkloadMix};
 
-fn fast() -> bool {
-    std::env::var("REPRO_FAST").is_ok_and(|v| !v.is_empty() && v != "0")
-}
-
 fn build(kind: MixKind) -> (SimBackend, Vec<(ClosId, String)>) {
     let mut backend = SimBackend::new(Machine::new(MachineConfig::xeon_gold_6130()));
     let mut groups = Vec::new();
@@ -124,13 +120,8 @@ fn soak_one(seed: u64, epochs: u32) -> bool {
 
 #[test]
 fn seed_sweep_soak() {
-    let seeds: &[u64] = if fast() {
-        &[17, 42]
-    } else {
-        &[3, 17, 42, 9001, 987654321]
-    };
-    let epochs = if fast() { 60 } else { 200 };
-    let soaked = seeds.iter().filter(|&&s| soak_one(s, epochs)).count();
+    let seeds: &[u64] = &[3, 17, 42, 9001, 987654321];
+    let soaked = seeds.iter().filter(|&&s| soak_one(s, 200)).count();
     assert!(
         soaked * 2 >= seeds.len(),
         "only {soaked}/{} seeds survived construction — the vanish rate \
@@ -259,10 +250,8 @@ fn churn_one(seed: u64, epochs: u32) {
 
 #[test]
 fn app_churn_under_faults() {
-    let seeds: &[u64] = if fast() { &[7, 23] } else { &[7, 23, 1117] };
-    let epochs = if fast() { 20 } else { 60 };
-    for &seed in seeds {
-        churn_one(seed, epochs);
+    for seed in [7, 23, 1117] {
+        churn_one(seed, 60);
     }
 }
 
@@ -302,7 +291,7 @@ fn kill_and_resume_mid_degraded_mode() {
         Some(degraded_plan(17)),
     )
     .unwrap();
-    let total: u64 = if fast() { 24 } else { 48 };
+    let total: u64 = 48;
     let kill = total / 2;
 
     let ref_dir = scratch("degraded-ref");

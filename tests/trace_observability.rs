@@ -9,7 +9,8 @@ use copart_core::CoPartParams;
 use copart_rdt::{ClosId, SimBackend};
 use copart_sim::{Machine, MachineConfig};
 use copart_telemetry::{
-    read_trace_file, JsonlRecorder, NullRecorder, TraceDecision, TraceEvent, TracePhase,
+    check_trace, read_trace_file, JsonlRecorder, NullRecorder, TraceDecision, TraceEvent,
+    TracePhase,
 };
 use copart_workloads::stream::StreamReference;
 use copart_workloads::{MixKind, WorkloadMix};
@@ -58,14 +59,10 @@ fn one_event_per_epoch_with_fig10_phase_order() {
     let (events, n_apps) = traced_run();
 
     // One event per control epoch: one per profiling probe, one per
-    // period, with epoch numbers monotone from 0 with no gaps.
-    assert_eq!(events.len(), n_apps + PERIODS as usize);
-    for (i, e) in events.iter().enumerate() {
-        assert_eq!(e.epoch, i as u64, "epoch numbers must be gapless");
-    }
-    for pair in events.windows(2) {
-        assert!(pair[1].time_ns >= pair[0].time_ns, "time must not rewind");
-    }
+    // period, gapless from epoch 0 in monotone time.
+    let (n, profiled) = check_trace(&events).expect("the trace holds its invariants");
+    assert_eq!(n, n_apps + PERIODS as usize);
+    assert_eq!(profiled, n_apps, "one profiling probe per app");
 
     // Phases in Figure 10 order: collapse consecutive repeats and check
     // the run starts Profiling → Exploring and reaches Idle; later
